@@ -25,7 +25,7 @@ from .fileio import (
 )
 from .graphs import build_graphs
 from .metrics import MetricKind, default_beta
-from .objective import alignment_gradient, alignment_objective
+from .objective import alignment_gradient, alignment_objective, fd_gradient
 from .optimizer import OptimizerConfig, initial_transform, rcg_maximize
 
 GRADCHECK_TOL = 1e-4
@@ -94,18 +94,6 @@ def _auto_neighbor_count(data):
     return max(int(data.class_sizes().min()) - 1, 1)
 
 
-def _fd_gradient(func, W, h=1e-5):
-    grad = np.zeros_like(W)
-    for idx in np.ndindex(*W.shape):
-        bumped = W.copy()
-        bumped[idx] = W[idx] + h
-        upper = func(bumped)
-        bumped[idx] = W[idx] - h
-        lower = func(bumped)
-        grad[idx] = (upper - lower) / (2.0 * h)
-    return grad
-
-
 def gradcheck_report(metrics, instances, seed, out=None):
     """Compare analytic and finite-difference gradients on random problems.
 
@@ -132,7 +120,7 @@ def gradcheck_report(metrics, instances, seed, out=None):
 
             state = alignment_objective(data, graphs, W, metric, beta)
             analytic = alignment_gradient(data, graphs, W, metric, beta, state)
-            numeric = _fd_gradient(objective, W)
+            numeric = fd_gradient(objective, W)
             scale = max(float(np.linalg.norm(numeric)), 1e-12)
             error = float(np.linalg.norm(analytic - numeric)) / scale
             metric_worst = max(metric_worst, error)

@@ -1,43 +1,59 @@
 """Matrix functions on symmetric matrices.
 
 log/exp/sqrt/inverse-sqrt are computed through the eigendecomposition of the
-(symmetric) input. The directional derivative of the matrix logarithm is
-computed from the (1,2) block of the log of a block upper-triangular matrix,
-which requires a general dense matrix logarithm (inverse scaling-and-squaring
-with Pade approximation, as provided by scipy).
+(symmetric) input. The directional (Frechet) derivative of the matrix log
+comes from the same eigendecomposition through the Daleckii-Krein formula:
+with X = Q diag(l) Q^T,
+
+    dlog(X)[H] = Q (Gamma o Q^T H Q) Q^T,
+    Gamma_ij = (log l_i - log l_j) / (l_i - l_j),   Gamma_ii = 1 / l_i
+
+(Higham, Functions of Matrices, SIAM 2008, ch. 3). `dlog` and the helpers
+it validates with (check_symmetric, symmetrize, pd_floor, sym_eig) take one
+matrix (n, n) or a stack (..., n, n) and treat each matrix on its own; the
+spd_* functions take one matrix.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonSymmetricError, NotPositiveDefiniteError, NoConvergenceError
 
 SYM_RTOL = 1e-10
 
 
+def _mT(A):
+    """Transpose of the last two axes: A.T for one matrix, per matrix for a stack."""
+    return A.swapaxes(-1, -2)
+
+
 def check_symmetric(A, name="matrix"):
-    """Raise NonSymmetricError unless A is square and symmetric to tolerance."""
+    """Raise NonSymmetricError unless A is square and symmetric to tolerance.
+
+    A stack is checked matrix by matrix, each against its own scale.
+    """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise NonSymmetricError(f"{name} must be square, got shape {A.shape}")
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 1.0)
-    if float(np.max(np.abs(A - A.T))) > SYM_RTOL * scale:
+    scale = np.maximum(np.abs(A).max(axis=(-2, -1), keepdims=True), 1.0)
+    if (np.abs(A - _mT(A)) / scale).max() > SYM_RTOL:
         raise NonSymmetricError(f"{name} is not symmetric within tolerance")
     return A
 
 
 def symmetrize(A):
-    return 0.5 * (A + A.T)
+    return 0.5 * (A + _mT(A))
 
 
 def pd_floor(X):
-    """Scale-aware eigenvalue floor below which X is rejected as non-PD."""
-    n = X.shape[0]
-    return 1e-12 * max(1.0, float(np.trace(X)) / n)
+    """Scale-aware eigenvalue floor below which X is rejected as non-PD.
+
+    For a stack, one floor per matrix.
+    """
+    return 1e-12 * np.maximum(X.trace(axis1=-2, axis2=-1) / X.shape[-1], 1.0)
 
 
 def sym_eig(A):
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix or stack.
 
     Returns (w, Q) with eigenvalues w ascending and orthogonal Q such that
     A = Q diag(w) Q^T.
@@ -50,7 +66,17 @@ def sym_eig(A):
     return w, Q
 
 
+def _one_matrix(A, name="matrix"):
+    """Reject stacks where the eigenvalues would scale the wrong axis."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise NonSymmetricError(f"{name} must be one matrix, got shape {A.shape}")
+    return A
+
+
 def _spd_eig(X, name="matrix"):
+    """sym_eig of one positive definite matrix, rejecting floored spectra."""
+    X = _one_matrix(X, name)
     w, Q = sym_eig(X)
     if w[0] <= pd_floor(X):
         raise NotPositiveDefiniteError(
@@ -67,7 +93,7 @@ def spd_log(X):
 
 def spd_exp(H):
     """Matrix exponential of a symmetric matrix."""
-    w, Q = sym_eig(H)
+    w, Q = sym_eig(_one_matrix(H))
     return symmetrize((Q * np.exp(w)) @ Q.T)
 
 
@@ -90,35 +116,45 @@ def spd_sqrt_pair(X):
     return symmetrize((Q * s) @ Q.T), symmetrize((Q / s) @ Q.T)
 
 
+def _log_divided_differences(w):
+    """Gamma_ij = (log w_i - log w_j) / (w_i - w_j), with 1 / w_i on ties.
+
+    Written as log1p(t) / (b t) with b = min(w_i, w_j) and t = |w_i - w_j| / b,
+    which stays accurate as the gap closes: nearby eigenvalues subtract
+    exactly, and log1p avoids the cancelling difference of two logs. Exactly
+    symmetric in i and j.
+    """
+    wi, wj = w[..., :, None], w[..., None, :]
+    b = np.minimum(wi, wj)
+    t = np.abs(wi - wj) / b
+    tied = t == 0.0
+    t_safe = np.where(tied, 1.0, t)
+    return np.where(tied, 1.0, np.log1p(t_safe) / t_safe) / b
+
+
 def dlog(X, H):
     """Directional derivative of the matrix log at X along a symmetric H.
 
-    Evaluates log([[X, H], [0, X]]) and reads off the (1,2) block. The block
-    matrix is not symmetric, so a general dense log is required.
+    X and H are one matrix each or stacks of the same shape (..., n, n); a
+    stack gives the derivative of every X_k along its own H_k. One
+    eigendecomposition of X, then Q (Gamma o Q^T H Q) Q^T with the divided
+    differences Gamma of the log at the eigenvalues.
     """
     X = np.asarray(X, dtype=float)
     H = check_symmetric(H, "direction")
-    _spd_eig(X, "base point")
     if H.shape != X.shape:
         raise NonSymmetricError(
             f"direction shape {H.shape} does not match base point {X.shape}"
         )
-    n = X.shape[0]
-    B = np.zeros((2 * n, 2 * n))
-    B[:n, :n] = X
-    B[:n, n:] = H
-    B[n:, n:] = X
-    try:
-        L, errest = scipy.linalg.logm(B, disp=False)
-    except Exception as exc:
-        raise NoConvergenceError(f"dense matrix log failed: {exc}") from exc
-    if not np.all(np.isfinite(L)) or not np.isfinite(errest) or errest > 1e-6:
-        raise NoConvergenceError(
-            f"dense matrix log did not converge (error estimate {errest:.3e})"
+    w, Q = sym_eig(X)
+    low = w[..., 0] <= pd_floor(X)
+    if low.any():
+        raise NotPositiveDefiniteError(
+            f"base point has min eigenvalue {w[..., 0][low].min():.3e} "
+            "at or below the PD floor"
         )
-    if np.iscomplexobj(L):
-        scale = max(1.0, float(np.max(np.abs(L.real))))
-        if float(np.max(np.abs(L.imag))) > 1e-8 * scale:
-            raise NoConvergenceError("dense matrix log left the real axis")
-        L = L.real
-    return symmetrize(L[:n, n:])
+    inner = _log_divided_differences(w) * (_mT(Q) @ H @ Q)
+    D = symmetrize(Q @ inner @ _mT(Q))
+    if not np.isfinite(D).all():
+        raise NoConvergenceError("matrix log derivative is not finite")
+    return D

@@ -201,9 +201,9 @@ def alignment_gradient(data, graphs, W, metric, beta, state, ctx=None):
     pair-similarity gradient. For the log-Euclidean metric the contributions
     are regrouped per sample first: the log derivative is linear in its
     direction, so summing weighted directions before differentiating gives the
-    same value with one derivative call per sample instead of two per pair.
-    Reduction order is fixed (lexicographic pairs, then sample index), keeping
-    repeated runs bit-identical.
+    same value, and one stacked `dlog` call per gradient then differentiates
+    every sample at once. Reduction order is fixed (lexicographic pairs, then sample
+    index), keeping repeated runs bit-identical.
     """
     metric = MetricKind.parse(metric)
     if ctx is None:
@@ -220,13 +220,24 @@ def alignment_gradient(data, graphs, W, metric, beta, state, ctx=None):
         directions = row[:, None, None] * ctx.logs - np.tensordot(
             weights, ctx.logs, axes=1
         )
-        for p in range(data.size):
-            if np.any(directions[p]):
-                grad += ctx.B[p] @ matfun.dlog(
-                    ctx.mapped[p], matfun.symmetrize(directions[p])
-                )
+        derivs = matfun.dlog(ctx.mapped, matfun.symmetrize(directions))
+        for term in np.matmul(ctx.B, derivs):
+            grad += term
         return grad
     for i, j in graphs.pairs:
         entry = kernel_entry_gradient(metric, i, j, W, ctx, beta, state.K[i, j])
         grad += (2.0 * C[i, j]) * entry
+    return grad
+
+
+def fd_gradient(func, W, h=1e-5):
+    """Entrywise central finite differences of a scalar function of W."""
+    grad = np.zeros_like(W)
+    for idx in np.ndindex(*W.shape):
+        bumped = W.copy()
+        bumped[idx] = W[idx] + h
+        upper = func(bumped)
+        bumped[idx] = W[idx] - h
+        lower = func(bumped)
+        grad[idx] = (upper - lower) / (2.0 * h)
     return grad

@@ -3,6 +3,7 @@
 import numpy as np
 
 from spdalign.graphs import LabeledDataset
+from spdalign.objective import fd_gradient  # noqa: F401  (re-exported to tests)
 
 
 def clustered_dataset(seed, n, classes, per_class, spread=0.3):
@@ -16,16 +17,6 @@ def clustered_dataset(seed, n, classes, per_class, spread=0.3):
             samples.append(base + bump @ bump.T)
             labels.append(c)
     return LabeledDataset(np.stack(samples), np.asarray(labels))
-
-
-def fd_gradient(f, W, h=1e-5):
-    """Entrywise central finite differences of a scalar function of W."""
-    G = np.zeros_like(W)
-    for idx in np.ndindex(W.shape):
-        E = np.zeros_like(W)
-        E[idx] = h
-        G[idx] = (f(W + E) - f(W - E)) / (2.0 * h)
-    return G
 
 
 def rand_sym(rng, n, scale=1.0):

@@ -361,3 +361,22 @@ def test_training_runs_are_deterministic_per_seed(tmp_path):
     first_J = load_trace(str(outputs[0] / "trace.txt"))[:, 1]
     second_J = load_trace(str(outputs[1] / "trace.txt"))[:, 1]
     assert np.array_equal(first_J, second_J)
+
+
+def test_lem_training_runs_are_deterministic_per_seed(tmp_path):
+    """The same byte-identity criterion for the log-Euclidean metric, whose
+    gradient runs through the matrix-log derivative."""
+    corpus = tmp_path / "corpus"
+    synth = ["synth", "--output-dir", str(corpus), "--dim", "8", "--classes", "3",
+             "--per-class", "6", "--noise", "0.3", "--seed", "11"]
+    assert cli_main(synth) == 0
+    written = []
+    for name in ("first", "second"):
+        out_dir = tmp_path / name
+        train = ["train", "--manifest", str(corpus / "manifest.txt"),
+                 "--output-dir", str(out_dir), "--metric", "lem",
+                 "--target-dim", "3", "--max-iters", "12", "--seed", "5"]
+        assert cli_main(train) == 0
+        written.append([(out_dir / f).read_bytes() for f in ("W.txt", "trace.txt")])
+    assert written[0][0] == written[1][0], "W files differ between identical runs"
+    assert written[0][1] == written[1][1], "trace files differ between runs"

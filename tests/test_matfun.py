@@ -1,17 +1,24 @@
 """Matrix function tests.
 
-The directional derivative of the log is checked two independent ways: against
-central differences of the eigendecomposition-based log, and against the
-closed-form divided-difference formula at diagonal base points. The two
-implementations share no code path (block Pade log vs eigh).
+The directional derivative of the log is checked against three references.
+The block-matrix oracle reads it off log([[X, H], [0, X]]) through SciPy's
+general dense logm (inverse scaling and squaring with Pade approximants), a
+code path `dlog` does not use. Central differences of the eigh-based log and
+the divided-difference formula at diagonal base points share the
+eigendecomposition route with `dlog` and back up the oracle.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import rand_spd, rand_sym
 from spdalign import matfun
-from spdalign.errors import NonSymmetricError, NotPositiveDefiniteError
+from spdalign.errors import (
+    NoConvergenceError,
+    NonSymmetricError,
+    NotPositiveDefiniteError,
+)
 
 
 def dlog_central_difference(X, H, h=1e-5):
@@ -29,6 +36,19 @@ def dlog_diagonal_oracle(x, H):
             else:
                 D[i, j] = H[i, j] * (np.log(x[i]) - np.log(x[j])) / (x[i] - x[j])
     return D
+
+
+def dlog_block_oracle(X, H):
+    """The (1,2) block of the dense log of the block matrix [[X, H], [0, X]]."""
+    n = X.shape[0]
+    B = np.block([[X, H], [np.zeros_like(X), X]])
+    L = scipy.linalg.logm(B)
+    return np.real(L[:n, n:])
+
+
+def spd_with_spectrum(rng, w):
+    Q, _ = np.linalg.qr(rng.standard_normal((len(w), len(w))))
+    return matfun.symmetrize((Q * w) @ Q.T)
 
 
 class TestEigBackedFunctions:
@@ -83,6 +103,13 @@ class TestEigBackedFunctions:
             Y = f(X)
             assert np.array_equal(Y, Y.T)
 
+    @pytest.mark.parametrize("f", [matfun.spd_log, matfun.spd_exp, matfun.spd_sqrt])
+    def test_rejects_stack(self, f):
+        # as many matrices as rows: eigenvalues scaling the wrong axis would
+        # still give a result of the right shape
+        with pytest.raises(NonSymmetricError):
+            f(np.stack([np.eye(3)] * 3))
+
     def test_sym_eig_ascending(self):
         rng = np.random.default_rng(11)
         A = rand_sym(rng, 8)
@@ -134,6 +161,45 @@ class TestLogDerivative:
         D = matfun.dlog(np.diag(x), H)
         assert np.allclose(D, dlog_diagonal_oracle(x, H), rtol=1e-9, atol=1e-11)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_block_log_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rand_spd(rng, 6, cond_spread=2.0)
+        H = rand_sym(rng, 6)
+        D, ref = matfun.dlog(X, H), dlog_block_oracle(X, H)
+        assert np.linalg.norm(D - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-14, 1e-10, 1e-6, 1e-3])
+    def test_near_degenerate_spectrum(self, gap):
+        # one eigenvalue pair at the given relative gap, one exactly repeated
+        rng = np.random.default_rng(12)
+        w = np.exp(rng.uniform(-1.0, 1.0, size=6))
+        w[1] = w[0] * (1.0 + gap)
+        w[3] = w[2]
+        X = spd_with_spectrum(rng, w)
+        H = rand_sym(rng, 6)
+        D, ref = matfun.dlog(X, H), dlog_block_oracle(X, H)
+        assert np.all(np.isfinite(D))
+        assert np.array_equal(D, D.T)
+        assert np.linalg.norm(D - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_stack_matches_single_calls_bitwise(self):
+        rng = np.random.default_rng(13)
+        Xs = np.stack([rand_spd(rng, 5, cond_spread=1.5) for _ in range(12)])
+        Hs = np.stack([rand_sym(rng, 5) for _ in range(12)])
+        stacked = matfun.dlog(Xs, Hs)
+        assert stacked.shape == Xs.shape
+        for X, H, D in zip(Xs, Hs, stacked):
+            assert np.array_equal(D, matfun.dlog(X, H))
+
+    def test_stack_rejects_one_bad_member(self):
+        Xs = np.stack([np.eye(3), np.diag([1.0, 2.0, -1.0])])
+        with pytest.raises(NotPositiveDefiniteError):
+            matfun.dlog(Xs, np.stack([np.eye(3)] * 2))
+        Hs = np.stack([np.eye(3), np.triu(np.ones((3, 3)))])
+        with pytest.raises(NonSymmetricError):
+            matfun.dlog(np.stack([np.eye(3)] * 2), Hs)
+
     def test_linear_in_direction(self):
         rng = np.random.default_rng(5)
         X = rand_spd(rng, 6)
@@ -167,3 +233,11 @@ class TestLogDerivative:
     def test_rejects_indefinite_base(self):
         with pytest.raises(NotPositiveDefiniteError):
             matfun.dlog(np.diag([1.0, -2.0]), np.eye(2))
+
+    @pytest.mark.parametrize("operand", ["base", "direction"])
+    def test_rejects_non_finite_input(self, operand):
+        bad = np.eye(3)
+        bad[0, 0] = np.nan
+        X, H = (bad, np.eye(3)) if operand == "base" else (np.eye(3), bad)
+        with pytest.raises(NoConvergenceError):
+            matfun.dlog(X, H)

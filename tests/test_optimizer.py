@@ -237,6 +237,20 @@ class TestRcgMaximize:
         assert np.array_equal(res_a.J_trace, res_b.J_trace)
         assert res_a.stop_reason is res_b.stop_reason
 
+    def test_lem_reruns_bitwise_identical_under_allocation_churn(self):
+        data, graphs, beta, W0 = fitted_instance(0, metric=MetricKind.LEM)
+        cfg = OptimizerConfig(max_iters=10)
+        first = rcg_maximize(data, graphs, MetricKind.LEM, beta, W0, cfg)
+        rng = np.random.default_rng(0)
+        held = []
+        for run in range(24):
+            # process state a run must not depend on: live heap blocks of odd
+            # sizes, and draws from NumPy's legacy global random stream
+            held.append(np.random.random_sample(int(rng.integers(1, 5000))))
+            res = rcg_maximize(data, graphs, MetricKind.LEM, beta, W0, cfg)
+            assert np.array_equal(res.W_final, first.W_final), f"rerun {run}"
+            assert np.array_equal(res.J_trace, first.J_trace), f"rerun {run}"
+
     def test_final_point_no_worse_than_start(self):
         data, graphs, beta, W0 = fitted_instance(7)
         res = rcg_maximize(data, graphs, MetricKind.AIM, beta, W0,
