@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import MetricKind, check_transform, cross_dist2, map_down
+from .metrics import MetricKind, cross_dist2, map_down
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,6 @@ class EvalSummary:
         return self._stats(self.transformed)
 
 
-def _map_stack(samples, W):
-    mapped = np.matmul(W.T, samples @ W)
-    return 0.5 * (mapped + np.transpose(mapped, (0, 2, 1)))
-
-
 def knn_classify(train, test, metric, W=None, k=1):
     """Label test samples by majority vote among k nearest training samples."""
     metric = MetricKind.parse(metric)
@@ -63,11 +58,8 @@ def knn_classify(train, test, metric, W=None, k=1):
         )
     train_stack, test_stack = train.samples, test.samples
     if W is not None:
-        W = check_transform(W, n=train.dim)
-        # validate once on a representative sample, then map the stacks
-        map_down(train.samples[0], W)
-        train_stack = _map_stack(train.samples, W)
-        test_stack = _map_stack(test.samples, W)
+        train_stack = map_down(train.samples, W)
+        test_stack = map_down(test.samples, W)
     D = cross_dist2(metric, test_stack, train_stack)
     c = max(train.class_count, test.class_count)
     confusion = np.zeros((c, c), dtype=int)

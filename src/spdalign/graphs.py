@@ -15,7 +15,6 @@ from . import matfun
 from .errors import (
     DimMismatchError,
     InsufficientClassSizeError,
-    NotPositiveDefiniteError,
     ValidationError,
 )
 from .metrics import MetricKind, pairwise_dist2
@@ -26,7 +25,8 @@ class LabeledDataset:
     """Stack of same-dimension SPD samples with class indices in [0, c).
 
     Every class index up to the maximum must be present, and every sample is
-    checked for symmetry and positive definiteness on construction.
+    checked on construction, in one pass over the stack, for finite entries,
+    symmetry and positive definiteness.
     """
 
     samples: np.ndarray
@@ -53,13 +53,13 @@ class LabeledDataset:
                 "class indices must cover 0..c-1 with no gaps; "
                 f"got {present.tolist()}"
             )
-        for i, X in enumerate(samples):
-            matfun.check_symmetric(X, f"sample {i}")
-            w = np.linalg.eigvalsh(X)
-            if w[0] <= matfun.pd_floor(X):
-                raise NotPositiveDefiniteError(
-                    f"sample {i} has min eigenvalue {w[0]:.3e} at or below the PD floor"
-                )
+        finite = np.isfinite(samples).all(axis=(1, 2))
+        if not finite.all():
+            raise ValidationError(
+                f"sample {int(np.argmin(finite))} holds a non-finite value"
+            )
+        matfun.check_symmetric(samples, "sample")
+        matfun.require_pd(np.linalg.eigvalsh(samples), samples, "sample")
         samples.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "samples", samples)

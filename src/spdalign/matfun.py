@@ -9,9 +9,10 @@ with X = Q diag(l) Q^T,
     Gamma_ij = (log l_i - log l_j) / (l_i - l_j),   Gamma_ii = 1 / l_i
 
 (Higham, Functions of Matrices, SIAM 2008, ch. 3). `dlog` and the helpers
-it validates with (check_symmetric, symmetrize, pd_floor, sym_eig) take one
-matrix (n, n) or a stack (..., n, n) and treat each matrix on its own; the
-spd_* functions take one matrix.
+it validates with (check_symmetric, symmetrize, pd_floor, require_pd,
+sym_eig, spd_eig, eig_apply) take one matrix (n, n) or a stack (..., n, n)
+and treat each matrix on its own; a failed check on a stack names the first
+failing matrix. The spd_* functions take one matrix.
 """
 
 import numpy as np
@@ -35,9 +36,24 @@ def check_symmetric(A, name="matrix"):
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise NonSymmetricError(f"{name} must be square, got shape {A.shape}")
     scale = np.maximum(np.abs(A).max(axis=(-2, -1), keepdims=True), 1.0)
-    if (np.abs(A - _mT(A)) / scale).max() > SYM_RTOL:
-        raise NonSymmetricError(f"{name} is not symmetric within tolerance")
+    bad = (np.abs(A - _mT(A)) / scale).max(axis=(-2, -1)) > SYM_RTOL
+    if bad.any():
+        raise NonSymmetricError(
+            f"{name}{_first(bad)} is not symmetric within tolerance"
+        )
     return A
+
+
+def _first(bad, ids=None):
+    """' <index>' of the first flagged matrix of a stack, '' for one matrix.
+
+    ids, when given, maps stack positions to the index to report.
+    """
+    if bad.ndim == 0:
+        return ""
+    where = tuple(int(k) for k in np.argwhere(bad)[0])
+    label = where[0] if len(where) == 1 else where
+    return f" {label if ids is None else ids[label]}"
 
 
 def symmetrize(A):
@@ -52,17 +68,37 @@ def pd_floor(X):
     return 1e-12 * np.maximum(X.trace(axis1=-2, axis2=-1) / X.shape[-1], 1.0)
 
 
+def require_pd(w, X, name="matrix", ids=None):
+    """Raise NotPositiveDefiniteError unless every smallest eigenvalue clears
+    its matrix's PD floor.
+
+    w holds the ascending eigenvalues of X, one matrix or a stack. A NaN
+    eigenvalue fails the check too. The error names the first failing matrix
+    of a stack, by position or through ids.
+    """
+    low = w[..., 0]
+    bad = ~(low > pd_floor(X))
+    if bad.any():
+        raise NotPositiveDefiniteError(
+            f"{name}{_first(bad, ids)} has min eigenvalue {low[bad].flat[0]:.3e} "
+            "at or below the PD floor"
+        )
+
+
 def sym_eig(A):
     """Eigendecomposition of a symmetric matrix or stack.
 
     Returns (w, Q) with eigenvalues w ascending and orthogonal Q such that
-    A = Q diag(w) Q^T.
+    A = Q diag(w) Q^T. A failed solve or a non-finite spectrum (NaN input)
+    raises NoConvergenceError.
     """
     A = check_symmetric(A)
     try:
         w, Q = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    if not np.isfinite(w).all():
+        raise NoConvergenceError("symmetric eigensolver returned non-finite values")
     return w, Q
 
 
@@ -74,20 +110,24 @@ def _one_matrix(A, name="matrix"):
     return A
 
 
-def _spd_eig(X, name="matrix"):
-    """sym_eig of one positive definite matrix, rejecting floored spectra."""
-    X = _one_matrix(X, name)
+def spd_eig(X, name="matrix"):
+    """sym_eig of a positive definite matrix or stack, rejecting floored spectra."""
     w, Q = sym_eig(X)
-    if w[0] <= pd_floor(X):
-        raise NotPositiveDefiniteError(
-            f"{name} has min eigenvalue {w[0]:.3e} at or below the PD floor"
-        )
+    require_pd(w, X, name)
     return w, Q
+
+
+def eig_apply(Q, values):
+    """Q diag(values) Q^T, symmetrized: a spectral function from its eigenpairs.
+
+    Q and values are one eigendecomposition or a stack of them.
+    """
+    return symmetrize((Q * values[..., None, :]) @ _mT(Q))
 
 
 def spd_log(X):
     """Principal matrix logarithm of a positive definite matrix."""
-    w, Q = _spd_eig(X)
+    w, Q = spd_eig(_one_matrix(X))
     return symmetrize((Q * np.log(w)) @ Q.T)
 
 
@@ -99,19 +139,19 @@ def spd_exp(H):
 
 def spd_sqrt(X):
     """Principal square root of a positive definite matrix."""
-    w, Q = _spd_eig(X)
+    w, Q = spd_eig(_one_matrix(X))
     return symmetrize((Q * np.sqrt(w)) @ Q.T)
 
 
 def spd_inv_sqrt(X):
     """Inverse of the principal square root of a positive definite matrix."""
-    w, Q = _spd_eig(X)
+    w, Q = spd_eig(_one_matrix(X))
     return symmetrize((Q / np.sqrt(w)) @ Q.T)
 
 
 def spd_sqrt_pair(X):
     """(X^{1/2}, X^{-1/2}) from a single eigendecomposition."""
-    w, Q = _spd_eig(X)
+    w, Q = spd_eig(_one_matrix(X))
     s = np.sqrt(w)
     return symmetrize((Q * s) @ Q.T), symmetrize((Q / s) @ Q.T)
 
@@ -146,13 +186,7 @@ def dlog(X, H):
         raise NonSymmetricError(
             f"direction shape {H.shape} does not match base point {X.shape}"
         )
-    w, Q = sym_eig(X)
-    low = w[..., 0] <= pd_floor(X)
-    if low.any():
-        raise NotPositiveDefiniteError(
-            f"base point has min eigenvalue {w[..., 0][low].min():.3e} "
-            "at or below the PD floor"
-        )
+    w, Q = spd_eig(X, "base point")
     inner = _log_divided_differences(w) * (_mT(Q) @ H @ Q)
     D = symmetrize(Q @ inner @ _mT(Q))
     if not np.isfinite(D).all():

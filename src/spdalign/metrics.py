@@ -10,6 +10,12 @@ Three squared distances are supported on positive definite matrices:
 The Stein divergence is used directly as a squared distance (no square root
 is ever taken). Distances below DIST_CLAMP are treated as exact coincidence
 before exponentiation so that identical samples get similarity exactly 1.
+
+Each geometry is one batched kernel (`Geometry`), and `dist2`,
+`pairwise_dist2`, `cross_dist2` and the alignment objective and gradient all
+go through it. Inputs are validated once where they enter; the positive
+definiteness checks inside the kernel run on whole stacks and blocks and
+name the first failing member.
 """
 
 from enum import Enum
@@ -27,6 +33,9 @@ from .errors import (
 
 RANK_RTOL = 1e-10
 DIST_CLAMP = 1e-14
+# matrix entries (pairs x n x n) per batched kernel call; bounds the working
+# memory of a block of pairs whatever the pair count and sample dimension
+BLOCK_ENTRIES = 16384
 
 
 class MetricKind(Enum):
@@ -70,62 +79,225 @@ def check_transform(W, n=None):
 
 
 def map_down(X, W):
-    """Congruence W^T X W taking an SPD matrix to the target dimension."""
+    """Congruence W^T X W taking an SPD matrix, or each of a stack, to the
+    target dimension."""
     X = matfun.check_symmetric(X, "sample")
-    W = check_transform(W, n=X.shape[0])
-    return matfun.symmetrize(W.T @ X @ W)
+    W = check_transform(W, n=X.shape[-1])
+    return matfun.symmetrize(W.T @ (X @ W))
 
 
-def pd_eigvalsh(X, name="matrix"):
-    """Eigenvalues of a positive definite matrix, rejecting floored spectra."""
-    w = np.linalg.eigvalsh(X)
-    if w[0] <= matfun.pd_floor(X):
-        raise NotPositiveDefiniteError(
-            f"{name} has min eigenvalue {w[0]:.3e} at or below the PD floor"
-        )
-    return w
+def _blocks(count, n):
+    """Slices covering range(count) in blocks of BLOCK_ENTRIES // n^2 pairs."""
+    step = max(1, BLOCK_ENTRIES // (n * n))
+    return (slice(s, s + step) for s in range(0, count, step))
 
 
-def chol_logdet(X, name="matrix"):
-    """log det of a positive definite matrix via its Cholesky factor."""
+def _chol_logdet(stack, name, ids=None):
+    """log det of every matrix of a stack from one stacked Cholesky."""
     try:
-        c = np.linalg.cholesky(X)
+        diag = np.diagonal(np.linalg.cholesky(stack), axis1=-2, axis2=-1)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(f"{name} is not positive definite") from None
-    return 2.0 * float(np.sum(np.log(np.diagonal(c))))
+        diag = np.full(stack.shape[:-1], np.nan)
+    logdet = 2.0 * np.sum(np.log(diag), axis=-1)
+    if not np.isfinite(logdet).all():
+        # name the first failing member when its spectrum shows it
+        matfun.require_pd(np.linalg.eigvalsh(stack), stack, name, ids)
+        raise NotPositiveDefiniteError(f"{name} is not positive definite")
+    return logdet
 
 
-def _aim_dist2(X1, X2):
-    P = matfun.spd_inv_sqrt(X1)
-    w = pd_eigvalsh(matfun.symmetrize(P @ X2 @ P), "whitened operand")
-    return float(np.sum(np.log(w) ** 2))
+class Geometry:
+    """Batched kernel of one SPD geometry.
+
+    Each geometry gives three parts. `factors` is the per-sample factor of a
+    whole stack (inverse square root, Cholesky log-det or log), from one
+    stacked decomposition. `block_dist2` is the squared distance of one block
+    of pairs, given as two index arrays into a left and a right
+    (stack, factors) side. `grad_factors`, `block_grad` and `finish` are the
+    pair gradient term: `block_grad` gives a pair's terms T_i and T_j for its
+    two ends, and `finish` is a map phi_s, linear in its argument, such that
+    with Y_p = W^T X_p W and B_p = X_p W the gradient of
+    k_ij = exp(-beta d_ij) with respect to W is
+
+        -grad_scale * beta * k_ij * (B_i phi_i(T_i) + B_j phi_j(T_j)).
+
+    Since phi_s is linear, `grad_pairs` sums the weighted terms per sample
+    and finishes each sample once. The drivers feed pairs through in blocks
+    of BLOCK_ENTRIES matrix entries, which bounds the working memory whatever
+    the pair count.
+    """
+
+    grad_scale = 4.0
+
+    def dist2_pairs(self, left, right, i, j):
+        """Squared distances between left sample i[p] and right sample j[p]."""
+        out = np.empty(len(i))
+        for blk in _blocks(len(i), left[0].shape[-1]):
+            out[blk] = self.block_dist2(left, right, i[blk], j[blk])
+        return out
+
+    def grad_pairs(self, B, mapped, factors, i, j, weights):
+        """sum_p weights_p * (B_i phi_i(T_i) + B_j phi_j(T_j)) over the pairs
+        (i[p], j[p]).
+
+        The pair terms are accumulated per sample in pair order, then reduced
+        with B in one product, so the summation order is fixed.
+        """
+        acc = np.zeros_like(mapped)
+        for blk in _blocks(len(i), mapped.shape[-1]):
+            end_i, end_j = self.block_grad(mapped, factors, i[blk], j[blk])
+            w = weights[blk, None, None]
+            np.add.at(acc, i[blk], w * end_i)
+            np.add.at(acc, j[blk], w * end_j)
+        F = self.finish(mapped, factors, acc)
+        return np.tensordot(B, F, axes=([0, 2], [0, 1]))
 
 
-def _stein_dist2(ld1, ld2, mid_logdet):
-    # symmetric form: computed value is exactly invariant to argument order
-    return max(mid_logdet - 0.5 * (ld1 + ld2), 0.0)
+class AffineInvariant(Geometry):
+    """||log(X_i^{-1/2} X_j X_i^{-1/2})||_F^2, whitened by the left sample.
+
+    Pair gradient terms T_i = E and T_j = -E with
+    E = log(Y_i Y_j^{-1}) = -Y_i^{1/2} log(Y_i^{-1/2} Y_j Y_i^{-1/2}) Y_i^{-1/2},
+    finished by phi_s(T) = Y_s^{-1} T.
+    """
+
+    @staticmethod
+    def factors(stack, name):
+        w, Q = matfun.spd_eig(stack, name)
+        return matfun.symmetrize((Q / np.sqrt(w)[..., None, :]) @ Q.swapaxes(-1, -2))
+
+    @staticmethod
+    def block_dist2(left, right, i, j):
+        P = left[1][i]
+        M = matfun.symmetrize(P @ right[0][j] @ P)
+        w = np.linalg.eigvalsh(M)
+        matfun.require_pd(w, M, "whitened pair", np.column_stack((i, j)))
+        return np.sum(np.log(w) ** 2, axis=-1)
+
+    @staticmethod
+    def grad_factors(mapped):
+        w, Q = matfun.spd_eig(mapped, "transformed sample")
+        s = np.sqrt(w)
+        return tuple(matfun.eig_apply(Q, v) for v in (s, 1.0 / s, 1.0 / w))
+
+    @staticmethod
+    def block_grad(mapped, factors, i, j):
+        sqrt, inv_sqrt, _ = factors
+        P = inv_sqrt[i]
+        M = matfun.symmetrize(P @ mapped[j] @ P)
+        w, Q = matfun.sym_eig(M)
+        matfun.require_pd(w, M, "whitened pair", np.column_stack((i, j)))
+        E = -(sqrt[i] @ matfun.eig_apply(Q, np.log(w)) @ P)
+        return E, -E
+
+    @staticmethod
+    def finish(mapped, factors, acc):
+        return factors[2] @ acc
+
+
+class Stein(Geometry):
+    """ln det((X_i+X_j)/2) - (ln det X_i + ln det X_j)/2, clamped at zero.
+
+    Pair gradient terms T_i = A^{-1} - Y_i^{-1} and T_j = A^{-1} - Y_j^{-1}
+    with A = (Y_i + Y_j)/2, finished by the identity.
+    """
+
+    grad_scale = 1.0
+
+    @staticmethod
+    def factors(stack, name):
+        return _chol_logdet(stack, name)
+
+    @staticmethod
+    def block_dist2(left, right, i, j):
+        mid = _chol_logdet(0.5 * (left[0][i] + right[0][j]), "midpoint",
+                           np.column_stack((i, j)))
+        # symmetric form: the value is exactly invariant to argument order
+        return np.maximum(mid - 0.5 * (left[1][i] + right[1][j]), 0.0)
+
+    @staticmethod
+    def grad_factors(mapped):
+        w, Q = matfun.spd_eig(mapped, "transformed sample")
+        return (matfun.eig_apply(Q, 1.0 / w),)
+
+    @staticmethod
+    def block_grad(mapped, factors, i, j):
+        inv = factors[0]
+        w, Q = matfun.spd_eig(0.5 * (mapped[i] + mapped[j]), "transformed midpoint")
+        mid_inv = matfun.eig_apply(Q, 1.0 / w)
+        return mid_inv - inv[i], mid_inv - inv[j]
+
+    @staticmethod
+    def finish(mapped, factors, acc):
+        return acc
+
+
+class LogEuclidean(Geometry):
+    """||log X_i - log X_j||_F^2.
+
+    Pair gradient terms T_i = D and T_j = -D with D = log Y_i - log Y_j,
+    finished by phi_s(T) = dlog(Y_s)[T]: one stacked `dlog` call
+    differentiates every sample along its summed direction.
+    """
+
+    @staticmethod
+    def factors(stack, name):
+        w, Q = matfun.spd_eig(stack, name)
+        return matfun.eig_apply(Q, np.log(w))
+
+    @staticmethod
+    def block_dist2(left, right, i, j):
+        D = left[1][i] - right[1][j]
+        return np.sum(D * D, axis=(-2, -1))
+
+    @classmethod
+    def grad_factors(cls, mapped):
+        return (cls.factors(mapped, "transformed sample"),)
+
+    @staticmethod
+    def block_grad(mapped, factors, i, j):
+        logs = factors[0]
+        D = logs[i] - logs[j]
+        return D, -D
+
+    @staticmethod
+    def finish(mapped, factors, acc):
+        return matfun.dlog(mapped, matfun.symmetrize(acc))
+
+
+_GEOMETRIES = {
+    MetricKind.AIM: AffineInvariant(),
+    MetricKind.STEIN: Stein(),
+    MetricKind.LEM: LogEuclidean(),
+}
+
+
+def geometry(metric):
+    """The batched kernel of a metric given by name or MetricKind."""
+    return _GEOMETRIES[MetricKind.parse(metric)]
+
+
+def _side(geom, stack, name):
+    """A validated (stack, factors) operand of `Geometry.dist2_pairs`."""
+    stack = matfun.check_symmetric(np.asarray(stack, dtype=float), name)
+    return stack, geom.factors(stack, name)
 
 
 def dist2(metric, X1, X2):
     """Squared distance between two SPD matrices under the chosen geometry."""
-    metric = MetricKind.parse(metric)
+    geom = geometry(metric)
     X1 = matfun.check_symmetric(X1, "first operand")
     X2 = matfun.check_symmetric(X2, "second operand")
     if X1.shape != X2.shape:
         raise DimMismatchError(f"operand dims differ: {X1.shape} vs {X2.shape}")
+    left = (X1[None], geom.factors(X1, "first operand")[None])
     if np.array_equal(X1, X2):
         # coincident operands are exactly at distance zero; the AIM route
         # would otherwise leave rounding noise from the whitening product
-        pd_eigvalsh(X1, "first operand")
         return 0.0
-    if metric is MetricKind.AIM:
-        return _aim_dist2(X1, X2)
-    if metric is MetricKind.STEIN:
-        mid = chol_logdet(0.5 * (X1 + X2), "midpoint")
-        return _stein_dist2(chol_logdet(X1, "first operand"),
-                            chol_logdet(X2, "second operand"), mid)
-    D = matfun.spd_log(X1) - matfun.spd_log(X2)
-    return float(np.sum(D * D))
+    right = (X2[None], geom.factors(X2, "second operand")[None])
+    first = np.zeros(1, dtype=int)
+    return float(geom.dist2_pairs(left, right, first, first)[0])
 
 
 def transformed_dist2(metric, X_i, X_j, W):
@@ -146,66 +318,32 @@ def kernel_sim(metric, X_i, X_j, W, beta):
 def pairwise_dist2(metric, samples):
     """All pairwise squared distances within a stack of SPD matrices.
 
-    Per-sample factors (inverse square roots, Cholesky log-determinants, or
-    matrix logs) are computed once, so the cost is one factorization per
-    sample plus one cheap solve per pair.
+    Per-sample factors come from one stacked decomposition, and the
+    N(N-1)/2 pairs i < j go through the batched kernel.
     """
-    metric = MetricKind.parse(metric)
-    samples = np.asarray(samples, dtype=float)
-    N = samples.shape[0]
+    geom = geometry(metric)
+    side = _side(geom, samples, "sample")
+    N = side[0].shape[0]
+    i, j = np.triu_indices(N, k=1)
     D = np.zeros((N, N))
-    if metric is MetricKind.AIM:
-        isq = [matfun.spd_inv_sqrt(X) for X in samples]
-        for i in range(N):
-            for j in range(i + 1, N):
-                M = matfun.symmetrize(isq[i] @ samples[j] @ isq[i])
-                D[i, j] = D[j, i] = np.sum(np.log(pd_eigvalsh(M)) ** 2)
-    elif metric is MetricKind.STEIN:
-        ld = [chol_logdet(X, f"sample {i}") for i, X in enumerate(samples)]
-        for i in range(N):
-            for j in range(i + 1, N):
-                mid = chol_logdet(0.5 * (samples[i] + samples[j]), "midpoint")
-                D[i, j] = D[j, i] = _stein_dist2(ld[i], ld[j], mid)
-    else:
-        logs = [matfun.spd_log(X) for X in samples]
-        for i in range(N):
-            for j in range(i + 1, N):
-                E = logs[i] - logs[j]
-                D[i, j] = D[j, i] = np.sum(E * E)
+    D[i, j] = D[j, i] = geom.dist2_pairs(side, side, i, j)
     return D
 
 
 def cross_dist2(metric, rows, cols):
     """Squared distances between every row-stack and column-stack sample."""
-    metric = MetricKind.parse(metric)
+    geom = geometry(metric)
     rows = np.asarray(rows, dtype=float)
     cols = np.asarray(cols, dtype=float)
     if rows.shape[1:] != cols.shape[1:]:
         raise DimMismatchError(
             f"sample dims differ: {rows.shape[1:]} vs {cols.shape[1:]}"
         )
-    D = np.zeros((rows.shape[0], cols.shape[0]))
-    if metric is MetricKind.AIM:
-        isq = [matfun.spd_inv_sqrt(X) for X in rows]
-        for i in range(rows.shape[0]):
-            for j in range(cols.shape[0]):
-                M = matfun.symmetrize(isq[i] @ cols[j] @ isq[i])
-                D[i, j] = np.sum(np.log(pd_eigvalsh(M)) ** 2)
-    elif metric is MetricKind.STEIN:
-        ld_r = [chol_logdet(X, f"row sample {i}") for i, X in enumerate(rows)]
-        ld_c = [chol_logdet(X, f"col sample {j}") for j, X in enumerate(cols)]
-        for i in range(rows.shape[0]):
-            for j in range(cols.shape[0]):
-                mid = chol_logdet(0.5 * (rows[i] + cols[j]), "midpoint")
-                D[i, j] = _stein_dist2(ld_r[i], ld_c[j], mid)
-    else:
-        log_r = [matfun.spd_log(X) for X in rows]
-        log_c = [matfun.spd_log(X) for X in cols]
-        for i in range(rows.shape[0]):
-            for j in range(cols.shape[0]):
-                E = log_r[i] - log_c[j]
-                D[i, j] = np.sum(E * E)
-    return D
+    R, C = rows.shape[0], cols.shape[0]
+    i, j = np.divmod(np.arange(R * C), C)
+    d = geom.dist2_pairs(_side(geom, rows, "row sample"),
+                         _side(geom, cols, "col sample"), i, j)
+    return d.reshape(R, C)
 
 
 def default_beta(metric, samples):

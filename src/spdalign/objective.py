@@ -11,6 +11,17 @@ U = I - 11^T/N. Differentiating through the normalized inner product gives a
 coefficient for every selected pair; the gradient of J is the
 coefficient-weighted sum of per-pair similarity gradients.
 
+Every evaluation works on the pair list `graphs.pairs` alone and costs
+O(|E| + N) beyond the pair kernels, never an N x N array. With A = G o K,
+its row sums r and total s (Cortes, Mohri & Rostamizadeh, JMLR 2012):
+
+    L_ij    = A_ij - (r_i + r_j)/N + s/N^2
+    ||L||^2 = ||A||^2 - 2 ||r||^2/N + s^2/N^2
+
+T is supported on G, so <L, T> needs L on the support only, and S on the
+support follows from class counts. The coefficients U (T/||L|| - J L/||L||^2) U
+restricted to G are the same centering applied to T, minus a multiple of L.
+
 Per-pair similarity gradients for the three geometries (k = k_ij, B_p = X_p W,
 Y_p = W^T X_p W):
 
@@ -20,27 +31,20 @@ Y_p = W^T X_p W):
 - log-Euclidean:    -4 beta k (B_i dlog(Y_i)[D] - B_j dlog(Y_j)[D]),
                     D = log Y_i - log Y_j
 
-Each formula matches central finite differences of k_ij; the finite-difference
-check is the authoritative ground truth for operand order and signs. The
-non-symmetric log above is evaluated through the congruence
-log(Y_i Y_j^{-1}) = Y_j^{1/2} log(Y_j^{-1/2} Y_i Y_j^{-1/2}) Y_j^{-1/2}, which
-needs only the symmetric matrix log.
+`metrics.Geometry` evaluates them in blocks of pairs. Each formula matches
+central finite differences of k_ij; the finite-difference check is the
+authoritative ground truth for operand order and signs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matfun
 from .errors import DegenerateAlignmentError, DimMismatchError, ValidationError
-from .graphs import label_similarity
-from .metrics import (
-    DIST_CLAMP,
-    MetricKind,
-    check_transform,
-    chol_logdet,
-    pd_eigvalsh,
-)
+from .graphs import label_similarity  # noqa: F401  (traced by perfbench)
+from .metrics import DIST_CLAMP, MetricKind, check_transform, geometry
 
 L_NORM_FLOOR = 1e-14
 
@@ -49,13 +53,16 @@ L_NORM_FLOOR = 1e-14
 class AlignmentState:
     """Objective value plus the pair similarities and gradient coefficients.
 
-    K is dense with zeros off the selected support; coeff is the symmetric
-    matrix of per-pair sensitivities dJ/dK restricted to the support.
+    K, L and coeff are per-pair arrays aligned with `graphs.pairs`: the
+    similarity k_p, the centered entry L_p, and the sensitivity dJ/dK_ij of
+    one of the two symmetric entries of the pair. norm_L is ||L||_F over the
+    full N x N centered matrix.
     """
 
     J: float
     K: np.ndarray
     L: np.ndarray
+    norm_L: float
     coeff: np.ndarray
 
 
@@ -63,20 +70,17 @@ class AlignmentState:
 class GradContext:
     """Per-sample quantities reused by every pair gradient at a fixed W.
 
-    Only the fields needed by the chosen geometry are populated: inverse
-    square roots and square roots of the transformed samples for the
-    affine-invariant metric, matrix logs for the log-Euclidean one.
-    Transformed inverses serve both of the first two.
+    B holds X_p W and mapped the transformed samples W^T X_p W. factors is
+    the metric's `Geometry.grad_factors` of mapped, from one stacked
+    eigendecomposition: square roots, inverse square roots and inverses for
+    the affine-invariant metric, inverses for Stein, logs for log-Euclidean.
     """
 
     metric: MetricKind
     W: np.ndarray
     B: np.ndarray
     mapped: np.ndarray
-    mapped_inv: np.ndarray | None = None
-    sqrt: np.ndarray | None = None
-    inv_sqrt: np.ndarray | None = None
-    logs: np.ndarray | None = None
+    factors: tuple
 
     def require_fresh(self, W):
         if self.W.shape != W.shape or not np.array_equal(self.W, W):
@@ -86,28 +90,26 @@ class GradContext:
 def _map_samples(samples, W):
     """B_p = X_p W and the symmetrized transformed stack W^T X_p W."""
     B = samples @ W
-    mapped = np.matmul(W.T, B)
-    return B, 0.5 * (mapped + np.transpose(mapped, (0, 2, 1)))
+    return B, matfun.symmetrize(np.matmul(W.T, B))
 
 
-def _pair_dist2(metric, mapped, caches, i, j):
-    if metric is MetricKind.AIM:
-        S = caches[j]
-        M = matfun.symmetrize(S @ mapped[i] @ S)
-        return float(np.sum(np.log(pd_eigvalsh(M, "transformed pair")) ** 2))
-    if metric is MetricKind.STEIN:
-        mid = chol_logdet(0.5 * (mapped[i] + mapped[j]), "transformed midpoint")
-        return max(mid - 0.5 * (caches[i] + caches[j]), 0.0)
-    E = caches[i] - caches[j]
-    return float(np.sum(E * E))
+def _center(values, i, j, N):
+    """Support entries and Frobenius norm of U A U, for the symmetric N x N
+    A that holds values at the pairs (i, j) and (j, i) and zeros elsewhere."""
+    r = np.bincount(i, values, N) + np.bincount(j, values, N)
+    s = float(r.sum())
+    centered = values - (r[i] + r[j]) / N + s / N**2
+    norm2 = 2.0 * float(values @ values) - 2.0 * float(r @ r) / N + s * s / N**2
+    return centered, math.sqrt(max(norm2, 0.0))
 
 
-def _kernel_caches(metric, mapped):
-    if metric is MetricKind.AIM:
-        return [matfun.spd_inv_sqrt(M) for M in mapped]
-    if metric is MetricKind.STEIN:
-        return [chol_logdet(M, f"transformed sample {p}") for p, M in enumerate(mapped)]
-    return [matfun.spd_log(M) for M in mapped]
+def _label_target(labels, i, j, N):
+    """S_ij = [y_i = y_j] - n_{y_i}/N - n_{y_j}/N + sum_c n_c^2/N^2 on the pairs,
+    the doubly centered one-hot label Gram matrix from class counts."""
+    counts = np.bincount(labels).astype(float)
+    n_i, n_j = counts[labels[i]], counts[labels[j]]
+    same = (labels[i] == labels[j]).astype(float)
+    return same - (n_i + n_j) / N + float(counts @ counts) / N**2
 
 
 def alignment_objective(data, graphs, W, metric, beta):
@@ -121,30 +123,22 @@ def alignment_objective(data, graphs, W, metric, beta):
         raise DimMismatchError(
             f"graphs built for {graphs.Gw.shape[0]} samples, dataset has {N}"
         )
+    geom = geometry(metric)
     _, mapped = _map_samples(data.samples, W)
-    caches = _kernel_caches(metric, mapped)
-    K = np.zeros((N, N))
-    for i, j in graphs.pairs:
-        d = _pair_dist2(metric, mapped, caches, i, j)
-        if d < DIST_CLAMP:
-            d = 0.0
-        K[i, j] = K[j, i] = np.exp(-beta * d)
-    G = graphs.union
-    L = _double_center(G * K)
-    norm_L = float(np.linalg.norm(L))
+    side = (mapped, geom.factors(mapped, "transformed sample"))
+    i, j = graphs.pairs.T
+    d = geom.dist2_pairs(side, side, i, j)
+    K = np.exp(-beta * np.where(d < DIST_CLAMP, 0.0, d))
+    L, norm_L = _center(K, i, j, N)
     if norm_L < L_NORM_FLOOR:
         raise DegenerateAlignmentError(
             "centered pair-similarity matrix vanished; objective undefined"
         )
-    T = G * label_similarity(data)
-    J = float(np.sum(L * T)) / norm_L
-    coeff = G * _double_center(T / norm_L - (J / norm_L**2) * L)
-    return AlignmentState(J=J, K=K, L=L, coeff=matfun.symmetrize(coeff))
-
-
-def _double_center(M):
-    """U M U without forming U: subtract row/column means, add grand mean."""
-    return M - M.mean(axis=1, keepdims=True) - M.mean(axis=0, keepdims=True) + M.mean()
+    T = _label_target(data.labels, i, j, N)
+    J = 2.0 * float(L @ T) / norm_L
+    centered_T, _ = _center(T, i, j, N)
+    coeff = centered_T / norm_L - (J / norm_L**2) * L
+    return AlignmentState(J=J, K=K, L=L, norm_L=norm_L, coeff=coeff)
 
 
 def build_grad_context(data, W, metric):
@@ -152,82 +146,51 @@ def build_grad_context(data, W, metric):
     metric = MetricKind.parse(metric)
     W = check_transform(W, n=data.dim)
     B, mapped = _map_samples(data.samples, W)
-    ctx = {"metric": metric, "W": W.copy(), "B": B, "mapped": mapped}
-    if metric is MetricKind.LEM:
-        ctx["logs"] = np.stack([matfun.spd_log(M) for M in mapped])
-        return GradContext(**ctx)
-    pairs = [matfun.spd_sqrt_pair(M) for M in mapped]
-    inv_sqrt = np.stack([p[1] for p in pairs])
-    ctx["mapped_inv"] = np.stack([S @ S for S in inv_sqrt])
-    if metric is MetricKind.AIM:
-        ctx["sqrt"] = np.stack([p[0] for p in pairs])
-        ctx["inv_sqrt"] = inv_sqrt
-    return GradContext(**ctx)
+    factors = geometry(metric).grad_factors(mapped)
+    return GradContext(metric, W.copy(), B, mapped, factors)
+
+
+def _checked_context(metric, W, ctx):
+    if metric is not ctx.metric:
+        raise ValidationError("gradient context was built for a different metric")
+    ctx.require_fresh(W)
 
 
 def kernel_entry_gradient(metric, i, j, W, ctx, beta, k_ij):
     """Gradient of one pair similarity k_ij with respect to W."""
     metric = MetricKind.parse(metric)
-    if metric is not ctx.metric:
-        raise ValidationError("gradient context was built for a different metric")
-    ctx.require_fresh(W)
-    if metric is MetricKind.AIM:
-        S = ctx.inv_sqrt[j]
-        inner = matfun.spd_log(matfun.symmetrize(S @ ctx.mapped[i] @ S))
-        E = ctx.sqrt[j] @ inner @ S
-        lead = ctx.B[i] @ ctx.mapped_inv[i] - ctx.B[j] @ ctx.mapped_inv[j]
-        return (-4.0 * beta * k_ij) * (lead @ E)
-    if metric is MetricKind.STEIN:
-        A = matfun.symmetrize(0.5 * (ctx.mapped[i] + ctx.mapped[j]))
-        A_inv = matfun.spd_inv_sqrt(A)
-        A_inv = A_inv @ A_inv
-        lead = (
-            (ctx.B[i] + ctx.B[j]) @ A_inv
-            - ctx.B[i] @ ctx.mapped_inv[i]
-            - ctx.B[j] @ ctx.mapped_inv[j]
-        )
-        return (-beta * k_ij) * lead
-    delta = ctx.logs[i] - ctx.logs[j]
-    term = ctx.B[i] @ matfun.dlog(ctx.mapped[i], delta) - ctx.B[j] @ matfun.dlog(
-        ctx.mapped[j], delta
+    _checked_context(metric, W, ctx)
+    geom = geometry(metric)
+    ends = np.array([i, j])
+    return geom.grad_pairs(
+        ctx.B[ends],
+        ctx.mapped[ends],
+        tuple(f[ends] for f in ctx.factors),
+        np.array([0]),
+        np.array([1]),
+        np.array([-geom.grad_scale * beta * k_ij]),
     )
-    return (-4.0 * beta * k_ij) * term
 
 
 def alignment_gradient(data, graphs, W, metric, beta, state, ctx=None):
     """Euclidean gradient of J at W, assembled over the selected pairs.
 
     Every unordered support pair contributes twice its coefficient times the
-    pair-similarity gradient. For the log-Euclidean metric the contributions
-    are regrouped per sample first: the log derivative is linear in its
-    direction, so summing weighted directions before differentiating gives the
-    same value, and one stacked `dlog` call per gradient then differentiates
-    every sample at once. Reduction order is fixed (lexicographic pairs, then sample
-    index), keeping repeated runs bit-identical.
+    pair-similarity gradient. The pair terms are summed per sample in
+    lexicographic pair order, then reduced against B in one product; for the
+    log-Euclidean metric the per-sample sums are directions of one stacked
+    `dlog` call. The reduction order is fixed, keeping repeated runs
+    bit-identical.
     """
     metric = MetricKind.parse(metric)
     if ctx is None:
         ctx = build_grad_context(data, W, metric)
-    if metric is not ctx.metric:
-        raise ValidationError("gradient context was built for a different metric")
     W = check_transform(W, n=data.dim)
-    ctx.require_fresh(W)
-    C = state.coeff
-    grad = np.zeros_like(W)
-    if metric is MetricKind.LEM:
-        weights = -8.0 * beta * C * state.K
-        row = weights.sum(axis=1)
-        directions = row[:, None, None] * ctx.logs - np.tensordot(
-            weights, ctx.logs, axes=1
-        )
-        derivs = matfun.dlog(ctx.mapped, matfun.symmetrize(directions))
-        for term in np.matmul(ctx.B, derivs):
-            grad += term
-        return grad
-    for i, j in graphs.pairs:
-        entry = kernel_entry_gradient(metric, i, j, W, ctx, beta, state.K[i, j])
-        grad += (2.0 * C[i, j]) * entry
-    return grad
+    _checked_context(metric, W, ctx)
+    geom = geometry(metric)
+    weights = (-2.0 * geom.grad_scale * beta) * state.coeff * state.K
+    i, j = graphs.pairs.T
+    return geom.grad_pairs(ctx.B, ctx.mapped, ctx.factors, i, j, weights)
 
 
 def fd_gradient(func, W, h=1e-5):

@@ -272,7 +272,7 @@ def test_per_iteration_cost_scales_linearly_in_neighbor_count():
     beta = default_beta(metric, data.samples)
     W0 = initial_transform(16, 4, seed=0)
     config = OptimizerConfig(
-        max_iters=6, grad_tol=1e-300, rel_obj_tol=1e-300, seed=0
+        max_iters=30, grad_tol=1e-300, rel_obj_tol=1e-300, seed=0
     )
     sweep = np.array([1, 2, 4, 8], dtype=float)
     per_iter = []

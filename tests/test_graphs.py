@@ -79,6 +79,19 @@ class TestLabeledDataset:
         with pytest.raises(NotPositiveDefiniteError):
             scalar_dataset([1.0, -2.0], [0, 1])
 
+    def test_rejects_non_finite_sample(self):
+        samples = np.stack([np.eye(3)] * 4)
+        samples[2, 1, 1] = np.nan
+        with pytest.raises(ValidationError, match="sample 2"):
+            LabeledDataset(samples, [0, 1, 0, 1])
+
+    def test_rejection_names_first_bad_sample(self):
+        samples = np.stack([np.eye(2)] * 5)
+        samples[3] = np.diag([1.0, -1.0])
+        samples[4] = np.diag([-1.0, 1.0])
+        with pytest.raises(NotPositiveDefiniteError, match="sample 3"):
+            LabeledDataset(samples, [0, 1, 0, 1, 0])
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValidationError):
             LabeledDataset(np.ones((2, 2, 3)), [0, 1])

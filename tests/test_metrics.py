@@ -215,6 +215,26 @@ class TestBatchDistances:
                     rtol=1e-10, atol=1e-12,
                 )
 
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_pairwise_rejects_one_indefinite_member(self, metric):
+        # enough samples for several blocks of pairs; the bad one is last
+        rng = np.random.default_rng(11)
+        samples = np.stack([rand_spd(rng, 4) for _ in range(60)])
+        samples[-1] = np.diag([1.0, 2.0, -0.5, 1.0])
+        with pytest.raises(NotPositiveDefiniteError):
+            pairwise_dist2(metric, samples)
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @pytest.mark.parametrize("side", ["rows", "cols"])
+    def test_cross_rejects_one_indefinite_member(self, metric, side):
+        rng = np.random.default_rng(12)
+        rows = np.stack([rand_spd(rng, 4) for _ in range(30)])
+        cols = np.stack([rand_spd(rng, 4) for _ in range(40)])
+        bad = rows if side == "rows" else cols
+        bad[-1] = np.diag([1.0, 2.0, -0.5, 1.0])
+        with pytest.raises(NotPositiveDefiniteError):
+            cross_dist2(metric, rows, cols)
+
     def test_cross_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
             cross_dist2(MetricKind.LEM, np.eye(3)[None], np.eye(4)[None])

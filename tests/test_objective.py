@@ -12,7 +12,7 @@ import pytest
 from helpers import clustered_dataset, fd_gradient, rand_full_rank
 from spdalign.errors import DegenerateAlignmentError, ValidationError
 from spdalign.graphs import PairGraphs, build_graphs, centering_matrix, label_similarity
-from spdalign.metrics import MetricKind, default_beta, kernel_sim
+from spdalign.metrics import BLOCK_ENTRIES, MetricKind, default_beta, kernel_sim
 from spdalign.objective import (
     alignment_gradient,
     alignment_objective,
@@ -29,6 +29,15 @@ def make_instance(seed, n=7, m=3, classes=2, per_class=5, v_w=2, v_b=2):
     rng = np.random.default_rng(seed + 1000)
     W = rand_full_rank(rng, n, m)
     return data, graphs, W
+
+
+def scatter_pairs(graphs, values):
+    """Symmetric N x N matrix holding per-pair values on the support of G."""
+    N = graphs.Gw.shape[0]
+    M = np.zeros((N, N))
+    i, j = graphs.pairs.T
+    M[i, j] = M[j, i] = values
+    return M
 
 
 def direct_objective(data, graphs, W, metric, beta):
@@ -86,16 +95,30 @@ class TestObjectiveValue:
         assert abs(J1 - J0) <= 1e-9 * max(1.0, abs(J0))
 
     def test_state_shapes_and_masking(self):
+        # the state is per pair; scattered onto G it must match the dense
+        # centering with explicit matrices
         data, graphs, W = make_instance(2)
         state = alignment_objective(data, graphs, W, MetricKind.STEIN, 1.0)
         G = graphs.union
-        assert np.array_equal(state.K, state.K.T)
-        assert np.all(state.K[G == 0] == 0)
-        assert np.all(np.diag(state.K) == 0)
-        assert np.all(state.coeff[G == 0] == 0)
-        assert np.allclose(state.coeff, state.coeff.T, atol=0)
+        i, j = graphs.pairs.T
+        for per_pair in (state.K, state.L, state.coeff):
+            assert per_pair.shape == (len(graphs.pairs),)
+        K = scatter_pairs(graphs, state.K)
+        coeff = scatter_pairs(graphs, state.coeff)
+        assert np.array_equal(K, K.T)
+        assert np.all(K[G == 0] == 0)
+        assert np.all(np.diag(K) == 0)
+        assert np.all(coeff[G == 0] == 0)
+        assert np.allclose(coeff, coeff.T, atol=0)
         U = centering_matrix(data.size)
-        assert np.allclose(state.L, U @ (G * state.K) @ U, atol=1e-13)
+        L = U @ (G * K) @ U
+        assert np.allclose(state.L, L[i, j], atol=1e-13)
+        assert abs(state.norm_L - np.linalg.norm(L)) <= 1e-13 * np.linalg.norm(L)
+        T = G * label_similarity(data)
+        dense_coeff = G * (
+            U @ (T / state.norm_L - (state.J / state.norm_L**2) * L) @ U
+        )
+        assert np.allclose(state.coeff, dense_coeff[i, j], rtol=0, atol=1e-13)
 
     def test_underflowed_similarities_degenerate(self):
         data, graphs, W = make_instance(3)
@@ -224,3 +247,49 @@ class TestAlignmentGradient:
         g1 = alignment_gradient(data, graphs, W, MetricKind.LEM, beta, state)
         g2 = alignment_gradient(data, graphs, W, MetricKind.LEM, beta, state)
         assert np.array_equal(g1, g2)
+
+
+class TestMultiBlock:
+    """A pair list long enough to cross several kernel blocks."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        # m=7 gives BLOCK_ENTRIES // 49 pairs per block; 2 x 30 samples with
+        # v_w = v_b = 29 give about 1,770 pairs
+        data, graphs, W = make_instance(21, n=9, m=7, per_class=30, v_w=29, v_b=29)
+        assert len(graphs.pairs) > 2 * (BLOCK_ENTRIES // W.shape[1] ** 2)
+        return data, graphs, W
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_value_matches_dense_reimplementation(self, instance, metric):
+        data, graphs, W = instance
+        beta = default_beta(metric, data.samples)
+        state = alignment_objective(data, graphs, W, metric, beta)
+        expected = direct_objective(data, graphs, W, metric, beta)
+        assert abs(state.J - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_gradient_matches_sum_of_pair_gradients(self, instance, metric):
+        data, graphs, W = instance
+        beta = default_beta(metric, data.samples)
+        state = alignment_objective(data, graphs, W, metric, beta)
+        ctx = build_grad_context(data, W, metric)
+        expected = np.zeros_like(W)
+        for p, (i, j) in enumerate(graphs.pairs):
+            expected += (2.0 * state.coeff[p]) * kernel_entry_gradient(
+                metric, i, j, W, ctx, beta, state.K[p]
+            )
+        g = alignment_gradient(data, graphs, W, metric, beta, state, ctx=ctx)
+        assert np.linalg.norm(g - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_gradient_matches_finite_differences(self, instance, metric):
+        data, graphs, W = instance
+        beta = default_beta(metric, data.samples)
+        state = alignment_objective(data, graphs, W, metric, beta)
+        analytic = alignment_gradient(data, graphs, W, metric, beta, state)
+        fd = fd_gradient(
+            lambda V: alignment_objective(data, graphs, V, metric, beta).J, W
+        )
+        rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-10)
+        assert rel < 1e-6
