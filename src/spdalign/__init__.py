@@ -50,6 +50,7 @@ from .graphs import (
     build_graphs,
     centering_matrix,
     label_similarity,
+    neighbor_graphs,
 )
 from .matfun import (
     check_symmetric,
@@ -62,6 +63,7 @@ from .matfun import (
 )
 from .metrics import (
     MetricKind,
+    bandwidth,
     check_transform,
     cross_dist2,
     default_beta,
@@ -120,6 +122,7 @@ __all__ = [
     "ValidationError",
     "alignment_gradient",
     "alignment_objective",
+    "bandwidth",
     "build_grad_context",
     "build_graphs",
     "centering_matrix",
@@ -141,6 +144,7 @@ __all__ = [
     "load_trace",
     "load_transform",
     "map_down",
+    "neighbor_graphs",
     "pairwise_dist2",
     "rcg_maximize",
     "repeated_split_eval",

@@ -23,8 +23,10 @@ from .fileio import (
     save_trace,
     save_transform,
 )
-from .graphs import build_graphs
-from .metrics import MetricKind, default_beta
+from . import metrics
+# build_graphs and default_beta stay bound here, where perfbench traces them
+from .graphs import build_graphs, neighbor_graphs  # noqa: F401
+from .metrics import MetricKind, default_beta  # noqa: F401
 from .objective import alignment_gradient, alignment_objective, fd_gradient
 from .optimizer import OptimizerConfig, initial_transform, rcg_maximize
 
@@ -94,14 +96,14 @@ def _auto_neighbor_count(data):
     return max(int(data.class_sizes().min()) - 1, 1)
 
 
-def gradcheck_report(metrics, instances, seed, out=None):
+def gradcheck_report(kinds, instances, seed, out=None):
     """Compare analytic and finite-difference gradients on random problems.
 
     Returns the worst relative error seen across all metrics and instances.
     """
     out = sys.stdout if out is None else out
     worst = 0.0
-    for metric in metrics:
+    for metric in kinds:
         metric_worst = 0.0
         for t in range(instances):
             data = synth_dataset(
@@ -109,8 +111,9 @@ def gradcheck_report(metrics, instances, seed, out=None):
                     dim=8, classes=3, per_class=4, noise=0.4, seed=seed + t
                 )
             )
-            graphs = build_graphs(data, metric, v_w=2, v_b=2)
-            beta = default_beta(metric, data.samples)
+            D = metrics.pairwise_dist2(metric, data.samples)
+            graphs = neighbor_graphs(data, D, v_w=2, v_b=2)
+            beta = metrics.bandwidth(D)
             W = initial_transform(data.dim, 3, seed=seed + t)
 
             def objective(candidate):
@@ -137,10 +140,10 @@ def cmd_gradcheck(args):
     config = _load_config_arg(args)
     seed = _resolve(args, config, "seed", 0)
     if args.metric is None:
-        metrics = list(MetricKind)
+        kinds = list(MetricKind)
     else:
-        metrics = [MetricKind.parse(args.metric)]
-    worst = gradcheck_report(metrics, args.instances, seed)
+        kinds = [MetricKind.parse(args.metric)]
+    worst = gradcheck_report(kinds, args.instances, seed)
     if worst > GRADCHECK_TOL:
         print(f"gradcheck FAILED (tolerance {GRADCHECK_TOL:g})", file=sys.stderr)
         return 3
@@ -194,10 +197,12 @@ def cmd_train(args):
 
     beta = _resolve(args, config, "beta")
     beta_mode = "explicit" if beta is not None else "auto"
-    if beta is None:
-        beta = default_beta(metric, data.samples)
-    elif beta <= 0:
+    if beta is not None and beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
+    # one distance matrix serves the bandwidth and the neighbor graphs
+    D = metrics.pairwise_dist2(metric, data.samples)
+    if beta is None:
+        beta = metrics.bandwidth(D)
 
     opt_config = OptimizerConfig(
         max_iters=_resolve(args, config, "max_iters", 50),
@@ -205,7 +210,7 @@ def cmd_train(args):
         rel_obj_tol=_resolve(args, config, "rel_obj_tol", 1e-8),
         seed=seed,
     )
-    graphs = build_graphs(data, metric, v_w=v_w, v_b=v_b)
+    graphs = neighbor_graphs(data, D, v_w=v_w, v_b=v_b)
     print(
         f"metric={metric.value} target_dim={target_dim} vw={v_w} vb={v_b} "
         f"beta={beta:.17g} ({beta_mode}) seed={seed}"

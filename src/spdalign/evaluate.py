@@ -3,6 +3,11 @@
 Ties are broken deterministically everywhere: equal distances prefer the
 lower training index, equal vote counts prefer the lower class index. This
 keeps every reported number a pure function of the inputs.
+
+`repeated_split_eval` draws all its splits as index arrays first, then
+computes the distance of every (test, train) pair that some split needs in
+one pass over the whole stack (`metrics.indexed_dist2`), so a pair shared by
+several splits is computed once; each split then votes on its block.
 """
 
 from dataclasses import dataclass
@@ -10,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import MetricKind, cross_dist2, map_down
+from .metrics import MetricKind, cross_dist2, indexed_dist2, map_down
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,16 @@ class EvalSummary:
         return self._stats(self.transformed)
 
 
+def _confusion(D, train_labels, test_labels, k, c):
+    """c x c confusion counts of the majority vote among the k nearest
+    training columns of each test row of D."""
+    nearest = np.argsort(D, axis=1, kind="stable")[:, :k]
+    votes = (train_labels[nearest][..., None] == np.arange(c)).sum(axis=1)
+    confusion = np.zeros((c, c), dtype=int)
+    np.add.at(confusion, (test_labels, votes.argmax(axis=1)), 1)
+    return confusion
+
+
 def knn_classify(train, test, metric, W=None, k=1):
     """Label test samples by majority vote among k nearest training samples."""
     metric = MetricKind.parse(metric)
@@ -62,12 +77,7 @@ def knn_classify(train, test, metric, W=None, k=1):
         test_stack = map_down(test.samples, W)
     D = cross_dist2(metric, test_stack, train_stack)
     c = max(train.class_count, test.class_count)
-    confusion = np.zeros((c, c), dtype=int)
-    train_order = np.arange(train.size)
-    for i in range(test.size):
-        nearest = train_order[np.lexsort((train_order, D[i]))[:k]]
-        votes = np.bincount(train.labels[nearest], minlength=c)
-        confusion[test.labels[i], int(np.argmax(votes))] += 1
+    confusion = _confusion(D, train.labels, test.labels, k, c)
     row_sums = confusion.sum(axis=1)
     per_class = np.divide(
         np.diag(confusion).astype(float),
@@ -85,8 +95,8 @@ def knn_classify(train, test, metric, W=None, k=1):
     )
 
 
-def split(data, train_fraction, seed):
-    """Stratified random split; every class lands on both sides."""
+def _split_indices(data, train_fraction, seed):
+    """Sorted (train, test) sample indices of one stratified split."""
     if not 0.0 < train_fraction < 1.0:
         raise ValidationError(
             f"train_fraction must be in (0, 1), got {train_fraction}"
@@ -104,23 +114,47 @@ def split(data, train_fraction, seed):
         take = min(max(take, 1), members.size - 1)
         train_idx.extend(perm[:take])
         test_idx.extend(perm[take:])
-    return data.subset(sorted(train_idx)), data.subset(sorted(test_idx))
+    return np.sort(train_idx), np.sort(test_idx)
+
+
+def split(data, train_fraction, seed):
+    """Stratified random split; every class lands on both sides."""
+    train_idx, test_idx = _split_indices(data, train_fraction, seed)
+    return data.subset(train_idx), data.subset(test_idx)
 
 
 def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=None):
     """Accuracy over `repeats` stratified splits, with seeds seed..seed+r-1.
 
-    Evaluates 1-NN on the original manifold, and through W when given.
+    Evaluates 1-NN on the original manifold, and through W when given. The
+    result equals `knn_classify(*split(data, train_fraction, s), metric, W=W)`
+    for every seed s, but each (test, train) pair that any split needs is
+    computed once: the union of the splits' pairs goes through the metric's
+    kernel in one pass per manifold, with the test sample on the left as in
+    `knn_classify`, and every split reads its block of that matrix.
     """
     if repeats < 1:
         raise ValidationError(f"repeats must be >= 1, got {repeats}")
-    baseline, transformed = [], []
-    for r in range(repeats):
-        train, test = split(data, train_fraction, seed + r)
-        baseline.append(knn_classify(train, test, metric).accuracy)
-        if W is not None:
-            transformed.append(knn_classify(train, test, metric, W=W).accuracy)
+    splits = [_split_indices(data, train_fraction, seed + r) for r in range(repeats)]
+    needed = np.zeros((data.size, data.size), dtype=bool)
+    for train_idx, test_idx in splits:
+        needed[np.ix_(test_idx, train_idx)] = True
+    i, j = np.nonzero(needed)
+    stacks = [data.samples]
+    if W is not None:
+        stacks.append(map_down(data.samples, W))
+    labels, c = data.labels, data.class_count
+    accuracies = []
+    for stack in stacks:
+        D = np.zeros(needed.shape)
+        D[i, j] = indexed_dist2(metric, stack, i, j)
+        acc = []
+        for train_idx, test_idx in splits:
+            confusion = _confusion(D[np.ix_(test_idx, train_idx)],
+                                   labels[train_idx], labels[test_idx], 1, c)
+            acc.append(float(np.trace(confusion)) / test_idx.size)
+        accuracies.append(np.asarray(acc))
     return EvalSummary(
-        baseline=np.asarray(baseline),
-        transformed=np.asarray(transformed) if W is not None else None,
+        baseline=accuracies[0],
+        transformed=accuracies[1] if W is not None else None,
     )

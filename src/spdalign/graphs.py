@@ -17,7 +17,7 @@ from .errors import (
     InsufficientClassSizeError,
     ValidationError,
 )
-from .metrics import MetricKind, pairwise_dist2
+from .metrics import pairwise_dist2
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,9 @@ def _nearest(dist_row, candidates, count):
     return candidates[order[: min(count, candidates.size)]]
 
 
-def build_graphs(data, metric, v_w, v_b):
-    """Neighbor masks from original-manifold distances and class labels.
+def neighbor_graphs(data, D, v_w, v_b):
+    """Neighbor masks from the pairwise squared distances D of the samples
+    on their original manifold (`pairwise_dist2`) and the class labels.
 
     v_w and v_b are clamped per sample to the number of available same-class
     and different-class candidates. A class with fewer than two samples has
@@ -141,7 +142,6 @@ def build_graphs(data, metric, v_w, v_b):
     """
     if v_w < 1 or v_b < 1:
         raise ValidationError(f"v_w and v_b must be >= 1, got {v_w}, {v_b}")
-    metric = MetricKind.parse(metric)
     sizes = data.class_sizes()
     if sizes.min() < 2:
         small = int(np.argmin(sizes))
@@ -150,7 +150,8 @@ def build_graphs(data, metric, v_w, v_b):
             "need at least 2 per class for within-class neighbors"
         )
     N = data.size
-    D = pairwise_dist2(metric, data.samples)
+    if D.shape != (N, N):
+        raise DimMismatchError(f"distance matrix {D.shape} for {N} samples")
     labels = data.labels
     Gw = np.zeros((N, N), dtype=np.uint8)
     Gb = np.zeros((N, N), dtype=np.uint8)
@@ -163,6 +164,11 @@ def build_graphs(data, metric, v_w, v_b):
         for j in _nearest(D[i], diff, v_b):
             Gb[i, j] = Gb[j, i] = 1
     return PairGraphs(Gw, Gb)
+
+
+def build_graphs(data, metric, v_w, v_b):
+    """`neighbor_graphs` from the pairwise distances under a metric."""
+    return neighbor_graphs(data, pairwise_dist2(metric, data.samples), v_w, v_b)
 
 
 def centering_matrix(N):

@@ -8,11 +8,12 @@ with X = Q diag(l) Q^T,
     dlog(X)[H] = Q (Gamma o Q^T H Q) Q^T,
     Gamma_ij = (log l_i - log l_j) / (l_i - l_j),   Gamma_ii = 1 / l_i
 
-(Higham, Functions of Matrices, SIAM 2008, ch. 3). `dlog` and the helpers
-it validates with (check_symmetric, symmetrize, pd_floor, require_pd,
-sym_eig, spd_eig, eig_apply) take one matrix (n, n) or a stack (..., n, n)
-and treat each matrix on its own; a failed check on a stack names the first
-failing matrix. The spd_* functions take one matrix.
+(Higham, Functions of Matrices, SIAM 2008, ch. 3). `dlog`, `dlog_eig` (the
+same formula from eigenpairs the caller already holds) and the helpers they
+validate with (check_symmetric, symmetrize, pd_floor, require_pd, sym_eig,
+spd_eig, eig_apply) take one matrix (n, n) or a stack (..., n, n) and treat
+each matrix on its own; a failed check on a stack names the first failing
+matrix. The spd_* functions take one matrix.
 """
 
 import numpy as np
@@ -177,8 +178,7 @@ def dlog(X, H):
 
     X and H are one matrix each or stacks of the same shape (..., n, n); a
     stack gives the derivative of every X_k along its own H_k. One
-    eigendecomposition of X, then Q (Gamma o Q^T H Q) Q^T with the divided
-    differences Gamma of the log at the eigenvalues.
+    eigendecomposition of X, then `dlog_eig`.
     """
     X = np.asarray(X, dtype=float)
     H = check_symmetric(H, "direction")
@@ -187,6 +187,17 @@ def dlog(X, H):
             f"direction shape {H.shape} does not match base point {X.shape}"
         )
     w, Q = spd_eig(X, "base point")
+    return dlog_eig(w, Q, H)
+
+
+def dlog_eig(w, Q, H):
+    """dlog at X = Q diag(w) Q^T along H, given the eigenpairs of a positive
+    definite X: Q (Gamma o Q^T H Q) Q^T with the divided differences Gamma
+    of the log at the eigenvalues.
+
+    For callers that already hold the eigenpairs; `dlog` checks its inputs
+    and decomposes X first.
+    """
     inner = _log_divided_differences(w) * (_mT(Q) @ H @ Q)
     D = symmetrize(Q @ inner @ _mT(Q))
     if not np.isfinite(D).all():

@@ -16,6 +16,12 @@ Each geometry is one batched kernel (`Geometry`), and `dist2`,
 go through it. Inputs are validated once where they enter; the positive
 definiteness checks inside the kernel run on whole stacks and blocks and
 name the first failing member.
+
+Training needs the original-manifold distances twice, for the neighbor
+graphs and for the bandwidth; both take one `pairwise_dist2` matrix
+(`graphs.neighbor_graphs(data, D, ...)`, `bandwidth(D)`), so a command
+computes it once. `indexed_dist2` computes the distances of any set of
+pairs of one stack, which lets repeated evaluation splits share theirs.
 """
 
 from enum import Enum
@@ -236,8 +242,9 @@ class LogEuclidean(Geometry):
     """||log X_i - log X_j||_F^2.
 
     Pair gradient terms T_i = D and T_j = -D with D = log Y_i - log Y_j,
-    finished by phi_s(T) = dlog(Y_s)[T]: one stacked `dlog` call
-    differentiates every sample along its summed direction.
+    finished by phi_s(T) = dlog(Y_s)[T]: one stacked `dlog_eig` call
+    differentiates every sample along its summed direction, from the
+    eigenpairs that gave the logs.
     """
 
     @staticmethod
@@ -250,9 +257,10 @@ class LogEuclidean(Geometry):
         D = left[1][i] - right[1][j]
         return np.sum(D * D, axis=(-2, -1))
 
-    @classmethod
-    def grad_factors(cls, mapped):
-        return (cls.factors(mapped, "transformed sample"),)
+    @staticmethod
+    def grad_factors(mapped):
+        w, Q = matfun.spd_eig(mapped, "transformed sample")
+        return matfun.eig_apply(Q, np.log(w)), w, Q
 
     @staticmethod
     def block_grad(mapped, factors, i, j):
@@ -262,7 +270,8 @@ class LogEuclidean(Geometry):
 
     @staticmethod
     def finish(mapped, factors, acc):
-        return matfun.dlog(mapped, matfun.symmetrize(acc))
+        _, w, Q = factors
+        return matfun.dlog_eig(w, Q, matfun.symmetrize(acc))
 
 
 _GEOMETRIES = {
@@ -321,12 +330,10 @@ def pairwise_dist2(metric, samples):
     Per-sample factors come from one stacked decomposition, and the
     N(N-1)/2 pairs i < j go through the batched kernel.
     """
-    geom = geometry(metric)
-    side = _side(geom, samples, "sample")
-    N = side[0].shape[0]
+    N = len(samples)
     i, j = np.triu_indices(N, k=1)
     D = np.zeros((N, N))
-    D[i, j] = D[j, i] = geom.dist2_pairs(side, side, i, j)
+    D[i, j] = D[j, i] = indexed_dist2(metric, samples, i, j)
     return D
 
 
@@ -346,17 +353,27 @@ def cross_dist2(metric, rows, cols):
     return d.reshape(R, C)
 
 
-def default_beta(metric, samples):
-    """Similarity bandwidth 1/sigma^2 with sigma the mean pairwise distance.
+def indexed_dist2(metric, samples, i, j):
+    """Squared distances between samples i[p] and j[p] of one stack.
+
+    The stack is factored once however many pairs share a sample, and i is
+    the left operand of every pair (the affine-invariant whitening side).
+    """
+    geom = geometry(metric)
+    side = _side(geom, samples, "sample")
+    return geom.dist2_pairs(side, side, np.asarray(i), np.asarray(j))
+
+
+def bandwidth(D):
+    """Similarity bandwidth 1/sigma^2 with sigma the mean pairwise distance,
+    from a `pairwise_dist2` matrix.
 
     sigma is fixed once from the training samples on their original manifold
     and is not recomputed as the transform changes.
     """
-    samples = np.asarray(samples, dtype=float)
-    N = samples.shape[0]
+    N = D.shape[0]
     if N < 2:
         raise ValidationError("need at least two samples to set the bandwidth")
-    D = pairwise_dist2(metric, samples)
     iu = np.triu_indices(N, k=1)
     sigma = float(np.mean(np.sqrt(D[iu])))
     if sigma <= 0.0:
@@ -364,3 +381,8 @@ def default_beta(metric, samples):
             "all training samples coincide; similarity bandwidth is undefined"
         )
     return 1.0 / sigma**2
+
+
+def default_beta(metric, samples):
+    """`bandwidth` of the pairwise distances of a stack of samples."""
+    return bandwidth(pairwise_dist2(metric, samples))

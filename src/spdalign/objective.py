@@ -73,7 +73,8 @@ class GradContext:
     B holds X_p W and mapped the transformed samples W^T X_p W. factors is
     the metric's `Geometry.grad_factors` of mapped, from one stacked
     eigendecomposition: square roots, inverse square roots and inverses for
-    the affine-invariant metric, inverses for Stein, logs for log-Euclidean.
+    the affine-invariant metric, inverses for Stein, logs and the
+    eigenpairs (w, Q) they come from for log-Euclidean.
     """
 
     metric: MetricKind
@@ -179,7 +180,7 @@ def alignment_gradient(data, graphs, W, metric, beta, state, ctx=None):
     pair-similarity gradient. The pair terms are summed per sample in
     lexicographic pair order, then reduced against B in one product; for the
     log-Euclidean metric the per-sample sums are directions of one stacked
-    `dlog` call. The reduction order is fixed, keeping repeated runs
+    `dlog_eig` call on the context's eigenpairs. The reduction order is fixed, keeping repeated runs
     bit-identical.
     """
     metric = MetricKind.parse(metric)

@@ -2,10 +2,24 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import spdalign.cli as cli
-from spdalign.fileio import load_dataset, load_trace, load_transform
+import spdalign.graphs
+import spdalign.metrics
+from spdalign.fileio import (
+    load_dataset,
+    load_trace,
+    load_transform,
+    save_manifest,
+    save_matrix,
+    save_trace,
+    save_transform,
+)
+from spdalign.graphs import build_graphs
+from spdalign.metrics import MetricKind, default_beta
+from spdalign.optimizer import OptimizerConfig, initial_transform, rcg_maximize
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +145,89 @@ class TestTrain:
         assert code == 3
         assert "refusing to train" in capsys.readouterr().err
         assert not (tmp_path / "W.txt").exists()
+
+
+def write_corpus(root, samples, labels):
+    """A manifest over the given matrices with the given class labels."""
+    entries = []
+    for k, (X, label) in enumerate(zip(samples, labels)):
+        save_matrix(str(root / f"s{k}.txt"), X)
+        entries.append((f"s{k}", label, f"s{k}.txt"))
+    save_manifest(str(root / "manifest.txt"), entries)
+    return str(root / "manifest.txt")
+
+
+@pytest.fixture
+def pairwise_calls(monkeypatch):
+    """Counts calls to every binding of pairwise_dist2 the package resolves."""
+    calls = []
+    original = spdalign.metrics.pairwise_dist2
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spdalign.metrics, "pairwise_dist2", counted)
+    monkeypatch.setattr(spdalign.graphs, "pairwise_dist2", counted)
+    return calls
+
+
+class TestTrainDistancePass:
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("beta", [None, "0.5"])
+    def test_one_distance_matrix_same_outputs(
+        self, corpus, tmp_path, pairwise_calls, metric, beta
+    ):
+        extra = ["--metric", metric.value]
+        if beta is not None:
+            extra += ["--beta", beta]
+        assert cli.main(train_args(corpus, tmp_path / "cli", *extra)) == 0
+        assert len(pairwise_calls) == 1
+
+        # the same run driven through the library's composed entry points
+        data, _, _ = load_dataset(corpus)
+        graphs = build_graphs(data, metric, v_w=3, v_b=3)  # auto: smallest class - 1
+        value = default_beta(metric, data.samples) if beta is None else float(beta)
+        result = rcg_maximize(
+            data, graphs, metric, value, initial_transform(6, 2, seed=3),
+            OptimizerConfig(max_iters=8, seed=3),
+        )
+        save_transform(str(tmp_path / "W.txt"), result.W_final)
+        save_trace(str(tmp_path / "trace.txt"), result)
+        for name in ["W.txt", "trace.txt"]:
+            assert (tmp_path / "cli" / name).read_bytes() == (
+                tmp_path / name
+            ).read_bytes()
+
+    def test_singleton_class_exit_code(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        samples = [np.eye(3) + 0.1 * k * np.diag(rng.random(3)) for k in range(3)]
+        manifest = write_corpus(tmp_path, samples, ["a", "a", "b"])
+        args = ["train", "--manifest", manifest, "--output-dir",
+                str(tmp_path / "out"), "--target-dim", "2"]
+        assert cli.main(args) == 1
+        assert "class 1 has 1 sample" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "W.txt").exists()
+
+    def test_coincident_samples_exit_code(self, tmp_path, capsys):
+        manifest = write_corpus(tmp_path, [np.eye(3)] * 4, ["a", "a", "b", "b"])
+        args = ["train", "--manifest", manifest, "--output-dir",
+                str(tmp_path / "out"), "--target-dim", "2"]
+        assert cli.main(args) == 2
+        assert "coincide" in capsys.readouterr().err
+
+    def test_nonpositive_beta_computes_no_distance(
+        self, corpus, tmp_path, capsys, pairwise_calls
+    ):
+        assert cli.main(train_args(corpus, tmp_path, "--beta", "0")) == 1
+        assert "beta must be positive" in capsys.readouterr().err
+        assert pairwise_calls == []
+
+
+class TestGradcheckDistancePass:
+    def test_one_distance_matrix_per_instance(self, pairwise_calls):
+        cli.gradcheck_report(list(MetricKind), instances=2, seed=4)
+        assert len(pairwise_calls) == 3 * 2
 
 
 class TestConfigFile:

@@ -188,3 +188,30 @@ class TestRepeatedSplitEval:
         data = clustered_dataset(seed=2, n=4, classes=2, per_class=5)
         with pytest.raises(ValidationError):
             repeated_split_eval(data, MetricKind.LEM, repeats=0)
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("with_w", [False, True])
+    @pytest.mark.parametrize("fraction", [0.5, 0.3])
+    def test_equals_per_split_knn(self, metric, with_w, fraction):
+        # the shared pass over the splits' pair union must give exactly the
+        # accuracies of classifying each split on its own
+        data = clustered_dataset(seed=11, n=4, classes=3, per_class=7, spread=0.6)
+        W = rand_full_rank(np.random.default_rng(3), 4, 2) if with_w else None
+        summary = repeated_split_eval(
+            data, metric, train_fraction=fraction, repeats=10, seed=5, W=W
+        )
+        expected = [
+            knn_classify(*split(data, fraction, 5 + r), metric).accuracy
+            for r in range(10)
+        ]
+        assert np.array_equal(summary.baseline, expected)
+        assert len(set(expected)) > 1  # the splits disagree, so a lost pair shows
+        if with_w:
+            expected = [
+                knn_classify(*split(data, fraction, 5 + r), metric, W=W).accuracy
+                for r in range(10)
+            ]
+            assert np.array_equal(summary.transformed, expected)
+            assert len(set(expected)) > 1
+        else:
+            assert summary.transformed is None
