@@ -288,7 +288,13 @@ def geometry(metric):
 
 def _side(geom, stack, name):
     """A validated (stack, factors) operand of `Geometry.dist2_pairs`."""
-    stack = matfun.check_symmetric(np.asarray(stack, dtype=float), name)
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValidationError(
+            f"{name} operand must be a (k, n, n) stack of matrices, "
+            f"got shape {stack.shape}"
+        )
+    stack = matfun.check_symmetric(stack, name)
     return stack, geom.factors(stack, name)
 
 
@@ -340,17 +346,16 @@ def pairwise_dist2(metric, samples):
 def cross_dist2(metric, rows, cols):
     """Squared distances between every row-stack and column-stack sample."""
     geom = geometry(metric)
-    rows = np.asarray(rows, dtype=float)
-    cols = np.asarray(cols, dtype=float)
+    left = _side(geom, rows, "row sample")
+    right = _side(geom, cols, "col sample")
+    rows, cols = left[0], right[0]
     if rows.shape[1:] != cols.shape[1:]:
         raise DimMismatchError(
             f"sample dims differ: {rows.shape[1:]} vs {cols.shape[1:]}"
         )
     R, C = rows.shape[0], cols.shape[0]
     i, j = np.divmod(np.arange(R * C), C)
-    d = geom.dist2_pairs(_side(geom, rows, "row sample"),
-                         _side(geom, cols, "col sample"), i, j)
-    return d.reshape(R, C)
+    return geom.dist2_pairs(left, right, i, j).reshape(R, C)
 
 
 def indexed_dist2(metric, samples, i, j):

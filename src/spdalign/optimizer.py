@@ -10,8 +10,10 @@ optimizer works in the horizontal space {H : H^T W = W^T H}.
 The loop is conjugate gradient ascent with a Polak-Ribiere+ combination
 coefficient, projection-based vector transport (copy the array, project it
 horizontal at the new point), an additive retraction W + tH guarded against
-rank loss, and Armijo backtracking. All tie-breaking is deterministic, so a
-run is a pure function of its inputs.
+rank loss, and Armijo backtracking. The horizontal projection solves its
+Sylvester equation in closed form in the eigenbasis of W^T W, so the module
+needs numpy only. All tie-breaking is deterministic, so a run is a pure
+function of its inputs.
 """
 
 import time
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, SylvesterFailureError, ValidationError
 from .metrics import check_transform
@@ -85,13 +86,17 @@ def horizontal_project(W, H):
     """Remove the vertical component W Omega of an ambient direction H.
 
     Omega is the skew solution of (W^T W) Omega + Omega (W^T W) = W^T H - H^T W.
+    In the eigenbasis W^T W = V diag(lam) V^T that equation is diagonal, so
+    Omega = V ((V^T rhs V) / (lam_i + lam_j)) V^T from one eigh.
     """
-    WtW = W.T @ W
     rhs = W.T @ H - H.T @ W
     try:
-        Omega = scipy.linalg.solve_sylvester(WtW, WtW, rhs)
-    except Exception as exc:
+        lam, V = np.linalg.eigh(W.T @ W)
+    except np.linalg.LinAlgError as exc:
         raise SylvesterFailureError(f"horizontal projection failed: {exc}") from exc
+    # a singular W^T W divides by zero; the finiteness check below reports it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Omega = V @ ((V.T @ rhs @ V) / (lam[:, None] + lam)) @ V.T
     if not np.all(np.isfinite(Omega)):
         raise SylvesterFailureError("horizontal projection produced non-finite values")
     # rhs is skew and the coefficient matrix is SPD, so Omega is skew; drop

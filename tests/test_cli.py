@@ -1,6 +1,10 @@
 """End-to-end CLI tests driven through in-process main() calls."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,3 +364,34 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert cli.main(["gradcheck", "--bogus"]) == 1
+
+
+SCIPY_FREE_CHILD = """
+import json, sys
+from spdalign.cli import main
+
+out = sys.argv[1]
+manifest = out + "/manifest.txt"
+for argv in (
+    ["synth", "--output-dir", out, "--dim", "5", "--classes", "2",
+     "--per-class", "4", "--noise", "0.4", "--seed", "1"],
+    ["train", "--manifest", manifest, "--output-dir", out, "--metric", "aim",
+     "--target-dim", "2", "--max-iters", "2"],
+    ["eval", "--manifest", manifest, "--transform", out + "/W.txt",
+     "--splits", "2"],
+):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    """synth, train and eval run on numpy alone, in a fresh interpreter."""
+    src = Path(cli.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_CHILD, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout.splitlines()[-1]) == []

@@ -24,6 +24,7 @@ from spdalign.metrics import (
     cross_dist2,
     default_beta,
     dist2,
+    indexed_dist2,
     kernel_sim,
     map_down,
     pairwise_dist2,
@@ -238,6 +239,24 @@ class TestBatchDistances:
     def test_cross_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
             cross_dist2(MetricKind.LEM, np.eye(3)[None], np.eye(4)[None])
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_pairwise_rejects_single_matrix(self, metric):
+        with pytest.raises(ValidationError, match="sample operand"):
+            pairwise_dist2(metric, np.diag([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @pytest.mark.parametrize("side", ["row", "col"])
+    def test_cross_rejects_single_matrix(self, metric, side):
+        stack = np.eye(3)[None]
+        rows, cols = (np.eye(3), stack) if side == "row" else (stack, np.eye(3))
+        with pytest.raises(ValidationError, match=f"{side} sample operand"):
+            cross_dist2(metric, rows, cols)
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_indexed_rejects_single_matrix(self, metric):
+        with pytest.raises(ValidationError, match="sample operand"):
+            indexed_dist2(metric, np.diag([1.0, 2.0, 3.0]), [0], [1])
 
 
 class TestDefaultBeta:

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import clustered_dataset, rand_full_rank
-from spdalign.errors import RankDeficientError, ValidationError
+from spdalign.errors import RankDeficientError, SylvesterFailureError, ValidationError
 from spdalign.graphs import PairGraphs, build_graphs
 from spdalign.metrics import MetricKind, default_beta
 from spdalign.objective import alignment_gradient, alignment_objective
@@ -23,6 +24,13 @@ from spdalign.optimizer import (
 def rand_skew(rng, m):
     A = rng.standard_normal((m, m))
     return 0.5 * (A - A.T)
+
+
+def sylvester_projection(W, H):
+    """Oracle for horizontal_project through SciPy's general Sylvester solver."""
+    WtW = W.T @ W
+    Omega = scipy.linalg.solve_sylvester(WtW, WtW, W.T @ H - H.T @ W)
+    return H - W @ (0.5 * (Omega - Omega.T))
 
 
 def fitted_instance(seed, metric=MetricKind.STEIN, n=8, m=3, classes=3, per_class=5):
@@ -60,6 +68,33 @@ class TestHorizontalProjection:
         W = rand_full_rank(rng, 6, 2)
         H = rng.standard_normal((6, 2))
         assert np.linalg.norm(horizontal_project(W, H)) <= np.linalg.norm(H) + 1e-12
+
+    @pytest.mark.parametrize("n, m", [(7, 3), (12, 4), (20, 5)])
+    def test_matches_sylvester_oracle(self, n, m):
+        rng = np.random.default_rng(n)
+        W = rand_full_rank(rng, n, m)
+        H = rng.standard_normal((n, m))
+        expected = sylvester_projection(W, H)
+        err = np.linalg.norm(horizontal_project(W, H) - expected)
+        assert err <= 1e-12 * np.linalg.norm(expected)
+
+    def test_matches_sylvester_oracle_ill_conditioned(self):
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.standard_normal((10, 4)))
+        R, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        W = Q @ np.diag([1.0, 1e-1, 1e-2, 1e-4]) @ R
+        assert 0.5e8 <= np.linalg.cond(W.T @ W) <= 2e8
+        H = rng.standard_normal((10, 4))
+        expected = sylvester_projection(W, H)
+        err = np.linalg.norm(horizontal_project(W, H) - expected)
+        assert err <= 1e-12 * np.linalg.norm(expected)
+
+    def test_nan_raises_sylvester_failure(self):
+        rng = np.random.default_rng(12)
+        W = rand_full_rank(rng, 7, 3)
+        W[2, 1] = np.nan
+        with pytest.raises(SylvesterFailureError):
+            horizontal_project(W, rng.standard_normal((7, 3)))
 
 
 class TestRiemannianGrad:
