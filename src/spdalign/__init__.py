@@ -89,8 +89,6 @@ from .optimizer import (
     initial_transform,
     rcg_maximize,
     retract,
-    riemannian_grad,
-    transport,
 )
 
 __version__ = "0.1.0"
@@ -149,7 +147,6 @@ __all__ = [
     "rcg_maximize",
     "repeated_split_eval",
     "retract",
-    "riemannian_grad",
     "save_manifest",
     "save_matrix",
     "save_trace",
@@ -162,5 +159,4 @@ __all__ = [
     "symmetrize",
     "synth_dataset",
     "transformed_dist2",
-    "transport",
 ]

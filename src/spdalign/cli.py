@@ -143,6 +143,8 @@ def cmd_gradcheck(args):
         kinds = list(MetricKind)
     else:
         kinds = [MetricKind.parse(args.metric)]
+    if args.instances < 1:
+        raise ConfigError(f"instances must be >= 1, got {args.instances}")
     worst = gradcheck_report(kinds, args.instances, seed)
     if worst > GRADCHECK_TOL:
         print(f"gradcheck FAILED (tolerance {GRADCHECK_TOL:g})", file=sys.stderr)
@@ -208,7 +210,6 @@ def cmd_train(args):
         max_iters=_resolve(args, config, "max_iters", 50),
         grad_tol=_resolve(args, config, "grad_tol", 1e-6),
         rel_obj_tol=_resolve(args, config, "rel_obj_tol", 1e-8),
-        seed=seed,
     )
     graphs = neighbor_graphs(data, D, v_w=v_w, v_b=v_b)
     print(

@@ -4,16 +4,23 @@ matrices by right orthogonal rotations.
 A point is an n x m matrix W of full column rank; W and WO describe the same
 positive semidefinite product WW^T, so the objective is constant along the
 orbit {WO}. Tangent directions tangent to the orbit (the vertical space
-{W Omega : Omega skew}) carry no information and are projected out; the
-optimizer works in the horizontal space {H : H^T W = W^T H}.
+{W Omega : Omega skew}) carry no information; the optimizer works in the
+horizontal space {H : H^T W = W^T H}.
+
+Under the Euclidean metric inherited by the quotient, the Riemannian gradient
+of a fibre-invariant J is its Euclidean gradient egrad: differentiating
+J(W expm(t Omega)) = J(W) at t = 0 gives <egrad, W Omega> = 0 for every skew
+Omega, so W^T egrad is symmetric and egrad is already horizontal (Journee,
+Bach, Absil & Sepulchre, SIAM J. Optim. 2010). The loop therefore ascends
+along alignment_gradient's output as is.
 
 The loop is conjugate gradient ascent with a Polak-Ribiere+ combination
-coefficient, projection-based vector transport (copy the array, project it
-horizontal at the new point), an additive retraction W + tH guarded against
-rank loss, and Armijo backtracking. The horizontal projection solves its
-Sylvester equation in closed form in the eigenbasis of W^T W, so the module
-needs numpy only. All tie-breaking is deterministic, so a run is a pure
-function of its inputs.
+coefficient, projection-based vector transport (the previous gradient and
+direction are projected horizontal at the new point, the only use of the
+projection), an additive retraction W + tH guarded against rank loss, and
+Armijo backtracking. The horizontal projection solves its Sylvester equation
+in closed form from the SVD of W, so the module needs numpy only. All
+tie-breaking is deterministic, so a run is a pure function of its inputs.
 """
 
 import time
@@ -27,6 +34,8 @@ from .metrics import check_transform
 from .objective import alignment_gradient, alignment_objective
 
 LS_MAX_SHRINKS = 30
+LS_SHRINK = 0.5
+LS_SLOPE = 1e-4
 
 
 class StopReason(Enum):
@@ -38,31 +47,17 @@ class StopReason(Enum):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the conjugate gradient loop.
-
-    cg_restart_every=None restarts every n*m iterations (the dimension of the
-    matrix variable), the usual cycle length for nonlinear CG.
-    """
+    """Stopping rules for the conjugate gradient loop."""
 
     max_iters: int = 50
     grad_tol: float = 1e-6
     rel_obj_tol: float = 1e-8
-    ls_shrink: float = 0.5
-    ls_slope: float = 1e-4
-    cg_restart_every: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.grad_tol > 0 or not self.rel_obj_tol > 0:
             raise ValidationError("grad_tol and rel_obj_tol must be positive")
-        if not 0.0 < self.ls_shrink < 1.0:
-            raise ValidationError(f"ls_shrink must be in (0,1), got {self.ls_shrink}")
-        if not 0.0 < self.ls_slope < 1.0:
-            raise ValidationError(f"ls_slope must be in (0,1), got {self.ls_slope}")
-        if self.cg_restart_every is not None and self.cg_restart_every < 1:
-            raise ValidationError("cg_restart_every must be >= 1 when set")
 
 
 @dataclass(frozen=True)
@@ -86,17 +81,20 @@ def horizontal_project(W, H):
     """Remove the vertical component W Omega of an ambient direction H.
 
     Omega is the skew solution of (W^T W) Omega + Omega (W^T W) = W^T H - H^T W.
-    In the eigenbasis W^T W = V diag(lam) V^T that equation is diagonal, so
-    Omega = V ((V^T rhs V) / (lam_i + lam_j)) V^T from one eigh.
+    With the SVD W = U diag(s) V^T, W^T W = V diag(lam) V^T for lam = s^2 and
+    the equation is diagonal in V, so Omega = V ((V^T rhs V) / (lam_i + lam_j))
+    V^T. Taking V from W rather than from eigh(W^T W) avoids squaring the
+    condition number of W.
     """
     rhs = W.T @ H - H.T @ W
     try:
-        lam, V = np.linalg.eigh(W.T @ W)
+        _, s, Vt = np.linalg.svd(W, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SylvesterFailureError(f"horizontal projection failed: {exc}") from exc
-    # a singular W^T W divides by zero; the finiteness check below reports it
+    lam = s * s
+    # a rank-deficient W divides by zero; the finiteness check below reports it
     with np.errstate(divide="ignore", invalid="ignore"):
-        Omega = V @ ((V.T @ rhs @ V) / (lam[:, None] + lam)) @ V.T
+        Omega = Vt.T @ ((Vt @ rhs @ Vt.T) / (lam[:, None] + lam)) @ Vt
     if not np.all(np.isfinite(Omega)):
         raise SylvesterFailureError("horizontal projection produced non-finite values")
     # rhs is skew and the coefficient matrix is SPD, so Omega is skew; drop
@@ -105,20 +103,9 @@ def horizontal_project(W, H):
     return H - W @ Omega
 
 
-def riemannian_grad(W, egrad):
-    """Project a Euclidean gradient to the horizontal tangent space at W."""
-    ambient = egrad - W @ (W.T @ egrad)
-    return horizontal_project(W, ambient)
-
-
 def retract(W, H, t):
     """First-order retraction W + tH, rejected if column rank is lost."""
     return check_transform(W + t * H)
-
-
-def transport(H_prev, W_new):
-    """Vector transport: reattach the array at W_new and project horizontal."""
-    return horizontal_project(W_new, H_prev)
 
 
 def initial_transform(n, m, seed):
@@ -155,10 +142,10 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
     cfg = cfg or OptimizerConfig()
     t_start = time.perf_counter()
     W = check_transform(W0, n=data.dim).copy()
-    restart_every = cfg.cg_restart_every or W.size
 
     state = alignment_objective(data, graphs, W, metric, beta)
-    grad = riemannian_grad(W, alignment_gradient(data, graphs, W, metric, beta, state))
+    # egrad is horizontal, so it is the Riemannian gradient (module docstring)
+    grad = alignment_gradient(data, graphs, W, metric, beta, state)
     gnorm = float(np.linalg.norm(grad))
     gnorm_ref = max(1.0, gnorm)
 
@@ -172,14 +159,16 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
             return _trace_result(W, J_hist, g_hist, t_hist, k - 1,
                                  StopReason.GRAD_TOL, t_start)
 
-        if k == 1 or since_restart >= restart_every:
+        # restart every n*m iterations, the usual cycle length for nonlinear CG
+        if k == 1 or since_restart >= W.size:
             direction = grad
             since_restart = 0
         else:
-            eta_num = float(np.sum(grad * (grad - transport(prev_grad, W))))
+            moved_grad = horizontal_project(W, prev_grad)
+            eta_num = float(np.sum(grad * (grad - moved_grad)))
             eta_den = float(np.sum(prev_grad * prev_grad))
             eta = max(0.0, eta_num / eta_den) if eta_den > 0 else 0.0
-            direction = grad + eta * transport(direction, W)
+            direction = grad + eta * horizontal_project(W, direction)
             if eta == 0.0:
                 since_restart = 0
 
@@ -189,7 +178,7 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
             slope = float(np.sum(grad * d))
             if slope <= 0.0:
                 continue
-            accepted = _armijo(data, graphs, metric, beta, W, state.J, d, slope, cfg)
+            accepted = _armijo(data, graphs, metric, beta, W, state.J, d, slope)
             if accepted is not None:
                 direction = d
                 break
@@ -198,9 +187,7 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
                                  StopReason.LINE_SEARCH_FAIL, t_start)
 
         t, W_new, state_new = accepted
-        grad_new = riemannian_grad(
-            W_new, alignment_gradient(data, graphs, W_new, metric, beta, state_new)
-        )
+        grad_new = alignment_gradient(data, graphs, W_new, metric, beta, state_new)
         # prev_grad and direction stay attached to the old point; they are
         # transported exactly once, inside the next CG combination
         prev_grad = grad
@@ -221,8 +208,8 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
                          StopReason.MAX_ITERS, t_start)
 
 
-def _armijo(data, graphs, metric, beta, W, J, d, slope, cfg):
-    """Backtracking search for J(W + t d) >= J + ls_slope * t * slope.
+def _armijo(data, graphs, metric, beta, W, J, d, slope):
+    """Backtracking search for J(W + t d) >= J + LS_SLOPE * t * slope.
 
     Trial points that lose rank or break numerically just shrink the step.
     Returns (t, W_new, state_new) or None after LS_MAX_SHRINKS shrinkages.
@@ -233,9 +220,9 @@ def _armijo(data, graphs, metric, beta, W, J, d, slope, cfg):
             W_new = retract(W, d, t)
             state_new = alignment_objective(data, graphs, W_new, metric, beta)
         except NumericalError:
-            t *= cfg.ls_shrink
+            t *= LS_SHRINK
             continue
-        if state_new.J >= J + cfg.ls_slope * t * slope:
+        if state_new.J >= J + LS_SLOPE * t * slope:
             return t, W_new, state_new
-        t *= cfg.ls_shrink
+        t *= LS_SHRINK
     return None

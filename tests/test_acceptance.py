@@ -26,7 +26,6 @@ from spdalign.optimizer import (
     StopReason,
     initial_transform,
     rcg_maximize,
-    riemannian_grad,
 )
 
 from helpers import fd_gradient, rand_full_rank, rand_spd, rand_sym
@@ -134,9 +133,9 @@ def test_metric_invariance_and_identity_properties():
 
 
 def test_objective_quotient_invariance_and_horizontal_gradient():
-    """J(W) equals J(WO) to 1e-9 for random orthogonal O, and the projected
-    gradient is orthogonal to every vertical direction W@Omega to 1e-9
-    (normalized inner product)."""
+    """J(W) equals J(WO) to 1e-9 for random orthogonal O, and the Euclidean
+    gradient, which the optimizer ascends along, is orthogonal to every
+    vertical direction W@Omega to 1e-9 (normalized inner product)."""
     for metric in MetricKind:
         for seed in range(3):
             data, graphs, beta, W = make_problem(metric, 200 + seed)
@@ -152,13 +151,12 @@ def test_objective_quotient_invariance_and_horizontal_gradient():
 
             state = alignment_objective(data, graphs, W, metric, beta)
             egrad = alignment_gradient(data, graphs, W, metric, beta, state)
-            rgrad = riemannian_grad(W, egrad)
             for _ in range(5):
                 A = rng.standard_normal((W.shape[1], W.shape[1]))
                 omega = 0.5 * (A - A.T)
                 vertical = W @ omega
-                denom = np.linalg.norm(rgrad) * np.linalg.norm(vertical)
-                overlap = abs(np.sum(rgrad * vertical)) / denom
+                denom = np.linalg.norm(egrad) * np.linalg.norm(vertical)
+                overlap = abs(np.sum(egrad * vertical)) / denom
                 assert overlap < 1e-9, (
                     f"{metric.value} seed {seed}: horizontal gradient has "
                     f"vertical overlap {overlap:.3e}"
@@ -191,7 +189,7 @@ def benchmark_runs():
             graphs = build_graphs(train, metric, v_w=3, v_b=3)
             beta = default_beta(metric, train.samples)
             W0 = initial_transform(train.dim, 5, seed=seed)
-            config = OptimizerConfig(max_iters=50, rel_obj_tol=2e-4, seed=seed)
+            config = OptimizerConfig(max_iters=50, rel_obj_tol=2e-4)
             result = rcg_maximize(train, graphs, metric, beta, W0, config)
 
             onehot = np.equal.outer(
@@ -262,22 +260,22 @@ def test_learned_transform_improves_nearest_neighbor_accuracy(benchmark_runs):
 
 
 def test_per_iteration_cost_scales_linearly_in_neighbor_count():
-    """Per-iteration wall time grows at most linearly as the between-class
-    neighbor count sweeps 1, 2, 4, 8 with everything else fixed: linear fit
-    R^2 >= 0.9 and no blow-up beyond the 8x density ratio."""
+    """Per-iteration wall time grows at most linearly in the selected pair
+    count as the between-class neighbor count sweeps 1, 2, 4, 8, 16 with
+    everything else fixed (355 to 2,659 pairs, 7.5x): linear fit against the
+    pair count R^2 >= 0.9 and no blow-up beyond 8x from the sparsest to the
+    densest graphs."""
     metric = MetricKind.STEIN
     data = synth_dataset(
         SynthConfig(dim=16, classes=5, per_class=40, noise=0.2, seed=0)
     )
     beta = default_beta(metric, data.samples)
     W0 = initial_transform(16, 4, seed=0)
-    config = OptimizerConfig(
-        max_iters=30, grad_tol=1e-300, rel_obj_tol=1e-300, seed=0
-    )
-    sweep = np.array([1, 2, 4, 8], dtype=float)
+    config = OptimizerConfig(max_iters=30, grad_tol=1e-300, rel_obj_tol=1e-300)
     sweep_graphs = [
-        build_graphs(data, metric, v_w=1, v_b=v_b) for v_b in (1, 2, 4, 8)
+        build_graphs(data, metric, v_w=1, v_b=v_b) for v_b in (1, 2, 4, 8, 16)
     ]
+    pair_counts = np.array([len(g.pairs) for g in sweep_graphs], dtype=float)
     per_iter = np.full(len(sweep_graphs), np.inf)
     # best of 3, with the repeats taken round-robin over the sweep so that a
     # slow phase of the host slows every point rather than one
@@ -289,18 +287,20 @@ def test_per_iteration_cost_scales_linearly_in_neighbor_count():
                 per_iter[k], (time.perf_counter() - t0) / result.iterations_used
             )
 
-    slope, intercept = np.polyfit(sweep, per_iter, 1)
-    fit = slope * sweep + intercept
+    slope, intercept = np.polyfit(pair_counts, per_iter, 1)
+    fit = slope * pair_counts + intercept
     ss_res = float(np.sum((per_iter - fit) ** 2))
     ss_tot = float(np.sum((per_iter - per_iter.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot
     assert r_squared >= 0.9, (
-        f"per-iteration time vs neighbor count: linear fit R^2 "
-        f"{r_squared:.4f} < 0.9 (times {per_iter.tolist()})"
+        f"per-iteration time vs pair count: linear fit R^2 "
+        f"{r_squared:.4f} < 0.9 (pairs {pair_counts.tolist()}, "
+        f"times {per_iter.tolist()})"
     )
     ratio = per_iter[-1] / per_iter[0]
     assert ratio <= 8.0, (
-        f"per-iteration time grew {ratio:.2f}x while density grew at most 8x"
+        f"per-iteration time grew {ratio:.2f}x while the pair count grew "
+        f"{pair_counts[-1] / pair_counts[0]:.2f}x"
     )
 
 

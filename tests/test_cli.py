@@ -194,7 +194,7 @@ class TestTrainDistancePass:
         value = default_beta(metric, data.samples) if beta is None else float(beta)
         result = rcg_maximize(
             data, graphs, metric, value, initial_transform(6, 2, seed=3),
-            OptimizerConfig(max_iters=8, seed=3),
+            OptimizerConfig(max_iters=8),
         )
         save_transform(str(tmp_path / "W.txt"), result.W_final)
         save_trace(str(tmp_path / "trace.txt"), result)
@@ -352,6 +352,13 @@ class TestGradcheck:
         monkeypatch.setattr(cli, "gradcheck_report", lambda *a, **k: 0.5)
         assert cli.main(["gradcheck"]) == 3
         assert "FAILED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("instances", ["0", "-2"])
+    def test_no_instances_is_a_usage_error(self, capsys, instances):
+        assert cli.main(["gradcheck", "--instances", instances]) == 1
+        captured = capsys.readouterr()
+        assert "instances must be >= 1" in captured.err
+        assert "gradcheck passed" not in captured.out
 
 
 class TestUsageErrors:

@@ -1,5 +1,7 @@
 """Quotient-geometry primitives and conjugate-gradient loop tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,8 +18,6 @@ from spdalign.optimizer import (
     initial_transform,
     rcg_maximize,
     retract,
-    riemannian_grad,
-    transport,
 )
 
 
@@ -31,6 +31,21 @@ def sylvester_projection(W, H):
     WtW = W.T @ W
     Omega = scipy.linalg.solve_sylvester(WtW, WtW, W.T @ H - H.T @ W)
     return H - W @ (0.5 * (Omega - Omega.T))
+
+
+def ill_conditioned(rng, n=10, m=4):
+    """A random n x m W with singular values 1, 1e-1, 1e-2, 1e-4, so that
+    cond(W^T W) = 1e8."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, m)))
+    R, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return Q @ np.diag([1.0, 1e-1, 1e-2, 1e-4]) @ R
+
+
+def off_orthonormal(W0, seed):
+    """3 W0 M for a random invertible M: a point off the orthonormal slice."""
+    rng = np.random.default_rng(seed)
+    m = W0.shape[1]
+    return 3.0 * W0 @ (np.eye(m) + 0.5 * rng.standard_normal((m, m)))
 
 
 def fitted_instance(seed, metric=MetricKind.STEIN, n=8, m=3, classes=3, per_class=5):
@@ -48,6 +63,14 @@ class TestHorizontalProjection:
         H = horizontal_project(W, rng.standard_normal((7, 3)))
         again = horizontal_project(W, H)
         assert np.linalg.norm(again - H) <= 1e-12 * max(1.0, np.linalg.norm(H))
+
+        # idempotent to 1e-13 relative also at cond(W^T W) = 1e8
+        rng = np.random.default_rng(0)
+        W = ill_conditioned(rng)
+        assert 0.5e8 <= np.linalg.cond(W.T @ W) <= 2e8
+        H = horizontal_project(W, rng.standard_normal((10, 4)))
+        again = horizontal_project(W, H)
+        assert np.linalg.norm(again - H) <= 1e-13 * np.linalg.norm(H)
 
     def test_vertical_vector_annihilated(self):
         rng = np.random.default_rng(1)
@@ -80,9 +103,7 @@ class TestHorizontalProjection:
 
     def test_matches_sylvester_oracle_ill_conditioned(self):
         rng = np.random.default_rng(0)
-        Q, _ = np.linalg.qr(rng.standard_normal((10, 4)))
-        R, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        W = Q @ np.diag([1.0, 1e-1, 1e-2, 1e-4]) @ R
+        W = ill_conditioned(rng)
         assert 0.5e8 <= np.linalg.cond(W.T @ W) <= 2e8
         H = rng.standard_normal((10, 4))
         expected = sylvester_projection(W, H)
@@ -98,24 +119,28 @@ class TestHorizontalProjection:
 
 
 class TestRiemannianGrad:
-    def test_zero_gradient_maps_to_zero(self):
-        rng = np.random.default_rng(2)
-        W = rand_full_rank(rng, 6, 2)
-        assert np.all(riemannian_grad(W, np.zeros((6, 2))) == 0.0)
-
-    def test_column_space_annihilated_for_orthonormal_w(self):
-        W = initial_transform(6, 2, seed=3)
-        g = riemannian_grad(W, W)
-        assert np.linalg.norm(g) <= 1e-12
+    def test_ascent_gradient_is_egrad_off_orthonormal(self):
+        # the Euclidean gradient is horizontal, so it is the Riemannian
+        # gradient at every W, not only where W^T W = I; LEM is the metric
+        # whose J is not constant along W -> WM for invertible M
+        metric = MetricKind.LEM
+        data, graphs, beta, W0 = fitted_instance(8, metric=metric)
+        W = off_orthonormal(W0, 8)
+        assert np.linalg.norm(W.T @ W - np.eye(W.shape[1])) > 1.0
+        state = alignment_objective(data, graphs, W, metric, beta)
+        egrad = alignment_gradient(data, graphs, W, metric, beta, state)
+        res = rcg_maximize(data, graphs, metric, beta, W,
+                           OptimizerConfig(max_iters=1))
+        expected = np.linalg.norm(egrad)
+        assert abs(res.grad_norm_trace[0] - expected) <= 1e-12 * expected
 
     def test_vertical_directions_carry_no_ascent(self):
         # finite differences of J along a vertical direction vanish, along the
-        # projected gradient they match the gradient norm squared
+        # gradient they match the gradient norm squared
         metric = MetricKind.STEIN
         data, graphs, beta, W = fitted_instance(4)
         state = alignment_objective(data, graphs, W, metric, beta)
-        egrad = alignment_gradient(data, graphs, W, metric, beta, state)
-        g = riemannian_grad(W, egrad)
+        g = alignment_gradient(data, graphs, W, metric, beta, state)
         rng = np.random.default_rng(4)
         V = W @ rand_skew(rng, W.shape[1])
         h = 1e-6
@@ -139,13 +164,36 @@ class TestRetractAndTransport:
         metric = MetricKind.STEIN
         data, graphs, beta, W = fitted_instance(7)
         state = alignment_objective(data, graphs, W, metric, beta)
-        g = riemannian_grad(
-            W, alignment_gradient(data, graphs, W, metric, beta, state)
-        )
+        g = alignment_gradient(data, graphs, W, metric, beta, state)
         t = 1e-6
         J_t = alignment_objective(data, graphs, retract(W, g, t), metric, beta).J
         predicted = t * np.sum(g * g)
         assert abs((J_t - state.J) - predicted) <= 1e-3 * abs(predicted)
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_second_order_taylor_error(self, metric):
+        # |J(R_W(t xi)) - J(W) - t <egrad, xi>| is O(t^2) along a horizontal
+        # xi at a non-orthonormal W: log-log slope 2 over a decade of t
+        data, graphs, beta, W0 = fitted_instance(9, metric=metric)
+        W = off_orthonormal(W0, 9)
+        state = alignment_objective(data, graphs, W, metric, beta)
+        egrad = alignment_gradient(data, graphs, W, metric, beta, state)
+        # not seed 9: initial_transform draws W0 from that stream, and a
+        # direction inside span(W) leaves the AIM and Stein objectives flat
+        rng = np.random.default_rng(90)
+        xi = horizontal_project(W, rng.standard_normal(W.shape))
+        xi /= np.linalg.norm(xi)
+        ts = np.logspace(-4, -3, 6)
+        errors = [
+            abs(
+                alignment_objective(data, graphs, retract(W, xi, t), metric, beta).J
+                - state.J
+                - t * np.sum(egrad * xi)
+            )
+            for t in ts
+        ]
+        slope = np.polyfit(np.log(ts), np.log(errors), 1)[0]
+        assert abs(slope - 2.0) <= 0.1, f"{metric.value}: slope {slope:.3f}"
 
     def test_rank_loss_rejected(self):
         rng = np.random.default_rng(8)
@@ -157,14 +205,14 @@ class TestRetractAndTransport:
         rng = np.random.default_rng(9)
         W = rand_full_rank(rng, 7, 3)
         H = horizontal_project(W, rng.standard_normal((7, 3)))
-        assert np.allclose(transport(H, W), H, atol=1e-12)
+        assert np.allclose(horizontal_project(W, H), H, atol=1e-12)
 
     def test_transport_lands_horizontal_and_never_expands(self):
         rng = np.random.default_rng(10)
         W = rand_full_rank(rng, 7, 3)
         H = horizontal_project(W, rng.standard_normal((7, 3)))
         W_new = retract(W, H, 1e-3)
-        moved = transport(H, W_new)
+        moved = horizontal_project(W_new, H)
         resid = np.linalg.norm(moved.T @ W_new - W_new.T @ moved)
         assert resid <= 1e-9 * np.linalg.norm(moved) * np.linalg.norm(W_new)
         assert np.linalg.norm(moved) <= np.linalg.norm(H) * (1 + 1e-6)
@@ -191,7 +239,9 @@ class TestInitialTransform:
 class TestOptimizerConfig:
     def test_defaults_valid(self):
         cfg = OptimizerConfig()
-        assert cfg.max_iters == 50 and cfg.ls_shrink == 0.5
+        assert dataclasses.asdict(cfg) == {
+            "max_iters": 50, "grad_tol": 1e-6, "rel_obj_tol": 1e-8
+        }
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -199,9 +249,6 @@ class TestOptimizerConfig:
             {"max_iters": 0},
             {"grad_tol": 0.0},
             {"rel_obj_tol": -1.0},
-            {"ls_shrink": 1.0},
-            {"ls_slope": 0.0},
-            {"cg_restart_every": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
