@@ -75,11 +75,8 @@ from .metrics import (
 )
 from .objective import (
     AlignmentState,
-    GradContext,
     alignment_gradient,
     alignment_objective,
-    build_grad_context,
-    kernel_entry_gradient,
 )
 from .optimizer import (
     OptimizerConfig,
@@ -101,7 +98,6 @@ __all__ = [
     "DimMismatchError",
     "EvalReport",
     "EvalSummary",
-    "GradContext",
     "InsufficientClassSizeError",
     "LabeledDataset",
     "MetricKind",
@@ -121,7 +117,6 @@ __all__ = [
     "alignment_gradient",
     "alignment_objective",
     "bandwidth",
-    "build_grad_context",
     "build_graphs",
     "centering_matrix",
     "check_symmetric",
@@ -133,7 +128,6 @@ __all__ = [
     "dlog",
     "horizontal_project",
     "initial_transform",
-    "kernel_entry_gradient",
     "kernel_sim",
     "knn_classify",
     "label_similarity",

@@ -122,7 +122,7 @@ def gradcheck_report(kinds, instances, seed, out=None):
                 ).J
 
             state = alignment_objective(data, graphs, W, metric, beta)
-            analytic = alignment_gradient(data, graphs, W, metric, beta, state)
+            analytic = alignment_gradient(state)
             numeric = fd_gradient(objective, W)
             scale = max(float(np.linalg.norm(numeric)), 1e-12)
             error = float(np.linalg.norm(analytic - numeric)) / scale
@@ -163,6 +163,12 @@ def cmd_train(args):
         raise ConfigError("a dataset manifest is required (--manifest or config)")
     if output_dir is None:
         raise ConfigError("an output directory is required (--output-dir or config)")
+    # checked before any data is loaded or distance computed
+    opt_config = OptimizerConfig(
+        max_iters=_resolve(args, config, "max_iters", 50),
+        grad_tol=_resolve(args, config, "grad_tol", 1e-6),
+        rel_obj_tol=_resolve(args, config, "rel_obj_tol", 1e-8),
+    )
 
     if args.strict:
         worst = gradcheck_report([metric], instances=2, seed=seed)
@@ -206,11 +212,6 @@ def cmd_train(args):
     if beta is None:
         beta = metrics.bandwidth(D)
 
-    opt_config = OptimizerConfig(
-        max_iters=_resolve(args, config, "max_iters", 50),
-        grad_tol=_resolve(args, config, "grad_tol", 1e-6),
-        rel_obj_tol=_resolve(args, config, "rel_obj_tol", 1e-8),
-    )
     graphs = neighbor_graphs(data, D, v_w=v_w, v_b=v_b)
     print(
         f"metric={metric.value} target_dim={target_dim} vw={v_w} vb={v_b} "

@@ -47,9 +47,8 @@ class RankDeficientError(NumericalError):
 
 
 class SylvesterFailureError(NumericalError):
-    """The Sylvester solve behind the horizontal projection failed: the
-    eigendecomposition of W^T W broke down or the eigenbasis solve gave
-    non-finite values."""
+    """The Sylvester solve behind the horizontal projection failed: the SVD
+    of W broke down or the eigenbasis solve gave non-finite values."""
 
 
 class DegenerateInputError(NumericalError):

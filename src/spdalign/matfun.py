@@ -91,9 +91,10 @@ def sym_eig(A):
 
     Returns (w, Q) with eigenvalues w ascending and orthogonal Q such that
     A = Q diag(w) Q^T. A failed solve or a non-finite spectrum (NaN input)
-    raises NoConvergenceError.
+    raises NoConvergenceError. Symmetry is checked where the input enters
+    the package, not here: the kernels call this on matrices they have just
+    symmetrized.
     """
-    A = check_symmetric(A)
     try:
         w, Q = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
@@ -104,11 +105,12 @@ def sym_eig(A):
 
 
 def _one_matrix(A, name="matrix"):
-    """Reject stacks where the eigenvalues would scale the wrong axis."""
+    """A checked symmetric matrix; stacks are rejected, since the eigenvalues
+    would scale the wrong axis."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise NonSymmetricError(f"{name} must be one matrix, got shape {A.shape}")
-    return A
+    return check_symmetric(A, name)
 
 
 def spd_eig(X, name="matrix"):
@@ -180,7 +182,7 @@ def dlog(X, H):
     stack gives the derivative of every X_k along its own H_k. One
     eigendecomposition of X, then `dlog_eig`.
     """
-    X = np.asarray(X, dtype=float)
+    X = check_symmetric(X, "base point")
     H = check_symmetric(H, "direction")
     if H.shape != X.shape:
         raise NonSymmetricError(

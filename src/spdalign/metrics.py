@@ -116,10 +116,11 @@ class Geometry:
     """Batched kernel of one SPD geometry.
 
     Each geometry gives three parts. `factors` is the per-sample factor of a
-    whole stack (inverse square root, Cholesky log-det or log), from one
-    stacked decomposition. `block_dist2` is the squared distance of one block
-    of pairs, given as two index arrays into a left and a right
-    (stack, factors) side. `grad_factors`, `block_grad` and `finish` are the
+    whole stack: a tuple of stacked arrays, from one stacked decomposition,
+    holding everything the pair distance and the pair gradient read (Stein
+    adds one batched inverse to its Cholesky). `block_dist2` is the
+    squared distance of one block of pairs, given as two index arrays into a
+    left and a right (stack, factors) side. `block_grad` and `finish` are the
     pair gradient term: `block_grad` gives a pair's terms T_i and T_j for its
     two ends, and `finish` is a map phi_s, linear in its argument, such that
     with Y_p = W^T X_p W and B_p = X_p W the gradient of
@@ -169,26 +170,23 @@ class AffineInvariant(Geometry):
 
     @staticmethod
     def factors(stack, name):
+        """(X^{-1/2}, X^{1/2}, X^{-1}) from one eigendecomposition."""
         w, Q = matfun.spd_eig(stack, name)
-        return matfun.symmetrize((Q / np.sqrt(w)[..., None, :]) @ Q.swapaxes(-1, -2))
+        s = np.sqrt(w)
+        inv_sqrt = matfun.symmetrize((Q / s[..., None, :]) @ Q.swapaxes(-1, -2))
+        return inv_sqrt, matfun.eig_apply(Q, s), matfun.eig_apply(Q, 1.0 / w)
 
     @staticmethod
     def block_dist2(left, right, i, j):
-        P = left[1][i]
+        P = left[1][0][i]
         M = matfun.symmetrize(P @ right[0][j] @ P)
         w = np.linalg.eigvalsh(M)
         matfun.require_pd(w, M, "whitened pair", np.column_stack((i, j)))
         return np.sum(np.log(w) ** 2, axis=-1)
 
     @staticmethod
-    def grad_factors(mapped):
-        w, Q = matfun.spd_eig(mapped, "transformed sample")
-        s = np.sqrt(w)
-        return tuple(matfun.eig_apply(Q, v) for v in (s, 1.0 / s, 1.0 / w))
-
-    @staticmethod
     def block_grad(mapped, factors, i, j):
-        sqrt, inv_sqrt, _ = factors
+        inv_sqrt, sqrt, _ = factors
         P = inv_sqrt[i]
         M = matfun.symmetrize(P @ mapped[j] @ P)
         w, Q = matfun.sym_eig(M)
@@ -212,23 +210,20 @@ class Stein(Geometry):
 
     @staticmethod
     def factors(stack, name):
-        return _chol_logdet(stack, name)
+        """(ln det X, X^{-1}): the Cholesky log-det, which checks positive
+        definiteness, then one batched inverse."""
+        return _chol_logdet(stack, name), np.linalg.inv(stack)
 
     @staticmethod
     def block_dist2(left, right, i, j):
         mid = _chol_logdet(0.5 * (left[0][i] + right[0][j]), "midpoint",
                            np.column_stack((i, j)))
         # symmetric form: the value is exactly invariant to argument order
-        return np.maximum(mid - 0.5 * (left[1][i] + right[1][j]), 0.0)
-
-    @staticmethod
-    def grad_factors(mapped):
-        w, Q = matfun.spd_eig(mapped, "transformed sample")
-        return (matfun.eig_apply(Q, 1.0 / w),)
+        return np.maximum(mid - 0.5 * (left[1][0][i] + right[1][0][j]), 0.0)
 
     @staticmethod
     def block_grad(mapped, factors, i, j):
-        inv = factors[0]
+        inv = factors[1]
         w, Q = matfun.spd_eig(0.5 * (mapped[i] + mapped[j]), "transformed midpoint")
         mid_inv = matfun.eig_apply(Q, 1.0 / w)
         return mid_inv - inv[i], mid_inv - inv[j]
@@ -249,18 +244,14 @@ class LogEuclidean(Geometry):
 
     @staticmethod
     def factors(stack, name):
+        """(log X, w, Q) with X = Q diag(w) Q^T, from one eigendecomposition."""
         w, Q = matfun.spd_eig(stack, name)
-        return matfun.eig_apply(Q, np.log(w))
+        return matfun.eig_apply(Q, np.log(w)), w, Q
 
     @staticmethod
     def block_dist2(left, right, i, j):
-        D = left[1][i] - right[1][j]
+        D = left[1][0][i] - right[1][0][j]
         return np.sum(D * D, axis=(-2, -1))
-
-    @staticmethod
-    def grad_factors(mapped):
-        w, Q = matfun.spd_eig(mapped, "transformed sample")
-        return matfun.eig_apply(Q, np.log(w)), w, Q
 
     @staticmethod
     def block_grad(mapped, factors, i, j):
@@ -305,12 +296,12 @@ def dist2(metric, X1, X2):
     X2 = matfun.check_symmetric(X2, "second operand")
     if X1.shape != X2.shape:
         raise DimMismatchError(f"operand dims differ: {X1.shape} vs {X2.shape}")
-    left = (X1[None], geom.factors(X1, "first operand")[None])
+    left = (X1[None], tuple(f[None] for f in geom.factors(X1, "first operand")))
     if np.array_equal(X1, X2):
         # coincident operands are exactly at distance zero; the AIM route
         # would otherwise leave rounding noise from the whitening product
         return 0.0
-    right = (X2[None], geom.factors(X2, "second operand")[None])
+    right = (X2[None], tuple(f[None] for f in geom.factors(X2, "second operand")))
     first = np.zeros(1, dtype=int)
     return float(geom.dist2_pairs(left, right, first, first)[0])
 

@@ -34,6 +34,11 @@ Y_p = W^T X_p W):
 `metrics.Geometry` evaluates them in blocks of pairs. Each formula matches
 central finite differences of k_ij; the finite-difference check is the
 authoritative ground truth for operand order and signs.
+
+An evaluation maps the samples through W and factors the mapped stack once;
+the returned `AlignmentState` carries that factored point, so
+`alignment_gradient` is a function of the state alone and decomposes no
+per-sample stack again.
 """
 
 import math
@@ -51,12 +56,14 @@ L_NORM_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class AlignmentState:
-    """Objective value plus the pair similarities and gradient coefficients.
+    """Objective value at a point W, plus everything its gradient reads.
 
-    K, L and coeff are per-pair arrays aligned with `graphs.pairs`: the
-    similarity k_p, the centered entry L_p, and the sensitivity dJ/dK_ij of
-    one of the two symmetric entries of the pair. norm_L is ||L||_F over the
-    full N x N centered matrix.
+    K, L and coeff are per-pair arrays aligned with `pairs` (the graphs'
+    pair list): the similarity k_p, the centered entry L_p, and the
+    sensitivity dJ/dK_ij of one of the two symmetric entries of the pair.
+    norm_L is ||L||_F over the full N x N centered matrix. B holds X_p W,
+    mapped the transformed samples W^T X_p W, and factors the metric's
+    `Geometry.factors` of mapped.
     """
 
     J: float
@@ -64,34 +71,21 @@ class AlignmentState:
     L: np.ndarray
     norm_L: float
     coeff: np.ndarray
-
-
-@dataclass(frozen=True)
-class GradContext:
-    """Per-sample quantities reused by every pair gradient at a fixed W.
-
-    B holds X_p W and mapped the transformed samples W^T X_p W. factors is
-    the metric's `Geometry.grad_factors` of mapped, from one stacked
-    eigendecomposition: square roots, inverse square roots and inverses for
-    the affine-invariant metric, inverses for Stein, logs and the
-    eigenpairs (w, Q) they come from for log-Euclidean.
-    """
-
     metric: MetricKind
-    W: np.ndarray
+    beta: float
+    pairs: np.ndarray
     B: np.ndarray
     mapped: np.ndarray
     factors: tuple
 
-    def require_fresh(self, W):
-        if self.W.shape != W.shape or not np.array_equal(self.W, W):
-            raise ValidationError("gradient context was built for a different W")
 
-
-def _map_samples(samples, W):
-    """B_p = X_p W and the symmetrized transformed stack W^T X_p W."""
+def build_grad_context(samples, W, geom):
+    """Map the samples through a checked W and factor the mapped stack once:
+    (B, mapped, factors) with B_p = X_p W and mapped the symmetrized
+    W^T X_p W."""
     B = samples @ W
-    return B, matfun.symmetrize(np.matmul(W.T, B))
+    mapped = matfun.symmetrize(np.matmul(W.T, B))
+    return B, mapped, geom.factors(mapped, "transformed sample")
 
 
 def _center(values, i, j, N):
@@ -114,7 +108,8 @@ def _label_target(labels, i, j, N):
 
 
 def alignment_objective(data, graphs, W, metric, beta):
-    """Evaluate J(W) and cache everything the gradient assembly needs."""
+    """Evaluate J(W); the state also carries the factored point the
+    gradient reads."""
     metric = MetricKind.parse(metric)
     if not beta > 0:
         raise ValidationError(f"beta must be positive, got {beta}")
@@ -125,8 +120,8 @@ def alignment_objective(data, graphs, W, metric, beta):
             f"graphs built for {graphs.Gw.shape[0]} samples, dataset has {N}"
         )
     geom = geometry(metric)
-    _, mapped = _map_samples(data.samples, W)
-    side = (mapped, geom.factors(mapped, "transformed sample"))
+    B, mapped, factors = build_grad_context(data.samples, W, geom)
+    side = (mapped, factors)
     i, j = graphs.pairs.T
     d = geom.dist2_pairs(side, side, i, j)
     K = np.exp(-beta * np.where(d < DIST_CLAMP, 0.0, d))
@@ -139,59 +134,26 @@ def alignment_objective(data, graphs, W, metric, beta):
     J = 2.0 * float(L @ T) / norm_L
     centered_T, _ = _center(T, i, j, N)
     coeff = centered_T / norm_L - (J / norm_L**2) * L
-    return AlignmentState(J=J, K=K, L=L, norm_L=norm_L, coeff=coeff)
-
-
-def build_grad_context(data, W, metric):
-    """Precompute per-sample factors for pair-gradient evaluation at W."""
-    metric = MetricKind.parse(metric)
-    W = check_transform(W, n=data.dim)
-    B, mapped = _map_samples(data.samples, W)
-    factors = geometry(metric).grad_factors(mapped)
-    return GradContext(metric, W.copy(), B, mapped, factors)
-
-
-def _checked_context(metric, W, ctx):
-    if metric is not ctx.metric:
-        raise ValidationError("gradient context was built for a different metric")
-    ctx.require_fresh(W)
-
-
-def kernel_entry_gradient(metric, i, j, W, ctx, beta, k_ij):
-    """Gradient of one pair similarity k_ij with respect to W."""
-    metric = MetricKind.parse(metric)
-    _checked_context(metric, W, ctx)
-    geom = geometry(metric)
-    ends = np.array([i, j])
-    return geom.grad_pairs(
-        ctx.B[ends],
-        ctx.mapped[ends],
-        tuple(f[ends] for f in ctx.factors),
-        np.array([0]),
-        np.array([1]),
-        np.array([-geom.grad_scale * beta * k_ij]),
+    return AlignmentState(
+        J=J, K=K, L=L, norm_L=norm_L, coeff=coeff, metric=metric, beta=beta,
+        pairs=graphs.pairs, B=B, mapped=mapped, factors=factors,
     )
 
 
-def alignment_gradient(data, graphs, W, metric, beta, state, ctx=None):
-    """Euclidean gradient of J at W, assembled over the selected pairs.
+def alignment_gradient(state):
+    """Euclidean gradient of J at the point of an `alignment_objective` state.
 
     Every unordered support pair contributes twice its coefficient times the
     pair-similarity gradient. The pair terms are summed per sample in
     lexicographic pair order, then reduced against B in one product; for the
     log-Euclidean metric the per-sample sums are directions of one stacked
-    `dlog_eig` call on the context's eigenpairs. The reduction order is fixed, keeping repeated runs
-    bit-identical.
+    `dlog_eig` call on the state's eigenpairs. The reduction order is fixed,
+    keeping repeated runs bit-identical.
     """
-    metric = MetricKind.parse(metric)
-    if ctx is None:
-        ctx = build_grad_context(data, W, metric)
-    W = check_transform(W, n=data.dim)
-    _checked_context(metric, W, ctx)
-    geom = geometry(metric)
-    weights = (-2.0 * geom.grad_scale * beta) * state.coeff * state.K
-    i, j = graphs.pairs.T
-    return geom.grad_pairs(ctx.B, ctx.mapped, ctx.factors, i, j, weights)
+    geom = geometry(state.metric)
+    weights = (-2.0 * geom.grad_scale * state.beta) * state.coeff * state.K
+    i, j = state.pairs.T
+    return geom.grad_pairs(state.B, state.mapped, state.factors, i, j, weights)
 
 
 def fd_gradient(func, W, h=1e-5):

@@ -145,7 +145,7 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
 
     state = alignment_objective(data, graphs, W, metric, beta)
     # egrad is horizontal, so it is the Riemannian gradient (module docstring)
-    grad = alignment_gradient(data, graphs, W, metric, beta, state)
+    grad = alignment_gradient(state)
     gnorm = float(np.linalg.norm(grad))
     gnorm_ref = max(1.0, gnorm)
 
@@ -187,7 +187,7 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
                                  StopReason.LINE_SEARCH_FAIL, t_start)
 
         t, W_new, state_new = accepted
-        grad_new = alignment_gradient(data, graphs, W_new, metric, beta, state_new)
+        grad_new = alignment_gradient(state_new)
         # prev_grad and direction stay attached to the old point; they are
         # transported exactly once, inside the next CG combination
         prev_grad = grad

@@ -3,6 +3,8 @@
 import numpy as np
 
 from spdalign.graphs import LabeledDataset
+from spdalign.metrics import check_transform, geometry
+from spdalign.objective import build_grad_context
 from spdalign.objective import fd_gradient  # noqa: F401  (re-exported to tests)
 
 
@@ -38,3 +40,20 @@ def rand_full_rank(rng, n, m):
     while np.linalg.matrix_rank(W) < m:
         W = rng.standard_normal((n, m))
     return W
+
+
+def kernel_entry_gradient(metric, i, j, W, data, beta, k_ij):
+    """Gradient of one pair similarity k_ij with respect to W: a per-pair
+    oracle for the batched alignment gradient."""
+    geom = geometry(metric)
+    ends = np.array([i, j])
+    W = check_transform(W, n=data.dim)
+    B, mapped, factors = build_grad_context(data.samples[ends], W, geom)
+    return geom.grad_pairs(
+        B,
+        mapped,
+        factors,
+        np.array([0]),
+        np.array([1]),
+        np.array([-geom.grad_scale * beta * k_ij]),
+    )

@@ -227,6 +227,29 @@ class TestTrainDistancePass:
         assert "beta must be positive" in capsys.readouterr().err
         assert pairwise_calls == []
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_optimizer_config_loads_nothing(
+        self, corpus, tmp_path, capsys, monkeypatch, pairwise_calls, source
+    ):
+        loads = []
+        original = cli.load_dataset
+
+        def counted(*args, **kwargs):
+            loads.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", counted)
+        if source == "flag":
+            extra, message = ["--max-iters", "0"], "max_iters must be >= 1"
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"grad_tol": 0}))
+            extra, message = ["--config", str(config)], "must be positive"
+        assert cli.main(train_args(corpus, tmp_path / "out", *extra)) == 1
+        assert message in capsys.readouterr().err
+        assert loads == []
+        assert pairwise_calls == []
+
 
 class TestGradcheckDistancePass:
     def test_one_distance_matrix_per_instance(self, pairwise_calls):

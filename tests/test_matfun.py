@@ -230,6 +230,14 @@ class TestLogDerivative:
         with pytest.raises(NonSymmetricError):
             matfun.dlog(np.eye(3), np.eye(4))
 
+    def test_rejects_nonsymmetric_base(self):
+        X = np.array([[2.0, 0.5], [0.0, 2.0]])
+        with pytest.raises(NonSymmetricError):
+            matfun.dlog(X, np.eye(2))
+        Xs = np.stack([np.eye(2), X])
+        with pytest.raises(NonSymmetricError, match=" 1 is not symmetric"):
+            matfun.dlog(Xs, np.stack([np.eye(2)] * 2))
+
     def test_rejects_indefinite_base(self):
         with pytest.raises(NotPositiveDefiniteError):
             matfun.dlog(np.diag([1.0, -2.0]), np.eye(2))

@@ -14,6 +14,7 @@ from spdalign import matfun
 from spdalign.errors import (
     DegenerateInputError,
     DimMismatchError,
+    NonSymmetricError,
     NotPositiveDefiniteError,
     RankDeficientError,
     ValidationError,
@@ -69,6 +70,12 @@ class TestMapDown:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DimMismatchError):
             map_down(np.eye(3), np.eye(4)[:, :2])
+
+    def test_nonsymmetric_sample_rejected(self):
+        X = np.eye(3)
+        X[0, 2] = 0.5
+        with pytest.raises(NonSymmetricError):
+            map_down(X, np.eye(3)[:, :2])
 
     def test_wide_transform_rejected(self):
         with pytest.raises(ValidationError):
@@ -235,6 +242,34 @@ class TestBatchDistances:
         bad[-1] = np.diag([1.0, 2.0, -0.5, 1.0])
         with pytest.raises(NotPositiveDefiniteError):
             cross_dist2(metric, rows, cols)
+
+    @staticmethod
+    def skewed_stack(seed, count):
+        """SPD stack whose last member has one off-diagonal entry nudged."""
+        rng = np.random.default_rng(seed)
+        stack = np.stack([rand_spd(rng, 4) for _ in range(count)])
+        stack[-1, 0, 3] += 1e-3
+        return stack
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_pairwise_rejects_one_nonsymmetric_member(self, metric):
+        with pytest.raises(NonSymmetricError, match="sample 59"):
+            pairwise_dist2(metric, self.skewed_stack(13, 60))
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @pytest.mark.parametrize("side", ["row", "col"])
+    def test_cross_rejects_one_nonsymmetric_member(self, metric, side):
+        rng = np.random.default_rng(14)
+        good = np.stack([rand_spd(rng, 4) for _ in range(30)])
+        bad = self.skewed_stack(15, 40)
+        rows, cols = (bad, good) if side == "row" else (good, bad)
+        with pytest.raises(NonSymmetricError, match=f"{side} sample 39"):
+            cross_dist2(metric, rows, cols)
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_indexed_rejects_one_nonsymmetric_member(self, metric):
+        with pytest.raises(NonSymmetricError, match="sample 9"):
+            indexed_dist2(metric, self.skewed_stack(16, 10), [0, 1], [2, 3])
 
     def test_cross_dim_mismatch(self):
         with pytest.raises(DimMismatchError):

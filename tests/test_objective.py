@@ -9,16 +9,16 @@ the independent oracle for the objective value itself.
 import numpy as np
 import pytest
 
-from helpers import clustered_dataset, fd_gradient, rand_full_rank
+from helpers import (
+    clustered_dataset,
+    fd_gradient,
+    kernel_entry_gradient,
+    rand_full_rank,
+)
 from spdalign.errors import DegenerateAlignmentError, ValidationError
 from spdalign.graphs import PairGraphs, build_graphs, centering_matrix, label_similarity
-from spdalign.metrics import BLOCK_ENTRIES, MetricKind, default_beta, kernel_sim
-from spdalign.objective import (
-    alignment_gradient,
-    alignment_objective,
-    build_grad_context,
-    kernel_entry_gradient,
-)
+from spdalign.metrics import BLOCK_ENTRIES, MetricKind, _blocks, default_beta, kernel_sim
+from spdalign.objective import alignment_gradient, alignment_objective
 
 ALL_METRICS = list(MetricKind)
 
@@ -139,9 +139,8 @@ class TestKernelEntryGradient:
         data, _, W = make_instance(seed, n=6, m=3, per_class=2)
         beta = default_beta(metric, data.samples)
         i, j = 0, 3
-        ctx = build_grad_context(data, W, metric)
         k_ij = kernel_sim(metric, data.samples[i], data.samples[j], W, beta)
-        analytic = kernel_entry_gradient(metric, i, j, W, ctx, beta, k_ij)
+        analytic = kernel_entry_gradient(metric, i, j, W, data, beta, k_ij)
         fd = fd_gradient(
             lambda V: kernel_sim(metric, data.samples[i], data.samples[j], V, beta), W
         )
@@ -151,10 +150,9 @@ class TestKernelEntryGradient:
     def test_symmetric_in_pair_order(self, metric):
         data, _, W = make_instance(5, n=6, m=3, per_class=2)
         beta = default_beta(metric, data.samples)
-        ctx = build_grad_context(data, W, metric)
         k = kernel_sim(metric, data.samples[1], data.samples[2], W, beta)
-        g_ij = kernel_entry_gradient(metric, 1, 2, W, ctx, beta, k)
-        g_ji = kernel_entry_gradient(metric, 2, 1, W, ctx, beta, k)
+        g_ij = kernel_entry_gradient(metric, 1, 2, W, data, beta, k)
+        g_ji = kernel_entry_gradient(metric, 2, 1, W, data, beta, k)
         assert np.allclose(g_ij, g_ji, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
@@ -163,22 +161,9 @@ class TestKernelEntryGradient:
         # classes of identical samples: pair (0, 1) coincides
         rng = np.random.default_rng(7)
         W = rand_full_rank(rng, 5, 2)
-        ctx = build_grad_context(data, W, metric)
         beta = default_beta(metric, data.samples)
-        g = kernel_entry_gradient(metric, 0, 1, W, ctx, beta, 1.0)
+        g = kernel_entry_gradient(metric, 0, 1, W, data, beta, 1.0)
         assert np.linalg.norm(g) <= 1e-10
-
-    def test_stale_context_rejected(self):
-        data, _, W = make_instance(8, n=6, m=3, per_class=2)
-        ctx = build_grad_context(data, W, MetricKind.AIM)
-        with pytest.raises(ValidationError):
-            kernel_entry_gradient(MetricKind.AIM, 0, 1, 2.0 * W, ctx, 1.0, 0.5)
-
-    def test_metric_mismatch_rejected(self):
-        data, _, W = make_instance(9, n=6, m=3, per_class=2)
-        ctx = build_grad_context(data, W, MetricKind.AIM)
-        with pytest.raises(ValidationError):
-            kernel_entry_gradient(MetricKind.LEM, 0, 1, W, ctx, 1.0, 0.5)
 
 
 class TestAlignmentGradient:
@@ -188,7 +173,7 @@ class TestAlignmentGradient:
         data, graphs, W = make_instance(seed)
         beta = default_beta(metric, data.samples)
         state = alignment_objective(data, graphs, W, metric, beta)
-        analytic = alignment_gradient(data, graphs, W, metric, beta, state)
+        analytic = alignment_gradient(state)
         fd = fd_gradient(
             lambda V: alignment_objective(data, graphs, V, metric, beta).J, W
         )
@@ -200,7 +185,7 @@ class TestAlignmentGradient:
         data, graphs, W = make_instance(11)
         beta = default_beta(metric, data.samples)
         state = alignment_objective(data, graphs, W, metric, beta)
-        g = alignment_gradient(data, graphs, W, metric, beta, state)
+        g = alignment_gradient(state)
         h = 1e-6 / max(np.linalg.norm(g), 1.0)
         J_up = alignment_objective(data, graphs, W + h * g, metric, beta).J
         assert J_up > state.J
@@ -216,7 +201,7 @@ class TestAlignmentGradient:
         rng = np.random.default_rng(13)
         W = rand_full_rank(rng, 4, 2)
         state = alignment_objective(data, graphs, W, MetricKind.LEM, 1.0)
-        g = alignment_gradient(data, graphs, W, MetricKind.LEM, 1.0, state)
+        g = alignment_gradient(state)
         assert np.linalg.norm(g) <= 1e-12
 
     def test_single_class_gradient_is_zero(self):
@@ -227,25 +212,15 @@ class TestAlignmentGradient:
         W = rand_full_rank(rng, 4, 2)
         state = alignment_objective(data, graphs, W, MetricKind.AIM, 1.0)
         assert state.J == 0.0
-        g = alignment_gradient(data, graphs, W, MetricKind.AIM, 1.0, state)
+        g = alignment_gradient(state)
         assert np.all(g == 0.0)
-
-    @pytest.mark.parametrize("metric", ALL_METRICS)
-    def test_reuses_supplied_context(self, metric):
-        data, graphs, W = make_instance(16)
-        beta = default_beta(metric, data.samples)
-        state = alignment_objective(data, graphs, W, metric, beta)
-        ctx = build_grad_context(data, W, metric)
-        g1 = alignment_gradient(data, graphs, W, metric, beta, state, ctx=ctx)
-        g2 = alignment_gradient(data, graphs, W, metric, beta, state)
-        assert np.array_equal(g1, g2)
 
     def test_bitwise_deterministic(self):
         data, graphs, W = make_instance(17)
         beta = default_beta(MetricKind.LEM, data.samples)
         state = alignment_objective(data, graphs, W, MetricKind.LEM, beta)
-        g1 = alignment_gradient(data, graphs, W, MetricKind.LEM, beta, state)
-        g2 = alignment_gradient(data, graphs, W, MetricKind.LEM, beta, state)
+        g1 = alignment_gradient(state)
+        g2 = alignment_gradient(state)
         assert np.array_equal(g1, g2)
 
 
@@ -273,13 +248,12 @@ class TestMultiBlock:
         data, graphs, W = instance
         beta = default_beta(metric, data.samples)
         state = alignment_objective(data, graphs, W, metric, beta)
-        ctx = build_grad_context(data, W, metric)
         expected = np.zeros_like(W)
         for p, (i, j) in enumerate(graphs.pairs):
             expected += (2.0 * state.coeff[p]) * kernel_entry_gradient(
-                metric, i, j, W, ctx, beta, state.K[p]
+                metric, i, j, W, data, beta, state.K[p]
             )
-        g = alignment_gradient(data, graphs, W, metric, beta, state, ctx=ctx)
+        g = alignment_gradient(state)
         assert np.linalg.norm(g - expected) <= 1e-10 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
@@ -287,9 +261,31 @@ class TestMultiBlock:
         data, graphs, W = instance
         beta = default_beta(metric, data.samples)
         state = alignment_objective(data, graphs, W, metric, beta)
-        analytic = alignment_gradient(data, graphs, W, metric, beta, state)
+        analytic = alignment_gradient(state)
         fd = fd_gradient(
             lambda V: alignment_objective(data, graphs, V, metric, beta).J, W
         )
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-10)
         assert rel < 1e-6
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_gradient_decomposes_no_sample_stack(self, instance, metric, monkeypatch):
+        # the state carries the factored samples: the gradient decomposes only
+        # the per-pair matrices, one eigh per block for AIM (whitened pairs)
+        # and Stein (midpoints), none for LEM
+        data, graphs, W = instance
+        beta = default_beta(metric, data.samples)
+        state = alignment_objective(data, graphs, W, metric, beta)
+        calls = {"eigh": 0, "cholesky": 0, "inv": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        alignment_gradient(state)
+        blocks = len(list(_blocks(len(graphs.pairs), W.shape[1])))
+        per_pair = 0 if metric is MetricKind.LEM else blocks
+        assert calls == {"eigh": per_pair, "cholesky": 0, "inv": 0}
