@@ -14,7 +14,7 @@ import numpy as np
 
 from .descriptors import SynthConfig, synth_dataset
 from .errors import ConfigError, NumericalError, ValidationError
-from .evaluate import repeated_split_eval
+from .evaluate import check_split_settings, repeated_split_eval
 from .fileio import (
     load_dataset,
     load_transform,
@@ -246,6 +246,8 @@ def cmd_eval(args):
     manifest = _resolve(args, config, "manifest")
     if manifest is None:
         raise ConfigError("a dataset manifest is required (--manifest or config)")
+    # checked before any data is loaded
+    check_split_settings(args.train_fraction, args.splits)
     data, _, _ = load_dataset(manifest)
     W = load_transform(args.transform) if args.transform else None
     summary = repeated_split_eval(

@@ -95,12 +95,19 @@ def knn_classify(train, test, metric, W=None, k=1):
     )
 
 
-def _split_indices(data, train_fraction, seed):
-    """Sorted (train, test) sample indices of one stratified split."""
+def check_split_settings(train_fraction, repeats=1):
+    """Raise ValidationError unless 0 < train_fraction < 1 and repeats >= 1."""
     if not 0.0 < train_fraction < 1.0:
         raise ValidationError(
             f"train_fraction must be in (0, 1), got {train_fraction}"
         )
+    if repeats < 1:
+        raise ValidationError(f"repeats must be >= 1, got {repeats}")
+
+
+def _split_indices(data, train_fraction, seed):
+    """Sorted (train, test) sample indices of one stratified split."""
+    check_split_settings(train_fraction)
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
     for cls in range(data.class_count):
@@ -133,8 +140,7 @@ def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=
     kernel in one pass per manifold, with the test sample on the left as in
     `knn_classify`, and every split reads its block of that matrix.
     """
-    if repeats < 1:
-        raise ValidationError(f"repeats must be >= 1, got {repeats}")
+    check_split_settings(train_fraction, repeats)
     splits = [_split_indices(data, train_fraction, seed + r) for r in range(repeats)]
     needed = np.zeros((data.size, data.size), dtype=bool)
     for train_idx, test_idx in splits:

@@ -115,15 +115,20 @@ def _chol_logdet(stack, name, ids=None):
 class Geometry:
     """Batched kernel of one SPD geometry.
 
-    Each geometry gives three parts. `factors` is the per-sample factor of a
-    whole stack: a tuple of stacked arrays, from one stacked decomposition,
-    holding everything the pair distance and the pair gradient read (Stein
-    adds one batched inverse to its Cholesky). `block_dist2` is the
-    squared distance of one block of pairs, given as two index arrays into a
-    left and a right (stack, factors) side. `block_grad` and `finish` are the
-    pair gradient term: `block_grad` gives a pair's terms T_i and T_j for its
-    two ends, and `finish` is a map phi_s, linear in its argument, such that
-    with Y_p = W^T X_p W and B_p = X_p W the gradient of
+    Each geometry gives these parts. `factors` is the per-sample factor of a
+    whole stack: a tuple of stacked arrays from one stacked decomposition,
+    holding what the pair distance reads plus the decomposition it came from
+    and nothing else, so distance-only passes build no gradient factor.
+    `block_dist2` is the squared distance of one block of pairs, given as
+    two index arrays into a left and a right (stack, factors) side.
+    `support_dist2` is the distance pass of the alignment objective: it also
+    returns per-pair factors that the gradient reads, so no support pair is
+    decomposed twice (AIM keeps each whitened pair's log; the others keep
+    nothing). `grad_factors` derives, once per gradient, the per-sample
+    matrices the pair gradient reads from `factors`. `block_grad` and
+    `finish` are the pair gradient term: `block_grad` gives a pair's terms
+    T_i and T_j for its two ends, and `finish` is a map phi_s, linear in its
+    argument, such that with Y_p = W^T X_p W and B_p = X_p W the gradient of
     k_ij = exp(-beta d_ij) with respect to W is
 
         -grad_scale * beta * k_ij * (B_i phi_i(T_i) + B_j phi_j(T_j)).
@@ -143,16 +148,31 @@ class Geometry:
             out[blk] = self.block_dist2(left, right, i[blk], j[blk])
         return out
 
-    def grad_pairs(self, B, mapped, factors, i, j, weights):
+    def support_dist2(self, side, i, j):
+        """(squared distances, per-pair factors) of the pairs (i[p], j[p])
+        within one (stack, factors) side; the factors are None unless the
+        geometry's gradient reads some."""
+        return self.dist2_pairs(side, side, i, j), None
+
+    @staticmethod
+    def grad_factors(mapped, factors):
+        """The per-sample matrices the pair gradient reads; by default the
+        factors themselves."""
+        return factors
+
+    def grad_pairs(self, B, mapped, factors, pair_factors, i, j, weights):
         """sum_p weights_p * (B_i phi_i(T_i) + B_j phi_j(T_j)) over the pairs
-        (i[p], j[p]).
+        (i[p], j[p]), with factors and pair_factors as `factors` and
+        `support_dist2` gave them.
 
         The pair terms are accumulated per sample in pair order, then reduced
         with B in one product, so the summation order is fixed.
         """
+        factors = self.grad_factors(mapped, factors)
         acc = np.zeros_like(mapped)
         for blk in _blocks(len(i), mapped.shape[-1]):
-            end_i, end_j = self.block_grad(mapped, factors, i[blk], j[blk])
+            pair = None if pair_factors is None else pair_factors[blk]
+            end_i, end_j = self.block_grad(mapped, factors, pair, i[blk], j[blk])
             w = weights[blk, None, None]
             np.add.at(acc, i[blk], w * end_i)
             np.add.at(acc, j[blk], w * end_j)
@@ -165,33 +185,59 @@ class AffineInvariant(Geometry):
 
     Pair gradient terms T_i = E and T_j = -E with
     E = log(Y_i Y_j^{-1}) = -Y_i^{1/2} log(Y_i^{-1/2} Y_j Y_i^{-1/2}) Y_i^{-1/2},
-    finished by phi_s(T) = Y_s^{-1} T.
+    finished by phi_s(T) = Y_s^{-1} T. The objective's distance pass keeps
+    each support pair's log(Y_i^{-1/2} Y_j Y_i^{-1/2}), so E costs two
+    products per pair.
     """
 
     @staticmethod
     def factors(stack, name):
-        """(X^{-1/2}, X^{1/2}, X^{-1}) from one eigendecomposition."""
+        """(X^{-1/2}, w, Q) with X = Q diag(w) Q^T, from one eigendecomposition."""
         w, Q = matfun.spd_eig(stack, name)
         s = np.sqrt(w)
         inv_sqrt = matfun.symmetrize((Q / s[..., None, :]) @ Q.swapaxes(-1, -2))
-        return inv_sqrt, matfun.eig_apply(Q, s), matfun.eig_apply(Q, 1.0 / w)
+        return inv_sqrt, w, Q
 
     @staticmethod
-    def block_dist2(left, right, i, j):
+    def _whitened(left, right, i, j):
+        """The whitened pair matrices X_i^{-1/2} X_j X_i^{-1/2} of a block."""
         P = left[1][0][i]
-        M = matfun.symmetrize(P @ right[0][j] @ P)
-        w = np.linalg.eigvalsh(M)
+        return matfun.symmetrize(P @ right[0][j] @ P)
+
+    @staticmethod
+    def _checked_dist2(w, M, i, j):
+        """sum log(w)^2 of each whitened pair, once its spectrum clears the
+        PD floor."""
         matfun.require_pd(w, M, "whitened pair", np.column_stack((i, j)))
         return np.sum(np.log(w) ** 2, axis=-1)
 
+    def block_dist2(self, left, right, i, j):
+        M = self._whitened(left, right, i, j)
+        return self._checked_dist2(np.linalg.eigvalsh(M), M, i, j)
+
+    def support_dist2(self, side, i, j):
+        """Distances from one eigendecomposition per whitened pair, which
+        also gives the pair's log for the gradient."""
+        stack = side[0]
+        d = np.empty(len(i))
+        logs = np.empty((len(i),) + stack.shape[1:])
+        for blk in _blocks(len(i), stack.shape[-1]):
+            M = self._whitened(side, side, i[blk], j[blk])
+            w, Q = matfun.sym_eig(M)
+            d[blk] = self._checked_dist2(w, M, i[blk], j[blk])
+            logs[blk] = matfun.eig_apply(Q, np.log(w))
+        return d, logs
+
     @staticmethod
-    def block_grad(mapped, factors, i, j):
+    def grad_factors(mapped, factors):
+        """(X^{-1/2}, X^{1/2}, X^{-1}) from the factors' eigenpairs."""
+        inv_sqrt, w, Q = factors
+        return inv_sqrt, matfun.eig_apply(Q, np.sqrt(w)), matfun.eig_apply(Q, 1.0 / w)
+
+    @staticmethod
+    def block_grad(mapped, factors, pair, i, j):
         inv_sqrt, sqrt, _ = factors
-        P = inv_sqrt[i]
-        M = matfun.symmetrize(P @ mapped[j] @ P)
-        w, Q = matfun.sym_eig(M)
-        matfun.require_pd(w, M, "whitened pair", np.column_stack((i, j)))
-        E = -(sqrt[i] @ matfun.eig_apply(Q, np.log(w)) @ P)
+        E = -(sqrt[i] @ pair @ inv_sqrt[i])
         return E, -E
 
     @staticmethod
@@ -203,16 +249,19 @@ class Stein(Geometry):
     """ln det((X_i+X_j)/2) - (ln det X_i + ln det X_j)/2, clamped at zero.
 
     Pair gradient terms T_i = A^{-1} - Y_i^{-1} and T_j = A^{-1} - Y_j^{-1}
-    with A = (Y_i + Y_j)/2, finished by the identity.
+    with A = (Y_i + Y_j)/2, finished by the identity. The gradient needs
+    inverses only: one batched inverse of the samples per gradient, and one
+    of each block of midpoints, which the objective's Cholesky has already
+    found positive definite at the same point.
     """
 
     grad_scale = 1.0
 
     @staticmethod
     def factors(stack, name):
-        """(ln det X, X^{-1}): the Cholesky log-det, which checks positive
-        definiteness, then one batched inverse."""
-        return _chol_logdet(stack, name), np.linalg.inv(stack)
+        """(ln det X,): the Cholesky log-det, which checks positive
+        definiteness."""
+        return (_chol_logdet(stack, name),)
 
     @staticmethod
     def block_dist2(left, right, i, j):
@@ -222,10 +271,14 @@ class Stein(Geometry):
         return np.maximum(mid - 0.5 * (left[1][0][i] + right[1][0][j]), 0.0)
 
     @staticmethod
-    def block_grad(mapped, factors, i, j):
-        inv = factors[1]
-        w, Q = matfun.spd_eig(0.5 * (mapped[i] + mapped[j]), "transformed midpoint")
-        mid_inv = matfun.eig_apply(Q, 1.0 / w)
+    def grad_factors(mapped, factors):
+        """(X^{-1},) from one batched inverse."""
+        return (np.linalg.inv(mapped),)
+
+    @staticmethod
+    def block_grad(mapped, factors, pair, i, j):
+        inv = factors[0]
+        mid_inv = np.linalg.inv(0.5 * (mapped[i] + mapped[j]))
         return mid_inv - inv[i], mid_inv - inv[j]
 
     @staticmethod
@@ -254,7 +307,7 @@ class LogEuclidean(Geometry):
         return np.sum(D * D, axis=(-2, -1))
 
     @staticmethod
-    def block_grad(mapped, factors, i, j):
+    def block_grad(mapped, factors, pair, i, j):
         logs = factors[0]
         D = logs[i] - logs[j]
         return D, -D

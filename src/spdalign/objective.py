@@ -35,10 +35,11 @@ Y_p = W^T X_p W):
 central finite differences of k_ij; the finite-difference check is the
 authoritative ground truth for operand order and signs.
 
-An evaluation maps the samples through W and factors the mapped stack once;
-the returned `AlignmentState` carries that factored point, so
-`alignment_gradient` is a function of the state alone and decomposes no
-per-sample stack again.
+An evaluation maps the samples through W and factors the mapped stack once,
+and decomposes each support pair once; the returned `AlignmentState` carries
+that factored point and the per-pair factors (for the affine-invariant
+metric, the log of each whitened pair), so `alignment_gradient` is a function
+of the state alone and decomposes no sample stack and no pair matrix again.
 """
 
 import math
@@ -62,8 +63,10 @@ class AlignmentState:
     pair list): the similarity k_p, the centered entry L_p, and the
     sensitivity dJ/dK_ij of one of the two symmetric entries of the pair.
     norm_L is ||L||_F over the full N x N centered matrix. B holds X_p W,
-    mapped the transformed samples W^T X_p W, and factors the metric's
-    `Geometry.factors` of mapped.
+    mapped the transformed samples W^T X_p W, factors the metric's
+    `Geometry.factors` of mapped, and pair_factors what its
+    `Geometry.support_dist2` kept per pair: the affine-invariant log of each
+    whitened pair (|E| x m x m), None for the other metrics.
     """
 
     J: float
@@ -77,6 +80,7 @@ class AlignmentState:
     B: np.ndarray
     mapped: np.ndarray
     factors: tuple
+    pair_factors: np.ndarray | None
 
 
 def build_grad_context(samples, W, geom):
@@ -108,8 +112,8 @@ def _label_target(labels, i, j, N):
 
 
 def alignment_objective(data, graphs, W, metric, beta):
-    """Evaluate J(W); the state also carries the factored point the
-    gradient reads."""
+    """Evaluate J(W); the state also carries the factored point and the
+    per-pair factors the gradient reads."""
     metric = MetricKind.parse(metric)
     if not beta > 0:
         raise ValidationError(f"beta must be positive, got {beta}")
@@ -123,7 +127,7 @@ def alignment_objective(data, graphs, W, metric, beta):
     B, mapped, factors = build_grad_context(data.samples, W, geom)
     side = (mapped, factors)
     i, j = graphs.pairs.T
-    d = geom.dist2_pairs(side, side, i, j)
+    d, pair_factors = geom.support_dist2(side, i, j)
     K = np.exp(-beta * np.where(d < DIST_CLAMP, 0.0, d))
     L, norm_L = _center(K, i, j, N)
     if norm_L < L_NORM_FLOOR:
@@ -137,6 +141,7 @@ def alignment_objective(data, graphs, W, metric, beta):
     return AlignmentState(
         J=J, K=K, L=L, norm_L=norm_L, coeff=coeff, metric=metric, beta=beta,
         pairs=graphs.pairs, B=B, mapped=mapped, factors=factors,
+        pair_factors=pair_factors,
     )
 
 
@@ -153,7 +158,9 @@ def alignment_gradient(state):
     geom = geometry(state.metric)
     weights = (-2.0 * geom.grad_scale * state.beta) * state.coeff * state.K
     i, j = state.pairs.T
-    return geom.grad_pairs(state.B, state.mapped, state.factors, i, j, weights)
+    return geom.grad_pairs(
+        state.B, state.mapped, state.factors, state.pair_factors, i, j, weights
+    )
 
 
 def fd_gradient(func, W, h=1e-5):

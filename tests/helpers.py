@@ -49,11 +49,29 @@ def kernel_entry_gradient(metric, i, j, W, data, beta, k_ij):
     ends = np.array([i, j])
     W = check_transform(W, n=data.dim)
     B, mapped, factors = build_grad_context(data.samples[ends], W, geom)
+    first, second = np.array([0]), np.array([1])
+    _, pair_factors = geom.support_dist2((mapped, factors), first, second)
     return geom.grad_pairs(
         B,
         mapped,
         factors,
-        np.array([0]),
-        np.array([1]),
+        pair_factors,
+        first,
+        second,
         np.array([-geom.grad_scale * beta * k_ij]),
     )
+
+
+def count_calls(monkeypatch, module, names):
+    """Wrap module.<name> for each name so that calls are counted; returns
+    the live {name: count} dict."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import count_calls
 import spdalign.cli as cli
 import spdalign.graphs
 import spdalign.metrics
@@ -231,14 +232,7 @@ class TestTrainDistancePass:
     def test_bad_optimizer_config_loads_nothing(
         self, corpus, tmp_path, capsys, monkeypatch, pairwise_calls, source
     ):
-        loads = []
-        original = cli.load_dataset
-
-        def counted(*args, **kwargs):
-            loads.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "load_dataset", counted)
+        loads = count_calls(monkeypatch, cli, ["load_dataset"])
         if source == "flag":
             extra, message = ["--max-iters", "0"], "max_iters must be >= 1"
         else:
@@ -247,7 +241,7 @@ class TestTrainDistancePass:
             extra, message = ["--config", str(config)], "must be positive"
         assert cli.main(train_args(corpus, tmp_path / "out", *extra)) == 1
         assert message in capsys.readouterr().err
-        assert loads == []
+        assert loads == {"load_dataset": 0}
         assert pairwise_calls == []
 
 
@@ -352,6 +346,22 @@ class TestEval:
         first = capsys.readouterr().out
         assert cli.main(args) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--splits", "0", "repeats must be >= 1"),
+            ("--splits", "-3", "repeats must be >= 1"),
+            ("--train-fraction", "1.5", "train_fraction must be in (0, 1)"),
+        ],
+    )
+    def test_bad_split_settings_load_nothing(
+        self, corpus, capsys, monkeypatch, flag, value, message
+    ):
+        loads = count_calls(monkeypatch, cli, ["load_dataset"])
+        assert cli.main(["eval", "--manifest", corpus, flag, value]) == 1
+        assert message in capsys.readouterr().err
+        assert loads == {"load_dataset": 0}
 
 
 class TestGradcheck:

@@ -9,7 +9,7 @@ Frozen scalar oracles:
 import numpy as np
 import pytest
 
-from helpers import rand_spd, rand_full_rank
+from helpers import count_calls, rand_spd, rand_full_rank
 from spdalign import matfun
 from spdalign.errors import (
     DegenerateInputError,
@@ -270,6 +270,28 @@ class TestBatchDistances:
     def test_indexed_rejects_one_nonsymmetric_member(self, metric):
         with pytest.raises(NonSymmetricError, match="sample 9"):
             indexed_dist2(metric, self.skewed_stack(16, 10), [0, 1], [2, 3])
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @pytest.mark.parametrize("driver", ["pairwise", "indexed", "cross"])
+    def test_distance_pass_builds_no_gradient_factor(self, metric, driver, monkeypatch):
+        # a distance-only pass reads the distance factors alone: no sample
+        # inverse for Stein, no X^{1/2} or X^{-1} for AIM, whose whitened
+        # pairs take eigvalsh, so eigh runs once per factored stack
+        rng = np.random.default_rng(17)
+        stack = np.stack([rand_spd(rng, 4) for _ in range(60)])  # 2 blocks
+        linalg = count_calls(monkeypatch, np.linalg, ["eigh", "inv"])
+        applied = count_calls(monkeypatch, matfun, ["eig_apply"])
+        if driver == "pairwise":
+            pairwise_dist2(metric, stack)
+        elif driver == "indexed":
+            i, j = np.triu_indices(60, k=1)
+            indexed_dist2(metric, stack, i, j)
+        else:
+            cross_dist2(metric, stack[:30], stack[30:])
+        stacks = 2 if driver == "cross" else 1
+        eighs = 0 if metric is MetricKind.STEIN else stacks
+        assert linalg == {"eigh": eighs, "inv": 0}
+        assert applied == {"eig_apply": stacks if metric is MetricKind.LEM else 0}
 
     def test_cross_dim_mismatch(self):
         with pytest.raises(DimMismatchError):

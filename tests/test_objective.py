@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     clustered_dataset,
+    count_calls,
     fd_gradient,
     kernel_entry_gradient,
     rand_full_rank,
@@ -270,22 +271,14 @@ class TestMultiBlock:
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_gradient_decomposes_no_sample_stack(self, instance, metric, monkeypatch):
-        # the state carries the factored samples: the gradient decomposes only
-        # the per-pair matrices, one eigh per block for AIM (whitened pairs)
-        # and Stein (midpoints), none for LEM
+        # the state carries the factored samples and AIM's whitened pair logs:
+        # the gradient decomposes nothing, and Stein takes only inverses, one
+        # of the sample stack and one per block of midpoints
         data, graphs, W = instance
         beta = default_beta(metric, data.samples)
         state = alignment_objective(data, graphs, W, metric, beta)
-        calls = {"eigh": 0, "cholesky": 0, "inv": 0}
-        for name in calls:
-            original = getattr(np.linalg, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_calls(monkeypatch, np.linalg, ["eigh", "cholesky", "inv"])
         alignment_gradient(state)
         blocks = len(list(_blocks(len(graphs.pairs), W.shape[1])))
-        per_pair = 0 if metric is MetricKind.LEM else blocks
-        assert calls == {"eigh": per_pair, "cholesky": 0, "inv": 0}
+        inverses = 1 + blocks if metric is MetricKind.STEIN else 0
+        assert calls == {"eigh": 0, "cholesky": 0, "inv": inverses}
