@@ -5,9 +5,10 @@ lower training index, equal vote counts prefer the lower class index. This
 keeps every reported number a pure function of the inputs.
 
 `repeated_split_eval` draws all its splits as index arrays first, then
-computes the distance of every (test, train) pair that some split needs in
-one pass over the whole stack (`metrics.indexed_dist2`), so a pair shared by
-several splits is computed once; each split then votes on its block.
+computes the distance of every unordered pair that some split needs as a
+(test, train) pair in one pass over the whole stack
+(`metrics.indexed_dist2`). A pair shared by several splits, or needed in
+both orders, is computed once; each split then votes on its block.
 """
 
 from dataclasses import dataclass
@@ -135,17 +136,19 @@ def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=
 
     Evaluates 1-NN on the original manifold, and through W when given. The
     result equals `knn_classify(*split(data, train_fraction, s), metric, W=W)`
-    for every seed s, but each (test, train) pair that any split needs is
-    computed once: the union of the splits' pairs goes through the metric's
-    kernel in one pass per manifold, with the test sample on the left as in
-    `knn_classify`, and every split reads its block of that matrix.
+    for every seed s, but each unordered pair that any split needs is
+    computed once: the union of the splits' (test, train) pairs, in both
+    orders, goes through the metric's kernel in one pass per manifold with
+    the lower index first, and every split reads its block of the filled
+    symmetric matrix. The distance kernels are exactly invariant to argument
+    order, so this gives what `knn_classify` computes test-first.
     """
     check_split_settings(train_fraction, repeats)
     splits = [_split_indices(data, train_fraction, seed + r) for r in range(repeats)]
     needed = np.zeros((data.size, data.size), dtype=bool)
     for train_idx, test_idx in splits:
         needed[np.ix_(test_idx, train_idx)] = True
-    i, j = np.nonzero(needed)
+    i, j = np.nonzero(np.triu(needed | needed.T, k=1))
     stacks = [data.samples]
     if W is not None:
         stacks.append(map_down(data.samples, W))
@@ -153,7 +156,7 @@ def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=
     accuracies = []
     for stack in stacks:
         D = np.zeros(needed.shape)
-        D[i, j] = indexed_dist2(metric, stack, i, j)
+        D[i, j] = D[j, i] = indexed_dist2(metric, stack, i, j)
         acc = []
         for train_idx, test_idx in splits:
             confusion = _confusion(D[np.ix_(test_idx, train_idx)],

@@ -22,6 +22,9 @@ graphs and for the bandwidth; both take one `pairwise_dist2` matrix
 (`graphs.neighbor_graphs(data, D, ...)`, `bandwidth(D)`), so a command
 computes it once. `indexed_dist2` computes the distances of any set of
 pairs of one stack, which lets repeated evaluation splits share theirs.
+Every distance-only driver is exactly invariant to argument order, for the
+affine-invariant distance too: it whitens each pair by whichever of its two
+matrices sorts first by entries.
 """
 
 from enum import Enum
@@ -98,6 +101,25 @@ def _blocks(count, n):
     return (slice(s, s + step) for s in range(0, count, step))
 
 
+def _sorts_before(a, ia, b, ib):
+    """Where matrix a[ia[p]] comes strictly before b[ib[p]] in the
+    lexicographic order of their entries, row by row.
+
+    The (0, 0) entries decide almost every pair; only the pairs that tie
+    there are compared in full.
+    """
+    first_a, first_b = a[:, 0, 0][ia], b[:, 0, 0][ib]
+    before = first_a < first_b
+    tie = np.flatnonzero(first_a == first_b)
+    if tie.size:
+        u = a[ia[tie]].reshape(tie.size, -1)
+        v = b[ib[tie]].reshape(tie.size, -1)
+        k = np.argmax(u != v, axis=1)
+        rows = np.arange(tie.size)
+        before[tie] = u[rows, k] < v[rows, k]
+    return before
+
+
 def _chol_logdet(stack, name, ids=None):
     """log det of every matrix of a stack from one stacked Cholesky."""
     try:
@@ -120,7 +142,8 @@ class Geometry:
     holding what the pair distance reads plus the decomposition it came from
     and nothing else, so distance-only passes build no gradient factor.
     `block_dist2` is the squared distance of one block of pairs, given as
-    two index arrays into a left and a right (stack, factors) side.
+    two index arrays into a left and a right (stack, factors) side; its
+    value is exactly invariant to the order of a pair's two matrices.
     `support_dist2` is the distance pass of the alignment objective: it also
     returns per-pair factors that the gradient reads, so no support pair is
     decomposed twice (AIM keeps each whitened pair's log; the others keep
@@ -181,7 +204,13 @@ class Geometry:
 
 
 class AffineInvariant(Geometry):
-    """||log(X_i^{-1/2} X_j X_i^{-1/2})||_F^2, whitened by the left sample.
+    """||log(X_a^{-1/2} X_b X_a^{-1/2})||_F^2.
+
+    The distance-only pass whitens each pair by whichever of its two
+    matrices sorts first (`_sorts_before`), so its value depends on the two
+    matrices alone and is exactly invariant to argument order, as Stein's
+    and LEM's are. The objective's pass whitens by the left sample, whose
+    factors its gradient reads.
 
     Pair gradient terms T_i = E and T_j = -E with
     E = log(Y_i Y_j^{-1}) = -Y_i^{1/2} log(Y_i^{-1/2} Y_j Y_i^{-1/2}) Y_i^{-1/2},
@@ -199,30 +228,38 @@ class AffineInvariant(Geometry):
         return inv_sqrt, w, Q
 
     @staticmethod
-    def _whitened(left, right, i, j):
-        """The whitened pair matrices X_i^{-1/2} X_j X_i^{-1/2} of a block."""
-        P = left[1][0][i]
-        return matfun.symmetrize(P @ right[0][j] @ P)
+    def _whitened(P, X):
+        """The whitened pair matrices P X P, with P a stack of X_a^{-1/2}."""
+        return matfun.symmetrize(P @ X @ P)
 
     @staticmethod
     def _checked_dist2(w, M, i, j):
         """sum log(w)^2 of each whitened pair, once its spectrum clears the
-        PD floor."""
+        PD floor; a failing pair is named (i[p], j[p])."""
         matfun.require_pd(w, M, "whitened pair", np.column_stack((i, j)))
         return np.sum(np.log(w) ** 2, axis=-1)
 
     def block_dist2(self, left, right, i, j):
-        M = self._whitened(left, right, i, j)
+        swap = _sorts_before(right[0], j, left[0], i)
+        if left is right:
+            # one stack: exchange the indices, which costs less than moving
+            # the gathered matrices
+            a, b = np.where(swap, j, i), np.where(swap, i, j)
+            P, X = left[1][0][a], left[0][b]
+        else:
+            P, X = left[1][0][i], right[0][j]
+            P[swap], X[swap] = right[1][0][j[swap]], left[0][i[swap]]
+        M = self._whitened(P, X)
         return self._checked_dist2(np.linalg.eigvalsh(M), M, i, j)
 
     def support_dist2(self, side, i, j):
-        """Distances from one eigendecomposition per whitened pair, which
-        also gives the pair's log for the gradient."""
-        stack = side[0]
+        """Distances from one eigendecomposition per pair, whitened by the
+        left sample, which also gives the pair's log for the gradient."""
+        stack, inv_sqrt = side[0], side[1][0]
         d = np.empty(len(i))
         logs = np.empty((len(i),) + stack.shape[1:])
         for blk in _blocks(len(i), stack.shape[-1]):
-            M = self._whitened(side, side, i[blk], j[blk])
+            M = self._whitened(inv_sqrt[i[blk]], stack[j[blk]])
             w, Q = matfun.sym_eig(M)
             d[blk] = self._checked_dist2(w, M, i[blk], j[blk])
             logs[blk] = matfun.eig_apply(Q, np.log(w))
@@ -405,8 +442,9 @@ def cross_dist2(metric, rows, cols):
 def indexed_dist2(metric, samples, i, j):
     """Squared distances between samples i[p] and j[p] of one stack.
 
-    The stack is factored once however many pairs share a sample, and i is
-    the left operand of every pair (the affine-invariant whitening side).
+    The stack is factored once however many pairs share a sample. Each value
+    is exactly the same with i and j exchanged, so a caller that needs both
+    orders of a pair computes it once.
     """
     geom = geometry(metric)
     side = _side(geom, samples, "sample")

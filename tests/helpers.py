@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.graphs import LabeledDataset
 from spdalign.metrics import check_transform, geometry
 from spdalign.objective import build_grad_context
@@ -19,6 +20,14 @@ def clustered_dataset(seed, n, classes, per_class, spread=0.3):
             samples.append(base + bump @ bump.T)
             labels.append(c)
     return LabeledDataset(np.stack(samples), np.asarray(labels))
+
+
+def ref_shaped_dataset(seed):
+    """50 samples of dim 20 in 5 classes, the shape of the benchmark's
+    reference held-out set."""
+    return synth_dataset(
+        SynthConfig(dim=20, classes=5, per_class=10, noise=0.2, seed=seed)
+    )
 
 
 def rand_sym(rng, n, scale=1.0):

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from spdalign import evaluate
 from spdalign.errors import ValidationError
 from spdalign.evaluate import EvalSummary, knn_classify, repeated_split_eval, split
 from spdalign.graphs import LabeledDataset
 from spdalign.metrics import MetricKind
 
-from helpers import clustered_dataset, rand_full_rank
+from helpers import clustered_dataset, rand_full_rank, ref_shaped_dataset
 
 
 def scalar_dataset(values, labels):
@@ -189,14 +190,10 @@ class TestRepeatedSplitEval:
         with pytest.raises(ValidationError):
             repeated_split_eval(data, MetricKind.LEM, repeats=0)
 
-    @pytest.mark.parametrize("metric", list(MetricKind))
-    @pytest.mark.parametrize("with_w", [False, True])
-    @pytest.mark.parametrize("fraction", [0.5, 0.3])
-    def test_equals_per_split_knn(self, metric, with_w, fraction):
+    @staticmethod
+    def check_equals_per_split_knn(data, metric, fraction, W):
         # the shared pass over the splits' pair union must give exactly the
         # accuracies of classifying each split on its own
-        data = clustered_dataset(seed=11, n=4, classes=3, per_class=7, spread=0.6)
-        W = rand_full_rank(np.random.default_rng(3), 4, 2) if with_w else None
         summary = repeated_split_eval(
             data, metric, train_fraction=fraction, repeats=10, seed=5, W=W
         )
@@ -206,7 +203,7 @@ class TestRepeatedSplitEval:
         ]
         assert np.array_equal(summary.baseline, expected)
         assert len(set(expected)) > 1  # the splits disagree, so a lost pair shows
-        if with_w:
+        if W is not None:
             expected = [
                 knn_classify(*split(data, fraction, 5 + r), metric, W=W).accuracy
                 for r in range(10)
@@ -215,3 +212,48 @@ class TestRepeatedSplitEval:
             assert len(set(expected)) > 1
         else:
             assert summary.transformed is None
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("with_w", [False, True])
+    @pytest.mark.parametrize("fraction", [0.5, 0.3])
+    def test_equals_per_split_knn(self, metric, with_w, fraction):
+        data = clustered_dataset(seed=11, n=4, classes=3, per_class=7, spread=0.6)
+        W = rand_full_rank(np.random.default_rng(3), 4, 2) if with_w else None
+        self.check_equals_per_split_knn(data, metric, fraction, W)
+
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_equals_per_split_knn_at_dim_20(self, with_w):
+        # at dim 20 the AIM whitening order moves the last bits of most
+        # distances. Class 1 copies class 0, so exact distance ties decide
+        # votes, and any pair whose order the shared pass changes shows.
+        data = ref_shaped_dataset(seed=22)
+        samples = data.samples.copy()
+        samples[data.labels == 1] = samples[data.labels == 0]
+        data = LabeledDataset(samples, data.labels)
+        W = rand_full_rank(np.random.default_rng(4), 20, 5) if with_w else None
+        self.check_equals_per_split_knn(data, MetricKind.AIM, 0.5, W)
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_computes_each_unordered_pair_once(self, metric, with_w, monkeypatch):
+        data = clustered_dataset(seed=11, n=4, classes=3, per_class=7, spread=0.6)
+        W = rand_full_rank(np.random.default_rng(3), 4, 2) if with_w else None
+        calls = []
+        original = evaluate.indexed_dist2
+
+        def recording(metric, samples, i, j):
+            calls.append((np.asarray(i), np.asarray(j)))
+            return original(metric, samples, i, j)
+
+        monkeypatch.setattr(evaluate, "indexed_dist2", recording)
+        repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=5, W=W)
+        union = set()
+        for r in range(10):
+            train_idx, test_idx = evaluate._split_indices(data, 0.5, 5 + r)
+            union |= {(min(a, b), max(a, b)) for a in test_idx for b in train_idx}
+        assert len(calls) == (2 if with_w else 1)  # one per manifold
+        for i, j in calls:
+            assert np.all(i < j)
+            pairs = list(zip(i.tolist(), j.tolist()))
+            assert len(set(pairs)) == len(pairs)
+            assert set(pairs) == union

@@ -9,7 +9,7 @@ Frozen scalar oracles:
 import numpy as np
 import pytest
 
-from helpers import count_calls, rand_spd, rand_full_rank
+from helpers import count_calls, rand_spd, rand_full_rank, ref_shaped_dataset
 from spdalign import matfun
 from spdalign.errors import (
     DegenerateInputError,
@@ -103,11 +103,7 @@ class TestDist2:
     def test_symmetric_in_arguments(self, metric, seed):
         rng = np.random.default_rng(seed)
         A, B = rand_spd(rng, 5), rand_spd(rng, 5)
-        d_ab, d_ba = dist2(metric, A, B), dist2(metric, B, A)
-        if metric is MetricKind.STEIN:
-            assert d_ab == d_ba
-        else:
-            assert abs(d_ab - d_ba) <= 1e-10 * max(1.0, d_ab)
+        assert dist2(metric, A, B) == dist2(metric, B, A)
 
     @pytest.mark.parametrize("metric", [MetricKind.AIM, MetricKind.STEIN])
     @pytest.mark.parametrize("seed", range(5))
@@ -314,6 +310,63 @@ class TestBatchDistances:
     def test_indexed_rejects_single_matrix(self, metric):
         with pytest.raises(ValidationError, match="sample operand"):
             indexed_dist2(metric, np.diag([1.0, 2.0, 3.0]), [0], [1])
+
+
+class TestArgumentOrder:
+    """Every distance-only driver is exactly invariant to argument order:
+    AIM whitens each pair by whichever matrix sorts first by entries."""
+
+    @staticmethod
+    def ref_stack(ties):
+        stack = ref_shaped_dataset(seed=31).samples
+        if ties:
+            # every (0, 0) entry is 1, so the full lexicographic order decides,
+            # and samples 0 and 1 coincide, so it finds no differing entry
+            stack = stack / stack[:, :1, :1]
+            stack[1] = stack[0]
+        return stack
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_indexed(self, metric, ties):
+        stack = self.ref_stack(ties)
+        i, j = np.triu_indices(len(stack), k=1)
+        assert np.array_equal(
+            indexed_dist2(metric, stack, i, j), indexed_dist2(metric, stack, j, i)
+        )
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_cross(self, metric, ties):
+        stack = self.ref_stack(ties)
+        rows, cols = stack[:25], stack[25:]
+        assert np.array_equal(
+            cross_dist2(metric, rows, cols), cross_dist2(metric, cols, rows).T
+        )
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_dist2(self, metric, ties):
+        stack = self.ref_stack(ties)
+        for a, b in zip(stack[:10], stack[10:20]):
+            assert dist2(metric, a, b) == dist2(metric, b, a)
+
+    @staticmethod
+    def unfloored_pair():
+        # each matrix clears its own PD floor, but whitening the first by the
+        # second, which sorts first, leaves an eigenvalue of 1e-14
+        return np.stack([np.diag([2.0, 1e-11]), np.diag([1.0, 1e3])])
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_failing_whitened_pair_named_as_given(self, order):
+        i, j = order
+        with pytest.raises(NotPositiveDefiniteError, match=rf"whitened pair \[{i} {j}\]"):
+            indexed_dist2(MetricKind.AIM, self.unfloored_pair(), [i], [j])
+        rows, cols = self.unfloored_pair()[[i]], self.unfloored_pair()[[j]]
+        with pytest.raises(NotPositiveDefiniteError, match=r"whitened pair \[0 0\]"):
+            cross_dist2(MetricKind.AIM, rows, cols)
+        with pytest.raises(NotPositiveDefiniteError, match="whitened pair"):
+            dist2(MetricKind.AIM, rows[0], cols[0])
 
 
 class TestDefaultBeta:
