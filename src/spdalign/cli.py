@@ -163,12 +163,24 @@ def cmd_train(args):
         raise ConfigError("a dataset manifest is required (--manifest or config)")
     if output_dir is None:
         raise ConfigError("an output directory is required (--output-dir or config)")
-    # checked before any data is loaded or distance computed
+    # settings that do not depend on the data are checked before it is loaded
     opt_config = OptimizerConfig(
         max_iters=_resolve(args, config, "max_iters", 50),
         grad_tol=_resolve(args, config, "grad_tol", 1e-6),
         rel_obj_tol=_resolve(args, config, "rel_obj_tol", 1e-8),
     )
+    target_dim = _resolve(args, config, "target_dim")
+    if target_dim is None:
+        raise ConfigError("target_dim is required (--target-dim or config)")
+    if target_dim < 1:
+        raise ConfigError(f"target_dim must be >= 1, got {target_dim}")
+    v_w = _resolve(args, config, "vw")
+    v_b = _resolve(args, config, "vb")
+    if any(v is not None and v < 1 for v in (v_w, v_b)):
+        raise ConfigError(f"vw and vb must be >= 1, got vw={v_w}, vb={v_b}")
+    beta = _resolve(args, config, "beta")
+    if beta is not None and beta <= 0:
+        raise ConfigError(f"beta must be positive, got {beta}")
 
     if args.strict:
         worst = gradcheck_report([metric], instances=2, seed=seed)
@@ -186,27 +198,16 @@ def cmd_train(args):
         f"in {len(label_names)} classes"
     )
 
-    target_dim = _resolve(args, config, "target_dim")
-    if target_dim is None:
-        raise ConfigError("target_dim is required (--target-dim or config)")
-    if not 1 <= target_dim < data.dim:
+    if target_dim >= data.dim:
         raise ConfigError(
             f"target_dim must satisfy 1 <= m < {data.dim}, got {target_dim}"
         )
-
-    v_w = _resolve(args, config, "vw")
-    v_b = _resolve(args, config, "vb")
     if v_w is None:
         v_w = _auto_neighbor_count(data)
     if v_b is None:
         v_b = _auto_neighbor_count(data)
-    if v_w < 1 or v_b < 1:
-        raise ConfigError(f"vw and vb must be >= 1, got vw={v_w}, vb={v_b}")
 
-    beta = _resolve(args, config, "beta")
     beta_mode = "explicit" if beta is not None else "auto"
-    if beta is not None and beta <= 0:
-        raise ConfigError(f"beta must be positive, got {beta}")
     # one distance matrix serves the bandwidth and the neighbor graphs
     D = metrics.pairwise_dist2(metric, data.samples)
     if beta is None:
@@ -248,8 +249,10 @@ def cmd_eval(args):
         raise ConfigError("a dataset manifest is required (--manifest or config)")
     # checked before any data is loaded
     check_split_settings(args.train_fraction, args.splits)
+    W = None
+    if args.transform:
+        W = metrics.check_transform(load_transform(args.transform))
     data, _, _ = load_dataset(manifest)
-    W = load_transform(args.transform) if args.transform else None
     summary = repeated_split_eval(
         data,
         metric,

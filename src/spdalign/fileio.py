@@ -26,12 +26,17 @@ FLOAT_FMT = "%.17g"
 
 
 def atomic_write(path, text):
-    """Write text to path via a same-directory temp file and atomic rename."""
+    """Write text to path via a same-directory temp file and atomic rename,
+    with the mode `open(path, "w")` would give it: 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+            # the umask can only be read by setting it
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -56,18 +61,6 @@ def _data_lines(path):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield number, stripped
-
-
-def _parse_floats(path, number, line, expected):
-    fields = line.split()
-    if len(fields) != expected:
-        raise ValidationError(
-            f"{path}:{number}: expected {expected} values, got {len(fields)}"
-        )
-    try:
-        return [float(f) for f in fields]
-    except ValueError as exc:
-        raise ValidationError(f"{path}:{number}: non-numeric value: {exc}") from exc
 
 
 def _parse_header_ints(path, lines, count):
@@ -95,18 +88,45 @@ def _parse_header_ints(path, lines, count):
     return values
 
 
-def _parse_rows(path, lines, rows, cols):
-    out = np.empty((rows, cols))
-    filled = 0
+def _float_table(path, lines, cols, max_rows=None):
+    """The remaining data lines, `cols` floats each, as a (rows, cols) array.
+
+    Field counts are checked per line up to the first fault; the tokens
+    before it are parsed in one np.array call, exactly as float() parses
+    them, so a non-numeric token is named, with its line, ahead of a later
+    fault."""
+    numbers, tokens, fault = [], [], None
     for number, line in lines:
-        if filled == rows:
-            raise ValidationError(
-                f"{path}:{number}: found more than {rows} data rows"
-            )
-        out[filled] = _parse_floats(path, number, line, cols)
-        filled += 1
-    if filled != rows:
-        raise ValidationError(f"{path}: expected {rows} data rows, found {filled}")
+        fields = line.split()
+        if len(numbers) == max_rows:
+            fault = f"{path}:{number}: found more than {max_rows} data rows"
+        elif len(fields) != cols:
+            fault = f"{path}:{number}: expected {cols} values, got {len(fields)}"
+        if fault:
+            break
+        numbers.append(number)
+        tokens.extend(fields)
+    try:
+        table = np.array(tokens, dtype=float).reshape(len(numbers), cols)
+    except ValueError as exc:
+        for k, token in enumerate(tokens):
+            try:
+                float(token)
+            except ValueError as bad:
+                raise ValidationError(
+                    f"{path}:{numbers[k // cols]}: non-numeric value: {bad}"
+                ) from bad
+        raise ValidationError(f"{path}: non-numeric value: {exc}") from exc
+    if fault:
+        raise ValidationError(fault)
+    return table
+
+
+def _parse_rows(path, lines, rows, cols):
+    """The `rows` x `cols` finite floats of a matrix or transform file."""
+    out = _float_table(path, lines, cols, max_rows=rows)
+    if len(out) != rows:
+        raise ValidationError(f"{path}: expected {rows} data rows, found {len(out)}")
     if not np.all(np.isfinite(out)):
         raise ValidationError(f"{path}: file holds non-finite values")
     return out
@@ -162,12 +182,10 @@ def save_trace(path, result):
 
 def load_trace(path):
     """Read a trace file back as a (rows, 4) float array."""
-    rows = [
-        _parse_floats(path, number, line, 4) for number, line in _data_lines(path)
-    ]
-    if not rows:
+    rows = _float_table(path, _data_lines(path), 4)
+    if not rows.size:
         raise ValidationError(f"{path}: trace file holds no data rows")
-    return np.asarray(rows)
+    return rows
 
 
 def save_manifest(path, entries):

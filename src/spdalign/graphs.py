@@ -124,14 +124,6 @@ class PairGraphs:
         return (self.Gw | self.Gb).astype(float)
 
 
-def _nearest(dist_row, candidates, count):
-    """Indices of the `count` nearest candidates, ties to the lower index."""
-    if count <= 0 or candidates.size == 0:
-        return candidates[:0]
-    order = np.lexsort((candidates, dist_row[candidates]))
-    return candidates[order[: min(count, candidates.size)]]
-
-
 def neighbor_graphs(data, D, v_w, v_b):
     """Neighbor masks from the pairwise squared distances D of the samples
     on their original manifold (`pairwise_dist2`) and the class labels.
@@ -139,6 +131,10 @@ def neighbor_graphs(data, D, v_w, v_b):
     v_w and v_b are clamped per sample to the number of available same-class
     and different-class candidates. A class with fewer than two samples has
     no within-class neighbors at all and is rejected.
+
+    Each kind of neighbor is one stable argsort of the finite D with the
+    non-candidates set to inf; each row keeps its first min(v, candidates)
+    columns, so ties go to the lower index.
     """
     if v_w < 1 or v_b < 1:
         raise ValidationError(f"v_w and v_b must be >= 1, got {v_w}, {v_b}")
@@ -152,18 +148,22 @@ def neighbor_graphs(data, D, v_w, v_b):
     N = data.size
     if D.shape != (N, N):
         raise DimMismatchError(f"distance matrix {D.shape} for {N} samples")
+    if not np.isfinite(D).all():
+        raise ValidationError("distance matrix holds non-finite values")
     labels = data.labels
-    Gw = np.zeros((N, N), dtype=np.uint8)
-    Gb = np.zeros((N, N), dtype=np.uint8)
-    idx = np.arange(N)
-    for i in range(N):
-        same = idx[(labels == labels[i]) & (idx != i)]
-        diff = idx[labels != labels[i]]
-        for j in _nearest(D[i], same, v_w):
-            Gw[i, j] = Gw[j, i] = 1
-        for j in _nearest(D[i], diff, v_b):
-            Gb[i, j] = Gb[j, i] = 1
-    return PairGraphs(Gw, Gb)
+    same = labels[:, None] == labels
+    other = ~same
+    np.fill_diagonal(same, False)
+    own = sizes[labels]
+    masks = []
+    for candidates, count, v in ((same, own - 1, v_w), (other, N - own, v_b)):
+        nearest = np.argsort(np.where(candidates, D, np.inf), axis=1,
+                             kind="stable")[:, :v]
+        keep = np.arange(nearest.shape[1]) < count[:, None]
+        G = np.zeros((N, N), dtype=np.uint8)
+        G[np.nonzero(keep)[0], nearest[keep]] = 1
+        masks.append(G | G.T)
+    return PairGraphs(*masks)
 
 
 def build_graphs(data, metric, v_w, v_b):

@@ -188,18 +188,21 @@ class Geometry:
         (i[p], j[p]), with factors and pair_factors as `factors` and
         `support_dist2` gave them.
 
-        The pair terms are accumulated per sample in pair order, then reduced
-        with B in one product, so the summation order is fixed.
+        A 1-D `np.add.at` at sample * m^2 + entry sums the weighted terms per
+        sample entry in pair order (block by block, i-ends before j-ends);
+        B reduces the sums in one product, so the summation order is fixed.
         """
         factors = self.grad_factors(mapped, factors)
-        acc = np.zeros_like(mapped)
+        entries = np.arange(mapped[0].size)
+        acc = np.zeros(mapped.size)
         for blk in _blocks(len(i), mapped.shape[-1]):
             pair = None if pair_factors is None else pair_factors[blk]
             end_i, end_j = self.block_grad(mapped, factors, pair, i[blk], j[blk])
             w = weights[blk, None, None]
-            np.add.at(acc, i[blk], w * end_i)
-            np.add.at(acc, j[blk], w * end_j)
-        F = self.finish(mapped, factors, acc)
+            for ends, terms in ((i[blk], end_i), (j[blk], end_j)):
+                np.add.at(acc, (ends[:, None] * entries.size + entries).ravel(),
+                          (w * terms).ravel())
+        F = self.finish(mapped, factors, acc.reshape(mapped.shape))
         return np.tensordot(B, F, axes=([0, 2], [0, 1]))
 
 

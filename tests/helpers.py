@@ -3,8 +3,10 @@
 import numpy as np
 
 from spdalign.descriptors import SynthConfig, synth_dataset
+from spdalign.errors import ValidationError
+from spdalign.fileio import _data_lines, _parse_header_ints
 from spdalign.graphs import LabeledDataset
-from spdalign.metrics import check_transform, geometry
+from spdalign.metrics import _blocks, check_transform, geometry
 from spdalign.objective import build_grad_context
 from spdalign.objective import fd_gradient  # noqa: F401  (re-exported to tests)
 
@@ -84,3 +86,47 @@ def count_calls(monkeypatch, module, names):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def grad_pairs_3d(geom, B, mapped, factors, pair_factors, i, j, weights):
+    """`Geometry.grad_pairs` with a 3-D `np.add.at` of whole m x m terms per
+    sample: the per-sample accumulation the flat one must equal bit for bit."""
+    factors = geom.grad_factors(mapped, factors)
+    acc = np.zeros_like(mapped)
+    for blk in _blocks(len(i), mapped.shape[-1]):
+        pair = None if pair_factors is None else pair_factors[blk]
+        end_i, end_j = geom.block_grad(mapped, factors, pair, i[blk], j[blk])
+        w = weights[blk, None, None]
+        np.add.at(acc, i[blk], w * end_i)
+        np.add.at(acc, j[blk], w * end_j)
+    F = geom.finish(mapped, factors, acc)
+    return np.tensordot(B, F, axes=([0, 2], [0, 1]))
+
+
+def rowwise_load(path, header_count):
+    """A matrix (header_count 1) or transform (2) file parsed one row at a
+    time with float(), checking each row as it is read: the reference for
+    the diagnostics of `fileio.load_matrix` and `fileio.load_transform`."""
+    lines = _data_lines(path)
+    header = _parse_header_ints(path, lines, header_count)
+    rows, cols = header[0], header[-1]
+    out = np.empty((rows, cols))
+    filled = 0
+    for number, line in lines:
+        if filled == rows:
+            raise ValidationError(f"{path}:{number}: found more than {rows} data rows")
+        fields = line.split()
+        if len(fields) != cols:
+            raise ValidationError(
+                f"{path}:{number}: expected {cols} values, got {len(fields)}"
+            )
+        try:
+            out[filled] = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{number}: non-numeric value: {exc}") from exc
+        filled += 1
+    if filled != rows:
+        raise ValidationError(f"{path}: expected {rows} data rows, found {filled}")
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(f"{path}: file holds non-finite values")
+    return out

@@ -119,11 +119,13 @@ class TestTrain:
         assert "target_dim" in capsys.readouterr().err
         assert not (tmp_path / "W.txt").exists()
 
-    def test_target_dim_required(self, corpus, tmp_path, capsys):
+    def test_target_dim_required(self, corpus, tmp_path, capsys, monkeypatch):
+        loads = count_calls(monkeypatch, cli, ["load_dataset"])
         args = train_args(corpus, tmp_path)
         del args[args.index("--target-dim") : args.index("--target-dim") + 2]
         assert cli.main(args) == 1
         assert "target_dim" in capsys.readouterr().err
+        assert loads == {"load_dataset": 0}
 
     def test_missing_manifest(self, tmp_path, capsys):
         code = cli.main(train_args(str(tmp_path / "nope.txt"), tmp_path))
@@ -239,6 +241,27 @@ class TestTrainDistancePass:
             config = tmp_path / "config.json"
             config.write_text(json.dumps({"grad_tol": 0}))
             extra, message = ["--config", str(config)], "must be positive"
+        assert cli.main(train_args(corpus, tmp_path / "out", *extra)) == 1
+        assert message in capsys.readouterr().err
+        assert loads == {"load_dataset": 0}
+        assert pairwise_calls == []
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--target-dim", "0"], "target_dim must be >= 1"),
+            (["--target-dim", "-2"], "target_dim must be >= 1"),
+            (["--vw", "0"], "vw and vb must be >= 1, got vw=0, vb=None"),
+            (["--vb", "-1"], "vw and vb must be >= 1, got vw=None, vb=-1"),
+            (["--beta", "0"], "beta must be positive"),
+            (["--beta", "-0.5"], "beta must be positive"),
+        ],
+        ids=["target-dim-0", "target-dim-neg", "vw-0", "vb-neg", "beta-0", "beta-neg"],
+    )
+    def test_bad_data_independent_settings_load_nothing(
+        self, corpus, tmp_path, capsys, monkeypatch, pairwise_calls, extra, message
+    ):
+        loads = count_calls(monkeypatch, cli, ["load_dataset"])
         assert cli.main(train_args(corpus, tmp_path / "out", *extra)) == 1
         assert message in capsys.readouterr().err
         assert loads == {"load_dataset": 0}
@@ -362,6 +385,36 @@ class TestEval:
         assert cli.main(["eval", "--manifest", corpus, flag, value]) == 1
         assert message in capsys.readouterr().err
         assert loads == {"load_dataset": 0}
+
+    @pytest.mark.parametrize(
+        "transform, code, message",
+        [
+            (None, 1, "cannot read"),
+            (np.column_stack([np.ones(6), 2 * np.ones(6)]), 2, "rank deficient"),
+            (np.ones((2, 6)), 1, "at least as many rows as columns"),
+        ],
+        ids=["unreadable", "rank-deficient", "wide"],
+    )
+    def test_bad_transform_loads_nothing(
+        self, corpus, tmp_path, capsys, monkeypatch, transform, code, message
+    ):
+        path = tmp_path / "W.txt"
+        if transform is not None:
+            save_transform(str(path), transform)
+        loads = count_calls(monkeypatch, cli, ["load_dataset"])
+        args = ["eval", "--manifest", corpus, "--transform", str(path)]
+        assert cli.main(args) == code
+        assert message in capsys.readouterr().err
+        assert loads == {"load_dataset": 0}
+
+    def test_transform_of_wrong_dimension_rejected_after_load(
+        self, corpus, tmp_path, capsys
+    ):
+        path = tmp_path / "W.txt"
+        save_transform(str(path), np.eye(5, 2))
+        args = ["eval", "--manifest", corpus, "--transform", str(path)]
+        assert cli.main(args) == 1
+        assert "transform has 5 rows, samples have dim 6" in capsys.readouterr().err
 
 
 class TestGradcheck:

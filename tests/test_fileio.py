@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers import rowwise_load
 from spdalign.errors import ValidationError
 from spdalign.fileio import (
     atomic_write,
@@ -36,6 +37,20 @@ class TestAtomicWrite:
         target = tmp_path / "out.txt"
         atomic_write(str(target), "hello\nworld\n")
         assert target.read_text() == "hello\nworld\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_mode_follows_umask(self, tmp_path, umask):
+        target = tmp_path / "out.txt"
+        previous = os.umask(umask)
+        try:
+            atomic_write(str(target), "new")
+            with open(tmp_path / "plain.txt", "w") as handle:
+                handle.write("new")
+        finally:
+            os.umask(previous)
+        mode = target.stat().st_mode & 0o777
+        assert mode == 0o666 & ~umask
+        assert mode == (tmp_path / "plain.txt").stat().st_mode & 0o777
 
     def test_replaces_existing_and_leaves_no_temp(self, tmp_path):
         target = tmp_path / "out.txt"
@@ -92,6 +107,111 @@ class TestMatrixFormat:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="cannot read"):
             load_matrix(str(tmp_path / "absent.txt"))
+
+
+# a valid 3 x 3 matrix file whose comments and blank lines put the data rows
+# on lines 4, 6 and 7
+MATRIX_LINES = ["# matrix", "3", "", "2 0.5 0", "# row 1", "0.5 3 1", "0 1 4"]
+# a valid 4 x 2 transform file, data rows on lines 2, 3, 5 and 6
+TRANSFORM_LINES = ["4 2", "1 0", "0 1", "", "0.5 0.25", "-1 2"]
+
+
+def single_faults(lines):
+    """(name, lines) for every single-fault variant of a valid file: each
+    data row made non-numeric, non-finite, short or long, a row dropped or
+    added, and the header broken."""
+    data = [k for k, line in enumerate(lines) if line and not line.startswith("#")]
+    header, rows = data[0], data[1:]
+    variants = []
+    for k in rows:
+        fields = lines[k].split()
+        for fault, row in [
+            ("non-numeric", ["zebra"] + fields[1:]),
+            ("inf", fields[:-1] + ["inf"]),
+            ("nan", fields[:-1] + ["nan"]),
+            ("overflow", fields[:-1] + ["1e999"]),
+            ("short", fields[:-1]),
+            ("long", fields + ["7"]),
+        ]:
+            variant = lines[:k] + [" ".join(row)] + lines[k + 1:]
+            variants.append((f"{fault}@{k + 1}", variant))
+        variants.append((f"dropped@{k + 1}", lines[:k] + lines[k + 1:]))
+    variants.append(("extra row", lines + [lines[rows[-1]]]))
+    variants.append(("header", lines[:header] + ["x y"] + lines[header + 1:]))
+    return variants
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def reference_error(path, header_count):
+    with pytest.raises(ValidationError) as expected:
+        rowwise_load(path, header_count)
+    return str(expected.value)
+
+
+class TestRowDiagnostics:
+    @pytest.mark.parametrize(
+        "lines, header_count, loader",
+        [(MATRIX_LINES, 1, load_matrix), (TRANSFORM_LINES, 2, load_transform)],
+        ids=["matrix", "transform"],
+    )
+    def test_every_single_fault_as_row_by_row(
+        self, tmp_path, lines, header_count, loader
+    ):
+        valid = write_lines(tmp_path / "valid.txt", lines)
+        assert np.array_equal(loader(valid), rowwise_load(valid, header_count))
+        for name, variant in single_faults(lines):
+            path = write_lines(tmp_path / "bad.txt", variant)
+            message = reference_error(path, header_count)
+            with pytest.raises(ValidationError) as got:
+                loader(path)
+            assert str(got.value) == message, name
+
+    @pytest.mark.parametrize(
+        "later, fragment",
+        [("0 1", "expected 3 values"), ("0 1 2 3", "expected 3 values"),
+         ("0 1 5\n2 2 2", "more than 3")],
+        ids=["short", "long", "extra rows"],
+    )
+    def test_non_numeric_line_named_before_later_faults(
+        self, tmp_path, later, fragment
+    ):
+        path = write_lines(tmp_path / "m.txt", ["3", "1 zebra 0", "0 1 0", later])
+        with pytest.raises(ValidationError, match=r"m\.txt:2: non-numeric") as got:
+            load_matrix(path)
+        assert str(got.value) == reference_error(path, 1)
+        # without the non-numeric line the later fault is named
+        fixed = write_lines(tmp_path / "m.txt", ["3", "1 0 0", "0 1 0", later])
+        with pytest.raises(ValidationError, match=fragment):
+            load_matrix(fixed)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1_0", "inf", "-inf", "nan", "-0", "0x10", "1.5d0", "1e999", "1__0",
+         "+.5", "1e5_0", "\uff11", "--1", "1,0"],
+    )
+    def test_tokens_parse_as_float_does(self, tmp_path, token):
+        matrix = write_lines(tmp_path / "m.txt", ["1", token])
+        trace = write_lines(tmp_path / "t.txt", [f"0 {token} 1 1"])
+        try:
+            value = float(token)
+        except ValueError as exc:
+            for path, loader, line in [(matrix, load_matrix, 2),
+                                       (trace, load_trace, 1)]:
+                with pytest.raises(ValidationError) as got:
+                    loader(path)
+                assert str(got.value) == f"{path}:{line}: non-numeric value: {exc}"
+            return
+        # the trace format takes non-finite values; matrix files reject them
+        assert repr(float(load_trace(trace)[0, 1])) == repr(value)
+        if np.isfinite(value):
+            assert repr(float(load_matrix(matrix)[0, 0])) == repr(value)
+        else:
+            with pytest.raises(ValidationError, match="non-finite"):
+                load_matrix(matrix)
 
 
 class TestTransformFormat:

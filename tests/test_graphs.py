@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import rand_spd
+from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import (
     InsufficientClassSizeError,
     NotPositiveDefiniteError,
@@ -15,6 +16,7 @@ from spdalign.graphs import (
     build_graphs,
     centering_matrix,
     label_similarity,
+    neighbor_graphs,
 )
 from spdalign.metrics import MetricKind, pairwise_dist2
 
@@ -35,9 +37,8 @@ def random_dataset(seed, n=4, classes=3, per_class=5):
     return LabeledDataset(np.stack(samples), np.asarray(labels))
 
 
-def brute_force_graphs(data, metric, v_w, v_b):
+def brute_force_graphs(data, D, v_w, v_b):
     """Independent re-implementation: sort (distance, index) tuples per row."""
-    D = pairwise_dist2(metric, data.samples)
     N = data.size
     Gw = np.zeros((N, N), dtype=np.uint8)
     Gb = np.zeros((N, N), dtype=np.uint8)
@@ -135,9 +136,41 @@ class TestBuildGraphs:
     def test_matches_brute_force(self, metric, seed):
         data = random_dataset(seed)
         g = build_graphs(data, metric, v_w=2, v_b=3)
-        Gw, Gb = brute_force_graphs(data, metric, v_w=2, v_b=3)
+        D = pairwise_dist2(metric, data.samples)
+        Gw, Gb = brute_force_graphs(data, D, v_w=2, v_b=3)
         assert np.array_equal(g.Gw, Gw)
         assert np.array_equal(g.Gb, Gb)
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("quantized", [False, True], ids=["exact", "rounded"])
+    def test_matches_brute_force_with_ties(self, metric, quantized):
+        # dense-sized: 120 samples of dim 12 in 4 classes, with copies of
+        # samples within and across classes, so that whole rows of
+        # distances tie; rounding D makes ties everywhere
+        data = synth_dataset(
+            SynthConfig(dim=12, classes=4, per_class=30, noise=0.2, seed=5)
+        )
+        samples = data.samples.copy()
+        for src, dst in [(0, 1), (0, 2), (3, 31), (40, 41), (40, 95), (100, 7)]:
+            samples[dst] = samples[src]
+        data = LabeledDataset(samples, data.labels)
+        D = pairwise_dist2(metric, data.samples)
+        assert D[5, 1] == D[5, 2] == D[5, 0] and D[50, 3] == D[50, 31]
+        if quantized:
+            D = np.round(D, 1)
+        for v_w, v_b in [(29, 29), (1, 1), (5, 50), (29, 200), (500, 500)]:
+            g = neighbor_graphs(data, D, v_w, v_b)
+            Gw, Gb = brute_force_graphs(data, D, v_w, v_b)
+            assert np.array_equal(g.Gw, Gw), (v_w, v_b)
+            assert np.array_equal(g.Gb, Gb), (v_w, v_b)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_distances(self, bad):
+        data = scalar_dataset([1.0, 2.0, 5.0, 6.0], [0, 0, 1, 1])
+        D = pairwise_dist2(MetricKind.LEM, data.samples)
+        D[0, 2] = D[2, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            neighbor_graphs(data, D, 1, 1)
 
     def test_supports_disjoint_and_label_consistent(self):
         data = random_dataset(7)

@@ -13,12 +13,15 @@ from helpers import (
     clustered_dataset,
     count_calls,
     fd_gradient,
+    grad_pairs_3d,
     kernel_entry_gradient,
     rand_full_rank,
 )
 from spdalign.errors import DegenerateAlignmentError, ValidationError
 from spdalign.graphs import PairGraphs, build_graphs, centering_matrix, label_similarity
-from spdalign.metrics import BLOCK_ENTRIES, MetricKind, _blocks, default_beta, kernel_sim
+from spdalign.metrics import (
+    BLOCK_ENTRIES, MetricKind, _blocks, default_beta, geometry, kernel_sim,
+)
 from spdalign.objective import alignment_gradient, alignment_objective
 
 ALL_METRICS = list(MetricKind)
@@ -256,6 +259,19 @@ class TestMultiBlock:
             )
         g = alignment_gradient(state)
         assert np.linalg.norm(g - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_grad_pairs_equals_3d_accumulation(self, instance, metric):
+        # the flat 1-D accumulation adds each entry's terms in the same order
+        # as whole-matrix adds per sample, so the two agree bit for bit
+        data, graphs, W = instance
+        beta = default_beta(metric, data.samples)
+        state = alignment_objective(data, graphs, W, metric, beta)
+        geom = geometry(metric)
+        i, j = graphs.pairs.T
+        args = (state.B, state.mapped, state.factors, state.pair_factors,
+                i, j, state.coeff)
+        assert np.array_equal(geom.grad_pairs(*args), grad_pairs_3d(geom, *args))
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_gradient_matches_finite_differences(self, instance, metric):
