@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .descriptors import SynthConfig, synth_dataset
-from .errors import ConfigError, NumericalError, ValidationError
+from .errors import ConfigError, NumericalError, RankDeficientError, ValidationError
 from .evaluate import check_split_settings, repeated_split_eval
 from .fileio import (
     load_dataset,
@@ -91,6 +91,14 @@ def _resolve_metric(args, config):
     return MetricKind.parse(_resolve(args, config, "metric", "aim"))
 
 
+def _resolve_seed(args, config):
+    """The run's seed, default 0; numpy's generators take no negative seed."""
+    seed = _resolve(args, config, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _auto_neighbor_count(data):
     """The within-class rule: one fewer than the smallest class."""
     return max(int(data.class_sizes().min()) - 1, 1)
@@ -138,7 +146,7 @@ def gradcheck_report(kinds, instances, seed, out=None):
 
 def cmd_gradcheck(args):
     config = _load_config_arg(args)
-    seed = _resolve(args, config, "seed", 0)
+    seed = _resolve_seed(args, config)
     if args.metric is None:
         kinds = list(MetricKind)
     else:
@@ -156,7 +164,7 @@ def cmd_gradcheck(args):
 def cmd_train(args):
     config = _load_config_arg(args)
     metric = _resolve_metric(args, config)
-    seed = _resolve(args, config, "seed", 0)
+    seed = _resolve_seed(args, config)
     manifest = _resolve(args, config, "manifest")
     output_dir = _resolve(args, config, "output_dir")
     if manifest is None:
@@ -243,7 +251,7 @@ def cmd_train(args):
 def cmd_eval(args):
     config = _load_config_arg(args)
     metric = _resolve_metric(args, config)
-    seed = _resolve(args, config, "seed", 0)
+    seed = _resolve_seed(args, config)
     manifest = _resolve(args, config, "manifest")
     if manifest is None:
         raise ConfigError("a dataset manifest is required (--manifest or config)")
@@ -251,7 +259,11 @@ def cmd_eval(args):
     check_split_settings(args.train_fraction, args.splits)
     W = None
     if args.transform:
-        W = metrics.check_transform(load_transform(args.transform))
+        try:
+            W = metrics.check_transform(load_transform(args.transform))
+        except RankDeficientError as exc:
+            # a bad file is invalid input, like every other malformed transform
+            raise ValidationError(f"{args.transform}: {exc}") from exc
     data, _, _ = load_dataset(manifest)
     summary = repeated_split_eval(
         data,
@@ -277,7 +289,7 @@ def cmd_eval(args):
 
 def cmd_synth(args):
     config = _load_config_arg(args)
-    seed = _resolve(args, config, "seed", 0)
+    seed = _resolve_seed(args, config)
     cfg = SynthConfig(
         dim=args.dim,
         classes=args.classes,

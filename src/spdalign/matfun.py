@@ -13,7 +13,8 @@ same formula from eigenpairs the caller already holds) and the helpers they
 validate with (check_symmetric, symmetrize, pd_floor, require_pd, sym_eig,
 spd_eig, eig_apply) take one matrix (n, n) or a stack (..., n, n) and treat
 each matrix on its own; a failed check on a stack names the first failing
-matrix. The spd_* functions take one matrix.
+matrix. The spd_* functions take one matrix. `chol_inv` inverts positive
+definite matrices, one or a stack, from Cholesky factors the caller holds.
 """
 
 import numpy as np
@@ -126,6 +127,24 @@ def eig_apply(Q, values):
     Q and values are one eigendecomposition or a stack of them.
     """
     return symmetrize((Q * values[..., None, :]) @ _mT(Q))
+
+
+def chol_inv(L):
+    """A^{-1} = L^{-T} L^{-1} from the lower Cholesky factor L of a positive
+    definite A = L L^T, one matrix or a stack.
+
+    L^{-1} comes by forward substitution, one row per step and each step
+    vectorized over the stack, then A^{-1} from one batched product.
+    """
+    inv = np.zeros_like(L)
+    recip = 1.0 / np.diagonal(L, axis1=-2, axis2=-1)
+    for k in range(L.shape[-1]):
+        inv[..., k, k] = recip[..., k]
+        if k:
+            inv[..., k, :k] = -recip[..., k, None] * np.einsum(
+                "...j,...jc->...c", L[..., k, :k], inv[..., :k, :k]
+            )
+    return _mT(inv) @ inv
 
 
 def spd_log(X):

@@ -24,7 +24,11 @@ computes it once. `indexed_dist2` computes the distances of any set of
 pairs of one stack, which lets repeated evaluation splits share theirs.
 Every distance-only driver is exactly invariant to argument order, for the
 affine-invariant distance too: it whitens each pair by whichever of its two
-matrices sorts first by entries.
+matrices sorts first by entries. The alignment objective's distance pass
+(`Geometry.support_dist2`) keeps what the gradient reads of each pair's
+decomposition: the log of each whitened pair for the affine-invariant
+distance, the Cholesky factor of each midpoint for Stein. The log-Euclidean
+gradient reads only per-sample factors, so it keeps nothing.
 """
 
 from enum import Enum
@@ -121,9 +125,11 @@ def _sorts_before(a, ia, b, ib):
 
 
 def _chol_logdet(stack, name, ids=None):
-    """log det of every matrix of a stack from one stacked Cholesky."""
+    """(log det, lower Cholesky factor) of every matrix of a stack, from one
+    stacked Cholesky."""
     try:
-        diag = np.diagonal(np.linalg.cholesky(stack), axis1=-2, axis2=-1)
+        chol = np.linalg.cholesky(stack)
+        diag = np.diagonal(chol, axis1=-2, axis2=-1)
     except np.linalg.LinAlgError:
         diag = np.full(stack.shape[:-1], np.nan)
     logdet = 2.0 * np.sum(np.log(diag), axis=-1)
@@ -131,7 +137,7 @@ def _chol_logdet(stack, name, ids=None):
         # name the first failing member when its spectrum shows it
         matfun.require_pd(np.linalg.eigvalsh(stack), stack, name, ids)
         raise NotPositiveDefiniteError(f"{name} is not positive definite")
-    return logdet
+    return logdet, chol
 
 
 class Geometry:
@@ -146,12 +152,13 @@ class Geometry:
     value is exactly invariant to the order of a pair's two matrices.
     `support_dist2` is the distance pass of the alignment objective: it also
     returns per-pair factors that the gradient reads, so no support pair is
-    decomposed twice (AIM keeps each whitened pair's log; the others keep
-    nothing). `grad_factors` derives, once per gradient, the per-sample
-    matrices the pair gradient reads from `factors`. `block_grad` and
-    `finish` are the pair gradient term: `block_grad` gives a pair's terms
-    T_i and T_j for its two ends, and `finish` is a map phi_s, linear in its
-    argument, such that with Y_p = W^T X_p W and B_p = X_p W the gradient of
+    decomposed twice (AIM keeps each whitened pair's log, Stein each
+    midpoint's Cholesky factor; LEM keeps nothing). `grad_factors` derives,
+    once per gradient, the per-sample matrices the pair gradient reads from
+    `factors`. `block_grad` and `finish` are the pair gradient term:
+    `block_grad` gives a pair's terms T_i and T_j for its two ends, and
+    `finish` is a map phi_s, linear in its argument, such that with
+    Y_p = W^T X_p W and B_p = X_p W the gradient of
     k_ij = exp(-beta d_ij) with respect to W is
 
         -grad_scale * beta * k_ij * (B_i phi_i(T_i) + B_j phi_j(T_j)).
@@ -290,35 +297,53 @@ class Stein(Geometry):
 
     Pair gradient terms T_i = A^{-1} - Y_i^{-1} and T_j = A^{-1} - Y_j^{-1}
     with A = (Y_i + Y_j)/2, finished by the identity. The gradient needs
-    inverses only: one batched inverse of the samples per gradient, and one
-    of each block of midpoints, which the objective's Cholesky has already
-    found positive definite at the same point.
+    inverses only, and builds each from a Cholesky factor already at hand
+    (`matfun.chol_inv`): the samples' from `factors`, and the midpoints'
+    from the objective's distance pass, which keeps each support pair's.
     """
 
     grad_scale = 1.0
 
     @staticmethod
     def factors(stack, name):
-        """(ln det X,): the Cholesky log-det, which checks positive
-        definiteness."""
-        return (_chol_logdet(stack, name),)
+        """(ln det X, L) with X = L L^T, from one stacked Cholesky, which
+        checks positive definiteness."""
+        return _chol_logdet(stack, name)
 
     @staticmethod
-    def block_dist2(left, right, i, j):
-        mid = _chol_logdet(0.5 * (left[0][i] + right[0][j]), "midpoint",
-                           np.column_stack((i, j)))
+    def _pair_dist2(left, right, i, j):
+        """(squared distances, midpoint Cholesky factors) of a block of pairs."""
+        # summed in place into the gathered left ends: bit-identical to
+        # 0.5 * (a + b), with one temporary fewer per block
+        mid = left[0][i]
+        mid += right[0][j]
+        mid *= 0.5
+        logdet, chol = _chol_logdet(mid, "midpoint", np.column_stack((i, j)))
         # symmetric form: the value is exactly invariant to argument order
-        return np.maximum(mid - 0.5 * (left[1][0][i] + right[1][0][j]), 0.0)
+        d = np.maximum(logdet - 0.5 * (left[1][0][i] + right[1][0][j]), 0.0)
+        return d, chol
+
+    def block_dist2(self, left, right, i, j):
+        return self._pair_dist2(left, right, i, j)[0]
+
+    def support_dist2(self, side, i, j):
+        """Distances, plus each midpoint's Cholesky factor for the gradient."""
+        m = side[0].shape[-1]
+        d = np.empty(len(i))
+        chols = np.empty((len(i), m, m))
+        for blk in _blocks(len(i), m):
+            d[blk], chols[blk] = self._pair_dist2(side, side, i[blk], j[blk])
+        return d, chols
 
     @staticmethod
     def grad_factors(mapped, factors):
-        """(X^{-1},) from one batched inverse."""
-        return (np.linalg.inv(mapped),)
+        """(X^{-1},) from the samples' Cholesky factors."""
+        return (matfun.chol_inv(factors[1]),)
 
     @staticmethod
     def block_grad(mapped, factors, pair, i, j):
         inv = factors[0]
-        mid_inv = np.linalg.inv(0.5 * (mapped[i] + mapped[j]))
+        mid_inv = matfun.chol_inv(pair)
         return mid_inv - inv[i], mid_inv - inv[j]
 
     @staticmethod

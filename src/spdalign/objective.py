@@ -38,8 +38,9 @@ authoritative ground truth for operand order and signs.
 An evaluation maps the samples through W and factors the mapped stack once,
 and decomposes each support pair once; the returned `AlignmentState` carries
 that factored point and the per-pair factors (for the affine-invariant
-metric, the log of each whitened pair), so `alignment_gradient` is a function
-of the state alone and decomposes no sample stack and no pair matrix again.
+metric, the log of each whitened pair; for Stein, the Cholesky factor of each
+midpoint A), so `alignment_gradient` is a function of the state alone and
+decomposes no sample stack and no pair matrix again.
 """
 
 import math
@@ -65,8 +66,9 @@ class AlignmentState:
     norm_L is ||L||_F over the full N x N centered matrix. B holds X_p W,
     mapped the transformed samples W^T X_p W, factors the metric's
     `Geometry.factors` of mapped, and pair_factors what its
-    `Geometry.support_dist2` kept per pair: the affine-invariant log of each
-    whitened pair (|E| x m x m), None for the other metrics.
+    `Geometry.support_dist2` kept per pair (|E| x m x m): the
+    affine-invariant log of each whitened pair, the lower Cholesky factor of
+    each Stein midpoint (Y_i + Y_j)/2, None for the log-Euclidean metric.
     """
 
     J: float

@@ -390,7 +390,7 @@ class TestEval:
         "transform, code, message",
         [
             (None, 1, "cannot read"),
-            (np.column_stack([np.ones(6), 2 * np.ones(6)]), 2, "rank deficient"),
+            (np.column_stack([np.ones(6), 2 * np.ones(6)]), 1, "rank deficient"),
             (np.ones((2, 6)), 1, "at least as many rows as columns"),
         ],
         ids=["unreadable", "rank-deficient", "wide"],
@@ -445,6 +445,52 @@ class TestGradcheck:
         captured = capsys.readouterr()
         assert "instances must be >= 1" in captured.err
         assert "gradcheck passed" not in captured.out
+
+
+class TestNegativeSeed:
+    """A negative seed, by flag or by config file, is a configuration error
+    (exit 1) in every command, raised before any data is loaded, generated
+    or written."""
+
+    @staticmethod
+    def command(name, corpus, out):
+        train = ["train", "--manifest", corpus, "--output-dir", str(out),
+                 "--target-dim", "2"]
+        return {
+            "train": train,
+            "train-strict": train + ["--strict"],
+            "eval": ["eval", "--manifest", corpus],
+            "synth": ["synth", "--output-dir", str(out)],
+            "gradcheck": ["gradcheck", "--instances", "1"],
+        }[name]
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "name", ["train", "train-strict", "eval", "synth", "gradcheck"]
+    )
+    def test_rejected_before_any_work(
+        self, corpus, tmp_path, capsys, monkeypatch, name, route
+    ):
+        out = tmp_path / "out"
+        args = self.command(name, corpus, out)
+        if route == "flag":
+            args += ["--seed", "-1"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"seed": -1}))
+            args += ["--config", str(config)]
+        calls = count_calls(
+            monkeypatch, cli, ["load_dataset", "synth_dataset", "gradcheck_report"]
+        )
+        assert cli.main(args) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert calls == {"load_dataset": 0, "synth_dataset": 0, "gradcheck_report": 0}
+        assert not out.exists()
+
+    def test_seed_zero_still_accepted(self, capsys):
+        code = cli.main(["gradcheck", "--metric", "lem", "--instances", "1",
+                         "--seed", "0"])
+        assert code == 0
 
 
 class TestUsageErrors:

@@ -249,3 +249,32 @@ class TestLogDerivative:
         X, H = (bad, np.eye(3)) if operand == "base" else (np.eye(3), bad)
         with pytest.raises(NoConvergenceError):
             matfun.dlog(X, H)
+
+
+class TestCholInv:
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e8])
+    def test_matches_lu_inverse(self, m, cond):
+        # both inverses carry a forward error of order cond * eps, so they
+        # agree to a tolerance that scales with the condition number
+        rng = np.random.default_rng(m)
+        A = np.stack([
+            spd_with_spectrum(rng, 3.7 * np.geomspace(1.0, 1.0 / cond, m))
+            for _ in range(40)
+        ])
+        got = matfun.chol_inv(np.linalg.cholesky(A))
+        want = np.linalg.inv(A)
+        err = np.linalg.norm(got - want, axis=(-2, -1))
+        tol = 4 * m * cond * np.finfo(float).eps
+        assert (err <= tol * np.linalg.norm(want, axis=(-2, -1))).all()
+
+    def test_one_matrix_and_diagonal(self):
+        d = np.array([4.0, 0.25, 16.0])
+        assert np.array_equal(matfun.chol_inv(np.diag(np.sqrt(d))), np.diag(1.0 / d))
+
+    def test_stack_matches_single_calls_bitwise(self):
+        rng = np.random.default_rng(3)
+        L = np.linalg.cholesky(np.stack([rand_spd(rng, 4) for _ in range(5)]))
+        stacked = matfun.chol_inv(L)
+        for k in range(5):
+            assert np.array_equal(stacked[k], matfun.chol_inv(L[k]))

@@ -21,6 +21,8 @@ from spdalign.errors import (
 )
 from spdalign.metrics import (
     MetricKind,
+    _blocks,
+    _side,
     check_transform,
     cross_dist2,
     default_beta,
@@ -28,6 +30,7 @@ from spdalign.metrics import (
     indexed_dist2,
     kernel_sim,
     map_down,
+    geometry,
     pairwise_dist2,
     transformed_dist2,
 )
@@ -367,6 +370,52 @@ class TestArgumentOrder:
             cross_dist2(MetricKind.AIM, rows, cols)
         with pytest.raises(NotPositiveDefiniteError, match="whitened pair"):
             dist2(MetricKind.AIM, rows[0], cols[0])
+
+
+class TestSteinFactors:
+    """Stein keeps the Cholesky factors of its samples and of every support
+    midpoint, from the same Cholesky that gives the log-determinants."""
+
+    @staticmethod
+    def stack(count=80, n=4):
+        rng = np.random.default_rng(41)
+        return np.stack([rand_spd(rng, n) for _ in range(count)])
+
+    def test_sample_factors(self):
+        stack = self.stack()
+        logdet, chol = geometry(MetricKind.STEIN).factors(stack, "sample")
+        assert np.array_equal(chol, np.linalg.cholesky(stack))
+        assert np.allclose(logdet, np.linalg.slogdet(stack)[1], rtol=0, atol=1e-12)
+
+    def test_support_pass_equals_distance_pass(self):
+        stack = self.stack()
+        geom = geometry(MetricKind.STEIN)
+        side = _side(geom, stack, "sample")
+        i, j = np.triu_indices(len(stack), k=1)
+        assert len(list(_blocks(len(i), stack.shape[-1]))) > 1
+        d, chols = geom.support_dist2(side, i, j)
+        assert np.array_equal(d, geom.dist2_pairs(side, side, i, j))
+        assert np.array_equal(d, indexed_dist2(MetricKind.STEIN, stack, i, j))
+        # each kept factor is the Cholesky factor of its pair's midpoint, and
+        # L L^T gives the midpoint back
+        mid = 0.5 * (stack[i] + stack[j])
+        assert np.array_equal(chols, np.linalg.cholesky(mid))
+        rebuilt = chols @ chols.swapaxes(-1, -2)
+        scale = np.abs(mid).max(axis=(-2, -1))
+        assert (np.abs(rebuilt - mid).max(axis=(-2, -1)) <= 1e-14 * scale).all()
+
+    def test_failing_midpoint_named_by_its_pair(self):
+        # samples are never indefinite where they enter, so the side is built
+        # by hand: sample 7 is indefinite, and the first pair that reaches it,
+        # (3, 7), lies in the second block
+        stack = self.stack(count=10, n=2)
+        stack[7] = np.diag([-5.0, 1.0])
+        i = np.concatenate([np.zeros(5000, dtype=int), [3, 7]])
+        j = np.concatenate([np.ones(5000, dtype=int), [7, 9]])
+        assert len(list(_blocks(5000, 2))) > 1
+        side = (stack, (np.zeros(10), None))
+        with pytest.raises(NotPositiveDefiniteError, match=r"midpoint \[3 7\]"):
+            geometry(MetricKind.STEIN).support_dist2(side, i, j)
 
 
 class TestDefaultBeta:

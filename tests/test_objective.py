@@ -17,6 +17,7 @@ from helpers import (
     kernel_entry_gradient,
     rand_full_rank,
 )
+from spdalign import matfun
 from spdalign.errors import DegenerateAlignmentError, ValidationError
 from spdalign.graphs import PairGraphs, build_graphs, centering_matrix, label_similarity
 from spdalign.metrics import (
@@ -287,14 +288,19 @@ class TestMultiBlock:
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_gradient_decomposes_no_sample_stack(self, instance, metric, monkeypatch):
-        # the state carries the factored samples and AIM's whitened pair logs:
-        # the gradient decomposes nothing, and Stein takes only inverses, one
-        # of the sample stack and one per block of midpoints
+        # the state carries the factored samples and the per-pair factors
+        # (AIM's whitened pair logs, Stein's midpoint Cholesky factors): the
+        # gradient decomposes nothing, and Stein builds its inverses from the
+        # Cholesky factors, one of the sample stack and one per block of
+        # midpoints
         data, graphs, W = instance
         beta = default_beta(metric, data.samples)
         state = alignment_objective(data, graphs, W, metric, beta)
         calls = count_calls(monkeypatch, np.linalg, ["eigh", "cholesky", "inv"])
+        chol_invs = count_calls(monkeypatch, matfun, ["chol_inv"])
         alignment_gradient(state)
         blocks = len(list(_blocks(len(graphs.pairs), W.shape[1])))
-        inverses = 1 + blocks if metric is MetricKind.STEIN else 0
-        assert calls == {"eigh": 0, "cholesky": 0, "inv": inverses}
+        assert blocks > 1
+        assert calls == {"eigh": 0, "cholesky": 0, "inv": 0}
+        expected = 1 + blocks if metric is MetricKind.STEIN else 0
+        assert chol_invs == {"chol_inv": expected}
