@@ -27,7 +27,7 @@ from . import metrics
 # build_graphs and default_beta stay bound here, where perfbench traces them
 from .graphs import build_graphs, neighbor_graphs  # noqa: F401
 from .metrics import MetricKind, default_beta  # noqa: F401
-from .objective import alignment_gradient, alignment_objective, fd_gradient
+from .objective import AlignmentProblem, alignment_gradient, fd_gradient
 from .optimizer import OptimizerConfig, initial_transform, rcg_maximize
 
 GRADCHECK_TOL = 1e-4
@@ -104,41 +104,34 @@ def _auto_neighbor_count(data):
     return max(int(data.class_sizes().min()) - 1, 1)
 
 
-def gradcheck_report(kinds, instances, seed, out=None):
+def gradcheck_report(kinds, instances, seed):
     """Compare analytic and finite-difference gradients on random problems.
 
     Returns the worst relative error seen across all metrics and instances.
     """
-    out = sys.stdout if out is None else out
     worst = 0.0
     for metric in kinds:
         metric_worst = 0.0
         for t in range(instances):
-            data = synth_dataset(
-                SynthConfig(
-                    dim=8, classes=3, per_class=4, noise=0.4, seed=seed + t
-                )
-            )
+            cfg = SynthConfig(dim=8, classes=3, per_class=4, noise=0.4, seed=seed + t)
+            data = synth_dataset(cfg)
             D = metrics.pairwise_dist2(metric, data.samples)
             graphs = neighbor_graphs(data, D, v_w=2, v_b=2)
             beta = metrics.bandwidth(D)
+            problem = AlignmentProblem.build(data, graphs, metric, beta)
             W = initial_transform(data.dim, 3, seed=seed + t)
 
-            def objective(candidate):
-                return alignment_objective(
-                    data, graphs, candidate, metric, beta
-                ).J
+            def evaluate(candidate):
+                return problem.evaluate(metrics.check_transform(candidate))
 
-            state = alignment_objective(data, graphs, W, metric, beta)
-            analytic = alignment_gradient(state)
-            numeric = fd_gradient(objective, W)
+            analytic = alignment_gradient(evaluate(W))
+            numeric = fd_gradient(lambda candidate: evaluate(candidate).J, W)
             scale = max(float(np.linalg.norm(numeric)), 1e-12)
             error = float(np.linalg.norm(analytic - numeric)) / scale
             metric_worst = max(metric_worst, error)
         print(
             f"{metric.value}: max relative gradient error {metric_worst:.3e} "
-            f"over {instances} instance(s)",
-            file=out,
+            f"over {instances} instance(s)"
         )
         worst = max(worst, metric_worst)
     return worst
@@ -187,8 +180,8 @@ def cmd_train(args):
     if any(v is not None and v < 1 for v in (v_w, v_b)):
         raise ConfigError(f"vw and vb must be >= 1, got vw={v_w}, vb={v_b}")
     beta = _resolve(args, config, "beta")
-    if beta is not None and beta <= 0:
-        raise ConfigError(f"beta must be positive, got {beta}")
+    if beta is not None:
+        metrics.check_beta(beta)
 
     if args.strict:
         worst = gradcheck_report([metric], instances=2, seed=seed)

@@ -171,13 +171,6 @@ def spd_inv_sqrt(X):
     return symmetrize((Q / np.sqrt(w)) @ Q.T)
 
 
-def spd_sqrt_pair(X):
-    """(X^{1/2}, X^{-1/2}) from a single eigendecomposition."""
-    w, Q = spd_eig(_one_matrix(X))
-    s = np.sqrt(w)
-    return symmetrize((Q * s) @ Q.T), symmetrize((Q / s) @ Q.T)
-
-
 def _log_divided_differences(w):
     """Gamma_ij = (log w_i - log w_j) / (w_i - w_j), with 1 / w_i on ties.
 

@@ -71,6 +71,12 @@ class MetricKind(Enum):
             ) from None
 
 
+def check_beta(beta):
+    """Validate a similarity bandwidth: positive and finite."""
+    if not 0 < beta < np.inf:
+        raise ValidationError(f"beta must be positive and finite, got {beta}")
+
+
 def check_transform(W, n=None):
     """Validate a reducing transform: 2-D, tall, full column rank."""
     W = np.asarray(W, dtype=float)
@@ -431,8 +437,7 @@ def transformed_dist2(metric, X_i, X_j, W):
 
 def kernel_sim(metric, X_i, X_j, W, beta):
     """Gaussian similarity exp(-beta * transformed_dist2) in (0, 1]."""
-    if not beta > 0:
-        raise ValidationError(f"beta must be positive, got {beta}")
+    check_beta(beta)
     d = transformed_dist2(metric, X_i, X_j, W)
     if d < DIST_CLAMP:
         d = 0.0

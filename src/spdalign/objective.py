@@ -35,6 +35,13 @@ Y_p = W^T X_p W):
 central finite differences of k_ij; the finite-difference check is the
 authoritative ground truth for operand order and signs.
 
+Across an optimization only W changes. An `AlignmentProblem` is built once
+per run: it validates the metric, beta and the graphs against the dataset,
+and computes T and its centering on the support. Its `evaluate` takes a W
+that `check_transform` has passed and does only the work that depends on W.
+`alignment_objective` is the validating one-call form, for callers holding
+a single W.
+
 An evaluation maps the samples through W and factors the mapped stack once,
 and decomposes each support pair once; the returned `AlignmentState` carries
 that factored point and the per-pair factors (for the affine-invariant
@@ -49,9 +56,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matfun
-from .errors import DegenerateAlignmentError, DimMismatchError, ValidationError
+from .errors import DegenerateAlignmentError, DimMismatchError
 from .graphs import label_similarity  # noqa: F401  (traced by perfbench)
-from .metrics import DIST_CLAMP, MetricKind, check_transform, geometry
+from .metrics import DIST_CLAMP, Geometry, check_beta, check_transform, geometry
 
 L_NORM_FLOOR = 1e-14
 
@@ -60,15 +67,16 @@ L_NORM_FLOOR = 1e-14
 class AlignmentState:
     """Objective value at a point W, plus everything its gradient reads.
 
-    K, L and coeff are per-pair arrays aligned with `pairs` (the graphs'
-    pair list): the similarity k_p, the centered entry L_p, and the
-    sensitivity dJ/dK_ij of one of the two symmetric entries of the pair.
-    norm_L is ||L||_F over the full N x N centered matrix. B holds X_p W,
-    mapped the transformed samples W^T X_p W, factors the metric's
-    `Geometry.factors` of mapped, and pair_factors what its
-    `Geometry.support_dist2` kept per pair (|E| x m x m): the
-    affine-invariant log of each whitened pair, the lower Cholesky factor of
-    each Stein midpoint (Y_i + Y_j)/2, None for the log-Euclidean metric.
+    K, L and coeff are per-pair arrays aligned with `problem.pairs`: the
+    similarity k_p, the centered entry L_p, and the sensitivity dJ/dK_ij of
+    one of the two symmetric entries of the pair. norm_L is ||L||_F over the
+    full N x N centered matrix. B holds X_p W, mapped the transformed samples
+    W^T X_p W, factors the metric's `Geometry.factors` of mapped, and
+    pair_factors what its `Geometry.support_dist2` kept per pair
+    (|E| x m x m): the affine-invariant log of each whitened pair, the lower
+    Cholesky factor of each Stein midpoint (Y_i + Y_j)/2, None for the
+    log-Euclidean metric. problem is the `AlignmentProblem` evaluated, which
+    supplies the geometry, beta and the pairs.
     """
 
     J: float
@@ -76,9 +84,7 @@ class AlignmentState:
     L: np.ndarray
     norm_L: float
     coeff: np.ndarray
-    metric: MetricKind
-    beta: float
-    pairs: np.ndarray
+    problem: "AlignmentProblem"
     B: np.ndarray
     mapped: np.ndarray
     factors: tuple
@@ -104,47 +110,70 @@ def _center(values, i, j, N):
     return centered, math.sqrt(max(norm2, 0.0))
 
 
-def _label_target(labels, i, j, N):
-    """S_ij = [y_i = y_j] - n_{y_i}/N - n_{y_j}/N + sum_c n_c^2/N^2 on the pairs,
-    the doubly centered one-hot label Gram matrix from class counts."""
-    counts = np.bincount(labels).astype(float)
-    n_i, n_j = counts[labels[i]], counts[labels[j]]
-    same = (labels[i] == labels[j]).astype(float)
-    return same - (n_i + n_j) / N + float(counts @ counts) / N**2
+@dataclass(frozen=True)
+class AlignmentProblem:
+    """Everything of the objective that does not depend on W, validated once.
+
+    samples and geom are the dataset's sample stack and the metric's
+    `Geometry`; pairs the graphs' support pairs over N samples; T the label
+    target S on the support and centered_T its centering U T U there.
+    """
+
+    samples: np.ndarray
+    geom: Geometry
+    beta: float
+    pairs: np.ndarray
+    N: int
+    T: np.ndarray
+    centered_T: np.ndarray
+
+    @classmethod
+    def build(cls, data, graphs, metric, beta):
+        """Validate the metric, beta and the graphs against the dataset.
+
+        T_ij = [y_i = y_j] - n_{y_i}/N - n_{y_j}/N + sum_c n_c^2/N^2, the
+        doubly centered one-hot label Gram matrix, follows from class counts.
+        """
+        geom = geometry(metric)
+        check_beta(beta)
+        N = data.size
+        if graphs.Gw.shape[0] != N:
+            raise DimMismatchError(
+                f"graphs built for {graphs.Gw.shape[0]} samples, dataset has {N}"
+            )
+        i, j = graphs.pairs.T
+        y_i, y_j = data.labels[i], data.labels[j]
+        counts = np.bincount(data.labels).astype(float)
+        same = (y_i == y_j).astype(float)
+        T = same - (counts[y_i] + counts[y_j]) / N + float(counts @ counts) / N**2
+        centered_T, _ = _center(T, i, j, N)
+        return cls(data.samples, geom, beta, graphs.pairs, N, T, centered_T)
+
+    def evaluate(self, W):
+        """J at a W that `check_transform` has passed; the state also carries
+        the factored point and the per-pair factors the gradient reads."""
+        B, mapped, factors = build_grad_context(self.samples, W, self.geom)
+        i, j = self.pairs.T
+        d, pair_factors = self.geom.support_dist2((mapped, factors), i, j)
+        K = np.exp(-self.beta * np.where(d < DIST_CLAMP, 0.0, d))
+        L, norm_L = _center(K, i, j, self.N)
+        if norm_L < L_NORM_FLOOR:
+            raise DegenerateAlignmentError(
+                "centered pair-similarity matrix vanished; objective undefined"
+            )
+        J = 2.0 * float(L @ self.T) / norm_L
+        coeff = self.centered_T / norm_L - (J / norm_L**2) * L
+        return AlignmentState(
+            J=J, K=K, L=L, norm_L=norm_L, coeff=coeff, problem=self, B=B,
+            mapped=mapped, factors=factors, pair_factors=pair_factors,
+        )
 
 
 def alignment_objective(data, graphs, W, metric, beta):
-    """Evaluate J(W); the state also carries the factored point and the
-    per-pair factors the gradient reads."""
-    metric = MetricKind.parse(metric)
-    if not beta > 0:
-        raise ValidationError(f"beta must be positive, got {beta}")
-    W = check_transform(W, n=data.dim)
-    N = data.size
-    if graphs.Gw.shape[0] != N:
-        raise DimMismatchError(
-            f"graphs built for {graphs.Gw.shape[0]} samples, dataset has {N}"
-        )
-    geom = geometry(metric)
-    B, mapped, factors = build_grad_context(data.samples, W, geom)
-    side = (mapped, factors)
-    i, j = graphs.pairs.T
-    d, pair_factors = geom.support_dist2(side, i, j)
-    K = np.exp(-beta * np.where(d < DIST_CLAMP, 0.0, d))
-    L, norm_L = _center(K, i, j, N)
-    if norm_L < L_NORM_FLOOR:
-        raise DegenerateAlignmentError(
-            "centered pair-similarity matrix vanished; objective undefined"
-        )
-    T = _label_target(data.labels, i, j, N)
-    J = 2.0 * float(L @ T) / norm_L
-    centered_T, _ = _center(T, i, j, N)
-    coeff = centered_T / norm_L - (J / norm_L**2) * L
-    return AlignmentState(
-        J=J, K=K, L=L, norm_L=norm_L, coeff=coeff, metric=metric, beta=beta,
-        pairs=graphs.pairs, B=B, mapped=mapped, factors=factors,
-        pair_factors=pair_factors,
-    )
+    """Evaluate J(W), validating every argument; the state also carries the
+    factored point and the per-pair factors the gradient reads."""
+    problem = AlignmentProblem.build(data, graphs, metric, beta)
+    return problem.evaluate(check_transform(W, n=data.dim))
 
 
 def alignment_gradient(state):
@@ -157,10 +186,10 @@ def alignment_gradient(state):
     `dlog_eig` call on the state's eigenpairs. The reduction order is fixed,
     keeping repeated runs bit-identical.
     """
-    geom = geometry(state.metric)
-    weights = (-2.0 * geom.grad_scale * state.beta) * state.coeff * state.K
-    i, j = state.pairs.T
-    return geom.grad_pairs(
+    problem = state.problem
+    weights = (-2.0 * problem.geom.grad_scale * problem.beta) * state.coeff * state.K
+    i, j = problem.pairs.T
+    return problem.geom.grad_pairs(
         state.B, state.mapped, state.factors, state.pair_factors, i, j, weights
     )
 

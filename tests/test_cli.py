@@ -255,12 +255,23 @@ class TestTrainDistancePass:
             (["--vb", "-1"], "vw and vb must be >= 1, got vw=None, vb=-1"),
             (["--beta", "0"], "beta must be positive"),
             (["--beta", "-0.5"], "beta must be positive"),
+            (["--beta", "nan"], "beta must be positive and finite, got nan"),
+            (["--beta", "inf"], "beta must be positive and finite, got inf"),
+            ({"beta": float("nan")}, "beta must be positive and finite, got nan"),
+            ({"beta": float("inf")}, "beta must be positive and finite, got inf"),
         ],
-        ids=["target-dim-0", "target-dim-neg", "vw-0", "vb-neg", "beta-0", "beta-neg"],
+        ids=["target-dim-0", "target-dim-neg", "vw-0", "vb-neg", "beta-0", "beta-neg",
+             "beta-nan", "beta-inf", "config-beta-nan", "config-beta-inf"],
     )
     def test_bad_data_independent_settings_load_nothing(
         self, corpus, tmp_path, capsys, monkeypatch, pairwise_calls, extra, message
     ):
+        if isinstance(extra, dict):
+            # json writes non-finite floats as the NaN and Infinity that
+            # json.load reads back
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(extra))
+            extra = ["--config", str(config)]
         loads = count_calls(monkeypatch, cli, ["load_dataset"])
         assert cli.main(train_args(corpus, tmp_path / "out", *extra)) == 1
         assert message in capsys.readouterr().err

@@ -89,13 +89,6 @@ class TestEigBackedFunctions:
         P = matfun.spd_inv_sqrt(X) @ X @ matfun.spd_inv_sqrt(X)
         assert np.allclose(P, np.eye(6), rtol=1e-9, atol=1e-10)
 
-    def test_sqrt_pair_matches_separate_calls(self):
-        rng = np.random.default_rng(7)
-        X = rand_spd(rng, 5)
-        S, Sinv = matfun.spd_sqrt_pair(X)
-        assert np.allclose(S, matfun.spd_sqrt(X), atol=1e-13)
-        assert np.allclose(Sinv, matfun.spd_inv_sqrt(X), atol=1e-13)
-
     def test_outputs_exactly_symmetric(self):
         rng = np.random.default_rng(3)
         X = rand_spd(rng, 7, cond_spread=3.0)

@@ -23,7 +23,9 @@ from spdalign.graphs import PairGraphs, build_graphs, centering_matrix, label_si
 from spdalign.metrics import (
     BLOCK_ENTRIES, MetricKind, _blocks, default_beta, geometry, kernel_sim,
 )
-from spdalign.objective import alignment_gradient, alignment_objective
+from spdalign.objective import (
+    AlignmentProblem, alignment_gradient, alignment_objective,
+)
 
 ALL_METRICS = list(MetricKind)
 
@@ -134,6 +136,26 @@ class TestObjectiveValue:
         data, graphs, W = make_instance(4)
         with pytest.raises(ValidationError):
             alignment_objective(data, graphs, W, MetricKind.AIM, beta=-1.0)
+
+    @pytest.mark.parametrize("beta", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_beta(self, beta):
+        data, graphs, W = make_instance(4)
+        with pytest.raises(ValidationError, match="beta must be positive and finite"):
+            alignment_objective(data, graphs, W, MetricKind.AIM, beta=beta)
+        with pytest.raises(ValidationError, match="beta must be positive and finite"):
+            kernel_sim(MetricKind.AIM, data.samples[0], data.samples[1], W, beta)
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_problem_evaluate_equals_objective(self, metric):
+        data, graphs, W = make_instance(5)
+        beta = default_beta(metric, data.samples)
+        problem = AlignmentProblem.build(data, graphs, metric, beta)
+        state = problem.evaluate(W)
+        expected = alignment_objective(data, graphs, W, metric, beta)
+        assert state.problem is problem
+        assert state.J == expected.J
+        for name in ("K", "L", "coeff"):
+            assert np.array_equal(getattr(state, name), getattr(expected, name))
 
 
 class TestKernelEntryGradient:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import clustered_dataset, rand_full_rank
+from helpers import clustered_dataset, count_calls, rand_full_rank
+from spdalign import objective, optimizer
 from spdalign.errors import RankDeficientError, SylvesterFailureError, ValidationError
 from spdalign.graphs import PairGraphs, build_graphs
 from spdalign.metrics import MetricKind, default_beta
@@ -332,6 +333,35 @@ class TestRcgMaximize:
             res = rcg_maximize(data, graphs, MetricKind.LEM, beta, W0, cfg)
             assert np.array_equal(res.W_final, first.W_final), f"rerun {run}"
             assert np.array_equal(res.J_trace, first.J_trace), f"rerun {run}"
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_problem_validated_once_per_run(self, metric, monkeypatch):
+        data, graphs, beta, W0 = fitted_instance(0, metric=metric)
+        in_objective = count_calls(monkeypatch, objective, ["check_transform"])
+        in_optimizer = count_calls(
+            monkeypatch, optimizer, ["check_transform", "retract"]
+        )
+        builds = count_calls(monkeypatch, objective.AlignmentProblem, ["build"])
+        evaluated = []
+        original_evaluate = objective.AlignmentProblem.evaluate
+
+        def evaluate(problem, W):
+            evaluated.append(problem)
+            return original_evaluate(problem, W)
+
+        monkeypatch.setattr(objective.AlignmentProblem, "evaluate", evaluate)
+        res = rcg_maximize(data, graphs, metric, beta, W0,
+                           OptimizerConfig(max_iters=5))
+        trials = in_optimizer["retract"]
+        assert trials >= res.iterations_used > 0
+        # W0 once, then each trial once inside retract
+        assert in_optimizer["check_transform"] == 1 + trials
+        assert in_objective == {"check_transform": 0}
+        # one problem, so one label target T and one centered_T, serves every
+        # evaluation
+        assert builds == {"build": 1}
+        assert len(evaluated) == 1 + trials
+        assert all(problem is evaluated[0] for problem in evaluated)
 
     def test_final_point_no_worse_than_start(self):
         data, graphs, beta, W0 = fitted_instance(7)
