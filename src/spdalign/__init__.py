@@ -68,10 +68,8 @@ from .metrics import (
     cross_dist2,
     default_beta,
     dist2,
-    kernel_sim,
     map_down,
     pairwise_dist2,
-    transformed_dist2,
 )
 from .objective import (
     AlignmentState,
@@ -128,7 +126,6 @@ __all__ = [
     "dlog",
     "horizontal_project",
     "initial_transform",
-    "kernel_sim",
     "knn_classify",
     "label_similarity",
     "load_dataset",
@@ -152,5 +149,4 @@ __all__ = [
     "split",
     "symmetrize",
     "synth_dataset",
-    "transformed_dist2",
 ]

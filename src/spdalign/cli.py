@@ -277,6 +277,11 @@ def cmd_eval(args):
             f"transformed 1-NN ({metric.value}): mean={mean:.4f} std={std:.4f} "
             f"over {args.splits} split(s)"
         )
+    counts = ", ".join(
+        f"{kind} {n}/{summary.union_pairs}"
+        for kind, n in zip(("baseline", "transformed"), summary.distances_computed)
+    )
+    print(f"exact distances ({metric.value}): {counts} pairs")
     return 0
 
 

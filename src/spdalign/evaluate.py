@@ -5,10 +5,22 @@ lower training index, equal vote counts prefer the lower class index. This
 keeps every reported number a pure function of the inputs.
 
 `repeated_split_eval` draws all its splits as index arrays first, then
-computes the distance of every unordered pair that some split needs as a
-(test, train) pair in one pass over the whole stack
-(`metrics.indexed_dist2`). A pair shared by several splits, or needed in
-both orders, is computed once; each split then votes on its block.
+factors the whole stack once and computes the distance of each unordered
+pair that some split needs as a (test, train) pair at most once, however
+many splits share it and in whichever order they need it. Under Stein and
+the log-Euclidean distance it computes every such pair in one pass.
+
+Under the affine-invariant distance it computes only the pairs its
+log-Euclidean lower bound cannot rule out (`AffineInvariant.lower_bound`).
+Pass 1 computes, for each test row of each split, the distance to its
+bound-nearest train sample, which caps the row's nearest distance. Pass 2
+computes every pair of the row whose floor sqrt(bound) - tau is not above
+the square root of that cap. A pair left out has a computed distance
+strictly above the cap, so it can neither be the nearest neighbor nor tie
+it. Each computed value is the one `cross_dist2` gives, since the kernel
+computes each pair on its own, and each split votes on a matrix that is
+inf where a pair was left out: argmins, ties and accuracies are those of
+the exhaustive computation. `knn_classify` stays exhaustive.
 """
 
 from dataclasses import dataclass
@@ -16,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import MetricKind, cross_dist2, indexed_dist2, map_down
+from .metrics import MetricKind, cross_dist2, factored, map_down
 
 
 @dataclass(frozen=True)
@@ -33,10 +45,14 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class EvalSummary:
-    """Accuracies across repeated random splits."""
+    """Accuracies across repeated random splits, with the unordered pairs
+    whose distance was computed exactly on each manifold (original first,
+    then transformed) out of the union the splits need."""
 
     baseline: np.ndarray
     transformed: np.ndarray | None
+    distances_computed: tuple = ()
+    union_pairs: int = 0
 
     @staticmethod
     def _stats(acc):
@@ -131,32 +147,70 @@ def split(data, train_fraction, seed):
     return data.subset(train_idx), data.subset(test_idx)
 
 
+def _pairs(mask):
+    """Index arrays (i, j), i < j, of the unordered pairs that a boolean
+    matrix marks in either order."""
+    return np.nonzero(np.triu(mask | mask.T, k=1))
+
+
+def _split_dist2(metric, stack, splits, union):
+    """(D, computed): the N x N squared distances the splits' 1-NN votes
+    read, inf where none was computed, and how many unordered pairs were
+    computed exactly. union holds the pairs (i, j), i < j, the splits need."""
+    geom, side = factored(metric, stack)
+    D = np.full((len(stack),) * 2, np.inf)
+
+    def compute(i, j):
+        D[i, j] = D[j, i] = geom.dist2_pairs(side, side, i, j)
+        return len(i)
+
+    screen = geom.lower_bound(side, *union)
+    if screen is None:
+        return D, compute(*union)
+    bound, floor = np.full(D.shape, np.inf), np.full(D.shape, np.inf)
+    bound[union] = bound[union[::-1]] = screen[0]
+    floor[union] = floor[union[::-1]] = np.sqrt(screen[0]) - screen[1]
+    blocks = [np.ix_(test_idx, train_idx) for train_idx, test_idx in splits]
+    nearest = [train_idx[np.argmin(bound[blk], axis=1)]
+               for (train_idx, _), blk in zip(splits, blocks)]
+    first = np.zeros(D.shape, dtype=bool)
+    for (_, test_idx), near in zip(splits, nearest):
+        first[test_idx, near] = True
+    computed = compute(*_pairs(first))
+    rest = np.zeros(D.shape, dtype=bool)
+    for (_, test_idx), near, blk in zip(splits, nearest, blocks):
+        rest[blk] |= floor[blk] <= np.sqrt(D[test_idx, near])[:, None]
+    i, j = _pairs(rest)
+    todo = np.isinf(D[i, j])
+    return D, computed + compute(i[todo], j[todo])
+
+
 def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=None):
     """Accuracy over `repeats` stratified splits, with seeds seed..seed+r-1.
 
     Evaluates 1-NN on the original manifold, and through W when given. The
     result equals `knn_classify(*split(data, train_fraction, s), metric, W=W)`
     for every seed s, but each unordered pair that any split needs is
-    computed once: the union of the splits' (test, train) pairs, in both
-    orders, goes through the metric's kernel in one pass per manifold with
-    the lower index first, and every split reads its block of the filled
-    symmetric matrix. The distance kernels are exactly invariant to argument
-    order, so this gives what `knn_classify` computes test-first.
+    computed at most once per manifold, from one factorization of the
+    stack, with the lower index first, and the affine-invariant distance
+    skips the pairs its lower bound rules out (module docstring). The
+    distance kernels are exactly invariant to argument order, so this gives
+    what `knn_classify` computes test-first.
     """
     check_split_settings(train_fraction, repeats)
     splits = [_split_indices(data, train_fraction, seed + r) for r in range(repeats)]
     needed = np.zeros((data.size, data.size), dtype=bool)
     for train_idx, test_idx in splits:
         needed[np.ix_(test_idx, train_idx)] = True
-    i, j = np.nonzero(np.triu(needed | needed.T, k=1))
+    union = _pairs(needed)
     stacks = [data.samples]
     if W is not None:
         stacks.append(map_down(data.samples, W))
     labels, c = data.labels, data.class_count
-    accuracies = []
+    accuracies, computed = [], []
     for stack in stacks:
-        D = np.zeros(needed.shape)
-        D[i, j] = D[j, i] = indexed_dist2(metric, stack, i, j)
+        D, count = _split_dist2(metric, stack, splits, union)
+        computed.append(count)
         acc = []
         for train_idx, test_idx in splits:
             confusion = _confusion(D[np.ix_(test_idx, train_idx)],
@@ -166,4 +220,6 @@ def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=
     return EvalSummary(
         baseline=accuracies[0],
         transformed=accuracies[1] if W is not None else None,
+        distances_computed=tuple(computed),
+        union_pairs=len(union[0]),
     )

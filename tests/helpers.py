@@ -6,7 +6,9 @@ from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import ValidationError
 from spdalign.fileio import _data_lines, _parse_header_ints
 from spdalign.graphs import LabeledDataset
-from spdalign.metrics import _blocks, check_transform, geometry
+from spdalign.metrics import (
+    DIST_CLAMP, _blocks, check_beta, check_transform, dist2, geometry, map_down,
+)
 from spdalign.objective import build_grad_context
 from spdalign.objective import fd_gradient  # noqa: F401  (re-exported to tests)
 
@@ -51,6 +53,20 @@ def rand_full_rank(rng, n, m):
     while np.linalg.matrix_rank(W) < m:
         W = rng.standard_normal((n, m))
     return W
+
+
+def transformed_dist2(metric, X_i, X_j, W):
+    """dist2 between the two samples after mapping both through W."""
+    return dist2(metric, map_down(X_i, W), map_down(X_j, W))
+
+
+def kernel_sim(metric, X_i, X_j, W, beta):
+    """Gaussian similarity exp(-beta * transformed_dist2) in (0, 1]."""
+    check_beta(beta)
+    d = transformed_dist2(metric, X_i, X_j, W)
+    if d < DIST_CLAMP:
+        d = 0.0
+    return float(np.exp(-beta * d))
 
 
 def kernel_entry_gradient(metric, i, j, W, data, beta, k_ij):

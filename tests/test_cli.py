@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -354,6 +355,11 @@ class TestEval:
         assert "baseline 1-NN (lem)" in out
         assert "3 split(s)" in out
         assert "transformed" not in out
+        # LEM has no lower bound: every needed pair is computed
+        computed, union = re.search(
+            r"^exact distances \(lem\): baseline (\d+)/(\d+) pairs$", out, re.M
+        ).groups()
+        assert computed == union
 
     def test_with_transform(self, corpus, tmp_path, capsys):
         assert cli.main(train_args(corpus, tmp_path)) == 0
@@ -373,6 +379,17 @@ class TestEval:
         out = capsys.readouterr().out
         assert "baseline 1-NN (aim)" in out
         assert "transformed 1-NN (aim)" in out
+        # the count line adds no line the accuracy parsers would match
+        assert out.count("1-NN") == 2
+        counts = re.search(
+            r"^exact distances \(aim\): baseline (\d+)/(\d+), "
+            r"transformed (\d+)/(\d+) pairs$",
+            out,
+            re.M,
+        ).groups()
+        base, union, mapped, union_mapped = map(int, counts)
+        assert union == union_mapped
+        assert 0 < base <= union and 0 < mapped <= union
 
     def test_deterministic_output(self, corpus, capsys):
         args = ["eval", "--manifest", corpus, "--splits", "3", "--seed", "4"]

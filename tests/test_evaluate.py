@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from spdalign import evaluate
+from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import ValidationError
 from spdalign.evaluate import EvalSummary, knn_classify, repeated_split_eval, split
 from spdalign.graphs import LabeledDataset
-from spdalign.metrics import MetricKind
+from spdalign.metrics import MetricKind, cross_dist2, geometry, map_down
 
 from helpers import clustered_dataset, rand_full_rank, ref_shaped_dataset
 
@@ -15,6 +16,66 @@ from helpers import clustered_dataset, rand_full_rank, ref_shaped_dataset
 def scalar_dataset(values, labels):
     samples = np.asarray(values, dtype=float).reshape(-1, 1, 1)
     return LabeledDataset(samples, np.asarray(labels))
+
+
+def copied_classes():
+    """The reference shape with class 1 an exact copy of class 0, so exact
+    distance ties decide votes."""
+    data = ref_shaped_dataset(seed=22)
+    samples = data.samples.copy()
+    samples[data.labels == 1] = samples[data.labels == 0]
+    return LabeledDataset(samples, data.labels)
+
+
+def coincident_classes():
+    """Every sample of a class equals its prototype."""
+    return synth_dataset(SynthConfig(dim=12, classes=4, per_class=8, noise=0.0, seed=6))
+
+
+def near_duplicates():
+    """coincident_classes with every entry perturbed by about 1e-9 relative."""
+    data = coincident_classes()
+    S = np.random.default_rng(8).standard_normal(data.samples.shape)
+    return LabeledDataset(
+        data.samples * (1.0 + 1e-9 * (S + S.swapaxes(1, 2))), data.labels
+    )
+
+
+def ill_conditioned():
+    """Congruence D X D with D = diag(geomspace(1, 1e-4, 12)): eigenvalue
+    spreads near 1e9, where the lower bound's margin rules out nothing."""
+    data = synth_dataset(SynthConfig(dim=12, classes=4, per_class=8, noise=0.2, seed=6))
+    D = np.diag(np.geomspace(1.0, 1e-4, 12))
+    return LabeledDataset(D @ data.samples @ D, data.labels)
+
+
+SCREEN_SETS = {
+    "copied_classes": copied_classes,
+    "coincident_classes": coincident_classes,
+    "near_duplicates": near_duplicates,
+    "ill_conditioned": ill_conditioned,
+}
+
+
+def record_pairs(monkeypatch, metric):
+    """Record every pair the metric's kernel computes, as {sample dim:
+    [(i, j) index arrays of one call, ...]}; one list per manifold."""
+    geom = geometry(metric)
+    original = geom.dist2_pairs
+    calls = {}
+
+    def recording(left, right, i, j):
+        assert left is right  # one stack, factored once
+        calls.setdefault(left[0].shape[-1], []).append((i, j))
+        return original(left, right, i, j)
+
+    monkeypatch.setattr(geom, "dist2_pairs", recording)
+    return calls
+
+
+def pair_list(calls):
+    """The (i, j) pairs of a manifold's calls, in call order."""
+    return [pair for i, j in calls for pair in zip(i.tolist(), j.tolist())]
 
 
 class TestKnnClassify:
@@ -226,10 +287,7 @@ class TestRepeatedSplitEval:
         # at dim 20 the AIM whitening order moves the last bits of most
         # distances. Class 1 copies class 0, so exact distance ties decide
         # votes, and any pair whose order the shared pass changes shows.
-        data = ref_shaped_dataset(seed=22)
-        samples = data.samples.copy()
-        samples[data.labels == 1] = samples[data.labels == 0]
-        data = LabeledDataset(samples, data.labels)
+        data = copied_classes()
         W = rand_full_rank(np.random.default_rng(4), 20, 5) if with_w else None
         self.check_equals_per_split_knn(data, MetricKind.AIM, 0.5, W)
 
@@ -238,22 +296,85 @@ class TestRepeatedSplitEval:
     def test_computes_each_unordered_pair_once(self, metric, with_w, monkeypatch):
         data = clustered_dataset(seed=11, n=4, classes=3, per_class=7, spread=0.6)
         W = rand_full_rank(np.random.default_rng(3), 4, 2) if with_w else None
-        calls = []
-        original = evaluate.indexed_dist2
-
-        def recording(metric, samples, i, j):
-            calls.append((np.asarray(i), np.asarray(j)))
-            return original(metric, samples, i, j)
-
-        monkeypatch.setattr(evaluate, "indexed_dist2", recording)
-        repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=5, W=W)
+        calls = record_pairs(monkeypatch, metric)
+        summary = repeated_split_eval(
+            data, metric, train_fraction=0.5, repeats=10, seed=5, W=W
+        )
         union = set()
         for r in range(10):
             train_idx, test_idx = evaluate._split_indices(data, 0.5, 5 + r)
             union |= {(min(a, b), max(a, b)) for a in test_idx for b in train_idx}
-        assert len(calls) == (2 if with_w else 1)  # one per manifold
-        for i, j in calls:
-            assert np.all(i < j)
-            pairs = list(zip(i.tolist(), j.tolist()))
+        assert sorted(calls) == ([2, 4] if with_w else [4])  # one stack per manifold
+        assert summary.union_pairs == len(union)
+        for n, manifold in calls.items():
+            pairs = pair_list(manifold)
+            assert all(a < b for a, b in pairs)
             assert len(set(pairs)) == len(pairs)
-            assert set(pairs) == union
+            if metric is MetricKind.AIM:
+                # the lower bound screens pairs out: a subset, each pair once
+                assert set(pairs) <= union
+            else:
+                assert len(manifold) == 1  # one pass per manifold
+                assert set(pairs) == union
+        assert summary.distances_computed == tuple(
+            len(pair_list(calls[n])) for n in ([4, 2] if with_w else [4])
+        )
+
+    def test_screen_skips_most_aim_pairs_on_wide_shaped_data(self, monkeypatch):
+        # the shape of the benchmark's `wide` held-out set: N=150, dim 12 -> 4
+        data = synth_dataset(
+            SynthConfig(dim=12, classes=5, per_class=30, noise=0.2, seed=0)
+        )
+        W = rand_full_rank(np.random.default_rng(0), 12, 4)
+        for metric in MetricKind:
+            calls = record_pairs(monkeypatch, metric)
+            summary = repeated_split_eval(data, metric, repeats=1, seed=0, W=W)
+            union = summary.union_pairs
+            assert union == 75 * 75
+            for n in (12, 4):
+                pairs = pair_list(calls[n])
+                assert len(set(pairs)) == len(pairs)  # each pair at most once
+            full, mapped = summary.distances_computed
+            assert (full, mapped) == (len(pair_list(calls[12])),
+                                      len(pair_list(calls[4])))
+            if metric is MetricKind.AIM:
+                assert full < 0.4 * union and mapped < 0.1 * union
+            else:
+                assert full == mapped == union
+
+
+class TestAimScreen:
+    @pytest.mark.parametrize("name", list(SCREEN_SETS))
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_matches_exhaustive(self, name, with_w):
+        data = SCREEN_SETS[name]()
+        aim = MetricKind.AIM
+        W = rand_full_rank(np.random.default_rng(4), data.dim, data.dim // 4)
+        W = W if with_w else None
+        summary = repeated_split_eval(data, aim, repeats=10, seed=5, W=W)
+        splits = [evaluate._split_indices(data, 0.5, 5 + r) for r in range(10)]
+        needed = np.zeros((data.size, data.size), dtype=bool)
+        for train_idx, test_idx in splits:
+            needed[np.ix_(test_idx, train_idx)] = True
+        union = evaluate._pairs(needed)
+        manifolds = [(data.samples, summary.baseline, None)]
+        if with_w:
+            manifolds.append((map_down(data.samples, W), summary.transformed, W))
+        for stack, accuracies, transform in manifolds:
+            expected = [
+                knn_classify(*split(data, 0.5, 5 + r), aim, W=transform).accuracy
+                for r in range(10)
+            ]
+            assert np.array_equal(accuracies, expected)
+            D, _ = evaluate._split_dist2(aim, stack, splits, union)
+            for train_idx, test_idx in splits:
+                exact = cross_dist2(aim, stack[test_idx], stack[train_idx])
+                block = D[np.ix_(test_idx, train_idx)]
+                assert np.array_equal(
+                    np.argmin(block, axis=1), np.argmin(exact, axis=1)
+                )
+                kept = np.isfinite(block)
+                assert np.array_equal(block[kept], exact[kept])
+        if name == "ill_conditioned":
+            # the margin exceeds every bound: nothing is screened out
+            assert summary.distances_computed[0] == summary.union_pairs

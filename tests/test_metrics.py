@@ -9,7 +9,14 @@ Frozen scalar oracles:
 import numpy as np
 import pytest
 
-from helpers import count_calls, rand_spd, rand_full_rank, ref_shaped_dataset
+from helpers import (
+    count_calls,
+    kernel_sim,
+    rand_spd,
+    rand_full_rank,
+    ref_shaped_dataset,
+    transformed_dist2,
+)
 from spdalign import matfun
 from spdalign.errors import (
     DegenerateInputError,
@@ -27,12 +34,11 @@ from spdalign.metrics import (
     cross_dist2,
     default_beta,
     dist2,
+    factored,
     indexed_dist2,
-    kernel_sim,
     map_down,
     geometry,
     pairwise_dist2,
-    transformed_dist2,
 )
 
 ALL_METRICS = list(MetricKind)
@@ -370,6 +376,62 @@ class TestArgumentOrder:
             cross_dist2(MetricKind.AIM, rows, cols)
         with pytest.raises(NotPositiveDefiniteError, match="whitened pair"):
             dist2(MetricKind.AIM, rows[0], cols[0])
+
+
+class TestLowerBound:
+    @staticmethod
+    def pairs(rng, n):
+        """Random pairs with moderate and wide spectra, and an ill-conditioned
+        congruence D X D of each."""
+        scale = np.diag(np.geomspace(1.0, 1e-4, n))
+        for spread in (1.0, 4.0):
+            X1, X2 = rand_spd(rng, n, spread), rand_spd(rng, n, spread)
+            yield X1, X2
+        X1, X2 = rand_spd(rng, n), rand_spd(rng, n)
+        yield scale @ X1 @ scale, scale @ X2 @ scale
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lem_never_exceeds_aim(self, n, seed):
+        # the exponential metric increasing property, in floating point
+        for X1, X2 in self.pairs(np.random.default_rng(seed), n):
+            aim = dist2(MetricKind.AIM, X1, X2)
+            assert dist2(MetricKind.LEM, X1, X2) <= aim * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n", [3, 12, 20])
+    def test_floor_is_under_every_computed_distance(self, n):
+        rng = np.random.default_rng(n)
+        stack = [X for pair in self.pairs(rng, n) for X in pair]
+        # near-duplicates and commuting pairs, where the bound is tightest
+        S = rng.standard_normal((2, n, n))
+        stack += [X * (1.0 + 1e-9 * (S[0] + S[0].T)) for X in stack[:2]]
+        stack += [np.diag(np.exp(rng.uniform(-3.0, 3.0, n))) for _ in range(3)]
+        stack = np.stack(stack)
+        i, j = np.triu_indices(len(stack), k=1)
+        geom, side = factored(MetricKind.AIM, stack)
+        bound, tau = geom.lower_bound(side, i, j)
+        # the log-Euclidean kernel's own values, from the same eigenpairs
+        assert np.array_equal(bound, indexed_dist2(MetricKind.LEM, stack, i, j))
+        assert np.array_equal(tau, geom.lower_bound(side, j, i)[1])
+        d = geom.dist2_pairs(side, side, i, j)
+        assert np.all(np.sqrt(bound) - tau <= np.sqrt(d))
+
+    def test_margin_covers_ill_conditioned_pairs(self):
+        rng = np.random.default_rng(3)
+        scale = np.diag(np.geomspace(1.0, 1e-4, 12))
+        stack = np.stack([scale @ rand_spd(rng, 12) @ scale for _ in range(4)])
+        i, j = np.triu_indices(4, k=1)
+        geom, side = factored(MetricKind.AIM, stack)
+        bound, tau = geom.lower_bound(side, i, j)
+        # eigenvalue spreads near 1e8 put the floor below zero: no pair can
+        # be ruled out
+        assert np.all(np.sqrt(bound) - tau < 0.0)
+
+    @pytest.mark.parametrize("metric", [MetricKind.STEIN, MetricKind.LEM])
+    def test_only_aim_has_a_bound(self, metric):
+        stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
+        geom, side = factored(metric, stack)
+        assert geom.lower_bound(side, np.array([0]), np.array([1])) is None
 
 
 class TestSteinFactors:

@@ -15,13 +15,14 @@ from helpers import (
     fd_gradient,
     grad_pairs_3d,
     kernel_entry_gradient,
+    kernel_sim,
     rand_full_rank,
 )
 from spdalign import matfun
 from spdalign.errors import DegenerateAlignmentError, ValidationError
 from spdalign.graphs import PairGraphs, build_graphs, centering_matrix, label_similarity
 from spdalign.metrics import (
-    BLOCK_ENTRIES, MetricKind, _blocks, default_beta, geometry, kernel_sim,
+    BLOCK_ENTRIES, MetricKind, _blocks, default_beta, geometry,
 )
 from spdalign.objective import (
     AlignmentProblem, alignment_gradient, alignment_objective,
