@@ -11,16 +11,18 @@ many splits share it and in whichever order they need it. Under Stein and
 the log-Euclidean distance it computes every such pair in one pass.
 
 Under the affine-invariant distance it computes only the pairs its
-log-Euclidean lower bound cannot rule out (`AffineInvariant.lower_bound`).
-Pass 1 computes, for each test row of each split, the distance to its
+log-Euclidean lower bound cannot rule out (`AffineInvariant.lower_bound`,
+taken in the frame whitened by the stack's log-Euclidean mean). Pass 1
+computes, for each test row of each split, the distance to its
 bound-nearest train sample, which caps the row's nearest distance. Pass 2
 computes every pair of the row whose floor sqrt(bound) - tau is not above
-the square root of that cap. A pair left out has a computed distance
-strictly above the cap, so it can neither be the nearest neighbor nor tie
-it. Each computed value is the one `cross_dist2` gives, since the kernel
-computes each pair on its own, and each split votes on a matrix that is
-inf where a pair was left out: argmins, ties and accuracies are those of
-the exhaustive computation. `knn_classify` stays exhaustive.
+the square root of that cap, and every pair whose floor is not finite. A
+pair left out has a computed distance strictly above the cap, so it can
+neither be the nearest neighbor nor tie it. Each computed value is the one
+`cross_dist2` gives, since the kernel computes each pair on its own, and
+each split votes on a matrix that is inf where a pair was left out:
+argmins, ties and accuracies are those of the exhaustive computation.
+`knn_classify` stays exhaustive.
 """
 
 from dataclasses import dataclass
@@ -169,7 +171,10 @@ def _split_dist2(metric, stack, splits, union):
         return D, compute(*union)
     bound, floor = np.full(D.shape, np.inf), np.full(D.shape, np.inf)
     bound[union] = bound[union[::-1]] = screen[0]
-    floor[union] = floor[union[::-1]] = np.sqrt(screen[0]) - screen[1]
+    # a non-finite floor (NaN compares False) rules out nothing
+    pair_floor = np.sqrt(screen[0]) - screen[1]
+    pair_floor[~np.isfinite(pair_floor)] = -np.inf
+    floor[union] = floor[union[::-1]] = pair_floor
     blocks = [np.ix_(test_idx, train_idx) for train_idx, test_idx in splits]
     nearest = [train_idx[np.argmin(bound[blk], axis=1)]
                for (train_idx, _), blk in zip(splits, blocks)]

@@ -49,13 +49,16 @@ def check_symmetric(A, name="matrix"):
 def _first(bad, ids=None):
     """' <index>' of the first flagged matrix of a stack, '' for one matrix.
 
-    ids, when given, maps stack positions to the index to report.
+    ids, when given, is a tuple of index arrays over the positions of a 1-D
+    stack: position k is reported as [ids[0][k] ids[1][k] ...]. Only the
+    failing position is looked up, so a caller passes its index arrays as
+    they are.
     """
     if bad.ndim == 0:
         return ""
     where = tuple(int(k) for k in np.argwhere(bad)[0])
     label = where[0] if len(where) == 1 else where
-    return f" {label if ids is None else ids[label]}"
+    return f" {label if ids is None else np.array([a[label] for a in ids])}"
 
 
 def symmetrize(A):
@@ -76,7 +79,7 @@ def require_pd(w, X, name="matrix", ids=None):
 
     w holds the ascending eigenvalues of X, one matrix or a stack. A NaN
     eigenvalue fails the check too. The error names the first failing matrix
-    of a stack, by position or through ids.
+    of a stack, by position or through ids (`_first`).
     """
     low = w[..., 0]
     bad = ~(low > pd_floor(X))

@@ -33,15 +33,26 @@ gradient reads only per-sample factors, so it keeps nothing.
 The affine-invariant distance has a cheap lower bound: the log-Euclidean
 one, ||log A - log B||_F <= ||log(A^{-1/2} B A^{-1/2})||_F (the exponential
 metric increasing property; Bhatia, Positive Definite Matrices, 2007, Thm
-6.1.4). `AffineInvariant.lower_bound` computes it with the log-Euclidean
-kernel from the eigenpairs the affine-invariant factors already hold, and
-gives each pair a rounding margin tau = BOUND_MARGIN n^{3/2} eps k_a k_b,
-with k the eigenvalue spread w_max / w_min of each sample. sqrt(bound) - tau
-is a floor under the square root of the pair's computed distance, so a
-pair whose floor exceeds the square root of another pair's computed
-distance is strictly farther, in floating point too. The margin grows with the conditioning of
-both samples; on ill-conditioned data it exceeds every bound and the floor
-rules out nothing. Stein and the log-Euclidean distance have no such bound.
+6.1.4). It is tight as both matrices approach the identity, and the
+affine-invariant distance is unchanged by any congruence C X C (Pennec,
+Fillard & Ayache, IJCV 2006), so `AffineInvariant.lower_bound` takes it in
+the stack's own whitened frame. With G = mean_k log X_k, the stack's
+log-Euclidean mean, built from the eigenpairs the affine-invariant factors
+already hold, and C = exp(-G/2), it is the log-Euclidean kernel's distance
+between Z_a = C X_a C and Z_b = C X_b C; on clustered data that is far
+tighter than the bound on the samples themselves. Each pair gets a rounding
+margin tau = BOUND_MARGIN n^{3/2} eps (k_a k_b + k_G k'_a k'_b), with k the
+eigenvalue spread w_max / w_min of each sample, k' that of each whitened
+sample and k_G that of exp(G). The first term covers the rounding of the
+affine-invariant distance, the second that of the congruence and of the
+whitened eigensolve; C needs none, since any symmetric positive definite C
+gives a valid bound. A whitened sample whose spectrum is not positive and
+finite gets an infinite margin. sqrt(bound) - tau is a floor under the
+square root of the pair's computed distance, so a pair whose floor exceeds
+the square root of another pair's computed distance is strictly farther,
+in floating point too. The margin grows with the conditioning of both
+samples; on ill-conditioned data it exceeds every bound and the floor rules
+out nothing. Stein and the log-Euclidean distance have no such bound.
 """
 
 from enum import Enum
@@ -62,9 +73,10 @@ DIST_CLAMP = 1e-14
 # matrix entries (pairs x n x n) per batched kernel call; bounds the working
 # memory of a block of pairs whatever the pair count and sample dimension
 BLOCK_ENTRIES = 16384
-# C of the rounding margin C n^{3/2} eps k_a k_b of the affine-invariant
-# lower bound: orders of magnitude above the rounding of the whitening, the
-# pair eigensolve and the per-sample logs, which all grow with n eps k
+# B of the rounding margin B n^{3/2} eps (k_a k_b + k_G k'_a k'_b) of the
+# affine-invariant lower bound: orders of magnitude above the rounding of the
+# pair whitening and eigensolve, the congruence by exp(-G/2) and the whitened
+# samples' logs, which all grow with n eps k
 BOUND_MARGIN = 1e4
 
 
@@ -251,11 +263,13 @@ class AffineInvariant(Geometry):
     and LEM's are. The objective's pass whitens by the left sample, whose
     factors its gradient reads.
 
-    `lower_bound` gives the log-Euclidean squared distance of each pair,
-    never above the affine-invariant one, and the rounding margin tau that
-    makes sqrt(bound) - tau a floor under the computed distance's square
-    root (module docstring). It costs one gathered difference per pair
-    against a whitening and an eigensolve.
+    `lower_bound` gives the log-Euclidean squared distance of each pair in
+    the frame whitened by the stack's log-Euclidean mean
+    (`log_mean_whitened`), never above the affine-invariant one, and the
+    rounding margin tau that makes sqrt(bound) - tau a floor under the
+    computed distance's square root (module docstring). It costs one
+    eigendecomposition per sample, not per pair, and one gathered
+    difference per pair against a pair whitening and eigensolve.
 
     Pair gradient terms T_i = E and T_j = -E with
     E = log(Y_i Y_j^{-1}) = -Y_i^{1/2} log(Y_i^{-1/2} Y_j Y_i^{-1/2}) Y_i^{-1/2},
@@ -273,13 +287,35 @@ class AffineInvariant(Geometry):
         return inv_sqrt, w, Q
 
     @staticmethod
-    def lower_bound(side, i, j):
+    def log_mean_whitened(side):
+        """(Z, log Z, spreads of Z, spread of exp(G)) with Z_k = C X_k C,
+        C = exp(-G/2) and G = mean_k log X_k, the stack's log-Euclidean mean.
+
+        A whitened sample whose spectrum is not positive and finite gets log
+        zero and an infinite spread, so its margin rules out nothing.
+        """
         stack, (_, w, Q) = side
-        logs = (stack, (matfun.eig_apply(Q, np.log(w)),))
-        bound = geometry(MetricKind.LEM).dist2_pairs(logs, logs, i, j)
+        g, V = matfun.sym_eig(np.mean(matfun.eig_apply(Q, np.log(w)), axis=0))
+        C = matfun.eig_apply(V, np.exp(-0.5 * g))
+        Z = matfun.symmetrize(C @ stack @ C)
+        finite = np.isfinite(Z).all(axis=(-2, -1))
+        Z[~finite] = np.eye(Z.shape[-1])
+        wz, Qz = np.linalg.eigh(Z)
+        ok = finite & (wz[:, 0] > 0.0)
+        wz[~ok] = 1.0
+        spread = np.where(ok, wz[:, -1] / wz[:, 0], np.inf)
+        return Z, matfun.eig_apply(Qz, np.log(wz)), spread, np.exp(g[-1] - g[0])
+
+    @staticmethod
+    def lower_bound(side, i, j):
+        stack, (_, w, _) = side
+        Z, logs, spread_z, spread_g = AffineInvariant.log_mean_whitened(side)
+        whitened = (Z, (logs,))
+        bound = geometry(MetricKind.LEM).dist2_pairs(whitened, whitened, i, j)
         spread = w[:, -1] / w[:, 0]
         scale = BOUND_MARGIN * stack.shape[-1] ** 1.5 * np.finfo(float).eps
-        return bound, scale * (spread[i] * spread[j])
+        return bound, scale * (spread[i] * spread[j]
+                               + spread_g * (spread_z[i] * spread_z[j]))
 
     @staticmethod
     def _whitened(P, X):
@@ -290,7 +326,7 @@ class AffineInvariant(Geometry):
     def _checked_dist2(w, M, i, j):
         """sum log(w)^2 of each whitened pair, once its spectrum clears the
         PD floor; a failing pair is named (i[p], j[p])."""
-        matfun.require_pd(w, M, "whitened pair", np.column_stack((i, j)))
+        matfun.require_pd(w, M, "whitened pair", (i, j))
         return np.sum(np.log(w) ** 2, axis=-1)
 
     def block_dist2(self, left, right, i, j):
@@ -362,7 +398,7 @@ class Stein(Geometry):
         mid = left[0][i]
         mid += right[0][j]
         mid *= 0.5
-        logdet, chol = _chol_logdet(mid, "midpoint", np.column_stack((i, j)))
+        logdet, chol = _chol_logdet(mid, "midpoint", (i, j))
         # symmetric form: the value is exactly invariant to argument order
         d = np.maximum(logdet - 0.5 * (left[1][0][i] + right[1][0][j]), 0.0)
         return d, chol

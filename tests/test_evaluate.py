@@ -342,6 +342,21 @@ class TestRepeatedSplitEval:
             else:
                 assert full == mapped == union
 
+    def test_screen_skips_most_aim_pairs_on_ref_shaped_data(self, monkeypatch):
+        # the shape of the benchmark's `ref` held-out set: N=50, dim 20 -> 5,
+        # 10 splits, where the unwhitened bound left about 92% to compute
+        data = ref_shaped_dataset(seed=0)
+        W = rand_full_rank(np.random.default_rng(0), 20, 5)
+        calls = record_pairs(monkeypatch, MetricKind.AIM)
+        summary = repeated_split_eval(data, MetricKind.AIM, repeats=10, seed=0, W=W)
+        for n in (20, 5):
+            pairs = pair_list(calls[n])
+            assert len(set(pairs)) == len(pairs)  # each pair at most once
+        full, mapped = summary.distances_computed
+        assert (full, mapped) == (len(pair_list(calls[20])),
+                                  len(pair_list(calls[5])))
+        assert full < 0.4 * summary.union_pairs
+
 
 class TestAimScreen:
     @pytest.mark.parametrize("name", list(SCREEN_SETS))
@@ -378,3 +393,37 @@ class TestAimScreen:
         if name == "ill_conditioned":
             # the margin exceeds every bound: nothing is screened out
             assert summary.distances_computed[0] == summary.union_pairs
+
+    def test_non_finite_floor_forces_exact_pairs(self, monkeypatch):
+        # a NaN or +inf floor must not read as "above the cap": the pair is
+        # computed, and the result is still the exhaustive one
+        data = ref_shaped_dataset(seed=0)
+        aim = MetricKind.AIM
+        geom = geometry(aim)
+        original = geom.lower_bound
+
+        def broken(side, i, j):
+            bound, tau = original(side, i, j)
+            bound[::3] = np.nan
+            bound[1::3] = np.inf
+            return bound, tau
+
+        monkeypatch.setattr(geom, "lower_bound", broken)
+        splits = [evaluate._split_indices(data, 0.5, 5 + r) for r in range(10)]
+        needed = np.zeros((data.size, data.size), dtype=bool)
+        for train_idx, test_idx in splits:
+            needed[np.ix_(test_idx, train_idx)] = True
+        union = evaluate._pairs(needed)
+        D, computed = evaluate._split_dist2(aim, data.samples, splits, union)
+        forced = np.arange(len(union[0])) % 3 < 2
+        assert np.isfinite(D[union[0][forced], union[1][forced]]).all()
+        assert computed >= forced.sum()
+        summary = repeated_split_eval(data, aim, repeats=10, seed=5)
+        for r, (train_idx, test_idx) in enumerate(splits):
+            exact = cross_dist2(aim, data.samples[test_idx], data.samples[train_idx])
+            block = D[np.ix_(test_idx, train_idx)]
+            kept = np.isfinite(block)
+            assert np.array_equal(block[kept], exact[kept])
+            assert np.array_equal(np.argmin(block, axis=1), np.argmin(exact, axis=1))
+            expected = knn_classify(*split(data, 0.5, 5 + r), aim).accuracy
+            assert summary.baseline[r] == expected

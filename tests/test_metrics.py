@@ -406,15 +406,46 @@ class TestLowerBound:
         S = rng.standard_normal((2, n, n))
         stack += [X * (1.0 + 1e-9 * (S[0] + S[0].T)) for X in stack[:2]]
         stack += [np.diag(np.exp(rng.uniform(-3.0, 3.0, n))) for _ in range(3)]
-        stack = np.stack(stack)
+        # two far-apart clusters, whose log-Euclidean mean lies between them
+        for base in (rand_spd(rng, n), 1e3 * rand_spd(rng, n, 2.0)):
+            for _ in range(3):
+                bump = 0.1 * rng.standard_normal((n, n))
+                stack.append(base + np.abs(base).max() * bump @ bump.T)
         i, j = np.triu_indices(len(stack), k=1)
-        geom, side = factored(MetricKind.AIM, stack)
+        for scale in (1.0, 1e8):
+            scaled = scale * np.stack(stack)
+            geom, side = factored(MetricKind.AIM, scaled)
+            bound, tau = geom.lower_bound(side, i, j)
+            # the log-Euclidean kernel's own values on the stack whitened by
+            # its log-Euclidean mean G: Z_k = C X_k C with C = exp(-G/2)
+            Z = geom.log_mean_whitened(side)[0]
+            assert np.array_equal(bound, indexed_dist2(MetricKind.LEM, Z, i, j))
+            G = np.mean([matfun.spd_log(X) for X in scaled], axis=0)
+            C = matfun.spd_exp(-0.5 * G)
+            assert np.allclose(Z, C @ scaled @ C, rtol=0.0,
+                               atol=1e-9 * np.abs(Z).max())
+            assert np.array_equal(tau, geom.lower_bound(side, j, i)[1])
+            d = geom.dist2_pairs(side, side, i, j)
+            assert np.all(np.sqrt(bound) - tau <= np.sqrt(d))
+
+    def test_unusable_whitened_sample_rules_out_nothing(self):
+        # factors of the identity whiten by C = I, so the stack is its own
+        # whitened frame: an indefinite and a NaN sample must give an
+        # infinite margin, not an error or a NaN floor
+        geom = geometry(MetricKind.AIM)
+        eye = np.eye(2)
+        stack = np.stack([eye, 2.0 * eye, np.diag([1.0, -1.0]),
+                          np.full((2, 2), np.nan)])
+        side = (stack, (None, np.ones((4, 2)), np.broadcast_to(eye, (4, 2, 2))))
+        _, logs, spread, spread_g = geom.log_mean_whitened(side)
+        assert np.isfinite(logs).all() and spread_g == 1.0
+        assert np.array_equal(spread, [1.0, 1.0, np.inf, np.inf])
+        i, j = np.triu_indices(4, k=1)
         bound, tau = geom.lower_bound(side, i, j)
-        # the log-Euclidean kernel's own values, from the same eigenpairs
-        assert np.array_equal(bound, indexed_dist2(MetricKind.LEM, stack, i, j))
-        assert np.array_equal(tau, geom.lower_bound(side, j, i)[1])
-        d = geom.dist2_pairs(side, side, i, j)
-        assert np.all(np.sqrt(bound) - tau <= np.sqrt(d))
+        assert np.isfinite(bound).all()
+        usable = (i < 2) & (j < 2)
+        assert np.isfinite(tau[usable]).all() and np.isinf(tau[~usable]).all()
+        assert np.all(np.sqrt(bound[~usable]) - tau[~usable] == -np.inf)
 
     def test_margin_covers_ill_conditioned_pairs(self):
         rng = np.random.default_rng(3)
