@@ -24,9 +24,10 @@ from .metrics import pairwise_dist2
 class LabeledDataset:
     """Stack of same-dimension SPD samples with class indices in [0, c).
 
-    Every class index up to the maximum must be present, and every sample is
-    checked on construction, in one pass over the stack, for finite entries,
-    symmetry and positive definiteness.
+    Labels must be integer-valued, in any numeric dtype, and every class
+    index up to the maximum must be present. Every sample is checked on
+    construction, in one pass over the stack, for finite entries, symmetry
+    and positive definiteness.
     """
 
     samples: np.ndarray
@@ -34,7 +35,15 @@ class LabeledDataset:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "biu":
+            # NaN fails both comparisons; the bound keeps the cast exact
+            whole = labels.dtype.kind == "f" and (
+                (np.abs(labels) < 2.0**63) & (labels == np.trunc(labels))
+            )
+            if not np.all(whole):
+                raise ValidationError("class labels must be integer class indices")
+        labels = labels.astype(int)
         if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
             raise ValidationError(
                 f"samples must be a stack of square matrices, got {samples.shape}"
@@ -47,11 +56,12 @@ class LabeledDataset:
             raise ValidationError("a dataset needs at least two samples")
         if labels.min() < 0:
             raise ValidationError("class indices must be nonnegative")
-        present = np.unique(labels)
-        if not np.array_equal(present, np.arange(present[-1] + 1)):
+        # a gap-free 0..c-1 has c <= N, so a larger index is a gap that
+        # bincount need not allocate
+        if labels.max() >= labels.size or not np.bincount(labels).all():
             raise ValidationError(
                 "class indices must cover 0..c-1 with no gaps; "
-                f"got {present.tolist()}"
+                f"got {sorted(set(labels.tolist()))}"
             )
         finite = np.isfinite(samples).all(axis=(1, 2))
         if not finite.all():
@@ -118,10 +128,6 @@ class PairGraphs:
         object.__setattr__(self, "Gw", Gw)
         object.__setattr__(self, "Gb", Gb)
         object.__setattr__(self, "pairs", pairs)
-
-    @property
-    def union(self):
-        return (self.Gw | self.Gb).astype(float)
 
 
 def neighbor_graphs(data, D, v_w, v_b):

@@ -60,6 +60,11 @@ def transformed_dist2(metric, X_i, X_j, W):
     return dist2(metric, map_down(X_i, W), map_down(X_j, W))
 
 
+def graph_union(graphs):
+    """The union neighbor mask G = Gw + Gb of a `PairGraphs`, as floats."""
+    return (graphs.Gw | graphs.Gb).astype(float)
+
+
 def kernel_sim(metric, X_i, X_j, W, beta):
     """Gaussian similarity exp(-beta * transformed_dist2) in (0, 1]."""
     check_beta(beta)

@@ -28,7 +28,7 @@ from spdalign.optimizer import (
     rcg_maximize,
 )
 
-from helpers import fd_gradient, rand_full_rank, rand_spd, rand_sym
+from helpers import fd_gradient, graph_union, rand_full_rank, rand_spd, rand_sym
 
 
 def make_problem(metric, seed, dim=10, target=4, classes=3, per_class=4):
@@ -197,7 +197,7 @@ def benchmark_runs():
             ).astype(float)
             U = centering_matrix(train.size)
             target_bound = float(
-                np.linalg.norm(graphs.union * (U @ onehot @ onehot.T @ U))
+                np.linalg.norm(graph_union(graphs) * (U @ onehot @ onehot.T @ U))
             )
             per_metric.append(
                 BenchmarkRun(

@@ -562,3 +562,37 @@ def test_commands_load_no_scipy(tmp_path):
     )
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout.splitlines()[-1]) == []
+
+
+MASKED_FREE_CHILD = """
+import sys
+import spdalign
+from spdalign.cli import main
+
+manifest, out = sys.argv[1:]
+spdalign.load_dataset(manifest)
+for argv in (
+    ["synth", "--output-dir", out, "--dim", "4", "--classes", "2",
+     "--per-class", "4", "--seed", "1"],
+    ["train", "--manifest", manifest, "--output-dir", out, "--metric", "aim",
+     "--target-dim", "2", "--max-iters", "2"],
+    ["eval", "--manifest", manifest, "--transform", out + "/W.txt",
+     "--splits", "2"],
+    ["gradcheck", "--instances", "1"],
+):
+    assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_never_import_numpy_ma(corpus, tmp_path):
+    """In a fresh interpreter, loading a dataset and running every command
+    leave numpy.ma unimported, so no spdalign process pays for it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-c", MASKED_FREE_CHILD, corpus, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "False"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import rand_spd
+from helpers import graph_union, rand_spd
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import (
     InsufficientClassSizeError,
@@ -61,8 +61,33 @@ class TestLabeledDataset:
         assert data.class_sizes().tolist() == [2, 1]
 
     def test_rejects_label_gap(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"got \[0, 2\]"):
             scalar_dataset([1.0, 2.0], [0, 2])
+
+    def test_rejects_middle_label_gap(self):
+        with pytest.raises(ValidationError, match=r"got \[0, 1, 3\]"):
+            scalar_dataset([1.0, 2.0, 3.0], [0, 1, 3])
+
+    def test_index_beyond_sample_count_is_a_gap(self):
+        # c classes need c <= N samples; the check must not size a count
+        # array by the largest index
+        with pytest.raises(ValidationError, match=r"got \[0, 1, 4611686018427387904\]"):
+            scalar_dataset([1.0, 2.0, 3.0], [0, 2**62, 1])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.5, 1.7, 0.2], [0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [0.0, 1.0, -np.inf],
+         [0.0, 1e300, 1.0]],
+        ids=["fractional", "nan", "inf", "-inf", "beyond-int64"],
+    )
+    def test_rejects_non_integer_labels(self, labels):
+        with pytest.raises(ValidationError, match="integer"):
+            scalar_dataset([1.0, 2.0, 3.0], labels)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8, np.int16])
+    def test_integer_valued_labels_of_any_numeric_dtype(self, dtype):
+        data = scalar_dataset([1.0, 2.0, 3.0], np.array([0, 1, 0], dtype=dtype))
+        assert data.labels.dtype == int and data.labels.tolist() == [0, 1, 0]
 
     def test_rejects_negative_label(self):
         with pytest.raises(ValidationError):
@@ -192,7 +217,7 @@ class TestBuildGraphs:
     def test_neighbor_counts_clamped(self):
         data = scalar_dataset([1.0, 2.0, 5.0, 6.0], [0, 0, 1, 1])
         g = build_graphs(data, MetricKind.LEM, v_w=10, v_b=10)
-        assert g.union.sum() == 4 * 3  # complete graph, no self loops
+        assert graph_union(g).sum() == 4 * 3  # complete graph, no self loops
 
     def test_small_class_rejected(self):
         data = scalar_dataset([1.0, 2.0, 3.0], [0, 0, 1])
@@ -209,7 +234,7 @@ class TestBuildGraphs:
         g = build_graphs(data, MetricKind.LEM, v_w=1, v_b=2)
         pairs = [tuple(p) for p in g.pairs]
         assert pairs == sorted(pairs)
-        assert len(pairs) == g.union.sum() // 2
+        assert len(pairs) == graph_union(g).sum() // 2
         assert all(i < j for i, j in pairs)
 
 
