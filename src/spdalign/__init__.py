@@ -34,62 +34,27 @@ from .evaluate import (
     repeated_split_eval,
     split,
 )
-from .fileio import (
-    load_dataset,
-    load_matrix,
-    load_trace,
-    load_transform,
-    save_manifest,
-    save_matrix,
-    save_trace,
-    save_transform,
-)
-from .graphs import (
-    LabeledDataset,
-    PairGraphs,
-    build_graphs,
-    centering_matrix,
-    label_similarity,
-    neighbor_graphs,
-)
-from .matfun import (
-    check_symmetric,
-    dlog,
-    spd_exp,
-    spd_inv_sqrt,
-    spd_log,
-    spd_sqrt,
-    symmetrize,
-)
+from .fileio import load_dataset
+from .graphs import LabeledDataset, PairGraphs, build_graphs, neighbor_graphs
 from .metrics import (
     MetricKind,
     bandwidth,
-    check_transform,
     cross_dist2,
     default_beta,
     dist2,
-    map_down,
     pairwise_dist2,
-)
-from .objective import (
-    AlignmentState,
-    alignment_gradient,
-    alignment_objective,
 )
 from .optimizer import (
     OptimizerConfig,
     StopReason,
     TrainResult,
-    horizontal_project,
     initial_transform,
     rcg_maximize,
-    retract,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentState",
     "ConfigError",
     "DegenerateAlignmentError",
     "DegenerateInputError",
@@ -112,41 +77,19 @@ __all__ = [
     "SynthConfig",
     "TrainResult",
     "ValidationError",
-    "alignment_gradient",
-    "alignment_objective",
     "bandwidth",
     "build_graphs",
-    "centering_matrix",
-    "check_symmetric",
-    "check_transform",
     "cov_descriptor",
     "cross_dist2",
     "default_beta",
     "dist2",
-    "dlog",
-    "horizontal_project",
     "initial_transform",
     "knn_classify",
-    "label_similarity",
     "load_dataset",
-    "load_matrix",
-    "load_trace",
-    "load_transform",
-    "map_down",
     "neighbor_graphs",
     "pairwise_dist2",
     "rcg_maximize",
     "repeated_split_eval",
-    "retract",
-    "save_manifest",
-    "save_matrix",
-    "save_trace",
-    "save_transform",
-    "spd_exp",
-    "spd_inv_sqrt",
-    "spd_log",
-    "spd_sqrt",
     "split",
-    "symmetrize",
     "synth_dataset",
 ]

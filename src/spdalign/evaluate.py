@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .graphs import unordered_pairs
 from .metrics import MetricKind, cross_dist2, factored, map_down
 
 
@@ -149,12 +150,6 @@ def split(data, train_fraction, seed):
     return data.subset(train_idx), data.subset(test_idx)
 
 
-def _pairs(mask):
-    """Index arrays (i, j), i < j, of the unordered pairs that a boolean
-    matrix marks in either order."""
-    return np.nonzero(np.triu(mask | mask.T, k=1))
-
-
 def _split_dist2(metric, stack, splits, union):
     """(D, computed): the N x N squared distances the splits' 1-NN votes
     read, inf where none was computed, and how many unordered pairs were
@@ -181,11 +176,11 @@ def _split_dist2(metric, stack, splits, union):
     first = np.zeros(D.shape, dtype=bool)
     for (_, test_idx), near in zip(splits, nearest):
         first[test_idx, near] = True
-    computed = compute(*_pairs(first))
+    computed = compute(*unordered_pairs(first))
     rest = np.zeros(D.shape, dtype=bool)
     for (_, test_idx), near, blk in zip(splits, nearest, blocks):
         rest[blk] |= floor[blk] <= np.sqrt(D[test_idx, near])[:, None]
-    i, j = _pairs(rest)
+    i, j = unordered_pairs(rest)
     todo = np.isinf(D[i, j])
     return D, computed + compute(i[todo], j[todo])
 
@@ -207,7 +202,7 @@ def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=
     needed = np.zeros((data.size, data.size), dtype=bool)
     for train_idx, test_idx in splits:
         needed[np.ix_(test_idx, train_idx)] = True
-    union = _pairs(needed)
+    union = unordered_pairs(needed)
     stacks = [data.samples]
     if W is not None:
         stacks.append(map_down(data.samples, W))

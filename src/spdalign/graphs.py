@@ -7,7 +7,7 @@ the other (OR symmetrization). Distance ties prefer the lower sample index so
 graph construction is deterministic.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,21 +48,7 @@ class LabeledDataset:
             raise ValidationError(
                 f"samples must be a stack of square matrices, got {samples.shape}"
             )
-        if labels.ndim != 1 or labels.shape[0] != samples.shape[0]:
-            raise DimMismatchError(
-                f"{samples.shape[0]} samples but {labels.shape} labels"
-            )
-        if samples.shape[0] < 2:
-            raise ValidationError("a dataset needs at least two samples")
-        if labels.min() < 0:
-            raise ValidationError("class indices must be nonnegative")
-        # a gap-free 0..c-1 has c <= N, so a larger index is a gap that
-        # bincount need not allocate
-        if labels.max() >= labels.size or not np.bincount(labels).all():
-            raise ValidationError(
-                "class indices must cover 0..c-1 with no gaps; "
-                f"got {sorted(set(labels.tolist()))}"
-            )
+        _check_labels(labels, samples.shape[0])
         finite = np.isfinite(samples).all(axis=(1, 2))
         if not finite.all():
             raise ValidationError(
@@ -70,6 +56,9 @@ class LabeledDataset:
             )
         matfun.check_symmetric(samples, "sample")
         matfun.require_pd(np.linalg.eigvalsh(samples), samples, "sample")
+        self._freeze(samples, labels)
+
+    def _freeze(self, samples, labels):
         samples.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "samples", samples)
@@ -91,47 +80,75 @@ class LabeledDataset:
         return np.bincount(self.labels, minlength=self.class_count)
 
     def subset(self, indices):
-        """Dataset restricted to the given sample indices (labels unchanged)."""
+        """Dataset restricted to the given sample indices (labels unchanged).
+
+        Picked rows of a checked stack stay finite, symmetric and positive
+        definite, so only the labels are checked again: a subset can drop a
+        class.
+        """
         indices = np.asarray(indices, dtype=int)
-        return LabeledDataset(self.samples[indices].copy(), self.labels[indices].copy())
+        samples, labels = self.samples[indices], self.labels[indices]
+        _check_labels(labels, samples.shape[0])
+        sub = object.__new__(LabeledDataset)
+        sub._freeze(samples, labels)
+        return sub
+
+
+def _check_labels(labels, N):
+    """Raise unless the integer labels index N samples as classes 0..c-1."""
+    if labels.ndim != 1 or labels.shape[0] != N:
+        raise DimMismatchError(f"{N} samples but {labels.shape} labels")
+    if N < 2:
+        raise ValidationError("a dataset needs at least two samples")
+    if labels.min() < 0:
+        raise ValidationError("class indices must be nonnegative")
+    # a gap-free 0..c-1 has c <= N, so a larger index is a gap that
+    # bincount need not allocate
+    if labels.max() >= labels.size or not np.bincount(labels).all():
+        raise ValidationError(
+            "class indices must cover 0..c-1 with no gaps; "
+            f"got {sorted(set(labels.tolist()))}"
+        )
+
+
+def unordered_pairs(mask):
+    """Index arrays (i, j), i < j, in lexicographic order, of the unordered
+    pairs that a boolean matrix marks in either order."""
+    return np.nonzero(np.triu(mask | mask.T, k=1))
 
 
 @dataclass(frozen=True)
 class PairGraphs:
-    """Binary within-class (Gw) and between-class (Gb) adjacency masks.
+    """The selected neighbor pairs of `size` samples.
 
-    Both are symmetric with zero diagonal and disjoint supports; the union
-    graph G = Gw + Gb. `pairs` lists the unordered support (i < j) in
-    lexicographic order, which fixes the reduction order everywhere downstream.
+    `pairs` is an (E, 2) integer array of unordered pairs (i < j) in strictly
+    increasing lexicographic order, which fixes the reduction order everywhere
+    downstream. A pair is within-class when its labels agree, between-class
+    otherwise.
     """
 
-    Gw: np.ndarray
-    Gb: np.ndarray
-    pairs: np.ndarray = field(init=False)
+    pairs: np.ndarray
+    size: int
 
     def __post_init__(self):
-        Gw = np.asarray(self.Gw, dtype=np.uint8)
-        Gb = np.asarray(self.Gb, dtype=np.uint8)
-        for name, G in (("Gw", Gw), ("Gb", Gb)):
-            if G.shape != Gw.shape or G.ndim != 2 or G.shape[0] != G.shape[1]:
-                raise ValidationError(f"{name} must be square, got {G.shape}")
-            if not np.array_equal(G, G.T):
-                raise ValidationError(f"{name} must be symmetric")
-            if np.any(np.diag(G) != 0):
-                raise ValidationError(f"{name} must have a zero diagonal")
-        if np.any(Gw & Gb):
-            raise ValidationError("within- and between-class supports overlap")
-        Gw.setflags(write=False)
-        Gb.setflags(write=False)
-        pairs = np.argwhere(np.triu(Gw | Gb))
+        pairs = np.array(self.pairs)
+        if pairs.dtype.kind not in "iu" or pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValidationError(
+                f"pairs must be an (E, 2) integer array, got {pairs.dtype} "
+                f"{pairs.shape}"
+            )
+        i, j = pairs.T
+        if len(pairs) and not (i.min() >= 0 and (i < j).all() and j.max() < self.size):
+            raise ValidationError(f"pairs must satisfy 0 <= i < j < {self.size}")
+        later = (i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))
+        if not later.all():
+            raise ValidationError("pairs must be sorted with no duplicates")
         pairs.setflags(write=False)
-        object.__setattr__(self, "Gw", Gw)
-        object.__setattr__(self, "Gb", Gb)
         object.__setattr__(self, "pairs", pairs)
 
 
 def neighbor_graphs(data, D, v_w, v_b):
-    """Neighbor masks from the pairwise squared distances D of the samples
+    """Neighbor pairs from the pairwise squared distances D of the samples
     on their original manifold (`pairwise_dist2`) and the class labels.
 
     v_w and v_b are clamped per sample to the number of available same-class
@@ -139,8 +156,8 @@ def neighbor_graphs(data, D, v_w, v_b):
     no within-class neighbors at all and is rejected.
 
     Each kind of neighbor is one stable argsort of the finite D with the
-    non-candidates set to inf; each row keeps its first min(v, candidates)
-    columns, so ties go to the lower index.
+    non-candidates set to inf; each row nominates its first
+    min(v, candidates) columns, so ties go to the lower index.
     """
     if v_w < 1 or v_b < 1:
         raise ValidationError(f"v_w and v_b must be >= 1, got {v_w}, {v_b}")
@@ -161,15 +178,13 @@ def neighbor_graphs(data, D, v_w, v_b):
     other = ~same
     np.fill_diagonal(same, False)
     own = sizes[labels]
-    masks = []
+    nominated = np.zeros((N, N), dtype=bool)
     for candidates, count, v in ((same, own - 1, v_w), (other, N - own, v_b)):
         nearest = np.argsort(np.where(candidates, D, np.inf), axis=1,
                              kind="stable")[:, :v]
         keep = np.arange(nearest.shape[1]) < count[:, None]
-        G = np.zeros((N, N), dtype=np.uint8)
-        G[np.nonzero(keep)[0], nearest[keep]] = 1
-        masks.append(G | G.T)
-    return PairGraphs(*masks)
+        nominated[np.nonzero(keep)[0], nearest[keep]] = True
+    return PairGraphs(np.transpose(unordered_pairs(nominated)), N)
 
 
 def build_graphs(data, metric, v_w, v_b):

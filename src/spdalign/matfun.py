@@ -1,6 +1,6 @@
 """Matrix functions on symmetric matrices.
 
-log/exp/sqrt/inverse-sqrt are computed through the eigendecomposition of the
+log and exp are computed through the eigendecomposition of the
 (symmetric) input. The directional (Frechet) derivative of the matrix log
 comes from the same eigendecomposition through the Daleckii-Krein formula:
 with X = Q diag(l) Q^T,
@@ -160,18 +160,6 @@ def spd_exp(H):
     """Matrix exponential of a symmetric matrix."""
     w, Q = sym_eig(_one_matrix(H))
     return symmetrize((Q * np.exp(w)) @ Q.T)
-
-
-def spd_sqrt(X):
-    """Principal square root of a positive definite matrix."""
-    w, Q = spd_eig(_one_matrix(X))
-    return symmetrize((Q * np.sqrt(w)) @ Q.T)
-
-
-def spd_inv_sqrt(X):
-    """Inverse of the principal square root of a positive definite matrix."""
-    w, Q = spd_eig(_one_matrix(X))
-    return symmetrize((Q / np.sqrt(w)) @ Q.T)
 
 
 def _log_divided_differences(w):

@@ -137,9 +137,9 @@ class AlignmentProblem:
         geom = geometry(metric)
         check_beta(beta)
         N = data.size
-        if graphs.Gw.shape[0] != N:
+        if graphs.size != N:
             raise DimMismatchError(
-                f"graphs built for {graphs.Gw.shape[0]} samples, dataset has {N}"
+                f"graphs built for {graphs.size} samples, dataset has {N}"
             )
         i, j = graphs.pairs.T
         y_i, y_j = data.labels[i], data.labels[j]

@@ -61,8 +61,20 @@ def transformed_dist2(metric, X_i, X_j, W):
 
 
 def graph_union(graphs):
-    """The union neighbor mask G = Gw + Gb of a `PairGraphs`, as floats."""
-    return (graphs.Gw | graphs.Gb).astype(float)
+    """The union neighbor mask G = Gw + Gb of a `PairGraphs`, as floats:
+    symmetric, zero diagonal, 1 at both orders of every pair."""
+    G = np.zeros((graphs.size, graphs.size))
+    i, j = graphs.pairs.T
+    G[i, j] = G[j, i] = 1.0
+    return G
+
+
+def graph_split(graphs, labels):
+    """(Gw, Gb): the uint8 within- and between-class masks of a
+    `PairGraphs`, the union split by whether a pair's labels agree."""
+    G = graph_union(graphs).astype(np.uint8)
+    same = labels[:, None] == labels
+    return G * same, G * ~same
 
 
 def kernel_sim(metric, X_i, X_j, W, beta):

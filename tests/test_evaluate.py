@@ -7,7 +7,7 @@ from spdalign import evaluate
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import ValidationError
 from spdalign.evaluate import EvalSummary, knn_classify, repeated_split_eval, split
-from spdalign.graphs import LabeledDataset
+from spdalign.graphs import LabeledDataset, unordered_pairs
 from spdalign.metrics import MetricKind, cross_dist2, geometry, map_down
 
 from helpers import clustered_dataset, rand_full_rank, ref_shaped_dataset
@@ -371,7 +371,7 @@ class TestAimScreen:
         needed = np.zeros((data.size, data.size), dtype=bool)
         for train_idx, test_idx in splits:
             needed[np.ix_(test_idx, train_idx)] = True
-        union = evaluate._pairs(needed)
+        union = unordered_pairs(needed)
         manifolds = [(data.samples, summary.baseline, None)]
         if with_w:
             manifolds.append((map_down(data.samples, W), summary.transformed, W))
@@ -413,7 +413,7 @@ class TestAimScreen:
         needed = np.zeros((data.size, data.size), dtype=bool)
         for train_idx, test_idx in splits:
             needed[np.ix_(test_idx, train_idx)] = True
-        union = evaluate._pairs(needed)
+        union = unordered_pairs(needed)
         D, computed = evaluate._split_dist2(aim, data.samples, splits, union)
         forced = np.arange(len(union[0])) % 3 < 2
         assert np.isfinite(D[union[0][forced], union[1][forced]]).all()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import graph_union, rand_spd
+from helpers import count_calls, graph_split, graph_union, rand_spd
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import (
     InsufficientClassSizeError,
@@ -132,29 +132,51 @@ class TestLabeledDataset:
         sub = data.subset([0, 1])
         assert sub.size == 2 and sub.labels.tolist() == [0, 1]
 
+    def test_subset_skips_sample_checks(self, monkeypatch):
+        # picked rows of a checked stack need no eigensolve again
+        data = random_dataset(4, n=20, classes=2, per_class=50)
+        calls = count_calls(monkeypatch, np.linalg, ["eigvalsh"])
+        indices = np.arange(0, data.size, 2)
+        sub = data.subset(indices)
+        assert calls == {"eigvalsh": 0}
+        assert np.array_equal(sub.samples, data.samples[indices])
+        assert np.array_equal(sub.labels, data.labels[indices])
+        assert not sub.samples.flags.writeable and not sub.labels.flags.writeable
+
+    def test_subset_rechecks_labels(self):
+        data = scalar_dataset([1.0, 2.0, 3.0, 4.0], [0, 1, 2, 1])
+        # dropping class 1 leaves a gap
+        with pytest.raises(ValidationError, match=r"got \[0, 2\]"):
+            data.subset([0, 2])
+        with pytest.raises(ValidationError, match="at least two"):
+            data.subset([1])
+
 
 class TestBuildGraphs:
     def test_four_point_two_class_case(self):
         data = scalar_dataset([1.0, 1.2, 5.0, 6.0], [0, 0, 1, 1])
         g = build_graphs(data, MetricKind.LEM, v_w=1, v_b=1)
+        Gw, Gb = graph_split(g, data.labels)
         expected_w = {(0, 1), (2, 3)}
         expected_b = {(0, 2), (1, 2), (1, 3)}
-        assert {tuple(p) for p in np.argwhere(np.triu(g.Gw))} == expected_w
-        assert {tuple(p) for p in np.argwhere(np.triu(g.Gb))} == expected_b
+        assert {tuple(p) for p in np.argwhere(np.triu(Gw))} == expected_w
+        assert {tuple(p) for p in np.argwhere(np.triu(Gb))} == expected_b
 
     def test_saturation_connects_all_same_class_pairs(self):
         data = random_dataset(0, classes=2, per_class=4)
         g = build_graphs(data, MetricKind.AIM, v_w=3, v_b=1)
+        Gw, _ = graph_split(g, data.labels)
         for i in range(data.size):
             for j in range(i + 1, data.size):
                 if data.labels[i] == data.labels[j]:
-                    assert g.Gw[i, j] == 1
+                    assert Gw[i, j] == 1
 
     def test_tie_broken_by_lower_index(self):
         data = scalar_dataset([1.0, 2.0, 2.0, 3.0], [0, 1, 1, 0])
         g = build_graphs(data, MetricKind.LEM, v_w=1, v_b=1)
+        _, Gb = graph_split(g, data.labels)
         # samples 1 and 2 coincide; sample 0 must nominate index 1, not 2
-        assert g.Gb[0, 1] == 1 and g.Gb[0, 2] == 0
+        assert Gb[0, 1] == 1 and Gb[0, 2] == 0
 
     @pytest.mark.parametrize("metric", list(MetricKind))
     @pytest.mark.parametrize("seed", range(3))
@@ -163,8 +185,9 @@ class TestBuildGraphs:
         g = build_graphs(data, metric, v_w=2, v_b=3)
         D = pairwise_dist2(metric, data.samples)
         Gw, Gb = brute_force_graphs(data, D, v_w=2, v_b=3)
-        assert np.array_equal(g.Gw, Gw)
-        assert np.array_equal(g.Gb, Gb)
+        got_w, got_b = graph_split(g, data.labels)
+        assert np.array_equal(got_w, Gw)
+        assert np.array_equal(got_b, Gb)
 
     @pytest.mark.parametrize("metric", list(MetricKind))
     @pytest.mark.parametrize("quantized", [False, True], ids=["exact", "rounded"])
@@ -186,8 +209,9 @@ class TestBuildGraphs:
         for v_w, v_b in [(29, 29), (1, 1), (5, 50), (29, 200), (500, 500)]:
             g = neighbor_graphs(data, D, v_w, v_b)
             Gw, Gb = brute_force_graphs(data, D, v_w, v_b)
-            assert np.array_equal(g.Gw, Gw), (v_w, v_b)
-            assert np.array_equal(g.Gb, Gb), (v_w, v_b)
+            got_w, got_b = graph_split(g, data.labels)
+            assert np.array_equal(got_w, Gw), (v_w, v_b)
+            assert np.array_equal(got_b, Gb), (v_w, v_b)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_distances(self, bad):
@@ -200,10 +224,11 @@ class TestBuildGraphs:
     def test_supports_disjoint_and_label_consistent(self):
         data = random_dataset(7)
         g = build_graphs(data, MetricKind.STEIN, v_w=2, v_b=2)
-        assert not np.any(g.Gw & g.Gb)
-        for i, j in np.argwhere(g.Gw):
+        Gw, Gb = graph_split(g, data.labels)
+        assert not np.any(Gw & Gb)
+        for i, j in np.argwhere(Gw):
             assert data.labels[i] == data.labels[j]
-        for i, j in np.argwhere(g.Gb):
+        for i, j in np.argwhere(Gb):
             assert data.labels[i] != data.labels[j]
 
     def test_edge_budget(self):
@@ -211,8 +236,9 @@ class TestBuildGraphs:
         data = random_dataset(3, classes=4, per_class=6)
         for v_w, v_b in [(1, 1), (2, 3), (5, 8)]:
             g = build_graphs(data, MetricKind.LEM, v_w=v_w, v_b=v_b)
-            assert g.Gw.sum() <= 2 * data.size * v_w
-            assert g.Gb.sum() <= 2 * data.size * v_b
+            Gw, Gb = graph_split(g, data.labels)
+            assert Gw.sum() <= 2 * data.size * v_w
+            assert Gb.sum() <= 2 * data.size * v_b
 
     def test_neighbor_counts_clamped(self):
         data = scalar_dataset([1.0, 2.0, 5.0, 6.0], [0, 0, 1, 1])
@@ -236,22 +262,59 @@ class TestBuildGraphs:
         assert pairs == sorted(pairs)
         assert len(pairs) == graph_union(g).sum() // 2
         assert all(i < j for i, j in pairs)
+        assert g.size == data.size and not g.pairs.flags.writeable
 
 
 class TestPairGraphsValidation:
+    # the pair list is the graphs' only store: each broken mask invariant
+    # has a pair-list form that must be rejected
+
     def test_rejects_overlapping_supports(self):
-        G = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-        with pytest.raises(ValidationError):
-            PairGraphs(G, G)
+        # an edge in both masks is a pair listed twice
+        with pytest.raises(ValidationError, match="duplicates"):
+            PairGraphs(np.array([[0, 1], [0, 1]]), 2)
 
     def test_rejects_diagonal_entries(self):
-        with pytest.raises(ValidationError):
-            PairGraphs(np.eye(2, dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(ValidationError, match="i < j"):
+            PairGraphs(np.array([[1, 1]]), 2)
 
     def test_rejects_asymmetry(self):
-        Gw = np.array([[0, 1], [0, 0]], dtype=np.uint8)
-        with pytest.raises(ValidationError):
-            PairGraphs(Gw, np.zeros((2, 2), dtype=np.uint8))
+        # an unordered pair has one orientation, i < j
+        with pytest.raises(ValidationError, match="i < j"):
+            PairGraphs(np.array([[1, 0]]), 2)
+
+    @pytest.mark.parametrize(
+        "pairs, size, match",
+        [
+            ([[0, 2], [0, 1]], 3, "sorted"),
+            ([[1, 2], [0, 1]], 3, "sorted"),
+            ([[0, 3]], 3, "i < j < 3"),
+            ([[-1, 1]], 3, "0 <= i"),
+            (np.array([[1, 2], [0, 1]], dtype=np.uint8), 3, "sorted"),
+            ([[0.0, 1.0]], 2, "integer"),
+            ([[True, True]], 2, "integer"),
+            ([0, 1], 2, r"\(E, 2\)"),
+            ([[0, 1, 2]], 3, r"\(E, 2\)"),
+        ],
+        ids=["unsorted-j", "unsorted-i", "out-of-range", "negative",
+             "unsigned-unsorted", "float", "bool", "flat", "triple"],
+    )
+    def test_rejects_malformed_pairs(self, pairs, size, match):
+        with pytest.raises(ValidationError, match=match):
+            PairGraphs(pairs, size)
+
+    def test_accepts_sorted_pairs_and_empty_list(self):
+        g = PairGraphs(np.array([[0, 1], [0, 2], [1, 2]]), 3)
+        assert g.pairs.tolist() == [[0, 1], [0, 2], [1, 2]] and g.size == 3
+        assert len(PairGraphs(np.empty((0, 2), dtype=int), 3).pairs) == 0
+
+    def test_pairs_are_a_frozen_copy(self):
+        pairs = np.array([[0, 1]])
+        g = PairGraphs(pairs, 2)
+        pairs[0, 1] = 0
+        assert g.pairs.tolist() == [[0, 1]]
+        with pytest.raises(ValueError):
+            g.pairs[0, 0] = 1
 
 
 class TestCenteringAndLabels:

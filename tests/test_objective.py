@@ -20,7 +20,9 @@ from helpers import (
     rand_full_rank,
 )
 from spdalign import matfun
-from spdalign.errors import DegenerateAlignmentError, ValidationError
+from spdalign.errors import (
+    DegenerateAlignmentError, DimMismatchError, ValidationError,
+)
 from spdalign.graphs import PairGraphs, build_graphs, centering_matrix, label_similarity
 from spdalign.metrics import (
     BLOCK_ENTRIES, MetricKind, _blocks, default_beta, geometry,
@@ -42,8 +44,7 @@ def make_instance(seed, n=7, m=3, classes=2, per_class=5, v_w=2, v_b=2):
 
 def scatter_pairs(graphs, values):
     """Symmetric N x N matrix holding per-pair values on the support of G."""
-    N = graphs.Gw.shape[0]
-    M = np.zeros((N, N))
+    M = np.zeros((graphs.size, graphs.size))
     i, j = graphs.pairs.T
     M[i, j] = M[j, i] = values
     return M
@@ -77,10 +78,7 @@ class TestObjectiveValue:
         # single between-class pair: the normalization cancels the similarity
         # scale, leaving J = <UPU, T>/||UPU|| = -1/2 for P the pair indicator
         data = clustered_dataset(0, 1, 2, 1, spread=0.0)
-        graphs = PairGraphs(
-            np.zeros((2, 2), dtype=np.uint8),
-            np.array([[0, 1], [1, 0]], dtype=np.uint8),
-        )
+        graphs = PairGraphs(np.array([[0, 1]]), 2)
         state = alignment_objective(data, graphs, np.eye(1), MetricKind.LEM, 1.0)
         assert abs(state.J - (-0.5)) <= 1e-12
 
@@ -146,6 +144,14 @@ class TestObjectiveValue:
             alignment_objective(data, graphs, W, MetricKind.AIM, beta=beta)
         with pytest.raises(ValidationError, match="beta must be positive and finite"):
             kernel_sim(MetricKind.AIM, data.samples[0], data.samples[1], W, beta)
+
+    @pytest.mark.parametrize("extra", [1, -8], ids=["more", "fewer"])
+    def test_rejects_graphs_of_another_sample_count(self, extra):
+        data, graphs, W = make_instance(4)
+        other = PairGraphs(graphs.pairs[graphs.pairs[:, 1] < data.size + extra],
+                           data.size + extra)
+        with pytest.raises(DimMismatchError, match=f"built for {data.size + extra} "):
+            alignment_objective(data, other, W, MetricKind.AIM, beta=1.0)
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_problem_evaluate_equals_objective(self, metric):
@@ -223,10 +229,7 @@ class TestAlignmentGradient:
         # one selected pair gives J invariant to the similarity scale, so the
         # gradient must vanish; finite differences agree
         data = clustered_dataset(12, 4, 2, 1, spread=0.0)
-        graphs = PairGraphs(
-            np.zeros((2, 2), dtype=np.uint8),
-            np.array([[0, 1], [1, 0]], dtype=np.uint8),
-        )
+        graphs = PairGraphs(np.array([[0, 1]]), 2)
         rng = np.random.default_rng(13)
         W = rand_full_rank(rng, 4, 2)
         state = alignment_objective(data, graphs, W, MetricKind.LEM, 1.0)
@@ -235,8 +238,7 @@ class TestAlignmentGradient:
 
     def test_single_class_gradient_is_zero(self):
         data = clustered_dataset(14, 4, 1, 4)
-        G = np.ones((4, 4), dtype=np.uint8) - np.eye(4, dtype=np.uint8)
-        graphs = PairGraphs(G, np.zeros((4, 4), dtype=np.uint8))
+        graphs = PairGraphs(np.argwhere(np.triu(np.ones((4, 4)), k=1)), 4)
         rng = np.random.default_rng(15)
         W = rand_full_rank(rng, 4, 2)
         state = alignment_objective(data, graphs, W, MetricKind.AIM, 1.0)

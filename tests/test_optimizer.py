@@ -8,7 +8,9 @@ import scipy.linalg
 
 from helpers import clustered_dataset, count_calls, rand_full_rank
 from spdalign import objective, optimizer
-from spdalign.errors import RankDeficientError, SylvesterFailureError, ValidationError
+from spdalign.errors import (
+    DimMismatchError, RankDeficientError, SylvesterFailureError, ValidationError,
+)
 from spdalign.graphs import PairGraphs, build_graphs
 from spdalign.metrics import MetricKind, default_beta
 from spdalign.objective import alignment_gradient, alignment_objective
@@ -279,14 +281,21 @@ class TestRcgMaximize:
     def test_zero_gradient_returns_immediately(self):
         # one class only: the label target centers to zero, J is constantly 0
         data = clustered_dataset(2, 5, 1, 4)
-        G = np.ones((4, 4), dtype=np.uint8) - np.eye(4, dtype=np.uint8)
-        graphs = PairGraphs(G, np.zeros((4, 4), dtype=np.uint8))
+        graphs = PairGraphs(np.argwhere(np.triu(np.ones((4, 4)), k=1)), 4)
         W0 = initial_transform(5, 2, seed=2)
         res = rcg_maximize(data, graphs, MetricKind.AIM, 1.0, W0)
         assert res.iterations_used == 0
         assert res.stop_reason is StopReason.GRAD_TOL
         assert res.J_trace.tolist() == [0.0]
         assert np.array_equal(res.W_final, W0)
+
+    @pytest.mark.parametrize("extra", [1, -8], ids=["more", "fewer"])
+    def test_rejects_graphs_of_another_sample_count(self, extra):
+        data, graphs, beta, W0 = fitted_instance(3)
+        other = PairGraphs(graphs.pairs[graphs.pairs[:, 1] < data.size + extra],
+                           data.size + extra)
+        with pytest.raises(DimMismatchError, match=f"built for {data.size + extra} "):
+            rcg_maximize(data, other, MetricKind.STEIN, beta, W0)
 
     def test_max_iters_reported(self):
         data, graphs, beta, W0 = fitted_instance(3)
