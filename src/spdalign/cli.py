@@ -58,10 +58,12 @@ class _Parser(argparse.ArgumentParser):
 def load_config(path):
     """Read a JSON config file, validating every field by name."""
     try:
-        with open(path, "r") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}") from exc
     if not isinstance(raw, dict):

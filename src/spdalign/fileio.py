@@ -4,6 +4,11 @@ All floats are written with 17 significant digits so that a write/read
 round trip reproduces the exact float64 values, and all writes go through
 a temp file plus atomic rename so readers never observe a partial file.
 
+Every file is UTF-8; bytes that do not decode are bad input. A square
+table whose lower triangle repeats its upper one token for token, as
+`save_matrix` writes a symmetric matrix, is parsed from its n(n+1)/2
+diagonal and upper tokens; any other table is parsed in full.
+
 Formats:
 
 * matrix file: first line ``n``, then ``n`` rows of ``n`` floats.
@@ -14,6 +19,8 @@ Formats:
   starting with ``#`` are ignored in every format.
 """
 
+import functools
+import operator
 import os
 import tempfile
 
@@ -31,7 +38,7 @@ def atomic_write(path, text):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
             # the umask can only be read by setting it
             umask = os.umask(0)
@@ -53,10 +60,12 @@ def _float_row(row):
 def _data_lines(path):
     """Yield (line_number, stripped_line) skipping blanks and # comments."""
     try:
-        with open(path, "r") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             raw = handle.readlines()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     for number, line in enumerate(raw, start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
@@ -88,13 +97,33 @@ def _parse_header_ints(path, lines, count):
     return values
 
 
+def _floats(tokens):
+    """The tokens as a float64 array, each parsed exactly as float() does."""
+    return np.array(tokens, dtype=float)
+
+
+@functools.lru_cache(maxsize=16)
+def _mirror_plan(n):
+    """Getters of an n x n row-major token list's strict lower triangle, its
+    mirror and its upper triangle, and the index placing the upper
+    triangle's values in the full table."""
+    rows, cols = np.triu_indices(n)
+    position = np.empty((n, n), dtype=np.intp)
+    position[rows, cols] = position[cols, rows] = np.arange(rows.size)
+    upper, strict = rows * n + cols, rows != cols
+    return (operator.itemgetter(*(cols * n + rows)[strict].tolist()),
+            operator.itemgetter(*upper[strict].tolist()),
+            operator.itemgetter(*upper.tolist()), position.ravel())
+
+
 def _float_table(path, lines, cols, max_rows=None):
     """The remaining data lines, `cols` floats each, as a (rows, cols) array.
 
     Field counts are checked per line up to the first fault; the tokens
     before it are parsed in one np.array call, exactly as float() parses
     them, so a non-numeric token is named, with its line, ahead of a later
-    fault."""
+    fault. A complete square table whose strict lower triangle repeats its
+    mirror token for token converts only its diagonal and upper triangle."""
     numbers, tokens, fault = [], [], None
     for number, line in lines:
         fields = line.split()
@@ -106,8 +135,15 @@ def _float_table(path, lines, cols, max_rows=None):
             break
         numbers.append(number)
         tokens.extend(fields)
+    if not fault and len(numbers) == cols == max_rows > 1:
+        lower, mirror, upper, position = _mirror_plan(cols)
+        if lower(tokens) == mirror(tokens):
+            try:
+                return _floats(upper(tokens))[position].reshape(cols, cols)
+            except ValueError:
+                pass  # the full parse below names the first faulty token
     try:
-        table = np.array(tokens, dtype=float).reshape(len(numbers), cols)
+        table = _floats(tokens).reshape(len(numbers), cols)
     except ValueError as exc:
         for k, token in enumerate(tokens):
             try:

@@ -107,7 +107,7 @@ def check_beta(beta):
 
 
 def check_transform(W, n=None):
-    """Validate a reducing transform: 2-D, tall, full column rank."""
+    """Validate a reducing transform: 2-D, tall, finite, full column rank."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
         raise ValidationError(f"transform must be a 2-D array, got shape {W.shape}")
@@ -118,6 +118,8 @@ def check_transform(W, n=None):
         )
     if n is not None and rows != n:
         raise DimMismatchError(f"transform has {rows} rows, samples have dim {n}")
+    if not np.all(np.isfinite(W)):
+        raise ValidationError("transform holds non-finite values")
     sv = np.linalg.svd(W, compute_uv=False)
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise RankDeficientError(

@@ -105,8 +105,13 @@ def horizontal_project(W, H):
 
 
 def retract(W, H, t):
-    """First-order retraction W + tH, rejected if column rank is lost."""
-    return check_transform(W + t * H)
+    """First-order retraction W + tH, rejected as a `NumericalError` if it
+    is not finite or loses column rank."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        W_new = W + t * H
+    if not np.all(np.isfinite(W_new)):
+        raise NumericalError("retraction left non-finite entries")
+    return check_transform(W_new)
 
 
 def initial_transform(n, m, seed):

@@ -18,6 +18,7 @@ from spdalign.fileio import (
     load_dataset,
     load_trace,
     load_transform,
+    parse_manifest,
     save_manifest,
     save_matrix,
     save_trace,
@@ -127,6 +128,16 @@ class TestTrain:
         assert cli.main(args) == 1
         assert "target_dim" in capsys.readouterr().err
         assert loads == {"load_dataset": 0}
+
+    def test_undecodable_sample_exit_code(self, tmp_path, capsys):
+        manifest = tmp_path / "data" / "manifest.txt"
+        assert cli.main(["synth", "--output-dir", str(manifest.parent), "--dim",
+                         "3", "--classes", "2", "--per-class", "3"]) == 0
+        sample = manifest.parent / parse_manifest(str(manifest))[1][2]
+        sample.write_bytes(sample.read_bytes().replace(b"\n", b" \xff\n", 2))
+        code = cli.main(train_args(str(manifest), tmp_path / "out"))
+        assert code == 1
+        assert f"{sample}: not UTF-8 text" in capsys.readouterr().err
 
     def test_missing_manifest(self, tmp_path, capsys):
         code = cli.main(train_args(str(tmp_path / "nope.txt"), tmp_path))
@@ -336,6 +347,13 @@ class TestConfigFile:
         code = cli.main(train_args(corpus, tmp_path, "--config", str(path)))
         assert code == 1
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_undecodable_bytes(self, corpus, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"metric": "lem\xff"}')
+        code = cli.main(train_args(corpus, tmp_path, "--config", str(path)))
+        assert code == 1
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
 
     def test_top_level_must_be_object(self, corpus, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -1,13 +1,18 @@
 """Round-trip and diagnostics tests for the plain-text file formats."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import rowwise_load
-from spdalign.errors import ValidationError
+from helpers import rand_spd, rowwise_load
+from spdalign import fileio
+from spdalign.errors import NonSymmetricError, ValidationError
 from spdalign.fileio import (
+    FLOAT_FMT,
     atomic_write,
     load_dataset,
     load_matrix,
@@ -19,6 +24,8 @@ from spdalign.fileio import (
     save_trace,
     save_transform,
 )
+from spdalign.graphs import LabeledDataset
+from spdalign.matfun import SYM_RTOL
 from spdalign.optimizer import StopReason, TrainResult
 
 
@@ -114,6 +121,11 @@ class TestMatrixFormat:
 MATRIX_LINES = ["# matrix", "3", "", "2 0.5 0", "# row 1", "0.5 3 1", "0 1 4"]
 # a valid 4 x 2 transform file, data rows on lines 2, 3, 5 and 6
 TRANSFORM_LINES = ["4 2", "1 0", "0 1", "", "0.5 0.25", "-1 2"]
+# an exactly mirrored 4 x 4 matrix file, data rows on lines 3, 4, 6 and 7: a
+# fault in a row's first field sits in the strict lower triangle with a
+# valid mirror, one in row 1 to 3's last field in the strict upper triangle
+SYMMETRIC_LINES = ["4", "# symmetric", "4 1 0.5 -0.25", "1 5 0.125 2", "",
+                   "0.5 0.125 6 1e-3", "-0.25 2 1e-3 7"]
 
 
 def single_faults(lines):
@@ -155,8 +167,9 @@ def reference_error(path, header_count):
 class TestRowDiagnostics:
     @pytest.mark.parametrize(
         "lines, header_count, loader",
-        [(MATRIX_LINES, 1, load_matrix), (TRANSFORM_LINES, 2, load_transform)],
-        ids=["matrix", "transform"],
+        [(MATRIX_LINES, 1, load_matrix), (TRANSFORM_LINES, 2, load_transform),
+         (SYMMETRIC_LINES, 1, load_matrix)],
+        ids=["matrix", "transform", "symmetric"],
     )
     def test_every_single_fault_as_row_by_row(
         self, tmp_path, lines, header_count, loader
@@ -169,6 +182,18 @@ class TestRowDiagnostics:
             with pytest.raises(ValidationError) as got:
                 loader(path)
             assert str(got.value) == message, name
+
+    @pytest.mark.parametrize("token", ["zebra", "inf", "nan", "1e999", "0x1"])
+    def test_fault_in_both_mirror_cells_as_row_by_row(self, tmp_path, token):
+        # the mirrored tokens agree, so the fault reaches the parse of the
+        # upper triangle; the first faulty cell in row order is still named
+        rows = [line.split() for line in SYMMETRIC_LINES[2:] if line]
+        rows[1][3] = rows[3][1] = token
+        lines = SYMMETRIC_LINES[:2] + [" ".join(row) for row in rows]
+        path = write_lines(tmp_path / "m.txt", lines)
+        with pytest.raises(ValidationError) as got:
+            load_matrix(path)
+        assert str(got.value) == reference_error(path, 1)
 
     @pytest.mark.parametrize(
         "later, fragment",
@@ -212,6 +237,165 @@ class TestRowDiagnostics:
         else:
             with pytest.raises(ValidationError, match="non-finite"):
                 load_matrix(matrix)
+
+
+def counted_conversions(monkeypatch):
+    """Patch the float conversion of `fileio` to record how many tokens
+    each call converts; returns the live list of counts."""
+    counts = []
+    original = fileio._floats
+
+    def counted(tokens):
+        counts.append(len(tokens))
+        return original(tokens)
+
+    monkeypatch.setattr(fileio, "_floats", counted)
+    return counts
+
+
+def mirrored_spd(n, seed):
+    """A random SPD matrix made exactly symmetric, as `synth_dataset` and
+    `cov_descriptor` write them."""
+    X = rand_spd(np.random.default_rng(seed), n)
+    return 0.5 * (X + X.T)
+
+
+def write_table(path, rows, lower_fmt=FLOAT_FMT):
+    """A matrix file of `rows`, written with FLOAT_FMT except for the
+    strict lower triangle, which uses `lower_fmt`."""
+    n = len(rows)
+    body = [" ".join((lower_fmt if j < i else FLOAT_FMT) % rows[i][j]
+                     for j in range(n)) for i in range(n)]
+    return write_lines(path, [str(n)] + body)
+
+
+def asymmetric(rtol):
+    """A mirrored SPD matrix with entry (3, 1) off its mirror by `rtol`
+    relative to the largest entry."""
+    X = mirrored_spd(5, 11)
+    X[3, 1] = X[1, 3] + rtol * np.abs(X).max()
+    return X
+
+
+class TestMirroredParse:
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_mirrored_file_converts_upper_triangle(self, tmp_path, monkeypatch, n):
+        X = mirrored_spd(n, n)
+        path = str(tmp_path / "m.txt")
+        save_matrix(path, X)
+        counts = counted_conversions(monkeypatch)
+        got = load_matrix(path)
+        assert counts == [n * (n + 1) // 2]
+        assert got.tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize(
+        "lower_fmt", ["%.17e", "%+.17g", "%.20g"], ids=["e", "plus", "20g"]
+    )
+    def test_other_spellings_take_the_full_parse(
+        self, tmp_path, monkeypatch, lower_fmt
+    ):
+        X = mirrored_spd(6, 3)
+        path = write_table(tmp_path / "m.txt", X, lower_fmt)
+        counts = counted_conversions(monkeypatch)
+        got = load_matrix(path)
+        assert counts == [36]
+        assert got.tobytes() == rowwise_load(path, 1).tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["3", "0.5 1 2", "1 3 0", "2 0 4"],
+            ["3", "0.5 1 2", "+1 3 0", "2 0 4"],
+            ["3", "5e-1 0.5 2", "+0.5 3 0", "2.0 0 4"],
+            ["2", "1 -0", "0 1"],
+            ["2", "1 0.1", "0.10000000000000001 1"],
+        ],
+        ids=["mirrored", "plus", "5e-1", "signed-zero", "decimal-spelling"],
+    )
+    def test_matches_row_by_row_bit_for_bit(self, tmp_path, lines):
+        path = write_lines(tmp_path / "m.txt", lines)
+        assert load_matrix(path).tobytes() == rowwise_load(path, 1).tobytes()
+
+    def test_save_matrix_output_bit_for_bit(self, tmp_path):
+        for n in range(1, 9):
+            path = str(tmp_path / f"m{n}.txt")
+            save_matrix(path, mirrored_spd(n, 20 + n))
+            assert load_matrix(path).tobytes() == rowwise_load(path, 1).tobytes()
+
+    def test_asymmetric_within_tolerance_loads_as_written(self, tmp_path):
+        X = asymmetric(0.5 * SYM_RTOL)
+        assert X[3, 1] != X[1, 3]
+        path = str(tmp_path / "m.txt")
+        save_matrix(path, X)
+        got = load_matrix(path)
+        assert got.tobytes() == rowwise_load(path, 1).tobytes() == X.tobytes()
+        LabeledDataset(np.stack([got, got]), np.array([0, 1]))
+
+    def test_asymmetric_beyond_tolerance_still_rejected(self, tmp_path):
+        X = asymmetric(10 * SYM_RTOL)
+        path = str(tmp_path / "m.txt")
+        save_matrix(path, X)
+        got = load_matrix(path)
+        assert got.tobytes() == rowwise_load(path, 1).tobytes() == X.tobytes()
+        with pytest.raises(NonSymmetricError):
+            LabeledDataset(np.stack([got, got]), np.array([0, 1]))
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize(
+        "loader, content",
+        [
+            (load_matrix, b"2\n1 0\n0 \xff1\n"),
+            (load_transform, b"2 1\n1\n\xff\n"),
+            (load_trace, b"# iter \xff J\n0 1 1 1\n"),
+            (parse_manifest, b"s0 caf\xe9 s0.txt\n"),
+            (load_dataset, b"s0 a \xff.txt\n"),
+        ],
+        ids=["matrix", "transform", "trace", "manifest", "dataset"],
+    )
+    def test_bad_byte_is_a_validation_error(self, tmp_path, loader, content):
+        path = tmp_path / "f.txt"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError, match=r"f\.txt: not UTF-8 text"):
+            loader(str(path))
+
+    def test_sample_with_bad_byte_names_the_sample(self, tmp_path):
+        save_matrix(str(tmp_path / "s0.txt"), np.eye(2))
+        (tmp_path / "s1.txt").write_bytes(b"2\n1 0\n0 1\xff\n")
+        save_manifest(str(tmp_path / "manifest.txt"),
+                      [("s0", "a", "s0.txt"), ("s1", "b", "s1.txt")])
+        with pytest.raises(ValidationError, match=r"s1\.txt: not UTF-8 text"):
+            load_dataset(str(tmp_path / "manifest.txt"))
+
+
+ASCII_LOCALE_CHILD = r"""
+import sys
+import numpy as np
+from spdalign.fileio import load_dataset, save_manifest, save_matrix
+
+root = sys.argv[1]
+for name in ("s0", "s1"):
+    save_matrix(root + "/" + name + ".txt", np.eye(2))
+save_manifest(root + "/manifest.txt",
+              [("s0", "caf\u00e9", "s0.txt"), ("s1", "th\u00e9", "s1.txt")])
+_, _, label_names = load_dataset(root + "/manifest.txt")
+print(ascii(label_names))
+"""
+
+
+def test_utf8_manifest_under_ascii_locale(tmp_path):
+    """Files are UTF-8 whatever the locale: a manifest with a non-ASCII
+    label is written and read back under the C locale without UTF-8 mode."""
+    src = Path(fileio.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUTF8="0", LC_ALL="C")
+    child = subprocess.run(
+        [sys.executable, "-c", ASCII_LOCALE_CHILD, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == ascii(["caf\u00e9", "th\u00e9"])
+    written = (tmp_path / "manifest.txt").read_bytes()
+    assert b"s0 caf\xc3\xa9 s0.txt" in written
 
 
 class TestTransformFormat:

@@ -90,6 +90,19 @@ class TestMapDown:
         with pytest.raises(ValidationError):
             check_transform(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_transform_rejected_before_svd(self, bad, monkeypatch):
+        W = np.eye(4)[:, :2]
+        W[1, 0] = bad
+        svd_calls = count_calls(monkeypatch, np.linalg, ["svd"])
+        for check in (lambda: check_transform(W), lambda: check_transform(W, n=4),
+                      lambda: map_down(np.eye(4), W)):
+            with pytest.raises(ValidationError, match="non-finite"):
+                check()
+        assert svd_calls == {"svd": 0}
+        with pytest.raises(ValidationError, match="non-finite"):
+            check_transform(np.full((3, 2), bad))
+
 
 class TestDist2:
     @pytest.mark.parametrize("metric", ALL_METRICS)

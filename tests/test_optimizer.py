@@ -9,11 +9,14 @@ import scipy.linalg
 from helpers import clustered_dataset, count_calls, rand_full_rank
 from spdalign import objective, optimizer
 from spdalign.errors import (
-    DimMismatchError, RankDeficientError, SylvesterFailureError, ValidationError,
+    DimMismatchError, NumericalError, RankDeficientError, SylvesterFailureError,
+    ValidationError,
 )
 from spdalign.graphs import PairGraphs, build_graphs
 from spdalign.metrics import MetricKind, default_beta
-from spdalign.objective import alignment_gradient, alignment_objective
+from spdalign.objective import (
+    AlignmentProblem, alignment_gradient, alignment_objective,
+)
 from spdalign.optimizer import (
     OptimizerConfig,
     StopReason,
@@ -204,6 +207,29 @@ class TestRetractAndTransport:
         with pytest.raises(RankDeficientError):
             retract(W, -W, 1.0)
 
+    @pytest.mark.parametrize(
+        "bad, t", [(np.nan, 0.5), (np.inf, 0.5), (-np.inf, 0.0), (1e308, 10.0)],
+        ids=["nan", "inf", "zero-times-inf", "overflow"],
+    )
+    def test_non_finite_point_is_a_numerical_error(self, bad, t):
+        # a numerical failure, which the line search shrinks past, never the
+        # ValidationError that a non-finite W0 or transform file raises
+        rng = np.random.default_rng(8)
+        W = rand_full_rank(rng, 5, 2)
+        H = rng.standard_normal((5, 2))
+        H[2, 1] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            retract(W, H, t)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_line_search_shrinks_past_non_finite_trials(self, bad):
+        data, graphs, beta, W = fitted_instance(4)
+        problem = AlignmentProblem.build(data, graphs, MetricKind.STEIN, beta)
+        state = problem.evaluate(W)
+        d = alignment_gradient(state)
+        d[0, 0] = bad
+        assert optimizer._armijo(problem, W, state.J, d, 1.0) is None
+
     def test_transport_to_same_point_fixes_horizontal_vectors(self):
         rng = np.random.default_rng(9)
         W = rand_full_rank(rng, 7, 3)
@@ -296,6 +322,14 @@ class TestRcgMaximize:
                            data.size + extra)
         with pytest.raises(DimMismatchError, match=f"built for {data.size + extra} "):
             rcg_maximize(data, other, MetricKind.STEIN, beta, W0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_start(self, bad):
+        data, graphs, beta, W0 = fitted_instance(3)
+        W0 = W0.copy()
+        W0[0, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            rcg_maximize(data, graphs, MetricKind.STEIN, beta, W0)
 
     def test_max_iters_reported(self):
         data, graphs, beta, W0 = fitted_instance(3)
