@@ -142,10 +142,8 @@ def gradcheck_report(kinds, instances, seed):
 def cmd_gradcheck(args):
     config = _load_config_arg(args)
     seed = _resolve_seed(args, config)
-    if args.metric is None:
-        kinds = list(MetricKind)
-    else:
-        kinds = [MetricKind.parse(args.metric)]
+    metric = _resolve(args, config, "metric")
+    kinds = list(MetricKind) if metric is None else [MetricKind.parse(metric)]
     if args.instances < 1:
         raise ConfigError(f"instances must be >= 1, got {args.instances}")
     worst = gradcheck_report(kinds, args.instances, seed)
@@ -167,11 +165,11 @@ def cmd_train(args):
     if output_dir is None:
         raise ConfigError("an output directory is required (--output-dir or config)")
     # settings that do not depend on the data are checked before it is loaded
-    opt_config = OptimizerConfig(
-        max_iters=_resolve(args, config, "max_iters", 50),
-        grad_tol=_resolve(args, config, "grad_tol", 1e-6),
-        rel_obj_tol=_resolve(args, config, "rel_obj_tol", 1e-8),
-    )
+    opt_config = OptimizerConfig(**{
+        name: value
+        for name in ("max_iters", "grad_tol", "rel_obj_tol")
+        if (value := _resolve(args, config, name)) is not None
+    })
     target_dim = _resolve(args, config, "target_dim")
     if target_dim is None:
         raise ConfigError("target_dim is required (--target-dim or config)")

@@ -26,7 +26,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NonSymmetricError, NotPositiveDefiniteError, ValidationError
 from .graphs import LabeledDataset
 
 FLOAT_FMT = "%.17g"
@@ -260,7 +260,8 @@ def load_dataset(manifest_path):
 
     Class labels are mapped to 0..c-1 in sorted order of their string form.
     Returns (dataset, sample_ids, label_names) where label_names[i] is the
-    original label string for mapped class i.
+    original label string for mapped class i. A sample that is not
+    symmetric positive definite raises ValidationError naming the manifest.
     """
     entries = parse_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -277,5 +278,10 @@ def load_dataset(manifest_path):
         samples.append(matrix)
         labels.append(label_index[label])
         sample_ids.append(sample_id)
-    dataset = LabeledDataset(np.asarray(samples), np.asarray(labels))
+    try:
+        dataset = LabeledDataset(np.asarray(samples), np.asarray(labels))
+    except (NonSymmetricError, NotPositiveDefiniteError) as exc:
+        # a sample file that is no SPD matrix is invalid input, like every
+        # other malformed sample file
+        raise ValidationError(f"{manifest_path}: {exc}") from exc
     return dataset, sample_ids, label_names

@@ -13,7 +13,8 @@ before exponentiation so that identical samples get similarity exactly 1.
 
 Each geometry is one batched kernel (`Geometry`), and `dist2`,
 `pairwise_dist2`, `cross_dist2` and the alignment objective and gradient all
-go through it. Inputs are validated once where they enter; the positive
+go through it: `Geometry.dist2_pairs` is the one loop over blocks of
+distance pairs. Inputs are validated once where they enter; the positive
 definiteness checks inside the kernel run on whole stacks and blocks and
 name the first failing member.
 
@@ -22,13 +23,14 @@ graphs and for the bandwidth; both take one `pairwise_dist2` matrix
 (`graphs.neighbor_graphs(data, D, ...)`, `bandwidth(D)`), so a command
 computes it once. `indexed_dist2` computes the distances of any set of
 pairs of one stack, which lets repeated evaluation splits share theirs.
-Every distance-only driver is exactly invariant to argument order, for the
+Every distance-only pass is exactly invariant to argument order, for the
 affine-invariant distance too: it whitens each pair by whichever of its two
-matrices sorts first by entries. The alignment objective's distance pass
-(`Geometry.support_dist2`) keeps what the gradient reads of each pair's
-decomposition: the log of each whitened pair for the affine-invariant
-distance, the Cholesky factor of each midpoint for Stein. The log-Euclidean
-gradient reads only per-sample factors, so it keeps nothing.
+matrices sorts first by entries. The alignment objective's pass
+(`dist2_pairs(..., keep=True)`) also keeps what the gradient reads of each
+pair's decomposition: the log of each pair whitened by its left sample for
+the affine-invariant distance, the Cholesky factor of each midpoint for
+Stein. The log-Euclidean gradient reads only per-sample factors, so it keeps
+nothing.
 
 The affine-invariant distance has a cheap lower bound: the log-Euclidean
 one, ||log A - log B||_F <= ||log(A^{-1/2} B A^{-1/2})||_F (the exponential
@@ -184,15 +186,17 @@ class Geometry:
     whole stack: a tuple of stacked arrays from one stacked decomposition,
     holding what the pair distance reads plus the decomposition it came from
     and nothing else, so distance-only passes build no gradient factor.
-    `block_dist2` is the squared distance of one block of pairs, given as
-    two index arrays into a left and a right (stack, factors) side; its
-    value is exactly invariant to the order of a pair's two matrices.
-    `support_dist2` is the distance pass of the alignment objective: it also
-    returns per-pair factors that the gradient reads, so no support pair is
-    decomposed twice (AIM keeps each whitened pair's log, Stein each
-    midpoint's Cholesky factor; LEM keeps nothing). `grad_factors` derives,
-    once per gradient, the per-sample matrices the pair gradient reads from
-    `factors`. `block_grad` and `finish` are the pair gradient term:
+    `block_dist2` gives (squared distances, kept factors) of one block of
+    pairs, given as two index arrays into a left and a right (stack,
+    factors) side. Without `keep` it keeps nothing and its distance is
+    exactly invariant to the order of a pair's two matrices. With `keep`,
+    the objective's pass, it also returns the per-pair factors the gradient
+    reads, so no support pair is decomposed twice (AIM each left-whitened
+    pair's log, Stein each midpoint's Cholesky factor; LEM keeps nothing
+    and returns None). `grad_factors` derives, once per gradient, the
+    per-sample matrices the pair gradient reads from `factors`; the pair
+    gradient hooks read these factors only.
+    `block_grad` and `finish` are the pair gradient term:
     `block_grad` gives a pair's terms T_i and T_j for its two ends, and
     `finish` is a map phi_s, linear in its argument, such that with
     Y_p = W^T X_p W and B_p = X_p W the gradient of
@@ -201,9 +205,9 @@ class Geometry:
         -grad_scale * beta * k_ij * (B_i phi_i(T_i) + B_j phi_j(T_j)).
 
     Since phi_s is linear, `grad_pairs` sums the weighted terms per sample
-    and finishes each sample once. The drivers feed pairs through in blocks
-    of BLOCK_ENTRIES matrix entries, which bounds the working memory whatever
-    the pair count.
+    and finishes each sample once. `dist2_pairs` and `grad_pairs` feed pairs
+    through in blocks of BLOCK_ENTRIES matrix entries, which bounds the
+    working memory whatever the pair count.
     """
 
     grad_scale = 4.0
@@ -214,45 +218,51 @@ class Geometry:
         j[p]) within one side, or None for a geometry with no cheap bound."""
         return None
 
-    def dist2_pairs(self, left, right, i, j):
-        """Squared distances between left sample i[p] and right sample j[p]."""
-        out = np.empty(len(i))
-        for blk in _blocks(len(i), left[0].shape[-1]):
-            out[blk] = self.block_dist2(left, right, i[blk], j[blk])
-        return out
+    def dist2_pairs(self, left, right, i, j, keep=False):
+        """(squared distances, kept factors) between left sample i[p] and
+        right sample j[p]: the one loop over blocks of distance pairs.
 
-    def support_dist2(self, side, i, j):
-        """(squared distances, per-pair factors) of the pairs (i[p], j[p])
-        within one (stack, factors) side; the factors are None unless the
-        geometry's gradient reads some."""
-        return self.dist2_pairs(side, side, i, j), None
+        The kept factors stack what `block_dist2` keeps of each pair with
+        `keep` set, and are None when it keeps nothing, so a distance-only
+        pass allocates no per-pair factor.
+        """
+        out, kept = np.empty(len(i)), None
+        for blk in _blocks(len(i), left[0].shape[-1]):
+            out[blk], part = self.block_dist2(left, right, i[blk], j[blk], keep)
+            if part is not None:
+                if kept is None:
+                    kept = np.empty((len(i),) + part.shape[1:])
+                kept[blk] = part
+        return out, kept
 
     @staticmethod
-    def grad_factors(mapped, factors):
+    def grad_factors(factors):
         """The per-sample matrices the pair gradient reads; by default the
         factors themselves."""
         return factors
 
-    def grad_pairs(self, B, mapped, factors, pair_factors, i, j, weights):
+    def grad_pairs(self, B, factors, pair_factors, i, j, weights):
         """sum_p weights_p * (B_i phi_i(T_i) + B_j phi_j(T_j)) over the pairs
         (i[p], j[p]), with factors and pair_factors as `factors` and
-        `support_dist2` gave them.
+        `dist2_pairs(..., keep=True)` gave them, for the N samples B_p = X_p W
+        of the (N, n, m) stack B.
 
         A 1-D `np.add.at` at sample * m^2 + entry sums the weighted terms per
         sample entry in pair order (block by block, i-ends before j-ends);
         B reduces the sums in one product, so the summation order is fixed.
         """
-        factors = self.grad_factors(mapped, factors)
-        entries = np.arange(mapped[0].size)
-        acc = np.zeros(mapped.size)
-        for blk in _blocks(len(i), mapped.shape[-1]):
+        N, _, m = B.shape
+        factors = self.grad_factors(factors)
+        entries = np.arange(m * m)
+        acc = np.zeros(N * m * m)
+        for blk in _blocks(len(i), m):
             pair = None if pair_factors is None else pair_factors[blk]
-            end_i, end_j = self.block_grad(mapped, factors, pair, i[blk], j[blk])
+            end_i, end_j = self.block_grad(factors, pair, i[blk], j[blk])
             w = weights[blk, None, None]
             for ends, terms in ((i[blk], end_i), (j[blk], end_j)):
                 np.add.at(acc, (ends[:, None] * entries.size + entries).ravel(),
                           (w * terms).ravel())
-        F = self.finish(mapped, factors, acc.reshape(mapped.shape))
+        F = self.finish(factors, acc.reshape(N, m, m))
         return np.tensordot(B, F, axes=([0, 2], [0, 1]))
 
 
@@ -260,14 +270,15 @@ class AffineInvariant(Geometry):
     """||log(X_a^{-1/2} X_b X_a^{-1/2})||_F^2.
 
     The distance-only pass whitens each pair by whichever of its two
-    matrices sorts first (`_sorts_before`), so its value depends on the two
-    matrices alone and is exactly invariant to argument order, as Stein's
-    and LEM's are. The objective's pass whitens by the left sample, whose
-    factors its gradient reads.
+    matrices sorts first (`_sorts_before`) and takes eigenvalues only, so
+    its value depends on the two matrices alone and is exactly invariant to
+    argument order, as Stein's and LEM's are. The objective's pass (`keep`)
+    whitens by the left sample, whose factors its gradient reads, and keeps
+    the log of each whitened pair from the same eigendecomposition.
 
     `lower_bound` gives the log-Euclidean squared distance of each pair in
     the frame whitened by the stack's log-Euclidean mean
-    (`log_mean_whitened`), never above the affine-invariant one, and the
+    (`whiten_by_log_mean`), never above the affine-invariant one, and the
     rounding margin tau that makes sqrt(bound) - tau a floor under the
     computed distance's square root (module docstring). It costs one
     eigendecomposition per sample, not per pair, and one gathered
@@ -289,7 +300,7 @@ class AffineInvariant(Geometry):
         return inv_sqrt, w, Q
 
     @staticmethod
-    def log_mean_whitened(side):
+    def whiten_by_log_mean(side):
         """(Z, log Z, spreads of Z, spread of exp(G)) with Z_k = C X_k C,
         C = exp(-G/2) and G = mean_k log X_k, the stack's log-Euclidean mean.
 
@@ -311,66 +322,54 @@ class AffineInvariant(Geometry):
     @staticmethod
     def lower_bound(side, i, j):
         stack, (_, w, _) = side
-        Z, logs, spread_z, spread_g = AffineInvariant.log_mean_whitened(side)
+        Z, logs, spread_z, spread_g = AffineInvariant.whiten_by_log_mean(side)
         whitened = (Z, (logs,))
-        bound = geometry(MetricKind.LEM).dist2_pairs(whitened, whitened, i, j)
+        bound, _ = geometry(MetricKind.LEM).dist2_pairs(whitened, whitened, i, j)
         spread = w[:, -1] / w[:, 0]
         scale = BOUND_MARGIN * stack.shape[-1] ** 1.5 * np.finfo(float).eps
         return bound, scale * (spread[i] * spread[j]
                                + spread_g * (spread_z[i] * spread_z[j]))
 
     @staticmethod
-    def _whitened(P, X):
-        """The whitened pair matrices P X P, with P a stack of X_a^{-1/2}."""
-        return matfun.symmetrize(P @ X @ P)
-
-    @staticmethod
-    def _checked_dist2(w, M, i, j):
-        """sum log(w)^2 of each whitened pair, once its spectrum clears the
-        PD floor; a failing pair is named (i[p], j[p])."""
-        matfun.require_pd(w, M, "whitened pair", (i, j))
-        return np.sum(np.log(w) ** 2, axis=-1)
-
-    def block_dist2(self, left, right, i, j):
-        swap = _sorts_before(right[0], j, left[0], i)
-        if left is right:
-            # one stack: exchange the indices, which costs less than moving
-            # the gathered matrices
-            a, b = np.where(swap, j, i), np.where(swap, i, j)
-            P, X = left[1][0][a], left[0][b]
-        else:
+    def block_dist2(left, right, i, j, keep=False):
+        """sum log(w)^2 over the spectrum w of each whitened pair P X P, P =
+        X_a^{-1/2}, once it clears the PD floor; a failing pair is named
+        (i[p], j[p])."""
+        if keep:
+            # the gradient reads the pair whitened by its left sample
             P, X = left[1][0][i], right[0][j]
-            P[swap], X[swap] = right[1][0][j[swap]], left[0][i[swap]]
-        M = self._whitened(P, X)
-        return self._checked_dist2(np.linalg.eigvalsh(M), M, i, j)
-
-    def support_dist2(self, side, i, j):
-        """Distances from one eigendecomposition per pair, whitened by the
-        left sample, which also gives the pair's log for the gradient."""
-        stack, inv_sqrt = side[0], side[1][0]
-        d = np.empty(len(i))
-        logs = np.empty((len(i),) + stack.shape[1:])
-        for blk in _blocks(len(i), stack.shape[-1]):
-            M = self._whitened(inv_sqrt[i[blk]], stack[j[blk]])
-            w, Q = matfun.sym_eig(M)
-            d[blk] = self._checked_dist2(w, M, i[blk], j[blk])
-            logs[blk] = matfun.eig_apply(Q, np.log(w))
-        return d, logs
+        else:
+            swap = _sorts_before(right[0], j, left[0], i)
+            if left is right:
+                # one stack: exchange the indices, which costs less than
+                # moving the gathered matrices
+                a, b = np.where(swap, j, i), np.where(swap, i, j)
+                P, X = left[1][0][a], left[0][b]
+            else:
+                P, X = left[1][0][i], right[0][j]
+                P[swap], X[swap] = right[1][0][j[swap]], left[0][i[swap]]
+        M = matfun.symmetrize(P @ X @ P)
+        del P, X  # the eigensolve's working memory need not hold them too
+        w, Q = matfun.sym_eig(M) if keep else (np.linalg.eigvalsh(M), None)
+        matfun.require_pd(w, M, "whitened pair", (i, j))
+        log_w = np.log(w)
+        d = np.sum(log_w**2, axis=-1)
+        return d, matfun.eig_apply(Q, log_w) if keep else None
 
     @staticmethod
-    def grad_factors(mapped, factors):
+    def grad_factors(factors):
         """(X^{-1/2}, X^{1/2}, X^{-1}) from the factors' eigenpairs."""
         inv_sqrt, w, Q = factors
         return inv_sqrt, matfun.eig_apply(Q, np.sqrt(w)), matfun.eig_apply(Q, 1.0 / w)
 
     @staticmethod
-    def block_grad(mapped, factors, pair, i, j):
+    def block_grad(factors, pair, i, j):
         inv_sqrt, sqrt, _ = factors
         E = -(sqrt[i] @ pair @ inv_sqrt[i])
         return E, -E
 
     @staticmethod
-    def finish(mapped, factors, acc):
+    def finish(factors, acc):
         return factors[2] @ acc
 
 
@@ -393,8 +392,8 @@ class Stein(Geometry):
         return _chol_logdet(stack, name)
 
     @staticmethod
-    def _pair_dist2(left, right, i, j):
-        """(squared distances, midpoint Cholesky factors) of a block of pairs."""
+    def block_dist2(left, right, i, j, keep=False):
+        """Distances, plus each midpoint's Cholesky factor when kept."""
         # summed in place into the gathered left ends: bit-identical to
         # 0.5 * (a + b), with one temporary fewer per block
         mid = left[0][i]
@@ -403,33 +402,21 @@ class Stein(Geometry):
         logdet, chol = _chol_logdet(mid, "midpoint", (i, j))
         # symmetric form: the value is exactly invariant to argument order
         d = np.maximum(logdet - 0.5 * (left[1][0][i] + right[1][0][j]), 0.0)
-        return d, chol
-
-    def block_dist2(self, left, right, i, j):
-        return self._pair_dist2(left, right, i, j)[0]
-
-    def support_dist2(self, side, i, j):
-        """Distances, plus each midpoint's Cholesky factor for the gradient."""
-        m = side[0].shape[-1]
-        d = np.empty(len(i))
-        chols = np.empty((len(i), m, m))
-        for blk in _blocks(len(i), m):
-            d[blk], chols[blk] = self._pair_dist2(side, side, i[blk], j[blk])
-        return d, chols
+        return d, chol if keep else None
 
     @staticmethod
-    def grad_factors(mapped, factors):
+    def grad_factors(factors):
         """(X^{-1},) from the samples' Cholesky factors."""
         return (matfun.chol_inv(factors[1]),)
 
     @staticmethod
-    def block_grad(mapped, factors, pair, i, j):
+    def block_grad(factors, pair, i, j):
         inv = factors[0]
         mid_inv = matfun.chol_inv(pair)
         return mid_inv - inv[i], mid_inv - inv[j]
 
     @staticmethod
-    def finish(mapped, factors, acc):
+    def finish(factors, acc):
         return acc
 
 
@@ -449,18 +436,18 @@ class LogEuclidean(Geometry):
         return matfun.eig_apply(Q, np.log(w)), w, Q
 
     @staticmethod
-    def block_dist2(left, right, i, j):
+    def block_dist2(left, right, i, j, keep=False):
         D = left[1][0][i] - right[1][0][j]
-        return np.sum(D * D, axis=(-2, -1))
+        return np.sum(D * D, axis=(-2, -1)), None
 
     @staticmethod
-    def block_grad(mapped, factors, pair, i, j):
+    def block_grad(factors, pair, i, j):
         logs = factors[0]
         D = logs[i] - logs[j]
         return D, -D
 
     @staticmethod
-    def finish(mapped, factors, acc):
+    def finish(factors, acc):
         _, w, Q = factors
         return matfun.dlog_eig(w, Q, matfun.symmetrize(acc))
 
@@ -504,7 +491,7 @@ def dist2(metric, X1, X2):
         return 0.0
     right = (X2[None], tuple(f[None] for f in geom.factors(X2, "second operand")))
     first = np.zeros(1, dtype=int)
-    return float(geom.dist2_pairs(left, right, first, first)[0])
+    return float(geom.dist2_pairs(left, right, first, first)[0][0])
 
 
 def pairwise_dist2(metric, samples):
@@ -532,7 +519,7 @@ def cross_dist2(metric, rows, cols):
         )
     R, C = rows.shape[0], cols.shape[0]
     i, j = np.divmod(np.arange(R * C), C)
-    return geom.dist2_pairs(left, right, i, j).reshape(R, C)
+    return geom.dist2_pairs(left, right, i, j)[0].reshape(R, C)
 
 
 def factored(metric, samples):
@@ -551,7 +538,7 @@ def indexed_dist2(metric, samples, i, j):
     orders of a pair computes it once.
     """
     geom, side = factored(metric, samples)
-    return geom.dist2_pairs(side, side, np.asarray(i), np.asarray(j))
+    return geom.dist2_pairs(side, side, np.asarray(i), np.asarray(j))[0]
 
 
 def bandwidth(D):

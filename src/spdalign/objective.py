@@ -43,11 +43,12 @@ that `check_transform` has passed and does only the work that depends on W.
 a single W.
 
 An evaluation maps the samples through W and factors the mapped stack once,
-and decomposes each support pair once; the returned `AlignmentState` carries
-that factored point and the per-pair factors (for the affine-invariant
-metric, the log of each whitened pair; for Stein, the Cholesky factor of each
-midpoint A), so `alignment_gradient` is a function of the state alone and
-decomposes no sample stack and no pair matrix again.
+and decomposes each support pair once, in the geometry's one distance pass
+(`Geometry.dist2_pairs` with `keep` set); the returned `AlignmentState`
+carries B, the per-sample factors and the per-pair factors (for the
+affine-invariant metric, the log of each whitened pair; for Stein, the
+Cholesky factor of each midpoint A), so `alignment_gradient` is a function of
+the state alone and decomposes no sample stack and no pair matrix again.
 """
 
 import math
@@ -70,11 +71,11 @@ class AlignmentState:
     K, L and coeff are per-pair arrays aligned with `problem.pairs`: the
     similarity k_p, the centered entry L_p, and the sensitivity dJ/dK_ij of
     one of the two symmetric entries of the pair. norm_L is ||L||_F over the
-    full N x N centered matrix. B holds X_p W, mapped the transformed samples
-    W^T X_p W, factors the metric's `Geometry.factors` of mapped, and
-    pair_factors what its `Geometry.support_dist2` kept per pair
-    (|E| x m x m): the affine-invariant log of each whitened pair, the lower
-    Cholesky factor of each Stein midpoint (Y_i + Y_j)/2, None for the
+    full N x N centered matrix. B holds X_p W, factors the metric's
+    `Geometry.factors` of the transformed samples W^T X_p W, and
+    pair_factors what its `Geometry.dist2_pairs(..., keep=True)` kept per
+    pair (|E| x m x m): the affine-invariant log of each whitened pair, the
+    lower Cholesky factor of each Stein midpoint (Y_i + Y_j)/2, None for the
     log-Euclidean metric. problem is the `AlignmentProblem` evaluated, which
     supplies the geometry, beta and the pairs.
     """
@@ -86,7 +87,6 @@ class AlignmentState:
     coeff: np.ndarray
     problem: "AlignmentProblem"
     B: np.ndarray
-    mapped: np.ndarray
     factors: tuple
     pair_factors: np.ndarray | None
 
@@ -154,7 +154,8 @@ class AlignmentProblem:
         the factored point and the per-pair factors the gradient reads."""
         B, mapped, factors = build_grad_context(self.samples, W, self.geom)
         i, j = self.pairs.T
-        d, pair_factors = self.geom.support_dist2((mapped, factors), i, j)
+        side = (mapped, factors)
+        d, pair_factors = self.geom.dist2_pairs(side, side, i, j, keep=True)
         K = np.exp(-self.beta * np.where(d < DIST_CLAMP, 0.0, d))
         L, norm_L = _center(K, i, j, self.N)
         if norm_L < L_NORM_FLOOR:
@@ -165,7 +166,7 @@ class AlignmentProblem:
         coeff = self.centered_T / norm_L - (J / norm_L**2) * L
         return AlignmentState(
             J=J, K=K, L=L, norm_L=norm_L, coeff=coeff, problem=self, B=B,
-            mapped=mapped, factors=factors, pair_factors=pair_factors,
+            factors=factors, pair_factors=pair_factors,
         )
 
 
@@ -190,7 +191,7 @@ def alignment_gradient(state):
     weights = (-2.0 * problem.geom.grad_scale * problem.beta) * state.coeff * state.K
     i, j = problem.pairs.T
     return problem.geom.grad_pairs(
-        state.B, state.mapped, state.factors, state.pair_factors, i, j, weights
+        state.B, state.factors, state.pair_factors, i, j, weights
     )
 
 

@@ -94,10 +94,10 @@ def kernel_entry_gradient(metric, i, j, W, data, beta, k_ij):
     W = check_transform(W, n=data.dim)
     B, mapped, factors = build_grad_context(data.samples[ends], W, geom)
     first, second = np.array([0]), np.array([1])
-    _, pair_factors = geom.support_dist2((mapped, factors), first, second)
+    side = (mapped, factors)
+    _, pair_factors = geom.dist2_pairs(side, side, first, second, keep=True)
     return geom.grad_pairs(
         B,
-        mapped,
         factors,
         pair_factors,
         first,
@@ -121,18 +121,19 @@ def count_calls(monkeypatch, module, names):
     return calls
 
 
-def grad_pairs_3d(geom, B, mapped, factors, pair_factors, i, j, weights):
+def grad_pairs_3d(geom, B, factors, pair_factors, i, j, weights):
     """`Geometry.grad_pairs` with a 3-D `np.add.at` of whole m x m terms per
     sample: the per-sample accumulation the flat one must equal bit for bit."""
-    factors = geom.grad_factors(mapped, factors)
-    acc = np.zeros_like(mapped)
-    for blk in _blocks(len(i), mapped.shape[-1]):
+    N, _, m = B.shape
+    factors = geom.grad_factors(factors)
+    acc = np.zeros((N, m, m))
+    for blk in _blocks(len(i), m):
         pair = None if pair_factors is None else pair_factors[blk]
-        end_i, end_j = geom.block_grad(mapped, factors, pair, i[blk], j[blk])
+        end_i, end_j = geom.block_grad(factors, pair, i[blk], j[blk])
         w = weights[blk, None, None]
         np.add.at(acc, i[blk], w * end_i)
         np.add.at(acc, j[blk], w * end_j)
-    F = geom.finish(mapped, factors, acc)
+    F = geom.finish(factors, acc)
     return np.tensordot(B, F, axes=([0, 2], [0, 1]))
 
 

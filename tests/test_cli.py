@@ -139,6 +139,26 @@ class TestTrain:
         assert code == 1
         assert f"{sample}: not UTF-8 text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "X", [np.diag([1.0, -1.0, 2.0]), np.triu(np.ones((3, 3))) + np.eye(3)],
+        ids=["indefinite", "non-symmetric"],
+    )
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_non_spd_sample_exit_code(self, tmp_path, capsys, X, command):
+        manifest = tmp_path / "data" / "manifest.txt"
+        assert cli.main(["synth", "--output-dir", str(manifest.parent), "--dim",
+                         "3", "--classes", "2", "--per-class", "3"]) == 0
+        save_matrix(str(manifest.parent / parse_manifest(str(manifest))[2][2]), X)
+        capsys.readouterr()
+        if command == "train":
+            args = train_args(str(manifest), tmp_path / "out")
+        else:
+            args = ["eval", "--manifest", str(manifest), "--splits", "1"]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: sample 2 ")
+        assert "numerical failure" not in err
+
     def test_missing_manifest(self, tmp_path, capsys):
         code = cli.main(train_args(str(tmp_path / "nope.txt"), tmp_path))
         assert code == 1
@@ -241,6 +261,21 @@ class TestTrainDistancePass:
         assert cli.main(train_args(corpus, tmp_path, "--beta", "0")) == 1
         assert "beta must be positive" in capsys.readouterr().err
         assert pairwise_calls == []
+
+    def test_default_optimizer_config(self, corpus, tmp_path, monkeypatch):
+        # with no optimizer setting given, train hands rcg_maximize the
+        # dataclass's own defaults
+        seen = []
+
+        def recording(*args):
+            seen.append(args[-1])
+            return rcg_maximize(*args)
+
+        monkeypatch.setattr(cli, "rcg_maximize", recording)
+        args = ["train", "--manifest", corpus, "--output-dir",
+                str(tmp_path / "out"), "--target-dim", "2"]
+        assert cli.main(args) == 0
+        assert seen == [OptimizerConfig()]
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bad_optimizer_config_loads_nothing(
@@ -479,6 +514,15 @@ class TestGradcheck:
         assert code == 0
         out = capsys.readouterr().out
         assert "stein" in out and "aim:" not in out
+
+    def test_config_metric(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"metric": "lem", "seed": 2}))
+        code = cli.main(["gradcheck", "--instances", "1", "--config", str(config)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == ["lem"]
+        assert lines[-1].startswith("gradcheck passed")
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "gradcheck_report", lambda *a, **k: 0.5)

@@ -64,10 +64,10 @@ def record_pairs(monkeypatch, metric):
     original = geom.dist2_pairs
     calls = {}
 
-    def recording(left, right, i, j):
+    def recording(left, right, i, j, keep=False):
         assert left is right  # one stack, factored once
         calls.setdefault(left[0].shape[-1], []).append((i, j))
-        return original(left, right, i, j)
+        return original(left, right, i, j, keep)
 
     monkeypatch.setattr(geom, "dist2_pairs", recording)
     return calls

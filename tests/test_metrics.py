@@ -431,14 +431,14 @@ class TestLowerBound:
             bound, tau = geom.lower_bound(side, i, j)
             # the log-Euclidean kernel's own values on the stack whitened by
             # its log-Euclidean mean G: Z_k = C X_k C with C = exp(-G/2)
-            Z = geom.log_mean_whitened(side)[0]
+            Z = geom.whiten_by_log_mean(side)[0]
             assert np.array_equal(bound, indexed_dist2(MetricKind.LEM, Z, i, j))
             G = np.mean([matfun.spd_log(X) for X in scaled], axis=0)
             C = matfun.spd_exp(-0.5 * G)
             assert np.allclose(Z, C @ scaled @ C, rtol=0.0,
                                atol=1e-9 * np.abs(Z).max())
             assert np.array_equal(tau, geom.lower_bound(side, j, i)[1])
-            d = geom.dist2_pairs(side, side, i, j)
+            d, _ = geom.dist2_pairs(side, side, i, j)
             assert np.all(np.sqrt(bound) - tau <= np.sqrt(d))
 
     def test_unusable_whitened_sample_rules_out_nothing(self):
@@ -450,7 +450,7 @@ class TestLowerBound:
         stack = np.stack([eye, 2.0 * eye, np.diag([1.0, -1.0]),
                           np.full((2, 2), np.nan)])
         side = (stack, (None, np.ones((4, 2)), np.broadcast_to(eye, (4, 2, 2))))
-        _, logs, spread, spread_g = geom.log_mean_whitened(side)
+        _, logs, spread, spread_g = geom.whiten_by_log_mean(side)
         assert np.isfinite(logs).all() and spread_g == 1.0
         assert np.array_equal(spread, [1.0, 1.0, np.inf, np.inf])
         i, j = np.triu_indices(4, k=1)
@@ -493,23 +493,6 @@ class TestSteinFactors:
         assert np.array_equal(chol, np.linalg.cholesky(stack))
         assert np.allclose(logdet, np.linalg.slogdet(stack)[1], rtol=0, atol=1e-12)
 
-    def test_support_pass_equals_distance_pass(self):
-        stack = self.stack()
-        geom = geometry(MetricKind.STEIN)
-        side = _side(geom, stack, "sample")
-        i, j = np.triu_indices(len(stack), k=1)
-        assert len(list(_blocks(len(i), stack.shape[-1]))) > 1
-        d, chols = geom.support_dist2(side, i, j)
-        assert np.array_equal(d, geom.dist2_pairs(side, side, i, j))
-        assert np.array_equal(d, indexed_dist2(MetricKind.STEIN, stack, i, j))
-        # each kept factor is the Cholesky factor of its pair's midpoint, and
-        # L L^T gives the midpoint back
-        mid = 0.5 * (stack[i] + stack[j])
-        assert np.array_equal(chols, np.linalg.cholesky(mid))
-        rebuilt = chols @ chols.swapaxes(-1, -2)
-        scale = np.abs(mid).max(axis=(-2, -1))
-        assert (np.abs(rebuilt - mid).max(axis=(-2, -1)) <= 1e-14 * scale).all()
-
     def test_failing_midpoint_named_by_its_pair(self):
         # samples are never indefinite where they enter, so the side is built
         # by hand: sample 7 is indefinite, and the first pair that reaches it,
@@ -521,7 +504,44 @@ class TestSteinFactors:
         assert len(list(_blocks(5000, 2))) > 1
         side = (stack, (np.zeros(10), None))
         with pytest.raises(NotPositiveDefiniteError, match=r"midpoint \[3 7\]"):
-            geometry(MetricKind.STEIN).support_dist2(side, i, j)
+            geometry(MetricKind.STEIN).dist2_pairs(side, side, i, j, keep=True)
+
+
+class TestDistancePass:
+    """`Geometry.dist2_pairs` is the one block loop over distance pairs; with
+    `keep` set it also returns the per-pair factors the gradient reads."""
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_support_pass_equals_distance_pass(self, metric):
+        stack = TestSteinFactors.stack()
+        geom = geometry(metric)
+        side = _side(geom, stack, "sample")
+        i, j = np.triu_indices(len(stack), k=1)
+        assert len(list(_blocks(len(i), stack.shape[-1]))) > 1
+        d, kept = geom.dist2_pairs(side, side, i, j, keep=True)
+        distance_only, none = geom.dist2_pairs(side, side, i, j)
+        assert none is None
+        assert np.array_equal(distance_only, indexed_dist2(metric, stack, i, j))
+        if metric is MetricKind.AIM:
+            # whitened by the left sample, not the sorted-first one: the same
+            # distance up to rounding, and the log of each left-whitened pair
+            inv_sqrt = side[1][0]
+            M = matfun.symmetrize(inv_sqrt[i] @ stack[j] @ inv_sqrt[i])
+            w, Q = matfun.sym_eig(M)
+            assert np.array_equal(kept, matfun.eig_apply(Q, np.log(w)))
+            assert np.allclose(d, distance_only, rtol=1e-10, atol=0.0)
+            return
+        assert np.array_equal(d, distance_only)
+        if metric is MetricKind.LEM:
+            assert kept is None
+            return
+        # each kept factor is the Cholesky factor of its pair's midpoint, and
+        # L L^T gives the midpoint back
+        mid = 0.5 * (stack[i] + stack[j])
+        assert np.array_equal(kept, np.linalg.cholesky(mid))
+        rebuilt = kept @ kept.swapaxes(-1, -2)
+        scale = np.abs(mid).max(axis=(-2, -1))
+        assert (np.abs(rebuilt - mid).max(axis=(-2, -1)) <= 1e-14 * scale).all()
 
 
 class TestDefaultBeta:

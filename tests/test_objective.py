@@ -296,8 +296,7 @@ class TestMultiBlock:
         state = alignment_objective(data, graphs, W, metric, beta)
         geom = geometry(metric)
         i, j = graphs.pairs.T
-        args = (state.B, state.mapped, state.factors, state.pair_factors,
-                i, j, state.coeff)
+        args = (state.B, state.factors, state.pair_factors, i, j, state.coeff)
         assert np.array_equal(geom.grad_pairs(*args), grad_pairs_3d(geom, *args))
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
