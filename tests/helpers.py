@@ -4,7 +4,6 @@ import numpy as np
 
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import ValidationError
-from spdalign.fileio import _data_lines, _parse_header_ints
 from spdalign.graphs import LabeledDataset
 from spdalign.metrics import (
     DIST_CLAMP, _blocks, check_beta, check_transform, dist2, geometry, map_down,
@@ -138,11 +137,38 @@ def grad_pairs_3d(geom, B, factors, pair_factors, i, j, weights):
 
 
 def rowwise_load(path, header_count):
-    """A matrix (header_count 1) or transform (2) file parsed one row at a
-    time with float(), checking each row as it is read: the reference for
-    the diagnostics of `fileio.load_matrix` and `fileio.load_transform`."""
-    lines = _data_lines(path)
-    header = _parse_header_ints(path, lines, header_count)
+    """A matrix (header_count 1) or transform (2) file read in text mode and
+    parsed one row at a time with float(), checking each row as it is read:
+    the reference for the line splitting and the diagnostics of
+    `fileio.load_matrix` and `fileio.load_transform`."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = handle.readlines()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+    lines = ((number, line.strip()) for number, line in enumerate(raw, start=1)
+             if line.strip() and not line.strip().startswith("#"))
+    number, line = next(lines, (None, None))
+    if line is None:
+        raise ValidationError(f"{path}: empty file")
+    fields = line.split()
+    if len(fields) != header_count:
+        raise ValidationError(
+            f"{path}:{number}: header must hold {header_count} integer(s), "
+            f"got {len(fields)} field(s)"
+        )
+    header = []
+    for field in fields:
+        try:
+            header.append(int(field))
+        except ValueError:
+            raise ValidationError(
+                f"{path}:{number}: header field {field!r} is not an integer"
+            ) from None
+        if header[-1] < 1:
+            raise ValidationError(f"{path}:{number}: header value must be >= 1")
     rows, cols = header[0], header[-1]
     out = np.empty((rows, cols))
     filled = 0

@@ -148,7 +148,8 @@ class TestTrain:
         manifest = tmp_path / "data" / "manifest.txt"
         assert cli.main(["synth", "--output-dir", str(manifest.parent), "--dim",
                          "3", "--classes", "2", "--per-class", "3"]) == 0
-        save_matrix(str(manifest.parent / parse_manifest(str(manifest))[2][2]), X)
+        sample = manifest.parent / parse_manifest(str(manifest))[2][2]
+        save_matrix(str(sample), X)
         capsys.readouterr()
         if command == "train":
             args = train_args(str(manifest), tmp_path / "out")
@@ -157,6 +158,8 @@ class TestTrain:
         assert cli.main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {manifest}: sample 2 ")
+        # named by its id and file too, not only by its manifest position
+        assert err.rstrip().endswith(f" (id s0002, file {sample})")
         assert "numerical failure" not in err
 
     def test_missing_manifest(self, tmp_path, capsys):

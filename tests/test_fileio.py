@@ -532,3 +532,162 @@ class TestLoadDataset:
         os.unlink(str(tmp_path / "mats" / "s3.txt"))
         with pytest.raises(ValidationError, match="cannot read"):
             load_dataset(manifest)
+
+
+# a valid 2 x 2 sample file and one faulty variant per kind of fault a
+# sample file can hold; each is bad input on its own
+VALID_SAMPLE = b"2\n2 0.5\n0.5 1\n"
+FAULTY_SAMPLES = {
+    "non-numeric": b"2\n2 zebra\n0.5 1\n",
+    "non-finite": b"2\n2 inf\ninf 1\n",
+    "field count": b"2\n2 0.5 7\n0.5 1\n",
+    "extra row": b"2\n2 0.5\n0.5 1\n1 1\n",
+    "shape": b"3\n2 0 0\n0 2 0\n0 0 2\n",
+    # its own fault is named ahead of its shape
+    "shape, non-finite": b"3\n2 0 0\n0 inf 0\n0 0 2\n",
+    "undecodable": b"2\n2 0.5\n0.5 1\xff\n",
+    "indefinite": b"2\n1 0\n0 -1\n",
+}
+
+
+def expected_fault(manifest, kind, position):
+    """The message loading the manifest one file at a time gives for a
+    fault of `kind` in sample `position`."""
+    path = os.path.join(os.path.dirname(manifest), f"s{position}.txt")
+    if kind == "shape":
+        return f"{manifest}: sample 's{position}' has shape (3, 3), expected (2, 2)"
+    if kind == "indefinite":
+        return f"{manifest}: sample {position} has min eigenvalue -1.000e+00"
+    return reference_error(path, 1)
+
+
+class TestCrossFileFaultOrder:
+    @pytest.mark.parametrize("chunk", [1, None], ids=["per-file", "default"])
+    @pytest.mark.parametrize(
+        "first, second",
+        [(a, b) for a in FAULTY_SAMPLES for b in FAULTY_SAMPLES if a != b],
+    )
+    def test_first_faulty_file_is_named(self, tmp_path, monkeypatch, chunk,
+                                        first, second):
+        if chunk is not None:
+            monkeypatch.setattr(fileio, "CHUNK_TOKENS", chunk)
+        contents = [VALID_SAMPLE, FAULTY_SAMPLES[first], VALID_SAMPLE,
+                    FAULTY_SAMPLES[second], VALID_SAMPLE]
+        entries = []
+        for k, content in enumerate(contents):
+            (tmp_path / f"s{k}.txt").write_bytes(content)
+            entries.append((f"s{k}", "ab"[k % 2], f"s{k}.txt"))
+        manifest = str(tmp_path / "manifest.txt")
+        save_manifest(manifest, entries)
+        # every file is read before the samples are checked for definiteness
+        kind, position = (second, 3) if first == "indefinite" else (first, 1)
+        expected = expected_fault(manifest, kind, position)
+        with pytest.raises(ValidationError) as got:
+            load_dataset(manifest)
+        if kind == "indefinite":
+            assert str(got.value).startswith(expected)
+        else:
+            assert str(got.value) == expected
+
+
+MATRIX_3 = np.array([[2.0, 0.5, 0.0], [0.5, 3.0, 1.0], [0.0, 1.0, 4.0]])
+
+
+class TestLineEndings:
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "3\r\n2 0.5 0\r\n0.5 3 1\r\n0 1 4\r\n",
+            "3\r2 0.5 0\r0.5 3 1\r0 1 4\r",
+            "# head\r\n3\r\r\n2 0.5 0\n0.5 3 1\r0 1 4",
+            "3\n2\x0c0.5 0\n0.5\x853\x1c1\n0\x0b1\u20284\n",
+            "3\n\t2\t0.5\t0\t\n0.5 \t3  1\n  0 1 4  \n",
+            "\n# head\n3\n\n2 0.5 0\n  # mid\n0.5 3 1\n\x0c\n0 1 4\n\n\n   \n",
+            "3\n2 0.5 0\r\n\r\n0.5 3 1\r\r0 1 4\n",
+        ],
+        ids=["crlf", "cr", "mixed", "whitespace-in-row", "tabs",
+             "comments-blanks-trailing", "blank-crlf-and-cr"],
+    )
+    def test_loads_as_text_mode_reads(self, tmp_path, content):
+        path = tmp_path / "m.txt"
+        path.write_bytes(content.encode("utf-8"))
+        got = load_matrix(str(path))
+        assert got.tobytes() == rowwise_load(str(path), 1).tobytes()
+        assert got.tobytes() == MATRIX_3.tobytes()
+        # the same file as a dataset sample, under a manifest with the same
+        # line ending as its first line
+        newline = "\r\n" if "\r\n" in content else "\r" if "\r" in content else "\n"
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_bytes(newline.join(["s0 a m.txt", "s1 b m.txt", ""]).encode())
+        data, ids, _ = load_dataset(str(manifest))
+        assert ids == ["s0", "s1"]
+        assert data.samples.tobytes() == np.stack([MATRIX_3, MATRIX_3]).tobytes()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "3\n2 0.5 0\x0c0.5 3 1\n0 1 4\n",
+            "3\n2 0.5 0\x850.5 3 1\n0 1 4\n",
+            "3\n2 0.5 0\u20280.5 3 1\n0 1 4\n",
+            "3\r2 0.5\r0.5 3 1\r0 1 4\r",
+            "3\r\n2 0.5 0\r\n0.5 x 1\r\n0 1 4\r\n",
+            "# c\r3\r2 0.5 0\r0.5 3 1\r0 1 4\r1 1 1\r",
+            "3\r\n2 0.5 0\r\n0.5 3 1\r\n",
+            "3\r\n2 0.5 0\r\r\n0.5 3 1\r\n0 1 inf\r\n",
+        ],
+        ids=["formfeed-is-no-line-end", "nel-is-no-line-end",
+             "u2028-is-no-line-end", "cr-short-row", "crlf-non-numeric",
+             "cr-extra-row", "crlf-missing-row", "cr-crlf-non-finite"],
+    )
+    def test_faults_named_as_text_mode_reads(self, tmp_path, content):
+        path = tmp_path / "m.txt"
+        path.write_bytes(content.encode("utf-8"))
+        message = reference_error(str(path), 1)
+        with pytest.raises(ValidationError) as got:
+            load_matrix(str(path))
+        assert str(got.value) == message
+        save_matrix(str(tmp_path / "ok.txt"), MATRIX_3)
+        save_manifest(str(tmp_path / "manifest.txt"),
+                      [("s0", "a", "ok.txt"), ("s1", "b", "m.txt")])
+        with pytest.raises(ValidationError) as got:
+            load_dataset(str(tmp_path / "manifest.txt"))
+        assert str(got.value) == message
+
+    def test_bad_byte_past_the_first_chunk_named_as_text_mode_does(self, tmp_path):
+        # text mode decodes in chunks and gives the bad byte's offset in its
+        # chunk; a whole-file decode would give another offset
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"1\n" + b"# " + b"x" * 12000 + b"\xff\n1\n")
+        message = reference_error(str(path), 1)
+        assert "position 12004" not in message
+        with pytest.raises(ValidationError) as got:
+            load_matrix(str(path))
+        assert str(got.value) == message
+
+
+class TestBatchedDatasetParse:
+    @pytest.mark.parametrize("chunk", [1, 50, None], ids=["1", "50", "default"])
+    def test_stack_as_one_file_at_a_time(self, tmp_path, monkeypatch, chunk):
+        """Mirrored and fully written files mixed, converted in chunks of
+        any size, stack bit for bit as each file alone loads."""
+        if chunk is not None:
+            monkeypatch.setattr(fileio, "CHUNK_TOKENS", chunk)
+        entries, paths = [], []
+        for k in range(9):
+            path = str(tmp_path / f"s{k}.txt")
+            X = mirrored_spd(4, k)
+            if k % 3 == 1:
+                write_table(tmp_path / f"s{k}.txt", X, "%.17e")
+            else:
+                save_matrix(path, X)
+            entries.append((f"s{k}", "ab"[k % 2], f"s{k}.txt"))
+            paths.append(path)
+        save_manifest(str(tmp_path / "manifest.txt"), entries)
+        counts = counted_conversions(monkeypatch)
+        data, _, _ = load_dataset(str(tmp_path / "manifest.txt"))
+        expected = np.stack([rowwise_load(path, 1) for path in paths])
+        assert data.samples.tobytes() == expected.tobytes()
+        # 6 mirrored files of 10 tokens, 3 full ones of 16
+        assert sum(counts) == 6 * 10 + 3 * 16
+        if chunk is None:
+            assert len(counts) == 1

@@ -18,6 +18,7 @@ from spdalign.graphs import (
     label_similarity,
     neighbor_graphs,
 )
+from spdalign.matfun import require_pd
 from spdalign.metrics import MetricKind, pairwise_dist2
 
 
@@ -150,6 +151,65 @@ class TestLabeledDataset:
             data.subset([0, 2])
         with pytest.raises(ValidationError, match="at least two"):
             data.subset([1])
+
+
+def near_floor_spd(rng, n, scale, factor, rotated):
+    """An SPD matrix of dimension n, eigenvalues about `scale`, whose
+    smallest eigenvalue is `factor` times the PD floor of the finished
+    matrix: diagonal, or turned by a random rotation."""
+    w = scale * np.exp(rng.uniform(-1.0, 1.0, n))
+    w[0] = 0.0
+    # floor = 1e-12 max(tr X / n, 1) with w[0] itself in the trace
+    w[0] = factor * 1e-12 * max(w.sum() / n, 1.0)
+    if w.sum() / n > 1.0:
+        w[0] = factor * 1e-12 * w.sum() / (n - factor * 1e-12)
+    if not rotated:
+        return np.diag(w)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    X = (Q * w) @ Q.T
+    return 0.5 * (X + X.T)
+
+
+class TestPdScreen:
+    @pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 1 + 1e-9, 2.0, 1e3])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [2, 12, 20])
+    def test_decides_as_eigvalsh(self, monkeypatch, n, scale, factor, rotated):
+        """The stacked Cholesky screen accepts or rejects, and names the
+        sample and eigenvalue, exactly as require_pd on eigvalsh does."""
+        rng = np.random.default_rng(n)
+        samples = np.stack([rand_spd(rng, n), rand_spd(rng, n),
+                            near_floor_spd(rng, n, scale, factor, rotated),
+                            rand_spd(rng, n)])
+        try:
+            require_pd(np.linalg.eigvalsh(samples), samples, "sample")
+            expected = None
+        except NotPositiveDefiniteError as exc:
+            expected = str(exc)
+        calls = count_calls(monkeypatch, np.linalg, ["eigvalsh"])
+        try:
+            LabeledDataset(samples, [0, 1, 0, 1])
+            got = None
+        except NotPositiveDefiniteError as exc:
+            got = str(exc)
+        assert got == expected
+        if factor <= 1.0:
+            # at or below the floor: the screen must leave the call
+            assert calls == {"eigvalsh": 1}
+        if factor == 0.5:
+            assert got.startswith("sample 2 has min eigenvalue")
+        elif factor == 1e3:
+            # far above the floor: the screen decides alone
+            assert got is None and calls == {"eigvalsh": 0}
+
+    def test_first_bad_sample_named_after_the_screen_fails(self):
+        samples = np.stack([np.eye(3)] * 5)
+        samples[1] = np.diag([1.0, 2.0, 1e-13])
+        samples[4] = np.diag([-1.0, 1.0, 1.0])
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=r"^sample 1 has min eigenvalue 1\.000e-13 "):
+            LabeledDataset(samples, [0, 1, 0, 1, 0])
 
 
 class TestBuildGraphs:
