@@ -30,11 +30,20 @@ class NumericalError(SpdAlignError):
     """A computation failed for numerical reasons."""
 
 
-class NonSymmetricError(NumericalError):
+class _MatrixCheckError(NumericalError):
+    """A check of one matrix or a stack failed; `index` is the position of
+    the first failing matrix of a stack, None for one matrix."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
+
+
+class NonSymmetricError(_MatrixCheckError):
     """Input matrix is not symmetric within tolerance."""
 
 
-class NotPositiveDefiniteError(NumericalError):
+class NotPositiveDefiniteError(_MatrixCheckError):
     """Input matrix has an eigenvalue at or below the positivity floor."""
 
 

@@ -11,8 +11,8 @@ A file is read once and split into rows of fields, whose counts are
 checked before any field is converted. A square table whose lower
 triangle repeats its upper one token for token, as `save_matrix` writes a
 symmetric matrix, is parsed from its n(n+1)/2 diagonal and upper tokens;
-any other table is parsed in full. A dataset's sample files are converted
-many files per call.
+any other table is parsed in full. Each of a dataset's sample files is
+read and converted on its own, in manifest order.
 
 Formats:
 
@@ -25,11 +25,9 @@ Formats:
 """
 
 import functools
-import itertools
 import operator
 import os
 import tempfile
-from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,10 +35,6 @@ from .errors import NonSymmetricError, NotPositiveDefiniteError, ValidationError
 from .graphs import LabeledDataset
 
 FLOAT_FMT = "%.17g"
-# tokens a dataset load converts per call: enough to spread the call's
-# fixed cost over several sample files, few enough that the token strings
-# held at once (about 40 KB) do not raise the process's peak memory
-CHUNK_TOKENS = 512
 
 
 def atomic_write(path, text):
@@ -75,16 +69,9 @@ def _read_lines(path):
             text = handle.read().decode("utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError:
-        # read again in text mode, which names the bad byte by its offset in
-        # the chunk it was decoding, so the diagnostic is text mode's
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return handle.readlines()
-        except OSError as exc:
-            raise ValidationError(f"cannot read {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # decoded whole, so the message names the bad byte's offset in the file
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     if "\r" in text:
         # universal newlines: \r\n and a lone \r end a line as \n does,
         # and nothing else does (str.splitlines would also split at \x0c)
@@ -151,31 +138,15 @@ def _mirror_plan(n):
             operator.itemgetter(*upper.tolist()), position.ravel())
 
 
-class _Table(NamedTuple):
-    """The data rows of one table file, tokenized and not yet converted.
+def _parse(path, data, cols, rows=None, finite=True):
+    """The remaining data rows (`_data_rows`) as a (rows, cols) array: `cols`
+    values per row and, when `rows` is given, exactly `rows` rows.
 
-    `tokens` are the tokens to convert, `place` the index that spreads
-    their values over the rows in row order (None: they are in row order),
-    `numbers` the line number of each data row, and `fault` the message of
-    a row fault found after those rows, or None.
-    """
-
-    path: str
-    numbers: list
-    cols: int
-    tokens: Sequence[str]
-    place: Optional[np.ndarray]
-    fault: Optional[str]
-
-
-def _tokenize(path, data, cols, rows=None):
-    """The remaining data rows (`_data_rows`) as a `_Table` of `cols`
-    fields per row and, when `rows` is given, exactly `rows` rows.
-
-    Field and row counts are checked per line up to the first fault, which
-    is kept, not raised, so that a non-numeric token before it is named
-    first. A complete square table whose strict lower triangle repeats its
-    mirror token for token keeps only its diagonal and upper triangle."""
+    Faults are raised as a row-by-row parse meets them: a non-numeric token
+    (the first, with its line) ahead of the first bad field or row count,
+    then a non-finite value when `finite` is set. A complete square table
+    whose strict lower triangle repeats its mirror token for token converts
+    only its diagonal and upper triangle."""
     numbers, tokens, fault, place = [], [], None, None
     for number, fields in data:
         if len(numbers) == rows:
@@ -192,70 +163,34 @@ def _tokenize(path, data, cols, rows=None):
         lower, mirror, upper, position = _mirror_plan(cols)
         if lower(tokens) == mirror(tokens):
             tokens, place = upper(tokens), position
-    return _Table(path, numbers, cols, tokens, place, fault)
-
-
-def _read_table(path, header_count):
-    """A matrix (header_count 1: ``n``) or transform (2: ``n m``) file,
-    tokenized as an n-row table."""
-    data = iter(_data_rows(path))
-    header = _parse_header_ints(path, data, header_count)
-    return _tokenize(path, data, header[-1], header[0])
-
-
-def _convert(tables, finite=True):
-    """The values of the tables' tokens, converted in one call, as one flat
-    array in the tables' order.
-
-    Raises the first fault of the first faulty table, in the order one
-    table alone would meet them: a non-numeric token (the first in row
-    order, with its line), then the table's row fault, then, when `finite`
-    is set, a non-finite value."""
     try:
-        values = _floats(list(itertools.chain.from_iterable(
-            table.tokens for table in tables)))
+        values = _floats(tokens)
     except ValueError as exc:
-        for table in tables[:-1]:
-            _convert([table], finite)
-        last = tables[-1]
-        tokens = last.tokens if last.place is None else [
-            last.tokens[k] for k in last.place]
+        if place is not None:
+            tokens = [tokens[k] for k in place]
         for k, token in enumerate(tokens):
             try:
                 float(token)
             except ValueError as bad:
                 raise ValidationError(
-                    f"{last.path}:{last.numbers[k // last.cols]}: "
-                    f"non-numeric value: {bad}"
+                    f"{path}:{numbers[k // cols]}: non-numeric value: {bad}"
                 ) from bad
-        raise ValidationError(f"{last.path}: non-numeric value: {exc}") from exc
-    if any(table.fault for table in tables) or (
-            finite and not np.isfinite(values).all()):
-        end = 0
-        for table in tables:
-            start, end = end, end + len(table.tokens)
-            if table.fault:
-                raise ValidationError(table.fault)
-            if finite and not np.isfinite(values[start:end]).all():
-                raise ValidationError(f"{table.path}: file holds non-finite values")
-    return values
+        raise ValidationError(f"{path}: non-numeric value: {exc}") from exc
+    if fault:
+        raise ValidationError(fault)
+    if finite and not np.isfinite(values).all():
+        raise ValidationError(f"{path}: file holds non-finite values")
+    if place is not None:
+        values = values[place]
+    return values.reshape(len(numbers), cols)
 
 
-def _stack(tables):
-    """Tables of one shape, converted and checked in one call (`_convert`),
-    as a (len(tables), rows, cols) stack."""
-    values = _convert(tables)
-    first = tables[0]
-    shape = (len(tables), len(first.numbers), first.cols)
-    if any(table.place is not first.place for table in tables):
-        # mirrored and fully converted tables mixed: place each on its own
-        ends = np.cumsum([len(table.tokens) for table in tables])
-        return np.stack([
-            part if table.place is None else part[table.place]
-            for table, part in zip(tables, np.split(values, ends[:-1]))
-        ]).reshape(shape)
-    values = values.reshape(len(tables), -1)
-    return (values if first.place is None else values[:, first.place]).reshape(shape)
+def _read_table(path, header_count):
+    """A matrix (header_count 1: ``n``) or transform (2: ``n m``) file as
+    an n-row array (`_parse`)."""
+    data = iter(_data_rows(path))
+    header = _parse_header_ints(path, data, header_count)
+    return _parse(path, data, header[-1], header[0])
 
 
 def save_matrix(path, X):
@@ -269,7 +204,7 @@ def save_matrix(path, X):
 
 
 def load_matrix(path):
-    return _stack([_read_table(path, 1)])[0]
+    return _read_table(path, 1)
 
 
 def save_transform(path, W):
@@ -283,7 +218,7 @@ def save_transform(path, W):
 
 
 def load_transform(path):
-    return _stack([_read_table(path, 2)])[0]
+    return _read_table(path, 2)
 
 
 def save_trace(path, result):
@@ -304,8 +239,7 @@ def save_trace(path, result):
 
 def load_trace(path):
     """Read a trace file back as a (rows, 4) float array."""
-    table = _tokenize(path, _data_rows(path), 4)
-    rows = _convert([table], finite=False).reshape(-1, 4)
+    rows = _parse(path, _data_rows(path), 4, finite=False)
     if not rows.size:
         raise ValidationError(f"{path}: trace file holds no data rows")
     return rows
@@ -349,11 +283,9 @@ def load_dataset(manifest_path):
     Returns (dataset, sample_ids, label_names) where label_names[i] is the
     original label string for mapped class i.
 
-    Each sample file is read once and tokenized in manifest order, and the
-    tokens of consecutive files are converted in one call per about
-    CHUNK_TOKENS tokens, straight into the stack. A fault is raised as
-    loading the files one at a time would raise it: the first faulty
-    file's, once the files before it are converted. A sample that is not
+    Each sample file is read and converted on its own, in manifest order,
+    so the first faulty file is named, and a file's own fault ahead of a
+    shape that differs from the first file's. A sample that is not
     symmetric positive definite raises ValidationError naming the manifest
     and the sample's position, id and file.
     """
@@ -362,33 +294,24 @@ def load_dataset(manifest_path):
     label_names = sorted({label for _, label, _ in entries})
     label_index = {name: i for i, name in enumerate(label_names)}
     paths = [os.path.join(base, rel_path) for _, _, rel_path in entries]
-    samples, pending, size, done = None, [], 0, 0
+    samples = None
     for k, ((sample_id, _, _), path) in enumerate(zip(entries, paths)):
-        try:
-            table = _read_table(path, 1)
-        except ValidationError:
-            _convert(pending)  # a fault in an earlier file is named first
-            raise
+        X = _read_table(path, 1)
         if samples is None:
-            samples = np.empty((len(entries), table.cols, table.cols))
-        elif table.cols != samples.shape[-1]:
-            _convert(pending + [table])  # a fault in any of these first
+            samples = np.empty((len(entries),) + X.shape)
+        elif X.shape != samples.shape[1:]:
             raise ValidationError(
                 f"{manifest_path}: sample {sample_id!r} has shape "
-                f"{(table.cols, table.cols)}, expected {samples.shape[1:]}"
+                f"{X.shape}, expected {samples.shape[1:]}"
             )
-        pending.append(table)
-        size += len(table.tokens)
-        if table.fault or size >= CHUNK_TOKENS or k == len(entries) - 1:
-            samples[done:k + 1] = _stack(pending)
-            pending, size, done = [], 0, k + 1
+        samples[k] = X
     labels = np.array([label_index[label] for _, label, _ in entries])
     try:
         dataset = LabeledDataset(samples, labels)
     except (NonSymmetricError, NotPositiveDefiniteError) as exc:
         # a sample file that is no SPD matrix is invalid input, like every
-        # other malformed sample file; the check names it "sample <k>"
-        k = int(str(exc).split()[1])
+        # other malformed sample file
+        k = exc.index
         raise ValidationError(
             f"{manifest_path}: {exc} (id {entries[k][0]}, file {paths[k]})"
         ) from exc

@@ -37,17 +37,23 @@ def check_symmetric(A, name="matrix"):
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise NonSymmetricError(f"{name} must be square, got shape {A.shape}")
-    scale = np.maximum(np.abs(A).max(axis=(-2, -1), keepdims=True), 1.0)
-    bad = (np.abs(A - _mT(A)) / scale).max(axis=(-2, -1)) > SYM_RTOL
+    scale = np.maximum(np.maximum(A.max((-2, -1)), -A.min((-2, -1))), 1.0)
+    # |A - A^T| in one stack-sized temporary, scaled after its maximum
+    skew = A - _mT(A)
+    np.abs(skew, out=skew)
+    bad = skew.max((-2, -1)) / scale > SYM_RTOL
     if bad.any():
+        index, label = _first(bad)
         raise NonSymmetricError(
-            f"{name}{_first(bad)} is not symmetric within tolerance"
+            f"{name}{label} is not symmetric within tolerance", index
         )
     return A
 
 
 def _first(bad, ids=None):
-    """' <index>' of the first flagged matrix of a stack, '' for one matrix.
+    """(index, label) of the first flagged matrix of a stack: its position
+    (a tuple for a stack of more than one axis) and ' <position>' for a
+    message; (None, '') for one matrix.
 
     ids, when given, is a tuple of index arrays over the positions of a 1-D
     stack: position k is reported as [ids[0][k] ids[1][k] ...]. Only the
@@ -55,10 +61,10 @@ def _first(bad, ids=None):
     they are.
     """
     if bad.ndim == 0:
-        return ""
+        return None, ""
     where = tuple(int(k) for k in np.argwhere(bad)[0])
-    label = where[0] if len(where) == 1 else where
-    return f" {label if ids is None else np.array([a[label] for a in ids])}"
+    index = where[0] if len(where) == 1 else where
+    return index, f" {index if ids is None else np.array([a[index] for a in ids])}"
 
 
 def symmetrize(A):
@@ -79,14 +85,16 @@ def require_pd(w, X, name="matrix", ids=None):
 
     w holds the ascending eigenvalues of X, one matrix or a stack. A NaN
     eigenvalue fails the check too. The error names the first failing matrix
-    of a stack, by position or through ids (`_first`).
+    of a stack, by position or through ids, and carries its position as
+    `index` (`_first`).
     """
     low = w[..., 0]
     bad = ~(low > pd_floor(X))
     if bad.any():
+        index, label = _first(bad, ids)
         raise NotPositiveDefiniteError(
-            f"{name}{_first(bad, ids)} has min eigenvalue {low[bad].flat[0]:.3e} "
-            "at or below the PD floor"
+            f"{name}{label} has min eigenvalue {low[bad].flat[0]:.3e} "
+            "at or below the PD floor", index
         )
 
 

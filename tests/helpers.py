@@ -1,5 +1,7 @@
 """Shared random-input builders and oracles for the test suite."""
 
+import io
+
 import numpy as np
 
 from spdalign.descriptors import SynthConfig, synth_dataset
@@ -137,17 +139,19 @@ def grad_pairs_3d(geom, B, factors, pair_factors, i, j, weights):
 
 
 def rowwise_load(path, header_count):
-    """A matrix (header_count 1) or transform (2) file read in text mode and
-    parsed one row at a time with float(), checking each row as it is read:
-    the reference for the line splitting and the diagnostics of
+    """A matrix (header_count 1) or transform (2) file decoded whole, split
+    into lines by universal newlines as text mode splits them, and parsed
+    one row at a time with float(), checking each row as it is read: the
+    reference for the line splitting and the diagnostics of
     `fileio.load_matrix` and `fileio.load_transform`."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = handle.readlines()
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+    raw = io.StringIO(text, newline=None).readlines()
     lines = ((number, line.strip()) for number, line in enumerate(raw, start=1)
              if line.strip() and not line.strip().startswith("#"))
     number, line = next(lines, (None, None))

@@ -562,15 +562,11 @@ def expected_fault(manifest, kind, position):
 
 
 class TestCrossFileFaultOrder:
-    @pytest.mark.parametrize("chunk", [1, None], ids=["per-file", "default"])
     @pytest.mark.parametrize(
         "first, second",
         [(a, b) for a in FAULTY_SAMPLES for b in FAULTY_SAMPLES if a != b],
     )
-    def test_first_faulty_file_is_named(self, tmp_path, monkeypatch, chunk,
-                                        first, second):
-        if chunk is not None:
-            monkeypatch.setattr(fileio, "CHUNK_TOKENS", chunk)
+    def test_first_faulty_file_is_named(self, tmp_path, first, second):
         contents = [VALID_SAMPLE, FAULTY_SAMPLES[first], VALID_SAMPLE,
                     FAULTY_SAMPLES[second], VALID_SAMPLE]
         entries = []
@@ -653,25 +649,22 @@ class TestLineEndings:
             load_dataset(str(tmp_path / "manifest.txt"))
         assert str(got.value) == message
 
-    def test_bad_byte_past_the_first_chunk_named_as_text_mode_does(self, tmp_path):
-        # text mode decodes in chunks and gives the bad byte's offset in its
-        # chunk; a whole-file decode would give another offset
+    def test_bad_byte_named_by_its_offset_in_the_file(self, tmp_path):
+        # past the 8 KB chunks text mode decodes in, which would give the
+        # byte's offset in its chunk
         path = tmp_path / "m.txt"
         path.write_bytes(b"1\n" + b"# " + b"x" * 12000 + b"\xff\n1\n")
         message = reference_error(str(path), 1)
-        assert "position 12004" not in message
+        assert "position 12004" in message
         with pytest.raises(ValidationError) as got:
             load_matrix(str(path))
         assert str(got.value) == message
 
 
-class TestBatchedDatasetParse:
-    @pytest.mark.parametrize("chunk", [1, 50, None], ids=["1", "50", "default"])
-    def test_stack_as_one_file_at_a_time(self, tmp_path, monkeypatch, chunk):
-        """Mirrored and fully written files mixed, converted in chunks of
-        any size, stack bit for bit as each file alone loads."""
-        if chunk is not None:
-            monkeypatch.setattr(fileio, "CHUNK_TOKENS", chunk)
+class TestDatasetParse:
+    def test_stack_as_one_file_at_a_time(self, tmp_path, monkeypatch):
+        """Mirrored and fully written files mixed stack bit for bit as each
+        file alone loads."""
         entries, paths = [], []
         for k in range(9):
             path = str(tmp_path / f"s{k}.txt")
@@ -687,7 +680,6 @@ class TestBatchedDatasetParse:
         data, _, _ = load_dataset(str(tmp_path / "manifest.txt"))
         expected = np.stack([rowwise_load(path, 1) for path in paths])
         assert data.samples.tobytes() == expected.tobytes()
-        # 6 mirrored files of 10 tokens, 3 full ones of 16
-        assert sum(counts) == 6 * 10 + 3 * 16
-        if chunk is None:
-            assert len(counts) == 1
+        # one conversion per file in manifest order: a mirrored file's 10
+        # tokens, a fully converted one's 16
+        assert counts == [10, 16, 10, 10, 16, 10, 10, 16, 10]

@@ -108,6 +108,67 @@ class TestEigBackedFunctions:
             matfun.spd_log(X)
 
 
+class TestFailedCheckIndex:
+    """A failed check carries the first failing position of a stack as
+    `index`, None for one matrix, and its message names that position."""
+
+    def test_symmetry(self):
+        bad = np.triu(np.ones((3, 3)))
+        stack = np.stack([np.eye(3), bad, np.eye(3), bad])
+        with pytest.raises(NonSymmetricError) as got:
+            matfun.check_symmetric(stack, "sample")
+        assert got.value.index == 1
+        assert str(got.value) == "sample 1 is not symmetric within tolerance"
+        with pytest.raises(NonSymmetricError) as got:
+            matfun.check_symmetric(np.stack([stack[::-1], stack]))
+        assert got.value.index == (0, 0)
+        with pytest.raises(NonSymmetricError) as got:
+            matfun.check_symmetric(bad)
+        assert got.value.index is None
+        assert str(got.value) == "matrix is not symmetric within tolerance"
+
+    def test_definiteness(self):
+        stack = np.stack([np.eye(2), np.eye(2), np.diag([1.0, -1.0])])
+        w = np.linalg.eigvalsh(stack)
+        with pytest.raises(NotPositiveDefiniteError) as got:
+            matfun.require_pd(w, stack, "sample")
+        assert got.value.index == 2
+        assert str(got.value).startswith("sample 2 has min eigenvalue")
+        # ids relabel the position in the message, not the index
+        ids = (np.array([7, 8, 9]), np.array([4, 5, 6]))
+        with pytest.raises(NotPositiveDefiniteError) as got:
+            matfun.require_pd(w, stack, "pair", ids)
+        assert got.value.index == 2
+        assert str(got.value).startswith("pair [9 6] has min eigenvalue")
+        with pytest.raises(NotPositiveDefiniteError) as got:
+            matfun.require_pd(w[2], stack[2])
+        assert got.value.index is None
+        assert str(got.value).startswith("matrix has min eigenvalue")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_symmetry_decided_as_entrywise_ratio(self, seed):
+        """The check decides as max |A - A^T| / max(max |A|, 1) taken entry
+        by entry, at the tolerance's edge and with NaN and inf entries."""
+        rng = np.random.default_rng(seed)
+        scales = rng.choice([1e-3, 1.0, 1e3], (64, 1, 1))
+        stack = rng.standard_normal((64, 4, 4)) * scales
+        stack = stack + np.swapaxes(stack, 1, 2)
+        scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
+        off = rng.choice([0.5, 0.999999, 1.0, 1.000001, 2.0], 64)
+        stack[:, 0, 2] += off * matfun.SYM_RTOL * scale
+        stack[5, 1, 1] = np.nan
+        stack[6, 0, 3] = stack[6, 3, 0] = -np.inf
+        stack[7, 0, 3] = np.inf
+        for X in stack:
+            with np.errstate(invalid="ignore"):  # inf - inf, in both
+                ratio = (np.abs(X - X.T) / np.maximum(np.abs(X).max(), 1.0)).max()
+                if ratio > matfun.SYM_RTOL:
+                    with pytest.raises(NonSymmetricError):
+                        matfun.check_symmetric(X)
+                else:
+                    assert matfun.check_symmetric(X) is X
+
+
 class TestLogDerivative:
     def test_at_base_point_along_itself_is_identity(self):
         rng = np.random.default_rng(0)
