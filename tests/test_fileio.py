@@ -561,10 +561,14 @@ def expected_fault(manifest, kind, position):
     return reference_error(path, 1)
 
 
+FAULT_PAIRS = [(a, b) for a in FAULTY_SAMPLES for b in FAULTY_SAMPLES if a != b]
+
+
 class TestCrossFileFaultOrder:
+    # each sample file is read and converted on its own, in manifest order
     @pytest.mark.parametrize(
-        "first, second",
-        [(a, b) for a in FAULTY_SAMPLES for b in FAULTY_SAMPLES if a != b],
+        "first, second", FAULT_PAIRS,
+        ids=[f"{a}-{b}-per-file" for a, b in FAULT_PAIRS],
     )
     def test_first_faulty_file_is_named(self, tmp_path, first, second):
         contents = [VALID_SAMPLE, FAULTY_SAMPLES[first], VALID_SAMPLE,
