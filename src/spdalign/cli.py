@@ -1,8 +1,8 @@
 """Command-line interface: train, eval, gradcheck, and synth subcommands.
 
-Exit codes: 0 success, 1 validation/configuration error, 2 numerical
-failure, 3 gradient-check failure. Every command is deterministic given
-its configuration and seed.
+Exit codes: 0 success, 1 validation/configuration error or a file that
+cannot be read or written, 2 numerical failure, 3 gradient-check failure.
+Every command is deterministic given its configuration and seed.
 """
 
 import argparse
@@ -101,6 +101,15 @@ def _resolve_seed(args, config):
     return seed
 
 
+def _make_output_dir(path):
+    """Create the directory path and its parents, unless it already is one,
+    so a path that cannot take the outputs fails before any work."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def _auto_neighbor_count(data):
     """The within-class rule: one fewer than the smallest class."""
     return max(int(data.class_sizes().min()) - 1, 1)
@@ -182,6 +191,7 @@ def cmd_train(args):
     beta = _resolve(args, config, "beta")
     if beta is not None:
         metrics.check_beta(beta)
+    _make_output_dir(output_dir)
 
     if args.strict:
         worst = gradcheck_report([metric], instances=2, seed=seed)
@@ -223,7 +233,6 @@ def cmd_train(args):
     W0 = initial_transform(data.dim, target_dim, seed=seed)
     result = rcg_maximize(data, graphs, metric, beta, W0, opt_config)
 
-    os.makedirs(output_dir, exist_ok=True)
     w_path = os.path.join(output_dir, "W.txt")
     trace_path = os.path.join(output_dir, "trace.txt")
     save_transform(w_path, result.W_final)
@@ -295,9 +304,9 @@ def cmd_synth(args):
         noise=args.noise,
         seed=seed,
     )
-    data = synth_dataset(cfg)
     sample_dir = os.path.join(args.output_dir, "samples")
-    os.makedirs(sample_dir, exist_ok=True)
+    _make_output_dir(sample_dir)
+    data = synth_dataset(cfg)
     entries = []
     for i in range(data.size):
         name = f"s{i:04d}.txt"

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import matfun
 from .errors import DegenerateInputError, ValidationError
-from .graphs import LabeledDataset
+from .dataset import LabeledDataset
 
 RIDGE_SCALE = 1e-3
 RIDGE_FLOOR = 1e-8

@@ -32,30 +32,34 @@ import tempfile
 import numpy as np
 
 from .errors import NonSymmetricError, NotPositiveDefiniteError, ValidationError
-from .graphs import LabeledDataset
+from .dataset import LabeledDataset
 
 FLOAT_FMT = "%.17g"
 
 
 def atomic_write(path, text):
     """Write text to path via a same-directory temp file and atomic rename,
-    with the mode `open(path, "w")` would give it: 0o666 less the umask."""
+    with the mode `open(path, "w")` would give it: 0o666 less the umask.
+    A file-system failure is a ValidationError naming path."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            # the umask can only be read by setting it
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
-        os.replace(tmp_path, path)
-    except BaseException:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+                # the umask can only be read by setting it
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(handle.fileno(), 0o666 & ~umask)
+            os.replace(tmp_path, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _float_row(row):

@@ -4,9 +4,9 @@ import io
 
 import numpy as np
 
+from spdalign.dataset import LabeledDataset
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import ValidationError
-from spdalign.graphs import LabeledDataset
 from spdalign.metrics import (
     DIST_CLAMP, _blocks, check_beta, check_transform, dist2, geometry, map_down,
 )

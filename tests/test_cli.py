@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from helpers import count_calls
+import spdalign
 import spdalign.cli as cli
+import spdalign.dataset
 import spdalign.graphs
 import spdalign.metrics
 from spdalign.fileio import (
@@ -586,6 +588,48 @@ class TestNegativeSeed:
         assert code == 0
 
 
+class TestUnusableOutputPath:
+    """An output path that cannot hold the outputs is bad input (exit 1),
+    named on stderr, and train and synth find it before any work."""
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_train_output_dir_blocked_before_load(
+        self, corpus, tmp_path, capsys, monkeypatch, under
+    ):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        out = blocker / "out" if under else blocker
+        calls = count_calls(monkeypatch, cli, ["load_dataset", "rcg_maximize"])
+        assert cli.main(train_args(corpus, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {out}: ")
+        assert calls == {"load_dataset": 0, "rcg_maximize": 0}
+        assert blocker.read_text() == "keep\n"
+
+    def test_train_output_file_that_is_a_directory(self, corpus, tmp_path, capsys):
+        (tmp_path / "W.txt").mkdir()
+        assert cli.main(train_args(corpus, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / 'W.txt'}: ")
+        assert "Traceback" not in err
+        # the temp file is gone and nothing else was written
+        assert os.listdir(tmp_path) == ["W.txt"]
+
+    def test_synth_output_dir_blocked_before_generation(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        calls = count_calls(monkeypatch, cli, ["synth_dataset"])
+        assert cli.main(["synth", "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: cannot create output directory {out / 'samples'}: "
+        )
+        assert calls == {"synth_dataset": 0}
+        assert out.read_text() == "keep\n"
+
+
 class TestUsageErrors:
     def test_unknown_metric_choice(self, capsys):
         assert cli.main(["train", "--metric", "euclid"]) == 1
@@ -661,3 +705,76 @@ def test_commands_never_import_numpy_ma(corpus, tmp_path):
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "False"
+
+
+LOAD_ONLY_CHILD = """
+import json, sys
+import spdalign
+from spdalign.fileio import load_dataset
+
+load_dataset(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "spdalign")))
+"""
+
+
+def test_loading_a_dataset_imports_only_what_it_uses(corpus):
+    """In a fresh interpreter, importing the package and loading a dataset
+    import the file formats, the dataset checks and their helpers, and none
+    of the graph, metric, training, evaluation, synthesis or CLI code."""
+    src = Path(cli.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-c", LOAD_ONLY_CHILD, corpus],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout.splitlines()[-1]) == [
+        "spdalign", "spdalign.dataset", "spdalign.errors", "spdalign.fileio",
+        "spdalign.matfun",
+    ]
+
+
+# the package's public names, as listed before they were imported lazily
+PUBLIC_NAMES = """
+    ConfigError DegenerateAlignmentError DegenerateInputError DimMismatchError
+    EvalReport EvalSummary InsufficientClassSizeError LabeledDataset MetricKind
+    NoConvergenceError NonSymmetricError NotPositiveDefiniteError NumericalError
+    OptimizerConfig PairGraphs RankDeficientError SpdAlignError StopReason
+    SylvesterFailureError SynthConfig TrainResult ValidationError bandwidth
+    build_graphs cov_descriptor cross_dist2 default_beta dist2 initial_transform
+    knn_classify load_dataset neighbor_graphs pairwise_dist2 rcg_maximize
+    repeated_split_eval split synth_dataset
+""".split()
+
+
+class TestPackageNamespace:
+    def test_all_lists_the_public_names(self):
+        assert len(PUBLIC_NAMES) == 37
+        assert spdalign.__all__ == sorted(PUBLIC_NAMES)
+
+    @pytest.mark.parametrize("name", PUBLIC_NAMES)
+    def test_public_name_is_its_submodule_object(self, name):
+        value = getattr(spdalign, name)
+        module = sys.modules[value.__module__]
+        assert module.__name__.startswith("spdalign.")
+        assert getattr(module, name) is value
+        assert vars(spdalign)[name] is value
+
+    def test_dir_covers_all(self):
+        assert set(spdalign.__all__) <= set(dir(spdalign))
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from spdalign import *", namespace)
+        assert set(PUBLIC_NAMES) <= set(namespace)
+        assert namespace["LabeledDataset"] is spdalign.dataset.LabeledDataset
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
+            spdalign.nonexistent  # noqa: B018
+        assert not hasattr(spdalign, "nonexistent")
+
+    def test_submodule_import_falls_through(self):
+        from spdalign import cli as imported
+
+        assert imported is cli

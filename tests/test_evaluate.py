@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from spdalign import evaluate
+from spdalign.dataset import LabeledDataset
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import ValidationError
 from spdalign.evaluate import EvalSummary, knn_classify, repeated_split_eval, split
-from spdalign.graphs import LabeledDataset, unordered_pairs
+from spdalign.graphs import unordered_pairs
 from spdalign.metrics import MetricKind, cross_dist2, geometry, map_down
 
 from helpers import clustered_dataset, rand_full_rank, ref_shaped_dataset

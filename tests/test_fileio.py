@@ -10,6 +10,7 @@ import pytest
 
 from helpers import rand_spd, rowwise_load
 from spdalign import fileio
+from spdalign.dataset import LabeledDataset
 from spdalign.errors import NonSymmetricError, ValidationError
 from spdalign.fileio import (
     FLOAT_FMT,
@@ -24,7 +25,6 @@ from spdalign.fileio import (
     save_trace,
     save_transform,
 )
-from spdalign.graphs import LabeledDataset
 from spdalign.matfun import SYM_RTOL
 from spdalign.optimizer import StopReason, TrainResult
 

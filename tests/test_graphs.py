@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import count_calls, graph_split, graph_union, rand_spd
+from spdalign.dataset import LabeledDataset
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import (
     InsufficientClassSizeError,
@@ -11,7 +12,6 @@ from spdalign.errors import (
     ValidationError,
 )
 from spdalign.graphs import (
-    LabeledDataset,
     PairGraphs,
     build_graphs,
     centering_matrix,
