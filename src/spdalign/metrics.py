@@ -32,6 +32,15 @@ the affine-invariant distance, the Cholesky factor of each midpoint for
 Stein. The log-Euclidean gradient reads only per-sample factors, so it keeps
 nothing.
 
+The log-Euclidean kernel holds each sample's log as its upper triangle, the
+diagonal and the strict upper part in `np.triu_indices(n)` order: a
+symmetric difference D has n(n+1)/2 distinct entries, and ||D||_F^2 is the
+sum of the squared diagonal plus twice that of the strict upper part. The
+difference of two triangles is entrywise the difference of the two logs,
+formed exactly as from the full matrices; no entry is scaled before it, so
+coincident logs still give exactly zero and the value is still exactly
+invariant to argument order.
+
 The affine-invariant distance has a cheap lower bound: the log-Euclidean
 one, ||log A - log B||_F <= ||log(A^{-1/2} B A^{-1/2})||_F (the exponential
 metric increasing property; Bhatia, Positive Definite Matrices, 2007, Thm
@@ -58,6 +67,7 @@ out nothing. Stein and the log-Euclidean distance have no such bound.
 """
 
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -133,7 +143,7 @@ def check_transform(W, n=None):
 def map_down(X, W):
     """Congruence W^T X W taking an SPD matrix, or each of a stack, to the
     target dimension."""
-    X = matfun.check_symmetric(X, "sample")
+    X = _checked(X, "sample")
     W = check_transform(W, n=X.shape[-1])
     return matfun.symmetrize(W.T @ (X @ W))
 
@@ -142,6 +152,19 @@ def _blocks(count, n):
     """Slices covering range(count) in blocks of BLOCK_ENTRIES // n^2 pairs."""
     step = max(1, BLOCK_ENTRIES // (n * n))
     return (slice(s, s + step) for s in range(0, count, step))
+
+
+@cache
+def _upper(n):
+    """(rows, cols, weights) of the upper triangle of an n x n matrix in
+    `np.triu_indices(n)` order, weights 1 on the diagonal and 2 above it:
+    ||S||_F^2 = (S[rows, cols]**2) @ weights for a symmetric S. Read-only,
+    since every caller shares them."""
+    rows, cols = np.triu_indices(n)
+    weights = np.where(rows == cols, 1.0, 2.0)
+    for a in (rows, cols, weights):
+        a.setflags(write=False)
+    return rows, cols, weights
 
 
 def _sorts_before(a, ia, b, ib):
@@ -198,16 +221,19 @@ class Geometry:
     gradient hooks read these factors only.
     `block_grad` and `finish` are the pair gradient term:
     `block_grad` gives a pair's terms T_i and T_j for its two ends, and
-    `finish` is a map phi_s, linear in its argument, such that with
+    `finish` is a map phi_s, linear in its argument, from a sum of terms
+    to an m x m matrix, such that with
     Y_p = W^T X_p W and B_p = X_p W the gradient of
     k_ij = exp(-beta d_ij) with respect to W is
 
         -grad_scale * beta * k_ij * (B_i phi_i(T_i) + B_j phi_j(T_j)).
 
     Since phi_s is linear, `grad_pairs` sums the weighted terms per sample
-    and finishes each sample once. `dist2_pairs` and `grad_pairs` feed pairs
-    through in blocks of BLOCK_ENTRIES matrix entries, which bounds the
-    working memory whatever the pair count.
+    and finishes each sample once. A term has the shape of one sample's
+    entry of the first gradient factor: m x m for AIM and Stein, the
+    m(m+1)/2 upper-triangle entries for LEM. `dist2_pairs` and `grad_pairs`
+    feed pairs through in blocks of BLOCK_ENTRIES matrix entries, which
+    bounds the working memory whatever the pair count.
     """
 
     grad_scale = 4.0
@@ -247,22 +273,24 @@ class Geometry:
         `dist2_pairs(..., keep=True)` gave them, for the N samples B_p = X_p W
         of the (N, n, m) stack B.
 
-        A 1-D `np.add.at` at sample * m^2 + entry sums the weighted terms per
-        sample entry in pair order (block by block, i-ends before j-ends);
-        B reduces the sums in one product, so the summation order is fixed.
+        A 1-D `np.add.at` at sample * size + entry, with size the entries of
+        one term, sums the weighted terms per sample entry in pair order
+        (block by block, i-ends before j-ends); B reduces the sums in one
+        product, so the summation order is fixed.
         """
         N, _, m = B.shape
         factors = self.grad_factors(factors)
-        entries = np.arange(m * m)
-        acc = np.zeros(N * m * m)
+        shape = factors[0].shape[1:]
+        entries = np.arange(np.prod(shape, dtype=int))
+        acc = np.zeros(N * entries.size)
         for blk in _blocks(len(i), m):
             pair = None if pair_factors is None else pair_factors[blk]
             end_i, end_j = self.block_grad(factors, pair, i[blk], j[blk])
-            w = weights[blk, None, None]
+            w = weights[blk, None]
             for ends, terms in ((i[blk], end_i), (j[blk], end_j)):
                 np.add.at(acc, (ends[:, None] * entries.size + entries).ravel(),
-                          (w * terms).ravel())
-        F = self.finish(factors, acc.reshape(N, m, m))
+                          (w * terms.reshape(len(ends), -1)).ravel())
+        F = self.finish(factors, acc.reshape((N,) + shape))
         return np.tensordot(B, F, axes=([0, 2], [0, 1]))
 
 
@@ -323,7 +351,8 @@ class AffineInvariant(Geometry):
     def lower_bound(side, i, j):
         stack, (_, w, _) = side
         Z, logs, spread_z, spread_g = AffineInvariant.whiten_by_log_mean(side)
-        whitened = (Z, (logs,))
+        rows, cols, _ = _upper(Z.shape[-1])
+        whitened = (Z, (logs[:, rows, cols],))
         bound, _ = geometry(MetricKind.LEM).dist2_pairs(whitened, whitened, i, j)
         spread = w[:, -1] / w[:, 0]
         scale = BOUND_MARGIN * stack.shape[-1] ** 1.5 * np.finfo(float).eps
@@ -421,35 +450,51 @@ class Stein(Geometry):
 
 
 class LogEuclidean(Geometry):
-    """||log X_i - log X_j||_F^2.
+    """||log X_i - log X_j||_F^2, on the upper triangles of the logs.
 
-    Pair gradient terms T_i = D and T_j = -D with D = log Y_i - log Y_j,
-    finished by phi_s(T) = dlog(Y_s)[T]: one stacked `dlog_eig` call
-    differentiates every sample along its summed direction, from the
-    eigenpairs that gave the logs.
+    `factors` holds each log as its n(n+1)/2 upper-triangle entries (module
+    docstring). A pair's distance is d = sum_diag D^2 + 2 sum_upper D^2 for
+    the difference D of its two triangles, which is exact, entry for entry,
+    as the difference of the full logs would be; squaring and one product
+    with the weights 1 and 2 finish it, so d depends on the squared
+    entries alone and is the same in either order, and exactly zero for
+    coincident logs.
+
+    Pair gradient terms T_i = D and T_j = -D, in triangle form, finished by
+    phi_s(T) = dlog(Y_s)[S(T)] with S(T) the symmetric matrix whose upper
+    triangle is T: one stacked `dlog_eig` call differentiates every sample
+    along its summed direction, from the eigenpairs that gave the logs.
     """
 
     @staticmethod
     def factors(stack, name):
-        """(log X, w, Q) with X = Q diag(w) Q^T, from one eigendecomposition."""
+        """(upper triangle of log X, w, Q) with X = Q diag(w) Q^T, from one
+        eigendecomposition."""
         w, Q = matfun.spd_eig(stack, name)
-        return matfun.eig_apply(Q, np.log(w)), w, Q
+        rows, cols, _ = _upper(stack.shape[-1])
+        return matfun.eig_apply(Q, np.log(w))[..., rows, cols], w, Q
 
     @staticmethod
     def block_dist2(left, right, i, j, keep=False):
-        D = left[1][0][i] - right[1][0][j]
-        return np.sum(D * D, axis=(-2, -1)), None
+        D = left[1][0][i]
+        D -= right[1][0][j]
+        D *= D
+        return D @ _upper(left[0].shape[-1])[2], None
 
     @staticmethod
     def block_grad(factors, pair, i, j):
-        logs = factors[0]
-        D = logs[i] - logs[j]
+        upper = factors[0]
+        D = upper[i] - upper[j]
         return D, -D
 
     @staticmethod
     def finish(factors, acc):
         _, w, Q = factors
-        return matfun.dlog_eig(w, Q, matfun.symmetrize(acc))
+        rows, cols, _ = _upper(Q.shape[-1])
+        S = np.empty(Q.shape)
+        S[:, rows, cols] = acc
+        S[:, cols, rows] = acc
+        return matfun.dlog_eig(w, Q, S)
 
 
 _GEOMETRIES = {
@@ -464,24 +509,46 @@ def geometry(metric):
     return _GEOMETRIES[MetricKind.parse(metric)]
 
 
-def _side(geom, stack, name):
-    """A validated (stack, factors) operand of `Geometry.dist2_pairs` and
-    `Geometry.lower_bound`."""
+def _checked(A, name):
+    """A symmetric matrix or stack with finite entries.
+
+    Finiteness is checked first, before the symmetry check and any
+    factorization: a non-finite matrix is named by its position in a stack,
+    and would otherwise fail as whatever its geometry's decomposition makes
+    of it.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim >= 2:
+        finite = np.isfinite(A).all(axis=(-2, -1))
+        if not finite.all():
+            label = "" if finite.ndim == 0 else f" {int(np.argmin(finite))}"
+            raise ValidationError(f"{name}{label} holds a non-finite value")
+    return matfun.check_symmetric(A, name)
+
+
+def _stack(stack, name):
+    """A validated (k, n, n) stack of finite symmetric matrices."""
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValidationError(
             f"{name} operand must be a (k, n, n) stack of matrices, "
             f"got shape {stack.shape}"
         )
-    stack = matfun.check_symmetric(stack, name)
+    return _checked(stack, name)
+
+
+def _side(geom, stack, name):
+    """A validated (stack, factors) operand of `Geometry.dist2_pairs` and
+    `Geometry.lower_bound`."""
+    stack = _stack(stack, name)
     return stack, geom.factors(stack, name)
 
 
 def dist2(metric, X1, X2):
     """Squared distance between two SPD matrices under the chosen geometry."""
     geom = geometry(metric)
-    X1 = matfun.check_symmetric(X1, "first operand")
-    X2 = matfun.check_symmetric(X2, "second operand")
+    X1 = _checked(X1, "first operand")
+    X2 = _checked(X2, "second operand")
     if X1.shape != X2.shape:
         raise DimMismatchError(f"operand dims differ: {X1.shape} vs {X2.shape}")
     left = (X1[None], tuple(f[None] for f in geom.factors(X1, "first operand")))
@@ -510,13 +577,13 @@ def pairwise_dist2(metric, samples):
 def cross_dist2(metric, rows, cols):
     """Squared distances between every row-stack and column-stack sample."""
     geom = geometry(metric)
-    left = _side(geom, rows, "row sample")
-    right = _side(geom, cols, "col sample")
-    rows, cols = left[0], right[0]
+    rows, cols = _stack(rows, "row sample"), _stack(cols, "col sample")
     if rows.shape[1:] != cols.shape[1:]:
         raise DimMismatchError(
             f"sample dims differ: {rows.shape[1:]} vs {cols.shape[1:]}"
         )
+    left = (rows, geom.factors(rows, "row sample"))
+    right = (cols, geom.factors(cols, "col sample"))
     R, C = rows.shape[0], cols.shape[0]
     i, j = np.divmod(np.arange(R * C), C)
     return geom.dist2_pairs(left, right, i, j)[0].reshape(R, C)
@@ -546,11 +613,14 @@ def bandwidth(D):
     from a `pairwise_dist2` matrix.
 
     sigma is fixed once from the training samples on their original manifold
-    and is not recomputed as the transform changes.
+    and is not recomputed as the transform changes. A D with a non-finite or
+    negative entry is rejected: it would give a NaN or infinite bandwidth.
     """
     N = D.shape[0]
     if N < 2:
         raise ValidationError("need at least two samples to set the bandwidth")
+    if not (np.isfinite(D) & (D >= 0.0)).all():
+        raise ValidationError("distance matrix holds non-finite or negative values")
     iu = np.triu_indices(N, k=1)
     sigma = float(np.mean(np.sqrt(D[iu])))
     if sigma <= 0.0:

@@ -123,15 +123,18 @@ def count_calls(monkeypatch, module, names):
 
 
 def grad_pairs_3d(geom, B, factors, pair_factors, i, j, weights):
-    """`Geometry.grad_pairs` with a 3-D `np.add.at` of whole m x m terms per
-    sample: the per-sample accumulation the flat one must equal bit for bit."""
+    """`Geometry.grad_pairs` with an `np.add.at` of whole terms per sample,
+    each in the geometry's term shape (m x m for AIM and Stein, the upper
+    triangle for LEM): the per-sample accumulation the flat one must equal
+    bit for bit."""
     N, _, m = B.shape
     factors = geom.grad_factors(factors)
-    acc = np.zeros((N, m, m))
+    shape = factors[0].shape[1:]
+    acc = np.zeros((N,) + shape)
     for blk in _blocks(len(i), m):
         pair = None if pair_factors is None else pair_factors[blk]
         end_i, end_j = geom.block_grad(factors, pair, i[blk], j[blk])
-        w = weights[blk, None, None]
+        w = weights[blk].reshape((-1,) + (1,) * len(shape))
         np.add.at(acc, i[blk], w * end_i)
         np.add.at(acc, j[blk], w * end_j)
     F = geom.finish(factors, acc)

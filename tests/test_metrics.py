@@ -30,6 +30,7 @@ from spdalign.metrics import (
     MetricKind,
     _blocks,
     _side,
+    bandwidth,
     check_transform,
     cross_dist2,
     default_beta,
@@ -42,6 +43,7 @@ from spdalign.metrics import (
 )
 
 ALL_METRICS = list(MetricKind)
+EPS = np.finfo(float).eps
 
 
 class TestMetricKind:
@@ -85,6 +87,16 @@ class TestMapDown:
         X[0, 2] = 0.5
         with pytest.raises(NonSymmetricError):
             map_down(X, np.eye(3)[:, :2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        # mapped through W it would come back as NaN, with a warning only
+        stack = np.stack([np.eye(3)] * 3)
+        stack[1, 0, 1] = stack[1, 1, 0] = bad
+        with pytest.raises(ValidationError, match="^sample 1 holds a non-finite"):
+            map_down(stack, np.eye(3)[:, :2])
+        with pytest.raises(ValidationError, match="^sample holds a non-finite"):
+            map_down(stack[1], np.eye(3)[:, :2])
 
     def test_wide_transform_rejected(self):
         with pytest.raises(ValidationError):
@@ -559,3 +571,134 @@ class TestDefaultBeta:
     def test_needs_two_samples(self):
         with pytest.raises(ValidationError):
             default_beta(MetricKind.AIM, np.eye(3)[None])
+
+
+class TestBandwidthInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_distance_rejected(self, bad):
+        # a NaN, infinite or negative distance would give a NaN or infinite
+        # bandwidth, which training would then use
+        D = pairwise_dist2(MetricKind.LEM, np.stack([np.eye(2), 2 * np.eye(2),
+                                                     3 * np.eye(2)]))
+        D[0, 2] = D[2, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite or negative"):
+            bandwidth(D)
+
+
+class TestNonFiniteSamples:
+    """A non-finite sample is rejected once, before any factorization, with
+    the same ValidationError under every geometry, naming the operand and
+    the first bad sample."""
+
+    @staticmethod
+    def stack(bad):
+        rng = np.random.default_rng(23)
+        stack = np.stack([rand_spd(rng, 3) for _ in range(5)])
+        for k in (2, 4):
+            stack[k, 0, 1] = stack[k, 1, 0] = bad
+        return stack
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        return count_calls(monkeypatch, np.linalg,
+                           ["eigh", "eigvalsh", "cholesky"])
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_stack_operands(self, metric, bad, factorizations):
+        stack = self.stack(bad)
+        good = stack[:2]
+        for call, name in [
+            (lambda: pairwise_dist2(metric, stack), "sample 2"),
+            (lambda: indexed_dist2(metric, stack, [0, 1], [3, 0]), "sample 2"),
+            (lambda: factored(metric, stack), "sample 2"),
+            (lambda: cross_dist2(metric, stack, good), "row sample 2"),
+            (lambda: cross_dist2(metric, good, stack), "col sample 2"),
+        ]:
+            with pytest.raises(ValidationError, match=f"^{name} holds a non-finite"):
+                call()
+        assert factorizations == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dist2(self, metric, bad, factorizations):
+        stack = self.stack(bad)
+        good, broken = stack[0], stack[2]
+        with pytest.raises(ValidationError, match="^first operand holds a non-finite"):
+            dist2(metric, broken, good)
+        with pytest.raises(ValidationError, match="^second operand holds a non-finite"):
+            dist2(metric, good, broken)
+        with pytest.raises(ValidationError, match="^first operand holds a non-finite"):
+            dist2(metric, broken, broken)
+        assert factorizations == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS)
+def test_cross_dims_checked_before_factoring(metric, monkeypatch):
+    # an indefinite stack of another dimension is a dimension mismatch, found
+    # before either stack is factored
+    calls = count_calls(monkeypatch, np.linalg, ["eigh", "cholesky"])
+    indefinite = np.diag([1.0, -1.0, 2.0, 3.0])[None]
+    for rows, cols in ((np.eye(3)[None], indefinite), (indefinite, np.eye(3)[None])):
+        with pytest.raises(DimMismatchError):
+            cross_dist2(metric, rows, cols)
+    assert calls == {"eigh": 0, "cholesky": 0}
+
+
+class TestLogEuclideanTriangle:
+    """The log-Euclidean kernel runs on the n(n+1)/2 upper-triangle entries
+    of each log: exact at coincidence, exact in either order, and equal to
+    the full-matrix distance up to rounding."""
+
+    DIMS = [1, 2, 5, 12, 20]
+
+    @staticmethod
+    def stack(n, count=6, seed=0):
+        rng = np.random.default_rng(seed + n)
+        return np.stack([rand_spd(rng, n, cond_spread=2.0) for _ in range(count)])
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_factors_hold_the_upper_triangle(self, n):
+        stack = self.stack(n)
+        upper, w, Q = geometry(MetricKind.LEM).factors(stack, "sample")
+        rows, cols = np.triu_indices(n)
+        assert upper.shape == (len(stack), n * (n + 1) // 2)
+        full = np.stack([matfun.spd_log(X) for X in stack])
+        scale = np.abs(full).max()
+        assert np.abs(upper - full[:, rows, cols]).max() <= 64 * n * EPS * scale
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_coincident_samples_give_exact_zero(self, n):
+        stack = self.stack(n)
+        twice = np.concatenate([stack, stack])
+        k = np.arange(len(stack))
+        assert np.all(indexed_dist2(MetricKind.LEM, twice, k, k + len(stack)) == 0.0)
+        assert np.all(np.diag(cross_dist2(MetricKind.LEM, stack, stack)) == 0.0)
+        assert dist2(MetricKind.LEM, stack[0], stack[0].copy()) == 0.0
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_swapped_arguments_give_the_same_value(self, n):
+        stack = self.stack(n)
+        i, j = np.triu_indices(len(stack), k=1)
+        forward = indexed_dist2(MetricKind.LEM, stack, i, j)
+        assert np.array_equal(forward, indexed_dist2(MetricKind.LEM, stack, j, i))
+        left, right = stack[:2], stack[2:]
+        assert np.array_equal(cross_dist2(MetricKind.LEM, left, right),
+                              cross_dist2(MetricKind.LEM, right, left).T)
+        assert (dist2(MetricKind.LEM, stack[0], stack[1])
+                == dist2(MetricKind.LEM, stack[1], stack[0]))
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_agrees_with_full_log_difference(self, n):
+        # each log entry carries rounding of order n eps ||log X||_F, so the
+        # squared norm of a difference agrees to n eps (||L_i|| + ||L_j||)^2;
+        # the factor 64 leaves room for the eigensolver's constant
+        stack = self.stack(n)
+        i, j = np.triu_indices(len(stack), k=1)
+        d = indexed_dist2(MetricKind.LEM, stack, i, j)
+        logs = [matfun.spd_log(X) for X in stack]
+        for p in range(len(i)):
+            Li, Lj = logs[i[p]], logs[j[p]]
+            reference = np.sum((Li - Lj) ** 2)
+            size = np.linalg.norm(Li) + np.linalg.norm(Lj)
+            assert abs(d[p] - reference) <= 64 * n * EPS * size**2
