@@ -46,11 +46,7 @@ class LabeledDataset:
                 f"samples must be a stack of square matrices, got {samples.shape}"
             )
         _check_labels(labels, samples.shape[0])
-        finite = np.isfinite(samples).all(axis=(1, 2))
-        if not finite.all():
-            raise ValidationError(
-                f"sample {int(np.argmin(finite))} holds a non-finite value"
-            )
+        matfun.check_finite(samples, "sample")
         matfun.check_symmetric(samples, "sample")
         if not _clearly_pd(samples):
             matfun.require_pd(np.linalg.eigvalsh(samples), samples, "sample")

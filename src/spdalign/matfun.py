@@ -10,16 +10,22 @@ with X = Q diag(l) Q^T,
 
 (Higham, Functions of Matrices, SIAM 2008, ch. 3). `dlog`, `dlog_eig` (the
 same formula from eigenpairs the caller already holds) and the helpers they
-validate with (check_symmetric, symmetrize, pd_floor, require_pd, sym_eig,
-spd_eig, eig_apply) take one matrix (n, n) or a stack (..., n, n) and treat
-each matrix on its own; a failed check on a stack names the first failing
-matrix. The spd_* functions take one matrix. `chol_inv` inverts positive
-definite matrices, one or a stack, from Cholesky factors the caller holds.
+validate with (check_finite, check_symmetric, symmetrize, pd_floor,
+require_pd, sym_eig, spd_eig, eig_apply) take one matrix (n, n) or a stack
+(..., n, n) and treat each matrix on its own; a failed check on a stack
+names the first failing matrix. The spd_* functions take one matrix.
+`chol_inv` inverts positive definite matrices, one or a stack, from Cholesky
+factors the caller holds.
 """
 
 import numpy as np
 
-from .errors import NonSymmetricError, NotPositiveDefiniteError, NoConvergenceError
+from .errors import (
+    NonSymmetricError,
+    NotPositiveDefiniteError,
+    NoConvergenceError,
+    ValidationError,
+)
 
 SYM_RTOL = 1e-10
 
@@ -29,19 +35,38 @@ def _mT(A):
     return A.swapaxes(-1, -2)
 
 
+def check_finite(A, name="matrix"):
+    """Raise ValidationError unless every entry of A is finite.
+
+    Checked before any symmetry check or factorization, which would
+    otherwise fail as whatever they make of a non-finite matrix; the first
+    non-finite matrix of a stack is named by its position.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim >= 2:
+        finite = np.isfinite(A).all(axis=(-2, -1))
+        if not finite.all():
+            label = "" if finite.ndim == 0 else f" {int(np.argmin(finite))}"
+            raise ValidationError(f"{name}{label} holds a non-finite value")
+    return A
+
+
 def check_symmetric(A, name="matrix"):
     """Raise NonSymmetricError unless A is square and symmetric to tolerance.
 
-    A stack is checked matrix by matrix, each against its own scale.
+    A stack is checked matrix by matrix, each against its own scale. A
+    non-finite matrix is left to `check_finite`: the skew of a mirrored inf
+    pair, or its ratio to an infinite scale, is NaN, which passes.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise NonSymmetricError(f"{name} must be square, got shape {A.shape}")
     scale = np.maximum(np.maximum(A.max((-2, -1)), -A.min((-2, -1))), 1.0)
     # |A - A^T| in one stack-sized temporary, scaled after its maximum
-    skew = A - _mT(A)
-    np.abs(skew, out=skew)
-    bad = skew.max((-2, -1)) / scale > SYM_RTOL
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf
+        skew = A - _mT(A)
+        np.abs(skew, out=skew)
+        bad = skew.max((-2, -1)) / scale > SYM_RTOL
     if bad.any():
         index, label = _first(bad)
         raise NonSymmetricError(
@@ -190,9 +215,12 @@ def dlog(X, H):
     """Directional derivative of the matrix log at X along a symmetric H.
 
     X and H are one matrix each or stacks of the same shape (..., n, n); a
-    stack gives the derivative of every X_k along its own H_k. One
-    eigendecomposition of X, then `dlog_eig`.
+    stack gives the derivative of every X_k along its own H_k. Both are
+    checked finite first, then symmetric; then one eigendecomposition of X
+    and `dlog_eig`.
     """
+    X = check_finite(X, "base point")
+    H = check_finite(H, "direction")
     X = check_symmetric(X, "base point")
     H = check_symmetric(H, "direction")
     if H.shape != X.shape:

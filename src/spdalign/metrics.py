@@ -18,6 +18,15 @@ distance pairs. Inputs are validated once where they enter; the positive
 definiteness checks inside the kernel run on whole stacks and blocks and
 name the first failing member.
 
+The affine-invariant kernel runs the blocks of a pass of more than one
+block on one thread per CPU the process may use, the calling thread and a
+pool of workers (`_threaded_map`): each block is a stacked eigensolve,
+which releases the GIL. The calling thread writes each block's result in
+block order, so every value, and the error of the first failing block, is
+the serial loop's, whatever the CPU count. The pool is built, and
+`concurrent.futures` imported, on the first pass that uses it, and a
+forked child drops its parent's pool and builds its own.
+
 Training needs the original-manifold distances twice, for the neighbor
 graphs and for the bandwidth; both take one `pairwise_dist2` matrix
 (`graphs.neighbor_graphs(data, D, ...)`, `bandwidth(D)`), so a command
@@ -66,6 +75,7 @@ samples; on ill-conditioned data it exceeds every bound and the floor rules
 out nothing. Stein and the log-Euclidean distance have no such bound.
 """
 
+import os
 from enum import Enum
 from functools import cache
 
@@ -151,7 +161,54 @@ def map_down(X, W):
 def _blocks(count, n):
     """Slices covering range(count) in blocks of BLOCK_ENTRIES // n^2 pairs."""
     step = max(1, BLOCK_ENTRIES // (n * n))
-    return (slice(s, s + step) for s in range(0, count, step))
+    return [slice(s, s + step) for s in range(0, count, step)]
+
+
+def _workers():
+    """The CPUs this process may run on: the threads of a pooled pass."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+@cache
+def _pool(size):
+    """A thread pool of `size` workers, built on first use: a process whose
+    passes all have one block never imports concurrent.futures (about 6 ms of
+    `logging` in a fresh process)."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(size)
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child holds its parent's pools but none of their threads, so
+    # work it queued there would never run
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _threaded_map(fn, items, threads):
+    """fn(item) for each item, yielded in order, on `threads` threads: the
+    calling thread computes every `threads`-th item from the first, and a
+    pool of threads - 1 workers the rest. Each pool thread costs about 1 MB
+    of peak memory (its own malloc arena), so the calling thread takes a
+    share rather than wait.
+
+    An item's error is raised when its turn comes, so the first failing
+    item in order is the one reported; the pool's items not yet started
+    are then cancelled.
+    """
+    pool = _pool(threads - 1)
+    futures = [None if k % threads == 0 else pool.submit(fn, item)
+               for k, item in enumerate(items)]
+    try:
+        for item, future in zip(items, futures):
+            yield fn(item) if future is None else future.result()
+    finally:
+        for future in futures:
+            if future is not None:
+                future.cancel()
 
 
 @cache
@@ -233,10 +290,18 @@ class Geometry:
     entry of the first gradient factor: m x m for AIM and Stein, the
     m(m+1)/2 upper-triangle entries for LEM. `dist2_pairs` and `grad_pairs`
     feed pairs through in blocks of BLOCK_ENTRIES matrix entries, which
-    bounds the working memory whatever the pair count.
+    bounds the working memory whatever the pair count. A `pooled` geometry's
+    `dist2_pairs` computes the blocks of one pass on several threads
+    (`_threaded_map`), so its `block_dist2` only reads its operands.
     """
 
     grad_scale = 4.0
+    # whether `dist2_pairs` runs a pass's blocks on one thread per CPU; only
+    # AIM's eigensolves gain. Stein stays serial: two threads each running
+    # stacked np.linalg.cholesky took 1.75-2.9x one thread's time for twice
+    # the work. LEM stays serial: its blocks are a gather and a dot product,
+    # mostly interpreter time, and pooled they made `wide` train 1-8% slower.
+    pooled = False
 
     @staticmethod
     def lower_bound(side, i, j):
@@ -250,11 +315,23 @@ class Geometry:
 
         The kept factors stack what `block_dist2` keeps of each pair with
         `keep` set, and are None when it keeps nothing, so a distance-only
-        pass allocates no per-pair factor.
+        pass allocates no per-pair factor. A `pooled` geometry's pass of
+        more than one block, in a process that may use more than one CPU,
+        computes its blocks on one thread per CPU (`_threaded_map`); they
+        are written here in block order either way, so the values and the
+        first failing block's error are the same.
         """
+        blocks = _blocks(len(i), left[0].shape[-1])
+
+        def block(blk):
+            return self.block_dist2(left, right, i[blk], j[blk], keep)
+
+        threads = _workers() if self.pooled and len(blocks) > 1 else 1
+        parts = (map(block, blocks) if threads == 1
+                 else _threaded_map(block, blocks, threads))
         out, kept = np.empty(len(i)), None
-        for blk in _blocks(len(i), left[0].shape[-1]):
-            out[blk], part = self.block_dist2(left, right, i[blk], j[blk], keep)
+        for blk, (d, part) in zip(blocks, parts):
+            out[blk] = d
             if part is not None:
                 if kept is None:
                     kept = np.empty((len(i),) + part.shape[1:])
@@ -317,7 +394,12 @@ class AffineInvariant(Geometry):
     finished by phi_s(T) = Y_s^{-1} T. The objective's distance pass keeps
     each support pair's log(Y_i^{-1/2} Y_j Y_i^{-1/2}), so E costs two
     products per pair.
+
+    Pooled (`Geometry.pooled`): a block's time is its stacked eigensolve,
+    which releases the GIL.
     """
+
+    pooled = True
 
     @staticmethod
     def factors(stack, name):
@@ -510,20 +592,9 @@ def geometry(metric):
 
 
 def _checked(A, name):
-    """A symmetric matrix or stack with finite entries.
-
-    Finiteness is checked first, before the symmetry check and any
-    factorization: a non-finite matrix is named by its position in a stack,
-    and would otherwise fail as whatever its geometry's decomposition makes
-    of it.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim >= 2:
-        finite = np.isfinite(A).all(axis=(-2, -1))
-        if not finite.all():
-            label = "" if finite.ndim == 0 else f" {int(np.argmin(finite))}"
-            raise ValidationError(f"{name}{label} holds a non-finite value")
-    return matfun.check_symmetric(A, name)
+    """A symmetric matrix or stack with finite entries, checked finite first
+    (`matfun.check_finite`)."""
+    return matfun.check_symmetric(matfun.check_finite(A, name), name)
 
 
 def _stack(stack, name):

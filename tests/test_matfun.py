@@ -18,6 +18,7 @@ from spdalign.errors import (
     NoConvergenceError,
     NonSymmetricError,
     NotPositiveDefiniteError,
+    ValidationError,
 )
 
 
@@ -160,13 +161,17 @@ class TestFailedCheckIndex:
         stack[6, 0, 3] = stack[6, 3, 0] = -np.inf
         stack[7, 0, 3] = np.inf
         for X in stack:
-            with np.errstate(invalid="ignore"):  # inf - inf, in both
+            with np.errstate(invalid="ignore"):  # inf - inf and inf / inf
                 ratio = (np.abs(X - X.T) / np.maximum(np.abs(X).max(), 1.0)).max()
-                if ratio > matfun.SYM_RTOL:
-                    with pytest.raises(NonSymmetricError):
-                        matfun.check_symmetric(X)
-                else:
-                    assert matfun.check_symmetric(X) is X
+            # outside errstate: the check itself warns of nothing, and a
+            # warning fails the test
+            if ratio > matfun.SYM_RTOL:
+                with pytest.raises(NonSymmetricError):
+                    matfun.check_symmetric(X)
+            else:
+                assert matfun.check_symmetric(X) is X
+        # the NaN and inf matrices pass as a stack too, again without a warning
+        assert matfun.check_symmetric(stack[5:8]) is not None
 
 
 class TestLogDerivative:
@@ -280,11 +285,21 @@ class TestLogDerivative:
 
     @pytest.mark.parametrize("operand", ["base", "direction"])
     def test_rejects_non_finite_input(self, operand):
-        bad = np.eye(3)
-        bad[0, 0] = np.nan
-        X, H = (bad, np.eye(3)) if operand == "base" else (np.eye(3), bad)
-        with pytest.raises(NoConvergenceError):
-            matfun.dlog(X, H)
+        """Rejected before the symmetry check and the eigensolve, and without
+        a warning (none is silenced here), for one matrix and in a stack."""
+        name = {"base": "base point", "direction": "direction"}[operand]
+        for value in (np.nan, np.inf, -np.inf):
+            for bad in (np.eye(3), np.stack([np.eye(3)] * 3)):
+                # a mirrored pair, so the matrix stays symmetric as entered
+                bad[..., 0, 1] = bad[..., 1, 0] = value
+                if bad.ndim == 3:
+                    bad[[0, 2]] = np.eye(3)
+                X, H = (bad, np.eye(3)) if operand == "base" else (np.eye(3), bad)
+                X, H = np.broadcast_arrays(X, H)
+                label = " 1" if bad.ndim == 3 else ""
+                with pytest.raises(ValidationError,
+                                   match=f"^{name}{label} holds a non-finite value$"):
+                    matfun.dlog(X, H)
 
 
 class TestCholInv:

@@ -6,6 +6,9 @@ Frozen scalar oracles:
 - exp(-2) = 0.1353352832366127
 """
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from helpers import (
     ref_shaped_dataset,
     transformed_dist2,
 )
-from spdalign import matfun
+from spdalign import matfun, metrics
 from spdalign.errors import (
     DegenerateInputError,
     DimMismatchError,
@@ -27,6 +30,7 @@ from spdalign.errors import (
     ValidationError,
 )
 from spdalign.metrics import (
+    BLOCK_ENTRIES,
     MetricKind,
     _blocks,
     _side,
@@ -554,6 +558,108 @@ class TestDistancePass:
         rebuilt = kept @ kept.swapaxes(-1, -2)
         scale = np.abs(mid).max(axis=(-2, -1))
         assert (np.abs(rebuilt - mid).max(axis=(-2, -1)) <= 1e-14 * scale).all()
+
+
+class TestPooledPass:
+    """AIM computes the blocks of a pass of more than one block on one
+    thread per CPU, the calling thread and a pool; the calling thread writes
+    them in block order, so a pass gives what the serial loop gives, bit
+    for bit."""
+
+    @staticmethod
+    def passes(metric, stack):
+        """The distance functions and the objective's `keep` pass on a stack
+        whose every pass spans several blocks."""
+        i, j = np.triu_indices(len(stack), k=1)
+        geom, side = factored(metric, stack)
+        d, kept = geom.dist2_pairs(side, side, i, j, keep=True)
+        return [pairwise_dist2(metric, stack),
+                cross_dist2(metric, stack[:25], stack[25:]),
+                indexed_dist2(metric, stack, j, i), d, kept]
+
+    @staticmethod
+    def workers(monkeypatch, count):
+        monkeypatch.setattr(metrics, "_workers", lambda: count)
+
+    def test_one_worker_is_bit_identical(self, monkeypatch):
+        stack = ref_shaped_dataset(seed=31).samples
+        assert len(_blocks(25 * 25, stack.shape[-1])) >= 3  # the smallest pass
+        calls = count_calls(monkeypatch, metrics, ["_pool"])
+        self.workers(monkeypatch, 2)
+        pooled = self.passes(MetricKind.AIM, stack)
+        assert calls["_pool"] == 4
+        self.workers(monkeypatch, 1)
+        serial = self.passes(MetricKind.AIM, stack)
+        assert calls["_pool"] == 4
+        for got, want in zip(pooled, serial):
+            assert got.tobytes() == want.tobytes()
+
+    # 1-based blocks of the two unfloored pairs; with two threads the
+    # calling thread computes blocks 1, 3 and 5, the pool blocks 2 and 4
+    @pytest.mark.parametrize("first, second", [(2, 4), (3, 4)])
+    def test_first_failing_block_named(self, first, second, monkeypatch):
+        """Unfloored pairs in two blocks: the pooled pass raises the serial
+        pass's error, which names the pair of the earlier block."""
+        rng = np.random.default_rng(3)
+        bad = TestArgumentOrder.unfloored_pair()
+        stack = np.concatenate(
+            [np.stack([rand_spd(rng, 2) for _ in range(20)]), bad, bad]
+        )
+        step = BLOCK_ENTRIES // 4
+        i = rng.integers(20, size=5 * step)
+        j = (i + rng.integers(1, 20, size=i.size)) % 20
+        i[(first - 1) * step + 7], j[(first - 1) * step + 7] = 20, 21
+        i[(second - 1) * step + 3], j[(second - 1) * step + 3] = 23, 22
+        assert len(_blocks(i.size, 2)) == 5
+        self.workers(monkeypatch, 1)
+        with pytest.raises(NotPositiveDefiniteError) as serial:
+            indexed_dist2(MetricKind.AIM, stack, i, j)
+        assert str(serial.value).startswith("whitened pair [20 21] has min eigenvalue")
+        calls = count_calls(monkeypatch, metrics, ["_pool"])
+        self.workers(monkeypatch, 2)
+        with pytest.raises(NotPositiveDefiniteError) as pooled:
+            indexed_dist2(MetricKind.AIM, stack, i, j)
+        assert calls["_pool"] == 1
+        assert str(pooled.value) == str(serial.value)
+        assert pooled.value.index == serial.value.index
+
+    @pytest.mark.parametrize("metric", [MetricKind.STEIN, MetricKind.LEM])
+    def test_only_aim_builds_the_pool(self, metric, monkeypatch):
+        calls = count_calls(monkeypatch, metrics, ["_pool"])
+        self.workers(monkeypatch, 2)
+        self.passes(metric, ref_shaped_dataset(seed=31).samples)
+        assert calls["_pool"] == 0
+
+    def test_one_block_stays_serial(self, monkeypatch):
+        stack = ref_shaped_dataset(seed=31).samples[:9]
+        assert len(_blocks(36, stack.shape[-1])) == 1
+        calls = count_calls(monkeypatch, metrics, ["_pool"])
+        self.workers(monkeypatch, 2)
+        pairwise_dist2(MetricKind.AIM, stack)
+        dist2(MetricKind.AIM, stack[0], stack[1])
+        assert calls["_pool"] == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    # fork() in a process with threads warns from Python 3.12 on; dropping
+    # the pool in the child is what makes that fork safe here
+    @pytest.mark.filterwarnings("ignore:This process .*multi-threaded:DeprecationWarning")
+    def test_forked_child_runs_a_pooled_pass(self, monkeypatch):
+        self.workers(monkeypatch, 2)
+        stack = ref_shaped_dataset(seed=31).samples
+        want = pairwise_dist2(MetricKind.AIM, stack)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                # a pass left waiting on the parent's threads ends the child
+                signal.alarm(20)
+                got = pairwise_dist2(MetricKind.AIM, stack)
+                code = 0 if got.tobytes() == want.tobytes() else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status), f"child ended by signal {os.WTERMSIG(status)}"
+        assert os.WEXITSTATUS(status) == 0
 
 
 class TestDefaultBeta:
