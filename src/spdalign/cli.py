@@ -34,17 +34,17 @@ GRADCHECK_TOL = 1e-4
 
 # config-file schema: field name -> (type check, description)
 _CONFIG_FIELDS = {
-    "metric": (str, "metric name"),
-    "target_dim": (int, "integer"),
-    "vw": (int, "integer"),
-    "vb": (int, "integer"),
-    "beta": ((int, float), "number"),
-    "max_iters": (int, "integer"),
-    "grad_tol": ((int, float), "number"),
-    "rel_obj_tol": ((int, float), "number"),
-    "seed": (int, "integer"),
-    "manifest": (str, "path string"),
-    "output_dir": (str, "path string"),
+    "metric": (str, "a metric name"),
+    "target_dim": (int, "an integer"),
+    "vw": (int, "an integer"),
+    "vb": (int, "an integer"),
+    "beta": ((int, float), "a number"),
+    "max_iters": (int, "an integer"),
+    "grad_tol": ((int, float), "a number"),
+    "rel_obj_tol": ((int, float), "a number"),
+    "seed": (int, "an integer"),
+    "manifest": (str, "a path string"),
+    "output_dir": (str, "a path string"),
 }
 
 
@@ -73,32 +73,23 @@ def load_config(path):
             raise ConfigError(f"{path}: unknown config field {key!r}")
         kind, label = _CONFIG_FIELDS[key]
         if isinstance(value, bool) or not isinstance(value, kind):
-            raise ConfigError(f"{path}: field {key!r} must be a {label}")
+            raise ConfigError(f"{path}: field {key!r} must be {label}")
     return raw
 
 
-def _resolve(args, config, name, default=None):
-    """CLI flag beats config file beats default."""
-    value = getattr(args, name, None)
-    if value is None:
-        value = config.get(name, default)
-    return value
-
-
-def _load_config_arg(args):
-    return load_config(args.config) if args.config else {}
-
-
-def _resolve_metric(args, config):
-    return MetricKind.parse(_resolve(args, config, "metric", "aim"))
-
-
-def _resolve_seed(args, config):
-    """The run's seed, default 0; numpy's generators take no negative seed."""
-    seed = _resolve(args, config, "seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
+def _apply_config(args):
+    """Fill every setting the flags left unset from the --config file, so a
+    flag beats the config, which beats the command's default; then check the
+    seed (default 0), since numpy's generators take no negative seed. Config
+    keys a command does not use land on the namespace and are ignored."""
+    if args.config:
+        for key, value in load_config(args.config).items():
+            if getattr(args, key, None) is None:
+                setattr(args, key, value)
+    if args.seed is None:
+        args.seed = 0
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
 
 
 def _make_output_dir(path):
@@ -149,13 +140,11 @@ def gradcheck_report(kinds, instances, seed):
 
 
 def cmd_gradcheck(args):
-    config = _load_config_arg(args)
-    seed = _resolve_seed(args, config)
-    metric = _resolve(args, config, "metric")
+    metric = args.metric
     kinds = list(MetricKind) if metric is None else [MetricKind.parse(metric)]
     if args.instances < 1:
         raise ConfigError(f"instances must be >= 1, got {args.instances}")
-    worst = gradcheck_report(kinds, args.instances, seed)
+    worst = gradcheck_report(kinds, args.instances, args.seed)
     if worst > GRADCHECK_TOL:
         print(f"gradcheck FAILED (tolerance {GRADCHECK_TOL:g})", file=sys.stderr)
         return 3
@@ -164,37 +153,31 @@ def cmd_gradcheck(args):
 
 
 def cmd_train(args):
-    config = _load_config_arg(args)
-    metric = _resolve_metric(args, config)
-    seed = _resolve_seed(args, config)
-    manifest = _resolve(args, config, "manifest")
-    output_dir = _resolve(args, config, "output_dir")
-    if manifest is None:
+    metric = MetricKind.parse("aim" if args.metric is None else args.metric)
+    if args.manifest is None:
         raise ConfigError("a dataset manifest is required (--manifest or config)")
-    if output_dir is None:
+    if args.output_dir is None:
         raise ConfigError("an output directory is required (--output-dir or config)")
     # settings that do not depend on the data are checked before it is loaded
     opt_config = OptimizerConfig(**{
         name: value
         for name in ("max_iters", "grad_tol", "rel_obj_tol")
-        if (value := _resolve(args, config, name)) is not None
+        if (value := getattr(args, name)) is not None
     })
-    target_dim = _resolve(args, config, "target_dim")
+    target_dim = args.target_dim
     if target_dim is None:
         raise ConfigError("target_dim is required (--target-dim or config)")
     if target_dim < 1:
         raise ConfigError(f"target_dim must be >= 1, got {target_dim}")
-    v_w = _resolve(args, config, "vw")
-    v_b = _resolve(args, config, "vb")
+    v_w, v_b, beta = args.vw, args.vb, args.beta
     if any(v is not None and v < 1 for v in (v_w, v_b)):
         raise ConfigError(f"vw and vb must be >= 1, got vw={v_w}, vb={v_b}")
-    beta = _resolve(args, config, "beta")
     if beta is not None:
         metrics.check_beta(beta)
-    _make_output_dir(output_dir)
+    _make_output_dir(args.output_dir)
 
     if args.strict:
-        worst = gradcheck_report([metric], instances=2, seed=seed)
+        worst = gradcheck_report([metric], instances=2, seed=args.seed)
         if worst > GRADCHECK_TOL:
             print(
                 f"strict mode: gradcheck FAILED (tolerance {GRADCHECK_TOL:g}); "
@@ -203,7 +186,7 @@ def cmd_train(args):
             )
             return 3
 
-    data, _, label_names = load_dataset(manifest)
+    data, _, label_names = load_dataset(args.manifest)
     print(
         f"loaded {data.size} samples of dim {data.dim} "
         f"in {len(label_names)} classes"
@@ -227,14 +210,14 @@ def cmd_train(args):
     graphs = neighbor_graphs(data, D, v_w=v_w, v_b=v_b)
     print(
         f"metric={metric.value} target_dim={target_dim} vw={v_w} vb={v_b} "
-        f"beta={beta:.17g} ({beta_mode}) seed={seed}"
+        f"beta={beta:.17g} ({beta_mode}) seed={args.seed}"
     )
 
-    W0 = initial_transform(data.dim, target_dim, seed=seed)
+    W0 = initial_transform(data.dim, target_dim, seed=args.seed)
     result = rcg_maximize(data, graphs, metric, beta, W0, opt_config)
 
-    w_path = os.path.join(output_dir, "W.txt")
-    trace_path = os.path.join(output_dir, "trace.txt")
+    w_path = os.path.join(args.output_dir, "W.txt")
+    trace_path = os.path.join(args.output_dir, "trace.txt")
     save_transform(w_path, result.W_final)
     save_trace(trace_path, result)
     print(
@@ -251,11 +234,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    config = _load_config_arg(args)
-    metric = _resolve_metric(args, config)
-    seed = _resolve_seed(args, config)
-    manifest = _resolve(args, config, "manifest")
-    if manifest is None:
+    metric = MetricKind.parse("aim" if args.metric is None else args.metric)
+    if args.manifest is None:
         raise ConfigError("a dataset manifest is required (--manifest or config)")
     # checked before any data is loaded
     check_split_settings(args.train_fraction, args.splits)
@@ -266,13 +246,13 @@ def cmd_eval(args):
         except RankDeficientError as exc:
             # a bad file is invalid input, like every other malformed transform
             raise ValidationError(f"{args.transform}: {exc}") from exc
-    data, _, _ = load_dataset(manifest)
+    data, _, _ = load_dataset(args.manifest)
     summary = repeated_split_eval(
         data,
         metric,
         train_fraction=args.train_fraction,
         repeats=args.splits,
-        seed=seed,
+        seed=args.seed,
         W=W,
     )
     mean, std = summary.baseline_mean_std
@@ -295,14 +275,12 @@ def cmd_eval(args):
 
 
 def cmd_synth(args):
-    config = _load_config_arg(args)
-    seed = _resolve_seed(args, config)
     cfg = SynthConfig(
         dim=args.dim,
         classes=args.classes,
         per_class=args.per_class,
         noise=args.noise,
-        seed=seed,
+        seed=args.seed,
     )
     sample_dir = os.path.join(args.output_dir, "samples")
     _make_output_dir(sample_dir)
@@ -363,7 +341,8 @@ def build_parser():
         action="store_true",
         help="run gradcheck first and refuse to train if it fails",
     )
-    train.set_defaults(func=cmd_train)
+    # the optimizer tolerances have no flag; they come from the config only
+    train.set_defaults(func=cmd_train, grad_tol=None, rel_obj_tol=None)
 
     evaluate = sub.add_parser("eval", help="nearest-neighbor accuracy report")
     _add_common(evaluate)
@@ -405,6 +384,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _apply_config(args)
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -608,6 +608,38 @@ def _stack(stack, name):
     return _checked(stack, name)
 
 
+def _matrix(A, name):
+    """A validated (n, n) finite symmetric matrix: one, not a stack."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValidationError(
+            f"{name} must be one (n, n) matrix, got shape {A.shape}"
+        )
+    return _checked(A, name)
+
+
+def _pair_indices(i, j, N):
+    """i and j as equal-length 1-D integer arrays of sample indices in
+    [0, N), checked before the stack is factored: numpy would broadcast
+    unequal lengths, wrap a negative index and raise its own IndexError."""
+    i, j = np.asarray(i), np.asarray(j)
+    for k, name in ((i, "i"), (j, "j")):
+        if k.ndim != 1 or (k.size and not np.issubdtype(k.dtype, np.integer)):
+            raise ValidationError(
+                f"{name} must be a 1-D array of integer indices, "
+                f"got {k.dtype} of shape {k.shape}"
+            )
+        outside = (k < 0) | (k >= N)
+        if outside.any():
+            p = int(np.argmax(outside))
+            raise ValidationError(
+                f"{name}[{p}] = {k[p]} is not a sample index in [0, {N})"
+            )
+    if len(i) != len(j):
+        raise DimMismatchError(f"i and j differ in length: {len(i)} vs {len(j)}")
+    return i, j
+
+
 def _side(geom, stack, name):
     """A validated (stack, factors) operand of `Geometry.dist2_pairs` and
     `Geometry.lower_bound`."""
@@ -618,8 +650,8 @@ def _side(geom, stack, name):
 def dist2(metric, X1, X2):
     """Squared distance between two SPD matrices under the chosen geometry."""
     geom = geometry(metric)
-    X1 = _checked(X1, "first operand")
-    X2 = _checked(X2, "second operand")
+    X1 = _matrix(X1, "first operand")
+    X2 = _matrix(X2, "second operand")
     if X1.shape != X2.shape:
         raise DimMismatchError(f"operand dims differ: {X1.shape} vs {X2.shape}")
     left = (X1[None], tuple(f[None] for f in geom.factors(X1, "first operand")))
@@ -673,10 +705,14 @@ def indexed_dist2(metric, samples, i, j):
 
     The stack is factored once however many pairs share a sample. Each value
     is exactly the same with i and j exchanged, so a caller that needs both
-    orders of a pair computes it once.
+    orders of a pair computes it once. i and j must be 1-D integer arrays
+    of equal length, each index in [0, N) for a stack of N samples.
     """
-    geom, side = factored(metric, samples)
-    return geom.dist2_pairs(side, side, np.asarray(i), np.asarray(j))[0]
+    geom = geometry(metric)
+    samples = _stack(samples, "sample")
+    i, j = _pair_indices(i, j, len(samples))
+    side = (samples, geom.factors(samples, "sample"))
+    return geom.dist2_pairs(side, side, i, j)[0]
 
 
 def bandwidth(D):
@@ -685,8 +721,14 @@ def bandwidth(D):
 
     sigma is fixed once from the training samples on their original manifold
     and is not recomputed as the transform changes. A D with a non-finite or
-    negative entry is rejected: it would give a NaN or infinite bandwidth.
+    negative entry is rejected: it would give a NaN or infinite bandwidth,
+    and so is a D that is not one square matrix.
     """
+    D = np.asarray(D)
+    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+        raise DimMismatchError(
+            f"distance matrix must be square (N, N), got shape {D.shape}"
+        )
     N = D.shape[0]
     if N < 2:
         raise ValidationError("need at least two samples to set the bandwidth")

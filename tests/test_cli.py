@@ -366,6 +366,51 @@ class TestConfigFile:
         assert code == 0
         assert "metric=lem" in capsys.readouterr().out
 
+    def test_config_matches_flags(self, corpus, tmp_path, capsys):
+        # every setting of a flag-only run, from the config file instead
+        flag_run = train_args(corpus, tmp_path / "flags", "--metric", "stein")
+        assert cli.main(flag_run) == 0
+        config = self.write_config(tmp_path, {
+            "manifest": corpus, "output_dir": str(tmp_path / "config"),
+            "target_dim": 2, "max_iters": 8, "seed": 3, "metric": "stein",
+        })
+        assert cli.main(["train", "--config", config]) == 0
+        for name in ("W.txt", "trace.txt"):
+            flags = (tmp_path / "flags" / name).read_bytes()
+            assert (tmp_path / "config" / name).read_bytes() == flags
+
+    def test_config_only_optimizer_settings(self, corpus, tmp_path, monkeypatch):
+        # grad_tol and rel_obj_tol have no flag; --max-iters beats the config
+        seen = []
+
+        def recording(*args):
+            seen.append(args[-1])
+            return rcg_maximize(*args)
+
+        monkeypatch.setattr(cli, "rcg_maximize", recording)
+        config = self.write_config(
+            tmp_path, {"max_iters": 3, "grad_tol": 1e-3, "rel_obj_tol": 1e-5}
+        )
+        assert cli.main(train_args(corpus, tmp_path, "--config", config)) == 0
+        assert seen == [OptimizerConfig(max_iters=8, grad_tol=1e-3, rel_obj_tol=1e-5)]
+
+    def test_unused_keys_ignored(self, corpus, tmp_path, capsys):
+        # keys a command has no use for are type-checked and then ignored
+        config = self.write_config(tmp_path, {
+            "target_dim": 2, "vw": 1, "beta": 0.5, "grad_tol": 1e-3,
+            "output_dir": str(tmp_path / "unused"), "metric": "not-a-metric",
+        })
+        eval_args = ["eval", "--manifest", corpus, "--metric", "lem",
+                     "--splits", "2"]
+        assert cli.main(eval_args) == 0
+        plain = capsys.readouterr().out
+        assert cli.main(eval_args + ["--config", config]) == 0
+        assert capsys.readouterr().out == plain
+        synth = ["synth", "--output-dir", str(tmp_path / "synth"), "--dim", "3",
+                 "--per-class", "2", "--config", config]
+        assert cli.main(synth) == 0
+        assert not (tmp_path / "unused").exists()
+
     def test_unknown_field(self, corpus, tmp_path, capsys):
         config = self.write_config(tmp_path, {"target_dims": 2})
         assert cli.main(train_args(corpus, tmp_path, "--config", config)) == 1
@@ -375,6 +420,23 @@ class TestConfigFile:
         config = self.write_config(tmp_path, {"vw": "two"})
         assert cli.main(train_args(corpus, tmp_path, "--config", config)) == 1
         assert "'vw'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, expected",
+        [
+            ({"vw": "two"}, "field 'vw' must be an integer"),
+            ({"beta": "wide"}, "field 'beta' must be a number"),
+            ({"metric": 3}, "field 'metric' must be a metric name"),
+            ({"manifest": 1}, "field 'manifest' must be a path string"),
+        ],
+        ids=["integer", "number", "metric", "path"],
+    )
+    def test_wrong_field_type_message(
+        self, corpus, tmp_path, capsys, payload, expected
+    ):
+        config = self.write_config(tmp_path, payload)
+        assert cli.main(train_args(corpus, tmp_path, "--config", config)) == 1
+        assert capsys.readouterr().err == f"error: {config}: {expected}\n"
 
     def test_bool_is_not_an_integer(self, corpus, tmp_path, capsys):
         config = self.write_config(tmp_path, {"seed": True})

@@ -7,6 +7,7 @@ Frozen scalar oracles:
 """
 
 import os
+import re
 import signal
 
 import numpy as np
@@ -171,6 +172,24 @@ class TestDist2:
     def test_rejects_indefinite(self, metric):
         with pytest.raises(NotPositiveDefiniteError):
             dist2(metric, np.diag([1.0, -1.0]), np.eye(2))
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_rejects_stack_operand(self, metric):
+        # each operand is one matrix; a stack, even of one, is bad input
+        rng = np.random.default_rng(6)
+        S = np.stack([rand_spd(rng, 3) for _ in range(4)])
+        for X1, X2, name, shape in [
+            (S[:2], S[2], "first", (2, 3, 3)),
+            (S[0], S[2:], "second", (2, 3, 3)),
+            (S[:1], S[0], "first", (1, 3, 3)),
+            (S[0], np.ones((3, 2)), "second", (3, 2)),
+        ]:
+            with pytest.raises(
+                ValidationError,
+                match=rf"^{name} operand must be one \(n, n\) matrix, "
+                rf"got shape {re.escape(str(shape))}$",
+            ):
+                dist2(metric, X1, X2)
 
 
 class TestTransformedDist2:
@@ -348,6 +367,54 @@ class TestBatchDistances:
     def test_indexed_rejects_single_matrix(self, metric):
         with pytest.raises(ValidationError, match="sample operand"):
             indexed_dist2(metric, np.diag([1.0, 2.0, 3.0]), [0], [1])
+
+
+class TestPairIndices:
+    """indexed_dist2 takes i and j as equal-length 1-D integer arrays of
+    sample indices in [0, N) and rejects anything else before it factors
+    the stack: numpy would broadcast, wrap or raise IndexError."""
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @pytest.mark.parametrize(
+        "i, j, error, message",
+        [
+            ([0, 1], [2], DimMismatchError, "i and j differ in length: 2 vs 1"),
+            ([-1], [0], ValidationError,
+             r"^i\[0\] = -1 is not a sample index in \[0, 4\)$"),
+            ([0, 1], [3, 4], ValidationError,
+             r"^j\[1\] = 4 is not a sample index"),
+            ([0.0], [1.0], ValidationError,
+             "^i must be a 1-D array of integer indices, got float64"),
+            ([0], [1.5], ValidationError,
+             "^j must be a 1-D array of integer indices"),
+            ([[0]], [[1]], ValidationError, r"of shape \(1, 1\)$"),
+            ([True], [False], ValidationError, "got bool"),
+            (0, 1, ValidationError, r"of shape \(\)"),
+        ],
+        ids=["unequal", "negative", "too-large", "float", "fraction", "2-D",
+             "bool", "scalar"],
+    )
+    def test_rejected_before_factoring(
+        self, metric, i, j, error, message, monkeypatch
+    ):
+        rng = np.random.default_rng(8)
+        stack = np.stack([rand_spd(rng, 3) for _ in range(4)])
+        calls = count_calls(monkeypatch, np.linalg,
+                            ["eigh", "eigvalsh", "cholesky"])
+        with pytest.raises(error, match=message):
+            indexed_dist2(metric, stack, i, j)
+        assert calls == {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_accepts_empty_and_unsigned(self, metric):
+        rng = np.random.default_rng(8)
+        stack = np.stack([rand_spd(rng, 3) for _ in range(4)])
+        assert indexed_dist2(metric, stack, [], []).shape == (0,)
+        i, j = np.array([0, 3], dtype=np.uint8), np.array([2, 1], dtype=np.int32)
+        assert np.array_equal(
+            indexed_dist2(metric, stack, i, j),
+            indexed_dist2(metric, stack, [0, 3], [2, 1]),
+        )
 
 
 class TestArgumentOrder:
@@ -680,6 +747,15 @@ class TestDefaultBeta:
 
 
 class TestBandwidthInput:
+    @pytest.mark.parametrize(
+        "D", [np.full(3, np.nan), np.zeros((2, 3)), np.zeros((2, 2, 2))],
+        ids=["1-D", "non-square", "stack"],
+    )
+    def test_not_one_square_matrix(self, D):
+        # the shape is checked before the entries: the 1-D D is all NaN
+        with pytest.raises(DimMismatchError, match=re.escape(str(D.shape))):
+            bandwidth(D)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_bad_distance_rejected(self, bad):
         # a NaN, infinite or negative distance would give a NaN or infinite
