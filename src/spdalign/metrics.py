@@ -19,13 +19,12 @@ definiteness checks inside the kernel run on whole stacks and blocks and
 name the first failing member.
 
 The affine-invariant kernel runs the blocks of a pass of more than one
-block on one thread per CPU the process may use, the calling thread and a
-pool of workers (`_threaded_map`): each block is a stacked eigensolve,
-which releases the GIL. The calling thread writes each block's result in
-block order, so every value, and the error of the first failing block, is
-the serial loop's, whatever the CPU count. The pool is built, and
-`concurrent.futures` imported, on the first pass that uses it, and a
-forked child drops its parent's pool and builds its own.
+block on one thread per CPU the process may use (`_threaded_map`): each
+block is a stacked eigensolve, which releases the GIL. The calling thread
+takes a share of the blocks, and the threads started for the pass the
+rest; the pass joins them before it writes the results in block order, so
+no thread outlives it, and every value, and the error of the first failing
+block, is the serial loop's, whatever the CPU count.
 
 Training needs the original-manifold distances twice, for the neighbor
 graphs and for the bandwidth; both take one `pairwise_dist2` matrix
@@ -76,6 +75,7 @@ out nothing. Stein and the log-Euclidean distance have no such bound.
 """
 
 import os
+import threading
 from enum import Enum
 from functools import cache
 
@@ -172,43 +172,35 @@ def _workers():
         return os.cpu_count() or 1
 
 
-@cache
-def _pool(size):
-    """A thread pool of `size` workers, built on first use: a process whose
-    passes all have one block never imports concurrent.futures (about 6 ms of
-    `logging` in a fresh process)."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(size)
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child holds its parent's pools but none of their threads, so
-    # work it queued there would never run
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
 def _threaded_map(fn, items, threads):
-    """fn(item) for each item, yielded in order, on `threads` threads: the
-    calling thread computes every `threads`-th item from the first, and a
-    pool of threads - 1 workers the rest. Each pool thread costs about 1 MB
-    of peak memory (its own malloc arena), so the calling thread takes a
-    share rather than wait.
+    """[fn(item) for item in items] on `threads` threads, started and joined
+    here: the calling thread computes items 0, threads, 2 threads, ... and
+    each started thread one of the other residues. Each started thread costs
+    about 1 MB of peak memory (its own malloc arena), so the calling thread
+    takes a share rather than wait.
 
-    An item's error is raised when its turn comes, so the first failing
-    item in order is the one reported; the pool's items not yet started
-    are then cancelled.
+    A thread stops at its first failing item. Every item before the
+    earliest failing one has then been computed, and that item's error is
+    raised: the serial loop's.
     """
-    pool = _pool(threads - 1)
-    futures = [None if k % threads == 0 else pool.submit(fn, item)
-               for k, item in enumerate(items)]
-    try:
-        for item, future in zip(items, futures):
-            yield fn(item) if future is None else future.result()
-    finally:
-        for future in futures:
-            if future is not None:
-                future.cancel()
+    results, errors = [None] * len(items), {}
+
+    def run(start):
+        try:
+            for k in range(start, len(items), threads):
+                results[k] = fn(items[k])
+        except Exception as exc:
+            errors[k] = exc
+
+    started = [threading.Thread(target=run, args=(t,)) for t in range(1, threads)]
+    for thread in started:
+        thread.start()
+    run(0)
+    for thread in started:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @cache
@@ -317,18 +309,24 @@ class Geometry:
         `keep` set, and are None when it keeps nothing, so a distance-only
         pass allocates no per-pair factor. A `pooled` geometry's pass of
         more than one block, in a process that may use more than one CPU,
-        computes its blocks on one thread per CPU (`_threaded_map`); they
-        are written here in block order either way, so the values and the
-        first failing block's error are the same.
+        computes its blocks on one thread per CPU, up to one per block
+        (`_threaded_map`); they are written here in block order either way,
+        so the values and the first failing block's error are the same. A
+        pair that fails the PD check is named by its position in the pass
+        (`NotPositiveDefiniteError.index`), not in its block.
         """
         blocks = _blocks(len(i), left[0].shape[-1])
 
         def block(blk):
-            return self.block_dist2(left, right, i[blk], j[blk], keep)
+            try:
+                return self.block_dist2(left, right, i[blk], j[blk], keep)
+            except NotPositiveDefiniteError as exc:
+                exc.index = None if exc.index is None else exc.index + blk.start
+                raise
 
-        threads = _workers() if self.pooled and len(blocks) > 1 else 1
-        parts = (map(block, blocks) if threads == 1
-                 else _threaded_map(block, blocks, threads))
+        threads = min(_workers(), len(blocks)) if self.pooled else 1
+        parts = (_threaded_map(block, blocks, threads) if threads > 1
+                 else map(block, blocks))
         out, kept = np.empty(len(i)), None
         for blk, (d, part) in zip(blocks, parts):
             out[blk] = d
@@ -561,7 +559,11 @@ class LogEuclidean(Geometry):
         D = left[1][0][i]
         D -= right[1][0][j]
         D *= D
-        return D @ _upper(left[0].shape[-1])[2], None
+        # one product per pair: a matrix-vector product over the block sums
+        # some rows by another kernel, which would tie a pair's value to its
+        # slot in the block
+        weights = _upper(left[0].shape[-1])[2]
+        return np.matmul(D[:, None], weights[:, None])[:, 0, 0], None
 
     @staticmethod
     def block_grad(factors, pair, i, j):
@@ -597,24 +599,14 @@ def _checked(A, name):
     return matfun.check_symmetric(matfun.check_finite(A, name), name)
 
 
-def _stack(stack, name):
-    """A validated (k, n, n) stack of finite symmetric matrices."""
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValidationError(
-            f"{name} operand must be a (k, n, n) stack of matrices, "
-            f"got shape {stack.shape}"
-        )
-    return _checked(stack, name)
-
-
-def _matrix(A, name):
-    """A validated (n, n) finite symmetric matrix: one, not a stack."""
+def _operand(A, name, ndim):
+    """A validated operand of finite symmetric matrices: one (n, n) matrix
+    for ndim 2, a (k, n, n) stack for ndim 3."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError(
-            f"{name} must be one (n, n) matrix, got shape {A.shape}"
-        )
+    if A.ndim != ndim or A.shape[-1] != A.shape[-2]:
+        want = ("must be one (n, n) matrix" if ndim == 2
+                else "operand must be a (k, n, n) stack of matrices")
+        raise ValidationError(f"{name} {want}, got shape {A.shape}")
     return _checked(A, name)
 
 
@@ -643,15 +635,15 @@ def _pair_indices(i, j, N):
 def _side(geom, stack, name):
     """A validated (stack, factors) operand of `Geometry.dist2_pairs` and
     `Geometry.lower_bound`."""
-    stack = _stack(stack, name)
+    stack = _operand(stack, name, 3)
     return stack, geom.factors(stack, name)
 
 
 def dist2(metric, X1, X2):
     """Squared distance between two SPD matrices under the chosen geometry."""
     geom = geometry(metric)
-    X1 = _matrix(X1, "first operand")
-    X2 = _matrix(X2, "second operand")
+    X1 = _operand(X1, "first operand", 2)
+    X2 = _operand(X2, "second operand", 2)
     if X1.shape != X2.shape:
         raise DimMismatchError(f"operand dims differ: {X1.shape} vs {X2.shape}")
     left = (X1[None], tuple(f[None] for f in geom.factors(X1, "first operand")))
@@ -680,7 +672,7 @@ def pairwise_dist2(metric, samples):
 def cross_dist2(metric, rows, cols):
     """Squared distances between every row-stack and column-stack sample."""
     geom = geometry(metric)
-    rows, cols = _stack(rows, "row sample"), _stack(cols, "col sample")
+    rows, cols = _operand(rows, "row sample", 3), _operand(cols, "col sample", 3)
     if rows.shape[1:] != cols.shape[1:]:
         raise DimMismatchError(
             f"sample dims differ: {rows.shape[1:]} vs {cols.shape[1:]}"
@@ -709,7 +701,7 @@ def indexed_dist2(metric, samples, i, j):
     of equal length, each index in [0, N) for a stack of N samples.
     """
     geom = geometry(metric)
-    samples = _stack(samples, "sample")
+    samples = _operand(samples, "sample", 3)
     i, j = _pair_indices(i, j, len(samples))
     side = (samples, geom.factors(samples, "sample"))
     return geom.dist2_pairs(side, side, i, j)[0]

@@ -9,6 +9,8 @@ Frozen scalar oracles:
 import os
 import re
 import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -629,9 +631,9 @@ class TestDistancePass:
 
 class TestPooledPass:
     """AIM computes the blocks of a pass of more than one block on one
-    thread per CPU, the calling thread and a pool; the calling thread writes
-    them in block order, so a pass gives what the serial loop gives, bit
-    for bit."""
+    thread per CPU, the calling thread and threads started and joined for
+    the pass; the results are written in block order, so a pass gives what
+    the serial loop gives, bit for bit."""
 
     @staticmethod
     def passes(metric, stack):
@@ -651,18 +653,34 @@ class TestPooledPass:
     def test_one_worker_is_bit_identical(self, monkeypatch):
         stack = ref_shaped_dataset(seed=31).samples
         assert len(_blocks(25 * 25, stack.shape[-1])) >= 3  # the smallest pass
-        calls = count_calls(monkeypatch, metrics, ["_pool"])
+        calls = count_calls(monkeypatch, metrics, ["_threaded_map"])
         self.workers(monkeypatch, 2)
         pooled = self.passes(MetricKind.AIM, stack)
-        assert calls["_pool"] == 4
+        assert calls["_threaded_map"] == 4
         self.workers(monkeypatch, 1)
         serial = self.passes(MetricKind.AIM, stack)
-        assert calls["_pool"] == 4
+        assert calls["_threaded_map"] == 4
         for got, want in zip(pooled, serial):
             assert got.tobytes() == want.tobytes()
 
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        """Each thread writes only its own blocks' slots: with five threads
+        switching every microsecond, no block's result is lost or moved."""
+        stack = ref_shaped_dataset(seed=31).samples
+        self.workers(monkeypatch, 1)
+        serial = self.passes(MetricKind.AIM, stack)
+        self.workers(monkeypatch, 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = self.passes(MetricKind.AIM, stack)
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(threaded, serial):
+            assert got.tobytes() == want.tobytes()
+
     # 1-based blocks of the two unfloored pairs; with two threads the
-    # calling thread computes blocks 1, 3 and 5, the pool blocks 2 and 4
+    # calling thread computes blocks 1, 3 and 5, the started thread 2 and 4
     @pytest.mark.parametrize("first, second", [(2, 4), (3, 4)])
     def test_first_failing_block_named(self, first, second, monkeypatch):
         """Unfloored pairs in two blocks: the pooled pass raises the serial
@@ -682,33 +700,45 @@ class TestPooledPass:
         with pytest.raises(NotPositiveDefiniteError) as serial:
             indexed_dist2(MetricKind.AIM, stack, i, j)
         assert str(serial.value).startswith("whitened pair [20 21] has min eigenvalue")
-        calls = count_calls(monkeypatch, metrics, ["_pool"])
+        calls = count_calls(monkeypatch, metrics, ["_threaded_map"])
         self.workers(monkeypatch, 2)
         with pytest.raises(NotPositiveDefiniteError) as pooled:
             indexed_dist2(MetricKind.AIM, stack, i, j)
-        assert calls["_pool"] == 1
+        assert calls["_threaded_map"] == 1
         assert str(pooled.value) == str(serial.value)
         assert pooled.value.index == serial.value.index
 
     @pytest.mark.parametrize("metric", [MetricKind.STEIN, MetricKind.LEM])
-    def test_only_aim_builds_the_pool(self, metric, monkeypatch):
-        calls = count_calls(monkeypatch, metrics, ["_pool"])
+    def test_only_aim_starts_threads(self, metric, monkeypatch):
+        calls = count_calls(monkeypatch, metrics, ["_threaded_map"])
         self.workers(monkeypatch, 2)
         self.passes(metric, ref_shaped_dataset(seed=31).samples)
-        assert calls["_pool"] == 0
+        assert calls["_threaded_map"] == 0
 
     def test_one_block_stays_serial(self, monkeypatch):
         stack = ref_shaped_dataset(seed=31).samples[:9]
         assert len(_blocks(36, stack.shape[-1])) == 1
-        calls = count_calls(monkeypatch, metrics, ["_pool"])
+        calls = count_calls(monkeypatch, metrics, ["_threaded_map"])
         self.workers(monkeypatch, 2)
         pairwise_dist2(MetricKind.AIM, stack)
         dist2(MetricKind.AIM, stack[0], stack[1])
-        assert calls["_pool"] == 0
+        assert calls["_threaded_map"] == 0
+
+    def test_no_thread_outlives_a_pass(self, monkeypatch):
+        stack = ref_shaped_dataset(seed=31).samples
+        before = threading.active_count()
+        calls = count_calls(monkeypatch, metrics, ["_threaded_map"])
+        starts = count_calls(monkeypatch, threading.Thread, ["start"])
+        self.workers(monkeypatch, 3)
+        pairwise_dist2(MetricKind.AIM, stack)
+        assert calls["_threaded_map"] == 1
+        assert starts["start"] == 2
+        assert threading.active_count() == before
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    # fork() in a process with threads warns from Python 3.12 on; dropping
-    # the pool in the child is what makes that fork safe here
+    # fork() in a process with more than one OS thread warns from Python
+    # 3.12 on, and a multi-threaded BLAS holds its own threads whatever the
+    # passes do; no pass thread is alive at the fork
     @pytest.mark.filterwarnings("ignore:This process .*multi-threaded:DeprecationWarning")
     def test_forked_child_runs_a_pooled_pass(self, monkeypatch):
         self.workers(monkeypatch, 2)
@@ -718,7 +748,8 @@ class TestPooledPass:
         if pid == 0:
             code = 1
             try:
-                # a pass left waiting on the parent's threads ends the child
+                # a pass left waiting on a thread that did not survive the
+                # fork ends the child
                 signal.alarm(20)
                 got = pairwise_dist2(MetricKind.AIM, stack)
                 code = 0 if got.tobytes() == want.tobytes() else 2
@@ -727,6 +758,47 @@ class TestPooledPass:
         _, status = os.waitpid(pid, 0)
         assert os.WIFEXITED(status), f"child ended by signal {os.WTERMSIG(status)}"
         assert os.WEXITSTATUS(status) == 0
+
+
+class TestFailingPairIndex:
+    """A pair that fails the PD check in a pass is named by its position in
+    the pass (`NotPositiveDefiniteError.index`), not in its block, whether
+    the blocks run on one thread or several."""
+
+    STEP = BLOCK_ENTRIES // 4  # pairs per block of 2 x 2 matrices
+    AT = STEP + 5  # the failing pair, in the second of three blocks
+
+    def pairs(self, rng, count, bad):
+        i = rng.integers(count, size=3 * self.STEP)
+        j = (i + rng.integers(1, count, size=i.size)) % count
+        i[self.AT], j[self.AT] = bad
+        return i, j
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_whitened_pair(self, workers, monkeypatch):
+        monkeypatch.setattr(metrics, "_workers", lambda: workers)
+        rng = np.random.default_rng(5)
+        stack = np.concatenate([np.stack([rand_spd(rng, 2) for _ in range(20)]),
+                                TestArgumentOrder.unfloored_pair()])
+        i, j = self.pairs(rng, 20, (20, 21))
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=r"^whitened pair \[20 21\]") as err:
+            indexed_dist2(MetricKind.AIM, stack, i, j)
+        assert err.value.index == self.AT
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_midpoint(self, workers, monkeypatch):
+        # samples are never indefinite where they enter, so the side is built
+        # by hand around the indefinite sample 7
+        monkeypatch.setattr(metrics, "_workers", lambda: workers)
+        rng = np.random.default_rng(5)
+        stack = np.stack([rand_spd(rng, 2) for _ in range(10)])
+        stack[7] = np.diag([-5.0, 1.0])
+        i, j = self.pairs(rng, 7, (3, 7))
+        side = (stack, (np.zeros(10), None))
+        with pytest.raises(NotPositiveDefiniteError, match=r"^midpoint \[3 7\]") as err:
+            geometry(MetricKind.STEIN).dist2_pairs(side, side, i, j, keep=True)
+        assert err.value.index == self.AT
 
 
 class TestDefaultBeta:
@@ -869,6 +941,23 @@ class TestLogEuclideanTriangle:
                               cross_dist2(MetricKind.LEM, right, left).T)
         assert (dist2(MetricKind.LEM, stack[0], stack[1])
                 == dist2(MetricKind.LEM, stack[1], stack[0]))
+
+    @pytest.mark.parametrize("n", [5, 6, 10, 12, 20])
+    def test_pair_value_independent_of_its_block_slot(self, n):
+        """Each pair is reduced on its own, so a pair gets one value,
+        bit for bit, whatever block and slot it lands in."""
+        lem = MetricKind.LEM
+        stack = self.stack(n, count=150)
+        rows, cols = stack[:40], stack[40:]
+        assert np.array_equal(cross_dist2(lem, rows, cols),
+                              cross_dist2(lem, cols, rows).T)
+        i, j = np.triu_indices(len(stack), k=1)
+        forward = indexed_dist2(lem, stack, i, j)
+        assert np.array_equal(indexed_dist2(lem, stack, i[::-1], j[::-1]),
+                              forward[::-1])
+        assert np.array_equal(pairwise_dist2(lem, stack)[i, j], forward)
+        for p in range(0, len(i), 101):
+            assert dist2(lem, stack[i[p]], stack[j[p]]) == forward[p]
 
     @pytest.mark.parametrize("n", DIMS)
     def test_agrees_with_full_log_difference(self, n):
