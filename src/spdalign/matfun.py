@@ -93,15 +93,22 @@ def _first(bad, ids=None):
 
 
 def symmetrize(A):
-    return 0.5 * (A + _mT(A))
+    """(A + A^T) / 2 of a float matrix or stack, halved in place in the one
+    new array: bit for bit 0.5 * (A + A^T), and A is left as it is."""
+    S = A + _mT(A)
+    S *= 0.5
+    return S
 
 
 def pd_floor(X):
-    """Scale-aware eigenvalue floor below which X is rejected as non-PD.
+    """Eigenvalue floor below which X is rejected as non-PD: 1e-12 times the
+    mean eigenvalue tr X / n, so the test is invariant to a common scaling.
+    A matrix whose trace is zero or negative fails it, as its smallest
+    eigenvalue is at most tr X / n, which then lies at or below the floor.
 
     For a stack, one floor per matrix.
     """
-    return 1e-12 * np.maximum(X.trace(axis1=-2, axis2=-1) / X.shape[-1], 1.0)
+    return 1e-12 * (X.trace(axis1=-2, axis2=-1) / X.shape[-1])
 
 
 def require_pd(w, X, name="matrix", ids=None):

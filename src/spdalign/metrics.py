@@ -22,9 +22,11 @@ The affine-invariant kernel runs the blocks of a pass of more than one
 block on one thread per CPU the process may use (`_threaded_map`): each
 block is a stacked eigensolve, which releases the GIL. The calling thread
 takes a share of the blocks, and the threads started for the pass the
-rest; the pass joins them before it writes the results in block order, so
-no thread outlives it, and every value, and the error of the first failing
-block, is the serial loop's, whatever the CPU count.
+rest. Each block writes its distances, and any per-pair factors it keeps,
+into its own slice of arrays allocated before the pass, and the pass joins
+its threads before it returns, so no thread outlives it, and every value,
+and the error of the first failing block, is the serial loop's, whatever
+the CPU count.
 
 Training needs the original-manifold distances twice, for the neighbor
 graphs and for the bandwidth; both take one `pairwise_dist2` matrix
@@ -173,22 +175,23 @@ def _workers():
 
 
 def _threaded_map(fn, items, threads):
-    """[fn(item) for item in items] on `threads` threads, started and joined
-    here: the calling thread computes items 0, threads, 2 threads, ... and
-    each started thread one of the other residues. Each started thread costs
-    about 1 MB of peak memory (its own malloc arena), so the calling thread
-    takes a share rather than wait.
+    """fn(item) for every item, on `threads` threads started and joined
+    here: the calling thread runs items 0, threads, 2 threads, ... and each
+    started thread one of the other residues. fn returns nothing that is
+    kept; it writes its own results where its caller reads them. Each
+    started thread costs about 1 MB of peak memory (its own malloc arena),
+    so the calling thread takes a share rather than wait.
 
     A thread stops at its first failing item. Every item before the
-    earliest failing one has then been computed, and that item's error is
+    earliest failing one has then been run, and that item's error is
     raised: the serial loop's.
     """
-    results, errors = [None] * len(items), {}
+    errors = {}
 
     def run(start):
         try:
             for k in range(start, len(items), threads):
-                results[k] = fn(items[k])
+                fn(items[k])
         except Exception as exc:
             errors[k] = exc
 
@@ -200,7 +203,6 @@ def _threaded_map(fn, items, threads):
         thread.join()
     if errors:
         raise errors[min(errors)]
-    return results
 
 
 @cache
@@ -284,7 +286,9 @@ class Geometry:
     feed pairs through in blocks of BLOCK_ENTRIES matrix entries, which
     bounds the working memory whatever the pair count. A `pooled` geometry's
     `dist2_pairs` computes the blocks of one pass on several threads
-    (`_threaded_map`), so its `block_dist2` only reads its operands.
+    (`_threaded_map`), so its `block_dist2` only reads its operands. A
+    geometry whose `block_dist2` keeps a per-pair factor sets `keeps_pairs`,
+    and `dist2_pairs` allocates the pass's |E| x n x n stack of them once.
     """
 
     grad_scale = 4.0
@@ -294,6 +298,9 @@ class Geometry:
     # the work. LEM stays serial: its blocks are a gather and a dot product,
     # mostly interpreter time, and pooled they made `wide` train 1-8% slower.
     pooled = False
+    # whether `block_dist2` with `keep` set returns a per-pair factor, one
+    # n x n matrix per pair, which `dist2_pairs` then allocates for the pass
+    keeps_pairs = False
 
     @staticmethod
     def lower_bound(side, i, j):
@@ -305,35 +312,39 @@ class Geometry:
         """(squared distances, kept factors) between left sample i[p] and
         right sample j[p]: the one loop over blocks of distance pairs.
 
-        The kept factors stack what `block_dist2` keeps of each pair with
-        `keep` set, and are None when it keeps nothing, so a distance-only
-        pass allocates no per-pair factor. A `pooled` geometry's pass of
-        more than one block, in a process that may use more than one CPU,
-        computes its blocks on one thread per CPU, up to one per block
-        (`_threaded_map`); they are written here in block order either way,
-        so the values and the first failing block's error are the same. A
-        pair that fails the PD check is named by its position in the pass
-        (`NotPositiveDefiniteError.index`), not in its block.
+        Both arrays are allocated before the pass, and each block writes its
+        own slice of them, so a pass holds one copy of its results. The kept
+        factors are the |E| x n x n stack of what `block_dist2` keeps of each
+        pair with `keep` set; they are None for a distance-only pass and for
+        a geometry that keeps no per-pair factor (`keeps_pairs`). A `pooled`
+        geometry's pass of more than one block, in a process that may use
+        more than one CPU, computes its blocks on one thread per CPU, up to
+        one per block (`_threaded_map`), each block written by the thread
+        that computed it; the values and the first failing block's error are
+        the serial loop's. A pair that fails the PD check is named by its
+        position in the pass (`NotPositiveDefiniteError.index`), not in its
+        block.
         """
-        blocks = _blocks(len(i), left[0].shape[-1])
+        n = left[0].shape[-1]
+        blocks = _blocks(len(i), n)
+        out = np.empty(len(i))
+        kept = np.empty((len(i), n, n)) if keep and self.keeps_pairs else None
 
         def block(blk):
             try:
-                return self.block_dist2(left, right, i[blk], j[blk], keep)
+                out[blk], part = self.block_dist2(left, right, i[blk], j[blk], keep)
             except NotPositiveDefiniteError as exc:
                 exc.index = None if exc.index is None else exc.index + blk.start
                 raise
+            if kept is not None:
+                kept[blk] = part
 
         threads = min(_workers(), len(blocks)) if self.pooled else 1
-        parts = (_threaded_map(block, blocks, threads) if threads > 1
-                 else map(block, blocks))
-        out, kept = np.empty(len(i)), None
-        for blk, (d, part) in zip(blocks, parts):
-            out[blk] = d
-            if part is not None:
-                if kept is None:
-                    kept = np.empty((len(i),) + part.shape[1:])
-                kept[blk] = part
+        if threads > 1:
+            _threaded_map(block, blocks, threads)
+        else:
+            for blk in blocks:
+                block(blk)
         return out, kept
 
     @staticmethod
@@ -398,6 +409,7 @@ class AffineInvariant(Geometry):
     """
 
     pooled = True
+    keeps_pairs = True
 
     @staticmethod
     def factors(stack, name):
@@ -493,6 +505,7 @@ class Stein(Geometry):
     """
 
     grad_scale = 1.0
+    keeps_pairs = True
 
     @staticmethod
     def factors(stack, name):

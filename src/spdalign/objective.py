@@ -156,7 +156,9 @@ class AlignmentProblem:
         i, j = self.pairs.T
         side = (mapped, factors)
         d, pair_factors = self.geom.dist2_pairs(side, side, i, j, keep=True)
-        K = np.exp(-self.beta * np.where(d < DIST_CLAMP, 0.0, d))
+        # a huge beta sends -beta d to -inf, whose similarity is exactly 0
+        with np.errstate(over="ignore"):
+            K = np.exp(-self.beta * np.where(d < DIST_CLAMP, 0.0, d))
         L, norm_L = _center(K, i, j, self.N)
         if norm_L < L_NORM_FLOOR:
             raise DegenerateAlignmentError(

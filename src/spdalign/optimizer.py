@@ -21,6 +21,13 @@ projection), an additive retraction W + tH guarded against rank loss, and
 Armijo backtracking. The horizontal projection solves its Sylvester equation
 in closed form from the SVD of W, so the module needs numpy only. All
 tie-breaking is deterministic, so a run is a pure function of its inputs.
+
+An `AlignmentState` holds the per-pair factors of its point, |E| m^2
+doubles, which `alignment_gradient` reads once. The loop therefore carries
+J and the gradient of the current point, not its state: each state is
+dropped as soon as its gradient is formed, and the line search drops a
+rejected trial's state before it evaluates the next trial, so no objective
+evaluation starts while an earlier state is alive.
 """
 
 import time
@@ -152,11 +159,12 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
 
     state = problem.evaluate(W)
     # egrad is horizontal, so it is the Riemannian gradient (module docstring)
-    grad = alignment_gradient(state)
+    J, grad = state.J, alignment_gradient(state)
+    del state
     gnorm = float(np.linalg.norm(grad))
     gnorm_ref = max(1.0, gnorm)
 
-    J_hist, g_hist, t_hist = [state.J], [gnorm], [0.0]
+    J_hist, g_hist, t_hist = [J], [gnorm], [0.0]
     direction = grad
     prev_grad = grad
     since_restart = 0
@@ -185,7 +193,7 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
             slope = float(np.sum(grad * d))
             if slope <= 0.0:
                 continue
-            accepted = _armijo(problem, W, state.J, d, slope)
+            accepted = _armijo(problem, W, J, d, slope)
             if accepted is not None:
                 direction = d
                 break
@@ -193,21 +201,21 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
             return _trace_result(W, J_hist, g_hist, t_hist, k - 1,
                                  StopReason.LINE_SEARCH_FAIL, t_start)
 
-        t, W_new, state_new = accepted
-        grad_new = alignment_gradient(state_new)
+        t, W, state = accepted
+        del accepted
         # prev_grad and direction stay attached to the old point; they are
         # transported exactly once, inside the next CG combination
-        prev_grad = grad
-        W, J_prev = W_new, state.J
-        state, grad = state_new, grad_new
+        prev_grad, grad = grad, alignment_gradient(state)
+        J_prev, J = J, state.J
+        del state
         gnorm = float(np.linalg.norm(grad))
         since_restart += 1
 
-        J_hist.append(state.J)
+        J_hist.append(J)
         g_hist.append(gnorm)
         t_hist.append(t)
 
-        if abs(state.J - J_prev) < cfg.rel_obj_tol * max(1.0, abs(state.J)):
+        if abs(J - J_prev) < cfg.rel_obj_tol * max(1.0, abs(J)):
             return _trace_result(W, J_hist, g_hist, t_hist, k,
                                  StopReason.OBJ_TOL, t_start)
 
@@ -220,8 +228,9 @@ def _armijo(problem, W, J, d, slope):
 
     Each trial point is checked once, by `retract`, and evaluated on the
     already validated problem. Trial points that lose rank or break
-    numerically just shrink the step. Returns (t, W_new, state_new) or None
-    after LS_MAX_SHRINKS shrinkages.
+    numerically just shrink the step, and a rejected trial's state is
+    dropped before the next trial is evaluated. Returns (t, W_new,
+    state_new) or None after LS_MAX_SHRINKS shrinkages.
     """
     t = 1.0 / (1.0 + float(np.linalg.norm(d)))
     for _ in range(LS_MAX_SHRINKS + 1):
@@ -233,5 +242,6 @@ def _armijo(problem, W, J, d, slope):
             continue
         if state_new.J >= J + LS_SLOPE * t * slope:
             return t, W_new, state_new
+        del state_new
         t *= LS_SHRINK
     return None

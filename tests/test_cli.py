@@ -1,5 +1,7 @@
 """End-to-end CLI tests driven through in-process main() calls."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -16,6 +18,7 @@ import spdalign.cli as cli
 import spdalign.dataset
 import spdalign.graphs
 import spdalign.metrics
+from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.fileio import (
     load_dataset,
     load_trace,
@@ -329,6 +332,87 @@ class TestTrainDistancePass:
         assert message in capsys.readouterr().err
         assert loads == {"load_dataset": 0}
         assert pairwise_calls == []
+
+
+class TestScaledSamples:
+    """All three distances are invariant to a common scaling of the samples,
+    and so is the PD floor, relative to each sample's mean eigenvalue: a
+    scaled set loads, trains and evaluates as the unscaled one does."""
+
+    SCALES = [1e-300, 1e-150, 1.0, 1e150, 1e300]
+    # W of a scaled run against the unscaled one, relative to max |W|; the
+    # runs differ by rounding alone, which stays near 1e-12 over 5 iterations
+    W_RTOL = 1e-9
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        base = synth_dataset(SynthConfig(dim=8, classes=3, per_class=6,
+                                         noise=0.3, seed=1))
+        labels = [f"c{label}" for label in base.labels]
+        results = {}
+        for scale in self.SCALES:
+            root = tmp_path_factory.mktemp("scaled")
+            manifest = write_corpus(root, scale * base.samples, labels)
+            for metric in MetricKind:
+                out = root / metric.value
+                results[metric, scale] = (
+                    _run(["train", "--manifest", manifest, "--metric", metric.value,
+                          "--target-dim", "3", "--max-iters", "5",
+                          "--output-dir", str(out)]),
+                    _run(["eval", "--manifest", manifest, "--metric", metric.value,
+                          "--splits", "4", "--transform", str(out / "W.txt")]),
+                    load_transform(str(out / "W.txt")),
+                    load_trace(str(out / "trace.txt")),
+                )
+        return results
+
+    @pytest.mark.parametrize("scale", [s for s in SCALES if s != 1.0])
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_trains_and_evaluates_as_unscaled(self, runs, metric, scale):
+        train, evaluation, W, trace = runs[metric, scale]
+        train_1, evaluation_1, W_1, trace_1 = runs[metric, 1.0]
+        assert _line(train, "stopped after") == _line(train_1, "stopped after")
+        assert len(trace) == len(trace_1)
+        assert np.abs(W - W_1).max() <= self.W_RTOL * np.abs(W_1).max()
+        for kind in ("baseline 1-NN", "transformed 1-NN"):
+            assert _line(evaluation, kind) == _line(evaluation_1, kind)
+
+
+def _run(argv):
+    """stdout of a command that must succeed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0, argv
+    return out.getvalue()
+
+
+def _line(text, prefix):
+    (line,) = [line for line in text.splitlines() if line.startswith(prefix)]
+    return line
+
+
+def test_overflowing_beta_warns_nothing(tmp_path):
+    """-beta d overflows to -inf for a beta near the largest float; its
+    similarity is exactly 0, so every one vanishes and training exits 2 with
+    the one documented message on stderr, for every metric."""
+    assert cli.main(["synth", "--output-dir", str(tmp_path / "data"), "--dim", "10",
+                     "--classes", "3", "--per-class", "6", "--noise", "1.0",
+                     "--seed", "1"]) == 0
+    src = Path(cli.__file__).resolve().parents[1]
+    for metric in MetricKind:
+        child = subprocess.run(
+            [sys.executable, "-m", "spdalign.cli", "train",
+             "--manifest", str(tmp_path / "data" / "manifest.txt"),
+             "--metric", metric.value, "--target-dim", "4", "--beta", "1e308",
+             "--output-dir", str(tmp_path / metric.value)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert child.returncode == 2, child.stderr
+        assert child.stderr == (
+            "numerical failure: centered pair-similarity matrix vanished; "
+            "objective undefined\n"
+        )
 
 
 class TestGradcheckDistancePass:

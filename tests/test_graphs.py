@@ -159,10 +159,8 @@ def near_floor_spd(rng, n, scale, factor, rotated):
     matrix: diagonal, or turned by a random rotation."""
     w = scale * np.exp(rng.uniform(-1.0, 1.0, n))
     w[0] = 0.0
-    # floor = 1e-12 max(tr X / n, 1) with w[0] itself in the trace
-    w[0] = factor * 1e-12 * max(w.sum() / n, 1.0)
-    if w.sum() / n > 1.0:
-        w[0] = factor * 1e-12 * w.sum() / (n - factor * 1e-12)
+    # floor = 1e-12 tr X / n with w[0] itself in the trace
+    w[0] = factor * 1e-12 * w.sum() / (n - factor * 1e-12)
     if not rotated:
         return np.diag(w)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))

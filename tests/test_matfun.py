@@ -109,6 +109,43 @@ class TestEigBackedFunctions:
             matfun.spd_log(X)
 
 
+class TestSymmetrize:
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 4, 4), (2, 3, 6, 6)])
+    def test_bitwise_half_sum_and_input_kept(self, shape):
+        A = np.random.default_rng(len(shape)).standard_normal(shape)
+        before = A.copy()
+        got = matfun.symmetrize(A)
+        assert got.tobytes() == (0.5 * (A + A.swapaxes(-1, -2))).tobytes()
+        assert A.tobytes() == before.tobytes()
+
+
+class TestPdFloor:
+    """The floor is 1e-12 times the mean eigenvalue, so definiteness is
+    decided the same at every common scale."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-6, 1.0, 1e150, 1e300])
+    def test_relative_to_the_mean_eigenvalue(self, scale):
+        w = np.array([1e-11, 0.5, 2.0, 3.5])
+        X = scale * np.diag(w)
+        assert matfun.pd_floor(X) == pytest.approx(1e-12 * w.mean() * scale, rel=1e-12)
+        matfun.require_pd(w * scale, X)
+        # a smallest eigenvalue below the floor fails at every scale
+        low = np.array([1e-12, 0.5, 2.0, 3.5])
+        with pytest.raises(NotPositiveDefiniteError, match="at or below the PD floor"):
+            matfun.require_pd(low * scale, scale * np.diag(low))
+
+    @pytest.mark.parametrize("w", [[0.0, 0.0], [-1.0, 1.0], [-3.0, 1.0, 1.0],
+                                   [-1e-300, -2e-300]],
+                             ids=["zero", "zero-trace", "negative-trace", "tiny-negative"])
+    def test_nonpositive_trace_fails(self, w):
+        X = np.diag(w)
+        assert not matfun.pd_floor(X) > 0.0
+        stack = np.stack([np.eye(len(w)), X])
+        with pytest.raises(NotPositiveDefiniteError) as got:
+            matfun.require_pd(np.linalg.eigvalsh(stack), stack, "sample")
+        assert got.value.index == 1
+
+
 class TestFailedCheckIndex:
     """A failed check carries the first failing position of a stack as
     `index`, None for one matrix, and its message names that position."""

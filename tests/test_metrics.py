@@ -11,6 +11,7 @@ import re
 import signal
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -758,6 +759,55 @@ class TestPooledPass:
         _, status = os.waitpid(pid, 0)
         assert os.WIFEXITED(status), f"child ended by signal {os.WTERMSIG(status)}"
         assert os.WEXITSTATUS(status) == 0
+
+
+class TestPassMemory:
+    """A pass allocates its distances and kept factors once, and each block
+    writes its own slice of them: no pass holds a second copy of its
+    results."""
+
+    # block-sized temporaries one thread may hold at once in a keep pass: the
+    # gathered operands, the whitened product and its symmetrization, the
+    # eigenvectors and the log built from them (AIM), or the midpoints and
+    # their Cholesky factors (Stein), with room to spare
+    TEMPORARY_BLOCKS = 8
+
+    @pytest.mark.parametrize("metric", [MetricKind.AIM, MetricKind.STEIN])
+    def test_keep_pass_holds_one_copy_of_its_factors(self, metric, monkeypatch):
+        monkeypatch.setattr(metrics, "_workers", lambda: 2)
+        rng = np.random.default_rng(8)
+        n, count = 6, 200
+        stack = np.stack([rand_spd(rng, n) for _ in range(count)])
+        geom, side = factored(metric, stack)
+        i, j = np.triu_indices(count, k=1)  # 19,900 pairs in 44 blocks
+        block_bytes = (BLOCK_ENTRIES // (n * n)) * n * n * 8
+        tracemalloc.start()
+        try:
+            d, kept = geom.dist2_pairs(side, side, i, j, keep=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept.shape == (len(i), n, n)
+        threads = 2 if geom.pooled else 1
+        bound = kept.nbytes + d.nbytes + threads * self.TEMPORARY_BLOCKS * block_bytes
+        # one more copy of the kept factors would exceed the bound
+        assert kept.nbytes > threads * self.TEMPORARY_BLOCKS * block_bytes
+        assert peak <= bound, (peak, bound)
+
+    @pytest.mark.parametrize("keep", [False, True], ids=["distance", "keep"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_empty_pair_list(self, metric, workers, keep, monkeypatch):
+        monkeypatch.setattr(metrics, "_workers", lambda: workers)
+        stack = ref_shaped_dataset(seed=31).samples[:4]
+        geom, side = factored(metric, stack)
+        none = np.zeros(0, dtype=int)
+        d, kept = geom.dist2_pairs(side, side, none, none, keep=keep)
+        assert d.shape == (0,)
+        if keep and geom.keeps_pairs:
+            assert kept.shape == (0,) + stack.shape[1:]
+        else:
+            assert kept is None
 
 
 class TestFailingPairIndex:

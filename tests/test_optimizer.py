@@ -1,6 +1,7 @@
 """Quotient-geometry primitives and conjugate-gradient loop tests."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -405,6 +406,34 @@ class TestRcgMaximize:
         assert builds == {"build": 1}
         assert len(evaluated) == 1 + trials
         assert all(problem is evaluated[0] for problem in evaluated)
+
+    # at 100 times the default bandwidth the first trial steps overshoot, and
+    # every metric's line search rejects some of them
+    @pytest.mark.parametrize("beta_scale", [1.0, 100.0], ids=["accepted", "rejected"])
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_no_earlier_state_alive_when_evaluate_starts(
+        self, metric, beta_scale, monkeypatch
+    ):
+        """The loop carries J and the gradient, not the state: each state,
+        with its per-pair factors, is gone before the next evaluation."""
+        data, graphs, beta, W0 = fitted_instance(0, metric=metric)
+        original_evaluate = objective.AlignmentProblem.evaluate
+        states, alive = [], []
+
+        def evaluate(problem, W):
+            alive.append(sum(ref() is not None for ref in states))
+            state = original_evaluate(problem, W)
+            states.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(objective.AlignmentProblem, "evaluate", evaluate)
+        res = rcg_maximize(data, graphs, metric, beta * beta_scale, W0,
+                           OptimizerConfig(max_iters=5))
+        assert res.iterations_used == 5
+        assert alive == [0] * len(alive)
+        if beta_scale > 1.0:
+            # a state the line search did not accept
+            assert len(states) > 1 + res.iterations_used
 
     def test_final_point_no_worse_than_start(self):
         data, graphs, beta, W0 = fitted_instance(7)
