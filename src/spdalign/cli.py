@@ -300,12 +300,13 @@ def cmd_synth(args):
     return 0
 
 
-def _add_common(parser):
-    parser.add_argument(
-        "--metric",
-        choices=[m.value for m in MetricKind],
-        help="similarity metric (default: aim)",
-    )
+def _add_common(parser, metric=True):
+    if metric:
+        parser.add_argument(
+            "--metric",
+            choices=[m.value for m in MetricKind],
+            help="similarity metric (default: aim)",
+        )
     parser.add_argument("--seed", type=int, help="random seed (default: 0)")
     parser.add_argument("--config", help="JSON config file; flags override it")
 
@@ -366,7 +367,7 @@ def build_parser():
     gradcheck.set_defaults(func=cmd_gradcheck)
 
     synth = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    _add_common(synth)
+    _add_common(synth, metric=False)
     synth.add_argument("--output-dir", required=True, help="where to write files")
     synth.add_argument("--dim", type=int, default=10, help="sample dimension")
     synth.add_argument("--classes", type=int, default=3, help="number of classes")

@@ -8,8 +8,13 @@ Three squared distances are supported on positive definite matrices:
 - log-Euclidean:    ||log X1 - log X2||_F^2
 
 The Stein divergence is used directly as a squared distance (no square root
-is ever taken). Distances below DIST_CLAMP are treated as exact coincidence
-before exponentiation so that identical samples get similarity exactly 1.
+is ever taken). Two equal matrices are at distance exactly 0 under every
+geometry and through every entry point, so identical samples get
+similarity exactly 1 and a gradient term of exactly 0. Stein's midpoint and
+the log-Euclidean difference give that exactly by themselves; the
+affine-invariant kernel finds the pairs whose matrices are equal entry for
+entry (`_sorts_before`) and sets their whitened spectrum's log to zero, so
+rounding in the whitening product leaves no residue.
 
 Each geometry is one batched kernel (`Geometry`), and `dist2`,
 `pairwise_dist2`, `cross_dist2` and the alignment objective and gradient all
@@ -18,15 +23,16 @@ distance pairs. Inputs are validated once where they enter; the positive
 definiteness checks inside the kernel run on whole stacks and blocks and
 name the first failing member.
 
-The affine-invariant kernel runs the blocks of a pass of more than one
-block on one thread per CPU the process may use (`_threaded_map`): each
-block is a stacked eigensolve, which releases the GIL. The calling thread
-takes a share of the blocks, and the threads started for the pass the
-rest. Each block writes its distances, and any per-pair factors it keeps,
-into its own slice of arrays allocated before the pass, and the pass joins
-its threads before it returns, so no thread outlives it, and every value,
-and the error of the first failing block, is the serial loop's, whatever
-the CPU count.
+Every pass runs its blocks through `_threaded_map`. The affine-invariant
+kernel gives it one thread per CPU the process may use, up to one per
+block: each block is a stacked eigensolve, which releases the GIL. The
+calling thread takes a share of the blocks, and the threads started for
+the pass the rest; a pass on one thread, as every Stein and log-Euclidean
+pass is, starts none. Each block writes its distances, and any per-pair
+factors it keeps, into its own slice of arrays allocated before the pass,
+and the pass joins its threads before it returns, so no thread outlives
+it, and every value, and the error of the first failing block, is the
+serial loop's, whatever the CPU count.
 
 Training needs the original-manifold distances twice, for the neighbor
 graphs and for the bandwidth; both take one `pairwise_dist2` matrix
@@ -93,7 +99,6 @@ from .errors import (
 )
 
 RANK_RTOL = 1e-10
-DIST_CLAMP = 1e-14
 # matrix entries (pairs x n x n) per batched kernel call; bounds the working
 # memory of a block of pairs whatever the pair count and sample dimension
 BLOCK_ENTRIES = 16384
@@ -175,12 +180,13 @@ def _workers():
 
 
 def _threaded_map(fn, items, threads):
-    """fn(item) for every item, on `threads` threads started and joined
-    here: the calling thread runs items 0, threads, 2 threads, ... and each
-    started thread one of the other residues. fn returns nothing that is
-    kept; it writes its own results where its caller reads them. Each
-    started thread costs about 1 MB of peak memory (its own malloc arena),
-    so the calling thread takes a share rather than wait.
+    """fn(item) for every item, on `threads` threads: the calling thread
+    runs items 0, threads, 2 threads, ... and each of the threads - 1
+    threads started and joined here one of the other residues, so a
+    one-thread call starts none and is the serial loop. fn returns nothing
+    that is kept; it writes its own results where its caller reads them.
+    Each started thread costs about 1 MB of peak memory (its own malloc
+    arena), so the calling thread takes a share rather than wait.
 
     A thread stops at its first failing item. Every item before the
     earliest failing one has then been run, and that item's error is
@@ -219,22 +225,27 @@ def _upper(n):
 
 
 def _sorts_before(a, ia, b, ib):
-    """Where matrix a[ia[p]] comes strictly before b[ib[p]] in the
-    lexicographic order of their entries, row by row.
+    """(before, equal): where matrix a[ia[p]] comes strictly before
+    b[ib[p]] in the lexicographic order of their entries, row by row, and
+    where the two are equal entry for entry.
 
     The (0, 0) entries decide almost every pair; only the pairs that tie
-    there are compared in full.
+    there are compared in full, up to their first differing entry, and a
+    pair with none is equal.
     """
     first_a, first_b = a[:, 0, 0][ia], b[:, 0, 0][ib]
     before = first_a < first_b
+    equal = np.zeros_like(before)
     tie = np.flatnonzero(first_a == first_b)
     if tie.size:
         u = a[ia[tie]].reshape(tie.size, -1)
         v = b[ib[tie]].reshape(tie.size, -1)
-        k = np.argmax(u != v, axis=1)
+        differ = u != v
+        k = np.argmax(differ, axis=1)
         rows = np.arange(tie.size)
         before[tie] = u[rows, k] < v[rows, k]
-    return before
+        equal[tie] = ~differ[rows, k]
+    return before, equal
 
 
 def _chol_logdet(stack, name, ids=None):
@@ -316,14 +327,14 @@ class Geometry:
         own slice of them, so a pass holds one copy of its results. The kept
         factors are the |E| x n x n stack of what `block_dist2` keeps of each
         pair with `keep` set; they are None for a distance-only pass and for
-        a geometry that keeps no per-pair factor (`keeps_pairs`). A `pooled`
-        geometry's pass of more than one block, in a process that may use
-        more than one CPU, computes its blocks on one thread per CPU, up to
-        one per block (`_threaded_map`), each block written by the thread
-        that computed it; the values and the first failing block's error are
-        the serial loop's. A pair that fails the PD check is named by its
-        position in the pass (`NotPositiveDefiniteError.index`), not in its
-        block.
+        a geometry that keeps no per-pair factor (`keeps_pairs`). Every pass
+        goes through `_threaded_map`, each block written by the thread that
+        computed it: a `pooled` geometry's on one thread per CPU, up to one
+        per block, any other geometry's on the calling thread alone, which
+        starts none. The values and the first failing block's error are the
+        serial loop's, whatever the thread count. A pair that fails the PD
+        check is named by its position in the pass
+        (`NotPositiveDefiniteError.index`), not in its block.
         """
         n = left[0].shape[-1]
         blocks = _blocks(len(i), n)
@@ -339,12 +350,8 @@ class Geometry:
             if kept is not None:
                 kept[blk] = part
 
-        threads = min(_workers(), len(blocks)) if self.pooled else 1
-        if threads > 1:
-            _threaded_map(block, blocks, threads)
-        else:
-            for blk in blocks:
-                block(blk)
+        threads = max(1, min(_workers(), len(blocks))) if self.pooled else 1
+        _threaded_map(block, blocks, threads)
         return out, kept
 
     @staticmethod
@@ -388,7 +395,9 @@ class AffineInvariant(Geometry):
     its value depends on the two matrices alone and is exactly invariant to
     argument order, as Stein's and LEM's are. The objective's pass (`keep`)
     whitens by the left sample, whose factors its gradient reads, and keeps
-    the log of each whitened pair from the same eigendecomposition.
+    the log of each whitened pair from the same eigendecomposition. In
+    every pass a pair of equal matrices gets a zero log spectrum, so its
+    distance and kept log are exactly zero.
 
     `lower_bound` gives the log-Euclidean squared distance of each pair in
     the frame whitened by the stack's log-Euclidean mean
@@ -455,25 +464,26 @@ class AffineInvariant(Geometry):
     def block_dist2(left, right, i, j, keep=False):
         """sum log(w)^2 over the spectrum w of each whitened pair P X P, P =
         X_a^{-1/2}, once it clears the PD floor; a failing pair is named
-        (i[p], j[p])."""
+        (i[p], j[p]). A pair of equal matrices gets log w = 0."""
+        swap, equal = _sorts_before(right[0], j, left[0], i)
         if keep:
             # the gradient reads the pair whitened by its left sample
             P, X = left[1][0][i], right[0][j]
+        elif left is right:
+            # one stack: exchange the indices, which costs less than moving
+            # the gathered matrices
+            a, b = np.where(swap, j, i), np.where(swap, i, j)
+            P, X = left[1][0][a], left[0][b]
         else:
-            swap = _sorts_before(right[0], j, left[0], i)
-            if left is right:
-                # one stack: exchange the indices, which costs less than
-                # moving the gathered matrices
-                a, b = np.where(swap, j, i), np.where(swap, i, j)
-                P, X = left[1][0][a], left[0][b]
-            else:
-                P, X = left[1][0][i], right[0][j]
-                P[swap], X[swap] = right[1][0][j[swap]], left[0][i[swap]]
+            P, X = left[1][0][i], right[0][j]
+            P[swap], X[swap] = right[1][0][j[swap]], left[0][i[swap]]
         M = matfun.symmetrize(P @ X @ P)
         del P, X  # the eigensolve's working memory need not hold them too
         w, Q = matfun.sym_eig(M) if keep else (np.linalg.eigvalsh(M), None)
         matfun.require_pd(w, M, "whitened pair", (i, j))
         log_w = np.log(w)
+        # the whitening product leaves rounding in an equal pair's spectrum
+        log_w[equal] = 0.0
         d = np.sum(log_w**2, axis=-1)
         return d, matfun.eig_apply(Q, log_w) if keep else None
 
@@ -645,13 +655,6 @@ def _pair_indices(i, j, N):
     return i, j
 
 
-def _side(geom, stack, name):
-    """A validated (stack, factors) operand of `Geometry.dist2_pairs` and
-    `Geometry.lower_bound`."""
-    stack = _operand(stack, name, 3)
-    return stack, geom.factors(stack, name)
-
-
 def dist2(metric, X1, X2):
     """Squared distance between two SPD matrices under the chosen geometry."""
     geom = geometry(metric)
@@ -660,10 +663,6 @@ def dist2(metric, X1, X2):
     if X1.shape != X2.shape:
         raise DimMismatchError(f"operand dims differ: {X1.shape} vs {X2.shape}")
     left = (X1[None], tuple(f[None] for f in geom.factors(X1, "first operand")))
-    if np.array_equal(X1, X2):
-        # coincident operands are exactly at distance zero; the AIM route
-        # would otherwise leave rounding noise from the whitening product
-        return 0.0
     right = (X2[None], tuple(f[None] for f in geom.factors(X2, "second operand")))
     first = np.zeros(1, dtype=int)
     return float(geom.dist2_pairs(left, right, first, first)[0][0])
@@ -702,7 +701,8 @@ def factored(metric, samples):
     (stack, factors) operand its `dist2_pairs` and `lower_bound` take, so a
     caller that needs several passes over pairs of the stack factors it once."""
     geom = geometry(metric)
-    return geom, _side(geom, samples, "sample")
+    samples = _operand(samples, "sample", 3)
+    return geom, (samples, geom.factors(samples, "sample"))
 
 
 def indexed_dist2(metric, samples, i, j):

@@ -59,7 +59,7 @@ import numpy as np
 from . import matfun
 from .errors import DegenerateAlignmentError, DimMismatchError
 from .graphs import label_similarity  # noqa: F401  (traced by perfbench)
-from .metrics import DIST_CLAMP, Geometry, check_beta, check_transform, geometry
+from .metrics import Geometry, check_beta, check_transform, geometry
 
 L_NORM_FLOOR = 1e-14
 
@@ -158,7 +158,7 @@ class AlignmentProblem:
         d, pair_factors = self.geom.dist2_pairs(side, side, i, j, keep=True)
         # a huge beta sends -beta d to -inf, whose similarity is exactly 0
         with np.errstate(over="ignore"):
-            K = np.exp(-self.beta * np.where(d < DIST_CLAMP, 0.0, d))
+            K = np.exp(-self.beta * d)
         L, norm_L = _center(K, i, j, self.N)
         if norm_L < L_NORM_FLOOR:
             raise DegenerateAlignmentError(

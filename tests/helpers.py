@@ -8,7 +8,7 @@ from spdalign.dataset import LabeledDataset
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import ValidationError
 from spdalign.metrics import (
-    DIST_CLAMP, _blocks, check_beta, check_transform, dist2, geometry, map_down,
+    _blocks, check_beta, check_transform, dist2, geometry, map_down,
 )
 from spdalign.objective import build_grad_context
 from spdalign.objective import fd_gradient  # noqa: F401  (re-exported to tests)
@@ -81,10 +81,7 @@ def graph_split(graphs, labels):
 def kernel_sim(metric, X_i, X_j, W, beta):
     """Gaussian similarity exp(-beta * transformed_dist2) in (0, 1]."""
     check_beta(beta)
-    d = transformed_dist2(metric, X_i, X_j, W)
-    if d < DIST_CLAMP:
-        d = 0.0
-    return float(np.exp(-beta * d))
+    return float(np.exp(-beta * transformed_dist2(metric, X_i, X_j, W)))
 
 
 def kernel_entry_gradient(metric, i, j, W, data, beta, k_ij):

@@ -96,6 +96,14 @@ class TestSynth:
                 tmp_path / "b" / rel
             ).read_bytes()
 
+    def test_takes_no_metric(self, tmp_path, capsys):
+        # a dataset does not depend on a metric, so synth has no such flag
+        out = tmp_path / "data"
+        code = cli.main(["synth", "--metric", "aim", "--output-dir", str(out)])
+        assert code == 1
+        assert "unrecognized arguments: --metric aim" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_end_to_end(self, corpus, tmp_path, capsys):

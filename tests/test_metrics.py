@@ -37,7 +37,6 @@ from spdalign.metrics import (
     BLOCK_ENTRIES,
     MetricKind,
     _blocks,
-    _side,
     bandwidth,
     check_transform,
     cross_dist2,
@@ -459,6 +458,15 @@ class TestArgumentOrder:
         for a, b in zip(stack[:10], stack[10:20]):
             assert dist2(metric, a, b) == dist2(metric, b, a)
 
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_only_equal_pairs_at_zero(self, metric):
+        # every pair ties at (0, 0), and only samples 0 and 1 are equal
+        stack = self.ref_stack(ties=True)
+        i, j = np.triu_indices(len(stack), k=1)
+        d = indexed_dist2(metric, stack, i, j)
+        assert d[0] == 0.0 and (i[0], j[0]) == (0, 1)
+        assert np.all(d[1:] > 0.0)
+
     @staticmethod
     def unfloored_pair():
         # each matrix clears its own PD floor, but whitening the first by the
@@ -600,8 +608,7 @@ class TestDistancePass:
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_support_pass_equals_distance_pass(self, metric):
         stack = TestSteinFactors.stack()
-        geom = geometry(metric)
-        side = _side(geom, stack, "sample")
+        geom, side = factored(metric, stack)
         i, j = np.triu_indices(len(stack), k=1)
         assert len(list(_blocks(len(i), stack.shape[-1]))) > 1
         d, kept = geom.dist2_pairs(side, side, i, j, keep=True)
@@ -654,13 +661,13 @@ class TestPooledPass:
     def test_one_worker_is_bit_identical(self, monkeypatch):
         stack = ref_shaped_dataset(seed=31).samples
         assert len(_blocks(25 * 25, stack.shape[-1])) >= 3  # the smallest pass
-        calls = count_calls(monkeypatch, metrics, ["_threaded_map"])
+        starts = count_calls(monkeypatch, threading.Thread, ["start"])
         self.workers(monkeypatch, 2)
         pooled = self.passes(MetricKind.AIM, stack)
-        assert calls["_threaded_map"] == 4
+        assert starts["start"] == 4  # one started thread for each pass
         self.workers(monkeypatch, 1)
         serial = self.passes(MetricKind.AIM, stack)
-        assert calls["_threaded_map"] == 4
+        assert starts["start"] == 4
         for got, want in zip(pooled, serial):
             assert got.tobytes() == want.tobytes()
 
@@ -701,29 +708,31 @@ class TestPooledPass:
         with pytest.raises(NotPositiveDefiniteError) as serial:
             indexed_dist2(MetricKind.AIM, stack, i, j)
         assert str(serial.value).startswith("whitened pair [20 21] has min eigenvalue")
-        calls = count_calls(monkeypatch, metrics, ["_threaded_map"])
+        starts = count_calls(monkeypatch, threading.Thread, ["start"])
         self.workers(monkeypatch, 2)
         with pytest.raises(NotPositiveDefiniteError) as pooled:
             indexed_dist2(MetricKind.AIM, stack, i, j)
-        assert calls["_threaded_map"] == 1
+        assert starts["start"] == 1
         assert str(pooled.value) == str(serial.value)
         assert pooled.value.index == serial.value.index
 
     @pytest.mark.parametrize("metric", [MetricKind.STEIN, MetricKind.LEM])
     def test_only_aim_starts_threads(self, metric, monkeypatch):
-        calls = count_calls(monkeypatch, metrics, ["_threaded_map"])
+        starts = count_calls(monkeypatch, threading.Thread, ["start"])
         self.workers(monkeypatch, 2)
         self.passes(metric, ref_shaped_dataset(seed=31).samples)
-        assert calls["_threaded_map"] == 0
+        assert starts["start"] == 0
 
     def test_one_block_stays_serial(self, monkeypatch):
         stack = ref_shaped_dataset(seed=31).samples[:9]
         assert len(_blocks(36, stack.shape[-1])) == 1
-        calls = count_calls(monkeypatch, metrics, ["_threaded_map"])
+        starts = count_calls(monkeypatch, threading.Thread, ["start"])
         self.workers(monkeypatch, 2)
         pairwise_dist2(MetricKind.AIM, stack)
         dist2(MetricKind.AIM, stack[0], stack[1])
-        assert calls["_threaded_map"] == 0
+        none = np.zeros(0, dtype=int)
+        assert indexed_dist2(MetricKind.AIM, stack, none, none).shape == (0,)
+        assert starts["start"] == 0
 
     def test_no_thread_outlives_a_pass(self, monkeypatch):
         stack = ref_shaped_dataset(seed=31).samples
@@ -973,12 +982,28 @@ class TestLogEuclideanTriangle:
 
     @pytest.mark.parametrize("n", DIMS)
     def test_coincident_samples_give_exact_zero(self, n):
+        """Under every metric, not only this one: the affine-invariant
+        kernel zeroes the log spectrum of a pair of equal matrices, whose
+        whitening product leaves rounding."""
         stack = self.stack(n)
         twice = np.concatenate([stack, stack])
         k = np.arange(len(stack))
-        assert np.all(indexed_dist2(MetricKind.LEM, twice, k, k + len(stack)) == 0.0)
-        assert np.all(np.diag(cross_dist2(MetricKind.LEM, stack, stack)) == 0.0)
-        assert dist2(MetricKind.LEM, stack[0], stack[0].copy()) == 0.0
+        copy = k + len(stack)
+        for metric in ALL_METRICS:
+            assert np.all(indexed_dist2(metric, twice, k, copy) == 0.0), metric
+            assert np.all(indexed_dist2(metric, twice, copy, k) == 0.0), metric
+            assert np.all(pairwise_dist2(metric, twice)[k, copy] == 0.0), metric
+            assert np.all(np.diag(cross_dist2(metric, stack, stack)) == 0.0), metric
+            assert all(dist2(metric, X, X.copy()) == 0.0 for X in stack), metric
+            # the objective's pass: the distance, and the kept log of each
+            # whitened pair (AIM) or each midpoint's Cholesky factor (Stein)
+            geom, side = factored(metric, twice)
+            d, kept = geom.dist2_pairs(side, side, k, copy, keep=True)
+            assert np.all(d == 0.0), metric
+            if metric is MetricKind.AIM:
+                assert np.all(kept == 0.0)
+            elif metric is MetricKind.STEIN:
+                assert np.array_equal(kept, side[1][1][k])
 
     @pytest.mark.parametrize("n", DIMS)
     def test_swapped_arguments_give_the_same_value(self, n):

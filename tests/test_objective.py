@@ -20,6 +20,7 @@ from helpers import (
     rand_full_rank,
 )
 from spdalign import matfun
+from spdalign.dataset import LabeledDataset
 from spdalign.errors import (
     DegenerateAlignmentError, DimMismatchError, ValidationError,
 )
@@ -199,6 +200,30 @@ class TestKernelEntryGradient:
         beta = default_beta(metric, data.samples)
         g = kernel_entry_gradient(metric, 0, 1, W, data, beta, 1.0)
         assert np.linalg.norm(g) <= 1e-10
+
+
+class TestDuplicateSample:
+    """A sample that appears twice is at distance exactly 0 from its copy
+    in the objective's pass: the pair's similarity is exactly 1 and its
+    gradient term exactly 0, under every geometry."""
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_pair_similarity_one_and_term_zero(self, metric):
+        base = clustered_dataset(9, 6, 2, 4)
+        data = LabeledDataset(np.concatenate([base.samples, base.samples[:1]]),
+                              np.append(base.labels, base.labels[0]))
+        graphs = build_graphs(data, metric, v_w=2, v_b=2)
+        # the copy is its original's nearest neighbor, so the pair is selected
+        p = graphs.pairs.tolist().index([0, data.size - 1])
+        W = rand_full_rank(np.random.default_rng(10), 6, 3)
+        state = alignment_objective(data, graphs, W, metric,
+                                    default_beta(metric, data.samples))
+        assert state.K[p] == 1.0
+        i, j = graphs.pairs[p:p + 1].T
+        kept = None if state.pair_factors is None else state.pair_factors[p:p + 1]
+        term = geometry(metric).grad_pairs(state.B, state.factors, kept, i, j,
+                                           np.ones(1))
+        assert np.all(term == 0.0)
 
 
 class TestAlignmentGradient:
