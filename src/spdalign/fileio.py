@@ -27,7 +27,6 @@ Formats:
 import functools
 import operator
 import os
-import tempfile
 
 import numpy as np
 
@@ -35,6 +34,23 @@ from .errors import NonSymmetricError, NotPositiveDefiniteError, ValidationError
 from .dataset import LabeledDataset
 
 FLOAT_FMT = "%.17g"
+# random temp-file names tried before a write gives up
+TEMP_ATTEMPTS = 100
+
+
+def _create_temp(directory):
+    """(fd, path) of a new file under a random name in directory, opened for
+    writing. It is created with mode 0o666, which the kernel reduces by the
+    umask, as for `open(path, "w")`; a name that exists already is drawn
+    again."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    for _ in range(TEMP_ATTEMPTS):
+        tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+        try:
+            return os.open(tmp_path, flags, 0o666), tmp_path
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"no free temporary file name in {directory}")
 
 
 def atomic_write(path, text):
@@ -43,14 +59,10 @@ def atomic_write(path, text):
     A file-system failure is a ValidationError naming path."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        fd, tmp_path = _create_temp(directory)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
-                # the umask can only be read by setting it
-                umask = os.umask(0)
-                os.umask(umask)
-                os.fchmod(handle.fileno(), 0o666 & ~umask)
             os.replace(tmp_path, path)
         except BaseException:
             try:

@@ -82,6 +82,7 @@ samples; on ill-conditioned data it exceeds every bound and the floor rules
 out nothing. Stein and the log-Euclidean distance have no such bound.
 """
 
+import math
 import os
 import threading
 from enum import Enum
@@ -281,25 +282,27 @@ class Geometry:
     and returns None). `grad_factors` derives, once per gradient, the
     per-sample matrices the pair gradient reads from `factors`; the pair
     gradient hooks read these factors only.
-    `block_grad` and `finish` are the pair gradient term:
-    `block_grad` gives a pair's terms T_i and T_j for its two ends, and
-    `finish` is a map phi_s, linear in its argument, from a sum of terms
-    to an m x m matrix, such that with
-    Y_p = W^T X_p W and B_p = X_p W the gradient of
+    `block_grad` and `finish` are the pair gradient term: `block_grad`
+    gives one term U per pair, as a new array, whose i-end takes T_i = U
+    and whose j-end takes T_j = j_sign U, and `finish` is a map phi_s,
+    linear in its argument, from a sum of terms to an m x m matrix, such
+    that with Y_p = W^T X_p W and B_p = X_p W the gradient of
     k_ij = exp(-beta d_ij) with respect to W is
 
         -grad_scale * beta * k_ij * (B_i phi_i(T_i) + B_j phi_j(T_j)).
 
     Since phi_s is linear, `grad_pairs` sums the weighted terms per sample
-    and finishes each sample once. A term has the shape of one sample's
-    entry of the first gradient factor: m x m for AIM and Stein, the
-    m(m+1)/2 upper-triangle entries for LEM. `dist2_pairs` and `grad_pairs`
-    feed pairs through in blocks of BLOCK_ENTRIES matrix entries, which
-    bounds the working memory whatever the pair count. A `pooled` geometry's
-    `dist2_pairs` computes the blocks of one pass on several threads
-    (`_threaded_map`), so its `block_dist2` only reads its operands. A
-    geometry whose `block_dist2` keeps a per-pair factor sets `keeps_pairs`,
-    and `dist2_pairs` allocates the pass's |E| x n x n stack of them once.
+    and finishes each sample once; `finish` also gets the pairs and their
+    weights, for a part of every term that depends on one sample alone
+    (Stein's). A term has the shape `term_shape`: m x m for AIM and Stein,
+    the m(m+1)/2 upper-triangle entries for LEM. `dist2_pairs` and
+    `grad_pairs` feed pairs through in blocks of BLOCK_ENTRIES matrix
+    entries, which bounds the working memory whatever the pair count. A
+    `pooled` geometry's `dist2_pairs` computes the blocks of one pass on
+    several threads (`_threaded_map`), so its `block_dist2` only reads its
+    operands. A geometry whose `block_dist2` keeps a per-pair factor sets
+    `keeps_pairs`, and `dist2_pairs` allocates the pass's |E| x n x n stack
+    of them once.
     """
 
     grad_scale = 4.0
@@ -312,6 +315,9 @@ class Geometry:
     # whether `block_dist2` with `keep` set returns a per-pair factor, one
     # n x n matrix per pair, which `dist2_pairs` then allocates for the pass
     keeps_pairs = False
+    # T_j = j_sign T_i: -1 where a pair's two ends take opposite terms, +1
+    # where they share one (Stein's A^{-1})
+    j_sign = -1
 
     @staticmethod
     def lower_bound(side, i, j):
@@ -360,30 +366,64 @@ class Geometry:
         factors themselves."""
         return factors
 
-    def grad_pairs(self, B, factors, pair_factors, i, j, weights):
+    @staticmethod
+    def term_shape(m):
+        """The shape of one pair term at target dim m."""
+        return (m, m)
+
+    def scatter(self, i, j, N, m):
+        """Where `grad_pairs` adds the terms of the pairs (i[p], j[p]) of N
+        samples at target dim m: per block, (slice, i-end positions, j-end
+        positions), each position sample * size + entry in the flat
+        per-sample sums, with size the entries of one term. It depends on
+        the pairs and m alone, so a caller that takes many gradients builds
+        it once. The positions take the smallest unsigned type that holds
+        N * size - 1, which `np.add.at` reads as fast as int64: uint16 for
+        up to 65,536 entries, a quarter of int64's memory."""
+        size = math.prod(self.term_shape(m))
+        kind = np.min_scalar_type(N * size - 1)
+        entries = np.arange(size, dtype=kind)
+        at_i, at_j = (ends.astype(kind)[:, None] * kind.type(size) + entries
+                      for ends in (i, j))
+        return [(blk, at_i[blk].ravel(), at_j[blk].ravel())
+                for blk in _blocks(len(i), m)]
+
+    @staticmethod
+    def finish(factors, acc, i, j, weights):
+        """phi_s of every sample's summed terms acc; by default the sums
+        themselves."""
+        return acc
+
+    def grad_pairs(self, B, factors, pair_factors, i, j, weights, scatter=None):
         """sum_p weights_p * (B_i phi_i(T_i) + B_j phi_j(T_j)) over the pairs
         (i[p], j[p]), with factors and pair_factors as `factors` and
         `dist2_pairs(..., keep=True)` gave them, for the N samples B_p = X_p W
-        of the (N, n, m) stack B.
+        of the (N, n, m) stack B. scatter is `scatter(i, j, N, m)`, built
+        here when not given.
 
-        A 1-D `np.add.at` at sample * size + entry, with size the entries of
-        one term, sums the weighted terms per sample entry in pair order
-        (block by block, i-ends before j-ends); B reduces the sums in one
-        product, so the summation order is fixed.
+        Each block forms the weighted terms w U once. A 1-D `np.add.at` at
+        the i-end positions adds them, and one at the j-end positions adds
+        them or, for j_sign -1, subtracts them, which is exactly adding
+        w T_j. So the per-sample sums take each entry's terms in pair order,
+        block by block, i-ends before j-ends; `finish` and one product with
+        B reduce them, so the summation order is fixed.
         """
         N, _, m = B.shape
         factors = self.grad_factors(factors)
-        shape = factors[0].shape[1:]
-        entries = np.arange(np.prod(shape, dtype=int))
-        acc = np.zeros(N * entries.size)
-        for blk in _blocks(len(i), m):
+        if scatter is None:
+            scatter = self.scatter(i, j, N, m)
+        shape = self.term_shape(m)
+        acc = np.zeros(N * math.prod(shape))
+        add_j = np.add if self.j_sign > 0 else np.subtract
+        for blk, at_i, at_j in scatter:
             pair = None if pair_factors is None else pair_factors[blk]
-            end_i, end_j = self.block_grad(factors, pair, i[blk], j[blk])
-            w = weights[blk, None]
-            for ends, terms in ((i[blk], end_i), (j[blk], end_j)):
-                np.add.at(acc, (ends[:, None] * entries.size + entries).ravel(),
-                          (w * terms.reshape(len(ends), -1)).ravel())
-        F = self.finish(factors, acc.reshape((N,) + shape))
+            terms = self.block_grad(factors, pair, i[blk], j[blk])
+            # weighted in place, as `block_grad` returns a new array
+            weighted = terms.reshape(len(terms), -1)
+            weighted *= weights[blk, None]
+            np.add.at(acc, at_i, weighted.ravel())
+            add_j.at(acc, at_j, weighted.ravel())
+        F = self.finish(factors, acc.reshape((N,) + shape), i, j, weights)
         return np.tensordot(B, F, axes=([0, 2], [0, 1]))
 
 
@@ -407,7 +447,7 @@ class AffineInvariant(Geometry):
     eigendecomposition per sample, not per pair, and one gathered
     difference per pair against a pair whitening and eigensolve.
 
-    Pair gradient terms T_i = E and T_j = -E with
+    Pair gradient term U = E, with T_i = E and T_j = -E, for
     E = log(Y_i Y_j^{-1}) = -Y_i^{1/2} log(Y_i^{-1/2} Y_j Y_i^{-1/2}) Y_i^{-1/2},
     finished by phi_s(T) = Y_s^{-1} T. The objective's distance pass keeps
     each support pair's log(Y_i^{-1/2} Y_j Y_i^{-1/2}), so E costs two
@@ -496,11 +536,10 @@ class AffineInvariant(Geometry):
     @staticmethod
     def block_grad(factors, pair, i, j):
         inv_sqrt, sqrt, _ = factors
-        E = -(sqrt[i] @ pair @ inv_sqrt[i])
-        return E, -E
+        return -(sqrt[i] @ pair @ inv_sqrt[i])
 
     @staticmethod
-    def finish(factors, acc):
+    def finish(factors, acc, i, j, weights):
         return factors[2] @ acc
 
 
@@ -508,14 +547,19 @@ class Stein(Geometry):
     """ln det((X_i+X_j)/2) - (ln det X_i + ln det X_j)/2, clamped at zero.
 
     Pair gradient terms T_i = A^{-1} - Y_i^{-1} and T_j = A^{-1} - Y_j^{-1}
-    with A = (Y_i + Y_j)/2, finished by the identity. The gradient needs
-    inverses only, and builds each from a Cholesky factor already at hand
-    (`matfun.chol_inv`): the samples' from `factors`, and the midpoints'
-    from the objective's distance pass, which keeps each support pair's.
+    with A = (Y_i + Y_j)/2. Both ends share U = A^{-1} (j_sign +1), and
+    the -Y_s^{-1} parts depend on the sample alone: `finish` subtracts
+    c_s Y_s^{-1} once per sample, with c_s the summed weight of the pairs
+    that have s at either end, and is otherwise the identity. The gradient
+    needs inverses only, and builds each from a Cholesky factor already at
+    hand (`matfun.chol_inv`): the samples' from `factors`, and the
+    midpoints' from the objective's distance pass, which keeps each support
+    pair's.
     """
 
     grad_scale = 1.0
     keeps_pairs = True
+    j_sign = 1
 
     @staticmethod
     def factors(stack, name):
@@ -543,13 +587,13 @@ class Stein(Geometry):
 
     @staticmethod
     def block_grad(factors, pair, i, j):
-        inv = factors[0]
-        mid_inv = matfun.chol_inv(pair)
-        return mid_inv - inv[i], mid_inv - inv[j]
+        return matfun.chol_inv(pair)
 
     @staticmethod
-    def finish(factors, acc):
-        return acc
+    def finish(factors, acc, i, j, weights):
+        N = len(acc)
+        ends = np.bincount(i, weights, N) + np.bincount(j, weights, N)
+        return acc - ends[:, None, None] * factors[0]
 
 
 class LogEuclidean(Geometry):
@@ -563,10 +607,11 @@ class LogEuclidean(Geometry):
     entries alone and is the same in either order, and exactly zero for
     coincident logs.
 
-    Pair gradient terms T_i = D and T_j = -D, in triangle form, finished by
-    phi_s(T) = dlog(Y_s)[S(T)] with S(T) the symmetric matrix whose upper
-    triangle is T: one stacked `dlog_eig` call differentiates every sample
-    along its summed direction, from the eigenpairs that gave the logs.
+    Pair gradient term U = D, with T_i = D and T_j = -D, in triangle form,
+    finished by phi_s(T) = dlog(Y_s)[S(T)] with S(T) the symmetric matrix
+    whose upper triangle is T: one stacked `dlog_eig` call differentiates
+    every sample along its summed direction, from the eigenpairs that gave
+    the logs.
     """
 
     @staticmethod
@@ -589,13 +634,16 @@ class LogEuclidean(Geometry):
         return np.matmul(D[:, None], weights[:, None])[:, 0, 0], None
 
     @staticmethod
-    def block_grad(factors, pair, i, j):
-        upper = factors[0]
-        D = upper[i] - upper[j]
-        return D, -D
+    def term_shape(m):
+        return (m * (m + 1) // 2,)
 
     @staticmethod
-    def finish(factors, acc):
+    def block_grad(factors, pair, i, j):
+        upper = factors[0]
+        return upper[i] - upper[j]
+
+    @staticmethod
+    def finish(factors, acc, i, j, weights):
         _, w, Q = factors
         rows, cols, _ = _upper(Q.shape[-1])
         S = np.empty(Q.shape)

@@ -52,7 +52,7 @@ the state alone and decomposes no sample stack and no pair matrix again.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,6 +117,9 @@ class AlignmentProblem:
     samples and geom are the dataset's sample stack and the metric's
     `Geometry`; pairs the graphs' support pairs over N samples; T the label
     target S on the support and centered_T its centering U T U there.
+    `scatter` gives the gradient's accumulator positions of the pairs
+    (`Geometry.scatter`), built at the first gradient for a target dim and
+    kept for the next.
     """
 
     samples: np.ndarray
@@ -126,6 +129,8 @@ class AlignmentProblem:
     N: int
     T: np.ndarray
     centered_T: np.ndarray
+    _scatter: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @classmethod
     def build(cls, data, graphs, metric, beta):
@@ -171,6 +176,13 @@ class AlignmentProblem:
             factors=factors, pair_factors=pair_factors,
         )
 
+    def scatter(self, m):
+        """`Geometry.scatter` of the pairs at target dim m, built once."""
+        if m not in self._scatter:
+            i, j = self.pairs.T
+            self._scatter[m] = self.geom.scatter(i, j, self.N, m)
+        return self._scatter[m]
+
 
 def alignment_objective(data, graphs, W, metric, beta):
     """Evaluate J(W), validating every argument; the state also carries the
@@ -193,7 +205,8 @@ def alignment_gradient(state):
     weights = (-2.0 * problem.geom.grad_scale * problem.beta) * state.coeff * state.K
     i, j = problem.pairs.T
     return problem.geom.grad_pairs(
-        state.B, state.factors, state.pair_factors, i, j, weights
+        state.B, state.factors, state.pair_factors, i, j, weights,
+        problem.scatter(state.B.shape[-1]),
     )
 
 

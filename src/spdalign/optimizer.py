@@ -16,11 +16,12 @@ along alignment_gradient's output as is.
 
 The loop is conjugate gradient ascent with a Polak-Ribiere+ combination
 coefficient, projection-based vector transport (the previous gradient and
-direction are projected horizontal at the new point, the only use of the
-projection), an additive retraction W + tH guarded against rank loss, and
-Armijo backtracking. The horizontal projection solves its Sylvester equation
-in closed form from the SVD of W, so the module needs numpy only. All
-tie-breaking is deterministic, so a run is a pure function of its inputs.
+direction are projected horizontal at the new point, together, from one SVD
+of W; the only use of the projection), an additive retraction W + tH guarded
+against rank loss, and Armijo backtracking. The horizontal projection solves
+its Sylvester equation in closed form from the SVD of W, so the module needs
+numpy only. All tie-breaking is deterministic, so a run is a pure function
+of its inputs.
 
 An `AlignmentState` holds the per-pair factors of its point, |E| m^2
 doubles, which `alignment_gradient` reads once. The loop therefore carries
@@ -86,15 +87,17 @@ class TrainResult:
 
 
 def horizontal_project(W, H):
-    """Remove the vertical component W Omega of an ambient direction H.
+    """Remove the vertical component W Omega of an ambient direction H, or
+    of each of a stack (k, n, m) of them.
 
     Omega is the skew solution of (W^T W) Omega + Omega (W^T W) = W^T H - H^T W.
     With the SVD W = U diag(s) V^T, W^T W = V diag(lam) V^T for lam = s^2 and
     the equation is diagonal in V, so Omega = V ((V^T rhs V) / (lam_i + lam_j))
     V^T. Taking V from W rather than from eigh(W^T W) avoids squaring the
-    condition number of W.
+    condition number of W. A stack shares the one SVD, and each of its
+    directions comes out as it would alone, bit for bit.
     """
-    rhs = W.T @ H - H.T @ W
+    rhs = W.T @ H - H.swapaxes(-1, -2) @ W
     try:
         _, s, Vt = np.linalg.svd(W, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -107,7 +110,7 @@ def horizontal_project(W, H):
         raise SylvesterFailureError("horizontal projection produced non-finite values")
     # rhs is skew and the coefficient matrix is SPD, so Omega is skew; drop
     # the symmetric rounding residue
-    Omega = 0.5 * (Omega - Omega.T)
+    Omega = 0.5 * (Omega - Omega.swapaxes(-1, -2))
     return H - W @ Omega
 
 
@@ -179,11 +182,14 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
             direction = grad
             since_restart = 0
         else:
-            moved_grad = horizontal_project(W, prev_grad)
+            # both transported from one SVD of W
+            moved_grad, moved_direction = horizontal_project(
+                W, np.stack([prev_grad, direction])
+            )
             eta_num = float(np.sum(grad * (grad - moved_grad)))
             eta_den = float(np.sum(prev_grad * prev_grad))
             eta = max(0.0, eta_num / eta_den) if eta_den > 0 else 0.0
-            direction = grad + eta * horizontal_project(W, direction)
+            direction = grad + eta * moved_direction
             if eta == 0.0:
                 since_restart = 0
 

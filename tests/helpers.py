@@ -104,6 +104,23 @@ def kernel_entry_gradient(metric, i, j, W, data, beta, k_ij):
     )
 
 
+def chol_inv_rows(L):
+    """`matfun.chol_inv` as it was before its entry-major forward
+    substitution: one row step per matrix of the stack (einsum over the
+    stack) and the closing product of one array with its own transpose,
+    which numpy takes as a symmetric rank-k update. The reference its
+    results must equal bit for bit for m <= 8."""
+    inv = np.zeros_like(L)
+    recip = 1.0 / np.diagonal(L, axis1=-2, axis2=-1)
+    for k in range(L.shape[-1]):
+        inv[..., k, k] = recip[..., k]
+        if k:
+            inv[..., k, :k] = -recip[..., k, None] * np.einsum(
+                "...j,...jc->...c", L[..., k, :k], inv[..., :k, :k]
+            )
+    return inv.swapaxes(-1, -2) @ inv
+
+
 def count_calls(monkeypatch, module, names):
     """Wrap module.<name> for each name so that calls are counted; returns
     the live {name: count} dict."""
@@ -122,19 +139,22 @@ def count_calls(monkeypatch, module, names):
 def grad_pairs_3d(geom, B, factors, pair_factors, i, j, weights):
     """`Geometry.grad_pairs` with an `np.add.at` of whole terms per sample,
     each in the geometry's term shape (m x m for AIM and Stein, the upper
-    triangle for LEM): the per-sample accumulation the flat one must equal
-    bit for bit."""
+    triangle for LEM): per block, the weighted terms w U added at the
+    i-ends, then added (j_sign +1) or subtracted (j_sign -1) at the j-ends,
+    and `finish` with its per-sample part at the end. The per-sample
+    accumulation the flat one must equal bit for bit."""
     N, _, m = B.shape
     factors = geom.grad_factors(factors)
-    shape = factors[0].shape[1:]
+    shape = geom.term_shape(m)
     acc = np.zeros((N,) + shape)
+    add_j = np.add if geom.j_sign > 0 else np.subtract
     for blk in _blocks(len(i), m):
         pair = None if pair_factors is None else pair_factors[blk]
-        end_i, end_j = geom.block_grad(factors, pair, i[blk], j[blk])
-        w = weights[blk].reshape((-1,) + (1,) * len(shape))
-        np.add.at(acc, i[blk], w * end_i)
-        np.add.at(acc, j[blk], w * end_j)
-    F = geom.finish(factors, acc)
+        terms = geom.block_grad(factors, pair, i[blk], j[blk])
+        weighted = weights[blk].reshape((-1,) + (1,) * len(shape)) * terms
+        np.add.at(acc, i[blk], weighted)
+        add_j.at(acc, j[blk], weighted)
+    F = geom.finish(factors, acc, i, j, weights)
     return np.tensordot(B, F, axes=([0, 2], [0, 1]))
 
 

@@ -59,6 +59,32 @@ class TestAtomicWrite:
         assert mode == 0o666 & ~umask
         assert mode == (tmp_path / "plain.txt").stat().st_mode & 0o777
 
+    def test_never_touches_the_umask(self, tmp_path, monkeypatch):
+        # setting the umask, even to read it, races with every other thread
+        # that creates a file meanwhile; the kernel applies it instead
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        X = awkward_matrix()
+        W = np.array([[1.0, 0.5], [0.25, -2.0], [1.0 / 3.0, 0.0]])
+        result = TrainResult(
+            W_final=W,
+            J_trace=np.array([0.1, 0.25]),
+            grad_norm_trace=np.array([1.0, 0.5]),
+            step_trace=np.array([0.0, 0.125]),
+            iterations_used=1,
+            stop_reason=StopReason.MAX_ITERS,
+        )
+        save_matrix(str(tmp_path / "m.txt"), X)
+        save_transform(str(tmp_path / "W.txt"), W)
+        save_trace(str(tmp_path / "trace.txt"), result)
+        assert np.array_equal(load_matrix(str(tmp_path / "m.txt")), X)
+        assert np.array_equal(load_transform(str(tmp_path / "W.txt")), W)
+        assert np.array_equal(load_trace(str(tmp_path / "trace.txt"))[:, 1],
+                              result.J_trace)
+        assert sorted(os.listdir(tmp_path)) == ["W.txt", "m.txt", "trace.txt"]
+
     def test_replaces_existing_and_leaves_no_temp(self, tmp_path):
         target = tmp_path / "out.txt"
         target.write_text("old")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import rand_spd, rand_sym
+from helpers import chol_inv_rows, rand_spd, rand_sym
 from spdalign import matfun
 from spdalign.errors import (
     NoConvergenceError,
@@ -20,6 +20,7 @@ from spdalign.errors import (
     NotPositiveDefiniteError,
     ValidationError,
 )
+from spdalign.metrics import BLOCK_ENTRIES
 
 
 def dlog_central_difference(X, H, h=1e-5):
@@ -339,6 +340,24 @@ class TestLogDerivative:
                     matfun.dlog(X, H)
 
 
+# target dims of the block-size checks, across the entry-major crossover:
+# a block of BLOCK_ENTRIES // m^2 factors holds fewer than m from m = 26 on
+CHOL_INV_DIMS = [1, 2, 3, 4, 5, 8, 12, 20, 30, 60]
+# spectral spread of the factored matrices; both inverses then carry a
+# forward error of order STACK_COND * eps (TestCholInv.test_matches_lu_inverse)
+STACK_COND = 1e3
+
+
+def factor_stack(m, count, seed):
+    """(L, A): lower Cholesky factors of count random m x m SPD matrices
+    with eigenvalues 3.7 * geomspace(1, 1 / STACK_COND, m), and A = L L^T."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((count, m, m)))
+    w = 3.7 * np.geomspace(1.0, 1.0 / STACK_COND, m)
+    L = np.linalg.cholesky(matfun.symmetrize((Q * w) @ Q.swapaxes(-1, -2)))
+    return L, L @ L.swapaxes(-1, -2)
+
+
 class TestCholInv:
     @pytest.mark.parametrize("m", range(1, 7))
     @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e8])
@@ -366,3 +385,36 @@ class TestCholInv:
         stacked = matfun.chol_inv(L)
         for k in range(5):
             assert np.array_equal(stacked[k], matfun.chol_inv(L[k]))
+
+    def test_rows_entry_major_boundary_matches_single_calls_bitwise(self):
+        # P = m - 1 takes the row steps matrix by matrix, P = m entry-major
+        for m in (5, 30):
+            for count in (m - 1, m):
+                L, _ = factor_stack(m, count, seed=count)
+                singles = np.stack([matfun.chol_inv(f) for f in L])
+                assert np.array_equal(matfun.chol_inv(L), singles)
+
+
+class TestCholInvBlocks:
+    """`chol_inv` on a stack of one gradient block's size and on one matrix."""
+
+    @pytest.mark.parametrize("m", CHOL_INV_DIMS)
+    def test_block_matches_single_calls_bitwise(self, m):
+        L, _ = factor_stack(m, max(1, BLOCK_ENTRIES // m**2), seed=m)
+        singles = np.stack([matfun.chol_inv(f) for f in L])
+        assert np.array_equal(matfun.chol_inv(L), singles)
+
+    @pytest.mark.parametrize("m", CHOL_INV_DIMS)
+    def test_block_and_one_matrix_match_lu_inverse(self, m):
+        L, A = factor_stack(m, max(1, BLOCK_ENTRIES // m**2), seed=m)
+        tol = 4 * m * STACK_COND * np.finfo(float).eps
+        for got, want in ((matfun.chol_inv(L), np.linalg.inv(A)),
+                          (matfun.chol_inv(L[0]), np.linalg.inv(A[0]))):
+            err = np.linalg.norm(got - want, axis=(-2, -1))
+            assert (err <= tol * np.linalg.norm(want, axis=(-2, -1))).all()
+
+    @pytest.mark.parametrize("m", [m for m in CHOL_INV_DIMS if m <= 8])
+    def test_equals_row_reference_bitwise(self, m):
+        L, _ = factor_stack(m, max(1, BLOCK_ENTRIES // m**2), seed=m)
+        assert np.array_equal(matfun.chol_inv(L), chol_inv_rows(L))
+        assert np.array_equal(matfun.chol_inv(L[0]), chol_inv_rows(L[0]))

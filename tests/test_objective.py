@@ -240,6 +240,21 @@ class TestAlignmentGradient:
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-10)
         assert rel < 1e-5
 
+    @pytest.mark.parametrize("m", [1, 2, 20])
+    def test_stein_matches_finite_differences_across_target_dims(self, m):
+        # m = 1 forms each inverse directly, m = 2 holds the midpoint
+        # factors entry-major, m = 20 too, with a 10-sample stack of factors
+        # taking its row steps matrix by matrix
+        data, graphs, W = make_instance(31 + m, n=m + 2, m=m)
+        beta = default_beta(MetricKind.STEIN, data.samples)
+        state = alignment_objective(data, graphs, W, MetricKind.STEIN, beta)
+        analytic = alignment_gradient(state)
+        fd = fd_gradient(
+            lambda V: alignment_objective(data, graphs, V, MetricKind.STEIN, beta).J, W
+        )
+        rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-10)
+        assert rel < 1e-5
+
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_gradient_step_ascends(self, metric):
         data, graphs, W = make_instance(11)

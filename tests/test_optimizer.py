@@ -117,6 +117,15 @@ class TestHorizontalProjection:
         err = np.linalg.norm(horizontal_project(W, H) - expected)
         assert err <= 1e-12 * np.linalg.norm(expected)
 
+    def test_stack_matches_single_calls_bitwise(self):
+        rng = np.random.default_rng(14)
+        for n, m in [(6, 1), (12, 4), (24, 20)]:
+            W = rand_full_rank(rng, n, m)
+            H = rng.standard_normal((2, n, m))
+            stacked = horizontal_project(W, H)
+            for k in range(2):
+                assert np.array_equal(stacked[k], horizontal_project(W, H[k]))
+
     def test_nan_raises_sylvester_failure(self):
         rng = np.random.default_rng(12)
         W = rand_full_rank(rng, 7, 3)
@@ -406,6 +415,22 @@ class TestRcgMaximize:
         assert builds == {"build": 1}
         assert len(evaluated) == 1 + trials
         assert all(problem is evaluated[0] for problem in evaluated)
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_one_projection_and_svd_per_cg_step(self, metric, monkeypatch):
+        data, graphs, beta, W0 = fitted_instance(0, metric=metric)
+        calls = count_calls(
+            monkeypatch, optimizer, ["check_transform", "horizontal_project"]
+        )
+        svds = count_calls(monkeypatch, np.linalg, ["svd"])
+        res = rcg_maximize(data, graphs, metric, beta, W0, OptimizerConfig(
+            max_iters=5, grad_tol=1e-300, rel_obj_tol=1e-300))
+        assert res.stop_reason is StopReason.MAX_ITERS
+        # iterations 2 to 5 transport the previous gradient and direction
+        # in one call
+        assert calls["horizontal_project"] == res.iterations_used - 1
+        # one SVD per checked point (check_transform) and one per transport
+        assert svds == {"svd": calls["check_transform"] + calls["horizontal_project"]}
 
     # at 100 times the default bandwidth the first trial steps overshoot, and
     # every metric's line search rejects some of them
