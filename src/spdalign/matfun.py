@@ -15,9 +15,9 @@ require_pd, sym_eig, spd_eig, eig_apply) take one matrix (n, n) or a stack
 (..., n, n) and treat each matrix on its own; a failed check on a stack
 names the first failing matrix. The spd_* functions take one matrix.
 `chol_inv` inverts positive definite matrices, one or a stack, from Cholesky
-factors the caller holds, by forward substitution; a stack of at least m
-factors of size m x m is held entry-major for it, one (m, m, P) array, and
-a matrix's inverse is the same bits whatever stack it comes in.
+factors the caller holds, by forward substitution on the factors held
+entry-major, one (m, m, P) array; a matrix's inverse is the same bits
+whatever stack it comes in.
 """
 
 import numpy as np
@@ -178,45 +178,27 @@ def chol_inv(L):
     """A^{-1} = L^{-T} L^{-1} from the lower Cholesky factor L of a positive
     definite A = L L^T, one matrix or a stack.
 
-    L^{-1} comes by forward substitution, one row per step. A stack of P
-    matrices of size m x m with P >= m is held entry-major for it: a
-    contiguous (m, m, P) copy of the factors, so each row step is one
-    product over all P matrices at once. A stack of fewer than m matrices,
-    where that copy costs more than the short products save, takes each row
-    step matrix by matrix. Both sum each entry's terms in the same order, so
-    a matrix's inverse does not depend on the stack it came in.
-
-    A^{-1} then comes from one batched product of two distinct arrays:
-    numpy takes A^T A of one array as a symmetric rank-k update, which took
-    3.5x the general product's time on stacks of 2 x 2 to 4 x 4 matrices.
-    A 1 x 1 factor has no row step and its product is (1 / L)^2, formed
-    directly.
+    L^{-1} comes by forward substitution, one row per step, on the factors
+    held entry-major: a contiguous (m, m, P) copy of the P factors of size
+    m x m, so each row step is one product over all P matrices at once.
+    A^{-1} then comes from one batched product of two distinct contiguous
+    arrays, which numpy computes matrix by matrix as a general product (of
+    one array with itself it takes a symmetric rank-k update, which took
+    3-4x the time on stacks of 2 x 2 to 8 x 8 matrices). Each step treats
+    every matrix alike, so a matrix's inverse does not depend on the stack
+    it came in.
     """
     m = L.shape[-1]
-    if m == 1:
-        recip = 1.0 / L
-        return recip * recip
-    stack = L.reshape(-1, m, m)
-    if len(stack) >= m:
-        factor = stack.transpose(1, 2, 0).copy()
-        inv = np.zeros_like(factor)
-        recip = 1.0 / np.diagonal(factor).T
-        for k in range(m):
-            inv[k, k] = recip[k]
-            if k:
-                inv[k, :k] = -recip[k] * np.einsum(
-                    "jp,jcp->cp", factor[k, :k], inv[:k, :k]
-                )
-        inv = inv.transpose(2, 0, 1)
-    else:
-        inv = np.zeros_like(stack)
-        recip = 1.0 / np.diagonal(stack, axis1=-2, axis2=-1)
-        for k in range(m):
-            inv[:, k, k] = recip[:, k]
-            if k:
-                inv[:, k, :k] = -recip[:, k, None] * np.einsum(
-                    "pj,pjc->pc", stack[:, k, :k], inv[:, :k, :k]
-                )
+    factor = L.reshape(-1, m, m).transpose(1, 2, 0).copy()
+    inv = np.zeros_like(factor)
+    recip = 1.0 / np.diagonal(factor).T
+    for k in range(m):
+        inv[k, k] = recip[k]
+        if k:
+            inv[k, :k] = -recip[k] * np.einsum(
+                "jp,jcp->cp", factor[k, :k], inv[:k, :k]
+            )
+    inv = inv.transpose(2, 0, 1).copy()
     return (_mT(inv) @ inv.copy()).reshape(L.shape)
 
 

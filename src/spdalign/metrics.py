@@ -297,7 +297,10 @@ class Geometry:
     (Stein's). A term has the shape `term_shape`: m x m for AIM and Stein,
     the m(m+1)/2 upper-triangle entries for LEM. `dist2_pairs` and
     `grad_pairs` feed pairs through in blocks of BLOCK_ENTRIES matrix
-    entries, which bounds the working memory whatever the pair count. A
+    entries, which bounds their working memory whatever the pair count.
+    The scatter positions `grad_pairs` reads are not bounded so: `scatter`
+    builds all of them at once, 2 |E| times the entries of one term, for
+    a caller that keeps them across gradients. A
     `pooled` geometry's `dist2_pairs` computes the blocks of one pass on
     several threads (`_threaded_map`), so its `block_dist2` only reads its
     operands. A geometry whose `block_dist2` keeps a per-pair factor sets
@@ -377,9 +380,10 @@ class Geometry:
         positions), each position sample * size + entry in the flat
         per-sample sums, with size the entries of one term. It depends on
         the pairs and m alone, so a caller that takes many gradients builds
-        it once. The positions take the smallest unsigned type that holds
-        N * size - 1, which `np.add.at` reads as fast as int64: uint16 for
-        up to 65,536 entries, a quarter of int64's memory."""
+        it once and keeps it: 2 |E| size positions in all. They take the
+        smallest unsigned type that holds N * size - 1, which `np.add.at`
+        reads as fast as int64: uint16 for up to 65,536 entries, a quarter
+        of int64's memory, then uint32 and uint64."""
         size = math.prod(self.term_shape(m))
         kind = np.min_scalar_type(N * size - 1)
         entries = np.arange(size, dtype=kind)
@@ -394,12 +398,12 @@ class Geometry:
         themselves."""
         return acc
 
-    def grad_pairs(self, B, factors, pair_factors, i, j, weights, scatter=None):
+    def grad_pairs(self, B, factors, pair_factors, i, j, weights, scatter):
         """sum_p weights_p * (B_i phi_i(T_i) + B_j phi_j(T_j)) over the pairs
         (i[p], j[p]), with factors and pair_factors as `factors` and
         `dist2_pairs(..., keep=True)` gave them, for the N samples B_p = X_p W
-        of the (N, n, m) stack B. scatter is `scatter(i, j, N, m)`, built
-        here when not given.
+        of the (N, n, m) stack B, and scatter as `scatter(i, j, N, m)` gave
+        it.
 
         Each block forms the weighted terms w U once. A 1-D `np.add.at` at
         the i-end positions adds them, and one at the j-end positions adds
@@ -410,8 +414,6 @@ class Geometry:
         """
         N, _, m = B.shape
         factors = self.grad_factors(factors)
-        if scatter is None:
-            scatter = self.scatter(i, j, N, m)
         shape = self.term_shape(m)
         acc = np.zeros(N * math.prod(shape))
         add_j = np.add if self.j_sign > 0 else np.subtract

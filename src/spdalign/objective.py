@@ -118,8 +118,8 @@ class AlignmentProblem:
     `Geometry`; pairs the graphs' support pairs over N samples; T the label
     target S on the support and centered_T its centering U T U there.
     `scatter` gives the gradient's accumulator positions of the pairs
-    (`Geometry.scatter`), built at the first gradient for a target dim and
-    kept for the next.
+    (`Geometry.scatter`), built at the first gradient and kept while the
+    target dim stays the same: 2 |E| times the entries of one term.
     """
 
     samples: np.ndarray
@@ -129,8 +129,8 @@ class AlignmentProblem:
     N: int
     T: np.ndarray
     centered_T: np.ndarray
-    _scatter: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    _scatter: list = field(default_factory=lambda: [None, None], init=False,
+                           repr=False, compare=False)
 
     @classmethod
     def build(cls, data, graphs, metric, beta):
@@ -177,11 +177,12 @@ class AlignmentProblem:
         )
 
     def scatter(self, m):
-        """`Geometry.scatter` of the pairs at target dim m, built once."""
-        if m not in self._scatter:
+        """`Geometry.scatter` of the pairs at target dim m, built when m
+        differs from the last call's."""
+        if self._scatter[0] != m:
             i, j = self.pairs.T
-            self._scatter[m] = self.geom.scatter(i, j, self.N, m)
-        return self._scatter[m]
+            self._scatter[:] = m, self.geom.scatter(i, j, self.N, m)
+        return self._scatter[1]
 
 
 def alignment_objective(data, graphs, W, metric, beta):

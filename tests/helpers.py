@@ -101,6 +101,7 @@ def kernel_entry_gradient(metric, i, j, W, data, beta, k_ij):
         first,
         second,
         np.array([-geom.grad_scale * beta * k_ij]),
+        geom.scatter(first, second, 2, W.shape[1]),
     )
 
 

@@ -386,14 +386,6 @@ class TestCholInv:
         for k in range(5):
             assert np.array_equal(stacked[k], matfun.chol_inv(L[k]))
 
-    def test_rows_entry_major_boundary_matches_single_calls_bitwise(self):
-        # P = m - 1 takes the row steps matrix by matrix, P = m entry-major
-        for m in (5, 30):
-            for count in (m - 1, m):
-                L, _ = factor_stack(m, count, seed=count)
-                singles = np.stack([matfun.chol_inv(f) for f in L])
-                assert np.array_equal(matfun.chol_inv(L), singles)
-
 
 class TestCholInvBlocks:
     """`chol_inv` on a stack of one gradient block's size and on one matrix."""

@@ -221,8 +221,9 @@ class TestDuplicateSample:
         assert state.K[p] == 1.0
         i, j = graphs.pairs[p:p + 1].T
         kept = None if state.pair_factors is None else state.pair_factors[p:p + 1]
-        term = geometry(metric).grad_pairs(state.B, state.factors, kept, i, j,
-                                           np.ones(1))
+        geom = geometry(metric)
+        term = geom.grad_pairs(state.B, state.factors, kept, i, j, np.ones(1),
+                               geom.scatter(i, j, data.size, W.shape[1]))
         assert np.all(term == 0.0)
 
 
@@ -242,9 +243,8 @@ class TestAlignmentGradient:
 
     @pytest.mark.parametrize("m", [1, 2, 20])
     def test_stein_matches_finite_differences_across_target_dims(self, m):
-        # m = 1 forms each inverse directly, m = 2 holds the midpoint
-        # factors entry-major, m = 20 too, with a 10-sample stack of factors
-        # taking its row steps matrix by matrix
+        # m = 1 has no row step past the diagonal; at m = 20 the 10-sample
+        # stack of factors holds fewer matrices than rows
         data, graphs, W = make_instance(31 + m, n=m + 2, m=m)
         beta = default_beta(MetricKind.STEIN, data.samples)
         state = alignment_objective(data, graphs, W, MetricKind.STEIN, beta)
@@ -337,7 +337,9 @@ class TestMultiBlock:
         geom = geometry(metric)
         i, j = graphs.pairs.T
         args = (state.B, state.factors, state.pair_factors, i, j, state.coeff)
-        assert np.array_equal(geom.grad_pairs(*args), grad_pairs_3d(geom, *args))
+        scatter = geom.scatter(i, j, data.size, W.shape[1])
+        assert np.array_equal(geom.grad_pairs(*args, scatter),
+                              grad_pairs_3d(geom, *args))
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_gradient_matches_finite_differences(self, instance, metric):
