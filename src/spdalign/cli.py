@@ -1,7 +1,8 @@
 """Command-line interface: train, eval, gradcheck, and synth subcommands.
 
 Exit codes: 0 success, 1 validation/configuration error or a file that
-cannot be read or written, 2 numerical failure, 3 gradient-check failure.
+cannot be read or written, 2 numerical failure, 3 gradient-check failure
+(gradcheck only).
 Every command is deterministic given its configuration and seed.
 """
 
@@ -176,16 +177,6 @@ def cmd_train(args):
         metrics.check_beta(beta)
     _make_output_dir(args.output_dir)
 
-    if args.strict:
-        worst = gradcheck_report([metric], instances=2, seed=args.seed)
-        if worst > GRADCHECK_TOL:
-            print(
-                f"strict mode: gradcheck FAILED (tolerance {GRADCHECK_TOL:g}); "
-                "refusing to train",
-                file=sys.stderr,
-            )
-            return 3
-
     data, _, label_names = load_dataset(args.manifest)
     print(
         f"loaded {data.size} samples of dim {data.dim} "
@@ -336,11 +327,6 @@ def build_parser():
     )
     train.add_argument(
         "--max-iters", type=int, help="iteration budget (default: 50)"
-    )
-    train.add_argument(
-        "--strict",
-        action="store_true",
-        help="run gradcheck first and refuse to train if it fails",
     )
     # the optimizer tolerances have no flag; they come from the config only
     train.set_defaults(func=cmd_train, grad_tol=None, rel_obj_tol=None)

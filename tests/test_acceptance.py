@@ -276,16 +276,19 @@ def test_per_iteration_cost_scales_linearly_in_neighbor_count():
         build_graphs(data, metric, v_w=1, v_b=v_b) for v_b in (1, 2, 4, 8, 16)
     ]
     pair_counts = np.array([len(g.pairs) for g in sweep_graphs], dtype=float)
-    per_iter = np.full(len(sweep_graphs), np.inf)
-    # best of 3, with the repeats taken round-robin over the sweep so that a
-    # slow phase of the host slows every point rather than one
-    for _ in range(3):
-        for k, graphs in enumerate(sweep_graphs):
+    # each point's time is its median over 6 round-robin rounds, with the
+    # sweep order reversed on alternate rounds: a brief fast or slow phase of
+    # the host moves at most a round or two of a point, which the median
+    # passes over (a minimum over rounds would keep a brief fast phase whole)
+    per_round = np.empty((6, len(sweep_graphs)))
+    order = list(range(len(sweep_graphs)))
+    for r in range(len(per_round)):
+        for k in order:
             t0 = time.perf_counter()
-            result = rcg_maximize(data, graphs, metric, beta, W0, config)
-            per_iter[k] = min(
-                per_iter[k], (time.perf_counter() - t0) / result.iterations_used
-            )
+            result = rcg_maximize(data, sweep_graphs[k], metric, beta, W0, config)
+            per_round[r, k] = (time.perf_counter() - t0) / result.iterations_used
+        order.reverse()
+    per_iter = np.median(per_round, axis=0)
 
     slope, intercept = np.polyfit(pair_counts, per_iter, 1)
     fit = slope * pair_counts + intercept

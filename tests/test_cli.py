@@ -186,20 +186,14 @@ class TestTrain:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_strict_passes_on_healthy_gradients(self, corpus, tmp_path, capsys):
-        code = cli.main(train_args(corpus, tmp_path, "--strict"))
-        assert code == 0
-        assert "max relative gradient error" in capsys.readouterr().out
-        assert (tmp_path / "W.txt").exists()
-
-    def test_strict_blocks_on_gradcheck_failure(
-        self, corpus, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setattr(cli, "gradcheck_report", lambda *a, **k: 1.0)
-        code = cli.main(train_args(corpus, tmp_path, "--strict"))
-        assert code == 3
-        assert "refusing to train" in capsys.readouterr().err
-        assert not (tmp_path / "W.txt").exists()
+    def test_strict_is_a_usage_error(self, corpus, tmp_path, capsys, monkeypatch):
+        # the gradient check is gradcheck's alone: train has no --strict
+        out = tmp_path / "out"
+        calls = count_calls(monkeypatch, cli, ["load_dataset", "gradcheck_report"])
+        assert cli.main(train_args(corpus, out, "--strict")) == 1
+        assert "unrecognized arguments: --strict" in capsys.readouterr().err
+        assert calls == {"load_dataset": 0, "gradcheck_report": 0}
+        assert not out.exists()
 
 
 def write_corpus(root, samples, labels):
@@ -707,16 +701,13 @@ class TestNegativeSeed:
                  "--target-dim", "2"]
         return {
             "train": train,
-            "train-strict": train + ["--strict"],
             "eval": ["eval", "--manifest", corpus],
             "synth": ["synth", "--output-dir", str(out)],
             "gradcheck": ["gradcheck", "--instances", "1"],
         }[name]
 
     @pytest.mark.parametrize("route", ["flag", "config"])
-    @pytest.mark.parametrize(
-        "name", ["train", "train-strict", "eval", "synth", "gradcheck"]
-    )
+    @pytest.mark.parametrize("name", ["train", "eval", "synth", "gradcheck"])
     def test_rejected_before_any_work(
         self, corpus, tmp_path, capsys, monkeypatch, name, route
     ):
