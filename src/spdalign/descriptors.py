@@ -95,13 +95,6 @@ class SynthConfig:
             raise ValidationError(f"noise must be finite and >= 0, got {self.noise}")
 
 
-def _haar_orthogonal(rng, n):
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    return Q * signs
-
-
 def signal_dim(dim):
     """Width of the leading block the class rotations act on."""
     return max(2, min(dim, dim // 4))
@@ -124,7 +117,7 @@ def synth_dataset(cfg):
     pos = 0
     for _ in range(cfg.classes):
         Q = np.eye(cfg.dim)
-        Q[:block, :block] = _haar_orthogonal(rng, block)
+        Q[:block, :block] = matfun.qr_orthonormal(rng.standard_normal((block, block)))
         proto = (Q * spectrum) @ Q.T
         root = (Q * np.sqrt(spectrum)) @ Q.T
         for _ in range(cfg.per_class):
@@ -132,7 +125,8 @@ def synth_dataset(cfg):
                 samples[pos] = matfun.symmetrize(proto)
             else:
                 A = rng.standard_normal((cfg.dim, cfg.dim))
-                E = matfun.spd_exp(cfg.noise * 0.5 * (A + A.T))
+                w, V = matfun.sym_eig(cfg.noise * 0.5 * (A + A.T))
+                E = matfun.eig_apply(V, np.exp(w))
                 samples[pos] = matfun.symmetrize(root @ E @ root)
             pos += 1
     return LabeledDataset(samples, labels)

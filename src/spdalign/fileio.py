@@ -219,10 +219,6 @@ def save_matrix(path, X):
     atomic_write(path, f"{n}\n{body}\n")
 
 
-def load_matrix(path):
-    return _read_table(path, 1)
-
-
 def save_transform(path, W):
     """Write a tall transform matrix under the two-integer header format."""
     W = np.asarray(W, dtype=float)

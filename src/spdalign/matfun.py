@@ -1,9 +1,10 @@
 """Matrix functions on symmetric matrices.
 
-log and exp are computed through the eigendecomposition of the
-(symmetric) input. The directional (Frechet) derivative of the matrix log
-comes from the same eigendecomposition through the Daleckii-Krein formula:
-with X = Q diag(l) Q^T,
+A spectral function f(X) = Q diag(f(l)) Q^T comes from the eigenpairs of
+the (symmetric) input: `sym_eig` or `spd_eig`, then `eig_apply`. The
+directional (Frechet) derivative of the matrix log comes from the same
+eigendecomposition through the Daleckii-Krein formula: with
+X = Q diag(l) Q^T,
 
     dlog(X)[H] = Q (Gamma o Q^T H Q) Q^T,
     Gamma_ij = (log l_i - log l_j) / (l_i - l_j),   Gamma_ii = 1 / l_i
@@ -13,7 +14,8 @@ same formula from eigenpairs the caller already holds) and the helpers they
 validate with (check_finite, check_symmetric, symmetrize, pd_floor,
 require_pd, sym_eig, spd_eig, eig_apply) take one matrix (n, n) or a stack
 (..., n, n) and treat each matrix on its own; a failed check on a stack
-names the first failing matrix. The spd_* functions take one matrix.
+names the first failing matrix. `qr_orthonormal` gives the sign-fixed
+orthonormal factor of a QR factorization, for seeded random frames.
 `chol_inv` inverts positive definite matrices, one or a stack, from Cholesky
 factors the caller holds, by forward substitution on the factors held
 entry-major, one (m, m, P) array; a matrix's inverse is the same bits
@@ -150,15 +152,6 @@ def sym_eig(A):
     return w, Q
 
 
-def _one_matrix(A, name="matrix"):
-    """A checked symmetric matrix; stacks are rejected, since the eigenvalues
-    would scale the wrong axis."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise NonSymmetricError(f"{name} must be one matrix, got shape {A.shape}")
-    return check_symmetric(A, name)
-
-
 def spd_eig(X, name="matrix"):
     """sym_eig of a positive definite matrix or stack, rejecting floored spectra."""
     w, Q = sym_eig(X)
@@ -172,6 +165,16 @@ def eig_apply(Q, values):
     Q and values are one eigendecomposition or a stack of them.
     """
     return symmetrize((Q * values[..., None, :]) @ _mT(Q))
+
+
+def qr_orthonormal(A):
+    """Q of the QR factorization A = QR, each column's sign flipped so that
+    R's diagonal is nonnegative; a column whose diagonal entry is zero keeps
+    its sign. Of a Gaussian A, a Haar-distributed orthonormal frame."""
+    Q, R = np.linalg.qr(A)
+    signs = np.sign(np.diag(R))
+    signs[signs == 0] = 1.0
+    return Q * signs
 
 
 def chol_inv(L):
@@ -200,18 +203,6 @@ def chol_inv(L):
             )
     inv = inv.transpose(2, 0, 1).copy()
     return (_mT(inv) @ inv.copy()).reshape(L.shape)
-
-
-def spd_log(X):
-    """Principal matrix logarithm of a positive definite matrix."""
-    w, Q = spd_eig(_one_matrix(X))
-    return symmetrize((Q * np.log(w)) @ Q.T)
-
-
-def spd_exp(H):
-    """Matrix exponential of a symmetric matrix."""
-    w, Q = sym_eig(_one_matrix(H))
-    return symmetrize((Q * np.exp(w)) @ Q.T)
 
 
 def _log_divided_differences(w):

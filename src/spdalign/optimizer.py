@@ -37,6 +37,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import matfun
 from .errors import NumericalError, SylvesterFailureError, ValidationError
 from .metrics import check_transform
 from .objective import AlignmentProblem, alignment_gradient
@@ -129,10 +130,7 @@ def initial_transform(n, m, seed):
     if not 1 <= m < n:
         raise ValidationError(f"need 1 <= m < n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
-    Q, R = np.linalg.qr(rng.standard_normal((n, m)))
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    return Q * signs
+    return matfun.qr_orthonormal(rng.standard_normal((n, m)))
 
 
 def _trace_result(W, J_hist, g_hist, t_hist, iters, reason, t0):

@@ -6,7 +6,9 @@ import numpy as np
 
 from spdalign.dataset import LabeledDataset
 from spdalign.descriptors import SynthConfig, synth_dataset
-from spdalign.errors import ValidationError
+from spdalign.errors import NonSymmetricError, ValidationError
+from spdalign.fileio import _read_table
+from spdalign.matfun import check_symmetric, spd_eig, sym_eig, symmetrize
 from spdalign.metrics import (
     _blocks, check_beta, check_transform, dist2, geometry, map_down,
 )
@@ -33,6 +35,69 @@ def ref_shaped_dataset(seed):
     return synth_dataset(
         SynthConfig(dim=20, classes=5, per_class=10, noise=0.2, seed=seed)
     )
+
+
+def _one_matrix(A, name="matrix"):
+    """A checked symmetric matrix; stacks are rejected, since the eigenvalues
+    would scale the wrong axis."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise NonSymmetricError(f"{name} must be one matrix, got shape {A.shape}")
+    return check_symmetric(A, name)
+
+
+def spd_log(X):
+    """Principal matrix logarithm of a positive definite matrix."""
+    w, Q = spd_eig(_one_matrix(X))
+    return symmetrize((Q * np.log(w)) @ Q.T)
+
+
+def spd_exp(H):
+    """Matrix exponential of a symmetric matrix."""
+    w, Q = sym_eig(_one_matrix(H))
+    return symmetrize((Q * np.exp(w)) @ Q.T)
+
+
+def load_matrix(path):
+    return _read_table(path, 1)
+
+
+def haar_orthonormal(rng, shape):
+    """Q of the QR factorization of a Gaussian draw of the given (n, m)
+    shape, its column signs fixed so that R's diagonal is nonnegative, by the
+    earlier route, frozen: the synthetic generator's class rotations (n = m)
+    and `optimizer.initial_transform` both drew theirs so."""
+    Q, R = np.linalg.qr(rng.standard_normal(shape))
+    signs = np.sign(np.diag(R))
+    signs[signs == 0] = 1.0
+    return Q * signs
+
+
+def synth_reference(cfg):
+    """(samples, labels) of `synth_dataset(cfg)` by its earlier route, frozen:
+    rotations from `haar_orthonormal`, perturbations through `spd_exp`, and the
+    spectrum and signal block written out. The generator must equal it bit
+    for bit, since every benchmark dataset comes from it."""
+    rng = np.random.default_rng(cfg.seed)
+    spectrum = np.geomspace(10.0, 0.1, cfg.dim)
+    block = max(2, min(cfg.dim, cfg.dim // 4))
+    samples = np.empty((cfg.classes * cfg.per_class, cfg.dim, cfg.dim))
+    labels = np.repeat(np.arange(cfg.classes), cfg.per_class)
+    pos = 0
+    for _ in range(cfg.classes):
+        Q = np.eye(cfg.dim)
+        Q[:block, :block] = haar_orthonormal(rng, (block, block))
+        proto = (Q * spectrum) @ Q.T
+        root = (Q * np.sqrt(spectrum)) @ Q.T
+        for _ in range(cfg.per_class):
+            if cfg.noise == 0.0:
+                samples[pos] = symmetrize(proto)
+            else:
+                A = rng.standard_normal((cfg.dim, cfg.dim))
+                E = spd_exp(cfg.noise * 0.5 * (A + A.T))
+                samples[pos] = symmetrize(root @ E @ root)
+            pos += 1
+    return samples, labels
 
 
 def rand_sym(rng, n, scale=1.0):
@@ -163,8 +228,8 @@ def rowwise_load(path, header_count):
     """A matrix (header_count 1) or transform (2) file decoded whole, split
     into lines by universal newlines as text mode splits them, and parsed
     one row at a time with float(), checking each row as it is read: the
-    reference for the line splitting and the diagnostics of
-    `fileio.load_matrix` and `fileio.load_transform`."""
+    reference for the line splitting and the diagnostics of `load_matrix`
+    (above) and `fileio.load_transform`."""
     try:
         with open(path, "rb") as handle:
             text = handle.read().decode("utf-8")

@@ -18,7 +18,7 @@ from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.evaluate import knn_classify, split
 from spdalign.fileio import load_trace
 from spdalign.graphs import build_graphs, centering_matrix
-from spdalign.matfun import dlog, spd_log, symmetrize
+from spdalign.matfun import dlog, symmetrize
 from spdalign.metrics import MetricKind, default_beta, dist2
 from spdalign.objective import alignment_gradient, alignment_objective
 from spdalign.optimizer import (
@@ -28,7 +28,9 @@ from spdalign.optimizer import (
     rcg_maximize,
 )
 
-from helpers import fd_gradient, graph_union, rand_full_rank, rand_spd, rand_sym
+from helpers import (
+    fd_gradient, graph_union, rand_full_rank, rand_spd, rand_sym, spd_log,
+)
 
 
 def make_problem(metric, seed, dim=10, target=4, classes=3, per_class=4):

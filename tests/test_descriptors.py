@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import synth_reference
 from spdalign.descriptors import (
     RIDGE_FLOOR,
     RIDGE_SCALE,
@@ -113,6 +114,18 @@ class TestSynthDataset:
             block = data.samples[data.labels == cls]
             assert np.array_equal(block[0], block[1])
             assert np.array_equal(block[0], block[2])
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("noise", [0.0, 0.2, 0.5])
+    @pytest.mark.parametrize("dim", [2, 6, 12, 20])
+    def test_matches_frozen_route(self, dim, noise, seed):
+        # every benchmark dataset is generated here, so the samples must stay
+        # the same bits as the earlier route's
+        cfg = SynthConfig(dim=dim, classes=3, per_class=4, noise=noise, seed=seed)
+        data = synth_dataset(cfg)
+        samples, labels = synth_reference(cfg)
+        assert data.samples.tobytes() == samples.tobytes()
+        assert np.array_equal(data.labels, labels)
 
     def test_all_samples_positive_definite(self):
         data = synth_dataset(SynthConfig(dim=6, classes=3, per_class=5, noise=0.8))

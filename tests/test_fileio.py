@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import rand_spd, rowwise_load
+from helpers import load_matrix, rand_spd, rowwise_load
 from spdalign import fileio
 from spdalign.dataset import LabeledDataset
 from spdalign.errors import NonSymmetricError, ValidationError
@@ -16,7 +16,6 @@ from spdalign.fileio import (
     FLOAT_FMT,
     atomic_write,
     load_dataset,
-    load_matrix,
     load_trace,
     load_transform,
     parse_manifest,

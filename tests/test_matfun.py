@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import chol_inv_rows, rand_spd, rand_sym
+from helpers import chol_inv_rows, rand_spd, rand_sym, spd_exp, spd_log
 from spdalign import matfun
 from spdalign.errors import (
     NoConvergenceError,
@@ -24,7 +24,7 @@ from spdalign.metrics import BLOCK_ENTRIES
 
 
 def dlog_central_difference(X, H, h=1e-5):
-    return (matfun.spd_log(X + h * H) - matfun.spd_log(X - h * H)) / (2.0 * h)
+    return (spd_log(X + h * H) - spd_log(X - h * H)) / (2.0 * h)
 
 
 def dlog_diagonal_oracle(x, H):
@@ -55,32 +55,32 @@ def spd_with_spectrum(rng, w):
 
 class TestEigBackedFunctions:
     def test_log_of_identity_is_zero(self):
-        assert np.allclose(matfun.spd_log(np.eye(3)), np.zeros((3, 3)), atol=1e-14)
+        assert np.allclose(spd_log(np.eye(3)), np.zeros((3, 3)), atol=1e-14)
 
     def test_log_of_diagonal(self):
         X = np.diag([np.e, np.e**2])
-        assert np.allclose(matfun.spd_log(X), np.diag([1.0, 2.0]), atol=1e-12)
+        assert np.allclose(spd_log(X), np.diag([1.0, 2.0]), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_exp_log_round_trip(self, seed):
         rng = np.random.default_rng(seed)
         X = rand_spd(rng, 6, cond_spread=2.0)
-        assert np.allclose(matfun.spd_exp(matfun.spd_log(X)), X, rtol=1e-9, atol=1e-11)
+        assert np.allclose(spd_exp(spd_log(X)), X, rtol=1e-9, atol=1e-11)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_log_exp_round_trip(self, seed):
         rng = np.random.default_rng(seed)
         H = rand_sym(rng, 6)
-        assert np.allclose(matfun.spd_log(matfun.spd_exp(H)), H, rtol=1e-9, atol=1e-11)
+        assert np.allclose(spd_log(spd_exp(H)), H, rtol=1e-9, atol=1e-11)
 
     def test_outputs_exactly_symmetric(self):
         rng = np.random.default_rng(3)
         X = rand_spd(rng, 7, cond_spread=3.0)
-        for f in (matfun.spd_log, matfun.spd_exp):
+        for f in (spd_log, spd_exp):
             Y = f(X)
             assert np.array_equal(Y, Y.T)
 
-    @pytest.mark.parametrize("f", [matfun.spd_log, matfun.spd_exp])
+    @pytest.mark.parametrize("f", [spd_log, spd_exp])
     def test_rejects_stack(self, f):
         # as many matrices as rows: eigenvalues scaling the wrong axis would
         # still give a result of the right shape
@@ -97,17 +97,38 @@ class TestEigBackedFunctions:
     def test_rejects_nonsymmetric(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(NonSymmetricError):
-            matfun.spd_log(A)
+            spd_log(A)
 
     def test_rejects_indefinite(self):
         X = np.diag([1.0, -1.0])
         with pytest.raises(NotPositiveDefiniteError):
-            matfun.spd_log(X)
+            spd_log(X)
 
     def test_rejects_singular(self):
         X = np.diag([1.0, 0.0])
         with pytest.raises(NotPositiveDefiniteError):
-            matfun.spd_log(X)
+            spd_log(X)
+
+
+class TestQrOrthonormal:
+    @pytest.mark.parametrize("shape", [(6, 6), (9, 4), (20, 5)])
+    def test_orthonormal_with_nonnegative_r_diagonal(self, shape):
+        A = np.random.default_rng(2).standard_normal(shape)
+        Q = matfun.qr_orthonormal(A)
+        assert Q.shape == shape
+        assert np.allclose(Q.T @ Q, np.eye(shape[1]), atol=1e-12)
+        # R = Q^T A is upper triangular with a nonnegative diagonal
+        assert np.all(np.diag(Q.T @ A) >= 0)
+        assert np.allclose(Q @ np.triu(Q.T @ A), A, atol=1e-12)
+
+    def test_zero_diagonal_keeps_its_column(self):
+        # a zero second column gives R[1, 1] = 0: that column keeps LAPACK's sign
+        A = np.array([[3.0, 0.0], [4.0, 0.0], [0.0, 0.0]])
+        Q, R = np.linalg.qr(A)
+        assert R[1, 1] == 0.0
+        got = matfun.qr_orthonormal(A)
+        assert np.array_equal(got[:, 1], Q[:, 1])
+        assert np.array_equal(got[:, 0], Q[:, 0] * np.sign(R[0, 0]))
 
 
 class TestSymmetrize:

@@ -22,6 +22,8 @@ from helpers import (
     rand_spd,
     rand_full_rank,
     ref_shaped_dataset,
+    spd_exp,
+    spd_log,
     transformed_dist2,
 )
 from spdalign import matfun, metrics
@@ -163,7 +165,7 @@ class TestDist2:
     def test_lem_identity_reference(self, seed):
         rng = np.random.default_rng(seed)
         X = rand_spd(rng, 6, cond_spread=2.0)
-        expected = np.sum(matfun.spd_log(X) ** 2)
+        expected = np.sum(spd_log(X) ** 2)
         assert abs(dist2(MetricKind.LEM, X, np.eye(6)) - expected) <= 1e-10
 
     def test_dim_mismatch(self):
@@ -266,17 +268,24 @@ class TestBatchDistances:
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_cross_matches_single_calls(self, metric):
+        # the kernels promise the same bits through every entry point
         rng = np.random.default_rng(10)
         left = np.stack([rand_spd(rng, 4) for _ in range(3)])
         right = np.stack([rand_spd(rng, 4) for _ in range(5)])
+        right[2] = left[1]  # one matrix in both operands: distance exactly 0
+        # AIM whitens each pair by the matrix that sorts first by entries:
+        # some pairs must have the row sample first, some the column sample
+        row_corner, col_corner = left[:, 0, 0][:, None], right[:, 0, 0]
+        assert (row_corner < col_corner).any() and (col_corner < row_corner).any()
         D = cross_dist2(metric, left, right)
         assert D.shape == (3, 5)
-        for i in range(3):
-            for j in range(5):
-                assert np.isclose(
-                    D[i, j], dist2(metric, left[i], right[j]),
-                    rtol=1e-10, atol=1e-12,
-                )
+        assert D[1, 2] == 0.0
+        i, j = np.divmod(np.arange(15), 5)
+        both = np.concatenate([left, right])
+        assert np.array_equal(D.ravel(), indexed_dist2(metric, both, i, 3 + j))
+        single = [[dist2(metric, left[a], right[b]) for b in range(5)]
+                  for a in range(3)]
+        assert np.array_equal(D, np.array(single))
 
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_pairwise_rejects_one_indefinite_member(self, metric):
@@ -527,8 +536,8 @@ class TestLowerBound:
             # its log-Euclidean mean G: Z_k = C X_k C with C = exp(-G/2)
             Z = geom.whiten_by_log_mean(side)[0]
             assert np.array_equal(bound, indexed_dist2(MetricKind.LEM, Z, i, j))
-            G = np.mean([matfun.spd_log(X) for X in scaled], axis=0)
-            C = matfun.spd_exp(-0.5 * G)
+            G = np.mean([spd_log(X) for X in scaled], axis=0)
+            C = spd_exp(-0.5 * G)
             assert np.allclose(Z, C @ scaled @ C, rtol=0.0,
                                atol=1e-9 * np.abs(Z).max())
             assert np.array_equal(tau, geom.lower_bound(side, j, i)[1])
@@ -976,7 +985,7 @@ class TestLogEuclideanTriangle:
         upper, w, Q = geometry(MetricKind.LEM).factors(stack, "sample")
         rows, cols = np.triu_indices(n)
         assert upper.shape == (len(stack), n * (n + 1) // 2)
-        full = np.stack([matfun.spd_log(X) for X in stack])
+        full = np.stack([spd_log(X) for X in stack])
         scale = np.abs(full).max()
         assert np.abs(upper - full[:, rows, cols]).max() <= 64 * n * EPS * scale
 
@@ -1042,7 +1051,7 @@ class TestLogEuclideanTriangle:
         stack = self.stack(n)
         i, j = np.triu_indices(len(stack), k=1)
         d = indexed_dist2(MetricKind.LEM, stack, i, j)
-        logs = [matfun.spd_log(X) for X in stack]
+        logs = [spd_log(X) for X in stack]
         for p in range(len(i)):
             Li, Lj = logs[i[p]], logs[j[p]]
             reference = np.sum((Li - Lj) ** 2)

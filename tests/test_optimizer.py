@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import clustered_dataset, count_calls, rand_full_rank
+from helpers import clustered_dataset, count_calls, haar_orthonormal, rand_full_rank
 from spdalign import objective, optimizer
 from spdalign.errors import (
     DimMismatchError, NumericalError, RankDeficientError, SylvesterFailureError,
@@ -267,6 +267,12 @@ class TestInitialTransform:
         assert not np.array_equal(
             initial_transform(6, 2, 5), initial_transform(6, 2, 6)
         )
+
+    @pytest.mark.parametrize("n, m", [(12, 4), (20, 5), (6, 2)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_frozen_route(self, n, m, seed):
+        expected = haar_orthonormal(np.random.default_rng(seed), (n, m))
+        assert initial_transform(n, m, seed).tobytes() == expected.tobytes()
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValidationError):
