@@ -58,6 +58,49 @@ def spd_exp(H):
     return symmetrize((Q * np.exp(w)) @ Q.T)
 
 
+def dlog_diagonal_oracle(x, H):
+    """Closed form at X = diag(x): entrywise divided differences of log."""
+    n = len(x)
+    D = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            if x[i] == x[j]:
+                D[i, j] = H[i, j] / x[i]
+            else:
+                D[i, j] = H[i, j] * (np.log(x[i]) - np.log(x[j])) / (x[i] - x[j])
+    return D
+
+
+def dlog_resolvent_oracle(X, H):
+    """D log_X(H) as the resolvent integral
+    ∫₀^∞ (X + tI)⁻¹ H (X + tI)⁻¹ dt (Higham, Functions of Matrices, 2008,
+    ch. 11), with each resolvent from np.linalg.inv: no eigendecomposition
+    of X, so no code shared with `matfun.dlog`. With t = c eˢ and
+    c = √(λ_min λ_max), the integrand in s decays like e^-|s| outside
+    |s| ≤ ½ log κ, so 400-point Gauss–Legendre over |s| ≤ ½ log κ + 40
+    leaves a truncation of order e^-40. The extreme eigenvalues only place
+    that window."""
+    w = np.linalg.eigvalsh(X)
+    half = 0.5 * np.log(w[-1] / w[0]) + 40.0
+    nodes, weights = np.polynomial.legendre.leggauss(400)
+    t = np.sqrt(w[0] * w[-1]) * np.exp(half * nodes)
+    R = np.linalg.inv(X + t[:, None, None] * np.eye(len(X)))
+    return half * np.tensordot(weights * t, R @ H @ R, axes=1)
+
+
+def kronecker_projection(W, H):
+    """Oracle for `optimizer.horizontal_project`: H − W skew(Ω), where Ω
+    solves the Sylvester equation G Ω + Ω G = WᵀH − HᵀW, G = WᵀW, written
+    as the linear system (I ⊗ G + Gᵀ ⊗ I) vec Ω = vec(WᵀH − HᵀW), vec
+    taken column-major, and solved by np.linalg.solve."""
+    m = W.shape[1]
+    G = W.T @ W
+    C = W.T @ H - H.T @ W
+    K = np.kron(np.eye(m), G) + np.kron(G.T, np.eye(m))
+    Omega = np.linalg.solve(K, C.ravel(order="F")).reshape((m, m), order="F")
+    return H - W @ (0.5 * (Omega - Omega.T))
+
+
 def load_matrix(path):
     return _read_table(path, 1)
 

@@ -1,18 +1,21 @@
 """Matrix function tests.
 
 The directional derivative of the log is checked against three references.
-The block-matrix oracle reads it off log([[X, H], [0, X]]) through SciPy's
-general dense logm (inverse scaling and squaring with Pade approximants), a
-code path `dlog` does not use. Central differences of the eigh-based log and
-the divided-difference formula at diagonal base points share the
-eigendecomposition route with `dlog` and back up the oracle.
+The resolvent oracle (`helpers.dlog_resolvent_oracle`) integrates
+∫₀^∞ (X + tI)⁻¹ H (X + tI)⁻¹ dt by Gauss–Legendre quadrature with
+resolvents from `np.linalg.inv`, a code path `dlog` does not use. Central
+differences of the eigh-based log and the divided-difference formula at
+diagonal base points share the eigendecomposition route with `dlog` and
+back up the oracle.
 """
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from helpers import chol_inv_rows, rand_spd, rand_sym, spd_exp, spd_log
+from helpers import (
+    chol_inv_rows, dlog_diagonal_oracle, dlog_resolvent_oracle, rand_spd, rand_sym,
+    spd_exp, spd_log,
+)
 from spdalign import matfun
 from spdalign.errors import (
     NoConvergenceError,
@@ -25,27 +28,6 @@ from spdalign.metrics import BLOCK_ENTRIES
 
 def dlog_central_difference(X, H, h=1e-5):
     return (spd_log(X + h * H) - spd_log(X - h * H)) / (2.0 * h)
-
-
-def dlog_diagonal_oracle(x, H):
-    """Closed form at X = diag(x): entrywise divided differences of log."""
-    n = len(x)
-    D = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            if x[i] == x[j]:
-                D[i, j] = H[i, j] / x[i]
-            else:
-                D[i, j] = H[i, j] * (np.log(x[i]) - np.log(x[j])) / (x[i] - x[j])
-    return D
-
-
-def dlog_block_oracle(X, H):
-    """The (1,2) block of the dense log of the block matrix [[X, H], [0, X]]."""
-    n = X.shape[0]
-    B = np.block([[X, H], [np.zeros_like(X), X]])
-    L = scipy.linalg.logm(B)
-    return np.real(L[:n, n:])
 
 
 def spd_with_spectrum(rng, w):
@@ -263,10 +245,12 @@ class TestLogDerivative:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_block_log_oracle(self, seed):
+        # D log_X(H) is the (1, 2) block of log([[X, H], [0, X]]); the
+        # resolvent oracle is that block of the log's integral form
         rng = np.random.default_rng(seed)
         X = rand_spd(rng, 6, cond_spread=2.0)
         H = rand_sym(rng, 6)
-        D, ref = matfun.dlog(X, H), dlog_block_oracle(X, H)
+        D, ref = matfun.dlog(X, H), dlog_resolvent_oracle(X, H)
         assert np.linalg.norm(D - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("gap", [0.0, 1e-14, 1e-10, 1e-6, 1e-3])
@@ -278,7 +262,7 @@ class TestLogDerivative:
         w[3] = w[2]
         X = spd_with_spectrum(rng, w)
         H = rand_sym(rng, 6)
-        D, ref = matfun.dlog(X, H), dlog_block_oracle(X, H)
+        D, ref = matfun.dlog(X, H), dlog_resolvent_oracle(X, H)
         assert np.all(np.isfinite(D))
         assert np.array_equal(D, D.T)
         assert np.linalg.norm(D - ref) <= 1e-10 * np.linalg.norm(ref)
