@@ -1,8 +1,9 @@
 """Plain-text file formats for matrices, transforms, traces, and datasets.
 
 All floats are written with 17 significant digits so that a write/read
-round trip reproduces the exact float64 values, and all writes go through
-a temp file plus atomic rename so readers never observe a partial file.
+round trip reproduces the exact float64 values. Every file is written as a
+header line, then one line per row, in one write through a temp file plus
+atomic rename so readers never observe a partial file.
 
 Every file is UTF-8; bytes that do not decode are bad input. Lines end
 where text mode ends them, at ``\n``, ``\r\n`` or a lone ``\r``, and
@@ -78,6 +79,11 @@ def _float_row(row):
     return " ".join(FLOAT_FMT % v for v in row)
 
 
+def _write_rows(path, header, rows):
+    """Write the header line, then one line per row, in one atomic write."""
+    atomic_write(path, "\n".join([header, *rows]) + "\n")
+
+
 def _read_lines(path):
     """The lines of a UTF-8 file, split where text mode splits them."""
     try:
@@ -95,19 +101,12 @@ def _read_lines(path):
     return text.split("\n")
 
 
-def _data_lines(path):
-    """(line_number, stripped_line) of each line that is neither blank nor
-    a # comment."""
-    return [(number, line)
-            for number, line in enumerate(map(str.strip, _read_lines(path)), 1)
-            if line and line[0] != "#"]
-
-
-def _data_rows(path):
+def _data_rows(path, split=str.split):
     """(line_number, fields) of each line that is neither blank nor a #
-    comment: `_data_lines`, split at whitespace."""
+    comment, its fields as `split` cuts the line: at every whitespace run
+    unless a caller passes its own split."""
     return [(number, fields)
-            for number, fields in enumerate(map(str.split, _read_lines(path)), 1)
+            for number, fields in enumerate(map(split, _read_lines(path)), 1)
             if fields and fields[0][0] != "#"]
 
 
@@ -214,9 +213,7 @@ def save_matrix(path, X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {X.shape}")
-    n = X.shape[0]
-    body = "\n".join(_float_row(row) for row in X)
-    atomic_write(path, f"{n}\n{body}\n")
+    _write_rows(path, str(X.shape[0]), map(_float_row, X))
 
 
 def save_transform(path, W):
@@ -224,9 +221,7 @@ def save_transform(path, W):
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
         raise ValidationError(f"transform must be 2-D, got shape {W.shape}")
-    n, m = W.shape
-    body = "\n".join(_float_row(row) for row in W)
-    atomic_write(path, f"{n} {m}\n{body}\n")
+    _write_rows(path, "%d %d" % W.shape, map(_float_row, W))
 
 
 def load_transform(path):
@@ -235,18 +230,9 @@ def load_transform(path):
 
 def save_trace(path, result):
     """Write one `iter J grad_norm step` row per recorded iteration."""
-    rows = ["# iter J grad_norm step"]
-    for k in range(result.J_trace.size):
-        rows.append(
-            "%d %s %s %s"
-            % (
-                k,
-                FLOAT_FMT % result.J_trace[k],
-                FLOAT_FMT % result.grad_norm_trace[k],
-                FLOAT_FMT % result.step_trace[k],
-            )
-        )
-    atomic_write(path, "\n".join(rows) + "\n")
+    columns = result.J_trace, result.grad_norm_trace, result.step_trace
+    _write_rows(path, "# iter J grad_norm step",
+                (f"{k} {_float_row(row)}" for k, row in enumerate(zip(*columns))))
 
 
 def load_trace(path):
@@ -259,18 +245,16 @@ def load_trace(path):
 
 def save_manifest(path, entries):
     """Write `sample_id class_label path` rows."""
-    rows = ["# sample_id class_label path"]
-    for sample_id, label, rel_path in entries:
-        rows.append(f"{sample_id} {label} {rel_path}")
-    atomic_write(path, "\n".join(rows) + "\n")
+    _write_rows(path, "# sample_id class_label path",
+                (f"{sample_id} {label} {rel_path}"
+                 for sample_id, label, rel_path in entries))
 
 
 def parse_manifest(path):
     """Read manifest rows as (sample_id, class_label, path) string triples."""
     entries = []
     seen = set()
-    for number, line in _data_lines(path):
-        fields = line.split(None, 2)
+    for number, fields in _data_rows(path, lambda line: line.strip().split(None, 2)):
         if len(fields) != 3:
             raise ValidationError(
                 f"{path}:{number}: expected `sample_id class_label path`, "

@@ -58,19 +58,21 @@ def check_finite(A, name="matrix"):
 def check_symmetric(A, name="matrix"):
     """Raise NonSymmetricError unless A is square and symmetric to tolerance.
 
-    A stack is checked matrix by matrix, each against its own scale. A
-    non-finite matrix is left to `check_finite`: the skew of a mirrored inf
-    pair, or its ratio to an infinite scale, is NaN, which passes.
+    A is symmetric when max |A - A^T| <= SYM_RTOL * max |A|. A stack is
+    checked matrix by matrix, each at its own scale max |A| with no floor,
+    as the PD floor (`pd_floor`) is relative to each matrix too. A
+    non-finite matrix is left to `check_finite`: its scale is inf or NaN,
+    and no skew compares above SYM_RTOL times that.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise NonSymmetricError(f"{name} must be square, got shape {A.shape}")
-    scale = np.maximum(np.maximum(A.max((-2, -1)), -A.min((-2, -1))), 1.0)
-    # |A - A^T| in one stack-sized temporary, scaled after its maximum
-    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf
+    scale = np.maximum(A.max((-2, -1)), -A.min((-2, -1)))
+    # |A - A^T| in one stack-sized temporary
+    with np.errstate(invalid="ignore"):  # inf - inf
         skew = A - _mT(A)
         np.abs(skew, out=skew)
-        bad = skew.max((-2, -1)) / scale > SYM_RTOL
+    bad = skew.max((-2, -1)) > SYM_RTOL * scale
     if bad.any():
         index, label = _first(bad)
         raise NonSymmetricError(

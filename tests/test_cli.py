@@ -19,6 +19,7 @@ import spdalign.dataset
 import spdalign.graphs
 import spdalign.metrics
 from spdalign.descriptors import SynthConfig, synth_dataset
+from spdalign.errors import NonSymmetricError
 from spdalign.fileio import (
     load_dataset,
     load_trace,
@@ -378,6 +379,48 @@ class TestScaledSamples:
         assert np.abs(W - W_1).max() <= self.W_RTOL * np.abs(W_1).max()
         for kind in ("baseline 1-NN", "transformed 1-NN"):
             assert _line(evaluation, kind) == _line(evaluation_1, kind)
+
+
+class TestSymmetryAtScale:
+    """Symmetry is judged against each sample's own scale, as the PD floor
+    is: a sample whose (0, 2) entry exceeds its mirror by a third of its
+    largest entry is rejected at every scale, and the mirrored set is
+    accepted at every scale."""
+
+    SCALES = [1e-300, 1e-12, 1.0, 1e12, 1e300]
+
+    @staticmethod
+    def samples(asymmetric):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((8, 3, 3))
+        samples = A @ np.swapaxes(A, 1, 2) + 3.0 * np.eye(3)
+        samples /= np.abs(samples).max(axis=(1, 2), keepdims=True)
+        if asymmetric:
+            samples[0, 0, 2] += 1.0 / 3.0
+        return samples
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_dataset(self, scale):
+        labels = np.repeat([0, 1], 4)
+        spdalign.dataset.LabeledDataset(scale * self.samples(False), labels)
+        with pytest.raises(NonSymmetricError) as got:
+            spdalign.dataset.LabeledDataset(scale * self.samples(True), labels)
+        assert got.value.index == 0
+
+    @pytest.mark.parametrize("asymmetric", [False, True],
+                             ids=["mirrored", "asymmetric"])
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_train(self, tmp_path, capsys, scale, asymmetric):
+        manifest = write_corpus(tmp_path, scale * self.samples(asymmetric),
+                                ["a"] * 4 + ["b"] * 4)
+        code = cli.main(["train", "--manifest", manifest, "--target-dim", "2",
+                         "--max-iters", "3", "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if asymmetric:
+            assert code == 1
+            assert "sample 0 is not symmetric within tolerance" in err
+        else:
+            assert code == 0, err
 
 
 def _run(argv):

@@ -513,6 +513,58 @@ class TestManifest:
             parse_manifest(str(path))
 
 
+class TestWrittenBytes:
+    """The exact bytes each writer produces: a header line, then one line
+    per row, each ending in \\n, floats as %.17g."""
+
+    def test_matrix(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_matrix(str(path), [[0.1, 1.0 / 3.0], [-0.0, 1e-300]])
+        assert path.read_bytes() == (
+            b"2\n"
+            b"0.10000000000000001 0.33333333333333331\n"
+            b"-0 1e-300\n"
+        )
+
+    def test_transform(self, tmp_path):
+        path = tmp_path / "W.txt"
+        save_transform(str(path), [[1.7976931348623157e308, -0.0],
+                                   [1.0 / 3.0, 0.1], [1e-300, -1.25]])
+        assert path.read_bytes() == (
+            b"3 2\n"
+            b"1.7976931348623157e+308 -0\n"
+            b"0.33333333333333331 0.10000000000000001\n"
+            b"1e-300 -1.25\n"
+        )
+
+    def test_trace(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        save_trace(str(path), TrainResult(
+            W_final=np.eye(3, 2),
+            J_trace=np.array([0.1, 1.0 / 3.0, 1.7976931348623157e308]),
+            grad_norm_trace=np.array([1e-300, 0.5, -0.0]),
+            step_trace=np.array([0.0, 0.1, 1.0 / 3.0]),
+            iterations_used=2,
+            stop_reason=StopReason.MAX_ITERS,
+        ))
+        assert path.read_bytes() == (
+            b"# iter J grad_norm step\n"
+            b"0 0.10000000000000001 1e-300 0\n"
+            b"1 0.33333333333333331 0.5 0.10000000000000001\n"
+            b"2 1.7976931348623157e+308 -0 0.33333333333333331\n"
+        )
+
+    def test_manifest(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        save_manifest(str(path), [("s0", "walk", "my data/s0.txt"),
+                                  ("s1", "run", "b.txt")])
+        assert path.read_bytes() == (
+            b"# sample_id class_label path\n"
+            b"s0 walk my data/s0.txt\n"
+            b"s1 run b.txt\n"
+        )
+
+
 class TestLoadDataset:
     def write_corpus(self, tmp_path):
         sub = tmp_path / "mats"
