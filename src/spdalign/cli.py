@@ -302,14 +302,7 @@ def _add_common(parser, metric=True):
     parser.add_argument("--config", help="JSON config file; flags override it")
 
 
-def build_parser():
-    parser = _Parser(
-        prog="spdalign",
-        description="Supervised similarity learning for SPD-matrix data.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    train = sub.add_parser("train", help="learn a transform from a manifest")
+def _train_arguments(train):
     _add_common(train)
     train.add_argument("--manifest", help="dataset manifest file")
     train.add_argument("--output-dir", help="directory for W.txt and trace.txt")
@@ -331,7 +324,8 @@ def build_parser():
     # the optimizer tolerances have no flag; they come from the config only
     train.set_defaults(func=cmd_train, grad_tol=None, rel_obj_tol=None)
 
-    evaluate = sub.add_parser("eval", help="nearest-neighbor accuracy report")
+
+def _eval_arguments(evaluate):
     _add_common(evaluate)
     evaluate.add_argument("--manifest", help="dataset manifest file")
     evaluate.add_argument("--transform", help="learned transform file to compare")
@@ -343,16 +337,16 @@ def build_parser():
     )
     evaluate.set_defaults(func=cmd_eval)
 
-    gradcheck = sub.add_parser(
-        "gradcheck", help="verify analytic gradients against finite differences"
-    )
+
+def _gradcheck_arguments(gradcheck):
     _add_common(gradcheck)
     gradcheck.add_argument(
         "--instances", type=int, default=3, help="random problems per metric"
     )
     gradcheck.set_defaults(func=cmd_gradcheck)
 
-    synth = sub.add_parser("synth", help="generate a synthetic labeled dataset")
+
+def _synth_arguments(synth):
     _add_common(synth, metric=False)
     synth.add_argument("--output-dir", required=True, help="where to write files")
     synth.add_argument("--dim", type=int, default=10, help="sample dimension")
@@ -364,11 +358,38 @@ def build_parser():
         "--noise", type=float, default=0.5, help="within-class spread"
     )
     synth.set_defaults(func=cmd_synth)
+
+
+# subcommand -> (help line, the function adding its arguments and handler)
+_COMMANDS = {
+    "train": ("learn a transform from a manifest", _train_arguments),
+    "eval": ("nearest-neighbor accuracy report", _eval_arguments),
+    "gradcheck": ("verify analytic gradients against finite differences",
+                  _gradcheck_arguments),
+    "synth": ("generate a synthetic labeled dataset", _synth_arguments),
+}
+
+
+def build_parser(command=None):
+    """The spdalign parser with every subcommand. Only `command`'s
+    subparser gets its arguments when it names one, since a call parses one
+    subcommand's; with None every subparser gets them, for the top-level
+    help and usage errors."""
+    parser = _Parser(
+        prog="spdalign",
+        description="Supervised similarity learning for SPD-matrix data.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(subparser)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         _apply_config(args)

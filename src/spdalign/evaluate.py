@@ -4,11 +4,15 @@ Ties are broken deterministically everywhere: equal distances prefer the
 lower training index, equal vote counts prefer the lower class index. This
 keeps every reported number a pure function of the inputs.
 
-`repeated_split_eval` draws all its splits as index arrays first, then
-factors the whole stack once and computes the distance of each unordered
-pair that some split needs as a (test, train) pair at most once, however
-many splits share it and in whichever order they need it. Under Stein and
-the log-Euclidean distance it computes every such pair in one pass.
+`repeated_split_eval` draws all its splits first, stacked as (S, a)
+train and (S, b) test index arrays (every split takes the same count from
+each class), then factors the whole stack once and computes the distance
+of each unordered pair that some split needs as a (test, train) pair at
+most once, however many splits share it and in whichever order they need
+it. Under Stein and the log-Euclidean distance it computes every such pair
+in one pass. The union of the pairs, the screen below and the 1-NN votes
+run as stacked passes over groups of splits, each group's (g, b, a)
+gather within BLOCK_ENTRIES entries, so memory does not grow with S.
 
 Under the affine-invariant distance it computes only the pairs its
 log-Euclidean lower bound cannot rule out (`AffineInvariant.lower_bound`,
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import unordered_pairs
-from .metrics import MetricKind, cross_dist2, factored, map_down
+from .metrics import BLOCK_ENTRIES, MetricKind, cross_dist2, factored, map_down
 
 
 @dataclass(frozen=True)
@@ -125,23 +129,38 @@ def check_split_settings(train_fraction, repeats=1):
         raise ValidationError(f"repeats must be >= 1, got {repeats}")
 
 
-def _split_indices(data, train_fraction, seed):
-    """Sorted (train, test) sample indices of one stratified split."""
+def _draw_splits(data, train_fraction, seeds):
+    """(train, test): the sorted sample indices of one stratified split per
+    seed, stacked as (S, a) and (S, b) arrays.
+
+    Each split permutes every class's members with its own
+    `default_rng(seed)`, in class order, and takes the same count from
+    each class, so all splits of a call have the same per-class counts."""
     check_split_settings(train_fraction)
-    rng = np.random.default_rng(seed)
-    train_idx, test_idx = [], []
+    classes, takes = [], []
     for cls in range(data.class_count):
         members = np.flatnonzero(data.labels == cls)
         if members.size < 2:
             raise ValidationError(
                 f"class {cls} has {members.size} sample(s); cannot split"
             )
-        perm = rng.permutation(members)
         take = int(round(train_fraction * members.size))
-        take = min(max(take, 1), members.size - 1)
-        train_idx.extend(perm[:take])
-        test_idx.extend(perm[take:])
-    return np.sort(train_idx), np.sort(test_idx)
+        classes.append(members)
+        takes.append(min(max(take, 1), members.size - 1))
+    # which slot of a split's concatenated class permutations lands in train
+    to_train = np.concatenate([np.arange(members.size) < take
+                               for members, take in zip(classes, takes)])
+    perms = np.array([
+        np.concatenate([rng.permutation(members) for members in classes])
+        for rng in map(np.random.default_rng, seeds)
+    ])
+    return np.sort(perms[:, to_train], axis=1), np.sort(perms[:, ~to_train], axis=1)
+
+
+def _split_indices(data, train_fraction, seed):
+    """Sorted (train, test) sample indices of one stratified split."""
+    train, test = _draw_splits(data, train_fraction, [seed])
+    return train[0], test[0]
 
 
 def split(data, train_fraction, seed):
@@ -150,10 +169,34 @@ def split(data, train_fraction, seed):
     return data.subset(train_idx), data.subset(test_idx)
 
 
+def _split_groups(train, test):
+    """(g, cells) per group of consecutive stacked splits: g the group's
+    slice, cells the (test, train) index pair that gathers its (g, b, a)
+    test-by-train blocks. A group holds as many splits as keep that gather
+    within BLOCK_ENTRIES entries, and one at least."""
+    count, a = train.shape
+    step = max(1, BLOCK_ENTRIES // (a * test.shape[1]))
+    for start in range(0, count, step):
+        g = slice(start, start + step)
+        yield g, (test[g, :, None], train[g, None, :])
+
+
+def _nearest(M, train, test):
+    """(S, b): for each test index of each split, the train index of least
+    M[test, train], the lowest such index on ties, as a stable sort of the
+    row's sorted train columns would pick."""
+    nearest = np.empty_like(test)
+    for g, cells in _split_groups(train, test):
+        nearest[g] = np.take_along_axis(train[g], np.argmin(M[cells], axis=2), axis=1)
+    return nearest
+
+
 def _split_dist2(metric, stack, splits, union):
     """(D, computed): the N x N squared distances the splits' 1-NN votes
     read, inf where none was computed, and how many unordered pairs were
-    computed exactly. union holds the pairs (i, j), i < j, the splits need."""
+    computed exactly. splits holds one (train, test) index pair per split,
+    all of the same sizes; union holds the pairs (i, j), i < j, they need."""
+    train, test = (np.asarray(side) for side in zip(*splits))
     geom, side = factored(metric, stack)
     D = np.full((len(stack),) * 2, np.inf)
 
@@ -170,16 +213,18 @@ def _split_dist2(metric, stack, splits, union):
     pair_floor = np.sqrt(screen[0]) - screen[1]
     pair_floor[~np.isfinite(pair_floor)] = -np.inf
     floor[union] = floor[union[::-1]] = pair_floor
-    blocks = [np.ix_(test_idx, train_idx) for train_idx, test_idx in splits]
-    nearest = [train_idx[np.argmin(bound[blk], axis=1)]
-               for (train_idx, _), blk in zip(splits, blocks)]
+    nearest = _nearest(bound, train, test)
     first = np.zeros(D.shape, dtype=bool)
-    for (_, test_idx), near in zip(splits, nearest):
-        first[test_idx, near] = True
+    first[test, nearest] = True
     computed = compute(*unordered_pairs(first))
+    cap = np.sqrt(D[test, nearest])
     rest = np.zeros(D.shape, dtype=bool)
-    for (_, test_idx), near, blk in zip(splits, nearest, blocks):
-        rest[blk] |= floor[blk] <= np.sqrt(D[test_idx, near])[:, None]
+    for g, cells in _split_groups(train, test):
+        hit = floor[cells] <= cap[g, :, None]
+        # only True cells are written: a split that shares a cell with an
+        # earlier one of the group must not clear it
+        rows, cols = np.broadcast_arrays(*cells)
+        rest[rows[hit], cols[hit]] = True
     i, j = unordered_pairs(rest)
     todo = np.isinf(D[i, j])
     return D, computed + compute(i[todo], j[todo])
@@ -198,25 +243,21 @@ def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=
     what `knn_classify` computes test-first.
     """
     check_split_settings(train_fraction, repeats)
-    splits = [_split_indices(data, train_fraction, seed + r) for r in range(repeats)]
+    train, test = _draw_splits(data, train_fraction, range(seed, seed + repeats))
     needed = np.zeros((data.size, data.size), dtype=bool)
-    for train_idx, test_idx in splits:
-        needed[np.ix_(test_idx, train_idx)] = True
+    for _, cells in _split_groups(train, test):
+        needed[cells] = True
     union = unordered_pairs(needed)
     stacks = [data.samples]
     if W is not None:
         stacks.append(map_down(data.samples, W))
-    labels, c = data.labels, data.class_count
+    labels = data.labels
     accuracies, computed = [], []
     for stack in stacks:
-        D, count = _split_dist2(metric, stack, splits, union)
+        D, count = _split_dist2(metric, stack, zip(train, test), union)
         computed.append(count)
-        acc = []
-        for train_idx, test_idx in splits:
-            confusion = _confusion(D[np.ix_(test_idx, train_idx)],
-                                   labels[train_idx], labels[test_idx], 1, c)
-            acc.append(float(np.trace(confusion)) / test_idx.size)
-        accuracies.append(np.asarray(acc))
+        hits = labels[_nearest(D, train, test)] == labels[test]
+        accuracies.append(np.count_nonzero(hits, axis=1) / test.shape[1])
     return EvalSummary(
         baseline=accuracies[0],
         transformed=accuracies[1] if W is not None else None,

@@ -213,6 +213,8 @@ def save_matrix(path, X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {X.shape}")
+    if not X.size:  # a 0 header, which no reader accepts
+        raise ValidationError(f"matrix must not be empty, got shape {X.shape}")
     _write_rows(path, str(X.shape[0]), map(_float_row, X))
 
 
@@ -221,6 +223,8 @@ def save_transform(path, W):
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
         raise ValidationError(f"transform must be 2-D, got shape {W.shape}")
+    if not W.size:  # a 0 in the header, which no reader accepts
+        raise ValidationError(f"transform must not be empty, got shape {W.shape}")
     _write_rows(path, "%d %d" % W.shape, map(_float_row, W))
 
 

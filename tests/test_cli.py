@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through in-process main() calls."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -828,6 +829,89 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert cli.main(["gradcheck", "--bogus"]) == 1
+
+
+
+# every flag each subcommand's help must show
+COMMAND_FLAGS = {
+    "train": ["--metric", "--seed", "--config", "--manifest", "--output-dir",
+              "--target-dim", "--vw", "--vb", "--beta", "--max-iters"],
+    "eval": ["--metric", "--seed", "--config", "--manifest", "--transform",
+             "--splits", "--train-fraction"],
+    "gradcheck": ["--metric", "--seed", "--config", "--instances"],
+    "synth": ["--seed", "--config", "--output-dir", "--dim", "--classes",
+              "--per-class", "--noise"],
+}
+
+
+def record_arguments(monkeypatch):
+    """Count add_argument calls per parser, keyed by the parser's prog."""
+    counts = {}
+    original = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        counts[self.prog] = counts.get(self.prog, 0) + 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    return counts
+
+
+def argument_counts(built):
+    """The add_argument calls per parser when the commands in `built` get
+    their flags: every parser adds its own -h, and a built command adds its
+    flags."""
+    counts = {"spdalign": 1}
+    for name, flags in COMMAND_FLAGS.items():
+        counts[f"spdalign {name}"] = 1 + len(flags) * (name in built)
+    return counts
+
+
+class TestParser:
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "{train,eval,gradcheck,synth}" in out
+        for name in COMMAND_FLAGS:
+            assert re.search(rf"^ +{name} +\S", out, re.MULTILINE), name
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_command_help_shows_its_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: spdalign {command} ")
+        for flag in COMMAND_FLAGS[command]:
+            assert flag in out, flag
+        for other in set().union(*COMMAND_FLAGS.values()) - set(COMMAND_FLAGS[command]):
+            assert other not in out, other
+
+    def test_unknown_command(self, capsys):
+        assert cli.main(["fit", "--metric", "aim"]) == 1
+        err = capsys.readouterr().err
+        assert "invalid choice: 'fit'" in err
+        assert "'train', 'eval', 'gradcheck', 'synth'" in err
+
+    def test_eval_adds_only_its_own_arguments(self, corpus, monkeypatch, capsys):
+        counts = record_arguments(monkeypatch)
+        assert cli.main(["eval", "--manifest", corpus, "--splits", "2"]) == 0
+        assert "baseline 1-NN" in capsys.readouterr().out
+        assert counts == argument_counts({"eval"})
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_each_command_adds_only_its_own_arguments(self, command, monkeypatch):
+        counts = record_arguments(monkeypatch)
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert counts == argument_counts({command})
+
+    def test_other_first_tokens_build_every_command(self, monkeypatch):
+        counts = record_arguments(monkeypatch)
+        assert cli.main(["--bogus"]) == 1
+        assert counts == argument_counts(set(COMMAND_FLAGS))
 
 
 SCIPY_FREE_CHILD = """

@@ -428,3 +428,89 @@ class TestAimScreen:
             assert np.array_equal(np.argmin(block, axis=1), np.argmin(exact, axis=1))
             expected = knn_classify(*split(data, 0.5, 5 + r), aim).accuracy
             assert summary.baseline[r] == expected
+
+
+class TestStackedSplits:
+    """`repeated_split_eval` draws, screens and scores its splits stacked,
+    in groups of splits; the groups must not change any number."""
+
+    @staticmethod
+    def data_and_transform(metric, with_w):
+        if metric is MetricKind.AIM:
+            # most pairs screened out, and many shared by splits
+            data = synth_dataset(
+                SynthConfig(dim=12, classes=4, per_class=10, noise=0.2, seed=6)
+            )
+        else:
+            data = clustered_dataset(seed=11, n=4, classes=3, per_class=7, spread=0.6)
+        W = rand_full_rank(np.random.default_rng(3), data.dim, max(1, data.dim // 4))
+        return data, W if with_w else None
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_hundred_splits_equal_per_split_knn(self, metric, with_w):
+        data, W = self.data_and_transform(metric, with_w)
+        summary = repeated_split_eval(data, metric, repeats=100, seed=7, W=W)
+        manifolds = [(summary.baseline, None)]
+        if with_w:
+            manifolds.append((summary.transformed, W))
+        for accuracies, transform in manifolds:
+            expected = [
+                knn_classify(*split(data, 0.5, 7 + r), metric, W=transform).accuracy
+                for r in range(100)
+            ]
+            assert np.array_equal(accuracies, expected)
+            assert len(set(expected)) > 1
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("with_w", [False, True])
+    @pytest.mark.parametrize("per_group", [1, 3])
+    def test_group_size_changes_nothing(self, metric, with_w, per_group, monkeypatch):
+        data, W = self.data_and_transform(metric, with_w)
+        stacked = repeated_split_eval(data, metric, repeats=100, seed=7, W=W)
+        # the default cap puts 40 splits of 20 x 20 blocks (AIM's set) or
+        # all 100 of 9 x 12 in a group; patched, a group holds per_group
+        # splits, and the last of 100 / 3 holds one
+        train, test = evaluate._draw_splits(data, 0.5, [7])
+        monkeypatch.setattr(evaluate, "BLOCK_ENTRIES", per_group * train.size * test.size)
+        grouped = repeated_split_eval(data, metric, repeats=100, seed=7, W=W)
+        assert np.array_equal(grouped.baseline, stacked.baseline)
+        if with_w:
+            assert np.array_equal(grouped.transformed, stacked.transformed)
+        else:
+            assert grouped.transformed is None
+        assert grouped.distances_computed == stacked.distances_computed
+        assert grouped.union_pairs == stacked.union_pairs
+
+    @staticmethod
+    def one_split_at_a_time(data, fraction, seed):
+        """The per-split loop the stacked draw replaced: one generator per
+        split, one permutation per class in class order."""
+        rng = np.random.default_rng(seed)
+        train, test = [], []
+        for cls in range(data.class_count):
+            perm = rng.permutation(np.flatnonzero(data.labels == cls))
+            take = min(max(int(round(fraction * perm.size)), 1), perm.size - 1)
+            train.extend(perm[:take])
+            test.extend(perm[take:])
+        return np.sort(train), np.sort(test)
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.3, 0.9])
+    def test_every_split_has_the_same_class_counts(self, fraction):
+        data = clustered_dataset(seed=2, n=3, classes=4, per_class=5)
+        data = LabeledDataset(data.samples[3:], data.labels[3:])  # sizes 2, 5, 5, 5
+        train, test = evaluate._draw_splits(data, fraction, range(40))
+        assert train.shape[0] == test.shape[0] == 40
+        assert train.shape[1] + test.shape[1] == data.size
+        counts = {
+            (tuple(np.bincount(data.labels[t], minlength=4)),
+             tuple(np.bincount(data.labels[s], minlength=4)))
+            for t, s in zip(train, test)
+        }
+        assert len(counts) == 1
+        for r, (t, s) in enumerate(zip(train, test)):
+            assert np.array_equal(np.sort(np.concatenate([t, s])), np.arange(data.size))
+            one_train, one_test = self.one_split_at_a_time(data, fraction, r)
+            assert np.array_equal(t, one_train) and np.array_equal(s, one_test)
+            assert all(np.array_equal(a, b) for a, b in zip(
+                evaluate._split_indices(data, fraction, r), (t, s)))

@@ -1,6 +1,7 @@
 """Round-trip and diagnostics tests for the plain-text file formats."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -445,6 +446,17 @@ class TestTransformFormat:
         path.write_text("3\n1 1 1\n")
         with pytest.raises(ValidationError, match="2 integer"):
             load_transform(str(path))
+
+
+class TestEmptyTables:
+    # a table with no rows or no columns has a header no reader accepts
+    @pytest.mark.parametrize("writer", [save_matrix, save_transform])
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_rejected_before_any_file(self, tmp_path, writer, shape):
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValidationError, match=re.escape(str(shape))):
+            writer(str(path), np.ones(shape))
+        assert os.listdir(tmp_path) == []
 
 
 class TestTraceFormat:
