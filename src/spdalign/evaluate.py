@@ -10,9 +10,10 @@ each class), then factors the whole stack once and computes the distance
 of each unordered pair that some split needs as a (test, train) pair at
 most once, however many splits share it and in whichever order they need
 it. Under Stein and the log-Euclidean distance it computes every such pair
-in one pass. The union of the pairs, the screen below and the 1-NN votes
-run as stacked passes over groups of splits, each group's (g, b, a)
-gather within BLOCK_ENTRIES entries, so memory does not grow with S.
+in one pass. The union of the pairs is one broadcast assignment, which
+builds no (S, b, a) index array; the screen below and the 1-NN votes run
+as stacked passes over groups of splits, each group's (g, b, a) gather
+within BLOCK_ENTRIES entries, so memory does not grow with S.
 
 Under the affine-invariant distance it computes only the pairs its
 log-Euclidean lower bound cannot rule out (`AffineInvariant.lower_bound`,
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import unordered_pairs
-from .metrics import BLOCK_ENTRIES, MetricKind, cross_dist2, factored, map_down
+from .metrics import BLOCK_ENTRIES, MetricKind, cross_dist2, geometry, map_down
 
 
 @dataclass(frozen=True)
@@ -157,16 +158,10 @@ def _draw_splits(data, train_fraction, seeds):
     return np.sort(perms[:, to_train], axis=1), np.sort(perms[:, ~to_train], axis=1)
 
 
-def _split_indices(data, train_fraction, seed):
-    """Sorted (train, test) sample indices of one stratified split."""
-    train, test = _draw_splits(data, train_fraction, [seed])
-    return train[0], test[0]
-
-
 def split(data, train_fraction, seed):
     """Stratified random split; every class lands on both sides."""
-    train_idx, test_idx = _split_indices(data, train_fraction, seed)
-    return data.subset(train_idx), data.subset(test_idx)
+    train, test = _draw_splits(data, train_fraction, [seed])
+    return data.subset(train[0]), data.subset(test[0])
 
 
 def _split_groups(train, test):
@@ -191,13 +186,15 @@ def _nearest(M, train, test):
     return nearest
 
 
-def _split_dist2(metric, stack, splits, union):
+def _split_dist2(metric, stack, train, test, union):
     """(D, computed): the N x N squared distances the splits' 1-NN votes
     read, inf where none was computed, and how many unordered pairs were
-    computed exactly. splits holds one (train, test) index pair per split,
-    all of the same sizes; union holds the pairs (i, j), i < j, they need."""
-    train, test = (np.asarray(side) for side in zip(*splits))
-    geom, side = factored(metric, stack)
+    computed exactly. train and test are the (S, a) and (S, b) index
+    arrays of `_draw_splits`; union holds the pairs (i, j), i < j, they
+    need. The stack is a dataset's, or `map_down`'s output, so its
+    factors are taken unchecked."""
+    geom = geometry(metric)
+    side = (stack, geom.factors(stack, "sample"))
     D = np.full((len(stack),) * 2, np.inf)
 
     def compute(i, j):
@@ -245,8 +242,7 @@ def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=
     check_split_settings(train_fraction, repeats)
     train, test = _draw_splits(data, train_fraction, range(seed, seed + repeats))
     needed = np.zeros((data.size, data.size), dtype=bool)
-    for _, cells in _split_groups(train, test):
-        needed[cells] = True
+    needed[test[:, :, None], train[:, None, :]] = True
     union = unordered_pairs(needed)
     stacks = [data.samples]
     if W is not None:
@@ -254,7 +250,7 @@ def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=
     labels = data.labels
     accuracies, computed = [], []
     for stack in stacks:
-        D, count = _split_dist2(metric, stack, zip(train, test), union)
+        D, count = _split_dist2(metric, stack, train, test, union)
         computed.append(count)
         hits = labels[_nearest(D, train, test)] == labels[test]
         accuracies.append(np.count_nonzero(hits, axis=1) / test.shape[1])

@@ -101,16 +101,10 @@ def build_graphs(data, metric, v_w, v_b):
     return neighbor_graphs(data, pairwise_dist2(metric, data.samples), v_w, v_b)
 
 
-def centering_matrix(N):
-    """U = I - 11^T/N, the projector that removes per-row/column means."""
-    if N < 1:
-        raise ValidationError(f"N must be >= 1, got {N}")
-    return np.eye(N) - np.full((N, N), 1.0 / N)
-
-
 def label_similarity(data):
-    """Doubly centered one-hot label Gram matrix U (YY^T) U."""
+    """Doubly centered one-hot label Gram matrix U (YY^T) U, with
+    U = I - 11^T/N."""
     Y = np.zeros((data.size, data.class_count))
     Y[np.arange(data.size), data.labels] = 1.0
-    U = centering_matrix(data.size)
+    U = np.eye(data.size) - np.full((data.size, data.size), 1.0 / data.size)
     return matfun.symmetrize(U @ (Y @ Y.T) @ U)

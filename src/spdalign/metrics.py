@@ -161,7 +161,7 @@ def check_transform(W, n=None):
 def map_down(X, W):
     """Congruence W^T X W taking an SPD matrix, or each of a stack, to the
     target dimension."""
-    X = _checked(X, "sample")
+    X = matfun.check_symmetric(matfun.check_finite(X, "sample"), "sample")
     W = check_transform(W, n=X.shape[-1])
     return matfun.symmetrize(W.T @ (X @ W))
 
@@ -666,21 +666,16 @@ def geometry(metric):
     return _GEOMETRIES[MetricKind.parse(metric)]
 
 
-def _checked(A, name):
-    """A symmetric matrix or stack with finite entries, checked finite first
-    (`matfun.check_finite`)."""
-    return matfun.check_symmetric(matfun.check_finite(A, name), name)
-
-
 def _operand(A, name, ndim):
     """A validated operand of finite symmetric matrices: one (n, n) matrix
-    for ndim 2, a (k, n, n) stack for ndim 3."""
+    for ndim 2, a (k, n, n) stack for ndim 3, checked finite first
+    (`matfun.check_finite`)."""
     A = np.asarray(A, dtype=float)
     if A.ndim != ndim or A.shape[-1] != A.shape[-2]:
         want = ("must be one (n, n) matrix" if ndim == 2
                 else "operand must be a (k, n, n) stack of matrices")
         raise ValidationError(f"{name} {want}, got shape {A.shape}")
-    return _checked(A, name)
+    return matfun.check_symmetric(matfun.check_finite(A, name), name)
 
 
 def _pair_indices(i, j, N):
@@ -744,15 +739,6 @@ def cross_dist2(metric, rows, cols):
     R, C = rows.shape[0], cols.shape[0]
     i, j = np.divmod(np.arange(R * C), C)
     return geom.dist2_pairs(left, right, i, j)[0].reshape(R, C)
-
-
-def factored(metric, samples):
-    """(geometry, side) of one validated stack: the metric's kernel and the
-    (stack, factors) operand its `dist2_pairs` and `lower_bound` take, so a
-    caller that needs several passes over pairs of the stack factors it once."""
-    geom = geometry(metric)
-    samples = _operand(samples, "sample", 3)
-    return geom, (samples, geom.factors(samples, "sample"))
 
 
 def indexed_dist2(metric, samples, i, j):

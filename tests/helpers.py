@@ -10,7 +10,7 @@ from spdalign.errors import NonSymmetricError, ValidationError
 from spdalign.fileio import _read_table
 from spdalign.matfun import check_symmetric, spd_eig, sym_eig, symmetrize
 from spdalign.metrics import (
-    _blocks, check_beta, check_transform, dist2, geometry, map_down,
+    _blocks, _operand, check_beta, check_transform, dist2, geometry, map_down,
 )
 from spdalign.objective import build_grad_context
 from spdalign.objective import fd_gradient  # noqa: F401  (re-exported to tests)
@@ -167,6 +167,22 @@ def rand_full_rank(rng, n, m):
 def transformed_dist2(metric, X_i, X_j, W):
     """dist2 between the two samples after mapping both through W."""
     return dist2(metric, map_down(X_i, W), map_down(X_j, W))
+
+
+def factored(metric, samples):
+    """(geometry, side) of one validated stack: the metric's kernel and the
+    (stack, factors) operand its `dist2_pairs` and `lower_bound` take, so a
+    caller that needs several passes over pairs of the stack factors it once."""
+    geom = geometry(metric)
+    samples = _operand(samples, "sample", 3)
+    return geom, (samples, geom.factors(samples, "sample"))
+
+
+def centering_matrix(N):
+    """U = I - 11^T/N, the projector that removes per-row/column means."""
+    if N < 1:
+        raise ValidationError(f"N must be >= 1, got {N}")
+    return np.eye(N) - np.full((N, N), 1.0 / N)
 
 
 def graph_union(graphs):

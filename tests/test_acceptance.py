@@ -17,7 +17,7 @@ from spdalign.cli import main as cli_main
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.evaluate import knn_classify, split
 from spdalign.fileio import load_trace
-from spdalign.graphs import build_graphs, centering_matrix
+from spdalign.graphs import build_graphs
 from spdalign.matfun import dlog, symmetrize
 from spdalign.metrics import MetricKind, default_beta, dist2
 from spdalign.objective import alignment_gradient, alignment_objective
@@ -29,7 +29,8 @@ from spdalign.optimizer import (
 )
 
 from helpers import (
-    fd_gradient, graph_union, rand_full_rank, rand_spd, rand_sym, spd_log,
+    centering_matrix, fd_gradient, graph_union, rand_full_rank, rand_spd,
+    rand_sym, spd_log,
 )
 
 

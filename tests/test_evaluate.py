@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spdalign import evaluate
+from spdalign import evaluate, matfun
 from spdalign.dataset import LabeledDataset
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import ValidationError
@@ -11,7 +11,7 @@ from spdalign.evaluate import EvalSummary, knn_classify, repeated_split_eval, sp
 from spdalign.graphs import unordered_pairs
 from spdalign.metrics import MetricKind, cross_dist2, geometry, map_down
 
-from helpers import clustered_dataset, rand_full_rank, ref_shaped_dataset
+from helpers import clustered_dataset, count_calls, rand_full_rank, ref_shaped_dataset
 
 
 def scalar_dataset(values, labels):
@@ -252,6 +252,18 @@ class TestRepeatedSplitEval:
         with pytest.raises(ValidationError):
             repeated_split_eval(data, MetricKind.LEM, repeats=0)
 
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_checks_the_held_stack_once(self, metric, with_w, monkeypatch):
+        # the dataset checked its stack when it was built: only `map_down`
+        # checks it again, once, on the way through W
+        data = clustered_dataset(seed=2, n=4, classes=2, per_class=5)
+        W = rand_full_rank(np.random.default_rng(0), 4, 2) if with_w else None
+        calls = count_calls(monkeypatch, matfun, ["check_symmetric", "check_finite"])
+        repeated_split_eval(data, metric, repeats=3, seed=1, W=W)
+        once = int(with_w)
+        assert calls == {"check_symmetric": once, "check_finite": once}
+
     @staticmethod
     def check_equals_per_split_knn(data, metric, fraction, W):
         # the shared pass over the splits' pair union must give exactly the
@@ -302,8 +314,8 @@ class TestRepeatedSplitEval:
             data, metric, train_fraction=0.5, repeats=10, seed=5, W=W
         )
         union = set()
-        for r in range(10):
-            train_idx, test_idx = evaluate._split_indices(data, 0.5, 5 + r)
+        train, test = evaluate._draw_splits(data, 0.5, range(5, 15))
+        for train_idx, test_idx in zip(train, test):
             union |= {(min(a, b), max(a, b)) for a in test_idx for b in train_idx}
         assert sorted(calls) == ([2, 4] if with_w else [4])  # one stack per manifold
         assert summary.union_pairs == len(union)
@@ -368,7 +380,8 @@ class TestAimScreen:
         W = rand_full_rank(np.random.default_rng(4), data.dim, data.dim // 4)
         W = W if with_w else None
         summary = repeated_split_eval(data, aim, repeats=10, seed=5, W=W)
-        splits = [evaluate._split_indices(data, 0.5, 5 + r) for r in range(10)]
+        train, test = evaluate._draw_splits(data, 0.5, range(5, 15))
+        splits = list(zip(train, test))
         needed = np.zeros((data.size, data.size), dtype=bool)
         for train_idx, test_idx in splits:
             needed[np.ix_(test_idx, train_idx)] = True
@@ -382,7 +395,7 @@ class TestAimScreen:
                 for r in range(10)
             ]
             assert np.array_equal(accuracies, expected)
-            D, _ = evaluate._split_dist2(aim, stack, splits, union)
+            D, _ = evaluate._split_dist2(aim, stack, train, test, union)
             for train_idx, test_idx in splits:
                 exact = cross_dist2(aim, stack[test_idx], stack[train_idx])
                 block = D[np.ix_(test_idx, train_idx)]
@@ -410,12 +423,13 @@ class TestAimScreen:
             return bound, tau
 
         monkeypatch.setattr(geom, "lower_bound", broken)
-        splits = [evaluate._split_indices(data, 0.5, 5 + r) for r in range(10)]
+        train, test = evaluate._draw_splits(data, 0.5, range(5, 15))
+        splits = list(zip(train, test))
         needed = np.zeros((data.size, data.size), dtype=bool)
         for train_idx, test_idx in splits:
             needed[np.ix_(test_idx, train_idx)] = True
         union = unordered_pairs(needed)
-        D, computed = evaluate._split_dist2(aim, data.samples, splits, union)
+        D, computed = evaluate._split_dist2(aim, data.samples, train, test, union)
         forced = np.arange(len(union[0])) % 3 < 2
         assert np.isfinite(D[union[0][forced], union[1][forced]]).all()
         assert computed >= forced.sum()
@@ -512,5 +526,5 @@ class TestStackedSplits:
             assert np.array_equal(np.sort(np.concatenate([t, s])), np.arange(data.size))
             one_train, one_test = self.one_split_at_a_time(data, fraction, r)
             assert np.array_equal(t, one_train) and np.array_equal(s, one_test)
-            assert all(np.array_equal(a, b) for a, b in zip(
-                evaluate._split_indices(data, fraction, r), (t, s)))
+            assert all(np.array_equal(a[0], b) for a, b in zip(
+                evaluate._draw_splits(data, fraction, [r]), (t, s)))

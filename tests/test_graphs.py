@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import count_calls, graph_split, graph_union, rand_spd
+from helpers import centering_matrix, count_calls, graph_split, graph_union, rand_spd
 from spdalign.dataset import LabeledDataset
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import (
@@ -14,7 +14,6 @@ from spdalign.errors import (
 from spdalign.graphs import (
     PairGraphs,
     build_graphs,
-    centering_matrix,
     label_similarity,
     neighbor_graphs,
 )

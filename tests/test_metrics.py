@@ -18,6 +18,7 @@ import pytest
 
 from helpers import (
     count_calls,
+    factored,
     kernel_sim,
     rand_spd,
     rand_full_rank,
@@ -44,7 +45,6 @@ from spdalign.metrics import (
     cross_dist2,
     default_beta,
     dist2,
-    factored,
     indexed_dist2,
     map_down,
     geometry,

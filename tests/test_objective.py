@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    centering_matrix,
     clustered_dataset,
     count_calls,
     fd_gradient,
@@ -24,7 +25,7 @@ from spdalign.dataset import LabeledDataset
 from spdalign.errors import (
     DegenerateAlignmentError, DimMismatchError, ValidationError,
 )
-from spdalign.graphs import PairGraphs, build_graphs, centering_matrix, label_similarity
+from spdalign.graphs import PairGraphs, build_graphs, label_similarity
 from spdalign.metrics import (
     BLOCK_ENTRIES, MetricKind, _blocks, default_beta, geometry,
 )
