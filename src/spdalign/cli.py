@@ -118,7 +118,7 @@ def gradcheck_report(kinds, instances, seed):
         for t in range(instances):
             cfg = SynthConfig(dim=8, classes=3, per_class=4, noise=0.4, seed=seed + t)
             data = synth_dataset(cfg)
-            D = metrics.pairwise_dist2(metric, data.samples)
+            D = metrics.pairwise_dist2(metric, data)
             graphs = neighbor_graphs(data, D, v_w=2, v_b=2)
             beta = metrics.bandwidth(D)
             problem = AlignmentProblem.build(data, graphs, metric, beta)
@@ -193,8 +193,9 @@ def cmd_train(args):
         v_b = _auto_neighbor_count(data)
 
     beta_mode = "explicit" if beta is not None else "auto"
-    # one distance matrix serves the bandwidth and the neighbor graphs
-    D = metrics.pairwise_dist2(metric, data.samples)
+    # one distance matrix serves the bandwidth and the neighbor graphs; the
+    # dataset checked its stack when it was loaded
+    D = metrics.pairwise_dist2(metric, data)
     if beta is None:
         beta = metrics.bandwidth(D)
 

@@ -21,10 +21,8 @@ class LabeledDataset:
     Labels must be integer-valued, in any numeric dtype, and every class
     index up to the maximum must be present. Every sample is checked on
     construction, in one pass over the stack, for finite entries, symmetry
-    and positive definiteness. Positive definiteness is screened by one
-    stacked Cholesky (`_clearly_pd`); a stack the screen cannot clear is
-    decided, and its first failing sample named, by `require_pd` on its
-    `eigvalsh` spectrum, which the screen never contradicts.
+    and positive definiteness (`matfun.check_pd`, a stacked Cholesky screen
+    that names the first failing sample).
     """
 
     samples: np.ndarray
@@ -48,8 +46,7 @@ class LabeledDataset:
         _check_labels(labels, samples.shape[0])
         matfun.check_finite(samples, "sample")
         matfun.check_symmetric(samples, "sample")
-        if not _clearly_pd(samples):
-            matfun.require_pd(np.linalg.eigvalsh(samples), samples, "sample")
+        matfun.check_pd(samples, "sample")
         self._freeze(samples, labels)
 
     def _freeze(self, samples, labels):
@@ -61,6 +58,9 @@ class LabeledDataset:
     @property
     def size(self):
         return self.samples.shape[0]
+
+    def __len__(self):
+        return self.size
 
     @property
     def dim(self):
@@ -86,36 +86,6 @@ class LabeledDataset:
         sub = object.__new__(LabeledDataset)
         sub._freeze(samples, labels)
         return sub
-
-
-# Backward-error factor of the PD screen. A Cholesky factorization of
-# A = X - s I that runs to completion in floating point is exact for A + E
-# with |E| <= gamma_{n+1} |L||L^T| (Higham 2002, Thm 10.3). As
-# || |L||L^T| ||_2 <= ||L||_F^2 = tr(A + E) and gamma_{n+1} is about
-# (n + 1) eps / 2, lambda_min(X) >= s - n eps tr X. eigvalsh is backward
-# stable: each computed eigenvalue is within p(n) eps ||X||_2 <= p(n) eps tr X
-# of the exact one (LAPACK Users' Guide, sec. 4.7, takes p(n) = 1; the
-# worst-case bound of Householder tridiagonalization grows like n^2 eps).
-# A margin of SCREEN_K n eps tr X above the PD floor covers both terms for
-# any p(n) up to (SCREEN_K - 1) n.
-SCREEN_K = 256
-
-
-def _clearly_pd(samples):
-    """True when every sample's smallest eigenvalue clears its PD floor by
-    more than the rounding of both Cholesky and `eigvalsh` (`SCREEN_K`): one
-    stacked Cholesky of X - (pd_floor(X) + delta) I, delta = SCREEN_K n eps
-    tr X, with finite factors. Such a stack passes `require_pd` on its
-    `eigvalsh` spectrum; False leaves the decision to that check. A factor
-    exists only when tr X > 0, so delta is then positive."""
-    n = samples.shape[-1]
-    trace = samples.trace(axis1=-2, axis2=-1)
-    shift = matfun.pd_floor(samples) + SCREEN_K * n * np.finfo(float).eps * trace
-    try:
-        chol = np.linalg.cholesky(samples - shift[:, None, None] * np.eye(n))
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.isfinite(chol).all())
 
 
 def _check_labels(labels, N):

@@ -17,7 +17,8 @@ within BLOCK_ENTRIES entries, so memory does not grow with S.
 
 Under the affine-invariant distance it computes only the pairs its
 log-Euclidean lower bound cannot rule out (`AffineInvariant.lower_bound`,
-taken in the frame whitened by the stack's log-Euclidean mean). Pass 1
+taken in the frame whitened by the stack's arithmetic mean, at one
+eigendecomposition per sample). Pass 1
 computes, for each test row of each split, the distance to its
 bound-nearest train sample, which caps the row's nearest distance. Pass 2
 computes every pair of the row whose floor sqrt(bound) - tau is not above

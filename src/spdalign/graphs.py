@@ -98,7 +98,7 @@ def neighbor_graphs(data, D, v_w, v_b):
 
 def build_graphs(data, metric, v_w, v_b):
     """`neighbor_graphs` from the pairwise distances under a metric."""
-    return neighbor_graphs(data, pairwise_dist2(metric, data.samples), v_w, v_b)
+    return neighbor_graphs(data, pairwise_dist2(metric, data), v_w, v_b)
 
 
 def label_similarity(data):

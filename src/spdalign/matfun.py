@@ -12,14 +12,20 @@ X = Q diag(l) Q^T,
 (Higham, Functions of Matrices, SIAM 2008, ch. 3). `dlog`, `dlog_eig` (the
 same formula from eigenpairs the caller already holds) and the helpers they
 validate with (check_finite, check_symmetric, symmetrize, pd_floor,
-require_pd, sym_eig, spd_eig, eig_apply) take one matrix (n, n) or a stack
-(..., n, n) and treat each matrix on its own; a failed check on a stack
-names the first failing matrix. `qr_orthonormal` gives the sign-fixed
-orthonormal factor of a QR factorization, for seeded random frames.
-`chol_inv` inverts positive definite matrices, one or a stack, from Cholesky
-factors the caller holds, by forward substitution on the factors held
-entry-major, one (m, m, P) array; a matrix's inverse is the same bits
-whatever stack it comes in.
+require_pd, check_pd, sym_eig, spd_eig, eig_apply) take one matrix (n, n)
+or a stack (..., n, n) and treat each matrix on its own; a failed check on
+a stack names the first failing matrix. `check_pd` is the one stacked
+positive definiteness check: a Cholesky screen, with `eigvalsh` and
+`require_pd` only for a stack the screen cannot clear. `qr_orthonormal`
+gives the sign-fixed orthonormal factor of a QR factorization, for seeded
+random frames.
+
+`tri_inv` inverts lower Cholesky factors, one or a stack, by forward
+substitution on the factors held entry-major, one (m, m, P) array, and
+`chol_inv` builds A^{-1} = L^{-T} L^{-1} from it. Both give a matrix the same
+bits whatever stack it comes in. Stein inverts its samples and midpoints
+through `chol_inv`; the affine-invariant kernel whitens by `tri_inv`'s
+L^{-1}, which it holds transposed.
 """
 
 import numpy as np
@@ -136,6 +142,57 @@ def require_pd(w, X, name="matrix", ids=None):
         )
 
 
+# Backward-error factor of the PD screen (`check_pd`). A Cholesky
+# factorization of A = X - s I that runs to completion in floating point is
+# exact for A + E with |E| <= gamma_{n+1} |L||L^T| (Higham 2002, Thm 10.3).
+# As || |L||L^T| ||_2 <= ||L||_F^2 = tr(A + E) and gamma_{n+1} is about
+# (n + 1) eps / 2, lambda_min(X) >= s - n eps tr X. eigvalsh is backward
+# stable: each computed eigenvalue is within p(n) eps ||X||_2 <= p(n) eps tr X
+# of the exact one (LAPACK Users' Guide, sec. 4.7, takes p(n) = 1; the
+# worst-case bound of Householder tridiagonalization grows like n^2 eps).
+# A margin of SCREEN_K n eps tr X above the PD floor covers both terms for
+# any p(n) up to (SCREEN_K - 1) n.
+SCREEN_K = 256
+
+
+def check_pd(X, name="matrix"):
+    """Raise NotPositiveDefiniteError unless the smallest eigenvalue of X,
+    one matrix or each of a stack, clears its PD floor (`require_pd`).
+
+    One stacked Cholesky of X - (pd_floor(X) + delta) I, delta = SCREEN_K n
+    eps tr X, screens X: finite factors show that every matrix clears its
+    floor by more than the rounding of both Cholesky and `eigvalsh`, so it
+    passes `require_pd` on its `eigvalsh` spectrum. A factor exists only
+    when tr X > 0, so delta is then positive. Only X the screen cannot clear
+    takes `eigvalsh`, and `require_pd` decides it and names its first
+    failing matrix; the screen never contradicts that check.
+    """
+    n = X.shape[-1]
+    trace = X.trace(axis1=-2, axis2=-1)
+    shift = pd_floor(X) + SCREEN_K * n * np.finfo(float).eps * trace
+    try:
+        chol = np.linalg.cholesky(X - shift[..., None, None] * np.eye(n))
+        cleared = np.isfinite(chol).all()
+    except np.linalg.LinAlgError:
+        cleared = False
+    if not cleared:
+        require_pd(np.linalg.eigvalsh(X), X, name)
+    return X
+
+
+def spd_chol(X, name="matrix"):
+    """Lower Cholesky factor L, X = L L^T, of a matrix or stack that
+    `check_pd` passes."""
+    check_pd(X, name)
+    try:
+        return np.linalg.cholesky(X)
+    except np.linalg.LinAlgError as exc:
+        # a matrix just above its floor can still break the factorization
+        raise NotPositiveDefiniteError(
+            f"{name} has no Cholesky factor: {exc}"
+        ) from exc
+
+
 def sym_eig(A):
     """Eigendecomposition of a symmetric matrix or stack.
 
@@ -179,19 +236,15 @@ def qr_orthonormal(A):
     return Q * signs
 
 
-def chol_inv(L):
-    """A^{-1} = L^{-T} L^{-1} from the lower Cholesky factor L of a positive
-    definite A = L L^T, one matrix or a stack.
+def tri_inv(L):
+    """L^{-1} of the lower Cholesky factor L of a positive definite matrix,
+    one factor or a stack.
 
-    L^{-1} comes by forward substitution, one row per step, on the factors
-    held entry-major: a contiguous (m, m, P) copy of the P factors of size
+    Forward substitution, one row per step, on the factors held
+    entry-major: a contiguous (m, m, P) copy of the P factors of size
     m x m, so each row step is one product over all P matrices at once.
-    A^{-1} then comes from one batched product of two distinct contiguous
-    arrays, which numpy computes matrix by matrix as a general product (of
-    one array with itself it takes a symmetric rank-k update, which took
-    3-4x the time on stacks of 2 x 2 to 8 x 8 matrices). Each step treats
-    every matrix alike, so a matrix's inverse does not depend on the stack
-    it came in.
+    Each step treats every matrix alike, so a factor's inverse does not
+    depend on the stack it came in. The result is a new contiguous array.
     """
     m = L.shape[-1]
     factor = L.reshape(-1, m, m).transpose(1, 2, 0).copy()
@@ -203,7 +256,20 @@ def chol_inv(L):
             inv[k, :k] = -recip[k] * np.einsum(
                 "jp,jcp->cp", factor[k, :k], inv[:k, :k]
             )
-    inv = inv.transpose(2, 0, 1).copy()
+    return inv.transpose(2, 0, 1).copy().reshape(L.shape)
+
+
+def chol_inv(L):
+    """A^{-1} = L^{-T} L^{-1} from the lower Cholesky factor L of a positive
+    definite A = L L^T, one matrix or a stack.
+
+    L^{-1} comes from `tri_inv`, and A^{-1} from one batched product of two
+    distinct contiguous arrays, which numpy computes matrix by matrix as a
+    general product (of one array with itself it takes a symmetric rank-k
+    update, which took 3-4x the time on stacks of 2 x 2 to 8 x 8 matrices),
+    so a matrix's inverse does not depend on the stack it came in either.
+    """
+    inv = tri_inv(L).reshape(-1, L.shape[-1], L.shape[-1])
     return (_mT(inv) @ inv.copy()).reshape(L.shape)
 
 

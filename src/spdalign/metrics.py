@@ -57,29 +57,36 @@ formed exactly as from the full matrices; no entry is scaled before it, so
 coincident logs still give exactly zero and the value is still exactly
 invariant to argument order.
 
-The affine-invariant distance has a cheap lower bound: the log-Euclidean
-one, ||log A - log B||_F <= ||log(A^{-1/2} B A^{-1/2})||_F (the exponential
+The affine-invariant distance is unchanged by any congruence X -> C X C^T
+(Pennec, Fillard & Ayache, IJCV 2006), and both its kernel and its lower
+bound use that. The kernel whitens a pair by a Cholesky factor: with
+X_a = L_a L_a^T, M = L_a^{-1} X_b L_a^{-T} has the spectrum of
+X_a^{-1/2} X_b X_a^{-1/2}, and the factors take one stacked Cholesky and
+its triangular inverse (`matfun.tri_inv`), so no sample stack is
+eigendecomposed. The lower bound is the log-Euclidean distance,
+||log A - log B||_F <= ||log(A^{-1/2} B A^{-1/2})||_F (the exponential
 metric increasing property; Bhatia, Positive Definite Matrices, 2007, Thm
-6.1.4). It is tight as both matrices approach the identity, and the
-affine-invariant distance is unchanged by any congruence C X C (Pennec,
-Fillard & Ayache, IJCV 2006), so `AffineInvariant.lower_bound` takes it in
-the stack's own whitened frame. With G = mean_k log X_k, the stack's
-log-Euclidean mean, built from the eigenpairs the affine-invariant factors
-already hold, and C = exp(-G/2), it is the log-Euclidean kernel's distance
-between Z_a = C X_a C and Z_b = C X_b C; on clustered data that is far
-tighter than the bound on the samples themselves. Each pair gets a rounding
-margin tau = BOUND_MARGIN n^{3/2} eps (k_a k_b + k_G k'_a k'_b), with k the
-eigenvalue spread w_max / w_min of each sample, k' that of each whitened
-sample and k_G that of exp(G). The first term covers the rounding of the
-affine-invariant distance, the second that of the congruence and of the
-whitened eigensolve; C needs none, since any symmetric positive definite C
-gives a valid bound. A whitened sample whose spectrum is not positive and
-finite gets an infinite margin. sqrt(bound) - tau is a floor under the
-square root of the pair's computed distance, so a pair whose floor exceeds
-the square root of another pair's computed distance is strictly farther,
-in floating point too. The margin grows with the conditioning of both
-samples; on ill-conditioned data it exceeds every bound and the floor rules
-out nothing. Stein and the log-Euclidean distance have no such bound.
+6.1.4), which is tight as both matrices approach the identity, so
+`AffineInvariant.lower_bound` takes it in the stack's own whitened frame.
+With M = mean_k X_k, the stack's arithmetic mean, and C = M^{-1/2} from one
+n x n eigendecomposition, it is the log-Euclidean kernel's distance between
+Z_a = C X_a C and Z_b = C X_b C, from one stacked eigendecomposition of the
+Z_k; on clustered data that is far tighter than the bound on the samples
+themselves. Each pair gets a rounding margin
+tau = BOUND_MARGIN n^{3/2} eps k_M (k_M + 1) k_a k_b, with k_M the
+eigenvalue spread w_max / w_min of M and k_a, k_b those of the whitened
+samples. As X_a = M^{1/2} Z_a M^{1/2}, k_M k_a bounds the spread of X_a: the
+term k_M^2 k_a k_b covers the rounding of the affine-invariant distance, and
+k_M k_a k_b that of the congruence and of the whitened eigensolve; C needs
+none, since any symmetric positive definite C gives a valid bound. A
+whitened sample whose spectrum is not positive and finite, and every sample
+of a stack whose mean is not, gets an infinite margin. sqrt(bound) - tau is
+a floor under the square root of the pair's computed distance, so a pair
+whose floor exceeds the square root of another pair's computed distance is
+strictly farther, in floating point too. The margin grows with the
+conditioning of the samples; on ill-conditioned data it exceeds every bound
+and the floor rules out nothing. Stein and the log-Euclidean distance have
+no such bound.
 """
 
 import math
@@ -91,6 +98,7 @@ from functools import cache
 import numpy as np
 
 from . import matfun
+from .dataset import LabeledDataset
 from .errors import (
     DegenerateInputError,
     DimMismatchError,
@@ -103,10 +111,10 @@ RANK_RTOL = 1e-10
 # matrix entries (pairs x n x n) per batched kernel call; bounds the working
 # memory of a block of pairs whatever the pair count and sample dimension
 BLOCK_ENTRIES = 16384
-# B of the rounding margin B n^{3/2} eps (k_a k_b + k_G k'_a k'_b) of the
+# B of the rounding margin B n^{3/2} eps k_M (k_M + 1) k_a k_b of the
 # affine-invariant lower bound: orders of magnitude above the rounding of the
-# pair whitening and eigensolve, the congruence by exp(-G/2) and the whitened
-# samples' logs, which all grow with n eps k
+# pair whitening and eigensolve, the congruence by the mean's M^{-1/2} and the
+# whitened samples' logs, which all grow with n eps k
 BOUND_MARGIN = 1e4
 
 
@@ -430,30 +438,39 @@ class Geometry:
 
 
 class AffineInvariant(Geometry):
-    """||log(X_a^{-1/2} X_b X_a^{-1/2})||_F^2.
+    """||log(X_a^{-1/2} X_b X_a^{-1/2})||_F^2, whitened by Cholesky factors.
 
-    The distance-only pass whitens each pair by whichever of its two
-    matrices sorts first (`_sorts_before`) and takes eigenvalues only, so
-    its value depends on the two matrices alone and is exactly invariant to
-    argument order, as Stein's and LEM's are. The objective's pass (`keep`)
-    whitens by the left sample, whose factors its gradient reads, and keeps
-    the log of each whitened pair from the same eigendecomposition. In
-    every pass a pair of equal matrices gets a zero log spectrum, so its
-    distance and kept log are exactly zero.
+    `factors` gives (L^{-T}, L) with X = L L^T, and a pair is whitened as
+    M = L_a^{-1} X_b L_a^{-T}, whose spectrum is that of
+    X_a^{-1/2} X_b X_a^{-1/2} (module docstring). The distance-only pass
+    whitens each pair by whichever of its two matrices sorts first
+    (`_sorts_before`) and takes eigenvalues only, so its value depends on
+    the two matrices alone and is exactly invariant to argument order, as
+    Stein's and LEM's are. The objective's pass (`keep`) whitens by the left
+    sample, whose factors its gradient reads, and keeps the log of each
+    whitened pair from the same eigendecomposition. In every pass a pair of
+    equal matrices gets a zero log spectrum, so its distance and kept log
+    are exactly zero.
 
     `lower_bound` gives the log-Euclidean squared distance of each pair in
-    the frame whitened by the stack's log-Euclidean mean
-    (`whiten_by_log_mean`), never above the affine-invariant one, and the
-    rounding margin tau that makes sqrt(bound) - tau a floor under the
-    computed distance's square root (module docstring). It costs one
-    eigendecomposition per sample, not per pair, and one gathered
-    difference per pair against a pair whitening and eigensolve.
+    the frame whitened by the stack's arithmetic mean (`whiten_by_mean`),
+    never above the affine-invariant one, and the rounding margin tau that
+    makes sqrt(bound) - tau a floor under the computed distance's square
+    root (module docstring). It costs one eigendecomposition per sample, not
+    per pair, and one gathered difference per pair against a pair whitening
+    and eigensolve.
 
     Pair gradient term U = E, with T_i = E and T_j = -E, for
-    E = log(Y_i Y_j^{-1}) = -Y_i^{1/2} log(Y_i^{-1/2} Y_j Y_i^{-1/2}) Y_i^{-1/2},
-    finished by phi_s(T) = Y_s^{-1} T. The objective's distance pass keeps
-    each support pair's log(Y_i^{-1/2} Y_j Y_i^{-1/2}), so E costs two
-    products per pair.
+    E = log(Y_i Y_j^{-1}) = -L_i log(L_i^{-1} Y_j L_i^{-T}) L_i^{-1},
+    finished by phi_s(T) = Y_s^{-1} T = L_s^{-T} (L_s^{-1} T). The
+    objective's distance pass keeps each support pair's log(M), so E costs
+    two products per pair, and the gradient decomposes no sample stack.
+
+    The factors hold L^{-T} rather than L^{-1}, and `grad_factors` copies
+    out L^{-1}, so no product's last operand is a transposed view: on
+    blocks of 4 x 4 and 5 x 5 pairs (numpy 2.4, OpenBLAS, one thread),
+    P X P^T with P^T a view took 1.6-1.9x the time of P^T X P with the
+    view first, which costs about as much as the contiguous P X P.
 
     Pooled (`Geometry.pooled`): a block's time is its stacked eigensolve,
     which releases the GIL.
@@ -464,49 +481,56 @@ class AffineInvariant(Geometry):
 
     @staticmethod
     def factors(stack, name):
-        """(X^{-1/2}, w, Q) with X = Q diag(w) Q^T, from one eigendecomposition."""
-        w, Q = matfun.spd_eig(stack, name)
-        s = np.sqrt(w)
-        inv_sqrt = matfun.symmetrize((Q / s[..., None, :]) @ Q.swapaxes(-1, -2))
-        return inv_sqrt, w, Q
+        """(L^{-T}, L) with X = L L^T: one stacked Cholesky, after the
+        stacked PD check (`matfun.spd_chol`), and its `matfun.tri_inv`."""
+        chol = matfun.spd_chol(stack, name)
+        return matfun.tri_inv(chol).swapaxes(-1, -2).copy(), chol
 
     @staticmethod
-    def whiten_by_log_mean(side):
-        """(Z, log Z, spreads of Z, spread of exp(G)) with Z_k = C X_k C,
-        C = exp(-G/2) and G = mean_k log X_k, the stack's log-Euclidean mean.
+    def whiten_by_mean(stack):
+        """(Z, log Z, spreads of Z, spread of M) with Z_k = C X_k C,
+        C = M^{-1/2} and M = mean_k X_k, the stack's arithmetic mean: one
+        n x n eigendecomposition of M and one stacked one of the Z_k.
 
-        A whitened sample whose spectrum is not positive and finite gets log
-        zero and an infinite spread, so its margin rules out nothing.
+        A mean that is not finite and positive definite whitens by C = I
+        with an infinite spread, and a whitened sample whose spectrum is not
+        positive and finite gets log zero and an infinite spread, so their
+        margins rule out nothing.
         """
-        stack, (_, w, Q) = side
-        g, V = matfun.sym_eig(np.mean(matfun.eig_apply(Q, np.log(w)), axis=0))
-        C = matfun.eig_apply(V, np.exp(-0.5 * g))
+        n = stack.shape[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.mean(stack, axis=0)
+        g, V = (np.linalg.eigh(mean) if np.isfinite(mean).all()
+                else (np.zeros(n), None))
+        if g[0] > 0.0:
+            C, spread_m = matfun.eig_apply(V, g**-0.5), g[-1] / g[0]
+        else:
+            C, spread_m = np.eye(n), np.inf
         Z = matfun.symmetrize(C @ stack @ C)
         finite = np.isfinite(Z).all(axis=(-2, -1))
-        Z[~finite] = np.eye(Z.shape[-1])
+        Z[~finite] = np.eye(n)
         wz, Qz = np.linalg.eigh(Z)
         ok = finite & (wz[:, 0] > 0.0)
         wz[~ok] = 1.0
         spread = np.where(ok, wz[:, -1] / wz[:, 0], np.inf)
-        return Z, matfun.eig_apply(Qz, np.log(wz)), spread, np.exp(g[-1] - g[0])
+        return Z, matfun.eig_apply(Qz, np.log(wz)), spread, spread_m
 
     @staticmethod
     def lower_bound(side, i, j):
-        stack, (_, w, _) = side
-        Z, logs, spread_z, spread_g = AffineInvariant.whiten_by_log_mean(side)
-        rows, cols, _ = _upper(Z.shape[-1])
+        Z, logs, spread, spread_m = AffineInvariant.whiten_by_mean(side[0])
+        n = Z.shape[-1]
+        rows, cols, _ = _upper(n)
         whitened = (Z, (logs[:, rows, cols],))
         bound, _ = geometry(MetricKind.LEM).dist2_pairs(whitened, whitened, i, j)
-        spread = w[:, -1] / w[:, 0]
-        scale = BOUND_MARGIN * stack.shape[-1] ** 1.5 * np.finfo(float).eps
-        return bound, scale * (spread[i] * spread[j]
-                               + spread_g * (spread_z[i] * spread_z[j]))
+        # k_M k_a bounds the spread of X_a = M^{1/2} Z_a M^{1/2}
+        scale = BOUND_MARGIN * n**1.5 * np.finfo(float).eps
+        return bound, scale * spread_m * (spread_m + 1.0) * (spread[i] * spread[j])
 
     @staticmethod
     def block_dist2(left, right, i, j, keep=False):
-        """sum log(w)^2 over the spectrum w of each whitened pair P X P, P =
-        X_a^{-1/2}, once it clears the PD floor; a failing pair is named
-        (i[p], j[p]). A pair of equal matrices gets log w = 0."""
+        """sum log(w)^2 over the spectrum w of each whitened pair
+        M = P^T X P, P = L_a^{-T}, once it clears the PD floor; a failing
+        pair is named (i[p], j[p]). A pair of equal matrices gets log w = 0."""
         swap, equal = _sorts_before(right[0], j, left[0], i)
         if keep:
             # the gradient reads the pair whitened by its left sample
@@ -519,7 +543,7 @@ class AffineInvariant(Geometry):
         else:
             P, X = left[1][0][i], right[0][j]
             P[swap], X[swap] = right[1][0][j[swap]], left[0][i[swap]]
-        M = matfun.symmetrize(P @ X @ P)
+        M = matfun.symmetrize(P.swapaxes(-1, -2) @ X @ P)
         del P, X  # the eigensolve's working memory need not hold them too
         w, Q = matfun.sym_eig(M) if keep else (np.linalg.eigvalsh(M), None)
         matfun.require_pd(w, M, "whitened pair", (i, j))
@@ -531,18 +555,19 @@ class AffineInvariant(Geometry):
 
     @staticmethod
     def grad_factors(factors):
-        """(X^{-1/2}, X^{1/2}, X^{-1}) from the factors' eigenpairs."""
-        inv_sqrt, w, Q = factors
-        return inv_sqrt, matfun.eig_apply(Q, np.sqrt(w)), matfun.eig_apply(Q, 1.0 / w)
+        """(L, L^{-1}, L^{-T}) from the factors."""
+        inv_t, chol = factors
+        return chol, inv_t.swapaxes(-1, -2).copy(), inv_t
 
     @staticmethod
     def block_grad(factors, pair, i, j):
-        inv_sqrt, sqrt, _ = factors
-        return -(sqrt[i] @ pair @ inv_sqrt[i])
+        chol, inv, _ = factors
+        return -(chol[i] @ pair @ inv[i])
 
     @staticmethod
     def finish(factors, acc, i, j, weights):
-        return factors[2] @ acc
+        _, inv, inv_t = factors
+        return inv_t @ (inv @ acc)
 
 
 class Stein(Geometry):
@@ -713,8 +738,17 @@ def dist2(metric, X1, X2):
     return float(geom.dist2_pairs(left, right, first, first)[0][0])
 
 
+def _stack(samples):
+    """The (N, n, n) stack of a `LabeledDataset`, which checked it when it
+    was built, or else samples validated as an `_operand` stack."""
+    if isinstance(samples, LabeledDataset):
+        return samples.samples
+    return _operand(samples, "sample", 3)
+
+
 def pairwise_dist2(metric, samples):
-    """All pairwise squared distances within a stack of SPD matrices.
+    """All pairwise squared distances within a stack of SPD matrices, or
+    within a `LabeledDataset`'s stack, which is not checked again.
 
     Per-sample factors come from one stacked decomposition, and the
     N(N-1)/2 pairs i < j go through the batched kernel.
@@ -747,10 +781,11 @@ def indexed_dist2(metric, samples, i, j):
     The stack is factored once however many pairs share a sample. Each value
     is exactly the same with i and j exchanged, so a caller that needs both
     orders of a pair computes it once. i and j must be 1-D integer arrays
-    of equal length, each index in [0, N) for a stack of N samples.
+    of equal length, each index in [0, N) for a stack of N samples. A
+    `LabeledDataset` gives its stack, which is not checked again.
     """
     geom = geometry(metric)
-    samples = _operand(samples, "sample", 3)
+    samples = _stack(samples)
     i, j = _pair_indices(i, j, len(samples))
     side = (samples, geom.factors(samples, "sample"))
     return geom.dist2_pairs(side, side, i, j)[0]

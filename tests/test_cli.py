@@ -18,6 +18,7 @@ import spdalign
 import spdalign.cli as cli
 import spdalign.dataset
 import spdalign.graphs
+import spdalign.matfun
 import spdalign.metrics
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import NonSymmetricError
@@ -266,6 +267,17 @@ class TestTrainDistancePass:
                 str(tmp_path / "out"), "--target-dim", "2"]
         assert cli.main(args) == 2
         assert "coincide" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_loaded_stack_is_checked_once(self, corpus, tmp_path, monkeypatch,
+                                          metric):
+        # the dataset checks its stack when it is loaded; train's distance
+        # pass takes the dataset and does not check the stack again
+        calls = count_calls(monkeypatch, spdalign.matfun,
+                            ["check_finite", "check_symmetric"])
+        extra = ["--metric", metric.value]
+        assert cli.main(train_args(corpus, tmp_path, *extra)) == 0
+        assert calls == {"check_finite": 1, "check_symmetric": 1}
 
     def test_nonpositive_beta_computes_no_distance(
         self, corpus, tmp_path, capsys, pairwise_calls

@@ -372,6 +372,49 @@ class TestRepeatedSplitEval:
 
 
 class TestAimScreen:
+    def test_matches_exhaustive_over_many_seeds(self):
+        # 40 seeded sets of dim 12 -> 4, 4 classes of 20 samples at noise
+        # 0.3, 3 splits each: every split's accuracy on either manifold is
+        # knn_classify's on that split alone, and the screen rules pairs out
+        aim, splits = MetricKind.AIM, 3
+        mismatches, computed, union = [], np.zeros(2, dtype=int), 0
+        for seed in range(40):
+            data = synth_dataset(SynthConfig(dim=12, classes=4, per_class=20,
+                                             noise=0.3, seed=seed))
+            W = rand_full_rank(np.random.default_rng(seed), 12, 4)
+            summary = repeated_split_eval(data, aim, repeats=splits, seed=seed, W=W)
+            for r in range(splits):
+                parts = split(data, 0.5, seed + r)
+                for kind, accuracies, transform in (
+                    ("baseline", summary.baseline, None),
+                    ("transformed", summary.transformed, W),
+                ):
+                    if accuracies[r] != knn_classify(*parts, aim, W=transform).accuracy:
+                        mismatches.append((seed, r, kind))
+            computed += summary.distances_computed
+            union += summary.union_pairs
+        assert mismatches == []
+        assert np.all(computed < union)
+
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_one_sample_eigendecomposition_per_stack(self, with_w, monkeypatch):
+        # the screen's whitened frame is the only per-sample eigh of an AIM
+        # evaluation: one n x n eigh of the mean and one stacked eigh of the
+        # whitened samples per manifold; the pair passes take eigvalsh
+        data = ref_shaped_dataset(seed=0)
+        W = rand_full_rank(np.random.default_rng(0), 20, 5) if with_w else None
+        seen = []
+        original = np.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            seen.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        repeated_split_eval(data, MetricKind.AIM, repeats=10, seed=0, W=W)
+        dims = [data.dim] + ([W.shape[1]] if with_w else [])
+        assert seen == [shape for n in dims for shape in ((n, n), (data.size, n, n))]
+
     @pytest.mark.parametrize("name", list(SCREEN_SETS))
     @pytest.mark.parametrize("with_w", [False, True])
     def test_matches_exhaustive(self, name, with_w):

@@ -367,3 +367,56 @@ class TestCholInvBlocks:
         L, _ = factor_stack(m, max(1, BLOCK_ENTRIES // m**2), seed=m)
         assert np.array_equal(matfun.chol_inv(L), chol_inv_rows(L))
         assert np.array_equal(matfun.chol_inv(L[0]), chol_inv_rows(L[0]))
+
+
+class TestTriInv:
+    """`tri_inv` is the forward substitution `chol_inv` builds on, and the
+    affine-invariant kernel's whitening factor."""
+
+    @pytest.mark.parametrize("m", CHOL_INV_DIMS)
+    def test_inverts_the_factor(self, m):
+        L, _ = factor_stack(m, 50, seed=m)
+        inv = matfun.tri_inv(L)
+        assert np.array_equal(inv, np.tril(inv))
+        residual = np.abs(inv @ L - np.eye(m)).max()
+        assert residual <= 4 * m * STACK_COND * np.finfo(float).eps
+
+    @pytest.mark.parametrize("m", [1, 4, 12])
+    def test_stack_matches_single_calls_and_chol_inv_bitwise(self, m):
+        L, _ = factor_stack(m, max(1, BLOCK_ENTRIES // m**2), seed=m)
+        inv = matfun.tri_inv(L)
+        assert np.array_equal(inv, np.stack([matfun.tri_inv(f) for f in L]))
+        assert np.array_equal(matfun.chol_inv(L), inv.swapaxes(-1, -2) @ inv.copy())
+
+
+class TestCheckPd:
+    """The one stacked positive definiteness check: a Cholesky screen, and
+    `eigvalsh` with `require_pd` for a stack the screen cannot clear."""
+
+    def test_cleared_stack_takes_no_eigvalsh(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        stack = np.stack([rand_spd(rng, 4) for _ in range(10)])
+        calls = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(a) or original(a))
+        assert matfun.check_pd(stack, "sample") is stack
+        one = stack[3]
+        assert matfun.check_pd(one) is one
+        assert calls == []
+        assert np.array_equal(matfun.spd_chol(stack), np.linalg.cholesky(stack))
+
+    @pytest.mark.parametrize("low, passes", [(1e-13, False), (1e-11, True)])
+    def test_near_the_floor_decided_by_the_spectrum(self, low, passes):
+        # the floor is 1e-12 times the mean eigenvalue, here 1: a sample just
+        # above it passes, one just below it is named with its eigenvalue
+        stack = np.stack([np.eye(3), np.diag([1.5, 1.5 - low, low])])
+        if passes:
+            matfun.check_pd(stack, "sample")
+            return
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=r"^sample 1 has min eigenvalue 1\.000e-13 ") as exc:
+            matfun.check_pd(stack, "sample")
+        assert exc.value.index == 1
+        with pytest.raises(NotPositiveDefiniteError, match="^one has min eigenvalue"):
+            matfun.spd_chol(stack[1], "one")

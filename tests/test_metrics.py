@@ -339,8 +339,9 @@ class TestBatchDistances:
     @pytest.mark.parametrize("driver", ["pairwise", "indexed", "cross"])
     def test_distance_pass_builds_no_gradient_factor(self, metric, driver, monkeypatch):
         # a distance-only pass reads the distance factors alone: no sample
-        # inverse for Stein, no X^{1/2} or X^{-1} for AIM, whose whitened
-        # pairs take eigvalsh, so eigh runs once per factored stack
+        # inverse for Stein, no X^{-1} for AIM, whose factors are a Cholesky
+        # factor and its transposed inverse and whose whitened pairs take
+        # eigvalsh, so eigh runs only for LEM's logs, once per factored stack
         rng = np.random.default_rng(17)
         stack = np.stack([rand_spd(rng, 4) for _ in range(60)])  # 2 blocks
         linalg = count_calls(monkeypatch, np.linalg, ["eigh", "inv"])
@@ -353,7 +354,7 @@ class TestBatchDistances:
         else:
             cross_dist2(metric, stack[:30], stack[30:])
         stacks = 2 if driver == "cross" else 1
-        eighs = 0 if metric is MetricKind.STEIN else stacks
+        eighs = stacks if metric is MetricKind.LEM else 0
         assert linalg == {"eigh": eighs, "inv": 0}
         assert applied == {"eig_apply": stacks if metric is MetricKind.LEM else 0}
 
@@ -494,6 +495,53 @@ class TestArgumentOrder:
             dist2(MetricKind.AIM, rows[0], cols[0])
 
 
+class TestAffineInvariantOracle:
+    """Samples X_k = C diag(a_k) C^T of one random C have the exact
+    affine-invariant distance d_kl = sum log^2(a_l / a_k): X_k^{-1} X_l is
+    similar to diag(a_l / a_k). Each a_k spreads over kappa times e^{+-1},
+    and the pair ratios a_l / a_k over e^{+-2}, so the whitened pairs stay
+    well conditioned while the samples do not. Every route to the distance
+    must meet it to a relative tolerance fixed per kappa, about 450 eps
+    kappa."""
+
+    RTOL = {1e2: 1e-11, 1e4: 1e-9, 1e6: 1e-7}
+
+    @staticmethod
+    def instance(kappa, n=12, count=6, seed=7):
+        rng = np.random.default_rng(seed)
+        C = matfun.qr_orthonormal(rng.standard_normal((n, n)))
+        C *= rng.uniform(1.0, 2.0, n)
+        u = rng.uniform(-1.0, 1.0, (count, n))
+        a = kappa ** -np.linspace(0.0, 1.0, n) * np.exp(u)
+        stack = matfun.symmetrize((C * a[:, None, :]) @ C.T)
+        exact = np.sum((u[:, None, :] - u[None, :, :]) ** 2, axis=-1)
+        return stack, exact
+
+    @staticmethod
+    def routes(stack):
+        """Each entry point's (pairs (i, j), squared distances)."""
+        aim = MetricKind.AIM
+        count = len(stack)
+        i, j = np.triu_indices(count, k=1)
+        half = count // 2
+        rows, cols = np.divmod(np.arange(half * (count - half)), count - half)
+        geom, side = factored(aim, stack)
+        yield "dist2", (i, j), np.array(
+            [dist2(aim, stack[a], stack[b]) for a, b in zip(i, j)])
+        yield "pairwise_dist2", (i, j), pairwise_dist2(aim, stack)[i, j]
+        yield "indexed_dist2", (j, i), indexed_dist2(aim, stack, j, i)
+        yield "cross_dist2", (rows, cols + half), cross_dist2(
+            aim, stack[:half], stack[half:]).ravel()
+        yield "keep", (j, i), geom.dist2_pairs(side, side, j, i, keep=True)[0]
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6])
+    def test_every_route_meets_the_exact_distance(self, kappa):
+        stack, exact = self.instance(kappa)
+        for name, (i, j), d in self.routes(stack):
+            error = np.abs(d - exact[i, j]) / exact[i, j]
+            assert error.max() <= self.RTOL[kappa], name
+
+
 class TestLowerBound:
     @staticmethod
     def pairs(rng, n):
@@ -533,11 +581,10 @@ class TestLowerBound:
             geom, side = factored(MetricKind.AIM, scaled)
             bound, tau = geom.lower_bound(side, i, j)
             # the log-Euclidean kernel's own values on the stack whitened by
-            # its log-Euclidean mean G: Z_k = C X_k C with C = exp(-G/2)
-            Z = geom.whiten_by_log_mean(side)[0]
+            # its arithmetic mean M: Z_k = C X_k C with C = M^{-1/2}
+            Z = geom.whiten_by_mean(scaled)[0]
             assert np.array_equal(bound, indexed_dist2(MetricKind.LEM, Z, i, j))
-            G = np.mean([spd_log(X) for X in scaled], axis=0)
-            C = spd_exp(-0.5 * G)
+            C = spd_exp(-0.5 * spd_log(scaled.mean(axis=0)))
             assert np.allclose(Z, C @ scaled @ C, rtol=0.0,
                                atol=1e-9 * np.abs(Z).max())
             assert np.array_equal(tau, geom.lower_bound(side, j, i)[1])
@@ -545,23 +592,33 @@ class TestLowerBound:
             assert np.all(np.sqrt(bound) - tau <= np.sqrt(d))
 
     def test_unusable_whitened_sample_rules_out_nothing(self):
-        # factors of the identity whiten by C = I, so the stack is its own
-        # whitened frame: an indefinite and a NaN sample must give an
-        # infinite margin, not an error or a NaN floor
+        # samples never reach the bound indefinite or non-finite, so the
+        # stacks are built by hand. The mean of I, 2I and diag(1, -1) is
+        # diag(4/3, 2/3): the indefinite sample stays indefinite in the
+        # whitened frame and must get an infinite margin, not an error or a
+        # NaN floor. A NaN sample makes the mean unusable: C = I, and every
+        # margin is infinite.
         geom = geometry(MetricKind.AIM)
         eye = np.eye(2)
-        stack = np.stack([eye, 2.0 * eye, np.diag([1.0, -1.0]),
-                          np.full((2, 2), np.nan)])
-        side = (stack, (None, np.ones((4, 2)), np.broadcast_to(eye, (4, 2, 2))))
-        _, logs, spread, spread_g = geom.whiten_by_log_mean(side)
-        assert np.isfinite(logs).all() and spread_g == 1.0
-        assert np.array_equal(spread, [1.0, 1.0, np.inf, np.inf])
-        i, j = np.triu_indices(4, k=1)
-        bound, tau = geom.lower_bound(side, i, j)
+        stack = np.stack([eye, 2.0 * eye, np.diag([1.0, -1.0])])
+        _, logs, spread, spread_m = geom.whiten_by_mean(stack)
+        assert np.isfinite(logs).all() and spread_m == 2.0
+        assert np.isfinite(spread[:2]).all() and spread[2] == np.inf
+        i, j = np.triu_indices(3, k=1)
+        bound, tau = geom.lower_bound((stack, None), i, j)
         assert np.isfinite(bound).all()
         usable = (i < 2) & (j < 2)
         assert np.isfinite(tau[usable]).all() and np.isinf(tau[~usable]).all()
         assert np.all(np.sqrt(bound[~usable]) - tau[~usable] == -np.inf)
+
+        stack = np.concatenate([stack, np.full((1, 2, 2), np.nan)])
+        Z, logs, spread, spread_m = geom.whiten_by_mean(stack)
+        assert np.array_equal(Z[:3], stack[:3]) and spread_m == np.inf
+        assert np.isfinite(logs).all()
+        assert np.array_equal(spread, [1.0, 1.0, np.inf, np.inf])
+        i, j = np.triu_indices(4, k=1)
+        bound, tau = geom.lower_bound((stack, None), i, j)
+        assert np.isfinite(bound).all() and np.isinf(tau).all()
 
     def test_margin_covers_ill_conditioned_pairs(self):
         rng = np.random.default_rng(3)
@@ -627,8 +684,14 @@ class TestDistancePass:
         if metric is MetricKind.AIM:
             # whitened by the left sample, not the sorted-first one: the same
             # distance up to rounding, and the log of each left-whitened pair
-            inv_sqrt = side[1][0]
-            M = matfun.symmetrize(inv_sqrt[i] @ stack[j] @ inv_sqrt[i])
+            # M = L_i^{-1} X_j L_i^{-T}, with L_i^{-T} the factors' inverse
+            # of the transposed Cholesky factor L_i
+            inv_t, chol = side[1]
+            assert np.array_equal(chol, np.linalg.cholesky(stack))
+            assert np.allclose(chol.swapaxes(-1, -2) @ inv_t,
+                               np.eye(stack.shape[-1]), rtol=0.0, atol=1e-12)
+            P = inv_t[i]
+            M = matfun.symmetrize(P.swapaxes(-1, -2) @ stack[j] @ P)
             w, Q = matfun.sym_eig(M)
             assert np.array_equal(kept, matfun.eig_apply(Q, np.log(w)))
             assert np.allclose(d, distance_only, rtol=1e-10, atol=0.0)

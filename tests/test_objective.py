@@ -372,3 +372,26 @@ class TestMultiBlock:
         assert calls == {"eigh": 0, "cholesky": 0, "inv": 0}
         expected = 1 + blocks if metric is MetricKind.STEIN else 0
         assert chol_invs == {"chol_inv": expected}
+
+    def test_aim_decomposes_no_sample_stack(self, instance, monkeypatch):
+        # AIM factors each stack by Cholesky: no distance pass, objective
+        # evaluation or gradient hands eigh or eigvalsh a sample stack, only
+        # blocks of whitened pairs, none of which holds N pairs here
+        data, graphs, W = instance
+        aim, N = MetricKind.AIM, data.size
+        for count, dim in ((N * (N - 1) // 2, data.dim),
+                           (len(graphs.pairs), W.shape[1])):
+            assert N not in [len(range(count)[blk]) for blk in _blocks(count, dim)]
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recorded(a, *args, _original=original, **kwargs):
+                seen.append(np.shape(a)[:-2])
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        beta = default_beta(aim, data)
+        state = alignment_objective(data, graphs, W, aim, beta)
+        alignment_gradient(state)
+        assert seen and all(shape != (N,) for shape in seen)
