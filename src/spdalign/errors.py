@@ -56,8 +56,14 @@ class RankDeficientError(NumericalError):
 
 
 class SylvesterFailureError(NumericalError):
-    """The Sylvester solve behind the horizontal projection failed: the SVD
-    of W broke down or the eigenbasis solve gave non-finite values."""
+    """The Sylvester solve behind `optimizer.horizontal_project` failed: the
+    SVD of W broke down or the eigenbasis solve gave non-finite values.
+
+    The training loop does not project: it carries its vectors by the
+    identity, the parallel transport on the total space (see the `optimizer`
+    docstring), where the paper's algorithm uses a vector transport. So only
+    direct callers of `horizontal_project`, the tests and the benchmark's
+    tracer, can meet this error."""
 
 
 class DegenerateInputError(NumericalError):

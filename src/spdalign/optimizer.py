@@ -15,13 +15,23 @@ Bach, Absil & Sepulchre, SIAM J. Optim. 2010). The loop therefore ascends
 along alignment_gradient's output as is.
 
 The loop is conjugate gradient ascent with a Polak-Ribiere+ combination
-coefficient, projection-based vector transport (the previous gradient and
-direction are projected horizontal at the new point, together, from one SVD
-of W; the only use of the projection), an additive retraction W + tH guarded
-against rank loss, and Armijo backtracking. The horizontal projection solves
-its Sylvester equation in closed form from the SVD of W, so the module needs
-numpy only. All tie-breaking is deterministic, so a run is a pure function
-of its inputs.
+coefficient, an additive retraction W + tH guarded against rank loss, and
+Armijo backtracking. It carries the previous gradient and direction to the new
+point unchanged: on the total space R^{n x m}_* with the Euclidean metric the
+identity is the parallel transport and W + tH the exponential map, and the
+total-space gradient of a fibre-invariant J is the horizontal lift of its
+quotient gradient (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+Manifolds, 2008, sec. 3.6), so CG on the total space still ascends on the
+quotient. A projection-based transport would change nothing the loop uses: the
+new gradient is horizontal, so the PR+ coefficient and the Armijo slope
+<grad, d> are blind to a vertical component. The paper states its algorithm
+with a vector transport; taking the identity instead is a deliberate
+deviation, and it spares one SVD of W and a Sylvester solve per step, so the
+loop takes no SVD but `check_transform`'s. `horizontal_project` is kept for
+the tests, which build horizontal directions with it, and for the benchmark
+tracer; the loop does not call it. It solves its Sylvester equation in closed
+form from the SVD of W, so the module needs numpy only. All tie-breaking is
+deterministic, so a run is a pure function of its inputs.
 
 An `AlignmentState` holds the per-pair factors of its point, |E| m^2
 doubles, which `alignment_gradient` reads once. The loop therefore carries
@@ -96,7 +106,8 @@ def horizontal_project(W, H):
     the equation is diagonal in V, so Omega = V ((V^T rhs V) / (lam_i + lam_j))
     V^T. Taking V from W rather than from eigh(W^T W) avoids squaring the
     condition number of W. A stack shares the one SVD, and each of its
-    directions comes out as it would alone, bit for bit.
+    directions comes out as it would alone, bit for bit. `rcg_maximize`
+    does not call it (module docstring).
     """
     rhs = W.T @ H - H.swapaxes(-1, -2) @ W
     try:
@@ -180,14 +191,11 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
             direction = grad
             since_restart = 0
         else:
-            # both transported from one SVD of W
-            moved_grad, moved_direction = horizontal_project(
-                W, np.stack([prev_grad, direction])
-            )
-            eta_num = float(np.sum(grad * (grad - moved_grad)))
+            # the identity transport carries prev_grad and direction to W
+            eta_num = float(np.sum(grad * (grad - prev_grad)))
             eta_den = float(np.sum(prev_grad * prev_grad))
             eta = max(0.0, eta_num / eta_den) if eta_den > 0 else 0.0
-            direction = grad + eta * moved_direction
+            direction = grad + eta * direction
             if eta == 0.0:
                 since_restart = 0
 
@@ -207,8 +215,6 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
 
         t, W, state = accepted
         del accepted
-        # prev_grad and direction stay attached to the old point; they are
-        # transported exactly once, inside the next CG combination
         prev_grad, grad = grad, alignment_gradient(state)
         J_prev, J = J, state.J
         del state

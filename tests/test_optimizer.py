@@ -423,7 +423,7 @@ class TestRcgMaximize:
         assert all(problem is evaluated[0] for problem in evaluated)
 
     @pytest.mark.parametrize("metric", list(MetricKind))
-    def test_one_projection_and_svd_per_cg_step(self, metric, monkeypatch):
+    def test_no_transport_one_svd_per_check(self, metric, monkeypatch):
         data, graphs, beta, W0 = fitted_instance(0, metric=metric)
         calls = count_calls(
             monkeypatch, optimizer, ["check_transform", "horizontal_project"]
@@ -432,11 +432,11 @@ class TestRcgMaximize:
         res = rcg_maximize(data, graphs, metric, beta, W0, OptimizerConfig(
             max_iters=5, grad_tol=1e-300, rel_obj_tol=1e-300))
         assert res.stop_reason is StopReason.MAX_ITERS
-        # iterations 2 to 5 transport the previous gradient and direction
-        # in one call
-        assert calls["horizontal_project"] == res.iterations_used - 1
-        # one SVD per checked point (check_transform) and one per transport
-        assert svds == {"svd": calls["check_transform"] + calls["horizontal_project"]}
+        # iterations 2 to 5 combine the previous gradient and direction as
+        # they are: the identity is the transport on the total space
+        assert calls["horizontal_project"] == 0
+        # one SVD per checked point (check_transform) and no other
+        assert svds == {"svd": calls["check_transform"]}
 
     # at 100 times the default bandwidth the first trial steps overshoot, and
     # every metric's line search rejects some of them
