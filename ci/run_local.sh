@@ -2,9 +2,10 @@
 # Run every console-script and benchmark step of the CI workflow here, in the
 # workflow's order, without installing the package: a `spdalign` shim on PATH
 # runs the command line from src/. Prints PASS or FAIL per step and exits 1
-# if any step failed. The steps that set up the environment (Install, the
-# SciPy install and the no-SciPy check) and the tier-1 tests run only in the
-# workflow.
+# if any step failed, or if a ci/ script other than this one is called by no
+# workflow step, which it names. The steps that set up the environment
+# (Install, the SciPy install and the no-SciPy check) and the tier-1 tests
+# run only in the workflow.
 #
 #   ci/run_local.sh            from anywhere inside the repository
 set -u
@@ -28,6 +29,13 @@ failed=0
 steps=$(awk '/^ *- name: / { sub(/^ *- name: /, ""); name = $0 }
              /^ *run: bash -e -o pipefail ci\/.*\.sh$/ { print name "\t" $NF }' \
   .github/workflows/tests.yml)
+for script in ci/*.sh; do
+  [ "$script" = ci/run_local.sh ] && continue
+  if ! cut -f2 <<< "$steps" | grep -qxF "$script"; then
+    echo "FAIL $script is called by no workflow step"
+    failed=1
+  fi
+done
 while IFS=$'\t' read -r name script; do
   log="$scratch/logs/$(basename "$script" .sh).txt"
   start=$SECONDS

@@ -199,7 +199,7 @@ def _split_dist2(metric, stack, train, test, union):
     D = np.full((len(stack),) * 2, np.inf)
 
     def compute(i, j):
-        D[i, j] = D[j, i] = geom.dist2_pairs(side, side, i, j)[0]
+        D[i, j] = D[j, i] = geom.dist2_pairs(side, i, j)[0]
         return len(i)
 
     screen = geom.lower_bound(side, *union)

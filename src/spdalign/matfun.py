@@ -62,7 +62,7 @@ def check_finite(A, name="matrix"):
 
 
 def check_symmetric(A, name="matrix"):
-    """Raise NonSymmetricError unless A is square and symmetric to tolerance.
+    """Raise NonSymmetricError unless A is square, n >= 1, and symmetric.
 
     A is symmetric when max |A - A^T| <= SYM_RTOL * max |A|. A stack is
     checked matrix by matrix, each at its own scale max |A| with no floor,
@@ -71,8 +71,8 @@ def check_symmetric(A, name="matrix"):
     and no skew compares above SYM_RTOL times that.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise NonSymmetricError(f"{name} must be square, got shape {A.shape}")
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
+        raise NonSymmetricError(f"{name} must be square, n >= 1, got shape {A.shape}")
     scale = np.maximum(A.max((-2, -1)), -A.min((-2, -1)))
     # |A - A^T| in one stack-sized temporary
     with np.errstate(invalid="ignore"):  # inf - inf

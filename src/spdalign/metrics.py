@@ -19,20 +19,20 @@ rounding in the whitening product leaves no residue.
 Each geometry is one batched kernel (`Geometry`), and `dist2`,
 `pairwise_dist2`, `cross_dist2` and the alignment objective and gradient all
 go through it: `Geometry.dist2_pairs` is the one loop over blocks of
-distance pairs. Inputs are validated once where they enter; the positive
-definiteness checks inside the kernel run on whole stacks and blocks and
-name the first failing member.
+distance pairs, on one operand, a factored stack (stack, factors), with the
+pairs as two index arrays into it; `dist2` and `cross_dist2` factor each of
+their two operands under its own name, then stack both. Inputs are
+validated once where they enter; the PD checks inside the kernel run on
+whole stacks and blocks and name the first failing member.
 
 Every pass runs its blocks through `_threaded_map`. The affine-invariant
 kernel gives it one thread per CPU the process may use, up to one per
-block: each block is a stacked eigensolve, which releases the GIL. The
-calling thread takes a share of the blocks, and the threads started for
-the pass the rest; a pass on one thread, as every Stein and log-Euclidean
-pass is, starts none. Each block writes its distances, and any per-pair
-factors it keeps, into its own slice of arrays allocated before the pass,
-and the pass joins its threads before it returns, so no thread outlives
-it, and every value, and the error of the first failing block, is the
-serial loop's, whatever the CPU count.
+block: each block is a stacked eigensolve, which releases the GIL. Every
+Stein and log-Euclidean pass runs on the calling thread alone. Each block
+writes its distances, and any per-pair factors it keeps, into its own
+slice of arrays allocated before the pass, and the pass joins its threads
+before it returns, so every value, and the error of the first failing
+block, is the serial loop's, whatever the CPU count.
 
 Training needs the original-manifold distances twice, for the neighbor
 graphs and for the bandwidth; both take one `pairwise_dist2` matrix
@@ -43,7 +43,7 @@ Every distance-only pass is exactly invariant to argument order, for the
 affine-invariant distance too: it whitens each pair by whichever of its two
 matrices sorts first by entries. The alignment objective's pass
 (`dist2_pairs(..., keep=True)`) also keeps what the gradient reads of each
-pair's decomposition: the log of each pair whitened by its left sample for
+pair's decomposition: the log of each pair whitened by its i-end sample for
 the affine-invariant distance, the Cholesky factor of each midpoint for
 Stein. The log-Euclidean gradient reads only per-sample factors, so it keeps
 nothing.
@@ -174,9 +174,10 @@ def map_down(X, W):
     return matfun.symmetrize(W.T @ (X @ W))
 
 
-def _blocks(count, n):
-    """Slices covering range(count) in blocks of BLOCK_ENTRIES // n^2 pairs."""
-    step = max(1, BLOCK_ENTRIES // (n * n))
+def _blocks(count, entries):
+    """Slices covering range(count) in blocks of BLOCK_ENTRIES // entries
+    pairs, for `entries` matrix entries per pair."""
+    step = max(1, BLOCK_ENTRIES // entries)
     return [slice(s, s + step) for s in range(0, count, step)]
 
 
@@ -233,22 +234,22 @@ def _upper(n):
     return rows, cols, weights
 
 
-def _sorts_before(a, ia, b, ib):
-    """(before, equal): where matrix a[ia[p]] comes strictly before
-    b[ib[p]] in the lexicographic order of their entries, row by row, and
-    where the two are equal entry for entry.
+def _sorts_before(stack, ia, ib):
+    """(before, equal): where matrix stack[ia[p]] comes strictly before
+    stack[ib[p]] in the lexicographic order of their entries, row by row,
+    and where the two are equal entry for entry.
 
     The (0, 0) entries decide almost every pair; only the pairs that tie
     there are compared in full, up to their first differing entry, and a
     pair with none is equal.
     """
-    first_a, first_b = a[:, 0, 0][ia], b[:, 0, 0][ib]
+    first_a, first_b = stack[ia, 0, 0], stack[ib, 0, 0]
     before = first_a < first_b
     equal = np.zeros_like(before)
     tie = np.flatnonzero(first_a == first_b)
     if tie.size:
-        u = a[ia[tie]].reshape(tie.size, -1)
-        v = b[ib[tie]].reshape(tie.size, -1)
+        u = stack[ia[tie]].reshape(tie.size, -1)
+        v = stack[ib[tie]].reshape(tie.size, -1)
         differ = u != v
         k = np.argmax(differ, axis=1)
         rows = np.arange(tie.size)
@@ -281,15 +282,15 @@ class Geometry:
     holding what the pair distance reads plus the decomposition it came from
     and nothing else, so distance-only passes build no gradient factor.
     `block_dist2` gives (squared distances, kept factors) of one block of
-    pairs, given as two index arrays into a left and a right (stack,
-    factors) side. Without `keep` it keeps nothing and its distance is
-    exactly invariant to the order of a pair's two matrices. With `keep`,
-    the objective's pass, it also returns the per-pair factors the gradient
-    reads, so no support pair is decomposed twice (AIM each left-whitened
-    pair's log, Stein each midpoint's Cholesky factor; LEM keeps nothing
-    and returns None). `grad_factors` derives, once per gradient, the
-    per-sample matrices the pair gradient reads from `factors`; the pair
-    gradient hooks read these factors only.
+    pairs, given as index arrays i and j into one (stack, factors) side,
+    the pair kernel's only operand. Without `keep` it keeps nothing and its
+    distance is exactly invariant to the order of a pair's two matrices.
+    With `keep`, the objective's pass, it also returns the per-pair factors
+    the gradient reads, so no support pair is decomposed twice (AIM each
+    pair's log whitened by its i-end, Stein each midpoint's Cholesky
+    factor; LEM keeps nothing and returns None). `grad_factors` derives,
+    once per gradient, the per-sample matrices the pair gradient reads
+    from `factors`; the pair gradient hooks read these factors only.
     `block_grad` and `finish` are the pair gradient term: `block_grad`
     gives one term U per pair, as a new array, whose i-end takes T_i = U
     and whose j-end takes T_j = j_sign U, and `finish` is a map phi_s,
@@ -305,15 +306,15 @@ class Geometry:
     (Stein's). A term has the shape `term_shape`: m x m for AIM and Stein,
     the m(m+1)/2 upper-triangle entries for LEM. `dist2_pairs` and
     `grad_pairs` feed pairs through in blocks of BLOCK_ENTRIES matrix
-    entries, which bounds their working memory whatever the pair count.
-    The scatter positions `grad_pairs` reads are not bounded so: `scatter`
-    builds all of them at once, 2 |E| times the entries of one term, for
-    a caller that keeps them across gradients. A
-    `pooled` geometry's `dist2_pairs` computes the blocks of one pass on
-    several threads (`_threaded_map`), so its `block_dist2` only reads its
-    operands. A geometry whose `block_dist2` keeps a per-pair factor sets
-    `keeps_pairs`, and `dist2_pairs` allocates the pass's |E| x n x n stack
-    of them once.
+    entries (`term_shape` at the sample dim per distance pair, m x m per
+    gradient term), which bounds their working memory whatever the pair
+    count. The scatter positions `grad_pairs` reads are not bounded so:
+    `scatter` builds all of them at once, 2 |E| times the entries of one
+    term, for a caller that keeps them across gradients. A `pooled`
+    geometry's `dist2_pairs` computes the blocks of one pass on several
+    threads (`_threaded_map`), so its `block_dist2` only reads its side. A
+    geometry whose `block_dist2` keeps a per-pair factor sets `keeps_pairs`,
+    and `dist2_pairs` allocates the pass's |E| x n x n stack of them once.
     """
 
     grad_scale = 4.0
@@ -333,34 +334,34 @@ class Geometry:
     @staticmethod
     def lower_bound(side, i, j):
         """(squared lower bounds, rounding margins) of the pairs (i[p],
-        j[p]) within one side, or None for a geometry with no cheap bound."""
+        j[p]) of one side, or None for a geometry with no cheap bound."""
         return None
 
-    def dist2_pairs(self, left, right, i, j, keep=False):
-        """(squared distances, kept factors) between left sample i[p] and
-        right sample j[p]: the one loop over blocks of distance pairs.
+    def dist2_pairs(self, side, i, j, keep=False):
+        """(squared distances, kept factors) between samples i[p] and j[p]
+        of one (stack, factors) side: the one loop over blocks of distance
+        pairs, BLOCK_ENTRIES // e pairs to a block for e the entries of one
+        pair (`term_shape` at the sample dim).
 
         Both arrays are allocated before the pass, and each block writes its
         own slice of them, so a pass holds one copy of its results. The kept
         factors are the |E| x n x n stack of what `block_dist2` keeps of each
         pair with `keep` set; they are None for a distance-only pass and for
-        a geometry that keeps no per-pair factor (`keeps_pairs`). Every pass
-        goes through `_threaded_map`, each block written by the thread that
-        computed it: a `pooled` geometry's on one thread per CPU, up to one
-        per block, any other geometry's on the calling thread alone, which
-        starts none. The values and the first failing block's error are the
-        serial loop's, whatever the thread count. A pair that fails the PD
-        check is named by its position in the pass
-        (`NotPositiveDefiniteError.index`), not in its block.
+        a geometry that keeps no per-pair factor (`keeps_pairs`). The blocks
+        run through `_threaded_map` (module docstring): a `pooled`
+        geometry's on one thread per CPU, up to one per block, any other's
+        on the calling thread alone. A pair that fails the PD check is named
+        by its position in the pass (`NotPositiveDefiniteError.index`), not
+        in its block.
         """
-        n = left[0].shape[-1]
-        blocks = _blocks(len(i), n)
+        n = side[0].shape[-1]
+        blocks = _blocks(len(i), math.prod(self.term_shape(n)))
         out = np.empty(len(i))
         kept = np.empty((len(i), n, n)) if keep and self.keeps_pairs else None
 
         def block(blk):
             try:
-                out[blk], part = self.block_dist2(left, right, i[blk], j[blk], keep)
+                out[blk], part = self.block_dist2(side, i[blk], j[blk], keep)
             except NotPositiveDefiniteError as exc:
                 exc.index = None if exc.index is None else exc.index + blk.start
                 raise
@@ -398,7 +399,7 @@ class Geometry:
         at_i, at_j = (ends.astype(kind)[:, None] * kind.type(size) + entries
                       for ends in (i, j))
         return [(blk, at_i[blk].ravel(), at_j[blk].ravel())
-                for blk in _blocks(len(i), m)]
+                for blk in _blocks(len(i), m * m)]
 
     @staticmethod
     def finish(factors, acc, i, j, weights):
@@ -446,8 +447,8 @@ class AffineInvariant(Geometry):
     whitens each pair by whichever of its two matrices sorts first
     (`_sorts_before`) and takes eigenvalues only, so its value depends on
     the two matrices alone and is exactly invariant to argument order, as
-    Stein's and LEM's are. The objective's pass (`keep`) whitens by the left
-    sample, whose factors its gradient reads, and keeps the log of each
+    Stein's and LEM's are. The objective's pass (`keep`) whitens by the
+    i-end sample, whose factors its gradient reads, and keeps the log of each
     whitened pair from the same eigendecomposition. In every pass a pair of
     equal matrices gets a zero log spectrum, so its distance and kept log
     are exactly zero.
@@ -521,28 +522,22 @@ class AffineInvariant(Geometry):
         n = Z.shape[-1]
         rows, cols, _ = _upper(n)
         whitened = (Z, (logs[:, rows, cols],))
-        bound, _ = geometry(MetricKind.LEM).dist2_pairs(whitened, whitened, i, j)
+        bound, _ = geometry(MetricKind.LEM).dist2_pairs(whitened, i, j)
         # k_M k_a bounds the spread of X_a = M^{1/2} Z_a M^{1/2}
         scale = BOUND_MARGIN * n**1.5 * np.finfo(float).eps
         return bound, scale * spread_m * (spread_m + 1.0) * (spread[i] * spread[j])
 
     @staticmethod
-    def block_dist2(left, right, i, j, keep=False):
+    def block_dist2(side, i, j, keep=False):
         """sum log(w)^2 over the spectrum w of each whitened pair
         M = P^T X P, P = L_a^{-T}, once it clears the PD floor; a failing
         pair is named (i[p], j[p]). A pair of equal matrices gets log w = 0."""
-        swap, equal = _sorts_before(right[0], j, left[0], i)
-        if keep:
-            # the gradient reads the pair whitened by its left sample
-            P, X = left[1][0][i], right[0][j]
-        elif left is right:
-            # one stack: exchange the indices, which costs less than moving
-            # the gathered matrices
-            a, b = np.where(swap, j, i), np.where(swap, i, j)
-            P, X = left[1][0][a], left[0][b]
-        else:
-            P, X = left[1][0][i], right[0][j]
-            P[swap], X[swap] = right[1][0][j[swap]], left[0][i[swap]]
+        stack, (inv_t, _) = side
+        swap, equal = _sorts_before(stack, j, i)
+        # the gradient reads the pair whitened by its i-end; a distance-only
+        # pass whitens by the end that sorts first, exchanging the indices
+        a, b = (i, j) if keep else (np.where(swap, j, i), np.where(swap, i, j))
+        P, X = inv_t[a], stack[b]
         M = matfun.symmetrize(P.swapaxes(-1, -2) @ X @ P)
         del P, X  # the eigensolve's working memory need not hold them too
         w, Q = matfun.sym_eig(M) if keep else (np.linalg.eigvalsh(M), None)
@@ -595,16 +590,17 @@ class Stein(Geometry):
         return _chol_logdet(stack, name)
 
     @staticmethod
-    def block_dist2(left, right, i, j, keep=False):
+    def block_dist2(side, i, j, keep=False):
         """Distances, plus each midpoint's Cholesky factor when kept."""
-        # summed in place into the gathered left ends: bit-identical to
+        stack, (logdets, _) = side
+        # summed in place into the gathered i-ends: bit-identical to
         # 0.5 * (a + b), with one temporary fewer per block
-        mid = left[0][i]
-        mid += right[0][j]
+        mid = stack[i]
+        mid += stack[j]
         mid *= 0.5
         logdet, chol = _chol_logdet(mid, "midpoint", (i, j))
         # symmetric form: the value is exactly invariant to argument order
-        d = np.maximum(logdet - 0.5 * (left[1][0][i] + right[1][0][j]), 0.0)
+        d = np.maximum(logdet - 0.5 * (logdets[i] + logdets[j]), 0.0)
         return d, chol if keep else None
 
     @staticmethod
@@ -650,14 +646,15 @@ class LogEuclidean(Geometry):
         return matfun.eig_apply(Q, np.log(w))[..., rows, cols], w, Q
 
     @staticmethod
-    def block_dist2(left, right, i, j, keep=False):
-        D = left[1][0][i]
-        D -= right[1][0][j]
+    def block_dist2(side, i, j, keep=False):
+        stack, (upper, *_) = side
+        D = upper[i]
+        D -= upper[j]
         D *= D
         # one product per pair: a matrix-vector product over the block sums
         # some rows by another kernel, which would tie a pair's value to its
         # slot in the block
-        weights = _upper(left[0].shape[-1])[2]
+        weights = _upper(stack.shape[-1])[2]
         return np.matmul(D[:, None], weights[:, None])[:, 0, 0], None
 
     @staticmethod
@@ -726,16 +723,16 @@ def _pair_indices(i, j, N):
 
 
 def dist2(metric, X1, X2):
-    """Squared distance between two SPD matrices under the chosen geometry."""
+    """Squared distance between two SPD matrices under the chosen geometry:
+    the pair (0, 1) of the two, stacked after each is factored."""
     geom = geometry(metric)
     X1 = _operand(X1, "first operand", 2)
     X2 = _operand(X2, "second operand", 2)
     if X1.shape != X2.shape:
         raise DimMismatchError(f"operand dims differ: {X1.shape} vs {X2.shape}")
-    left = (X1[None], tuple(f[None] for f in geom.factors(X1, "first operand")))
-    right = (X2[None], tuple(f[None] for f in geom.factors(X2, "second operand")))
-    first = np.zeros(1, dtype=int)
-    return float(geom.dist2_pairs(left, right, first, first)[0][0])
+    factors = zip(geom.factors(X1, "first operand"), geom.factors(X2, "second operand"))
+    side = (np.stack((X1, X2)), tuple(map(np.stack, factors)))
+    return float(geom.dist2_pairs(side, np.array([0]), np.array([1]))[0][0])
 
 
 def _stack(samples):
@@ -761,18 +758,20 @@ def pairwise_dist2(metric, samples):
 
 
 def cross_dist2(metric, rows, cols):
-    """Squared distances between every row-stack and column-stack sample."""
+    """Squared distances between every row-stack and column-stack sample:
+    the pairs (r, R + c) of the R rows stacked above the columns, after
+    each stack is factored, so a failing pair is named [r R+c]."""
     geom = geometry(metric)
     rows, cols = _operand(rows, "row sample", 3), _operand(cols, "col sample", 3)
     if rows.shape[1:] != cols.shape[1:]:
         raise DimMismatchError(
             f"sample dims differ: {rows.shape[1:]} vs {cols.shape[1:]}"
         )
-    left = (rows, geom.factors(rows, "row sample"))
-    right = (cols, geom.factors(cols, "col sample"))
+    factors = zip(geom.factors(rows, "row sample"), geom.factors(cols, "col sample"))
+    side = (np.concatenate((rows, cols)), tuple(map(np.concatenate, factors)))
     R, C = rows.shape[0], cols.shape[0]
     i, j = np.divmod(np.arange(R * C), C)
-    return geom.dist2_pairs(left, right, i, j)[0].reshape(R, C)
+    return geom.dist2_pairs(side, i, R + j)[0].reshape(R, C)
 
 
 def indexed_dist2(metric, samples, i, j):
@@ -788,7 +787,7 @@ def indexed_dist2(metric, samples, i, j):
     samples = _stack(samples)
     i, j = _pair_indices(i, j, len(samples))
     side = (samples, geom.factors(samples, "sample"))
-    return geom.dist2_pairs(side, side, i, j)[0]
+    return geom.dist2_pairs(side, i, j)[0]
 
 
 def bandwidth(D):

@@ -159,8 +159,7 @@ class AlignmentProblem:
         the factored point and the per-pair factors the gradient reads."""
         B, mapped, factors = build_grad_context(self.samples, W, self.geom)
         i, j = self.pairs.T
-        side = (mapped, factors)
-        d, pair_factors = self.geom.dist2_pairs(side, side, i, j, keep=True)
+        d, pair_factors = self.geom.dist2_pairs((mapped, factors), i, j, keep=True)
         # a huge beta sends -beta d to -inf, whose similarity is exactly 0
         with np.errstate(over="ignore"):
             K = np.exp(-self.beta * d)

@@ -217,7 +217,7 @@ def kernel_entry_gradient(metric, i, j, W, data, beta, k_ij):
     B, mapped, factors = build_grad_context(data.samples[ends], W, geom)
     first, second = np.array([0]), np.array([1])
     side = (mapped, factors)
-    _, pair_factors = geom.dist2_pairs(side, side, first, second, keep=True)
+    _, pair_factors = geom.dist2_pairs(side, first, second, keep=True)
     return geom.grad_pairs(
         B,
         factors,
@@ -273,7 +273,7 @@ def grad_pairs_3d(geom, B, factors, pair_factors, i, j, weights):
     shape = geom.term_shape(m)
     acc = np.zeros((N,) + shape)
     add_j = np.add if geom.j_sign > 0 else np.subtract
-    for blk in _blocks(len(i), m):
+    for blk in _blocks(len(i), m ** 2):
         pair = None if pair_factors is None else pair_factors[blk]
         terms = geom.block_grad(factors, pair, i[blk], j[blk])
         weighted = weights[blk].reshape((-1,) + (1,) * len(shape)) * terms

@@ -65,10 +65,9 @@ def record_pairs(monkeypatch, metric):
     original = geom.dist2_pairs
     calls = {}
 
-    def recording(left, right, i, j, keep=False):
-        assert left is right  # one stack, factored once
-        calls.setdefault(left[0].shape[-1], []).append((i, j))
-        return original(left, right, i, j, keep)
+    def recording(side, i, j, keep=False):
+        calls.setdefault(side[0].shape[-1], []).append((i, j))
+        return original(side, i, j, keep)
 
     monkeypatch.setattr(geom, "dist2_pairs", recording)
     return calls

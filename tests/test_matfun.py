@@ -22,7 +22,10 @@ from spdalign.errors import (
     NotPositiveDefiniteError,
     ValidationError,
 )
-from spdalign.metrics import BLOCK_ENTRIES
+from spdalign.dataset import LabeledDataset
+from spdalign.metrics import (
+    BLOCK_ENTRIES, cross_dist2, dist2, indexed_dist2, map_down, pairwise_dist2,
+)
 
 
 def dlog_central_difference(X, H, h=1e-5):
@@ -165,6 +168,28 @@ class TestFailedCheckIndex:
                 assert matfun.check_symmetric(X) is X
         # the NaN and inf matrices pass as a stack too, again without a warning
         assert matfun.check_symmetric(stack[5:8]) is not None
+
+
+class TestZeroDimension:
+    """A matrix of dim 0 is rejected by the square-shape guard of
+    `check_symmetric`, with the package's error, at every entry point; a
+    reduction over its empty entries would otherwise raise numpy's own."""
+
+    STACK, MATRIX = np.zeros((3, 0, 0)), np.zeros((0, 0))
+    ENTRY_POINTS = {
+        "LabeledDataset": lambda S, X: LabeledDataset(S, [0, 0, 1]),
+        "dist2": lambda S, X: dist2("aim", X, X),
+        "cross_dist2": lambda S, X: cross_dist2("stein", S, S),
+        "pairwise_dist2": lambda S, X: pairwise_dist2("lem", S),
+        "indexed_dist2": lambda S, X: indexed_dist2("aim", S, [0], [1]),
+        "map_down": lambda S, X: map_down(X, X),
+        "dlog": lambda S, X: matfun.dlog(X, X),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=str)
+    def test_rejected_as_not_square(self, entry):
+        with pytest.raises(NonSymmetricError, match="must be square, n >= 1"):
+            self.ENTRY_POINTS[entry](self.STACK, self.MATRIX)
 
 
 class TestLogDerivative:

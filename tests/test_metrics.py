@@ -489,7 +489,7 @@ class TestArgumentOrder:
         with pytest.raises(NotPositiveDefiniteError, match=rf"whitened pair \[{i} {j}\]"):
             indexed_dist2(MetricKind.AIM, self.unfloored_pair(), [i], [j])
         rows, cols = self.unfloored_pair()[[i]], self.unfloored_pair()[[j]]
-        with pytest.raises(NotPositiveDefiniteError, match=r"whitened pair \[0 0\]"):
+        with pytest.raises(NotPositiveDefiniteError, match=r"whitened pair \[0 1\]"):
             cross_dist2(MetricKind.AIM, rows, cols)
         with pytest.raises(NotPositiveDefiniteError, match="whitened pair"):
             dist2(MetricKind.AIM, rows[0], cols[0])
@@ -532,7 +532,7 @@ class TestAffineInvariantOracle:
         yield "indexed_dist2", (j, i), indexed_dist2(aim, stack, j, i)
         yield "cross_dist2", (rows, cols + half), cross_dist2(
             aim, stack[:half], stack[half:]).ravel()
-        yield "keep", (j, i), geom.dist2_pairs(side, side, j, i, keep=True)[0]
+        yield "keep", (j, i), geom.dist2_pairs(side, j, i, keep=True)[0]
 
     @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6])
     def test_every_route_meets_the_exact_distance(self, kappa):
@@ -588,7 +588,7 @@ class TestLowerBound:
             assert np.allclose(Z, C @ scaled @ C, rtol=0.0,
                                atol=1e-9 * np.abs(Z).max())
             assert np.array_equal(tau, geom.lower_bound(side, j, i)[1])
-            d, _ = geom.dist2_pairs(side, side, i, j)
+            d, _ = geom.dist2_pairs(side, i, j)
             assert np.all(np.sqrt(bound) - tau <= np.sqrt(d))
 
     def test_unusable_whitened_sample_rules_out_nothing(self):
@@ -661,10 +661,10 @@ class TestSteinFactors:
         stack[7] = np.diag([-5.0, 1.0])
         i = np.concatenate([np.zeros(5000, dtype=int), [3, 7]])
         j = np.concatenate([np.ones(5000, dtype=int), [7, 9]])
-        assert len(list(_blocks(5000, 2))) > 1
+        assert len(list(_blocks(5000, 2 ** 2))) > 1
         side = (stack, (np.zeros(10), None))
         with pytest.raises(NotPositiveDefiniteError, match=r"midpoint \[3 7\]"):
-            geometry(MetricKind.STEIN).dist2_pairs(side, side, i, j, keep=True)
+            geometry(MetricKind.STEIN).dist2_pairs(side, i, j, keep=True)
 
 
 class TestDistancePass:
@@ -676,9 +676,9 @@ class TestDistancePass:
         stack = TestSteinFactors.stack()
         geom, side = factored(metric, stack)
         i, j = np.triu_indices(len(stack), k=1)
-        assert len(list(_blocks(len(i), stack.shape[-1]))) > 1
-        d, kept = geom.dist2_pairs(side, side, i, j, keep=True)
-        distance_only, none = geom.dist2_pairs(side, side, i, j)
+        assert len(list(_blocks(len(i), stack.shape[-1] ** 2))) > 1
+        d, kept = geom.dist2_pairs(side, i, j, keep=True)
+        distance_only, none = geom.dist2_pairs(side, i, j)
         assert none is None
         assert np.array_equal(distance_only, indexed_dist2(metric, stack, i, j))
         if metric is MetricKind.AIM:
@@ -708,6 +708,21 @@ class TestDistancePass:
         scale = np.abs(mid).max(axis=(-2, -1))
         assert (np.abs(rebuilt - mid).max(axis=(-2, -1)) <= 1e-14 * scale).all()
 
+    def test_blocks_sized_by_what_a_pair_holds(self, monkeypatch):
+        # a log-Euclidean pair holds a triangle, 78 entries at n = 12, so
+        # 1,000 pairs run in blocks of 210: 5 blocks, where n^2 = 144
+        # entries per pair would give 9 blocks of 113
+        rng = np.random.default_rng(12)
+        stack = np.stack([rand_spd(rng, 12) for _ in range(40)])
+        i = rng.integers(40, size=1000)
+        j = (i + rng.integers(1, 40, size=i.size)) % 40
+        lem = MetricKind.LEM
+        calls = count_calls(monkeypatch, geometry(lem), ["block_dist2"])
+        d = indexed_dist2(lem, stack, i, j)
+        assert calls == {"block_dist2": 5}
+        # each pair's value is that of a pass of its own
+        assert np.array_equal(d, [dist2(lem, stack[a], stack[b]) for a, b in zip(i, j)])
+
 
 class TestPooledPass:
     """AIM computes the blocks of a pass of more than one block on one
@@ -721,7 +736,7 @@ class TestPooledPass:
         whose every pass spans several blocks."""
         i, j = np.triu_indices(len(stack), k=1)
         geom, side = factored(metric, stack)
-        d, kept = geom.dist2_pairs(side, side, i, j, keep=True)
+        d, kept = geom.dist2_pairs(side, i, j, keep=True)
         return [pairwise_dist2(metric, stack),
                 cross_dist2(metric, stack[:25], stack[25:]),
                 indexed_dist2(metric, stack, j, i), d, kept]
@@ -732,7 +747,7 @@ class TestPooledPass:
 
     def test_one_worker_is_bit_identical(self, monkeypatch):
         stack = ref_shaped_dataset(seed=31).samples
-        assert len(_blocks(25 * 25, stack.shape[-1])) >= 3  # the smallest pass
+        assert len(_blocks(25 * 25, stack.shape[-1] ** 2)) >= 3  # the smallest pass
         starts = count_calls(monkeypatch, threading.Thread, ["start"])
         self.workers(monkeypatch, 2)
         pooled = self.passes(MetricKind.AIM, stack)
@@ -775,7 +790,7 @@ class TestPooledPass:
         j = (i + rng.integers(1, 20, size=i.size)) % 20
         i[(first - 1) * step + 7], j[(first - 1) * step + 7] = 20, 21
         i[(second - 1) * step + 3], j[(second - 1) * step + 3] = 23, 22
-        assert len(_blocks(i.size, 2)) == 5
+        assert len(_blocks(i.size, 2 ** 2)) == 5
         self.workers(monkeypatch, 1)
         with pytest.raises(NotPositiveDefiniteError) as serial:
             indexed_dist2(MetricKind.AIM, stack, i, j)
@@ -797,7 +812,7 @@ class TestPooledPass:
 
     def test_one_block_stays_serial(self, monkeypatch):
         stack = ref_shaped_dataset(seed=31).samples[:9]
-        assert len(_blocks(36, stack.shape[-1])) == 1
+        assert len(_blocks(36, stack.shape[-1] ** 2)) == 1
         starts = count_calls(monkeypatch, threading.Thread, ["start"])
         self.workers(monkeypatch, 2)
         pairwise_dist2(MetricKind.AIM, stack)
@@ -864,7 +879,7 @@ class TestPassMemory:
         block_bytes = (BLOCK_ENTRIES // (n * n)) * n * n * 8
         tracemalloc.start()
         try:
-            d, kept = geom.dist2_pairs(side, side, i, j, keep=True)
+            d, kept = geom.dist2_pairs(side, i, j, keep=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -883,7 +898,7 @@ class TestPassMemory:
         stack = ref_shaped_dataset(seed=31).samples[:4]
         geom, side = factored(metric, stack)
         none = np.zeros(0, dtype=int)
-        d, kept = geom.dist2_pairs(side, side, none, none, keep=keep)
+        d, kept = geom.dist2_pairs(side, none, none, keep=keep)
         assert d.shape == (0,)
         if keep and geom.keeps_pairs:
             assert kept.shape == (0,) + stack.shape[1:]
@@ -928,7 +943,7 @@ class TestFailingPairIndex:
         i, j = self.pairs(rng, 7, (3, 7))
         side = (stack, (np.zeros(10), None))
         with pytest.raises(NotPositiveDefiniteError, match=r"^midpoint \[3 7\]") as err:
-            geometry(MetricKind.STEIN).dist2_pairs(side, side, i, j, keep=True)
+            geometry(MetricKind.STEIN).dist2_pairs(side, i, j, keep=True)
         assert err.value.index == self.AT
 
 
@@ -1070,7 +1085,7 @@ class TestLogEuclideanTriangle:
             # the objective's pass: the distance, and the kept log of each
             # whitened pair (AIM) or each midpoint's Cholesky factor (Stein)
             geom, side = factored(metric, twice)
-            d, kept = geom.dist2_pairs(side, side, k, copy, keep=True)
+            d, kept = geom.dist2_pairs(side, k, copy, keep=True)
             assert np.all(d == 0.0), metric
             if metric is MetricKind.AIM:
                 assert np.all(kept == 0.0)

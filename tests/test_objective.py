@@ -367,7 +367,7 @@ class TestMultiBlock:
         calls = count_calls(monkeypatch, np.linalg, ["eigh", "cholesky", "inv"])
         chol_invs = count_calls(monkeypatch, matfun, ["chol_inv"])
         alignment_gradient(state)
-        blocks = len(list(_blocks(len(graphs.pairs), W.shape[1])))
+        blocks = len(list(_blocks(len(graphs.pairs), W.shape[1] ** 2)))
         assert blocks > 1
         assert calls == {"eigh": 0, "cholesky": 0, "inv": 0}
         expected = 1 + blocks if metric is MetricKind.STEIN else 0
@@ -381,7 +381,7 @@ class TestMultiBlock:
         aim, N = MetricKind.AIM, data.size
         for count, dim in ((N * (N - 1) // 2, data.dim),
                            (len(graphs.pairs), W.shape[1])):
-            assert N not in [len(range(count)[blk]) for blk in _blocks(count, dim)]
+            assert N not in [len(range(count)[blk]) for blk in _blocks(count, dim ** 2)]
         seen = []
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)

@@ -15,6 +15,13 @@ positions or tie-breaking anywhere on the path would break one.
 Rotation and permutation compare the quotient point, the projection
 W (W^T W)^{-1} W^T onto span W, and the final J, each to 1e-12 absolute,
 a tolerance fixed before the first run.
+
+One relation of the distances themselves, which a run on inverted samples
+relies on: all three are invariant under X -> X^{-1}, so inverting every
+sample leaves the graphs, the bandwidth and the baseline accuracy as they
+are. Checked through `dist2`, `cross_dist2` and `pairwise_dist2` to
+|d(X^{-1}, Y^{-1}) - d(X, Y)| <= 1e-10 max(1, d), also fixed before the
+first run.
 """
 
 import numpy as np
@@ -25,10 +32,13 @@ from spdalign.dataset import LabeledDataset
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.graphs import neighbor_graphs
 from spdalign.matfun import symmetrize
-from spdalign.metrics import MetricKind, bandwidth, pairwise_dist2
+from spdalign.metrics import (
+    MetricKind, bandwidth, cross_dist2, dist2, pairwise_dist2,
+)
 from spdalign.optimizer import OptimizerConfig, initial_transform, rcg_maximize
 
 TOL = 1e-12
+INVERSION_RTOL = 1e-10
 TARGET_DIM = 4
 RELABEL = np.array([2, 0, 3, 1])
 
@@ -84,3 +94,21 @@ def test_relabelling_is_bit_identical(metric, data, W0, base_runs):
     base, res = base_runs[metric], train(renamed, metric, W0)
     assert np.array_equal(res.W_final, base.W_final)
     assert np.array_equal(res.J_trace, base.J_trace)
+
+
+@pytest.mark.parametrize("dim", [12, 20])
+@pytest.mark.parametrize("metric", list(MetricKind))
+def test_distances_invariant_under_inversion(metric, dim):
+    stack = synth_dataset(
+        SynthConfig(dim=dim, classes=4, per_class=6, noise=0.5, seed=dim)
+    ).samples
+    inverted = symmetrize(np.linalg.inv(stack))
+    half = len(stack) // 2
+
+    def routes(S):
+        return (pairwise_dist2(metric, S),
+                cross_dist2(metric, S[:half], S[half:]),
+                np.array([dist2(metric, a, b) for a, b in zip(S[:half], S[half:])]))
+
+    for d, d_inv in zip(routes(stack), routes(inverted)):
+        assert (np.abs(d_inv - d) <= INVERSION_RTOL * np.maximum(1.0, d)).all()
