@@ -10,6 +10,17 @@ expect() {
   fi
 }
 expect 1 spdalign eval --manifest "$work/data/manifest.txt" --transform "$work/rank-deficient.txt"
+# a transform of the wrong dimension is named by its file
+python -c "import sys, numpy as np; from spdalign.fileio import save_transform; save_transform(sys.argv[1], np.eye(5, 2))" "$work/W5.txt"
+expect 1 spdalign eval --manifest "$work/data/manifest.txt" --transform "$work/W5.txt" \
+  2> "$work/err.txt"
+grep -F "$work/W5.txt: transform has 5 rows, samples have dim 6" "$work/err.txt"
+# an infinite tolerance from a JSON config is rejected before the output
+# directory is made
+printf '{"grad_tol": Infinity}\n' > "$work/inf-tol.json"
+expect 1 spdalign train --manifest "$work/data/manifest.txt" --target-dim 2 \
+  --output-dir "$work/inf-tol" --config "$work/inf-tol.json"
+test ! -e "$work/inf-tol"
 expect 1 spdalign train --manifest "$work/data/manifest.txt" --target-dim 2 \
   --output-dir "$work/out" --seed -1
 expect 1 spdalign train --manifest "$work/data/manifest.txt" --target-dim 2 \

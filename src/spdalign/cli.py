@@ -233,12 +233,18 @@ def cmd_eval(args):
     check_split_settings(args.train_fraction, args.splits)
     W = None
     if args.transform:
+        W = load_transform(args.transform)
         try:
-            W = metrics.check_transform(load_transform(args.transform))
-        except RankDeficientError as exc:
-            # a bad file is invalid input, like every other malformed transform
+            W = metrics.check_transform(W)
+        except (ValidationError, RankDeficientError) as exc:
+            # a bad file is invalid input, named like every fault of its text
             raise ValidationError(f"{args.transform}: {exc}") from exc
     data, _, _ = load_dataset(args.manifest)
+    if W is not None and len(W) != data.dim:
+        raise ValidationError(
+            f"{args.transform}: transform has {len(W)} rows, "
+            f"samples have dim {data.dim}"
+        )
     summary = repeated_split_eval(
         data,
         metric,

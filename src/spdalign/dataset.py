@@ -3,7 +3,9 @@
 `LabeledDataset` holds same-dimension symmetric positive definite samples
 with integer class indices 0..c-1. Every sample is checked on construction
 for finite entries, symmetry and positive definiteness; the neighbor graphs,
-the objective and evaluation then take the stack as valid.
+the objective and evaluation then take the stack as valid. This is the one
+PD floor decision (`matfun.check_pd`) a loaded stack gets: the distance
+passes take its factors as they come.
 """
 
 from dataclasses import dataclass

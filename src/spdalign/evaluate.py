@@ -13,7 +13,10 @@ it. Under Stein and the log-Euclidean distance it computes every such pair
 in one pass. The union of the pairs is one broadcast assignment, which
 builds no (S, b, a) index array; the screen below and the 1-NN votes run
 as stacked passes over groups of splits, each group's (g, b, a) gather
-within BLOCK_ENTRIES entries, so memory does not grow with S.
+within BLOCK_ENTRIES entries, so memory does not grow with S. The stack is
+taken as the dataset checked it: only `map_down` checks it again, finite
+and symmetric, on the way through W, and neither manifold's stack is
+screened against the PD floor again (`metrics` docstring).
 
 Under the affine-invariant distance it computes only the pairs its
 log-Euclidean lower bound cannot rule out (`AffineInvariant.lower_bound`,
@@ -192,8 +195,10 @@ def _split_dist2(metric, stack, train, test, union):
     read, inf where none was computed, and how many unordered pairs were
     computed exactly. train and test are the (S, a) and (S, b) index
     arrays of `_draw_splits`; union holds the pairs (i, j), i < j, they
-    need. The stack is a dataset's, or `map_down`'s output, so its
-    factors are taken unchecked."""
+    need. The stack is a dataset's, screened when the dataset was built,
+    or `map_down`'s output, which is not screened against the PD floor;
+    `Geometry.factors` only decomposes, so its factors are taken
+    unchecked."""
     geom = geometry(metric)
     side = (stack, geom.factors(stack, "sample"))
     D = np.full((len(stack),) * 2, np.inf)

@@ -15,8 +15,11 @@ validate with (check_finite, check_symmetric, symmetrize, pd_floor,
 require_pd, check_pd, sym_eig, spd_eig, eig_apply) take one matrix (n, n)
 or a stack (..., n, n) and treat each matrix on its own; a failed check on
 a stack names the first failing matrix. `check_pd` is the one stacked
-positive definiteness check: a Cholesky screen, with `eigvalsh` and
-`require_pd` only for a stack the screen cannot clear. `qr_orthonormal`
+positive definiteness check, called where samples enter the package: a
+Cholesky screen, with `eigvalsh` and `require_pd` only for a stack the
+screen cannot clear. `spd_chol` only decomposes: it guards its Cholesky
+factorization against breakdown alone, and names the failing member by
+the same `eigvalsh` and `require_pd` fallback. `qr_orthonormal`
 gives the sign-fixed orthonormal factor of a QR factorization, for seeded
 random frames.
 
@@ -166,6 +169,9 @@ def check_pd(X, name="matrix"):
     when tr X > 0, so delta is then positive. Only X the screen cannot clear
     takes `eigvalsh`, and `require_pd` decides it and names its first
     failing matrix; the screen never contradicts that check.
+
+    It runs once per sample stack, where the stack enters the package:
+    `LabeledDataset` and the raw-array distance entry points of `metrics`.
     """
     n = X.shape[-1]
     trace = X.trace(axis1=-2, axis2=-1)
@@ -180,17 +186,25 @@ def check_pd(X, name="matrix"):
     return X
 
 
-def spd_chol(X, name="matrix"):
-    """Lower Cholesky factor L, X = L L^T, of a matrix or stack that
-    `check_pd` passes."""
-    check_pd(X, name)
+def spd_chol(X, name="matrix", ids=None):
+    """Lower Cholesky factor L, X = L L^T, of a positive definite matrix or
+    stack: the one guard of a Cholesky breakdown.
+
+    It decides no PD floor of its own; `check_pd` does that where samples
+    enter. A factorization that breaks down, or gives a diagonal that is not
+    finite (an infinite input entry), is decided by the spectrum:
+    `require_pd` names the first failing member, by position or through ids
+    (`_first`), and a stack whose spectrum clears the floor still has no
+    factor to give.
+    """
     try:
-        return np.linalg.cholesky(X)
-    except np.linalg.LinAlgError as exc:
-        # a matrix just above its floor can still break the factorization
-        raise NotPositiveDefiniteError(
-            f"{name} has no Cholesky factor: {exc}"
-        ) from exc
+        chol = np.linalg.cholesky(X)
+        if np.isfinite(np.diagonal(chol, axis1=-2, axis2=-1)).all():
+            return chol
+    except np.linalg.LinAlgError:
+        pass
+    require_pd(np.linalg.eigvalsh(X), X, name, ids)
+    raise NotPositiveDefiniteError(f"{name} has no finite Cholesky factor")
 
 
 def sym_eig(A):

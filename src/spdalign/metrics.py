@@ -21,9 +21,19 @@ Each geometry is one batched kernel (`Geometry`), and `dist2`,
 go through it: `Geometry.dist2_pairs` is the one loop over blocks of
 distance pairs, on one operand, a factored stack (stack, factors), with the
 pairs as two index arrays into it; `dist2` and `cross_dist2` factor each of
-their two operands under its own name, then stack both. Inputs are
-validated once where they enter; the PD checks inside the kernel run on
-whole stacks and blocks and name the first failing member.
+their two operands under its own name, then stack both.
+
+Inputs are validated once where they enter: finite, symmetric, and clear
+of the PD floor (`matfun.check_pd`), in a `LabeledDataset` or in the
+raw-array entry points `dist2`, `cross_dist2` and `indexed_dist2` (so
+`pairwise_dist2` too), each operand after every shape, dimension and
+index check and right before it is factored. `Geometry.factors` only
+decomposes, so a stack computed inside the package (an objective trial,
+`map_down`'s output) is not screened against the floor. A Cholesky that
+breaks down is named through `matfun.spd_chol`, the log-Euclidean factors
+reject a floored spectrum they read anyway, and the affine-invariant
+kernel applies the floor to each whitened pair; each of these runs on a
+whole stack or block and names the first failing member.
 
 Every pass runs its blocks through `_threaded_map`. The affine-invariant
 kernel gives it one thread per CPU the process may use, up to one per
@@ -258,32 +268,17 @@ def _sorts_before(stack, ia, ib):
     return before, equal
 
 
-def _chol_logdet(stack, name, ids=None):
-    """(log det, lower Cholesky factor) of every matrix of a stack, from one
-    stacked Cholesky."""
-    try:
-        chol = np.linalg.cholesky(stack)
-        diag = np.diagonal(chol, axis1=-2, axis2=-1)
-    except np.linalg.LinAlgError:
-        diag = np.full(stack.shape[:-1], np.nan)
-    logdet = 2.0 * np.sum(np.log(diag), axis=-1)
-    if not np.isfinite(logdet).all():
-        # name the first failing member when its spectrum shows it
-        matfun.require_pd(np.linalg.eigvalsh(stack), stack, name, ids)
-        raise NotPositiveDefiniteError(f"{name} is not positive definite")
-    return logdet, chol
-
-
 class Geometry:
     """Batched kernel of one SPD geometry.
 
     Each geometry gives these parts. `factors` is the per-sample factor of a
     whole stack: a tuple of stacked arrays from one stacked decomposition,
     holding what the pair distance reads plus the decomposition it came from
-    and nothing else, so distance-only passes build no gradient factor.
-    `block_dist2` gives (squared distances, kept factors) of one block of
-    pairs, given as index arrays i and j into one (stack, factors) side,
-    the pair kernel's only operand. Without `keep` it keeps nothing and its
+    and nothing else, so distance-only passes build no gradient factor. It
+    only decomposes: the PD floor is decided where samples enter (module
+    docstring). `block_dist2` gives (squared distances, kept factors) of one
+    block of pairs, given as index arrays i and j into one (stack, factors)
+    side, the pair kernel's only operand. Without `keep` it keeps nothing and its
     distance is exactly invariant to the order of a pair's two matrices.
     With `keep`, the objective's pass, it also returns the per-pair factors
     the gradient reads, so no support pair is decomposed twice (AIM each
@@ -482,8 +477,8 @@ class AffineInvariant(Geometry):
 
     @staticmethod
     def factors(stack, name):
-        """(L^{-T}, L) with X = L L^T: one stacked Cholesky, after the
-        stacked PD check (`matfun.spd_chol`), and its `matfun.tri_inv`."""
+        """(L^{-T}, L) with X = L L^T: one stacked Cholesky
+        (`matfun.spd_chol`) and its `matfun.tri_inv`."""
         chol = matfun.spd_chol(stack, name)
         return matfun.tri_inv(chol).swapaxes(-1, -2).copy(), chol
 
@@ -584,10 +579,13 @@ class Stein(Geometry):
     j_sign = 1
 
     @staticmethod
-    def factors(stack, name):
-        """(ln det X, L) with X = L L^T, from one stacked Cholesky, which
-        checks positive definiteness."""
-        return _chol_logdet(stack, name)
+    def factors(stack, name, ids=None):
+        """(ln det X, L) with X = L L^T, from one stacked Cholesky
+        (`matfun.spd_chol`, which names a failing member through ids), the
+        log-determinant from the factor's diagonal."""
+        chol = matfun.spd_chol(stack, name, ids)
+        diag = np.diagonal(chol, axis1=-2, axis2=-1)
+        return 2.0 * np.sum(np.log(diag), axis=-1), chol
 
     @staticmethod
     def block_dist2(side, i, j, keep=False):
@@ -598,7 +596,7 @@ class Stein(Geometry):
         mid = stack[i]
         mid += stack[j]
         mid *= 0.5
-        logdet, chol = _chol_logdet(mid, "midpoint", (i, j))
+        logdet, chol = Stein.factors(mid, "midpoint", (i, j))
         # symmetric form: the value is exactly invariant to argument order
         d = np.maximum(logdet - 0.5 * (logdets[i] + logdets[j]), 0.0)
         return d, chol if keep else None
@@ -722,6 +720,14 @@ def _pair_indices(i, j, N):
     return i, j
 
 
+def _joined_side(geom, join, *operands):
+    """The (stack, factors) side of raw (operand, name) pairs joined by
+    `join` (np.stack or np.concatenate), each operand screened against the
+    PD floor (`matfun.check_pd`) and factored under its own name, in turn."""
+    factors = (geom.factors(matfun.check_pd(A, name), name) for A, name in operands)
+    return join([A for A, _ in operands]), tuple(map(join, zip(*factors)))
+
+
 def dist2(metric, X1, X2):
     """Squared distance between two SPD matrices under the chosen geometry:
     the pair (0, 1) of the two, stacked after each is factored."""
@@ -730,17 +736,8 @@ def dist2(metric, X1, X2):
     X2 = _operand(X2, "second operand", 2)
     if X1.shape != X2.shape:
         raise DimMismatchError(f"operand dims differ: {X1.shape} vs {X2.shape}")
-    factors = zip(geom.factors(X1, "first operand"), geom.factors(X2, "second operand"))
-    side = (np.stack((X1, X2)), tuple(map(np.stack, factors)))
+    side = _joined_side(geom, np.stack, (X1, "first operand"), (X2, "second operand"))
     return float(geom.dist2_pairs(side, np.array([0]), np.array([1]))[0][0])
-
-
-def _stack(samples):
-    """The (N, n, n) stack of a `LabeledDataset`, which checked it when it
-    was built, or else samples validated as an `_operand` stack."""
-    if isinstance(samples, LabeledDataset):
-        return samples.samples
-    return _operand(samples, "sample", 3)
 
 
 def pairwise_dist2(metric, samples):
@@ -767,8 +764,8 @@ def cross_dist2(metric, rows, cols):
         raise DimMismatchError(
             f"sample dims differ: {rows.shape[1:]} vs {cols.shape[1:]}"
         )
-    factors = zip(geom.factors(rows, "row sample"), geom.factors(cols, "col sample"))
-    side = (np.concatenate((rows, cols)), tuple(map(np.concatenate, factors)))
+    side = _joined_side(
+        geom, np.concatenate, (rows, "row sample"), (cols, "col sample"))
     R, C = rows.shape[0], cols.shape[0]
     i, j = np.divmod(np.arange(R * C), C)
     return geom.dist2_pairs(side, i, R + j)[0].reshape(R, C)
@@ -780,14 +777,17 @@ def indexed_dist2(metric, samples, i, j):
     The stack is factored once however many pairs share a sample. Each value
     is exactly the same with i and j exchanged, so a caller that needs both
     orders of a pair computes it once. i and j must be 1-D integer arrays
-    of equal length, each index in [0, N) for a stack of N samples. A
+    of equal length, each index in [0, N) for a stack of N samples. A raw
+    stack is screened against the PD floor after the indices are checked; a
     `LabeledDataset` gives its stack, which is not checked again.
     """
     geom = geometry(metric)
-    samples = _stack(samples)
-    i, j = _pair_indices(i, j, len(samples))
-    side = (samples, geom.factors(samples, "sample"))
-    return geom.dist2_pairs(side, i, j)[0]
+    screened = isinstance(samples, LabeledDataset)
+    stack = samples.samples if screened else _operand(samples, "sample", 3)
+    i, j = _pair_indices(i, j, len(stack))
+    if not screened:
+        matfun.check_pd(stack, "sample")
+    return geom.dist2_pairs((stack, geom.factors(stack, "sample")), i, j)[0]
 
 
 def bandwidth(D):

@@ -49,6 +49,13 @@ carries B, the per-sample factors and the per-pair factors (for the
 affine-invariant metric, the log of each whitened pair; for Stein, the
 Cholesky factor of each midpoint A), so `alignment_gradient` is a function of
 the state alone and decomposes no sample stack and no pair matrix again.
+
+The mapped stack is computed here, not read in, so it is not screened
+against the PD floor (`matfun.check_pd` runs where samples enter):
+`Geometry.factors` only decomposes. An affine-invariant or Stein trial fails
+where a Cholesky breaks down (`matfun.spd_chol`), an affine-invariant one
+also where a whitened pair falls to the floor, and a log-Euclidean one where
+a mapped spectrum does.
 """
 
 import math

@@ -76,8 +76,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.grad_tol > 0 or not self.rel_obj_tol > 0:
-            raise ValidationError("grad_tol and rel_obj_tol must be positive")
+        if not (0 < self.grad_tol < np.inf and 0 < self.rel_obj_tol < np.inf):
+            raise ValidationError(
+                "grad_tol and rel_obj_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -237,8 +238,9 @@ def _armijo(problem, W, J, d, slope):
     """Backtracking search for J(W + t d) >= J + LS_SLOPE * t * slope.
 
     Each trial point is checked once, by `retract`, and evaluated on the
-    already validated problem. Trial points that lose rank or break
-    numerically just shrink the step, and a rejected trial's state is
+    already validated problem; its mapped samples are not screened against
+    the PD floor (`objective` docstring). Trial points that lose rank or
+    break numerically just shrink the step, and a rejected trial's state is
     dropped before the next trial is evaluated. Returns (t, W_new,
     state_new) or None after LS_MAX_SHRINKS shrinkages.
     """

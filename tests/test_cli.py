@@ -272,12 +272,14 @@ class TestTrainDistancePass:
     def test_loaded_stack_is_checked_once(self, corpus, tmp_path, monkeypatch,
                                           metric):
         # the dataset checks its stack when it is loaded; train's distance
-        # pass takes the dataset and does not check the stack again
+        # pass takes the dataset and does not check the stack again, and no
+        # geometry's factors screen the loaded or a mapped stack for the PD
+        # floor
         calls = count_calls(monkeypatch, spdalign.matfun,
-                            ["check_finite", "check_symmetric"])
+                            ["check_finite", "check_symmetric", "check_pd"])
         extra = ["--metric", metric.value]
         assert cli.main(train_args(corpus, tmp_path, *extra)) == 0
-        assert calls == {"check_finite": 1, "check_symmetric": 1}
+        assert calls == {"check_finite": 1, "check_symmetric": 1, "check_pd": 1}
 
     def test_nonpositive_beta_computes_no_distance(
         self, corpus, tmp_path, capsys, pairwise_calls
@@ -694,7 +696,8 @@ class TestEval:
         loads = count_calls(monkeypatch, cli, ["load_dataset"])
         args = ["eval", "--manifest", corpus, "--transform", str(path)]
         assert cli.main(args) == code
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and str(path) in err
         assert loads == {"load_dataset": 0}
 
     def test_transform_of_wrong_dimension_rejected_after_load(
@@ -704,7 +707,8 @@ class TestEval:
         save_transform(str(path), np.eye(5, 2))
         args = ["eval", "--manifest", corpus, "--transform", str(path)]
         assert cli.main(args) == 1
-        assert "transform has 5 rows, samples have dim 6" in capsys.readouterr().err
+        assert (f"error: {path}: transform has 5 rows, samples have dim 6"
+                in capsys.readouterr().err)
 
 
 class TestGradcheck:

@@ -255,13 +255,15 @@ class TestRepeatedSplitEval:
     @pytest.mark.parametrize("with_w", [False, True])
     def test_checks_the_held_stack_once(self, metric, with_w, monkeypatch):
         # the dataset checked its stack when it was built: only `map_down`
-        # checks it again, once, on the way through W
+        # checks it again, once, on the way through W, and no stack is
+        # screened for the PD floor again
         data = clustered_dataset(seed=2, n=4, classes=2, per_class=5)
         W = rand_full_rank(np.random.default_rng(0), 4, 2) if with_w else None
-        calls = count_calls(monkeypatch, matfun, ["check_symmetric", "check_finite"])
+        calls = count_calls(monkeypatch, matfun,
+                            ["check_symmetric", "check_finite", "check_pd"])
         repeated_split_eval(data, metric, repeats=3, seed=1, W=W)
         once = int(with_w)
-        assert calls == {"check_symmetric": once, "check_finite": once}
+        assert calls == {"check_symmetric": once, "check_finite": once, "check_pd": 0}
 
     @staticmethod
     def check_equals_per_split_knn(data, metric, fraction, W):

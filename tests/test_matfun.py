@@ -443,5 +443,18 @@ class TestCheckPd:
                            match=r"^sample 1 has min eigenvalue 1\.000e-13 ") as exc:
             matfun.check_pd(stack, "sample")
         assert exc.value.index == 1
-        with pytest.raises(NotPositiveDefiniteError, match="^one has min eigenvalue"):
-            matfun.spd_chol(stack[1], "one")
+        # spd_chol decides no floor; it names a member it cannot factor
+        indefinite = np.stack([np.eye(3), np.diag([1.5, 1.5 + low, -low])])
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=r"^sample 1 has min eigenvalue -1\.000e-13 ") as exc:
+            matfun.spd_chol(indefinite, "sample")
+        assert exc.value.index == 1
+
+    def test_factor_with_infinite_diagonal_named(self):
+        # an infinite (0, 0) entry factors without breakdown, to an infinite
+        # diagonal: no factor is given, and its spectrum names the member
+        stack = np.stack([np.eye(2), np.array([[np.inf, 1e200], [1e200, 2.0]])])
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=r"^midpoint \[4 7\] has min eigenvalue nan ") as exc:
+            matfun.spd_chol(stack, "midpoint", (np.array([3, 4]), np.array([5, 7])))
+        assert exc.value.index == 1

@@ -196,6 +196,47 @@ class TestDist2:
                 dist2(metric, X1, X2)
 
 
+class TestFloorWhereSamplesEnter:
+    """Every raw-array entry point screens each operand against the PD floor
+    (`matfun.check_pd`, 1e-12 times the mean eigenvalue) before it is
+    factored, under every geometry alike."""
+
+    @staticmethod
+    def stack():
+        # sample 2 has mean eigenvalue 1 and a smallest one of 1e-13
+        rng = np.random.default_rng(9)
+        stack = np.stack([rand_spd(rng, 3) for _ in range(4)])
+        stack[2] = np.diag([1.5, 1.5 - 1e-13, 1e-13])
+        return stack
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @pytest.mark.parametrize("entry", ["dist2", "cross_dist2", "indexed_dist2"])
+    def test_sub_floor_member_rejected(self, metric, entry):
+        stack = self.stack()
+        good = stack[:2]
+        calls = {
+            "dist2": [
+                (lambda: dist2(metric, stack[2], stack[0]), "first operand"),
+                (lambda: dist2(metric, stack[0], stack[2]), "second operand"),
+            ],
+            "cross_dist2": [
+                (lambda: cross_dist2(metric, stack, good), "row sample 2"),
+                (lambda: cross_dist2(metric, good, stack), "col sample 2"),
+            ],
+            # the whole stack is screened, whichever pairs are asked for
+            "indexed_dist2": [
+                (lambda: indexed_dist2(metric, stack, [0], [1]), "sample 2"),
+                (lambda: pairwise_dist2(metric, stack), "sample 2"),
+            ],
+        }[entry]
+        for call, name in calls:
+            with pytest.raises(
+                NotPositiveDefiniteError,
+                match=rf"^{name} has min eigenvalue 1\.000e-13 at or below the PD floor",
+            ):
+                call()
+
+
 class TestTransformedDist2:
     def test_coincident_samples(self):
         rng = np.random.default_rng(2)

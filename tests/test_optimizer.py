@@ -294,6 +294,8 @@ class TestOptimizerConfig:
             {"max_iters": 0},
             {"grad_tol": 0.0},
             {"rel_obj_tol": -1.0},
+            {"grad_tol": float("inf")},
+            {"rel_obj_tol": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
