@@ -15,6 +15,13 @@ python -c "import sys, numpy as np; from spdalign.fileio import save_transform; 
 expect 1 spdalign eval --manifest "$work/data/manifest.txt" --transform "$work/W5.txt" \
   2> "$work/err.txt"
 grep -F "$work/W5.txt: transform has 5 rows, samples have dim 6" "$work/err.txt"
+# a finite transform whose product overflows the samples is a
+# numerical failure naming the transform, with no numpy warning even
+# when warnings are errors
+python -c "import sys, numpy as np; from spdalign.fileio import save_transform; save_transform(sys.argv[1], np.full((6, 1), 1e160))" "$work/W-huge.txt"
+expect 2 python -W error -c "from spdalign.cli import entry; entry()" eval \
+  --manifest "$work/data/manifest.txt" --transform "$work/W-huge.txt" 2> "$work/err.txt"
+grep -F "numerical failure: transform maps sample 0 to non-finite values" "$work/err.txt"
 # an infinite tolerance from a JSON config is rejected before the output
 # directory is made
 printf '{"grad_tol": Infinity}\n' > "$work/inf-tol.json"

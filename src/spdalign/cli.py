@@ -25,9 +25,8 @@ from .fileio import (
     save_transform,
 )
 from . import metrics
-# build_graphs and default_beta stay bound here, where perfbench traces them
-from .graphs import build_graphs, neighbor_graphs  # noqa: F401
-from .metrics import MetricKind, default_beta  # noqa: F401
+from .graphs import build_graphs
+from .metrics import MetricKind, default_beta
 from .objective import AlignmentProblem, alignment_gradient, fd_gradient
 from .optimizer import OptimizerConfig, initial_transform, rcg_maximize
 
@@ -118,10 +117,8 @@ def gradcheck_report(kinds, instances, seed):
         for t in range(instances):
             cfg = SynthConfig(dim=8, classes=3, per_class=4, noise=0.4, seed=seed + t)
             data = synth_dataset(cfg)
-            D = metrics.pairwise_dist2(metric, data)
-            graphs = neighbor_graphs(data, D, v_w=2, v_b=2)
-            beta = metrics.bandwidth(D)
-            problem = AlignmentProblem.build(data, graphs, metric, beta)
+            graphs = build_graphs(data, metric, v_w=2, v_b=2)
+            problem = AlignmentProblem.build(data, graphs, metric, default_beta(graphs))
             W = initial_transform(data.dim, 3, seed=seed + t)
 
             def evaluate(candidate):
@@ -193,17 +190,17 @@ def cmd_train(args):
         v_b = _auto_neighbor_count(data)
 
     beta_mode = "explicit" if beta is not None else "auto"
-    # one distance matrix serves the bandwidth and the neighbor graphs; the
-    # dataset checked its stack when it was loaded
-    D = metrics.pairwise_dist2(metric, data)
+    # the graphs carry their support pairs' distances, which set the
+    # bandwidth; the dataset checked its stack when it was loaded
+    graphs = build_graphs(data, metric, v_w, v_b)
     if beta is None:
-        beta = metrics.bandwidth(D)
-
-    graphs = neighbor_graphs(data, D, v_w=v_w, v_b=v_b)
+        beta = default_beta(graphs)
     print(
         f"metric={metric.value} target_dim={target_dim} vw={v_w} vb={v_b} "
         f"beta={beta:.17g} ({beta_mode}) seed={args.seed}"
     )
+    pairs = data.size * (data.size - 1) // 2
+    print(f"exact distances ({metric.value}): {graphs.distances_computed}/{pairs} pairs")
 
     W0 = initial_transform(data.dim, target_dim, seed=args.seed)
     result = rcg_maximize(data, graphs, metric, beta, W0, opt_config)
@@ -323,7 +320,9 @@ def _train_arguments(train):
         "--vb", type=int, help="between-class neighbors (default: auto)"
     )
     train.add_argument(
-        "--beta", type=float, help="kernel width (default: 1/sigma^2 from data)"
+        "--beta", type=float,
+        help="kernel width (default: 1/sigma^2, sigma the mean distance over "
+             "the neighbor-graph support pairs)",
     )
     train.add_argument(
         "--max-iters", type=int, help="iteration budget (default: 50)"

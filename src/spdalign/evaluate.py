@@ -21,13 +21,15 @@ screened against the PD floor again (`metrics` docstring).
 Under the affine-invariant distance it computes only the pairs its
 log-Euclidean lower bound cannot rule out (`AffineInvariant.lower_bound`,
 taken in the frame whitened by the stack's arithmetic mean, at one
-eigendecomposition per sample). Pass 1
-computes, for each test row of each split, the distance to its
-bound-nearest train sample, which caps the row's nearest distance. Pass 2
-computes every pair of the row whose floor sqrt(bound) - tau is not above
-the square root of that cap, and every pair whose floor is not finite. A
-pair left out has a computed distance strictly above the cap, so it can
-neither be the nearest neighbor nor tie it. Each computed value is the one
+eigendecomposition per sample), through `metrics.PairScreen`, the screen
+`graphs.build_graphs` uses too. Pass 1 computes, for each test row of each
+split, the distance to its bound-nearest train sample, which caps the
+row's nearest distance; a pair's cap is the largest over the rows of the
+splits that need it. Pass 2 computes every pair whose floor
+sqrt(bound) - tau is not above the square root of its cap, and every pair
+whose floor is not finite. A pair left out has a computed distance
+strictly above the cap of every row that needs it, so it can neither be a
+row's nearest neighbor nor tie it. Each computed value is the one
 `cross_dist2` gives, since the kernel computes each pair on its own, and
 each split votes on a matrix that is inf where a pair was left out:
 argmins, ties and accuracies are those of the exhaustive computation.
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import unordered_pairs
-from .metrics import BLOCK_ENTRIES, MetricKind, cross_dist2, geometry, map_down
+from .metrics import BLOCK_ENTRIES, MetricKind, PairScreen, cross_dist2, map_down
 
 
 @dataclass(frozen=True)
@@ -195,42 +197,27 @@ def _split_dist2(metric, stack, train, test, union):
     read, inf where none was computed, and how many unordered pairs were
     computed exactly. train and test are the (S, a) and (S, b) index
     arrays of `_draw_splits`; union holds the pairs (i, j), i < j, they
-    need. The stack is a dataset's, screened when the dataset was built,
-    or `map_down`'s output, which is not screened against the PD floor;
-    `Geometry.factors` only decomposes, so its factors are taken
-    unchecked."""
-    geom = geometry(metric)
-    side = (stack, geom.factors(stack, "sample"))
-    D = np.full((len(stack),) * 2, np.inf)
-
-    def compute(i, j):
-        D[i, j] = D[j, i] = geom.dist2_pairs(side, i, j)[0]
-        return len(i)
-
-    screen = geom.lower_bound(side, *union)
-    if screen is None:
-        return D, compute(*union)
-    bound, floor = np.full(D.shape, np.inf), np.full(D.shape, np.inf)
-    bound[union] = bound[union[::-1]] = screen[0]
-    # a non-finite floor (NaN compares False) rules out nothing
-    pair_floor = np.sqrt(screen[0]) - screen[1]
-    pair_floor[~np.isfinite(pair_floor)] = -np.inf
-    floor[union] = floor[union[::-1]] = pair_floor
-    nearest = _nearest(bound, train, test)
-    first = np.zeros(D.shape, dtype=bool)
-    first[test, nearest] = True
-    computed = compute(*unordered_pairs(first))
-    cap = np.sqrt(D[test, nearest])
-    rest = np.zeros(D.shape, dtype=bool)
+    need. The stack is a dataset's or `map_down`'s output, taken as
+    `PairScreen` takes it."""
+    screen = PairScreen(metric, stack, *union)
+    if screen.floor is None:
+        screen.compute(np.ones(len(union[0]), dtype=bool))
+        return screen.dist2_matrix(), screen.computed
+    # each cell's position in the union
+    at = np.zeros((len(stack),) * 2, dtype=np.intp)
+    at[union] = at[union[::-1]] = np.arange(len(union[0]))
+    first = at[test, _nearest(screen.bound_matrix(), train, test)]
+    mask = np.zeros(len(union[0]), dtype=bool)
+    mask[first] = True
+    screen.compute(mask)
+    cap = screen.dist2[first]
+    # a pair's cap is the largest of its cells' caps: every union pair is a
+    # cell of some split, and no cap is below 0
+    pair_cap = np.zeros(len(union[0]))
     for g, cells in _split_groups(train, test):
-        hit = floor[cells] <= cap[g, :, None]
-        # only True cells are written: a split that shares a cell with an
-        # earlier one of the group must not clear it
-        rows, cols = np.broadcast_arrays(*cells)
-        rest[rows[hit], cols[hit]] = True
-    i, j = unordered_pairs(rest)
-    todo = np.isinf(D[i, j])
-    return D, computed + compute(i[todo], j[todo])
+        np.maximum.at(pair_cap, at[cells], cap[g, :, None])
+    screen.compute_unless_ruled_out(pair_cap)
+    return screen.dist2_matrix(), screen.computed
 
 
 def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=None):

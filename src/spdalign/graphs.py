@@ -17,7 +17,7 @@ from .errors import (
     InsufficientClassSizeError,
     ValidationError,
 )
-from .metrics import pairwise_dist2
+from .metrics import PairScreen, geometry, pairwise_dist2
 
 
 def unordered_pairs(mask):
@@ -33,11 +33,16 @@ class PairGraphs:
     `pairs` is an (E, 2) integer array of unordered pairs (i < j) in strictly
     increasing lexicographic order, which fixes the reduction order everywhere
     downstream. A pair is within-class when its labels agree, between-class
-    otherwise.
+    otherwise. Graphs built from distances (`neighbor_graphs`,
+    `build_graphs`) carry `dist2`, the squared original-manifold distance of
+    each pair, which sets the bandwidth (`metrics.default_beta`), and
+    `distances_computed`, how many pair distances the build computed.
     """
 
     pairs: np.ndarray
     size: int
+    dist2: np.ndarray | None = None
+    distances_computed: int = 0
 
     def __post_init__(self):
         pairs = np.array(self.pairs)
@@ -54,6 +59,63 @@ class PairGraphs:
             raise ValidationError("pairs must be sorted with no duplicates")
         pairs.setflags(write=False)
         object.__setattr__(self, "pairs", pairs)
+        if self.dist2 is not None:
+            dist2 = np.array(self.dist2, dtype=float)
+            if dist2.shape != (len(pairs),):
+                raise DimMismatchError(
+                    f"dist2 has shape {dist2.shape} for {len(pairs)} pairs"
+                )
+            dist2.setflags(write=False)
+            object.__setattr__(self, "dist2", dist2)
+
+
+def _check_counts(data, v_w, v_b):
+    """Raise unless v_w, v_b >= 1 and every class has two samples or more."""
+    if v_w < 1 or v_b < 1:
+        raise ValidationError(f"v_w and v_b must be >= 1, got {v_w}, {v_b}")
+    sizes = data.class_sizes()
+    if sizes.min() < 2:
+        small = int(np.argmin(sizes))
+        raise InsufficientClassSizeError(
+            f"class {small} has {sizes[small]} sample(s); "
+            "need at least 2 per class for within-class neighbors"
+        )
+
+
+def _nearest(data, M, v_w, v_b):
+    """[(nearest, keep)] for within-class and then between-class neighbors:
+    each row's columns of least M among its candidates, ties to the lower
+    index, and the mask of the first min(v, candidates) of them, which the
+    row nominates. Only a row's candidates that sort before inf are
+    nominated, so an M that is finite over them nominates no other."""
+    N = data.size
+    labels = data.labels
+    same = labels[:, None] == labels
+    other = ~same
+    np.fill_diagonal(same, False)
+    own = data.class_sizes()[labels]
+    kinds = []
+    for candidates, count, v in ((same, own - 1, v_w), (other, N - own, v_b)):
+        nearest = np.argsort(np.where(candidates, M, np.inf), axis=1,
+                             kind="stable")[:, :v]
+        keep = np.arange(nearest.shape[1]) < count[:, None]
+        kinds.append((nearest, keep))
+    return kinds
+
+
+def _nominated(kinds):
+    """The N x N mask of every nomination of `_nearest`'s kinds."""
+    N = len(kinds[0][0])
+    nominated = np.zeros((N, N), dtype=bool)
+    for nearest, keep in kinds:
+        nominated[np.nonzero(keep)[0], nearest[keep]] = True
+    return nominated
+
+
+def _graphs(data, D, v_w, v_b, computed):
+    """`PairGraphs` of the nominations from D, carrying the pairs' D."""
+    pairs = np.transpose(unordered_pairs(_nominated(_nearest(data, D, v_w, v_b))))
+    return PairGraphs(pairs, data.size, D[pairs[:, 0], pairs[:, 1]], computed)
 
 
 def neighbor_graphs(data, D, v_w, v_b):
@@ -66,39 +128,69 @@ def neighbor_graphs(data, D, v_w, v_b):
 
     Each kind of neighbor is one stable argsort of the finite D with the
     non-candidates set to inf; each row nominates its first
-    min(v, candidates) columns, so ties go to the lower index.
+    min(v, candidates) columns, so ties go to the lower index. The graphs
+    carry the pairs' D, and count no distance as computed.
     """
-    if v_w < 1 or v_b < 1:
-        raise ValidationError(f"v_w and v_b must be >= 1, got {v_w}, {v_b}")
-    sizes = data.class_sizes()
-    if sizes.min() < 2:
-        small = int(np.argmin(sizes))
-        raise InsufficientClassSizeError(
-            f"class {small} has {sizes[small]} sample(s); "
-            "need at least 2 per class for within-class neighbors"
-        )
+    _check_counts(data, v_w, v_b)
     N = data.size
     if D.shape != (N, N):
         raise DimMismatchError(f"distance matrix {D.shape} for {N} samples")
     if not np.isfinite(D).all():
         raise ValidationError("distance matrix holds non-finite values")
-    labels = data.labels
-    same = labels[:, None] == labels
-    other = ~same
-    np.fill_diagonal(same, False)
-    own = sizes[labels]
-    nominated = np.zeros((N, N), dtype=bool)
-    for candidates, count, v in ((same, own - 1, v_w), (other, N - own, v_b)):
-        nearest = np.argsort(np.where(candidates, D, np.inf), axis=1,
-                             kind="stable")[:, :v]
-        keep = np.arange(nearest.shape[1]) < count[:, None]
-        nominated[np.nonzero(keep)[0], nearest[keep]] = True
-    return PairGraphs(np.transpose(unordered_pairs(nominated)), N)
+    return _graphs(data, D, v_w, v_b, 0)
+
+
+def _screened_dist2(data, metric, v_w, v_b):
+    """(D, computed): the squared distances `neighbor_graphs` reads of the
+    samples under a `bounded` metric, inf where none was computed, and how
+    many pairs were computed exactly (`metrics.PairScreen`).
+
+    Each row nominates its v bound-nearest candidates of each kind, and
+    those pairs are computed. A row's cap of a kind is the v-th least
+    distance computed among its candidates of that kind, so it is at least
+    the row's true v-th least. Then every pair is computed whose floor does
+    not rule it out against the caps of both its ends of its kind. A pair
+    left out is strictly farther than both caps, and every pair within a
+    cap is computed, so each row's first min(v, candidates) columns, ties
+    included, are those of the exhaustive D.
+    """
+    i, j = np.triu_indices(data.size, k=1)
+    screen = PairScreen(metric, data.samples, i, j)
+    nominated = _nominated(_nearest(data, screen.bound_matrix(), v_w, v_b))
+    screen.compute(nominated[i, j] | nominated[j, i])
+    del nominated
+    D = screen.dist2_matrix()
+    rows = np.arange(data.size)
+    caps = []
+    for nearest, keep in _nearest(data, D, v_w, v_b):
+        # a row with no candidate of a kind is an end of no pair of that kind
+        caps.append(D[rows, nearest[rows, np.maximum(keep.sum(axis=1) - 1, 0)]])
+    del D
+    (cap_w, cap_b), labels = caps, data.labels
+    screen.compute_unless_ruled_out(np.where(
+        labels[i] == labels[j],
+        np.maximum(cap_w[i], cap_w[j]),
+        np.maximum(cap_b[i], cap_b[j]),
+    ))
+    return screen.dist2_matrix(), screen.computed
 
 
 def build_graphs(data, metric, v_w, v_b):
-    """`neighbor_graphs` from the pairwise distances under a metric."""
-    return neighbor_graphs(data, pairwise_dist2(metric, data), v_w, v_b)
+    """`neighbor_graphs` of the samples' distances under a metric, which
+    computes the exact distance of only the pairs the graphs could need.
+
+    Under the affine-invariant distance the lower bound screens the pairs
+    (`_screened_dist2`): the graphs equal the exhaustive ones pair for pair,
+    ties included. Stein and the log-Euclidean distance have no bound and
+    compute every pair (`pairwise_dist2`). The graphs carry their pairs'
+    distances and the count of pairs computed.
+    """
+    _check_counts(data, v_w, v_b)
+    if geometry(metric).bounded:
+        D, computed = _screened_dist2(data, metric, v_w, v_b)
+    else:
+        D, computed = pairwise_dist2(metric, data), data.size * (data.size - 1) // 2
+    return _graphs(data, D, v_w, v_b, computed)
 
 
 def label_similarity(data):

@@ -44,11 +44,13 @@ slice of arrays allocated before the pass, and the pass joins its threads
 before it returns, so every value, and the error of the first failing
 block, is the serial loop's, whatever the CPU count.
 
-Training needs the original-manifold distances twice, for the neighbor
-graphs and for the bandwidth; both take one `pairwise_dist2` matrix
-(`graphs.neighbor_graphs(data, D, ...)`, `bandwidth(D)`), so a command
-computes it once. `indexed_dist2` computes the distances of any set of
-pairs of one stack, which lets repeated evaluation splits share theirs.
+Training needs the original-manifold distances of the neighbor graphs'
+support pairs only: the graphs carry them (`graphs.build_graphs`), and the
+bandwidth is their mean (`default_beta`), so nothing is computed twice.
+Under the affine-invariant distance the graphs and the evaluation splits
+compute only the pairs the lower bound below cannot rule out, through one
+screen (`PairScreen`). `indexed_dist2` computes the distances of any set
+of pairs of one stack.
 Every distance-only pass is exactly invariant to argument order, for the
 affine-invariant distance too: it whitens each pair by whichever of its two
 matrices sorts first by entries. The alignment objective's pass
@@ -113,6 +115,7 @@ from .errors import (
     DegenerateInputError,
     DimMismatchError,
     NotPositiveDefiniteError,
+    NumericalError,
     RankDeficientError,
     ValidationError,
 )
@@ -178,10 +181,23 @@ def check_transform(W, n=None):
 
 def map_down(X, W):
     """Congruence W^T X W taking an SPD matrix, or each of a stack, to the
-    target dimension."""
+    target dimension.
+
+    A finite W can still overflow the product; a mapped matrix that is not
+    finite raises NumericalError, naming the transform and the first such
+    sample, rather than reaching a later check as an infinite eigenvalue.
+    """
     X = matfun.check_symmetric(matfun.check_finite(X, "sample"), "sample")
     W = check_transform(W, n=X.shape[-1])
-    return matfun.symmetrize(W.T @ (X @ W))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = matfun.symmetrize(W.T @ (X @ W))
+    finite = np.isfinite(Y).all(axis=(-2, -1))
+    if not finite.all():
+        label = "" if finite.ndim == 0 else f" {int(np.argmin(finite))}"
+        raise NumericalError(
+            f"transform maps sample{label} to non-finite values (overflow)"
+        )
+    return Y
 
 
 def _blocks(count, entries):
@@ -325,6 +341,8 @@ class Geometry:
     # T_j = j_sign T_i: -1 where a pair's two ends take opposite terms, +1
     # where they share one (Stein's A^{-1})
     j_sign = -1
+    # whether `lower_bound` gives a bound, so `PairScreen` can skip pairs
+    bounded = False
 
     @staticmethod
     def lower_bound(side, i, j):
@@ -450,6 +468,7 @@ class AffineInvariant(Geometry):
 
     `lower_bound` gives the log-Euclidean squared distance of each pair in
     the frame whitened by the stack's arithmetic mean (`whiten_by_mean`),
+    from the side's stack alone (it reads no factor),
     never above the affine-invariant one, and the rounding margin tau that
     makes sqrt(bound) - tau a floor under the computed distance's square
     root (module docstring). It costs one eigendecomposition per sample, not
@@ -474,6 +493,7 @@ class AffineInvariant(Geometry):
 
     pooled = True
     keeps_pairs = True
+    bounded = True
 
     @staticmethod
     def factors(stack, name):
@@ -790,34 +810,109 @@ def indexed_dist2(metric, samples, i, j):
     return geom.dist2_pairs((stack, geom.factors(stack, "sample")), i, j)[0]
 
 
-def bandwidth(D):
-    """Similarity bandwidth 1/sigma^2 with sigma the mean pairwise distance,
-    from a `pairwise_dist2` matrix.
+class PairScreen:
+    """Exact squared distances of the pairs (i[p], j[p]) of one stack,
+    computed as a caller asks for them: the one place where a pass skips the
+    pairs the affine-invariant lower bound rules out (module docstring).
 
-    sigma is fixed once from the training samples on their original manifold
-    and is not recomputed as the transform changes. A D with a non-finite or
-    negative entry is rejected: it would give a NaN or infinite bandwidth,
-    and so is a D that is not one square matrix.
+    `dist2` is the pair vector of the distances computed so far, inf where
+    none was, and `computed` their count. Each value is the one
+    `indexed_dist2` gives, since the kernel computes each pair on its own.
+    For a `bounded` geometry, `floor` is sqrt(bound) - tau of each pair's
+    `lower_bound`, -inf where that is not finite (a NaN floor would compare
+    False and rule a pair out); `floor` is None for any other geometry, and
+    its caller computes every pair. `bound_matrix` hands out the bound, once,
+    for nominating the first pairs. The stack is taken as given: a
+    dataset's, screened when the dataset was built, or `map_down`'s output;
+    `Geometry.factors` only decomposes.
     """
-    D = np.asarray(D)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+
+    def __init__(self, metric, stack, i, j):
+        self.geom = geometry(metric)
+        self.i, self.j = i, j
+        self.dist2 = np.full(len(i), np.inf)
+        self.computed = 0
+        self.bound = self.floor = None
+        if self.geom.bounded:
+            # the bound reads the stack alone; taken before the factors, it
+            # holds its whitened frame without them
+            self.bound, tau = self.geom.lower_bound((stack, None), i, j)
+            self.floor = np.sqrt(self.bound)
+            self.floor -= tau
+            del tau
+            self.floor[~np.isfinite(self.floor)] = -np.inf
+        self.side = (stack, self.geom.factors(stack, "sample"))
+
+    def _matrix(self, values):
+        """The N x N symmetric matrix of a pair vector, inf off the pairs."""
+        M = np.full((len(self.side[0]),) * 2, np.inf)
+        M[self.i, self.j] = M[self.j, self.i] = values
+        return M
+
+    def bound_matrix(self):
+        """The bounds as an N x N matrix, inf off the pairs; the pair vector
+        is dropped, as nothing reads it again."""
+        M, self.bound = self._matrix(self.bound), None
+        return M
+
+    def dist2_matrix(self):
+        """The computed distances as an N x N matrix, inf elsewhere."""
+        return self._matrix(self.dist2)
+
+    def compute(self, mask):
+        """Compute every pair that the boolean pair vector marks and that no
+        earlier call computed."""
+        todo = np.flatnonzero(mask & np.isinf(self.dist2))
+        self.dist2[todo] = self.geom.dist2_pairs(
+            self.side, self.i[todo], self.j[todo])[0]
+        self.computed += len(todo)
+
+    def compute_unless_ruled_out(self, cap):
+        """Compute every pair p whose floor is not above sqrt(cap[p]), after
+        dropping the floor. A pair left out has sqrt of its computed
+        distance at least its floor, so its distance is strictly above
+        cap[p], in floating point too."""
+        mask = self.floor <= np.sqrt(cap)
+        self.floor = None
+        self.compute(mask)
+
+
+def bandwidth(d):
+    """Similarity bandwidth 1/sigma^2, with sigma the mean of sqrt(d) over
+    the squared distances d of the neighbor-graph support pairs.
+
+    The support pairs are the pairs whose similarities the objective
+    regresses, so sigma is their mean distance. It is fixed once from the
+    training samples on their original manifold and is not recomputed as
+    the transform changes. d must be one non-empty 1-D array; a NaN,
+    infinite or negative entry is rejected, as it would give a NaN or
+    infinite bandwidth, and so are support pairs that all coincide.
+    """
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 1:
         raise DimMismatchError(
-            f"distance matrix must be square (N, N), got shape {D.shape}"
+            f"support distances must be one 1-D array, got shape {d.shape}"
         )
-    N = D.shape[0]
-    if N < 2:
-        raise ValidationError("need at least two samples to set the bandwidth")
-    if not (np.isfinite(D) & (D >= 0.0)).all():
-        raise ValidationError("distance matrix holds non-finite or negative values")
-    iu = np.triu_indices(N, k=1)
-    sigma = float(np.mean(np.sqrt(D[iu])))
+    if not d.size:
+        raise ValidationError("need at least one support pair to set the bandwidth")
+    if not (np.isfinite(d) & (d >= 0.0)).all():
+        raise ValidationError("support distances hold non-finite or negative values")
+    sigma = float(np.mean(np.sqrt(d)))
     if sigma <= 0.0:
         raise DegenerateInputError(
-            "all training samples coincide; similarity bandwidth is undefined"
+            "all support pairs coincide; similarity bandwidth is undefined"
         )
     return 1.0 / sigma**2
 
 
-def default_beta(metric, samples):
-    """`bandwidth` of the pairwise distances of a stack of samples."""
-    return bandwidth(pairwise_dist2(metric, samples))
+def default_beta(graphs):
+    """The bandwidth training uses: `bandwidth` of the support pairs of
+    neighbor graphs, from the original-manifold distances they carry
+    (`PairGraphs.dist2`, which `graphs.build_graphs` and
+    `graphs.neighbor_graphs` fill)."""
+    if graphs.dist2 is None:
+        raise ValidationError(
+            "the graphs carry no support-pair distances; "
+            "build them with build_graphs or neighbor_graphs"
+        )
+    return bandwidth(graphs.dist2)

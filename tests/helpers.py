@@ -8,9 +8,11 @@ from spdalign.dataset import LabeledDataset
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import NonSymmetricError, ValidationError
 from spdalign.fileio import _read_table
+from spdalign.graphs import build_graphs
 from spdalign.matfun import check_symmetric, spd_eig, sym_eig, symmetrize
 from spdalign.metrics import (
-    _blocks, _operand, check_beta, check_transform, dist2, geometry, map_down,
+    _blocks, _operand, check_beta, check_transform, default_beta, dist2,
+    geometry, map_down,
 )
 from spdalign.objective import build_grad_context
 from spdalign.objective import fd_gradient  # noqa: F401  (re-exported to tests)
@@ -183,6 +185,12 @@ def centering_matrix(N):
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
     return np.eye(N) - np.full((N, N), 1.0 / N)
+
+
+def support_beta(data, metric, v=2):
+    """`default_beta` of the metric's own neighbor graphs at v_w = v_b = v:
+    the bandwidth training would take for them."""
+    return default_beta(build_graphs(data, metric, v_w=v, v_b=v))
 
 
 def graph_union(graphs):

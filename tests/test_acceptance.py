@@ -42,7 +42,7 @@ def make_problem(metric, seed, dim=10, target=4, classes=3, per_class=4):
         )
     )
     graphs = build_graphs(data, metric, v_w=2, v_b=2)
-    beta = default_beta(metric, data.samples)
+    beta = default_beta(graphs)
     W = initial_transform(dim, target, seed=seed)
     return data, graphs, beta, W
 
@@ -190,7 +190,7 @@ def benchmark_runs():
             )
             train, test = split(data, 0.5, seed=seed)
             graphs = build_graphs(train, metric, v_w=3, v_b=3)
-            beta = default_beta(metric, train.samples)
+            beta = default_beta(graphs)
             W0 = initial_transform(train.dim, 5, seed=seed)
             config = OptimizerConfig(max_iters=50, rel_obj_tol=2e-4)
             result = rcg_maximize(train, graphs, metric, beta, W0, config)
@@ -272,12 +272,13 @@ def test_per_iteration_cost_scales_linearly_in_neighbor_count():
     data = synth_dataset(
         SynthConfig(dim=16, classes=5, per_class=40, noise=0.2, seed=0)
     )
-    beta = default_beta(metric, data.samples)
     W0 = initial_transform(16, 4, seed=0)
     config = OptimizerConfig(max_iters=30, grad_tol=1e-300, rel_obj_tol=1e-300)
     sweep_graphs = [
         build_graphs(data, metric, v_w=1, v_b=v_b) for v_b in (1, 2, 4, 8, 16)
     ]
+    # one bandwidth for every point of the sweep
+    beta = default_beta(sweep_graphs[0])
     pair_counts = np.array([len(g.pairs) for g in sweep_graphs], dtype=float)
     # each point's time is its median over 6 round-robin rounds, with the
     # sweep order reversed on alternate rounds: a brief fast or slow phase of

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -234,12 +235,13 @@ class TestTrainDistancePass:
         if beta is not None:
             extra += ["--beta", beta]
         assert cli.main(train_args(corpus, tmp_path / "cli", *extra)) == 0
-        assert len(pairwise_calls) == 1
+        # Stein and LEM take one pairwise pass; the AIM screen takes none
+        assert len(pairwise_calls) == (metric is not MetricKind.AIM)
 
         # the same run driven through the library's composed entry points
         data, _, _ = load_dataset(corpus)
         graphs = build_graphs(data, metric, v_w=3, v_b=3)  # auto: smallest class - 1
-        value = default_beta(metric, data.samples) if beta is None else float(beta)
+        value = default_beta(graphs) if beta is None else float(beta)
         result = rcg_maximize(
             data, graphs, metric, value, initial_transform(6, 2, seed=3),
             OptimizerConfig(max_iters=8),
@@ -250,6 +252,18 @@ class TestTrainDistancePass:
             assert (tmp_path / "cli" / name).read_bytes() == (
                 tmp_path / name
             ).read_bytes()
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_prints_exact_distance_count(self, corpus, tmp_path, capsys, metric):
+        # the AIM screen computes a subset of the pairs, Stein and LEM all
+        assert cli.main(train_args(corpus, tmp_path, "--metric", metric.value)) == 0
+        data, _, _ = load_dataset(corpus)
+        graphs = build_graphs(data, metric, v_w=3, v_b=3)
+        pairs = data.size * (data.size - 1) // 2
+        line = f"exact distances ({metric.value}): {graphs.distances_computed}/{pairs} pairs"
+        assert line in capsys.readouterr().out.splitlines()
+        if metric is not MetricKind.AIM:
+            assert graphs.distances_computed == pairs
 
     def test_singleton_class_exit_code(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -477,8 +491,10 @@ def test_overflowing_beta_warns_nothing(tmp_path):
 
 class TestGradcheckDistancePass:
     def test_one_distance_matrix_per_instance(self, pairwise_calls):
+        # one pairwise pass per Stein and LEM instance; AIM screens its pairs
         cli.gradcheck_report(list(MetricKind), instances=2, seed=4)
-        assert len(pairwise_calls) == 3 * 2
+        kinds = [MetricKind.parse(args[0]) for args in pairwise_calls]
+        assert kinds == [MetricKind.STEIN] * 2 + [MetricKind.LEM] * 2
 
 
 class TestConfigFile:
@@ -610,6 +626,18 @@ class TestConfigFile:
 
 
 class TestEval:
+    def test_overflowing_transform_is_a_numerical_failure(self, corpus, tmp_path,
+                                                          capsys):
+        # a finite W whose product overflows the samples: exit 2 naming the
+        # transform, with no numpy warning on the way, even as an error
+        save_transform(str(tmp_path / "W.txt"), np.full((6, 1), 1e160))
+        args = ["eval", "--manifest", corpus, "--transform", str(tmp_path / "W.txt")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(args) == 2
+        assert "numerical failure: transform maps sample 0 to non-finite" in (
+            capsys.readouterr().err)
+
     def test_baseline_only(self, corpus, capsys):
         code = cli.main(
             ["eval", "--manifest", corpus, "--metric", "lem", "--splits", "3"]

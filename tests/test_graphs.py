@@ -18,7 +18,7 @@ from spdalign.graphs import (
     neighbor_graphs,
 )
 from spdalign.matfun import require_pd
-from spdalign.metrics import MetricKind, pairwise_dist2
+from spdalign.metrics import MetricKind, geometry, pairwise_dist2
 
 
 def scalar_dataset(values, labels):
@@ -340,6 +340,11 @@ class TestPairGraphsValidation:
         with pytest.raises(ValidationError, match="i < j"):
             PairGraphs(np.array([[1, 0]]), 2)
 
+    @pytest.mark.parametrize("dist2", [np.zeros(2), np.zeros((1, 1))])
+    def test_rejects_distances_of_another_pair_count(self, dist2):
+        with pytest.raises(ValidationError, match="for 1 pairs"):
+            PairGraphs(np.array([[0, 1]]), 2, dist2=dist2)
+
     @pytest.mark.parametrize(
         "pairs, size, match",
         [
@@ -372,6 +377,120 @@ class TestPairGraphsValidation:
         assert g.pairs.tolist() == [[0, 1]]
         with pytest.raises(ValueError):
             g.pairs[0, 0] = 1
+
+
+def screen_sets():
+    """(name, dataset) pairs on which the AIM screen must reproduce the
+    exhaustive graphs: the benchmark's ref, dense and wide shapes, exact
+    ties from a copied class, duplicate samples, and common scalings."""
+    shapes = {"ref": (20, 5, 10), "dense": (12, 4, 30), "wide": (12, 5, 30)}
+    for name, (dim, classes, per_class) in shapes.items():
+        for seed in range(4):
+            yield f"{name}-{seed}", synth_dataset(SynthConfig(
+                dim=dim, classes=classes, per_class=per_class, noise=0.2,
+                seed=100 * seed + dim))
+    base = synth_dataset(SynthConfig(dim=12, classes=4, per_class=12, noise=0.3, seed=9))
+    copied = base.samples.copy()
+    copied[base.labels == 1] = copied[base.labels == 0]
+    yield "copied-class", LabeledDataset(copied, base.labels)
+    duplicated = base.samples.copy()
+    for src, dst in [(0, 1), (0, 2), (3, 20), (30, 31), (40, 5)]:
+        duplicated[dst] = duplicated[src]
+    yield "duplicates", LabeledDataset(duplicated, base.labels)
+    for scale in (1e-150, 1e150):
+        yield f"scaled-{scale:g}", LabeledDataset(scale * base.samples, base.labels)
+    yield "coincident-classes", synth_dataset(
+        SynthConfig(dim=12, classes=4, per_class=8, noise=0.0, seed=6))
+
+
+class TestScreenedBuild:
+    """`build_graphs` under AIM computes only the pairs its lower bound
+    cannot rule out, and must give the exhaustive graphs pair for pair."""
+
+    def test_matches_exhaustive_over_many_seeds(self):
+        mismatches, computed, total = [], 0, 0
+        for name, data in screen_sets():
+            D = pairwise_dist2(MetricKind.AIM, data)
+            auto = int(data.class_sizes().min()) - 1
+            for v_w, v_b in [(1, 1), (2, 3), (3, 3), (auto, 1), (auto, auto),
+                             (auto + 5, 2 * auto)]:
+                got = build_graphs(data, MetricKind.AIM, v_w, v_b)
+                want = neighbor_graphs(data, D, v_w, v_b)
+                if not (np.array_equal(got.pairs, want.pairs)
+                        and np.array_equal(got.dist2, want.dist2)):
+                    mismatches.append((name, v_w, v_b))
+                computed += got.distances_computed
+                total += data.size * (data.size - 1) // 2
+        assert mismatches == []
+        assert computed < total
+
+    def test_exact_pairs_counted(self, monkeypatch):
+        # a wide-like set: AIM computes fewer than N(N-1)/2 exact pairs, and
+        # each at most once; Stein and LEM compute every pair once
+        data = synth_dataset(SynthConfig(dim=12, classes=5, per_class=30,
+                                         noise=0.2, seed=1))
+        N = data.size
+        for metric in MetricKind:
+            geom = geometry(metric)
+            original = geom.dist2_pairs
+            seen = []
+
+            def recorded(side, i, j, keep=False, _original=original):
+                seen.append(np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1))
+                return _original(side, i, j, keep)
+
+            monkeypatch.setattr(geom, "dist2_pairs", recorded)
+            graphs = build_graphs(data, metric, v_w=3, v_b=3)
+            monkeypatch.undo()
+            pairs = np.concatenate(seen)
+            assert len(np.unique(pairs, axis=0)) == len(pairs)
+            assert graphs.distances_computed == len(pairs)
+            if metric is MetricKind.AIM:
+                assert 2 * len(pairs) < N * (N - 1) // 2
+            else:
+                assert len(pairs) == N * (N - 1) // 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_floor_forces_exact_pairs(self, monkeypatch, bad):
+        # a pair whose floor is NaN or +inf must not read as ruled out: it is
+        # computed, and the graphs are still the exhaustive ones
+        data = synth_dataset(SynthConfig(dim=12, classes=4, per_class=20,
+                                         noise=0.2, seed=3))
+        geom = geometry(MetricKind.AIM)
+        original = geom.lower_bound
+
+        def broken(side, i, j):
+            bound, tau = original(side, i, j)
+            bound[::3] = bad
+            return bound, tau
+
+        monkeypatch.setattr(geom, "lower_bound", broken)
+        got = build_graphs(data, MetricKind.AIM, 3, 3)
+        pairs = data.size * (data.size - 1) // 2
+        # every third pair's floor is not finite, so each of them is computed
+        assert got.distances_computed >= (pairs + 2) // 3
+        monkeypatch.undo()
+        want = neighbor_graphs(data, pairwise_dist2(MetricKind.AIM, data), 3, 3)
+        assert np.array_equal(got.pairs, want.pairs)
+        assert np.array_equal(got.dist2, want.dist2)
+
+    def test_single_class(self):
+        # no between-class candidate anywhere: the within-class screen alone
+        data = synth_dataset(SynthConfig(dim=6, classes=2, per_class=6,
+                                         noise=0.3, seed=2))
+        data = LabeledDataset(data.samples, np.zeros(data.size, dtype=int))
+        got = build_graphs(data, MetricKind.AIM, 2, 2)
+        want = neighbor_graphs(data, pairwise_dist2(MetricKind.AIM, data), 2, 2)
+        assert np.array_equal(got.pairs, want.pairs)
+
+    def test_graphs_carry_their_pairs_distances(self):
+        data = random_dataset(4)
+        for metric in MetricKind:
+            D = pairwise_dist2(metric, data)
+            g = build_graphs(data, metric, v_w=2, v_b=2)
+            assert np.array_equal(g.dist2, D[g.pairs[:, 0], g.pairs[:, 1]])
+            assert not g.dist2.flags.writeable
+            assert neighbor_graphs(data, D, 2, 2).distances_computed == 0
 
 
 class TestCenteringAndLabels:

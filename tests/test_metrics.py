@@ -12,6 +12,7 @@ import signal
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,14 +29,17 @@ from helpers import (
     transformed_dist2,
 )
 from spdalign import matfun, metrics
+from spdalign.dataset import LabeledDataset
 from spdalign.errors import (
     DegenerateInputError,
     DimMismatchError,
     NonSymmetricError,
     NotPositiveDefiniteError,
+    NumericalError,
     RankDeficientError,
     ValidationError,
 )
+from spdalign.graphs import PairGraphs, build_graphs, neighbor_graphs
 from spdalign.metrics import (
     BLOCK_ENTRIES,
     MetricKind,
@@ -96,6 +100,19 @@ class TestMapDown:
         X[0, 2] = 0.5
         with pytest.raises(NonSymmetricError):
             map_down(X, np.eye(3)[:, :2])
+
+    def test_overflow_names_the_transform(self):
+        # a finite W whose product overflows: one NumericalError naming the
+        # transform and the first overflowing sample, and no numpy warning
+        stack = np.stack([np.eye(4) * 1e-300, np.eye(4), 2 * np.eye(4)])
+        W = np.full((4, 1), 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match=r"^transform maps sample 1 to non-finite"):
+                map_down(stack, W)
+            with pytest.raises(NumericalError, match=r"^transform maps sample to"):
+                map_down(np.eye(4), W)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_rejected(self, bad):
@@ -991,39 +1008,64 @@ class TestFailingPairIndex:
 class TestDefaultBeta:
     @pytest.mark.parametrize("metric", [MetricKind.AIM, MetricKind.LEM])
     def test_two_sample_scalar_case(self, metric):
-        # dist = |log 1 - log e^2| = 2, so sigma = 2 and beta = 1/4
-        samples = np.stack([np.eye(1), np.array([[np.e**2]])])
-        assert abs(default_beta(metric, samples) - 0.25) <= 1e-12
+        # one class of two samples: the one support pair is at distance
+        # |log 1 - log e^2| = 2, so sigma = 2 and beta = 1/4
+        data = LabeledDataset(np.stack([np.eye(1), np.array([[np.e**2]])]), [0, 0])
+        graphs = build_graphs(data, metric, v_w=1, v_b=1)
+        assert graphs.pairs.tolist() == [[0, 1]]
+        assert abs(default_beta(graphs) - 0.25) <= 1e-12
 
     def test_coincident_samples_rejected(self):
-        samples = np.stack([np.eye(3), np.eye(3)])
-        with pytest.raises(DegenerateInputError):
-            default_beta(MetricKind.AIM, samples)
+        data = LabeledDataset(np.stack([np.eye(3), np.eye(3)]), [0, 0])
+        with pytest.raises(DegenerateInputError, match="coincide"):
+            default_beta(build_graphs(data, MetricKind.AIM, v_w=1, v_b=1))
 
     def test_needs_two_samples(self):
-        with pytest.raises(ValidationError):
-            default_beta(MetricKind.AIM, np.eye(3)[None])
+        # graphs of one sample have no support pair to set sigma from
+        graphs = PairGraphs(np.zeros((0, 2), dtype=int), 1, dist2=np.zeros(0))
+        with pytest.raises(ValidationError, match="at least one support pair"):
+            default_beta(graphs)
+
+    def test_graphs_without_distances_rejected(self):
+        with pytest.raises(ValidationError, match="no support-pair distances"):
+            default_beta(PairGraphs(np.array([[0, 1]]), 2))
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_mean_distance_over_the_support_pairs(self, metric):
+        # sigma is the mean distance over the graphs' pairs alone, not over
+        # every pair of samples: the two differ on clustered data
+        data = ref_shaped_dataset(seed=3)
+        D = pairwise_dist2(metric, data)
+        graphs = neighbor_graphs(data, D, v_w=3, v_b=3)
+        i, j = graphs.pairs.T
+        sigma = np.mean(np.sqrt(D[i, j]))
+        assert default_beta(graphs) == 1.0 / sigma**2
+        assert default_beta(build_graphs(data, metric, v_w=3, v_b=3)) == 1.0 / sigma**2
+        everywhere = np.mean(np.sqrt(D[np.triu_indices(data.size, k=1)]))
+        assert default_beta(graphs) > 1.01 / everywhere**2
 
 
 class TestBandwidthInput:
     @pytest.mark.parametrize(
-        "D", [np.full(3, np.nan), np.zeros((2, 3)), np.zeros((2, 2, 2))],
-        ids=["1-D", "non-square", "stack"],
+        "d", [np.full((2, 2), np.nan), np.zeros((2, 2, 2))], ids=["matrix", "stack"],
     )
-    def test_not_one_square_matrix(self, D):
-        # the shape is checked before the entries: the 1-D D is all NaN
-        with pytest.raises(DimMismatchError, match=re.escape(str(D.shape))):
-            bandwidth(D)
+    def test_not_one_pair_vector(self, d):
+        # the shape is checked before the entries: the matrix is all NaN
+        with pytest.raises(DimMismatchError, match=re.escape(str(d.shape))):
+            bandwidth(d)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_bad_distance_rejected(self, bad):
         # a NaN, infinite or negative distance would give a NaN or infinite
         # bandwidth, which training would then use
-        D = pairwise_dist2(MetricKind.LEM, np.stack([np.eye(2), 2 * np.eye(2),
-                                                     3 * np.eye(2)]))
-        D[0, 2] = D[2, 0] = bad
+        d = np.array([1.0, 4.0, 9.0])
+        d[1] = bad
         with pytest.raises(ValidationError, match="non-finite or negative"):
-            bandwidth(D)
+            bandwidth(d)
+
+    def test_mean_square_root(self):
+        # sigma = (1 + 2 + 3 + 0) / 4 = 1.5: a coincident pair counts as 0
+        assert bandwidth([1.0, 4.0, 9.0, 0.0]) == 1.0 / 1.5**2
 
 
 class TestNonFiniteSamples:

@@ -19,15 +19,18 @@ from helpers import (
     kernel_entry_gradient,
     kernel_sim,
     rand_full_rank,
+    support_beta,
 )
 from spdalign import matfun
 from spdalign.dataset import LabeledDataset
 from spdalign.errors import (
     DegenerateAlignmentError, DimMismatchError, ValidationError,
 )
-from spdalign.graphs import PairGraphs, build_graphs, label_similarity
+from spdalign.graphs import (
+    PairGraphs, build_graphs, label_similarity, neighbor_graphs,
+)
 from spdalign.metrics import (
-    BLOCK_ENTRIES, MetricKind, _blocks, default_beta, geometry,
+    BLOCK_ENTRIES, MetricKind, _blocks, default_beta, geometry, pairwise_dist2,
 )
 from spdalign.objective import (
     AlignmentProblem, alignment_gradient, alignment_objective,
@@ -71,7 +74,7 @@ class TestObjectiveValue:
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_matches_dense_reimplementation(self, metric):
         data, graphs, W = make_instance(0)
-        beta = default_beta(metric, data.samples)
+        beta = support_beta(data, metric)
         state = alignment_objective(data, graphs, W, metric, beta)
         expected = direct_objective(data, graphs, W, metric, beta)
         assert abs(state.J - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -87,7 +90,7 @@ class TestObjectiveValue:
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_cauchy_schwarz_bound(self, metric):
         data, graphs, W = make_instance(1)
-        beta = default_beta(metric, data.samples)
+        beta = support_beta(data, metric)
         state = alignment_objective(data, graphs, W, metric, beta)
         bound = np.linalg.norm(graph_union(graphs) * label_similarity(data))
         assert state.J <= bound + 1e-12
@@ -96,7 +99,7 @@ class TestObjectiveValue:
     @pytest.mark.parametrize("seed", range(3))
     def test_orthogonal_fiber_invariance(self, metric, seed):
         data, graphs, W = make_instance(seed)
-        beta = default_beta(metric, data.samples)
+        beta = support_beta(data, metric)
         rng = np.random.default_rng(seed + 99)
         O, _ = np.linalg.qr(rng.standard_normal((W.shape[1], W.shape[1])))
         J0 = alignment_objective(data, graphs, W, metric, beta).J
@@ -158,7 +161,7 @@ class TestObjectiveValue:
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_problem_evaluate_equals_objective(self, metric):
         data, graphs, W = make_instance(5)
-        beta = default_beta(metric, data.samples)
+        beta = support_beta(data, metric)
         problem = AlignmentProblem.build(data, graphs, metric, beta)
         state = problem.evaluate(W)
         expected = alignment_objective(data, graphs, W, metric, beta)
@@ -174,7 +177,7 @@ class TestKernelEntryGradient:
     def test_matches_finite_differences(self, metric, seed):
         # n=6, m=3 per the pair-similarity gradient check
         data, _, W = make_instance(seed, n=6, m=3, per_class=2)
-        beta = default_beta(metric, data.samples)
+        beta = support_beta(data, metric)
         i, j = 0, 3
         k_ij = kernel_sim(metric, data.samples[i], data.samples[j], W, beta)
         analytic = kernel_entry_gradient(metric, i, j, W, data, beta, k_ij)
@@ -186,7 +189,7 @@ class TestKernelEntryGradient:
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_symmetric_in_pair_order(self, metric):
         data, _, W = make_instance(5, n=6, m=3, per_class=2)
-        beta = default_beta(metric, data.samples)
+        beta = support_beta(data, metric)
         k = kernel_sim(metric, data.samples[1], data.samples[2], W, beta)
         g_ij = kernel_entry_gradient(metric, 1, 2, W, data, beta, k)
         g_ji = kernel_entry_gradient(metric, 2, 1, W, data, beta, k)
@@ -198,7 +201,7 @@ class TestKernelEntryGradient:
         # classes of identical samples: pair (0, 1) coincides
         rng = np.random.default_rng(7)
         W = rand_full_rank(rng, 5, 2)
-        beta = default_beta(metric, data.samples)
+        beta = support_beta(data, metric)
         g = kernel_entry_gradient(metric, 0, 1, W, data, beta, 1.0)
         assert np.linalg.norm(g) <= 1e-10
 
@@ -218,7 +221,7 @@ class TestDuplicateSample:
         p = graphs.pairs.tolist().index([0, data.size - 1])
         W = rand_full_rank(np.random.default_rng(10), 6, 3)
         state = alignment_objective(data, graphs, W, metric,
-                                    default_beta(metric, data.samples))
+                                    support_beta(data, metric))
         assert state.K[p] == 1.0
         i, j = graphs.pairs[p:p + 1].T
         kept = None if state.pair_factors is None else state.pair_factors[p:p + 1]
@@ -233,7 +236,7 @@ class TestAlignmentGradient:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_finite_differences(self, metric, seed):
         data, graphs, W = make_instance(seed)
-        beta = default_beta(metric, data.samples)
+        beta = support_beta(data, metric)
         state = alignment_objective(data, graphs, W, metric, beta)
         analytic = alignment_gradient(state)
         fd = fd_gradient(
@@ -247,7 +250,7 @@ class TestAlignmentGradient:
         # m = 1 has no row step past the diagonal; at m = 20 the 10-sample
         # stack of factors holds fewer matrices than rows
         data, graphs, W = make_instance(31 + m, n=m + 2, m=m)
-        beta = default_beta(MetricKind.STEIN, data.samples)
+        beta = support_beta(data, MetricKind.STEIN)
         state = alignment_objective(data, graphs, W, MetricKind.STEIN, beta)
         analytic = alignment_gradient(state)
         fd = fd_gradient(
@@ -259,7 +262,7 @@ class TestAlignmentGradient:
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_gradient_step_ascends(self, metric):
         data, graphs, W = make_instance(11)
-        beta = default_beta(metric, data.samples)
+        beta = support_beta(data, metric)
         state = alignment_objective(data, graphs, W, metric, beta)
         g = alignment_gradient(state)
         h = 1e-6 / max(np.linalg.norm(g), 1.0)
@@ -289,7 +292,7 @@ class TestAlignmentGradient:
 
     def test_bitwise_deterministic(self):
         data, graphs, W = make_instance(17)
-        beta = default_beta(MetricKind.LEM, data.samples)
+        beta = support_beta(data, MetricKind.LEM)
         state = alignment_objective(data, graphs, W, MetricKind.LEM, beta)
         g1 = alignment_gradient(state)
         g2 = alignment_gradient(state)
@@ -310,7 +313,7 @@ class TestMultiBlock:
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_value_matches_dense_reimplementation(self, instance, metric):
         data, graphs, W = instance
-        beta = default_beta(metric, data.samples)
+        beta = support_beta(data, metric)
         state = alignment_objective(data, graphs, W, metric, beta)
         expected = direct_objective(data, graphs, W, metric, beta)
         assert abs(state.J - expected) <= 1e-12 * max(1.0, abs(expected))
@@ -318,7 +321,7 @@ class TestMultiBlock:
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_gradient_matches_sum_of_pair_gradients(self, instance, metric):
         data, graphs, W = instance
-        beta = default_beta(metric, data.samples)
+        beta = support_beta(data, metric)
         state = alignment_objective(data, graphs, W, metric, beta)
         expected = np.zeros_like(W)
         for p, (i, j) in enumerate(graphs.pairs):
@@ -333,7 +336,7 @@ class TestMultiBlock:
         # the flat 1-D accumulation adds each entry's terms in the same order
         # as whole-matrix adds per sample, so the two agree bit for bit
         data, graphs, W = instance
-        beta = default_beta(metric, data.samples)
+        beta = support_beta(data, metric)
         state = alignment_objective(data, graphs, W, metric, beta)
         geom = geometry(metric)
         i, j = graphs.pairs.T
@@ -345,7 +348,7 @@ class TestMultiBlock:
     @pytest.mark.parametrize("metric", ALL_METRICS)
     def test_gradient_matches_finite_differences(self, instance, metric):
         data, graphs, W = instance
-        beta = default_beta(metric, data.samples)
+        beta = support_beta(data, metric)
         state = alignment_objective(data, graphs, W, metric, beta)
         analytic = alignment_gradient(state)
         fd = fd_gradient(
@@ -362,7 +365,7 @@ class TestMultiBlock:
         # Cholesky factors, one of the sample stack and one per block of
         # midpoints
         data, graphs, W = instance
-        beta = default_beta(metric, data.samples)
+        beta = support_beta(data, metric)
         state = alignment_objective(data, graphs, W, metric, beta)
         calls = count_calls(monkeypatch, np.linalg, ["eigh", "cholesky", "inv"])
         chol_invs = count_calls(monkeypatch, matfun, ["chol_inv"])
@@ -391,7 +394,7 @@ class TestMultiBlock:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recorded)
-        beta = default_beta(aim, data)
+        beta = default_beta(neighbor_graphs(data, pairwise_dist2(aim, data), 2, 2))
         state = alignment_objective(data, graphs, W, aim, beta)
         alignment_gradient(state)
         assert seen and all(shape != (N,) for shape in seen)

@@ -58,7 +58,7 @@ def off_orthonormal(W0, seed):
 def fitted_instance(seed, metric=MetricKind.STEIN, n=8, m=3, classes=3, per_class=5):
     data = clustered_dataset(seed, n, classes, per_class)
     graphs = build_graphs(data, metric, v_w=2, v_b=2)
-    beta = default_beta(metric, data.samples)
+    beta = default_beta(graphs)
     W0 = initial_transform(n, m, seed)
     return data, graphs, beta, W0
 
