@@ -28,8 +28,7 @@ _SOURCES = {
         ("errors", "ConfigError DegenerateAlignmentError DegenerateInputError "
                    "DimMismatchError InsufficientClassSizeError NoConvergenceError "
                    "NonSymmetricError NotPositiveDefiniteError NumericalError "
-                   "RankDeficientError SpdAlignError SylvesterFailureError "
-                   "ValidationError"),
+                   "RankDeficientError SpdAlignError ValidationError"),
         ("evaluate", "EvalReport EvalSummary knn_classify repeated_split_eval split"),
         ("fileio", "load_dataset"),
         ("graphs", "PairGraphs build_graphs neighbor_graphs"),

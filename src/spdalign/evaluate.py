@@ -10,10 +10,12 @@ each class), then factors the whole stack once and computes the distance
 of each unordered pair that some split needs as a (test, train) pair at
 most once, however many splits share it and in whichever order they need
 it. Under Stein and the log-Euclidean distance it computes every such pair
-in one pass. The union of the pairs is one broadcast assignment, which
-builds no (S, b, a) index array; the screen below and the 1-NN votes run
-as stacked passes over groups of splits, each group's (g, b, a) gather
-within BLOCK_ENTRIES entries, so memory does not grow with S. The stack is
+in one pass. The pairs the splits need are one N x N mask of their
+(test, train) cells, formed once for both manifolds by one broadcast
+assignment, which builds no (S, b, a) index array; the screen below and
+the 1-NN votes run as stacked passes over groups of splits, each group's
+(g, b, a) gather within BLOCK_ENTRIES entries, so memory does not grow
+with S. The stack is
 taken as the dataset checked it: only `map_down` checks it again, finite
 and symmetric, on the way through W, and neither manifold's stack is
 screened against the PD floor again (`metrics` docstring).
@@ -24,10 +26,11 @@ taken in the frame whitened by the stack's arithmetic mean, at one
 eigendecomposition per sample), through `metrics.PairScreen`, the screen
 `graphs.build_graphs` uses too. Pass 1 computes, for each test row of each
 split, the distance to its bound-nearest train sample, which caps the
-row's nearest distance; a pair's cap is the largest over the rows of the
-splits that need it. Pass 2 computes every pair whose floor
-sqrt(bound) - tau is not above the square root of its cap, and every pair
-whose floor is not finite. A pair left out has a computed distance
+row's nearest distance; a cell's cap is the largest over the rows of the
+splits that need it, and a pair takes the larger of its two orders'.
+Pass 2 computes every needed pair whose floor sqrt(bound) - tau is not
+above the square root of its cap, and every needed pair whose floor is
+not finite, and no other. A pair left out has a computed distance
 strictly above the cap of every row that needs it, so it can neither be a
 row's nearest neighbor nor tie it. Each computed value is the one
 `cross_dist2` gives, since the kernel computes each pair on its own, and
@@ -41,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import unordered_pairs
 from .metrics import BLOCK_ENTRIES, MetricKind, PairScreen, cross_dist2, map_down
 
 
@@ -192,32 +194,31 @@ def _nearest(M, train, test):
     return nearest
 
 
-def _split_dist2(metric, stack, train, test, union):
+def _split_dist2(metric, stack, train, test, needed):
     """(D, computed): the N x N squared distances the splits' 1-NN votes
     read, inf where none was computed, and how many unordered pairs were
     computed exactly. train and test are the (S, a) and (S, b) index
-    arrays of `_draw_splits`; union holds the pairs (i, j), i < j, they
-    need. The stack is a dataset's or `map_down`'s output, taken as
-    `PairScreen` takes it."""
-    screen = PairScreen(metric, stack, *union)
+    arrays of `_draw_splits`; needed is the N x N mask of their
+    (test, train) cells, and no pair outside it is computed. The stack is
+    a dataset's or `map_down`'s output, taken as `PairScreen` takes it."""
+    screen = PairScreen(metric, stack)
     if screen.floor is None:
-        screen.compute(np.ones(len(union[0]), dtype=bool))
-        return screen.dist2_matrix(), screen.computed
-    # each cell's position in the union
-    at = np.zeros((len(stack),) * 2, dtype=np.intp)
-    at[union] = at[union[::-1]] = np.arange(len(union[0]))
-    first = at[test, _nearest(screen.bound_matrix(), train, test)]
-    mask = np.zeros(len(union[0]), dtype=bool)
-    mask[first] = True
-    screen.compute(mask)
-    cap = screen.dist2[first]
-    # a pair's cap is the largest of its cells' caps: every union pair is a
-    # cell of some split, and no cap is below 0
-    pair_cap = np.zeros(len(union[0]))
+        screen.compute(needed)
+        return screen.dist2, screen.computed
+    first = _nearest(screen.bound, train, test)
+    screen.bound = None
+    nominated = np.zeros_like(needed)
+    nominated[test, first] = True
+    screen.compute(nominated)
+    cap = screen.dist2[test, first]
+    # a cell's cap is the largest of its rows' caps over the splits that
+    # need it; no cap is below 0, and a pair takes the larger of its two
+    # orders' (`PairScreen.compute_unless_ruled_out`)
+    cell_cap = np.zeros(needed.shape)
     for g, cells in _split_groups(train, test):
-        np.maximum.at(pair_cap, at[cells], cap[g, :, None])
-    screen.compute_unless_ruled_out(pair_cap)
-    return screen.dist2_matrix(), screen.computed
+        np.maximum.at(cell_cap, cells, cap[g, :, None])
+    screen.compute_unless_ruled_out(cell_cap, needed)
+    return screen.dist2, screen.computed
 
 
 def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=None):
@@ -236,14 +237,13 @@ def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=
     train, test = _draw_splits(data, train_fraction, range(seed, seed + repeats))
     needed = np.zeros((data.size, data.size), dtype=bool)
     needed[test[:, :, None], train[:, None, :]] = True
-    union = unordered_pairs(needed)
     stacks = [data.samples]
     if W is not None:
         stacks.append(map_down(data.samples, W))
     labels = data.labels
     accuracies, computed = [], []
     for stack in stacks:
-        D, count = _split_dist2(metric, stack, train, test, union)
+        D, count = _split_dist2(metric, stack, train, test, needed)
         computed.append(count)
         hits = labels[_nearest(D, train, test)] == labels[test]
         accuracies.append(np.count_nonzero(hits, axis=1) / test.shape[1])
@@ -251,5 +251,6 @@ def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=
         baseline=accuracies[0],
         transformed=accuracies[1] if W is not None else None,
         distances_computed=tuple(computed),
-        union_pairs=len(union[0]),
+        # no cell is on the diagonal: a split's test and train are disjoint
+        union_pairs=np.count_nonzero(needed | needed.T) // 2,
     )

@@ -17,13 +17,7 @@ from .errors import (
     InsufficientClassSizeError,
     ValidationError,
 )
-from .metrics import PairScreen, geometry, pairwise_dist2
-
-
-def unordered_pairs(mask):
-    """Index arrays (i, j), i < j, in lexicographic order, of the unordered
-    pairs that a boolean matrix marks in either order."""
-    return np.nonzero(np.triu(mask | mask.T, k=1))
+from .metrics import PairScreen, geometry, pairwise_dist2, unordered_pairs
 
 
 @dataclass(frozen=True)
@@ -143,7 +137,8 @@ def neighbor_graphs(data, D, v_w, v_b):
 def _screened_dist2(data, metric, v_w, v_b):
     """(D, computed): the squared distances `neighbor_graphs` reads of the
     samples under a `bounded` metric, inf where none was computed, and how
-    many pairs were computed exactly (`metrics.PairScreen`).
+    many pairs were computed exactly (`metrics.PairScreen`, whose N x N
+    matrices every step reads and masks).
 
     Each row nominates its v bound-nearest candidates of each kind, and
     those pairs are computed. A row's cap of a kind is the v-th least
@@ -154,25 +149,20 @@ def _screened_dist2(data, metric, v_w, v_b):
     cap is computed, so each row's first min(v, candidates) columns, ties
     included, are those of the exhaustive D.
     """
-    i, j = np.triu_indices(data.size, k=1)
-    screen = PairScreen(metric, data.samples, i, j)
-    nominated = _nominated(_nearest(data, screen.bound_matrix(), v_w, v_b))
-    screen.compute(nominated[i, j] | nominated[j, i])
+    screen = PairScreen(metric, data.samples)
+    nominated = _nominated(_nearest(data, screen.bound, v_w, v_b))
+    screen.bound = None
+    screen.compute(nominated)
     del nominated
-    D = screen.dist2_matrix()
-    rows = np.arange(data.size)
-    caps = []
-    for nearest, keep in _nearest(data, D, v_w, v_b):
-        # a row with no candidate of a kind is an end of no pair of that kind
-        caps.append(D[rows, nearest[rows, np.maximum(keep.sum(axis=1) - 1, 0)]])
-    del D
-    (cap_w, cap_b), labels = caps, data.labels
-    screen.compute_unless_ruled_out(np.where(
-        labels[i] == labels[j],
-        np.maximum(cap_w[i], cap_w[j]),
-        np.maximum(cap_b[i], cap_b[j]),
-    ))
-    return screen.dist2_matrix(), screen.computed
+    D, rows, labels = screen.dist2, np.arange(data.size), data.labels
+    # a row with no candidate of a kind is an end of no pair of that kind
+    cap_w, cap_b = (D[rows, nearest[rows, np.maximum(keep.sum(axis=1) - 1, 0)]]
+                    for nearest, keep in _nearest(data, D, v_w, v_b))
+    # a pair's cap is the larger of its two ends' caps of its kind
+    cap = np.maximum.outer(cap_b, cap_b)
+    np.copyto(cap, np.maximum.outer(cap_w, cap_w), where=labels[:, None] == labels)
+    screen.compute_unless_ruled_out(cap)
+    return D, screen.computed
 
 
 def build_graphs(data, metric, v_w, v_b):

@@ -42,15 +42,21 @@ Stein and log-Euclidean pass runs on the calling thread alone. Each block
 writes its distances, and any per-pair factors it keeps, into its own
 slice of arrays allocated before the pass, and the pass joins its threads
 before it returns, so every value, and the error of the first failing
-block, is the serial loop's, whatever the CPU count.
+block, is the serial loop's, whatever the CPU count. The affine-invariant
+lower bound's Gram product runs in numpy's own loop (`np.einsum`), not in
+the BLAS: a BLAS product of that size starts the BLAS's threads, which
+keep spinning after it returns, and the pooled pair passes that follow
+it on a 120-sample stack ran about a third slower (2 CPUs, OpenBLAS).
 
 Training needs the original-manifold distances of the neighbor graphs'
 support pairs only: the graphs carry them (`graphs.build_graphs`), and the
 bandwidth is their mean (`default_beta`), so nothing is computed twice.
 Under the affine-invariant distance the graphs and the evaluation splits
 compute only the pairs the lower bound below cannot rule out, through one
-screen (`PairScreen`). `indexed_dist2` computes the distances of any set
-of pairs of one stack.
+screen (`PairScreen`), which holds its bound, floor and distances as
+N x N matrices and takes the pairs to compute as N x N masks
+(`unordered_pairs`). `indexed_dist2` computes the distances of any set of
+pairs of one stack.
 Every distance-only pass is exactly invariant to argument order, for the
 affine-invariant distance too: it whitens each pair by whichever of its two
 matrices sorts first by entries. The alignment objective's pass
@@ -81,9 +87,11 @@ metric increasing property; Bhatia, Positive Definite Matrices, 2007, Thm
 6.1.4), which is tight as both matrices approach the identity, so
 `AffineInvariant.lower_bound` takes it in the stack's own whitened frame.
 With M = mean_k X_k, the stack's arithmetic mean, and C = M^{-1/2} from one
-n x n eigendecomposition, it is the log-Euclidean kernel's distance between
+n x n eigendecomposition, it is ||log Z_a - log Z_b||_F^2 for
 Z_a = C X_a C and Z_b = C X_b C, from one stacked eigendecomposition of the
-Z_k; on clustered data that is far tighter than the bound on the samples
+Z_k, for every pair at once: one Gram product of the flattened logs, less a
+rounding term that keeps it under the exact value (`lower_bound`). On
+clustered data that is far tighter than the bound on the samples
 themselves. Each pair gets a rounding margin
 tau = BOUND_MARGIN n^{3/2} eps k_M (k_M + 1) k_a k_b, with k_M the
 eigenvalue spread w_max / w_min of M and k_a, k_b those of the whitened
@@ -129,6 +137,10 @@ BLOCK_ENTRIES = 16384
 # pair whitening and eigensolve, the congruence by the mean's M^{-1/2} and the
 # whitened samples' logs, which all grow with n eps k
 BOUND_MARGIN = 1e4
+# c of the rounding term c n^2 eps (s_a + s_b) that the affine-invariant lower
+# bound takes off its Gram form (`AffineInvariant.lower_bound`): it covers the
+# Gram form's own rounding and, for n >= 2, the log-Euclidean kernel's too
+GRAM_ROUNDING = 8
 
 
 class MetricKind(Enum):
@@ -345,9 +357,9 @@ class Geometry:
     bounded = False
 
     @staticmethod
-    def lower_bound(side, i, j):
-        """(squared lower bounds, rounding margins) of the pairs (i[p],
-        j[p]) of one side, or None for a geometry with no cheap bound."""
+    def lower_bound(stack):
+        """(squared lower bounds, rounding margins) of every pair of a stack,
+        as two N x N matrices, or None for a geometry with no cheap bound."""
         return None
 
     def dist2_pairs(self, side, i, j, keep=False):
@@ -466,14 +478,14 @@ class AffineInvariant(Geometry):
     equal matrices gets a zero log spectrum, so its distance and kept log
     are exactly zero.
 
-    `lower_bound` gives the log-Euclidean squared distance of each pair in
-    the frame whitened by the stack's arithmetic mean (`whiten_by_mean`),
-    from the side's stack alone (it reads no factor),
-    never above the affine-invariant one, and the rounding margin tau that
-    makes sqrt(bound) - tau a floor under the computed distance's square
-    root (module docstring). It costs one eigendecomposition per sample, not
-    per pair, and one gathered difference per pair against a pair whitening
-    and eigensolve.
+    `lower_bound` gives, as N x N matrices, the log-Euclidean squared
+    distance of every pair in the frame whitened by the stack's arithmetic
+    mean (`whiten_by_mean`), less a Gram rounding term, never above the
+    affine-invariant one, and the rounding margin tau that makes
+    sqrt(bound) - tau a floor under the computed distance's square root
+    (module docstring). It reads the stack alone, no factor, and costs one
+    eigendecomposition per sample and one Gram product of the flattened
+    logs, against a pair whitening and eigensolve per pair.
 
     Pair gradient term U = E, with T_i = E and T_j = -E, for
     E = log(Y_i Y_j^{-1}) = -L_i log(L_i^{-1} Y_j L_i^{-T}) L_i^{-1},
@@ -532,15 +544,52 @@ class AffineInvariant(Geometry):
         return Z, matfun.eig_apply(Qz, np.log(wz)), spread, spread_m
 
     @staticmethod
-    def lower_bound(side, i, j):
-        Z, logs, spread, spread_m = AffineInvariant.whiten_by_mean(side[0])
-        n = Z.shape[-1]
-        rows, cols, _ = _upper(n)
-        whitened = (Z, (logs[:, rows, cols],))
-        bound, _ = geometry(MetricKind.LEM).dist2_pairs(whitened, i, j)
+    def lower_bound(stack):
+        """(bound, tau), two N x N matrices: the squared lower bound of every
+        pair of the stack, from one Gram product of the whitened logs, and
+        its rounding margin.
+
+        With u_a the flattened log Z_a of `whiten_by_mean` and
+        s_a = ||u_a||^2, the squared log-Euclidean distance of a pair is
+        ||u_a - u_b||^2 = s_a + s_b - 2 (U U^T)_ab. A dot product of length
+        n^2 computed in floating point errs by at most
+        gamma_{n^2} |u_a|.|u_b| <= gamma_{n^2} sqrt(s_a s_b), with
+        gamma_k = k eps / (1 - k eps) (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2002, sec. 3.1), and
+        2 sqrt(s_a s_b) <= s_a + s_b. To first order in eps, the three
+        products and the five other roundings below then err by at most
+        (2 n^2 + 5) eps (s_a + s_b), and the log-Euclidean kernel's value of
+        the pair, a weighted sum of n(n+1)/2 rounded squares, by at most
+        (n^2 + n + 6) eps (s_a + s_b), as ||u_a - u_b||^2 <= 2 (s_a + s_b).
+        The bound takes off the rounding term GRAM_ROUNDING n^2 eps
+        (s_a + s_b) and is clamped at 0. The term covers the first error for
+        every n, so the bound is never above the exact squared distance of
+        the computed logs, and both for n >= 2, so it is never above the
+        kernel's value either, and at most twice the term below it. The
+        margin of the pair is BOUND_MARGIN n^{3/2} eps k_M (k_M + 1) k_a k_b,
+        the outer product of the samples' spreads scaled by the mean's
+        (module docstring). The logs are dropped once the Gram product is
+        taken, and the Gram product once the bound is formed, before the
+        margin.
+        """
+        logs, spread, spread_m = AffineInvariant.whiten_by_mean(stack)[1:]
+        n = stack.shape[-1]
+        U = logs.reshape(len(logs), -1)
+        # numpy's own loop, not a threaded BLAS product (module docstring)
+        gram = np.einsum("ak,bk->ab", U, U)
+        del U, logs
+        # s_a + s_b less the rounding term, from the Gram diagonal, summed
+        # before the products are taken off so that the bound is symmetric
+        kept = np.diagonal(gram) * (1.0 - GRAM_ROUNDING * n * n * np.finfo(float).eps)
+        bound = np.add.outer(kept, kept)
+        gram *= 2.0
+        bound -= gram
+        del gram
+        np.maximum(bound, 0.0, out=bound)
         # k_M k_a bounds the spread of X_a = M^{1/2} Z_a M^{1/2}
-        scale = BOUND_MARGIN * n**1.5 * np.finfo(float).eps
-        return bound, scale * spread_m * (spread_m + 1.0) * (spread[i] * spread[j])
+        tau = np.multiply.outer(spread, spread)
+        tau *= BOUND_MARGIN * n**1.5 * np.finfo(float).eps * spread_m * (spread_m + 1.0)
+        return bound, tau
 
     @staticmethod
     def block_dist2(side, i, j, keep=False):
@@ -810,69 +859,65 @@ def indexed_dist2(metric, samples, i, j):
     return geom.dist2_pairs((stack, geom.factors(stack, "sample")), i, j)[0]
 
 
+def unordered_pairs(mask):
+    """Index arrays (i, j), i < j, in lexicographic order, of the unordered
+    pairs that an N x N boolean matrix marks in either order: the flat
+    positions of the marked upper triangle, split by N."""
+    N = len(mask)
+    upper = mask | mask.T
+    upper &= np.arange(N)[:, None] < np.arange(N)
+    return np.divmod(np.flatnonzero(upper), N)
+
+
 class PairScreen:
-    """Exact squared distances of the pairs (i[p], j[p]) of one stack,
+    """Exact squared distances of the pairs of one stack of N samples,
     computed as a caller asks for them: the one place where a pass skips the
     pairs the affine-invariant lower bound rules out (module docstring).
 
-    `dist2` is the pair vector of the distances computed so far, inf where
-    none was, and `computed` their count. Each value is the one
-    `indexed_dist2` gives, since the kernel computes each pair on its own.
-    For a `bounded` geometry, `floor` is sqrt(bound) - tau of each pair's
-    `lower_bound`, -inf where that is not finite (a NaN floor would compare
-    False and rule a pair out); `floor` is None for any other geometry, and
-    its caller computes every pair. `bound_matrix` hands out the bound, once,
-    for nominating the first pairs. The stack is taken as given: a
-    dataset's, screened when the dataset was built, or `map_down`'s output;
-    `Geometry.factors` only decomposes.
+    `dist2` is the N x N symmetric matrix of the distances computed so far,
+    inf where none was (the diagonal included), and `computed` the count of
+    unordered pairs computed. Each value is the one `indexed_dist2` gives,
+    since the kernel computes each pair on its own. For a `bounded`
+    geometry, `bound` is the N x N `lower_bound`, which a caller reads to
+    nominate the first pairs and then drops, and `floor` is
+    sqrt(bound) - tau, -inf where that is not finite (a NaN floor would
+    compare False and rule a pair out); both are None for any other
+    geometry, and its caller computes every pair it needs. The stack is
+    taken as given: a dataset's, screened when the dataset was built, or
+    `map_down`'s output; `Geometry.factors` only decomposes.
     """
 
-    def __init__(self, metric, stack, i, j):
+    def __init__(self, metric, stack):
         self.geom = geometry(metric)
-        self.i, self.j = i, j
-        self.dist2 = np.full(len(i), np.inf)
-        self.computed = 0
         self.bound = self.floor = None
         if self.geom.bounded:
             # the bound reads the stack alone; taken before the factors, it
-            # holds its whitened frame without them
-            self.bound, tau = self.geom.lower_bound((stack, None), i, j)
-            self.floor = np.sqrt(self.bound)
-            self.floor -= tau
-            del tau
+            # holds its whitened frame without them. The floor takes the
+            # margin's buffer.
+            self.bound, self.floor = self.geom.lower_bound(stack)
+            np.subtract(np.sqrt(self.bound), self.floor, out=self.floor)
             self.floor[~np.isfinite(self.floor)] = -np.inf
         self.side = (stack, self.geom.factors(stack, "sample"))
-
-    def _matrix(self, values):
-        """The N x N symmetric matrix of a pair vector, inf off the pairs."""
-        M = np.full((len(self.side[0]),) * 2, np.inf)
-        M[self.i, self.j] = M[self.j, self.i] = values
-        return M
-
-    def bound_matrix(self):
-        """The bounds as an N x N matrix, inf off the pairs; the pair vector
-        is dropped, as nothing reads it again."""
-        M, self.bound = self._matrix(self.bound), None
-        return M
-
-    def dist2_matrix(self):
-        """The computed distances as an N x N matrix, inf elsewhere."""
-        return self._matrix(self.dist2)
+        self.dist2 = np.full((len(stack),) * 2, np.inf)
+        self.computed = 0
 
     def compute(self, mask):
-        """Compute every pair that the boolean pair vector marks and that no
-        earlier call computed."""
-        todo = np.flatnonzero(mask & np.isinf(self.dist2))
-        self.dist2[todo] = self.geom.dist2_pairs(
-            self.side, self.i[todo], self.j[todo])[0]
-        self.computed += len(todo)
+        """Compute the unordered pairs that the N x N boolean mask marks, in
+        either order, and that no earlier call computed, in lexicographic
+        order (`unordered_pairs`)."""
+        i, j = unordered_pairs(mask & np.isinf(self.dist2))
+        self.dist2[i, j] = self.dist2[j, i] = self.geom.dist2_pairs(self.side, i, j)[0]
+        self.computed += len(i)
 
-    def compute_unless_ruled_out(self, cap):
-        """Compute every pair p whose floor is not above sqrt(cap[p]), after
-        dropping the floor. A pair left out has sqrt of its computed
+    def compute_unless_ruled_out(self, cap, among=True):
+        """Compute every pair (a, b) that `among` marks, an N x N mask or True
+        for every pair, whose floor is not above sqrt(cap[a, b]), after
+        dropping the floor; a pair is computed if either of its orders
+        qualifies. A pair left out in an order has sqrt of its computed
         distance at least its floor, so its distance is strictly above
-        cap[p], in floating point too."""
+        cap[a, b], in floating point too."""
         mask = self.floor <= np.sqrt(cap)
+        mask &= among
         self.floor = None
         self.compute(mask)
 

@@ -48,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from . import matfun
-from .errors import NumericalError, SylvesterFailureError, ValidationError
+from .errors import NoConvergenceError, NumericalError, ValidationError
 from .metrics import check_transform
 from .objective import AlignmentProblem, alignment_gradient
 from .objective import alignment_objective  # noqa: F401  (traced by perfbench)
@@ -108,19 +108,21 @@ def horizontal_project(W, H):
     V^T. Taking V from W rather than from eigh(W^T W) avoids squaring the
     condition number of W. A stack shares the one SVD, and each of its
     directions comes out as it would alone, bit for bit. `rcg_maximize`
-    does not call it (module docstring).
+    does not call it (module docstring). An SVD that breaks down or a
+    solve that is not finite raises NoConvergenceError, as `matfun.sym_eig`
+    does for a failed eigensolve.
     """
     rhs = W.T @ H - H.swapaxes(-1, -2) @ W
     try:
         _, s, Vt = np.linalg.svd(W, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise SylvesterFailureError(f"horizontal projection failed: {exc}") from exc
+        raise NoConvergenceError(f"horizontal projection failed: {exc}") from exc
     lam = s * s
     # a rank-deficient W divides by zero; the finiteness check below reports it
     with np.errstate(divide="ignore", invalid="ignore"):
         Omega = Vt.T @ ((Vt @ rhs @ Vt.T) / (lam[:, None] + lam)) @ Vt
     if not np.all(np.isfinite(Omega)):
-        raise SylvesterFailureError("horizontal projection produced non-finite values")
+        raise NoConvergenceError("horizontal projection produced non-finite values")
     # rhs is skew and the coefficient matrix is SPD, so Omega is skew; drop
     # the symmetric rounding residue
     Omega = 0.5 * (Omega - Omega.swapaxes(-1, -2))

@@ -173,8 +173,8 @@ def transformed_dist2(metric, X_i, X_j, W):
 
 def factored(metric, samples):
     """(geometry, side) of one validated stack: the metric's kernel and the
-    (stack, factors) operand its `dist2_pairs` and `lower_bound` take, so a
-    caller that needs several passes over pairs of the stack factors it once."""
+    (stack, factors) operand its `dist2_pairs` takes, so a caller that
+    needs several passes over pairs of the stack factors it once."""
     geom = geometry(metric)
     samples = _operand(samples, "sample", 3)
     return geom, (samples, geom.factors(samples, "sample"))

@@ -8,8 +8,9 @@ from spdalign.dataset import LabeledDataset
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import ValidationError
 from spdalign.evaluate import EvalSummary, knn_classify, repeated_split_eval, split
-from spdalign.graphs import unordered_pairs
-from spdalign.metrics import MetricKind, cross_dist2, geometry, map_down
+from spdalign.metrics import (
+    MetricKind, cross_dist2, geometry, map_down, unordered_pairs,
+)
 
 from helpers import clustered_dataset, count_calls, rand_full_rank, ref_shaped_dataset
 
@@ -334,6 +335,36 @@ class TestRepeatedSplitEval:
             len(pair_list(calls[n])) for n in ([4, 2] if with_w else [4])
         )
 
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_computes_no_pair_outside_the_split_cells(self, metric, with_w, monkeypatch):
+        # two splits need their (test, train) cells only: no test-test or
+        # train-train pair of either. The AIM bound is made 0 everywhere, so
+        # no floor rules a pair out and only the cells limit what is computed
+        data = ref_shaped_dataset(seed=0)
+        W = rand_full_rank(np.random.default_rng(0), 20, 5) if with_w else None
+        aim = geometry(MetricKind.AIM)
+        original = aim.lower_bound
+
+        def zero_bound(stack):
+            bound, tau = original(stack)
+            return np.zeros_like(bound), tau
+
+        monkeypatch.setattr(aim, "lower_bound", zero_bound)
+        calls = record_pairs(monkeypatch, metric)
+        summary = repeated_split_eval(data, metric, repeats=2, seed=5, W=W)
+        train, test = evaluate._draw_splits(data, 0.5, range(5, 7))
+        cells = {(min(a, b), max(a, b))
+                 for train_idx, test_idx in zip(train, test)
+                 for a in test_idx for b in train_idx}
+        assert len(cells) == summary.union_pairs < data.size * (data.size - 1) // 2
+        dims = [20, 5] if with_w else [20]
+        assert sorted(calls) == sorted(dims)
+        for n, count in zip(dims, summary.distances_computed, strict=True):
+            pairs = pair_list(calls[n])
+            assert len(pairs) == count == len(cells)
+            assert set(pairs) == cells
+
     def test_screen_skips_most_aim_pairs_on_wide_shaped_data(self, monkeypatch):
         # the shape of the benchmark's `wide` held-out set: N=150, dim 12 -> 4
         data = synth_dataset(
@@ -429,7 +460,6 @@ class TestAimScreen:
         needed = np.zeros((data.size, data.size), dtype=bool)
         for train_idx, test_idx in splits:
             needed[np.ix_(test_idx, train_idx)] = True
-        union = unordered_pairs(needed)
         manifolds = [(data.samples, summary.baseline, None)]
         if with_w:
             manifolds.append((map_down(data.samples, W), summary.transformed, W))
@@ -439,7 +469,7 @@ class TestAimScreen:
                 for r in range(10)
             ]
             assert np.array_equal(accuracies, expected)
-            D, _ = evaluate._split_dist2(aim, stack, train, test, union)
+            D, _ = evaluate._split_dist2(aim, stack, train, test, needed)
             for train_idx, test_idx in splits:
                 exact = cross_dist2(aim, stack[test_idx], stack[train_idx])
                 block = D[np.ix_(test_idx, train_idx)]
@@ -459,21 +489,22 @@ class TestAimScreen:
         aim = MetricKind.AIM
         geom = geometry(aim)
         original = geom.lower_bound
-
-        def broken(side, i, j):
-            bound, tau = original(side, i, j)
-            bound[::3] = np.nan
-            bound[1::3] = np.inf
-            return bound, tau
-
-        monkeypatch.setattr(geom, "lower_bound", broken)
         train, test = evaluate._draw_splits(data, 0.5, range(5, 15))
         splits = list(zip(train, test))
         needed = np.zeros((data.size, data.size), dtype=bool)
         for train_idx, test_idx in splits:
             needed[np.ix_(test_idx, train_idx)] = True
         union = unordered_pairs(needed)
-        D, computed = evaluate._split_dist2(aim, data.samples, train, test, union)
+
+        def broken(stack):
+            bound, tau = original(stack)
+            for start, bad in ((0, np.nan), (1, np.inf)):
+                i, j = union[0][start::3], union[1][start::3]
+                bound[i, j] = bound[j, i] = bad
+            return bound, tau
+
+        monkeypatch.setattr(geom, "lower_bound", broken)
+        D, computed = evaluate._split_dist2(aim, data.samples, train, test, needed)
         forced = np.arange(len(union[0])) % 3 < 2
         assert np.isfinite(D[union[0][forced], union[1][forced]]).all()
         assert computed >= forced.sum()

@@ -459,9 +459,10 @@ class TestScreenedBuild:
         geom = geometry(MetricKind.AIM)
         original = geom.lower_bound
 
-        def broken(side, i, j):
-            bound, tau = original(side, i, j)
-            bound[::3] = bad
+        def broken(stack):
+            bound, tau = original(stack)
+            i, j = np.triu_indices(len(stack), k=1)
+            bound[i[::3], j[::3]] = bound[j[::3], i[::3]] = bad
             return bound, tau
 
         monkeypatch.setattr(geom, "lower_bound", broken)

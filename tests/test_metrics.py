@@ -42,6 +42,7 @@ from spdalign.errors import (
 from spdalign.graphs import PairGraphs, build_graphs, neighbor_graphs
 from spdalign.metrics import (
     BLOCK_ENTRIES,
+    GRAM_ROUNDING,
     MetricKind,
     _blocks,
     bandwidth,
@@ -637,17 +638,22 @@ class TestLowerBound:
         for scale in (1.0, 1e8):
             scaled = scale * np.stack(stack)
             geom, side = factored(MetricKind.AIM, scaled)
-            bound, tau = geom.lower_bound(side, i, j)
+            bound, tau = geom.lower_bound(scaled)
+            assert np.array_equal(bound, bound.T) and np.array_equal(tau, tau.T)
             # the log-Euclidean kernel's own values on the stack whitened by
-            # its arithmetic mean M: Z_k = C X_k C with C = M^{-1/2}
-            Z = geom.whiten_by_mean(scaled)[0]
-            assert np.array_equal(bound, indexed_dist2(MetricKind.LEM, Z, i, j))
+            # its arithmetic mean M: Z_k = C X_k C with C = M^{-1/2}. The Gram
+            # form is never above them, and at most twice its rounding term
+            # GRAM_ROUNDING n^2 eps (s_a + s_b) below, s_a = ||log Z_a||_F^2
+            Z, logs = geom.whiten_by_mean(scaled)[:2]
+            gap = indexed_dist2(MetricKind.LEM, Z, i, j) - bound[i, j]
+            s = np.sum(logs**2, axis=(1, 2))
+            term = GRAM_ROUNDING * n * n * np.finfo(float).eps * (s[i] + s[j])
+            assert np.all(gap >= 0.0) and np.all(gap <= 2.0 * term)
             C = spd_exp(-0.5 * spd_log(scaled.mean(axis=0)))
             assert np.allclose(Z, C @ scaled @ C, rtol=0.0,
                                atol=1e-9 * np.abs(Z).max())
-            assert np.array_equal(tau, geom.lower_bound(side, j, i)[1])
             d, _ = geom.dist2_pairs(side, i, j)
-            assert np.all(np.sqrt(bound) - tau <= np.sqrt(d))
+            assert np.all(np.sqrt(bound[i, j]) - tau[i, j] <= np.sqrt(d))
 
     def test_unusable_whitened_sample_rules_out_nothing(self):
         # samples never reach the bound indefinite or non-finite, so the
@@ -662,10 +668,9 @@ class TestLowerBound:
         _, logs, spread, spread_m = geom.whiten_by_mean(stack)
         assert np.isfinite(logs).all() and spread_m == 2.0
         assert np.isfinite(spread[:2]).all() and spread[2] == np.inf
-        i, j = np.triu_indices(3, k=1)
-        bound, tau = geom.lower_bound((stack, None), i, j)
+        bound, tau = geom.lower_bound(stack)
         assert np.isfinite(bound).all()
-        usable = (i < 2) & (j < 2)
+        usable = np.outer([True, True, False], [True, True, False])
         assert np.isfinite(tau[usable]).all() and np.isinf(tau[~usable]).all()
         assert np.all(np.sqrt(bound[~usable]) - tau[~usable] == -np.inf)
 
@@ -674,17 +679,14 @@ class TestLowerBound:
         assert np.array_equal(Z[:3], stack[:3]) and spread_m == np.inf
         assert np.isfinite(logs).all()
         assert np.array_equal(spread, [1.0, 1.0, np.inf, np.inf])
-        i, j = np.triu_indices(4, k=1)
-        bound, tau = geom.lower_bound((stack, None), i, j)
+        bound, tau = geom.lower_bound(stack)
         assert np.isfinite(bound).all() and np.isinf(tau).all()
 
     def test_margin_covers_ill_conditioned_pairs(self):
         rng = np.random.default_rng(3)
         scale = np.diag(np.geomspace(1.0, 1e-4, 12))
         stack = np.stack([scale @ rand_spd(rng, 12) @ scale for _ in range(4)])
-        i, j = np.triu_indices(4, k=1)
-        geom, side = factored(MetricKind.AIM, stack)
-        bound, tau = geom.lower_bound(side, i, j)
+        bound, tau = geometry(MetricKind.AIM).lower_bound(stack)
         # eigenvalue spreads near 1e8 put the floor below zero: no pair can
         # be ruled out
         assert np.all(np.sqrt(bound) - tau < 0.0)
@@ -692,8 +694,7 @@ class TestLowerBound:
     @pytest.mark.parametrize("metric", [MetricKind.STEIN, MetricKind.LEM])
     def test_only_aim_has_a_bound(self, metric):
         stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
-        geom, side = factored(metric, stack)
-        assert geom.lower_bound(side, np.array([0]), np.array([1])) is None
+        assert geometry(metric).lower_bound(stack) is None
 
 
 class TestSteinFactors:

@@ -17,7 +17,7 @@ from helpers import (
 )
 from spdalign import objective, optimizer
 from spdalign.errors import (
-    DimMismatchError, NumericalError, RankDeficientError, SylvesterFailureError,
+    DimMismatchError, NoConvergenceError, NumericalError, RankDeficientError,
     ValidationError,
 )
 from spdalign.graphs import PairGraphs, build_graphs
@@ -130,7 +130,7 @@ class TestHorizontalProjection:
         rng = np.random.default_rng(12)
         W = rand_full_rank(rng, 7, 3)
         W[2, 1] = np.nan
-        with pytest.raises(SylvesterFailureError):
+        with pytest.raises(NoConvergenceError):
             horizontal_project(W, rng.standard_normal((7, 3)))
 
 
