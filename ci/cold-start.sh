@@ -7,7 +7,7 @@
 work=$(mktemp -d)
 spdalign synth --output-dir "$work/data" --dim 6 --classes 3 --per-class 6 --seed 1
 # dim 20 and 50 samples: every affine-invariant distance pass of
-# this train spans several blocks, which run on one thread per CPU
+# this train spans several blocks
 spdalign synth --output-dir "$work/wide" --dim 20 --classes 5 --per-class 10 --seed 1
 for args in \
   "train --manifest $work/data/manifest.txt --target-dim 2 --max-iters 3 --output-dir $work/out" \
@@ -21,8 +21,7 @@ for args in \
   if grep -E '\| +scipy(\.|$)' "$work/imports.txt"; then
     echo "imported scipy: $args"; exit 1
   fi
-  # a pass starts and joins plain threads, so no command needs an
-  # executor, nor the logging it imports
+  # no command needs an executor, nor the logging it imports
   if grep -E '\| +(concurrent\.futures|logging)(\.|$)' "$work/imports.txt"; then
     echo "imported concurrent.futures or logging: $args"; exit 1
   fi

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # training and evaluation are pure functions of their inputs
-# whatever the CPU count: the affine-invariant pair blocks run on
-# one thread per CPU the process may use, and serially on one CPU
+# whatever the CPU affinity: every pair pass runs its blocks in order
+# on the calling thread, and nothing reads the CPU count
 work=$(mktemp -d)
 spdalign synth --output-dir "$work/data" --dim 20 --classes 5 --per-class 10 --noise 0.2
 echo "CPUs: $(nproc) unrestricted, $(taskset -c 0 nproc) under taskset -c 0"

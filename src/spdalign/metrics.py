@@ -35,18 +35,23 @@ reject a floored spectrum they read anyway, and the affine-invariant
 kernel applies the floor to each whitened pair; each of these runs on a
 whole stack or block and names the first failing member.
 
-Every pass runs its blocks through `_threaded_map`. The affine-invariant
-kernel gives it one thread per CPU the process may use, up to one per
-block: each block is a stacked eigensolve, which releases the GIL. Every
-Stein and log-Euclidean pass runs on the calling thread alone. Each block
+Every pass runs its blocks in order on the calling thread. Each block
 writes its distances, and any per-pair factors it keeps, into its own
-slice of arrays allocated before the pass, and the pass joins its threads
-before it returns, so every value, and the error of the first failing
-block, is the serial loop's, whatever the CPU count. The affine-invariant
-lower bound's Gram product runs in numpy's own loop (`np.einsum`), not in
-the BLAS: a BLAS product of that size starts the BLAS's threads, which
-keep spinning after it returns, and the pooled pair passes that follow
-it on a 120-sample stack ran about a third slower (2 CPUs, OpenBLAS).
+slice of arrays allocated before the pass, and the first failing block
+ends the pass. Nothing reads the CPU count, so no value or error depends
+on it.
+The blocks are not split over threads, although the affine-invariant
+kernel's stacked eigensolves release the GIL: on a 2-vCPU host whose
+second core other tenants share, such a pass matched or lost to this
+loop, and each of its threads cost about 1 MB of peak memory (its own
+malloc arena).
+
+The affine-invariant lower bound's Gram product runs in numpy's own loop
+(`np.einsum`), not in the BLAS, so the bound does not depend on the BLAS
+thread count. On the 120- and 150-sample train stacks (n = 12) it takes
+0.5-1.3 ms, 1-5% of the screened graph build it serves. A one-thread
+BLAS product takes 0.1 ms, but with the BLAS's threads unlimited the
+150-sample product took 8 ms in 2 of 3 processes (2 vCPUs, OpenBLAS).
 
 Training needs the original-manifold distances of the neighbor graphs'
 support pairs only: the graphs carry them (`graphs.build_graphs`), and the
@@ -110,8 +115,6 @@ no such bound.
 """
 
 import math
-import os
-import threading
 from enum import Enum
 from functools import cache
 
@@ -219,46 +222,6 @@ def _blocks(count, entries):
     return [slice(s, s + step) for s in range(0, count, step)]
 
 
-def _workers():
-    """The CPUs this process may run on: the threads of a pooled pass."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _threaded_map(fn, items, threads):
-    """fn(item) for every item, on `threads` threads: the calling thread
-    runs items 0, threads, 2 threads, ... and each of the threads - 1
-    threads started and joined here one of the other residues, so a
-    one-thread call starts none and is the serial loop. fn returns nothing
-    that is kept; it writes its own results where its caller reads them.
-    Each started thread costs about 1 MB of peak memory (its own malloc
-    arena), so the calling thread takes a share rather than wait.
-
-    A thread stops at its first failing item. Every item before the
-    earliest failing one has then been run, and that item's error is
-    raised: the serial loop's.
-    """
-    errors = {}
-
-    def run(start):
-        try:
-            for k in range(start, len(items), threads):
-                fn(items[k])
-        except Exception as exc:
-            errors[k] = exc
-
-    started = [threading.Thread(target=run, args=(t,)) for t in range(1, threads)]
-    for thread in started:
-        thread.start()
-    run(0)
-    for thread in started:
-        thread.join()
-    if errors:
-        raise errors[min(errors)]
-
-
 @cache
 def _upper(n):
     """(rows, cols, weights) of the upper triangle of an n x n matrix in
@@ -333,20 +296,12 @@ class Geometry:
     gradient term), which bounds their working memory whatever the pair
     count. The scatter positions `grad_pairs` reads are not bounded so:
     `scatter` builds all of them at once, 2 |E| times the entries of one
-    term, for a caller that keeps them across gradients. A `pooled`
-    geometry's `dist2_pairs` computes the blocks of one pass on several
-    threads (`_threaded_map`), so its `block_dist2` only reads its side. A
-    geometry whose `block_dist2` keeps a per-pair factor sets `keeps_pairs`,
-    and `dist2_pairs` allocates the pass's |E| x n x n stack of them once.
+    term, for a caller that keeps them across gradients. A geometry whose
+    `block_dist2` keeps a per-pair factor sets `keeps_pairs`, and
+    `dist2_pairs` allocates the pass's |E| x n x n stack of them once.
     """
 
     grad_scale = 4.0
-    # whether `dist2_pairs` runs a pass's blocks on one thread per CPU; only
-    # AIM's eigensolves gain. Stein stays serial: two threads each running
-    # stacked np.linalg.cholesky took 1.75-2.9x one thread's time for twice
-    # the work. LEM stays serial: its blocks are a gather and a dot product,
-    # mostly interpreter time, and pooled they made `wide` train 1-8% slower.
-    pooled = False
     # whether `block_dist2` with `keep` set returns a per-pair factor, one
     # n x n matrix per pair, which `dist2_pairs` then allocates for the pass
     keeps_pairs = False
@@ -373,18 +328,14 @@ class Geometry:
         factors are the |E| x n x n stack of what `block_dist2` keeps of each
         pair with `keep` set; they are None for a distance-only pass and for
         a geometry that keeps no per-pair factor (`keeps_pairs`). The blocks
-        run through `_threaded_map` (module docstring): a `pooled`
-        geometry's on one thread per CPU, up to one per block, any other's
-        on the calling thread alone. A pair that fails the PD check is named
-        by its position in the pass (`NotPositiveDefiniteError.index`), not
-        in its block.
+        run in order on the calling thread (module docstring), so the first
+        failing pair is the pass's first, and it is named by its position
+        in the pass (`NotPositiveDefiniteError.index`), not in its block.
         """
         n = side[0].shape[-1]
-        blocks = _blocks(len(i), math.prod(self.term_shape(n)))
         out = np.empty(len(i))
         kept = np.empty((len(i), n, n)) if keep and self.keeps_pairs else None
-
-        def block(blk):
+        for blk in _blocks(len(i), math.prod(self.term_shape(n))):
             try:
                 out[blk], part = self.block_dist2(side, i[blk], j[blk], keep)
             except NotPositiveDefiniteError as exc:
@@ -392,9 +343,6 @@ class Geometry:
                 raise
             if kept is not None:
                 kept[blk] = part
-
-        threads = max(1, min(_workers(), len(blocks))) if self.pooled else 1
-        _threaded_map(block, blocks, threads)
         return out, kept
 
     @staticmethod
@@ -498,12 +446,8 @@ class AffineInvariant(Geometry):
     blocks of 4 x 4 and 5 x 5 pairs (numpy 2.4, OpenBLAS, one thread),
     P X P^T with P^T a view took 1.6-1.9x the time of P^T X P with the
     view first, which costs about as much as the contiguous P X P.
-
-    Pooled (`Geometry.pooled`): a block's time is its stacked eigensolve,
-    which releases the GIL.
     """
 
-    pooled = True
     keeps_pairs = True
     bounded = True
 
@@ -575,7 +519,7 @@ class AffineInvariant(Geometry):
         logs, spread, spread_m = AffineInvariant.whiten_by_mean(stack)[1:]
         n = stack.shape[-1]
         U = logs.reshape(len(logs), -1)
-        # numpy's own loop, not a threaded BLAS product (module docstring)
+        # numpy's own loop, whatever the BLAS thread count (module docstring)
         gram = np.einsum("ak,bk->ab", U, U)
         del U, logs
         # s_a + s_b less the rounding term, from the Gram diagonal, summed

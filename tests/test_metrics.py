@@ -9,7 +9,6 @@ Frozen scalar oracles:
 import os
 import re
 import signal
-import sys
 import threading
 import tracemalloc
 import warnings
@@ -28,7 +27,7 @@ from helpers import (
     spd_log,
     transformed_dist2,
 )
-from spdalign import matfun, metrics
+from spdalign import matfun
 from spdalign.dataset import LabeledDataset
 from spdalign.errors import (
     DegenerateInputError,
@@ -39,6 +38,7 @@ from spdalign.errors import (
     RankDeficientError,
     ValidationError,
 )
+from spdalign.evaluate import repeated_split_eval
 from spdalign.graphs import PairGraphs, build_graphs, neighbor_graphs
 from spdalign.metrics import (
     BLOCK_ENTRIES,
@@ -783,129 +783,42 @@ class TestDistancePass:
         assert np.array_equal(d, [dist2(lem, stack[a], stack[b]) for a, b in zip(i, j)])
 
 
-class TestPooledPass:
-    """AIM computes the blocks of a pass of more than one block on one
-    thread per CPU, the calling thread and threads started and joined for
-    the pass; the results are written in block order, so a pass gives what
-    the serial loop gives, bit for bit."""
+class TestSerialPass:
+    """Every pass runs its blocks in order on the calling thread, whatever
+    the geometry and the CPU count."""
 
-    @staticmethod
-    def passes(metric, stack):
-        """The distance functions and the objective's `keep` pass on a stack
-        whose every pass spans several blocks."""
-        i, j = np.triu_indices(len(stack), k=1)
-        geom, side = factored(metric, stack)
-        d, kept = geom.dist2_pairs(side, i, j, keep=True)
-        return [pairwise_dist2(metric, stack),
-                cross_dist2(metric, stack[:25], stack[25:]),
-                indexed_dist2(metric, stack, j, i), d, kept]
-
-    @staticmethod
-    def workers(monkeypatch, count):
-        monkeypatch.setattr(metrics, "_workers", lambda: count)
-
-    def test_one_worker_is_bit_identical(self, monkeypatch):
-        stack = ref_shaped_dataset(seed=31).samples
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_no_pass_starts_a_thread(self, metric, monkeypatch):
+        data = ref_shaped_dataset(seed=31)
+        stack = data.samples
         assert len(_blocks(25 * 25, stack.shape[-1] ** 2)) >= 3  # the smallest pass
         starts = count_calls(monkeypatch, threading.Thread, ["start"])
-        self.workers(monkeypatch, 2)
-        pooled = self.passes(MetricKind.AIM, stack)
-        assert starts["start"] == 4  # one started thread for each pass
-        self.workers(monkeypatch, 1)
-        serial = self.passes(MetricKind.AIM, stack)
-        assert starts["start"] == 4
-        for got, want in zip(pooled, serial):
-            assert got.tobytes() == want.tobytes()
-
-    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
-        """Each thread writes only its own blocks' slots: with five threads
-        switching every microsecond, no block's result is lost or moved."""
-        stack = ref_shaped_dataset(seed=31).samples
-        self.workers(monkeypatch, 1)
-        serial = self.passes(MetricKind.AIM, stack)
-        self.workers(monkeypatch, 5)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = self.passes(MetricKind.AIM, stack)
-        finally:
-            sys.setswitchinterval(interval)
-        for got, want in zip(threaded, serial):
-            assert got.tobytes() == want.tobytes()
-
-    # 1-based blocks of the two unfloored pairs; with two threads the
-    # calling thread computes blocks 1, 3 and 5, the started thread 2 and 4
-    @pytest.mark.parametrize("first, second", [(2, 4), (3, 4)])
-    def test_first_failing_block_named(self, first, second, monkeypatch):
-        """Unfloored pairs in two blocks: the pooled pass raises the serial
-        pass's error, which names the pair of the earlier block."""
-        rng = np.random.default_rng(3)
-        bad = TestArgumentOrder.unfloored_pair()
-        stack = np.concatenate(
-            [np.stack([rand_spd(rng, 2) for _ in range(20)]), bad, bad]
-        )
-        step = BLOCK_ENTRIES // 4
-        i = rng.integers(20, size=5 * step)
-        j = (i + rng.integers(1, 20, size=i.size)) % 20
-        i[(first - 1) * step + 7], j[(first - 1) * step + 7] = 20, 21
-        i[(second - 1) * step + 3], j[(second - 1) * step + 3] = 23, 22
-        assert len(_blocks(i.size, 2 ** 2)) == 5
-        self.workers(monkeypatch, 1)
-        with pytest.raises(NotPositiveDefiniteError) as serial:
-            indexed_dist2(MetricKind.AIM, stack, i, j)
-        assert str(serial.value).startswith("whitened pair [20 21] has min eigenvalue")
-        starts = count_calls(monkeypatch, threading.Thread, ["start"])
-        self.workers(monkeypatch, 2)
-        with pytest.raises(NotPositiveDefiniteError) as pooled:
-            indexed_dist2(MetricKind.AIM, stack, i, j)
-        assert starts["start"] == 1
-        assert str(pooled.value) == str(serial.value)
-        assert pooled.value.index == serial.value.index
-
-    @pytest.mark.parametrize("metric", [MetricKind.STEIN, MetricKind.LEM])
-    def test_only_aim_starts_threads(self, metric, monkeypatch):
-        starts = count_calls(monkeypatch, threading.Thread, ["start"])
-        self.workers(monkeypatch, 2)
-        self.passes(metric, ref_shaped_dataset(seed=31).samples)
+        i, j = np.triu_indices(len(stack), k=1)
+        geom, side = factored(metric, stack)
+        geom.dist2_pairs(side, i, j, keep=True)
+        dist2(metric, stack[0], stack[1])
+        pairwise_dist2(metric, stack)
+        cross_dist2(metric, stack[:25], stack[25:])
+        indexed_dist2(metric, stack, j, i)
+        build_graphs(data, metric, 3, 3)
+        W = rand_full_rank(np.random.default_rng(31), stack.shape[-1], 5)
+        repeated_split_eval(data, metric, repeats=2, W=W)
         assert starts["start"] == 0
-
-    def test_one_block_stays_serial(self, monkeypatch):
-        stack = ref_shaped_dataset(seed=31).samples[:9]
-        assert len(_blocks(36, stack.shape[-1] ** 2)) == 1
-        starts = count_calls(monkeypatch, threading.Thread, ["start"])
-        self.workers(monkeypatch, 2)
-        pairwise_dist2(MetricKind.AIM, stack)
-        dist2(MetricKind.AIM, stack[0], stack[1])
-        none = np.zeros(0, dtype=int)
-        assert indexed_dist2(MetricKind.AIM, stack, none, none).shape == (0,)
-        assert starts["start"] == 0
-
-    def test_no_thread_outlives_a_pass(self, monkeypatch):
-        stack = ref_shaped_dataset(seed=31).samples
-        before = threading.active_count()
-        calls = count_calls(monkeypatch, metrics, ["_threaded_map"])
-        starts = count_calls(monkeypatch, threading.Thread, ["start"])
-        self.workers(monkeypatch, 3)
-        pairwise_dist2(MetricKind.AIM, stack)
-        assert calls["_threaded_map"] == 1
-        assert starts["start"] == 2
-        assert threading.active_count() == before
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     # fork() in a process with more than one OS thread warns from Python
     # 3.12 on, and a multi-threaded BLAS holds its own threads whatever the
-    # passes do; no pass thread is alive at the fork
+    # passes do
     @pytest.mark.filterwarnings("ignore:This process .*multi-threaded:DeprecationWarning")
-    def test_forked_child_runs_a_pooled_pass(self, monkeypatch):
-        self.workers(monkeypatch, 2)
+    def test_forked_child_runs_a_pass(self):
         stack = ref_shaped_dataset(seed=31).samples
         want = pairwise_dist2(MetricKind.AIM, stack)
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                # a pass left waiting on a thread that did not survive the
-                # fork ends the child
+                # a pass left waiting on a lock or thread that did not
+                # survive the fork ends the child
                 signal.alarm(20)
                 got = pairwise_dist2(MetricKind.AIM, stack)
                 code = 0 if got.tobytes() == want.tobytes() else 2
@@ -921,15 +834,14 @@ class TestPassMemory:
     writes its own slice of them: no pass holds a second copy of its
     results."""
 
-    # block-sized temporaries one thread may hold at once in a keep pass: the
+    # block-sized temporaries a keep pass may hold at once: the
     # gathered operands, the whitened product and its symmetrization, the
     # eigenvectors and the log built from them (AIM), or the midpoints and
     # their Cholesky factors (Stein), with room to spare
     TEMPORARY_BLOCKS = 8
 
     @pytest.mark.parametrize("metric", [MetricKind.AIM, MetricKind.STEIN])
-    def test_keep_pass_holds_one_copy_of_its_factors(self, metric, monkeypatch):
-        monkeypatch.setattr(metrics, "_workers", lambda: 2)
+    def test_keep_pass_holds_one_copy_of_its_factors(self, metric):
         rng = np.random.default_rng(8)
         n, count = 6, 200
         stack = np.stack([rand_spd(rng, n) for _ in range(count)])
@@ -943,17 +855,14 @@ class TestPassMemory:
         finally:
             tracemalloc.stop()
         assert kept.shape == (len(i), n, n)
-        threads = 2 if geom.pooled else 1
-        bound = kept.nbytes + d.nbytes + threads * self.TEMPORARY_BLOCKS * block_bytes
+        bound = kept.nbytes + d.nbytes + self.TEMPORARY_BLOCKS * block_bytes
         # one more copy of the kept factors would exceed the bound
-        assert kept.nbytes > threads * self.TEMPORARY_BLOCKS * block_bytes
+        assert kept.nbytes > self.TEMPORARY_BLOCKS * block_bytes
         assert peak <= bound, (peak, bound)
 
     @pytest.mark.parametrize("keep", [False, True], ids=["distance", "keep"])
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("metric", ALL_METRICS)
-    def test_empty_pair_list(self, metric, workers, keep, monkeypatch):
-        monkeypatch.setattr(metrics, "_workers", lambda: workers)
+    def test_empty_pair_list(self, metric, keep):
         stack = ref_shaped_dataset(seed=31).samples[:4]
         geom, side = factored(metric, stack)
         none = np.zeros(0, dtype=int)
@@ -967,8 +876,7 @@ class TestPassMemory:
 
 class TestFailingPairIndex:
     """A pair that fails the PD check in a pass is named by its position in
-    the pass (`NotPositiveDefiniteError.index`), not in its block, whether
-    the blocks run on one thread or several."""
+    the pass (`NotPositiveDefiniteError.index`), not in its block."""
 
     STEP = BLOCK_ENTRIES // 4  # pairs per block of 2 x 2 matrices
     AT = STEP + 5  # the failing pair, in the second of three blocks
@@ -979,9 +887,7 @@ class TestFailingPairIndex:
         i[self.AT], j[self.AT] = bad
         return i, j
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_whitened_pair(self, workers, monkeypatch):
-        monkeypatch.setattr(metrics, "_workers", lambda: workers)
+    def test_whitened_pair(self):
         rng = np.random.default_rng(5)
         stack = np.concatenate([np.stack([rand_spd(rng, 2) for _ in range(20)]),
                                 TestArgumentOrder.unfloored_pair()])
@@ -991,11 +897,9 @@ class TestFailingPairIndex:
             indexed_dist2(MetricKind.AIM, stack, i, j)
         assert err.value.index == self.AT
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_midpoint(self, workers, monkeypatch):
+    def test_midpoint(self):
         # samples are never indefinite where they enter, so the side is built
         # by hand around the indefinite sample 7
-        monkeypatch.setattr(metrics, "_workers", lambda: workers)
         rng = np.random.default_rng(5)
         stack = np.stack([rand_spd(rng, 2) for _ in range(10)])
         stack[7] = np.diag([-5.0, 1.0])
