@@ -860,10 +860,12 @@ class TestPassMemory:
         assert kept.nbytes > self.TEMPORARY_BLOCKS * block_bytes
         assert peak <= bound, (peak, bound)
 
+    # a one-sample stack has no pair, so the empty list is its only pass
     @pytest.mark.parametrize("keep", [False, True], ids=["distance", "keep"])
+    @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("metric", ALL_METRICS)
-    def test_empty_pair_list(self, metric, keep):
-        stack = ref_shaped_dataset(seed=31).samples[:4]
+    def test_empty_pair_list(self, metric, count, keep):
+        stack = ref_shaped_dataset(seed=31).samples[:count]
         geom, side = factored(metric, stack)
         none = np.zeros(0, dtype=int)
         d, kept = geom.dist2_pairs(side, none, none, keep=keep)
@@ -876,38 +878,45 @@ class TestPassMemory:
 
 class TestFailingPairIndex:
     """A pair that fails the PD check in a pass is named by its position in
-    the pass (`NotPositiveDefiniteError.index`), not in its block."""
+    the pass (`NotPositiveDefiniteError.index`), not in its block, whichever
+    block it falls in."""
 
     STEP = BLOCK_ENTRIES // 4  # pairs per block of 2 x 2 matrices
-    AT = STEP + 5  # the failing pair, in the second of three blocks
 
-    def pairs(self, rng, count, bad):
+    def at(self, block):
+        """The failing pair's position: 5 pairs into the 1-based `block` of
+        three."""
+        return (block - 1) * self.STEP + 5
+
+    def pairs(self, rng, count, bad, block):
         i = rng.integers(count, size=3 * self.STEP)
         j = (i + rng.integers(1, count, size=i.size)) % count
-        i[self.AT], j[self.AT] = bad
+        i[self.at(block)], j[self.at(block)] = bad
         return i, j
 
-    def test_whitened_pair(self):
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_whitened_pair(self, block):
         rng = np.random.default_rng(5)
         stack = np.concatenate([np.stack([rand_spd(rng, 2) for _ in range(20)]),
                                 TestArgumentOrder.unfloored_pair()])
-        i, j = self.pairs(rng, 20, (20, 21))
+        i, j = self.pairs(rng, 20, (20, 21), block)
         with pytest.raises(NotPositiveDefiniteError,
                            match=r"^whitened pair \[20 21\]") as err:
             indexed_dist2(MetricKind.AIM, stack, i, j)
-        assert err.value.index == self.AT
+        assert err.value.index == self.at(block)
 
-    def test_midpoint(self):
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_midpoint(self, block):
         # samples are never indefinite where they enter, so the side is built
         # by hand around the indefinite sample 7
         rng = np.random.default_rng(5)
         stack = np.stack([rand_spd(rng, 2) for _ in range(10)])
         stack[7] = np.diag([-5.0, 1.0])
-        i, j = self.pairs(rng, 7, (3, 7))
+        i, j = self.pairs(rng, 7, (3, 7), block)
         side = (stack, (np.zeros(10), None))
         with pytest.raises(NotPositiveDefiniteError, match=r"^midpoint \[3 7\]") as err:
             geometry(MetricKind.STEIN).dist2_pairs(side, i, j, keep=True)
-        assert err.value.index == self.AT
+        assert err.value.index == self.at(block)
 
 
 class TestDefaultBeta:
