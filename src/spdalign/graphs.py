@@ -136,9 +136,9 @@ def neighbor_graphs(data, D, v_w, v_b):
 
 def _screened_dist2(data, metric, v_w, v_b):
     """(D, computed): the squared distances `neighbor_graphs` reads of the
-    samples under a `bounded` metric, inf where none was computed, and how
-    many pairs were computed exactly (`metrics.PairScreen`, whose N x N
-    matrices every step reads and masks).
+    samples under a metric with a `lower_bound`, inf where none was
+    computed, and how many pairs were computed exactly
+    (`metrics.PairScreen`, whose N x N matrices every step reads and masks).
 
     Each row nominates its v bound-nearest candidates of each kind, and
     those pairs are computed. A row's cap of a kind is the v-th least
@@ -176,7 +176,7 @@ def build_graphs(data, metric, v_w, v_b):
     distances and the count of pairs computed.
     """
     _check_counts(data, v_w, v_b)
-    if geometry(metric).bounded:
+    if geometry(metric).lower_bound is not None:
         D, computed = _screened_dist2(data, metric, v_w, v_b)
     else:
         D, computed = pairwise_dist2(metric, data), data.size * (data.size - 1) // 2

@@ -296,26 +296,17 @@ class Geometry:
     gradient term), which bounds their working memory whatever the pair
     count. The scatter positions `grad_pairs` reads are not bounded so:
     `scatter` builds all of them at once, 2 |E| times the entries of one
-    term, for a caller that keeps them across gradients. A geometry whose
-    `block_dist2` keeps a per-pair factor sets `keeps_pairs`, and
-    `dist2_pairs` allocates the pass's |E| x n x n stack of them once.
+    term, for a caller that keeps them across gradients. `lower_bound`, for
+    a geometry that has one, gives (squared lower bounds, rounding margins)
+    of every pair of a stack as two N x N matrices, so `PairScreen` can
+    skip pairs; it is None for a geometry with no cheap bound.
     """
 
     grad_scale = 4.0
-    # whether `block_dist2` with `keep` set returns a per-pair factor, one
-    # n x n matrix per pair, which `dist2_pairs` then allocates for the pass
-    keeps_pairs = False
     # T_j = j_sign T_i: -1 where a pair's two ends take opposite terms, +1
     # where they share one (Stein's A^{-1})
     j_sign = -1
-    # whether `lower_bound` gives a bound, so `PairScreen` can skip pairs
-    bounded = False
-
-    @staticmethod
-    def lower_bound(stack):
-        """(squared lower bounds, rounding margins) of every pair of a stack,
-        as two N x N matrices, or None for a geometry with no cheap bound."""
-        return None
+    lower_bound = None
 
     def dist2_pairs(self, side, i, j, keep=False):
         """(squared distances, kept factors) between samples i[p] and j[p]
@@ -323,25 +314,28 @@ class Geometry:
         pairs, BLOCK_ENTRIES // e pairs to a block for e the entries of one
         pair (`term_shape` at the sample dim).
 
-        Both arrays are allocated before the pass, and each block writes its
-        own slice of them, so a pass holds one copy of its results. The kept
-        factors are the |E| x n x n stack of what `block_dist2` keeps of each
-        pair with `keep` set; they are None for a distance-only pass and for
-        a geometry that keeps no per-pair factor (`keeps_pairs`). The blocks
-        run in order on the calling thread (module docstring), so the first
-        failing pair is the pass's first, and it is named by its position
-        in the pass (`NotPositiveDefiniteError.index`), not in its block.
+        The kept factors are the |E|-long stack of what `block_dist2` keeps
+        of each pair with `keep` set, so their shape follows the kernel; they
+        are None for a distance-only pass, for a geometry whose `block_dist2`
+        keeps nothing, and for an empty pass. The distances are allocated
+        before the pass and the kept factors when the first block returns
+        its part, and each block writes its own slice of them, so a pass
+        holds one copy of its results. The blocks run in order on the
+        calling thread (module docstring), so the first failing pair is the
+        pass's first, and it is named by its position in the pass
+        (`NotPositiveDefiniteError.index`), not in its block.
         """
-        n = side[0].shape[-1]
         out = np.empty(len(i))
-        kept = np.empty((len(i), n, n)) if keep and self.keeps_pairs else None
-        for blk in _blocks(len(i), math.prod(self.term_shape(n))):
+        kept = None
+        for blk in _blocks(len(i), math.prod(self.term_shape(side[0].shape[-1]))):
             try:
                 out[blk], part = self.block_dist2(side, i[blk], j[blk], keep)
             except NotPositiveDefiniteError as exc:
                 exc.index = None if exc.index is None else exc.index + blk.start
                 raise
-            if kept is not None:
+            if part is not None:
+                if kept is None:
+                    kept = np.empty((len(i),) + part.shape[1:])
                 kept[blk] = part
         return out, kept
 
@@ -447,9 +441,6 @@ class AffineInvariant(Geometry):
     P X P^T with P^T a view took 1.6-1.9x the time of P^T X P with the
     view first, which costs about as much as the contiguous P X P.
     """
-
-    keeps_pairs = True
-    bounded = True
 
     @staticmethod
     def factors(stack, name):
@@ -588,7 +579,6 @@ class Stein(Geometry):
     """
 
     grad_scale = 1.0
-    keeps_pairs = True
     j_sign = 1
 
     @staticmethod
@@ -821,8 +811,8 @@ class PairScreen:
     `dist2` is the N x N symmetric matrix of the distances computed so far,
     inf where none was (the diagonal included), and `computed` the count of
     unordered pairs computed. Each value is the one `indexed_dist2` gives,
-    since the kernel computes each pair on its own. For a `bounded`
-    geometry, `bound` is the N x N `lower_bound`, which a caller reads to
+    since the kernel computes each pair on its own. For a geometry with a
+    `lower_bound`, `bound` is its N x N bound, which a caller reads to
     nominate the first pairs and then drops, and `floor` is
     sqrt(bound) - tau, -inf where that is not finite (a NaN floor would
     compare False and rule a pair out); both are None for any other
@@ -834,7 +824,7 @@ class PairScreen:
     def __init__(self, metric, stack):
         self.geom = geometry(metric)
         self.bound = self.floor = None
-        if self.geom.bounded:
+        if self.geom.lower_bound is not None:
             # the bound reads the stack alone; taken before the factors, it
             # holds its whitened frame without them. The floor takes the
             # margin's buffer.

@@ -11,6 +11,7 @@ from spdalign.errors import (
     NotPositiveDefiniteError,
     ValidationError,
 )
+from spdalign.evaluate import split
 from spdalign.graphs import (
     PairGraphs,
     build_graphs,
@@ -18,7 +19,7 @@ from spdalign.graphs import (
     neighbor_graphs,
 )
 from spdalign.matfun import require_pd
-from spdalign.metrics import MetricKind, geometry, pairwise_dist2
+from spdalign.metrics import MetricKind, PairScreen, geometry, pairwise_dist2
 
 
 def scalar_dataset(values, labels):
@@ -449,6 +450,44 @@ class TestScreenedBuild:
                 assert 2 * len(pairs) < N * (N - 1) // 2
             else:
                 assert len(pairs) == N * (N - 1) // 2
+
+    @staticmethod
+    def certifiable_minimum(data, v):
+        """The fewest pairs a screen by this floor can compute and still
+        certify the graphs: the support pairs, and every pair whose floor is
+        not above sqrt(cap), cap the larger of its two ends' true v-th least
+        distances of the pair's kind, from the exhaustive distances."""
+        D = pairwise_dist2(MetricKind.AIM, data)
+        N, rows = data.size, np.arange(data.size)
+        same = data.labels[:, None] == data.labels
+        caps = []
+        for candidates in (same & ~np.eye(N, dtype=bool), ~same):
+            least = np.sort(np.where(candidates, D, np.inf), axis=1)
+            caps.append(least[rows, np.minimum(v, candidates.sum(axis=1)) - 1])
+        cap = np.where(same, np.maximum.outer(caps[0], caps[0]),
+                       np.maximum.outer(caps[1], caps[1]))
+        needed = PairScreen(MetricKind.AIM, data.samples).floor <= np.sqrt(cap)
+        needed[tuple(neighbor_graphs(data, D, v, v).pairs.T)] = True
+        return int(needed[np.triu_indices(N, k=1)].sum())
+
+    # the train halves of the benchmark's workloads: (dim, classes,
+    # per_class) of the whole set and the neighbor count v_w = v_b, the CLI's
+    # automatic one (29) on dense
+    @pytest.mark.parametrize("seed", [101, 102])
+    @pytest.mark.parametrize("dim, classes, per_class, v", [
+        (20, 5, 20, 3), (12, 4, 60, 29), (12, 5, 60, 3)],
+        ids=["ref", "dense", "wide"])
+    def test_computes_near_the_certifiable_minimum(self, dim, classes,
+                                                   per_class, v, seed):
+        data = synth_dataset(SynthConfig(dim=dim, classes=classes,
+                                         per_class=per_class, noise=0.2,
+                                         seed=seed))
+        train = split(data, 0.5, seed)[0]
+        computed = build_graphs(train, MetricKind.AIM, v, v).distances_computed
+        minimum = self.certifiable_minimum(train, v)
+        # each cap the screen uses is at least the true one, so it computes
+        # the whole minimal set; the nominations add at most 2% to it
+        assert minimum <= computed <= 1.02 * minimum, (computed, minimum)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_floor_forces_exact_pairs(self, monkeypatch, bad):

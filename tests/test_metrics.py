@@ -693,8 +693,7 @@ class TestLowerBound:
 
     @pytest.mark.parametrize("metric", [MetricKind.STEIN, MetricKind.LEM])
     def test_only_aim_has_a_bound(self, metric):
-        stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
-        assert geometry(metric).lower_bound(stack) is None
+        assert geometry(metric).lower_bound is None
 
 
 class TestSteinFactors:
@@ -869,11 +868,8 @@ class TestPassMemory:
         geom, side = factored(metric, stack)
         none = np.zeros(0, dtype=int)
         d, kept = geom.dist2_pairs(side, none, none, keep=keep)
-        assert d.shape == (0,)
-        if keep and geom.keeps_pairs:
-            assert kept.shape == (0,) + stack.shape[1:]
-        else:
-            assert kept is None
+        # no block runs, so no kept factor is allocated, whatever the kernel
+        assert d.shape == (0,) and kept is None
 
 
 class TestFailingPairIndex:
