@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import BLOCK_ENTRIES, MetricKind, PairScreen, cross_dist2, map_down
+from .metrics import MetricKind, PairScreen, _blocks, cross_dist2, map_down
 
 
 @dataclass(frozen=True)
@@ -175,12 +175,11 @@ def split(data, train_fraction, seed):
 def _split_groups(train, test):
     """(g, cells) per group of consecutive stacked splits: g the group's
     slice, cells the (test, train) index pair that gathers its (g, b, a)
-    test-by-train blocks. A group holds as many splits as keep that gather
+    test-by-train blocks. The groups are `metrics._blocks` of the splits at
+    a * b entries each, so a group holds as many splits as keep its gather
     within BLOCK_ENTRIES entries, and one at least."""
     count, a = train.shape
-    step = max(1, BLOCK_ENTRIES // (a * test.shape[1]))
-    for start in range(0, count, step):
-        g = slice(start, start + step)
+    for g in _blocks(count, a * test.shape[1]):
         yield g, (test[g, :, None], train[g, None, :])
 
 

@@ -262,26 +262,27 @@ def _sorts_before(stack, ia, ib):
 class Geometry:
     """Batched kernel of one SPD geometry.
 
-    Each geometry gives these parts. `factors` is the per-sample factor of a
-    whole stack: a tuple of stacked arrays from one stacked decomposition,
-    holding what the pair distance reads plus the decomposition it came from
-    and nothing else, so distance-only passes build no gradient factor. It
-    only decomposes: the PD floor is decided where samples enter (module
-    docstring). `block_dist2` gives (squared distances, kept factors) of one
-    block of pairs, given as index arrays i and j into one (stack, factors)
-    side, the pair kernel's only operand. Without `keep` it keeps nothing and its
-    distance is exactly invariant to the order of a pair's two matrices.
-    With `keep`, the objective's pass, it also returns the per-pair factors
-    the gradient reads, so no support pair is decomposed twice (AIM each
-    pair's log whitened by its i-end, Stein each midpoint's Cholesky
-    factor; LEM keeps nothing and returns None). `grad_factors` derives,
-    once per gradient, the per-sample matrices the pair gradient reads
-    from `factors`; the pair gradient hooks read these factors only.
-    `block_grad` and `finish` are the pair gradient term: `block_grad`
-    gives one term U per pair, as a new array, whose i-end takes T_i = U
-    and whose j-end takes T_j = j_sign U, and `finish` is a map phi_s,
-    linear in its argument, from a sum of terms to an m x m matrix, such
-    that with Y_p = W^T X_p W and B_p = X_p W the gradient of
+    Each geometry gives these parts, and defines its own `factors`,
+    `block_dist2`, `block_grad` and `finish`. `factors` is the per-sample
+    factor of a whole stack: a tuple of stacked arrays from one stacked
+    decomposition, holding what the pair distance reads plus the
+    decomposition it came from and nothing else, so distance-only passes
+    build no gradient factor. It only decomposes: the PD floor is decided
+    where samples enter (module docstring). `block_dist2` gives (squared
+    distances, kept factors) of one block of pairs, given as index arrays i
+    and j into one (stack, factors) side, the pair kernel's only operand.
+    Without `keep` it keeps nothing and its distance is exactly invariant to
+    the order of a pair's two matrices. With `keep`, the objective's pass,
+    it also returns the per-pair factors the gradient reads, so no support
+    pair is decomposed twice (AIM each pair's log whitened by its i-end,
+    Stein each midpoint's Cholesky factor; LEM keeps nothing and returns
+    None). `grad_factors` derives, once per gradient, the per-sample
+    matrices the pair gradient reads from `factors`; the pair gradient hooks
+    read these factors only. `block_grad` and `finish` are the pair gradient
+    term: `block_grad` gives one term U per pair, as a new array, whose
+    i-end takes T_i = U and whose j-end takes T_j = j_sign U, and `finish`
+    is a map phi_s, linear in its argument, from a sum of terms to an m x m
+    matrix, such that with Y_p = W^T X_p W and B_p = X_p W the gradient of
     k_ij = exp(-beta d_ij) with respect to W is
 
         -grad_scale * beta * k_ij * (B_i phi_i(T_i) + B_j phi_j(T_j)).
@@ -367,12 +368,6 @@ class Geometry:
                       for ends in (i, j))
         return [(blk, at_i[blk].ravel(), at_j[blk].ravel())
                 for blk in _blocks(len(i), m * m)]
-
-    @staticmethod
-    def finish(factors, acc, i, j, weights):
-        """phi_s of every sample's summed terms acc; by default the sums
-        themselves."""
-        return acc
 
     def grad_pairs(self, B, factors, pair_factors, i, j, weights, scatter):
         """sum_p weights_p * (B_i phi_i(T_i) + B_j phi_j(T_j)) over the pairs

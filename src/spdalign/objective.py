@@ -122,8 +122,9 @@ class AlignmentProblem:
     """Everything of the objective that does not depend on W, validated once.
 
     samples and geom are the dataset's sample stack and the metric's
-    `Geometry`; pairs the graphs' support pairs over N samples; T the label
-    target S on the support and centered_T its centering U T U there.
+    `Geometry`; pairs the graphs' support pairs over N = len(samples)
+    samples; T the label target S on the support and centered_T its
+    centering U T U there.
     `scatter` gives the gradient's accumulator positions of the pairs
     (`Geometry.scatter`), built at the first gradient and kept while the
     target dim stays the same: 2 |E| times the entries of one term.
@@ -133,7 +134,6 @@ class AlignmentProblem:
     geom: Geometry
     beta: float
     pairs: np.ndarray
-    N: int
     T: np.ndarray
     centered_T: np.ndarray
     _scatter: list = field(default_factory=lambda: [None, None], init=False,
@@ -159,7 +159,7 @@ class AlignmentProblem:
         same = (y_i == y_j).astype(float)
         T = same - (counts[y_i] + counts[y_j]) / N + float(counts @ counts) / N**2
         centered_T, _ = _center(T, i, j, N)
-        return cls(data.samples, geom, beta, graphs.pairs, N, T, centered_T)
+        return cls(data.samples, geom, beta, graphs.pairs, T, centered_T)
 
     def evaluate(self, W):
         """J at a W that `check_transform` has passed; the state also carries
@@ -170,7 +170,7 @@ class AlignmentProblem:
         # a huge beta sends -beta d to -inf, whose similarity is exactly 0
         with np.errstate(over="ignore"):
             K = np.exp(-self.beta * d)
-        L, norm_L = _center(K, i, j, self.N)
+        L, norm_L = _center(K, i, j, len(self.samples))
         if norm_L < L_NORM_FLOOR:
             raise DegenerateAlignmentError(
                 "centered pair-similarity matrix vanished; objective undefined"
@@ -187,7 +187,7 @@ class AlignmentProblem:
         differs from the last call's."""
         if self._scatter[0] != m:
             i, j = self.pairs.T
-            self._scatter[:] = m, self.geom.scatter(i, j, self.N, m)
+            self._scatter[:] = m, self.geom.scatter(i, j, len(self.samples), m)
         return self._scatter[1]
 
 

@@ -163,8 +163,10 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
     """Maximize the alignment objective from W0; returns the iterate history.
 
     Stops when the gradient norm falls under grad_tol relative to its starting
-    value, when an accepted step changes J by less than rel_obj_tol relative,
-    at max_iters, or when backtracking cannot find an ascent step (tried along
+    value, when a full step (its search accepted its first trial along its
+    first direction: no shrink, `NumericalError` retry or fallback to the
+    plain gradient) changes J by less than rel_obj_tol relative, at
+    max_iters, or when backtracking cannot find an ascent step (tried along
     the conjugate direction, then once more along the plain gradient).
     """
     cfg = cfg or OptimizerConfig()
@@ -216,8 +218,9 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
             return _trace_result(W, J_hist, g_hist, t_hist, k - 1,
                                  StopReason.LINE_SEARCH_FAIL, t_start)
 
-        t, W, state = accepted
+        t, W, state, shrinks = accepted
         del accepted
+        full_step = shrinks == 0 and direction is candidates[0]
         prev_grad, grad = grad, alignment_gradient(state)
         J_prev, J = J, state.J
         del state
@@ -228,7 +231,7 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
         g_hist.append(gnorm)
         t_hist.append(t)
 
-        if abs(J - J_prev) < cfg.rel_obj_tol * max(1.0, abs(J)):
+        if full_step and abs(J - J_prev) < cfg.rel_obj_tol * max(1.0, abs(J)):
             return _trace_result(W, J_hist, g_hist, t_hist, k,
                                  StopReason.OBJ_TOL, t_start)
 
@@ -244,10 +247,11 @@ def _armijo(problem, W, J, d, slope):
     the PD floor (`objective` docstring). Trial points that lose rank or
     break numerically just shrink the step, and a rejected trial's state is
     dropped before the next trial is evaluated. Returns (t, W_new,
-    state_new) or None after LS_MAX_SHRINKS shrinkages.
+    state_new, shrinks), shrinks the trials before the accepted one, or
+    None after LS_MAX_SHRINKS shrinkages.
     """
     t = 1.0 / (1.0 + float(np.linalg.norm(d)))
-    for _ in range(LS_MAX_SHRINKS + 1):
+    for shrinks in range(LS_MAX_SHRINKS + 1):
         try:
             W_new = retract(W, d, t)
             state_new = problem.evaluate(W_new)
@@ -255,7 +259,7 @@ def _armijo(problem, W, J, d, slope):
             t *= LS_SHRINK
             continue
         if state_new.J >= J + LS_SLOPE * t * slope:
-            return t, W_new, state_new
+            return t, W_new, state_new, shrinks
         del state_new
         t *= LS_SHRINK
     return None

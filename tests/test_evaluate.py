@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spdalign import evaluate, matfun
+from spdalign import evaluate, matfun, metrics
 from spdalign.dataset import LabeledDataset
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import ValidationError
@@ -559,9 +559,11 @@ class TestStackedSplits:
         stacked = repeated_split_eval(data, metric, repeats=100, seed=7, W=W)
         # the default cap puts 40 splits of 20 x 20 blocks (AIM's set) or
         # all 100 of 9 x 12 in a group; patched, a group holds per_group
-        # splits, and the last of 100 / 3 holds one
+        # splits, and the last of 100 / 3 holds one (the pair passes take
+        # smaller blocks too, which changes no value: each pair is reduced
+        # on its own)
         train, test = evaluate._draw_splits(data, 0.5, [7])
-        monkeypatch.setattr(evaluate, "BLOCK_ENTRIES", per_group * train.size * test.size)
+        monkeypatch.setattr(metrics, "BLOCK_ENTRIES", per_group * train.size * test.size)
         grouped = repeated_split_eval(data, metric, repeats=100, seed=7, W=W)
         assert np.array_equal(grouped.baseline, stacked.baseline)
         if with_w:

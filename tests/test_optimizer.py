@@ -362,6 +362,75 @@ class TestRcgMaximize:
         assert res.stop_reason in (StopReason.GRAD_TOL, StopReason.OBJ_TOL)
         assert res.iterations_used <= 50
 
+    # rel_obj_tol = 1 puts every step of this run under the tolerance, so
+    # unforced the first step, which is full, stops it
+    OBJ_TOL_CFG = OptimizerConfig(rel_obj_tol=1.0)
+
+    def shortened_first_step(self, monkeypatch, rejection):
+        """(data, graphs, beta, W0, evaluated): the instance of the ObjTol
+        tests, with the first trial of iteration 1 rejected by the Armijo
+        test (a shrink) or raising a NumericalError (a retry); evaluated
+        lists the points evaluated."""
+        data, graphs, beta, W0 = fitted_instance(4)
+        base = rcg_maximize(data, graphs, MetricKind.STEIN, beta, W0, self.OBJ_TOL_CFG)
+        assert base.stop_reason is StopReason.OBJ_TOL
+        assert base.iterations_used == 1
+        original_evaluate = objective.AlignmentProblem.evaluate
+        evaluated = []
+
+        def evaluate(problem, W):
+            evaluated.append(W)
+            state = original_evaluate(problem, W)
+            # evaluation 1 is W0, evaluation 2 iteration 1's first trial
+            if len(evaluated) != 2:
+                return state
+            if rejection == "retry":
+                raise NumericalError("forced trial failure")
+            return dataclasses.replace(state, J=-np.inf)
+
+        monkeypatch.setattr(objective.AlignmentProblem, "evaluate", evaluate)
+        return data, graphs, beta, W0, evaluated
+
+    def assert_small_steps(self, res):
+        tol = self.OBJ_TOL_CFG.rel_obj_tol
+        J = res.J_trace
+        assert np.all(np.abs(np.diff(J)) < tol * np.maximum(1.0, np.abs(J[1:])))
+
+    @pytest.mark.parametrize("rejection", ["shrink", "retry"])
+    def test_obj_tol_waits_for_a_full_step(self, rejection, monkeypatch):
+        data, graphs, beta, W0, evaluated = self.shortened_first_step(
+            monkeypatch, rejection)
+        res = rcg_maximize(data, graphs, MetricKind.STEIN, beta, W0, self.OBJ_TOL_CFG)
+        # iteration 1 took its second trial, half the first; its change in J
+        # is under the tolerance, and it does not stop the run. Iteration 2
+        # accepts its first trial, and that small full step stops it.
+        t0 = 1.0 / (1.0 + res.grad_norm_trace[0])
+        assert res.step_trace[1] == 0.5 * t0
+        assert res.stop_reason is StopReason.OBJ_TOL
+        assert res.iterations_used == 2
+        assert len(evaluated) == 4
+        self.assert_small_steps(res)
+
+    def test_obj_tol_waits_out_a_fallback_to_the_gradient(self, monkeypatch):
+        data, graphs, beta, W0, evaluated = self.shortened_first_step(
+            monkeypatch, "shrink")
+        armijo, directions = optimizer._armijo, []
+
+        def search(problem, W, J, d, slope):
+            directions.append(d)
+            # iteration 2's search along the conjugate direction fails
+            return None if len(directions) == 2 else armijo(problem, W, J, d, slope)
+
+        monkeypatch.setattr(optimizer, "_armijo", search)
+        res = rcg_maximize(data, graphs, MetricKind.STEIN, beta, W0, self.OBJ_TOL_CFG)
+        # iteration 2 fell back to the plain gradient and accepted its first
+        # trial there; only iteration 3's full step stops the run
+        assert len(directions) == 4
+        assert len(evaluated) == 5
+        assert res.stop_reason is StopReason.OBJ_TOL
+        assert res.iterations_used == 3
+        self.assert_small_steps(res)
+
     def test_fiber_invariance_of_trace(self):
         data, graphs, beta, W0 = fitted_instance(5)
         rng = np.random.default_rng(55)
