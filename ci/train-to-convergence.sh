@@ -2,8 +2,9 @@
 # every other train here stops after 2 to 5 iterations; this one runs the
 # reference shape (dim 20 -> 5, 50 samples, noise 0.2) to its objective
 # tolerance, so the conjugate directions carry over tens of steps: each
-# metric must stop by ObjTol inside the budget, rerun byte-identical, and
-# beat the untransformed 1-NN mean over 10 splits
+# metric must stop by ObjTol inside the budget, print as its iteration count
+# the rows of its trace less the start row, rerun byte-identical, and beat
+# the untransformed 1-NN mean over 10 splits
 work=$(mktemp -d)
 spdalign synth --output-dir "$work/data" --dim 20 --classes 5 --per-class 10 --noise 0.2
 manifest="$work/data/manifest.txt"
@@ -17,6 +18,10 @@ for metric in aim stein lem; do
   done
   cat "$work/$metric-train-1.txt"
   grep -E '^stopped after [0-9]+ iteration\(s\): ObjTol$' "$work/$metric-train-1.txt"
+  # the printed count is the trace's data rows less the start row
+  k=$(sed -n 's/^stopped after \([0-9]*\) iteration(s): .*$/\1/p' "$work/$metric-train-1.txt")
+  rows=$(grep -cv '^#' "$work/$metric-1/trace.txt")
+  test "$k" -eq "$((rows - 1))"
   cmp "$work/$metric-1/W.txt" "$work/$metric-2/W.txt"
   cmp "$work/$metric-1/trace.txt" "$work/$metric-2/trace.txt"
   spdalign eval --manifest "$manifest" --metric "$metric" --splits 10 \

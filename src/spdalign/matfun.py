@@ -59,7 +59,7 @@ def check_finite(A, name="matrix"):
     if A.ndim >= 2:
         finite = np.isfinite(A).all(axis=(-2, -1))
         if not finite.all():
-            label = "" if finite.ndim == 0 else f" {int(np.argmin(finite))}"
+            _, label = _first(~finite)
             raise ValidationError(f"{name}{label} holds a non-finite value")
     return A
 

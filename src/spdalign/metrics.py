@@ -208,7 +208,7 @@ def map_down(X, W):
         Y = matfun.symmetrize(W.T @ (X @ W))
     finite = np.isfinite(Y).all(axis=(-2, -1))
     if not finite.all():
-        label = "" if finite.ndim == 0 else f" {int(np.argmin(finite))}"
+        _, label = matfun._first(~finite)
         raise NumericalError(
             f"transform maps sample{label} to non-finite values (overflow)"
         )

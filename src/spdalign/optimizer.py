@@ -16,15 +16,18 @@ along alignment_gradient's output as is.
 
 The loop is conjugate gradient ascent with a Polak-Ribiere+ combination
 coefficient, an additive retraction W + tH guarded against rank loss, and
-Armijo backtracking. It carries the previous gradient and direction to the new
-point unchanged: on the total space R^{n x m}_* with the Euclidean metric the
-identity is the parallel transport and W + tH the exponential map, and the
-total-space gradient of a fibre-invariant J is the horizontal lift of its
-quotient gradient (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
-Manifolds, 2008, sec. 3.6), so CG on the total space still ascends on the
-quotient. A projection-based transport would change nothing the loop uses: the
-new gradient is horizontal, so the PR+ coefficient and the Armijo slope
-<grad, d> are blind to a vertical component. The paper states its algorithm
+Armijo backtracking. It has one restart rule: at iteration 1, every n*m
+iterations and whenever PR+ clips its coefficient to 0, the search direction
+is the gradient itself, its only candidate. The loop carries the previous
+gradient and direction to the new point unchanged: on the total space
+R^{n x m}_* with the Euclidean metric the identity is the parallel transport
+and W + tH the exponential map, and the total-space gradient of a
+fibre-invariant J is the horizontal lift of its quotient gradient (Absil,
+Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
+sec. 3.6), so CG on the total space still ascends on the quotient. A
+projection-based transport would change nothing the loop uses: the new
+gradient is horizontal, so the PR+ coefficient and the Armijo slope <grad, d>
+are blind to a vertical component. The paper states its algorithm
 with a vector transport; taking the identity instead is a deliberate
 deviation, and it spares one SVD of W and a Sylvester solve per step, so the
 loop takes no SVD but `check_transform`'s. `horizontal_project` is kept for
@@ -87,15 +90,19 @@ class TrainResult:
 
     Row 0 of every trace describes the starting point (step 0); row k the
     state after accepted iteration k. J_trace is non-decreasing.
+    iterations_used is read off the traces: their rows less the start row.
     """
 
     W_final: np.ndarray
     J_trace: np.ndarray
     grad_norm_trace: np.ndarray
     step_trace: np.ndarray
-    iterations_used: int
     stop_reason: StopReason
     seconds: float = field(default=0.0, compare=False)
+
+    @property
+    def iterations_used(self):
+        return len(self.J_trace) - 1
 
 
 def horizontal_project(W, H):
@@ -147,18 +154,6 @@ def initial_transform(n, m, seed):
     return matfun.qr_orthonormal(rng.standard_normal((n, m)))
 
 
-def _trace_result(W, J_hist, g_hist, t_hist, iters, reason, t0):
-    return TrainResult(
-        W_final=W,
-        J_trace=np.asarray(J_hist),
-        grad_norm_trace=np.asarray(g_hist),
-        step_trace=np.asarray(t_hist),
-        iterations_used=iters,
-        stop_reason=reason,
-        seconds=time.perf_counter() - t0,
-    )
-
-
 def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
     """Maximize the alignment objective from W0; returns the iterate history.
 
@@ -166,8 +161,10 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
     value, when a full step (its search accepted its first trial along its
     first direction: no shrink, `NumericalError` retry or fallback to the
     plain gradient) changes J by less than rel_obj_tol relative, at
-    max_iters, or when backtracking cannot find an ascent step (tried along
-    the conjugate direction, then once more along the plain gradient).
+    max_iters, or when backtracking cannot find an ascent step. The search
+    restarts along the plain gradient, its one direction, at iteration 1,
+    every n*m iterations and whenever the PR+ coefficient is 0; any other
+    iteration tries the conjugate direction, then once more the gradient.
     """
     cfg = cfg or OptimizerConfig()
     t_start = time.perf_counter()
@@ -181,42 +178,38 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
     gnorm = float(np.linalg.norm(grad))
     gnorm_ref = max(1.0, gnorm)
 
-    J_hist, g_hist, t_hist = [J], [gnorm], [0.0]
-    direction = grad
-    prev_grad = grad
+    rows = [(J, gnorm, 0.0)]  # (J, gradient norm, step) per trace row
     since_restart = 0
+    reason = StopReason.MAX_ITERS
 
     for k in range(1, cfg.max_iters + 1):
         if gnorm < cfg.grad_tol * gnorm_ref:
-            return _trace_result(W, J_hist, g_hist, t_hist, k - 1,
-                                 StopReason.GRAD_TOL, t_start)
+            reason = StopReason.GRAD_TOL
+            break
 
-        # restart every n*m iterations, the usual cycle length for nonlinear CG
-        if k == 1 or since_restart >= W.size:
-            direction = grad
-            since_restart = 0
-        else:
+        # restart along the gradient at iteration 1, every n*m iterations
+        # (the usual cycle length for nonlinear CG) and when PR+ clips to 0
+        eta = 0.0
+        if k > 1 and since_restart < W.size:
             # the identity transport carries prev_grad and direction to W
             eta_num = float(np.sum(grad * (grad - prev_grad)))
             eta_den = float(np.sum(prev_grad * prev_grad))
             eta = max(0.0, eta_num / eta_den) if eta_den > 0 else 0.0
-            direction = grad + eta * direction
-            if eta == 0.0:
-                since_restart = 0
+        if eta > 0.0:
+            candidates = (grad + eta * direction, grad)
+        else:
+            candidates = (grad,)
+            since_restart = 0
 
-        accepted = None
-        candidates = (direction, grad) if direction is not grad else (grad,)
-        for d in candidates:
-            slope = float(np.sum(grad * d))
-            if slope <= 0.0:
-                continue
-            accepted = _armijo(problem, W, J, d, slope)
-            if accepted is not None:
-                direction = d
-                break
-        if accepted is None:
-            return _trace_result(W, J_hist, g_hist, t_hist, k - 1,
-                                 StopReason.LINE_SEARCH_FAIL, t_start)
+        for direction in candidates:
+            slope = float(np.sum(grad * direction))
+            if slope > 0.0:
+                accepted = _armijo(problem, W, J, direction, slope)
+                if accepted is not None:
+                    break
+        else:
+            reason = StopReason.LINE_SEARCH_FAIL
+            break
 
         t, W, state, shrinks = accepted
         del accepted
@@ -226,17 +219,21 @@ def rcg_maximize(data, graphs, metric, beta, W0, cfg=None):
         del state
         gnorm = float(np.linalg.norm(grad))
         since_restart += 1
-
-        J_hist.append(J)
-        g_hist.append(gnorm)
-        t_hist.append(t)
+        rows.append((J, gnorm, t))
 
         if full_step and abs(J - J_prev) < cfg.rel_obj_tol * max(1.0, abs(J)):
-            return _trace_result(W, J_hist, g_hist, t_hist, k,
-                                 StopReason.OBJ_TOL, t_start)
+            reason = StopReason.OBJ_TOL
+            break
 
-    return _trace_result(W, J_hist, g_hist, t_hist, cfg.max_iters,
-                         StopReason.MAX_ITERS, t_start)
+    J_trace, grad_norm_trace, step_trace = map(np.asarray, zip(*rows))
+    return TrainResult(
+        W_final=W,
+        J_trace=J_trace,
+        grad_norm_trace=grad_norm_trace,
+        step_trace=step_trace,
+        stop_reason=reason,
+        seconds=time.perf_counter() - t_start,
+    )
 
 
 def _armijo(problem, W, J, d, slope):

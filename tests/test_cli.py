@@ -821,6 +821,43 @@ class TestNegativeSeed:
         assert code == 0
 
 
+class TestRequiredSettings:
+    """A required setting given neither by flag nor by config file is a
+    configuration error (exit 1), raised before any file is read or any
+    directory is created."""
+
+    @pytest.mark.parametrize(
+        "command, dropped, message",
+        [
+            ("train", "--manifest",
+             "a dataset manifest is required (--manifest or config)"),
+            ("train", "--output-dir",
+             "an output directory is required (--output-dir or config)"),
+            ("eval", "--manifest",
+             "a dataset manifest is required (--manifest or config)"),
+        ],
+        ids=["train-manifest", "train-output-dir", "eval-manifest"],
+    )
+    def test_missing_before_any_work(
+        self, corpus, tmp_path, capsys, monkeypatch, command, dropped, message
+    ):
+        transform = tmp_path / "W.txt"
+        save_transform(str(transform), np.eye(6, 2))
+        out = tmp_path / "out"
+        args = {
+            "train": train_args(corpus, out),
+            "eval": ["eval", "--manifest", corpus, "--transform", str(transform)],
+        }[command]
+        del args[args.index(dropped) : args.index(dropped) + 2]
+        calls = count_calls(
+            monkeypatch, cli, ["load_dataset", "load_transform", "_make_output_dir"]
+        )
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == {"load_dataset": 0, "load_transform": 0, "_make_output_dir": 0}
+        assert os.listdir(tmp_path) == ["W.txt"]
+
+
 class TestUnusableOutputPath:
     """An output path that cannot hold the outputs is bad input (exit 1),
     named on stderr, and train and synth find it before any work."""

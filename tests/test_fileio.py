@@ -73,7 +73,6 @@ class TestAtomicWrite:
             J_trace=np.array([0.1, 0.25]),
             grad_norm_trace=np.array([1.0, 0.5]),
             step_trace=np.array([0.0, 0.125]),
-            iterations_used=1,
             stop_reason=StopReason.MAX_ITERS,
         )
         save_matrix(str(tmp_path / "m.txt"), X)
@@ -466,7 +465,6 @@ class TestTraceFormat:
             J_trace=np.array([0.1, 0.25, 1.0 / 3.0]),
             grad_norm_trace=np.array([1.0, 0.5, 1e-7]),
             step_trace=np.array([0.0, 0.125, 0.0625]),
-            iterations_used=2,
             stop_reason=StopReason.GRAD_TOL,
         )
 
@@ -556,7 +554,6 @@ class TestWrittenBytes:
             J_trace=np.array([0.1, 1.0 / 3.0, 1.7976931348623157e308]),
             grad_norm_trace=np.array([1e-300, 0.5, -0.0]),
             step_trace=np.array([0.0, 0.1, 1.0 / 3.0]),
-            iterations_used=2,
             stop_reason=StopReason.MAX_ITERS,
         ))
         assert path.read_bytes() == (

@@ -9,6 +9,8 @@ diagonal base points share the eigendecomposition route with `dlog` and
 back up the oracle.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -306,19 +308,19 @@ class TestLogDerivative:
     @pytest.mark.parametrize("operand", ["base", "direction"])
     def test_rejects_non_finite_input(self, operand):
         """Rejected before the symmetry check and the eigensolve, and without
-        a warning (none is silenced here), for one matrix and in a stack."""
+        a warning (none is silenced here), for one matrix and in stacks of one
+        and two axes."""
         name = {"base": "base point", "direction": "direction"}[operand]
         for value in (np.nan, np.inf, -np.inf):
-            for bad in (np.eye(3), np.stack([np.eye(3)] * 3)):
+            for bad, at, label in ((np.eye(3), (), ""),
+                                   (np.stack([np.eye(3)] * 3), (1,), " 1"),
+                                   (np.tile(np.eye(3), (2, 3, 1, 1)), (1, 0), " (1, 0)")):
                 # a mirrored pair, so the matrix stays symmetric as entered
-                bad[..., 0, 1] = bad[..., 1, 0] = value
-                if bad.ndim == 3:
-                    bad[[0, 2]] = np.eye(3)
+                bad[at + (0, 1)] = bad[at + (1, 0)] = value
                 X, H = (bad, np.eye(3)) if operand == "base" else (np.eye(3), bad)
                 X, H = np.broadcast_arrays(X, H)
-                label = " 1" if bad.ndim == 3 else ""
-                with pytest.raises(ValidationError,
-                                   match=f"^{name}{label} holds a non-finite value$"):
+                message = re.escape(f"{name}{label} holds a non-finite value")
+                with pytest.raises(ValidationError, match=f"^{message}$"):
                     matfun.dlog(X, H)
 
 

@@ -115,6 +115,15 @@ class TestMapDown:
             with pytest.raises(NumericalError, match=r"^transform maps sample to"):
                 map_down(np.eye(4), W)
 
+    def test_overflow_names_a_stack_position(self):
+        # the first overflowing sample of a two-axis stack, by its position
+        stack = np.tile(np.eye(4) * 1e-300, (2, 3, 1, 1))
+        stack[1, 0] = np.eye(4)
+        stack[1, 2] = 2 * np.eye(4)
+        with pytest.raises(NumericalError,
+                           match=r"^transform maps sample \(1, 0\) to non-finite"):
+            map_down(stack, np.full((4, 1), 1e160))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_rejected(self, bad):
         # mapped through W it would come back as NaN, with a warning only

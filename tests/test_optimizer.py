@@ -6,6 +6,7 @@ which solves its Sylvester equation as one Kronecker-form linear system by
 """
 
 import dataclasses
+import itertools
 import weakref
 
 import numpy as np
@@ -430,6 +431,29 @@ class TestRcgMaximize:
         assert res.stop_reason is StopReason.OBJ_TOL
         assert res.iterations_used == 3
         self.assert_small_steps(res)
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_line_search_failure_tries_each_direction_once(self, metric, monkeypatch):
+        data, graphs, beta, W0 = fitted_instance(0, metric=metric)
+        two = rcg_maximize(data, graphs, metric, beta, W0, OptimizerConfig(max_iters=2))
+        armijo, directions = optimizer._armijo, []
+
+        def search(problem, W, J, d, slope):
+            directions.append(d)
+            # iterations 1 and 2 search as usual; every later search fails
+            return armijo(problem, W, J, d, slope) if len(directions) <= 2 else None
+
+        monkeypatch.setattr(optimizer, "_armijo", search)
+        res = rcg_maximize(data, graphs, metric, beta, W0)
+        assert res.stop_reason is StopReason.LINE_SEARCH_FAIL
+        assert res.iterations_used == 2
+        assert len(res.J_trace) == 3
+        assert np.array_equal(res.W_final, two.W_final)
+        # iteration 3 searched along each of its candidates once
+        failing = directions[2:]
+        assert failing
+        assert not any(np.array_equal(a, b)
+                       for a, b in itertools.combinations(failing, 2))
 
     def test_fiber_invariance_of_trace(self):
         data, graphs, beta, W0 = fitted_instance(5)
