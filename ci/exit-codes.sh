@@ -22,6 +22,14 @@ python -c "import sys, numpy as np; from spdalign.fileio import save_transform; 
 expect 2 python -W error -c "from spdalign.cli import entry; entry()" eval \
   --manifest "$work/data/manifest.txt" --transform "$work/W-huge.txt" 2> "$work/err.txt"
 grep -F "numerical failure: transform maps sample 0 to non-finite values" "$work/err.txt"
+# a synth noise past what float64 keeps positive definite is bad input
+# naming the noise, with no numpy warning even when warnings are errors
+expect 1 spdalign synth --output-dir "$work/noisy" --noise 3 --seed 0 2> "$work/err.txt"
+grep -F "noise 3" "$work/err.txt"
+expect 1 python -W error -c "from spdalign.cli import entry; entry()" synth \
+  --output-dir "$work/noisy" --noise 1000 2> "$work/err.txt"
+if grep -E "Traceback|RuntimeWarning" "$work/err.txt"; then exit 1; fi
+grep -F "noise 1000" "$work/err.txt"
 # an infinite tolerance from a JSON config is rejected before the output
 # directory is made
 printf '{"grad_tol": Infinity}\n' > "$work/inf-tol.json"

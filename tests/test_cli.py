@@ -108,6 +108,13 @@ class TestSynth:
         assert "unrecognized arguments: --metric aim" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_noise_beyond_float64_exits_1(self, tmp_path, capsys):
+        code = cli.main(["synth", "--output-dir", str(tmp_path / "data"),
+                         "--noise", "3", "--seed", "0"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: noise 3 at dim 10: sample 2 has min eigenvalue")
+
 
 class TestTrain:
     def test_end_to_end(self, corpus, tmp_path, capsys):
@@ -602,6 +609,14 @@ class TestConfigFile:
         config = self.write_config(tmp_path, {"seed": True})
         assert cli.main(train_args(corpus, tmp_path, "--config", config)) == 1
         assert "'seed'" in capsys.readouterr().err
+
+    def test_missing_file(self, corpus, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        code = cli.main(train_args(corpus, tmp_path / "out", "--config", missing))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read config {missing}: [Errno 2]")
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_json(self, corpus, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -1,17 +1,20 @@
 """Covariance descriptor and synthetic dataset tests."""
 
+import re
+
 import numpy as np
 import pytest
 
 from helpers import synth_reference
 from spdalign.descriptors import (
-    RIDGE_FLOOR,
     RIDGE_SCALE,
     SynthConfig,
     cov_descriptor,
     synth_dataset,
 )
 from spdalign.errors import DegenerateInputError, ValidationError
+
+FRAMES = np.random.default_rng(4).standard_normal((20, 3))
 
 
 class TestCovDescriptor:
@@ -65,15 +68,39 @@ class TestCovDescriptor:
         assert np.linalg.eigvalsh(out)[0] > 0
         assert np.array_equal(out, out.T)
 
-    def test_identical_frames_floor_and_warning(self):
-        frames = np.ones((5, 3))
-        with pytest.warns(RuntimeWarning):
-            out = cov_descriptor(frames)
-        assert np.linalg.eigvalsh(out)[0] >= RIDGE_FLOOR * (1 - 1e-9)
-
     def test_identical_frames_error_when_floor_disabled(self):
         with pytest.raises(DegenerateInputError):
-            cov_descriptor(np.ones((5, 3)), degenerate_floor=False)
+            cov_descriptor(np.ones((5, 3)))
+
+    # one answer to a covariance out of range, scale-free and with no
+    # numpy warning on the way; "identical" is said only of identical frames
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "frames, augment, message",
+        [
+            (np.full((3, 2), 0.1), False, ": all frames identical"),
+            (FRAMES * 1e-200, False, "covariance trace 0.0: out of float64's range"),
+            (FRAMES * 1e200, False, "covariance trace inf: out of float64's range"),
+            (FRAMES + 1e200, True, ": all frames identical"),
+            (FRAMES * 1e140 + 1e155, True, "augmented descriptor out of float64"),
+        ],
+        ids=["inexact-mean", "tiny", "huge", "offset", "augmented-overflow"],
+    )
+    def test_degenerate_covariance_raises(self, frames, augment, message):
+        with pytest.raises(DegenerateInputError, match=re.escape(message)):
+            cov_descriptor(frames, augment_mean=augment)
+
+    @pytest.mark.parametrize(
+        "frames, message",
+        [
+            (np.ones(5), "frames must be 2-D (count x dim), got (5,)"),
+            (np.ones((5, 0)), "feature dimension must be at least 1"),
+        ],
+        ids=["one-axis", "no-features"],
+    )
+    def test_rejects_malformed_frames(self, frames, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(message)):
+            cov_descriptor(frames)
 
     def test_rejects_single_frame(self):
         with pytest.raises(ValidationError):
@@ -126,6 +153,21 @@ class TestSynthDataset:
         samples, labels = synth_reference(cfg)
         assert data.samples.tobytes() == samples.tobytes()
         assert np.array_equal(data.labels, labels)
+
+    # exact arithmetic keeps every sample PD, float64 does not: at dim 10 a
+    # smallest eigenvalue falls under the PD floor from about noise 3, and
+    # exp overflows at noise 1000
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "noise, fault",
+        [(3.0, "at or below the PD floor"), (1000.0, "holds a non-finite value")],
+        ids=["pd-floor", "overflow"],
+    )
+    def test_noise_beyond_float64_is_a_validation_error(self, noise, fault):
+        cfg = SynthConfig(dim=10, classes=3, per_class=10, noise=noise, seed=0)
+        message = f"^noise {noise:g} at dim 10: .*{fault}"
+        with pytest.raises(ValidationError, match=message):
+            synth_dataset(cfg)
 
     def test_all_samples_positive_definite(self):
         data = synth_dataset(SynthConfig(dim=6, classes=3, per_class=5, noise=0.8))

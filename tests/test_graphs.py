@@ -7,6 +7,7 @@ from helpers import centering_matrix, count_calls, graph_split, graph_union, ran
 from spdalign.dataset import LabeledDataset
 from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import (
+    DimMismatchError,
     InsufficientClassSizeError,
     NotPositiveDefiniteError,
     ValidationError,
@@ -278,6 +279,12 @@ class TestBuildGraphs:
         D[0, 2] = D[2, 0] = bad
         with pytest.raises(ValidationError, match="non-finite"):
             neighbor_graphs(data, D, 1, 1)
+
+    def test_rejects_distances_of_another_size(self):
+        data = scalar_dataset([1.0, 2.0, 3.0, 5.0, 6.0, 7.0], [0, 0, 0, 1, 1, 1])
+        message = r"^distance matrix \(7, 7\) for 6 samples$"
+        with pytest.raises(DimMismatchError, match=message):
+            neighbor_graphs(data, np.zeros((7, 7)), 1, 1)
 
     def test_supports_disjoint_and_label_consistent(self):
         data = random_dataset(7)

@@ -134,6 +134,11 @@ class TestMapDown:
         with pytest.raises(ValidationError, match="^sample holds a non-finite"):
             map_down(stack[1], np.eye(3)[:, :2])
 
+    def test_one_axis_transform_rejected(self):
+        with pytest.raises(ValidationError, match=re.escape(
+                "transform must be a 2-D array, got shape (3,)")):
+            check_transform(np.ones(3))
+
     def test_wide_transform_rejected(self):
         with pytest.raises(ValidationError):
             check_transform(np.ones((2, 3)))
