@@ -2,10 +2,11 @@
 
 `LabeledDataset` holds same-dimension symmetric positive definite samples
 with integer class indices 0..c-1. Every sample is checked on construction
-for finite entries, symmetry and positive definiteness; the neighbor graphs,
-the objective and evaluation then take the stack as valid. This is the one
-PD floor decision (`matfun.check_pd`) a loaded stack gets: the distance
-passes take its factors as they come.
+for finite entries and symmetry (`matfun.check_symmetric`, one call) and for
+positive definiteness; the neighbor graphs, the objective and evaluation
+then take the stack as valid. This is the one PD floor decision
+(`matfun.check_pd`) a loaded stack gets: the distance passes take its
+factors as they come.
 """
 
 from dataclasses import dataclass
@@ -46,7 +47,6 @@ class LabeledDataset:
                 f"samples must be a stack of square matrices, got {samples.shape}"
             )
         _check_labels(labels, samples.shape[0])
-        matfun.check_finite(samples, "sample")
         matfun.check_symmetric(samples, "sample")
         matfun.check_pd(samples, "sample")
         self._freeze(samples, labels)

@@ -1,9 +1,9 @@
 """SPD descriptors from raw feature frames, plus synthetic labeled datasets.
 
 The covariance descriptor is the unbiased sample covariance of a frame stack
-with a trace-proportional ridge, an error where that trace is not positive and
-finite; optional mean augmentation embeds first-order statistics while staying
-positive definite (the Schur complement of the corner 1 is the ridged
+with a trace-proportional ridge, an error where that ridge is not a finite
+normal float64; optional mean augmentation embeds first-order statistics while
+staying positive definite (the Schur complement of the corner 1 is the ridged
 covariance itself).
 
 Synthetic datasets place one SPD prototype per class (a random rotation of a
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matfun
-from .errors import DegenerateInputError, SpdAlignError, ValidationError
+from .errors import DegenerateInputError, SpdAlignError, ValidationError, check_count
 from .dataset import LabeledDataset
 
 RIDGE_SCALE = 1e-3
@@ -35,8 +35,11 @@ def cov_descriptor(frames, augment_mean=False):
     With augment_mean the result is one dimension larger:
     [[Sigma + mu mu^T, mu], [mu^T, 1]] with Sigma already ridged.
 
-    Identical frames, a covariance trace that is not positive and finite,
-    and an augmented descriptor that is not finite raise DegenerateInputError.
+    Identical frames, a covariance trace whose ridge RIDGE_SCALE * tr (the
+    descriptor's eigenvalue floor) is not a finite normal float64, and an
+    augmented descriptor that is not finite raise DegenerateInputError: a
+    ridge in the subnormal range would leave the smallest eigenvalues only
+    a few significant bits.
     """
     frames = np.asarray(frames, dtype=float)
     if frames.ndim != 2:
@@ -53,11 +56,12 @@ def cov_descriptor(frames, augment_mean=False):
         centered = frames - mu
         sigma = matfun.symmetrize(centered.T @ centered / (count - 1))
         tr = float(np.trace(sigma))
+        ridge = RIDGE_SCALE * tr
         identical = np.all(frames == frames[0])
-        if identical or not 0.0 < tr < np.inf:
+        if identical or not np.finfo(float).tiny <= ridge < np.inf:
             what = "all frames identical" if identical else "out of float64's range"
             raise DegenerateInputError(f"covariance trace {tr}: {what}")
-        sigma = sigma + RIDGE_SCALE * tr * np.eye(d)
+        sigma = sigma + ridge * np.eye(d)
         if not augment_mean:
             return sigma
         out = np.empty((d + 1, d + 1))
@@ -72,7 +76,9 @@ def cov_descriptor(frames, augment_mean=False):
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Shape and spread of a generated dataset."""
+    """Shape and spread of a generated dataset: dim, classes and per_class
+    integers >= 2, seed an integer >= 0 (`check_count`), noise finite and
+    >= 0."""
 
     dim: int
     classes: int
@@ -81,12 +87,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValidationError(f"dim must be >= 2, got {self.dim}")
-        if self.classes < 2:
-            raise ValidationError(f"classes must be >= 2, got {self.classes}")
-        if self.per_class < 2:
-            raise ValidationError(f"per_class must be >= 2, got {self.per_class}")
+        for name, least in (("dim", 2), ("classes", 2), ("per_class", 2), ("seed", 0)):
+            check_count(name, getattr(self, name), least)
         if not np.isfinite(self.noise) or self.noise < 0:
             raise ValidationError(f"noise must be finite and >= 0, got {self.noise}")
 

@@ -3,7 +3,10 @@
 Validation problems (bad configs, malformed files, shape mismatches) and
 numerical failures (lost positive definiteness, eigensolver breakdown) are
 kept in separate branches so the CLI can map them to distinct exit codes.
+`check_count` is the one check of a config's integer counts.
 """
+
+import numbers
 
 
 class SpdAlignError(Exception):
@@ -61,3 +64,12 @@ class DegenerateInputError(NumericalError):
 
 class DegenerateAlignmentError(NumericalError):
     """Centered similarity matrix vanished; the objective is undefined."""
+
+
+def check_count(name, value, least):
+    """Raise ValidationError, naming the field, unless value is an integer
+    (a numpy integer too, a bool not) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")

@@ -11,10 +11,11 @@ X = Q diag(l) Q^T,
 
 (Higham, Functions of Matrices, SIAM 2008, ch. 3). `dlog`, `dlog_eig` (the
 same formula from eigenpairs the caller already holds) and the helpers they
-validate with (check_finite, check_symmetric, symmetrize, pd_floor,
-require_pd, check_pd, sym_eig, spd_eig, eig_apply) take one matrix (n, n)
-or a stack (..., n, n) and treat each matrix on its own; a failed check on
-a stack names the first failing matrix. `check_pd` is the one stacked
+validate with (check_symmetric, symmetrize, pd_floor, require_pd, check_pd,
+sym_eig, spd_eig, eig_apply) take one matrix (n, n) or a stack (..., n, n)
+and treat each matrix on its own; a failed check on a stack names the first
+failing matrix. `check_symmetric` is the one check that a matrix or stack
+is square, finite and symmetric, and `check_pd` is the one stacked
 positive definiteness check, called where samples enter the package: a
 Cholesky screen, with `eigvalsh` and `require_pd` only for a stack the
 screen cannot clear. `spd_chol` only decomposes: it guards its Cholesky
@@ -48,39 +49,29 @@ def _mT(A):
     return A.swapaxes(-1, -2)
 
 
-def check_finite(A, name="matrix"):
-    """Raise ValidationError unless every entry of A is finite.
-
-    Checked before any symmetry check or factorization, which would
-    otherwise fail as whatever they make of a non-finite matrix; the first
-    non-finite matrix of a stack is named by its position.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim >= 2:
-        finite = np.isfinite(A).all(axis=(-2, -1))
-        if not finite.all():
-            _, label = _first(~finite)
-            raise ValidationError(f"{name}{label} holds a non-finite value")
-    return A
-
-
 def check_symmetric(A, name="matrix"):
-    """Raise NonSymmetricError unless A is square, n >= 1, and symmetric.
+    """Raise unless A is square, n >= 1, finite and symmetric: the one check
+    of all three.
 
-    A is symmetric when max |A - A^T| <= SYM_RTOL * max |A|. A stack is
-    checked matrix by matrix, each at its own scale max |A| with no floor,
-    as the PD floor (`pd_floor`) is relative to each matrix too. A
-    non-finite matrix is left to `check_finite`: its scale is inf or NaN,
-    and no skew compares above SYM_RTOL times that.
+    A mis-shaped A raises NonSymmetricError. A matrix whose scale
+    max |A| is not finite (max and min carry any inf or NaN entry through)
+    holds a non-finite value and raises ValidationError. A is symmetric when
+    max |A - A^T| <= SYM_RTOL * max |A|. A stack is checked matrix by
+    matrix, each at its own scale with no floor, as the PD floor
+    (`pd_floor`) is relative to each matrix too; the first failing matrix
+    is named by its position.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
         raise NonSymmetricError(f"{name} must be square, n >= 1, got shape {A.shape}")
     scale = np.maximum(A.max((-2, -1)), -A.min((-2, -1)))
+    finite = np.isfinite(scale)
+    if not finite.all():
+        _, label = _first(~finite)
+        raise ValidationError(f"{name}{label} holds a non-finite value")
     # |A - A^T| in one stack-sized temporary
-    with np.errstate(invalid="ignore"):  # inf - inf
-        skew = A - _mT(A)
-        np.abs(skew, out=skew)
+    skew = A - _mT(A)
+    np.abs(skew, out=skew)
     bad = skew.max((-2, -1)) > SYM_RTOL * scale
     if bad.any():
         index, label = _first(bad)
@@ -308,11 +299,9 @@ def dlog(X, H):
 
     X and H are one matrix each or stacks of the same shape (..., n, n); a
     stack gives the derivative of every X_k along its own H_k. Both are
-    checked finite first, then symmetric; then one eigendecomposition of X
-    and `dlog_eig`.
+    checked finite and symmetric (`check_symmetric`); then one
+    eigendecomposition of X and `dlog_eig`.
     """
-    X = check_finite(X, "base point")
-    H = check_finite(H, "direction")
     X = check_symmetric(X, "base point")
     H = check_symmetric(H, "direction")
     if H.shape != X.shape:
@@ -329,10 +318,12 @@ def dlog_eig(w, Q, H):
     of the log at the eigenvalues.
 
     For callers that already hold the eigenpairs; `dlog` checks its inputs
-    and decomposes X first.
+    and decomposes X first. A derivative that overflows raises
+    NoConvergenceError, with no numpy warning ahead of it.
     """
-    inner = _log_divided_differences(w) * (_mT(Q) @ H @ Q)
-    D = symmetrize(Q @ inner @ _mT(Q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = _log_divided_differences(w) * (_mT(Q) @ H @ Q)
+        D = symmetrize(Q @ inner @ _mT(Q))
     if not np.isfinite(D).all():
         raise NoConvergenceError("matrix log derivative is not finite")
     return D

@@ -23,11 +23,12 @@ distance pairs, on one operand, a factored stack (stack, factors), with the
 pairs as two index arrays into it; `dist2` and `cross_dist2` factor each of
 their two operands under its own name, then stack both.
 
-Inputs are validated once where they enter: finite, symmetric, and clear
-of the PD floor (`matfun.check_pd`), in a `LabeledDataset` or in the
-raw-array entry points `dist2`, `cross_dist2` and `indexed_dist2` (so
-`pairwise_dist2` too), each operand after every shape, dimension and
-index check and right before it is factored. `Geometry.factors` only
+Inputs are validated once where they enter: finite and symmetric
+(`matfun.check_symmetric`), and clear of the PD floor (`matfun.check_pd`),
+in a `LabeledDataset` or in the raw-array entry points `dist2`,
+`cross_dist2` and `indexed_dist2` (so `pairwise_dist2` too), each operand
+after every shape, dimension and index check and right before it is
+factored. `Geometry.factors` only
 decomposes, so a stack computed inside the package (an objective trial,
 `map_down`'s output) is not screened against the floor. A Cholesky that
 breaks down is named through `matfun.spd_chol`, the log-Euclidean factors
@@ -202,7 +203,7 @@ def map_down(X, W):
     finite raises NumericalError, naming the transform and the first such
     sample, rather than reaching a later check as an infinite eigenvalue.
     """
-    X = matfun.check_symmetric(matfun.check_finite(X, "sample"), "sample")
+    X = matfun.check_symmetric(X, "sample")
     W = check_transform(W, n=X.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         Y = matfun.symmetrize(W.T @ (X @ W))
@@ -686,14 +687,14 @@ def geometry(metric):
 
 def _operand(A, name, ndim):
     """A validated operand of finite symmetric matrices: one (n, n) matrix
-    for ndim 2, a (k, n, n) stack for ndim 3, checked finite first
-    (`matfun.check_finite`)."""
+    for ndim 2, a (k, n, n) stack for ndim 3, its shape checked first, then
+    finite and symmetric in one call (`matfun.check_symmetric`)."""
     A = np.asarray(A, dtype=float)
     if A.ndim != ndim or A.shape[-1] != A.shape[-2]:
         want = ("must be one (n, n) matrix" if ndim == 2
                 else "operand must be a (k, n, n) stack of matrices")
         raise ValidationError(f"{name} {want}, got shape {A.shape}")
-    return matfun.check_symmetric(matfun.check_finite(A, name), name)
+    return matfun.check_symmetric(A, name)
 
 
 def _pair_indices(i, j, N):

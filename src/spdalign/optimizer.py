@@ -51,7 +51,7 @@ from enum import Enum
 import numpy as np
 
 from . import matfun
-from .errors import NoConvergenceError, NumericalError, ValidationError
+from .errors import NoConvergenceError, NumericalError, ValidationError, check_count
 from .metrics import check_transform
 from .objective import AlignmentProblem, alignment_gradient
 from .objective import alignment_objective  # noqa: F401  (traced by perfbench)
@@ -70,15 +70,15 @@ class StopReason(Enum):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Stopping rules for the conjugate gradient loop."""
+    """Stopping rules for the conjugate gradient loop: max_iters an integer
+    >= 1 (`check_count`), both tolerances positive and finite."""
 
     max_iters: int = 50
     grad_tol: float = 1e-6
     rel_obj_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_count("max_iters", self.max_iters, 1)
         if not (0 < self.grad_tol < np.inf and 0 < self.rel_obj_tol < np.inf):
             raise ValidationError(
                 "grad_tol and rel_obj_tol must be positive and finite")

@@ -13,6 +13,7 @@ from spdalign.descriptors import (
     synth_dataset,
 )
 from spdalign.errors import DegenerateInputError, ValidationError
+from spdalign.metrics import dist2
 
 FRAMES = np.random.default_rng(4).standard_normal((20, 3))
 
@@ -83,12 +84,26 @@ class TestCovDescriptor:
             (FRAMES * 1e200, False, "covariance trace inf: out of float64's range"),
             (FRAMES + 1e200, True, ": all frames identical"),
             (FRAMES * 1e140 + 1e155, True, "augmented descriptor out of float64"),
+            (FRAMES * 1e-160, False, ": out of float64's range"),
         ],
-        ids=["inexact-mean", "tiny", "huge", "offset", "augmented-overflow"],
+        ids=["inexact-mean", "tiny", "huge", "offset", "augmented-overflow",
+             "subnormal"],
     )
     def test_degenerate_covariance_raises(self, frames, augment, message):
         with pytest.raises(DegenerateInputError, match=re.escape(message)):
             cov_descriptor(frames, augment_mean=augment)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("metric", ["aim", "stein", "lem"])
+    def test_smallest_normal_ridge_keeps_distances(self, metric):
+        # a ridge of 2.8e-307, just inside float64's normal range: the
+        # distances are those of the unscaled frames up to the rounding of
+        # logs near -700 (the subnormal ridge of x 1e-157 was off by 1e-9)
+        other = np.random.default_rng(5).standard_normal(FRAMES.shape)
+        scaled = [cov_descriptor(F * 1e-152) for F in (FRAMES, other)]
+        assert RIDGE_SCALE * np.trace(scaled[0]) < 1e-306
+        assert dist2(metric, *scaled) == pytest.approx(
+            dist2(metric, cov_descriptor(FRAMES), cov_descriptor(other)), rel=1e-11)
 
     @pytest.mark.parametrize(
         "frames, message",
@@ -181,8 +196,26 @@ class TestSynthDataset:
             {"dim": 3, "classes": 1, "per_class": 2, "noise": 0.1},
             {"dim": 3, "classes": 2, "per_class": 1, "noise": 0.1},
             {"dim": 3, "classes": 2, "per_class": 2, "noise": -0.5},
+            {"dim": 4.5, "classes": 2, "per_class": 2, "noise": 0.1},
+            {"dim": 3, "classes": 2, "per_class": 3.0, "noise": 0.1},
+            {"dim": 3, "classes": 2, "per_class": 2, "noise": 0.1, "seed": 1.5},
+            {"dim": 3, "classes": 2, "per_class": 2, "noise": 0.1, "seed": -1},
+            {"dim": 3, "classes": True, "per_class": 2, "noise": 0.1},
         ],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ValidationError):
             SynthConfig(**kwargs)
+
+    def test_counts_are_integers_by_type(self):
+        # numpy integers count as integers; a whole float does not, and a
+        # seed must be >= 0, as numpy's generators take no negative seed
+        cfg = SynthConfig(dim=np.int64(3), classes=np.uint8(2),
+                          per_class=np.int32(2), noise=0.1, seed=np.int64(7))
+        assert synth_dataset(cfg).size == 4
+        base = {"dim": 3, "classes": 2, "per_class": 2, "noise": 0.1}
+        with pytest.raises(ValidationError,
+                           match=r"^per_class must be an integer, got 3\.0$"):
+            SynthConfig(**{**base, "per_class": 3.0})
+        with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
+            SynthConfig(**base, seed=-1)

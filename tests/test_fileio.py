@@ -91,6 +91,34 @@ class TestAtomicWrite:
         assert target.read_text() == "new"
         assert os.listdir(tmp_path) == ["out.txt"]
 
+    def test_gives_up_when_every_name_is_taken(self, tmp_path, monkeypatch):
+        draws = []
+        monkeypatch.setattr(fileio.os, "urandom",
+                            lambda n: draws.append(n) or bytes(n))
+        (tmp_path / f".tmp-{bytes(8).hex()}~").write_text("")
+        target = tmp_path / "out.txt"
+        with pytest.raises(ValidationError,
+                           match="^cannot write .*: no free temporary file name"):
+            atomic_write(str(target), "new")
+        assert len(draws) == fileio.TEMP_ATTEMPTS
+        assert not target.exists()
+
+    def test_failed_replace_named_when_the_temp_cannot_be_removed(
+        self, tmp_path, monkeypatch
+    ):
+        def refuse_replace(src, dst):
+            raise PermissionError(13, "replace refused")
+
+        def refuse_unlink(path):
+            raise PermissionError(13, "unlink refused")
+
+        monkeypatch.setattr(fileio.os, "replace", refuse_replace)
+        monkeypatch.setattr(fileio.os, "unlink", refuse_unlink)
+        target = tmp_path / "out.txt"
+        with pytest.raises(ValidationError) as got:
+            atomic_write(str(target), "new")
+        assert str(got.value) == f"cannot write {target}: [Errno 13] replace refused"
+
 
 class TestMatrixFormat:
     def test_round_trip_is_exact(self, tmp_path):
@@ -262,6 +290,18 @@ class TestRowDiagnostics:
         else:
             with pytest.raises(ValidationError, match="non-finite"):
                 load_matrix(matrix)
+
+    def test_conversion_fault_with_no_bad_token_is_named(self, tmp_path,
+                                                         monkeypatch):
+        # every token parses alone, so the fault is the conversion's own
+        def refuse(tokens):
+            raise ValueError("conversion refused")
+
+        monkeypatch.setattr(fileio, "_floats", refuse)
+        path = write_lines(tmp_path / "m.txt", ["2", "1 0", "0 1"])
+        with pytest.raises(ValidationError) as got:
+            load_matrix(path)
+        assert str(got.value) == f"{path}: non-numeric value: conversion refused"
 
 
 def counted_conversions(monkeypatch):

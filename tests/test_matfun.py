@@ -20,6 +20,7 @@ from helpers import (
 )
 from spdalign import matfun
 from spdalign.errors import (
+    NoConvergenceError,
     NonSymmetricError,
     NotPositiveDefiniteError,
     ValidationError,
@@ -46,6 +47,23 @@ class TestEigBackedFunctions:
         w, Q = matfun.sym_eig(A)
         assert np.all(np.diff(w) >= 0)
         assert np.allclose((Q * w) @ Q.T, A, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("solver", "symmetric eigensolver failed: no convergence"),
+         ("nan", "symmetric eigensolver returned non-finite values")],
+        ids=["solver", "nan"],
+    )
+    def test_sym_eig_failure_raises(self, fault, message, monkeypatch):
+        A = np.eye(3)
+        if fault == "solver":
+            def broken(a):
+                raise np.linalg.LinAlgError("no convergence")
+            monkeypatch.setattr(np.linalg, "eigh", broken)
+        else:
+            A[0, 1] = A[1, 0] = np.nan
+        with pytest.raises(NoConvergenceError, match=f"^{message}$"):
+            matfun.sym_eig(A)
 
 
 class TestQrOrthonormal:
@@ -146,8 +164,8 @@ class TestFailedCheckIndex:
     @pytest.mark.parametrize("seed", range(4))
     def test_symmetry_decided_as_entrywise_ratio(self, seed):
         """The check decides as max |A - A^T| > SYM_RTOL * max |A| taken
-        entry by entry, at the tolerance's edge and with NaN and inf
-        entries."""
+        entry by entry, at the tolerance's edge; a matrix with a NaN or inf
+        entry holds a non-finite value."""
         rng = np.random.default_rng(seed)
         scales = rng.choice([1e-3, 1.0, 1e3], (64, 1, 1))
         stack = rng.standard_normal((64, 4, 4)) * scales
@@ -158,18 +176,19 @@ class TestFailedCheckIndex:
         stack[5, 1, 1] = np.nan
         stack[6, 0, 3] = stack[6, 3, 0] = -np.inf
         stack[7, 0, 3] = np.inf
+        # the check warns of nothing, and a warning fails the test
         for X in stack:
-            with np.errstate(invalid="ignore"):  # inf - inf
-                skew = np.abs(X - X.T).max()
-            # outside errstate: the check itself warns of nothing, and a
-            # warning fails the test
-            if skew > matfun.SYM_RTOL * np.abs(X).max():
+            if not np.isfinite(X).all():
+                with pytest.raises(ValidationError, match="non-finite"):
+                    matfun.check_symmetric(X)
+            elif np.abs(X - X.T).max() > matfun.SYM_RTOL * np.abs(X).max():
                 with pytest.raises(NonSymmetricError):
                     matfun.check_symmetric(X)
             else:
                 assert matfun.check_symmetric(X) is X
-        # the NaN and inf matrices pass as a stack too, again without a warning
-        assert matfun.check_symmetric(stack[5:8]) is not None
+        # the NaN and inf matrices fail as a stack too, the first one named
+        with pytest.raises(ValidationError, match="matrix 0 holds a non-finite"):
+            matfun.check_symmetric(stack[5:8])
 
 
 class TestZeroDimension:
@@ -305,9 +324,18 @@ class TestLogDerivative:
         with pytest.raises(NotPositiveDefiniteError):
             matfun.dlog(np.diag([1.0, -2.0]), np.eye(2))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_derivative_raises(self):
+        # Gamma_00 = 1e300 times an entry of 1e308: the package's error, with
+        # no numpy warning ahead of it
+        with pytest.raises(NoConvergenceError,
+                           match="^matrix log derivative is not finite$"):
+            matfun.dlog_eig(np.array([1e-300, 1.0]), np.eye(2),
+                            np.full((2, 2), 1e308))
+
     @pytest.mark.parametrize("operand", ["base", "direction"])
     def test_rejects_non_finite_input(self, operand):
-        """Rejected before the symmetry check and the eigensolve, and without
+        """Rejected by the symmetry check, before the eigensolve, and without
         a warning (none is silenced here), for one matrix and in stacks of one
         and two axes."""
         name = {"base": "base point", "direction": "direction"}[operand]
@@ -451,6 +479,17 @@ class TestCheckPd:
                            match=r"^sample 1 has min eigenvalue -1\.000e-13 ") as exc:
             matfun.spd_chol(indefinite, "sample")
         assert exc.value.index == 1
+
+    def test_pd_stack_without_a_factor_raises(self, monkeypatch):
+        # a factorization that breaks down on a stack whose spectrum clears
+        # the floor names no member, and gives no factor
+        def broken(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        monkeypatch.setattr(np.linalg, "cholesky", broken)
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^sample has no finite Cholesky factor$") as exc:
+            matfun.spd_chol(np.stack([np.eye(3), 2.0 * np.eye(3)]), "sample")
+        assert exc.value.index is None
 
     def test_factor_with_infinite_diagonal_named(self):
         # an infinite (0, 0) entry factors without breakdown, to an infinite

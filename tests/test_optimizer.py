@@ -134,6 +134,14 @@ class TestHorizontalProjection:
         with pytest.raises(NoConvergenceError):
             horizontal_project(W, rng.standard_normal((7, 3)))
 
+    def test_zero_column_raises_non_finite(self):
+        # the zero column gives an exactly zero singular value, so the solve
+        # divides by lam_i + lam_j = 0
+        W = np.zeros((5, 2))
+        W[:, 0] = [1.0, -2.0, 0.5, 3.0, 1.5]
+        with pytest.raises(NoConvergenceError, match="produced non-finite values"):
+            horizontal_project(W, np.arange(10.0).reshape(5, 2))
+
 
 class TestRiemannianGrad:
     def test_ascent_gradient_is_egrad_off_orthonormal(self):
@@ -297,11 +305,21 @@ class TestOptimizerConfig:
             {"rel_obj_tol": -1.0},
             {"grad_tol": float("inf")},
             {"rel_obj_tol": float("inf")},
+            {"max_iters": 2.5},
+            {"max_iters": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValidationError):
             OptimizerConfig(**kwargs)
+
+    def test_count_is_an_integer_by_type(self):
+        # a numpy integer counts as one; a whole float or a bool does not
+        assert OptimizerConfig(max_iters=np.int64(3)).max_iters == 3
+        for value in (3.0, True):
+            with pytest.raises(ValidationError,
+                               match=f"^max_iters must be an integer, got {value}$"):
+                OptimizerConfig(max_iters=value)
 
 
 class TestRcgMaximize:
