@@ -52,6 +52,17 @@ touch "$work/taken"
 expect 1 spdalign train --manifest "$work/data/manifest.txt" --target-dim 2 \
   --output-dir "$work/taken" 2> "$work/err.txt"
 grep -F "cannot create output directory $work/taken" "$work/err.txt"
+# a stdout that cannot take train's report costs the report only: both
+# outputs are written as in a normal run, and stderr holds one error
+# line and no traceback
+spdalign train --manifest "$work/data/manifest.txt" --target-dim 2 \
+  --output-dir "$work/normal" > /dev/null
+expect 1 spdalign train --manifest "$work/data/manifest.txt" --target-dim 2 \
+  --output-dir "$work/full" > /dev/full 2> "$work/err.txt"
+cmp "$work/normal/W.txt" "$work/full/W.txt"
+cmp "$work/normal/trace.txt" "$work/full/trace.txt"
+if grep -F Traceback "$work/err.txt"; then exit 1; fi
+grep -Fx "error: cannot write to stdout: [Errno 28] No space left on device" "$work/err.txt"
 # load-path faults, each named on stderr: undecodable bytes in a
 # sample or a config file, and a non-numeric strict-lower token
 # (row 2, column 0: line 4) whose mirror on line 2 is numeric

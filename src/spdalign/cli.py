@@ -7,6 +7,7 @@ Every command is deterministic given its configuration and seed.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -92,6 +93,32 @@ def _apply_config(args):
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
 
 
+class _Report:
+    """A command's report on stdout, printed and flushed a line at a time,
+    so that a failing stdout fails at a line however Python buffers it. A
+    failed write (a closed pipe, a full device) does not stop the command,
+    whose files are still written: `error` keeps it for `main` to report,
+    later lines are dropped, and the stream's descriptor, if it has one, is
+    pointed at os.devnull, so the interpreter's last flush of what the
+    failed write left buffered cannot fail too."""
+
+    def __init__(self):
+        self.error = None
+
+    def __call__(self, line):
+        if self.error is not None:
+            return
+        try:
+            print(line, flush=True)
+        except OSError as exc:
+            self.error = exc
+            with contextlib.suppress(OSError):  # a stream with no descriptor
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+
+
 def _make_output_dir(path):
     """Create the directory path and its parents, unless it already is one,
     so a path that cannot take the outputs fails before any work."""
@@ -106,11 +133,12 @@ def _auto_neighbor_count(data):
     return max(int(data.class_sizes().min()) - 1, 1)
 
 
-def gradcheck_report(kinds, instances, seed):
+def gradcheck_report(kinds, instances, seed, say=print):
     """Compare analytic and finite-difference gradients on random problems.
 
-    Each W, the start and every bump, goes through `alignment_objective`.
-    Returns the worst relative error seen across all metrics and instances.
+    Each W, the start and every bump, goes through `alignment_objective`,
+    and each metric's worst error is one line passed to `say`. Returns the
+    worst relative error seen across all metrics and instances.
     """
     worst = 0.0
     for metric in kinds:
@@ -130,7 +158,7 @@ def gradcheck_report(kinds, instances, seed):
             scale = max(float(np.linalg.norm(numeric)), 1e-12)
             error = float(np.linalg.norm(analytic - numeric)) / scale
             metric_worst = max(metric_worst, error)
-        print(
+        say(
             f"{metric.value}: max relative gradient error {metric_worst:.3e} "
             f"over {instances} instance(s)"
         )
@@ -138,20 +166,20 @@ def gradcheck_report(kinds, instances, seed):
     return worst
 
 
-def cmd_gradcheck(args):
+def cmd_gradcheck(args, say):
     metric = args.metric
     kinds = list(MetricKind) if metric is None else [MetricKind.parse(metric)]
     if args.instances < 1:
         raise ConfigError(f"instances must be >= 1, got {args.instances}")
-    worst = gradcheck_report(kinds, args.instances, args.seed)
+    worst = gradcheck_report(kinds, args.instances, args.seed, say)
     if worst > GRADCHECK_TOL:
         print(f"gradcheck FAILED (tolerance {GRADCHECK_TOL:g})", file=sys.stderr)
         return 3
-    print(f"gradcheck passed (tolerance {GRADCHECK_TOL:g})")
+    say(f"gradcheck passed (tolerance {GRADCHECK_TOL:g})")
     return 0
 
 
-def cmd_train(args):
+def cmd_train(args, say):
     metric = MetricKind.parse("aim" if args.metric is None else args.metric)
     if args.manifest is None:
         raise ConfigError("a dataset manifest is required (--manifest or config)")
@@ -176,7 +204,7 @@ def cmd_train(args):
     _make_output_dir(args.output_dir)
 
     data, _, label_names = load_dataset(args.manifest)
-    print(
+    say(
         f"loaded {data.size} samples of dim {data.dim} "
         f"in {len(label_names)} classes"
     )
@@ -196,12 +224,12 @@ def cmd_train(args):
     graphs = build_graphs(data, metric, v_w, v_b)
     if beta is None:
         beta = default_beta(graphs)
-    print(
+    say(
         f"metric={metric.value} target_dim={target_dim} vw={v_w} vb={v_b} "
         f"beta={beta:.17g} ({beta_mode}) seed={args.seed}"
     )
     pairs = data.size * (data.size - 1) // 2
-    print(f"exact distances ({metric.value}): {graphs.distances_computed}/{pairs} pairs")
+    say(f"exact distances ({metric.value}): {graphs.distances_computed}/{pairs} pairs")
 
     W0 = initial_transform(data.dim, target_dim, seed=args.seed)
     result = rcg_maximize(data, graphs, metric, beta, W0, opt_config)
@@ -210,20 +238,20 @@ def cmd_train(args):
     trace_path = os.path.join(args.output_dir, "trace.txt")
     save_transform(w_path, result.W_final)
     save_trace(trace_path, result)
-    print(
+    say(
         f"stopped after {result.iterations_used} iteration(s): "
         f"{result.stop_reason.value}"
     )
-    print(
+    say(
         f"J {result.J_trace[0]:.6f} -> {result.J_trace[-1]:.6f}, "
         f"final gradient norm {result.grad_norm_trace[-1]:.3e}"
     )
-    print(f"wrote {w_path}")
-    print(f"wrote {trace_path}")
+    say(f"wrote {w_path}")
+    say(f"wrote {trace_path}")
     return 0
 
 
-def cmd_eval(args):
+def cmd_eval(args, say):
     metric = MetricKind.parse("aim" if args.metric is None else args.metric)
     if args.manifest is None:
         raise ConfigError("a dataset manifest is required (--manifest or config)")
@@ -252,13 +280,13 @@ def cmd_eval(args):
         W=W,
     )
     mean, std = summary.baseline_mean_std
-    print(
+    say(
         f"baseline 1-NN ({metric.value}): mean={mean:.4f} std={std:.4f} "
         f"over {args.splits} split(s)"
     )
     if W is not None:
         mean, std = summary.transformed_mean_std
-        print(
+        say(
             f"transformed 1-NN ({metric.value}): mean={mean:.4f} std={std:.4f} "
             f"over {args.splits} split(s)"
         )
@@ -266,11 +294,11 @@ def cmd_eval(args):
         f"{kind} {n}/{summary.union_pairs}"
         for kind, n in zip(("baseline", "transformed"), summary.distances_computed)
     )
-    print(f"exact distances ({metric.value}): {counts} pairs")
+    say(f"exact distances ({metric.value}): {counts} pairs")
     return 0
 
 
-def cmd_synth(args):
+def cmd_synth(args, say):
     cfg = SynthConfig(
         dim=args.dim,
         classes=args.classes,
@@ -288,11 +316,11 @@ def cmd_synth(args):
         entries.append((f"s{i:04d}", f"c{data.labels[i]:03d}", f"samples/{name}"))
     manifest_path = os.path.join(args.output_dir, "manifest.txt")
     save_manifest(manifest_path, entries)
-    print(
+    say(
         f"wrote {data.size} samples of dim {cfg.dim} "
         f"in {cfg.classes} classes to {sample_dir}"
     )
-    print(f"wrote {manifest_path}")
+    say(f"wrote {manifest_path}")
     return 0
 
 
@@ -397,16 +425,23 @@ def build_parser(command=None):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    report = _Report()
     try:
         args = parser.parse_args(argv)
         _apply_config(args)
-        return args.func(args)
+        code = args.func(args, report)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
+    if report.error is not None:
+        # a report that could not be shown is an I/O failure, unless the
+        # command failed on its own
+        print(f"error: cannot write to stdout: {report.error}", file=sys.stderr)
+        code = code or 1
+    return code
 
 
 def entry():

@@ -9,22 +9,22 @@ train and (S, b) test index arrays (every split takes the same count from
 each class), then factors the whole stack once and computes the distance
 of each unordered pair that some split needs as a (test, train) pair at
 most once, however many splits share it and in whichever order they need
-it. Under Stein and the log-Euclidean distance it computes every such pair
-in one pass. The pairs the splits need are one N x N mask of their
-(test, train) cells, formed once for both manifolds by one broadcast
-assignment, which builds no (S, b, a) index array; the screen below and
-the 1-NN votes run as stacked passes over groups of splits, each group's
-(g, b, a) gather within BLOCK_ENTRIES entries, so memory does not grow
-with S. The stack is
-taken as the dataset checked it: only `map_down` checks it again, finite
-and symmetric, on the way through W, and neither manifold's stack is
-screened against the PD floor again (`metrics` docstring).
+it, through `metrics.PairScreen`, which runs the pair passes of
+`graphs.build_graphs` too. Under Stein and the log-Euclidean
+distance it computes every such pair in one pass. The pairs the splits
+need are one N x N mask of their (test, train) cells, formed once for
+both manifolds by one broadcast assignment, which builds no (S, b, a)
+index array; the screen below and the 1-NN votes run as stacked passes
+over groups of splits, each group's (g, b, a) gather within
+BLOCK_ENTRIES entries, so memory does not grow with S. The stack is taken
+as the dataset checked it: only `map_down` checks it again, finite and
+symmetric, on the way through W, and neither manifold's stack is screened
+against the PD floor again (`metrics` docstring).
 
 Under the affine-invariant distance it computes only the pairs its
 log-Euclidean lower bound cannot rule out (`AffineInvariant.lower_bound`,
 taken in the frame whitened by the stack's arithmetic mean, at one
-eigendecomposition per sample), through `metrics.PairScreen`, the screen
-`graphs.build_graphs` uses too. Pass 1 computes, for each test row of each
+eigendecomposition per sample). Pass 1 computes, for each test row of each
 split, the distance to its bound-nearest train sample, which caps the
 row's nearest distance; a cell's cap is the largest over the rows of the
 splits that need it, and a pair takes the larger of its two orders'.

@@ -4,7 +4,9 @@ Pairs are selected on the original manifold: each sample nominates its v_w
 nearest same-class neighbors and its v_b nearest different-class neighbors
 under the chosen distance, and an edge exists when either endpoint nominated
 the other (OR symmetrization). Distance ties prefer the lower sample index so
-graph construction is deterministic.
+graph construction is deterministic. `build_graphs` computes its distances
+through one `metrics.PairScreen` under every metric, as the evaluation
+splits do.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,8 @@ from .errors import (
     InsufficientClassSizeError,
     ValidationError,
 )
-from .metrics import PairScreen, geometry, pairwise_dist2, unordered_pairs
+from .metrics import PairScreen, unordered_pairs
+from .metrics import pairwise_dist2  # noqa: F401  (traced by perfbench)
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,8 @@ def _graphs(data, D, v_w, v_b, computed):
 
 def neighbor_graphs(data, D, v_w, v_b):
     """Neighbor pairs from the pairwise squared distances D of the samples
-    on their original manifold (`pairwise_dist2`) and the class labels.
+    on their original manifold (as `metrics.pairwise_dist2` gives them) and
+    the class labels.
 
     v_w and v_b are clamped per sample to the number of available same-class
     and different-class candidates. A class with fewer than two samples has
@@ -134,22 +138,29 @@ def neighbor_graphs(data, D, v_w, v_b):
     return _graphs(data, D, v_w, v_b, 0)
 
 
-def _screened_dist2(data, metric, v_w, v_b):
-    """(D, computed): the squared distances `neighbor_graphs` reads of the
-    samples under a metric with a `lower_bound`, inf where none was
-    computed, and how many pairs were computed exactly
-    (`metrics.PairScreen`, whose N x N matrices every step reads and masks).
+def build_graphs(data, metric, v_w, v_b):
+    """`neighbor_graphs` of the samples' distances under a metric, which
+    computes the exact distance of only the pairs the graphs could need,
+    through one `metrics.PairScreen` of the stack for every metric. The
+    graphs carry their pairs' distances and the count of pairs computed.
 
-    Each row nominates its v bound-nearest candidates of each kind, and
-    those pairs are computed. A row's cap of a kind is the v-th least
-    distance computed among its candidates of that kind, so it is at least
-    the row's true v-th least. Then every pair is computed whose floor does
-    not rule it out against the caps of both its ends of its kind. A pair
-    left out is strictly farther than both caps, and every pair within a
-    cap is computed, so each row's first min(v, candidates) columns, ties
-    included, are those of the exhaustive D.
+    Stein and the log-Euclidean distance have no lower bound and compute
+    every pair. Under the affine-invariant distance the bound screens the
+    pairs, and the graphs equal the exhaustive ones pair for pair, ties
+    included: each row nominates its v bound-nearest candidates of each
+    kind, and those pairs are computed. A row's cap of a kind is the v-th
+    least distance computed among its candidates of that kind, so it is at
+    least the row's true v-th least. Then every pair is computed whose
+    floor does not rule it out against the caps of both its ends of its
+    kind. A pair left out is strictly farther than both caps, and every
+    pair within a cap is computed, so each row's first min(v, candidates)
+    columns are those of the exhaustive D.
     """
+    _check_counts(data, v_w, v_b)
     screen = PairScreen(metric, data.samples)
+    if screen.floor is None:
+        screen.compute(True)
+        return _graphs(data, screen.dist2, v_w, v_b, screen.computed)
     nominated = _nominated(_nearest(data, screen.bound, v_w, v_b))
     screen.bound = None
     screen.compute(nominated)
@@ -162,25 +173,7 @@ def _screened_dist2(data, metric, v_w, v_b):
     cap = np.maximum.outer(cap_b, cap_b)
     np.copyto(cap, np.maximum.outer(cap_w, cap_w), where=labels[:, None] == labels)
     screen.compute_unless_ruled_out(cap)
-    return D, screen.computed
-
-
-def build_graphs(data, metric, v_w, v_b):
-    """`neighbor_graphs` of the samples' distances under a metric, which
-    computes the exact distance of only the pairs the graphs could need.
-
-    Under the affine-invariant distance the lower bound screens the pairs
-    (`_screened_dist2`): the graphs equal the exhaustive ones pair for pair,
-    ties included. Stein and the log-Euclidean distance have no bound and
-    compute every pair (`pairwise_dist2`). The graphs carry their pairs'
-    distances and the count of pairs computed.
-    """
-    _check_counts(data, v_w, v_b)
-    if geometry(metric).lower_bound is not None:
-        D, computed = _screened_dist2(data, metric, v_w, v_b)
-    else:
-        D, computed = pairwise_dist2(metric, data), data.size * (data.size - 1) // 2
-    return _graphs(data, D, v_w, v_b, computed)
+    return _graphs(data, D, v_w, v_b, screen.computed)
 
 
 def label_similarity(data):

@@ -271,8 +271,8 @@ def chol_inv(L):
     L^{-1} comes from `tri_inv`, and A^{-1} from one batched product of two
     distinct contiguous arrays, which numpy computes matrix by matrix as a
     general product (of one array with itself it takes a symmetric rank-k
-    update, which took 3-4x the time on stacks of 2 x 2 to 8 x 8 matrices),
-    so a matrix's inverse does not depend on the stack it came in either.
+    update, slower on stacks of small matrices; ROADMAP.md's floors), so a
+    matrix's inverse does not depend on the stack it came in either.
     """
     inv = tri_inv(L).reshape(-1, L.shape[-1], L.shape[-1])
     return (_mT(inv) @ inv.copy()).reshape(L.shape)

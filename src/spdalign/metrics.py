@@ -42,27 +42,24 @@ slice of arrays allocated before the pass, and the first failing block
 ends the pass. Nothing reads the CPU count, so no value or error depends
 on it.
 The blocks are not split over threads, although the affine-invariant
-kernel's stacked eigensolves release the GIL: on a 2-vCPU host whose
-second core other tenants share, such a pass matched or lost to this
-loop, and each of its threads cost about 1 MB of peak memory (its own
-malloc arena).
+kernel's stacked eigensolves release the GIL: a threaded pass did not beat
+this loop, and each of its threads costs peak memory (ROADMAP.md,
+"Measured floors and closed questions").
 
 The affine-invariant lower bound's Gram product runs in numpy's own loop
-(`np.einsum`), not in the BLAS, so the bound does not depend on the BLAS
-thread count. On the 120- and 150-sample train stacks (n = 12) it takes
-0.5-1.3 ms, 1-5% of the screened graph build it serves. A one-thread
-BLAS product takes 0.1 ms, but with the BLAS's threads unlimited the
-150-sample product took 8 ms in 2 of 3 processes (2 vCPUs, OpenBLAS).
+(`np.einsum`), not in the BLAS, so neither the bound nor its time depends
+on the BLAS thread count (timings in ROADMAP.md's floors).
 
 Training needs the original-manifold distances of the neighbor graphs'
 support pairs only: the graphs carry them (`graphs.build_graphs`), and the
 bandwidth is their mean (`default_beta`), so nothing is computed twice.
-Under the affine-invariant distance the graphs and the evaluation splits
-compute only the pairs the lower bound below cannot rule out, through one
-screen (`PairScreen`), which holds its bound, floor and distances as
-N x N matrices and takes the pairs to compute as N x N masks
-(`unordered_pairs`). `indexed_dist2` computes the distances of any set of
-pairs of one stack.
+The graphs and the evaluation splits compute their pairs through one
+screen (`PairScreen`) under every metric; it holds its bound, floor and
+distances as N x N matrices and takes the pairs to compute as N x N masks
+(`unordered_pairs`). Under the affine-invariant distance it computes only
+the pairs the lower bound below cannot rule out, under Stein and the
+log-Euclidean distance every pair asked for. `indexed_dist2` computes the
+distances of any set of pairs of one stack.
 Every distance-only pass is exactly invariant to argument order, for the
 affine-invariant distance too: it whitens each pair by whichever of its two
 matrices sorts first by entries. The alignment objective's pass
@@ -187,12 +184,18 @@ def check_transform(W, n=None):
         raise DimMismatchError(f"transform has {rows} rows, samples have dim {n}")
     if not np.all(np.isfinite(W)):
         raise ValidationError("transform holds non-finite values")
-    sv = np.linalg.svd(W, compute_uv=False)
+    check_rank(np.linalg.svd(W, compute_uv=False))
+    return W
+
+
+def check_rank(sv):
+    """Raise RankDeficientError unless a transform's singular values sv, in
+    descending order, are of full rank: the least above RANK_RTOL times the
+    greatest."""
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise RankDeficientError(
             f"transform is rank deficient (sv ratio {sv[-1]:.3e}/{sv[0]:.3e})"
         )
-    return W
 
 
 def map_down(X, W):
@@ -432,10 +435,9 @@ class AffineInvariant(Geometry):
     two products per pair, and the gradient decomposes no sample stack.
 
     The factors hold L^{-T} rather than L^{-1}, and `grad_factors` copies
-    out L^{-1}, so no product's last operand is a transposed view: on
-    blocks of 4 x 4 and 5 x 5 pairs (numpy 2.4, OpenBLAS, one thread),
-    P X P^T with P^T a view took 1.6-1.9x the time of P^T X P with the
-    view first, which costs about as much as the contiguous P X P.
+    out L^{-1}, so no product's last operand is a transposed view: P X P^T
+    with P^T a view is slower than P^T X P with the view first, which costs
+    about as much as the contiguous P X P (ROADMAP.md's floors).
     """
 
     @staticmethod
@@ -801,8 +803,10 @@ def unordered_pairs(mask):
 
 class PairScreen:
     """Exact squared distances of the pairs of one stack of N samples,
-    computed as a caller asks for them: the one place where a pass skips the
-    pairs the affine-invariant lower bound rules out (module docstring).
+    computed as a caller asks for them: it runs the pair passes of the train
+    graphs and the eval splits under every metric, and it is the one place
+    where a pass skips the pairs the affine-invariant lower bound rules out
+    (module docstring).
 
     `dist2` is the N x N symmetric matrix of the distances computed so far,
     inf where none was (the diagonal included), and `computed` the count of

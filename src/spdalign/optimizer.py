@@ -52,7 +52,7 @@ import numpy as np
 
 from . import matfun
 from .errors import NoConvergenceError, NumericalError, ValidationError, check_count
-from .metrics import check_transform
+from .metrics import check_rank, check_transform
 from .objective import AlignmentProblem, alignment_gradient
 from .objective import alignment_objective  # noqa: F401  (traced by perfbench)
 
@@ -117,15 +117,18 @@ def horizontal_project(W, H):
     directions comes out as it would alone, bit for bit. `rcg_maximize`
     does not call it (module docstring). An SVD that breaks down or a
     solve that is not finite raises NoConvergenceError, as `matfun.sym_eig`
-    does for a failed eigensolve.
+    does for a failed eigensolve, and a W that `check_transform` would
+    call rank deficient raises its RankDeficientError.
     """
     rhs = W.T @ H - H.swapaxes(-1, -2) @ W
     try:
         _, s, Vt = np.linalg.svd(W, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"horizontal projection failed: {exc}") from exc
+    check_rank(s)
     lam = s * s
-    # a rank-deficient W divides by zero; the finiteness check below reports it
+    # full rank keeps lam_i + lam_j > 0 unless s * s underflows to 0, which
+    # the finiteness check below reports
     with np.errstate(divide="ignore", invalid="ignore"):
         Omega = Vt.T @ ((Vt @ rhs @ Vt.T) / (lam[:, None] + lam)) @ Vt
     if not np.all(np.isfinite(Omega)):

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -218,32 +219,43 @@ def write_corpus(root, samples, labels):
 
 
 @pytest.fixture
-def pairwise_calls(monkeypatch):
-    """Counts calls to every binding of pairwise_dist2 the package resolves."""
-    calls = []
-    original = spdalign.metrics.pairwise_dist2
+def distance_passes(monkeypatch):
+    """Records (metric, pair count) of every distance-only pass of a
+    geometry's kernel (`Geometry.dist2_pairs` without `keep`), the loop that
+    every pair distance outside the objective goes through, whichever entry
+    point or screen asks for it."""
+    passes = []
+    for metric in MetricKind:
+        geom = spdalign.metrics.geometry(metric)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        def counted(side, i, j, keep=False, _metric=metric, _original=geom.dist2_pairs):
+            if not keep:
+                passes.append((_metric, len(i)))
+            return _original(side, i, j, keep)
 
-    monkeypatch.setattr(spdalign.metrics, "pairwise_dist2", counted)
-    monkeypatch.setattr(spdalign.graphs, "pairwise_dist2", counted)
-    return calls
+        monkeypatch.setattr(geom, "dist2_pairs", counted)
+    return passes
 
 
 class TestTrainDistancePass:
     @pytest.mark.parametrize("metric", list(MetricKind))
     @pytest.mark.parametrize("beta", [None, "0.5"])
     def test_one_distance_matrix_same_outputs(
-        self, corpus, tmp_path, pairwise_calls, metric, beta
+        self, corpus, tmp_path, distance_passes, metric, beta
     ):
         extra = ["--metric", metric.value]
         if beta is not None:
             extra += ["--beta", beta]
         assert cli.main(train_args(corpus, tmp_path / "cli", *extra)) == 0
-        # Stein and LEM take one pairwise pass; the AIM screen takes none
-        assert len(pairwise_calls) == (metric is not MetricKind.AIM)
+        # one screen per build: Stein and LEM take one pass over all 28
+        # pairs, the AIM screen two (its nominations, then the pairs its
+        # floor does not rule out)
+        assert {kind for kind, _ in distance_passes} == {metric}
+        counts = [pairs for _, pairs in distance_passes]
+        if metric is MetricKind.AIM:
+            assert len(counts) == 2 and sum(counts) < 28
+        else:
+            assert counts == [28]
 
         # the same run driven through the library's composed entry points
         data, _, _ = load_dataset(corpus)
@@ -303,11 +315,11 @@ class TestTrainDistancePass:
         assert calls == {"check_symmetric": 1, "check_pd": 1}
 
     def test_nonpositive_beta_computes_no_distance(
-        self, corpus, tmp_path, capsys, pairwise_calls
+        self, corpus, tmp_path, capsys, distance_passes
     ):
         assert cli.main(train_args(corpus, tmp_path, "--beta", "0")) == 1
         assert "beta must be positive" in capsys.readouterr().err
-        assert pairwise_calls == []
+        assert distance_passes == []
 
     def test_default_optimizer_config(self, corpus, tmp_path, monkeypatch):
         # with no optimizer setting given, train hands rcg_maximize the
@@ -326,7 +338,7 @@ class TestTrainDistancePass:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_bad_optimizer_config_loads_nothing(
-        self, corpus, tmp_path, capsys, monkeypatch, pairwise_calls, source
+        self, corpus, tmp_path, capsys, monkeypatch, distance_passes, source
     ):
         loads = count_calls(monkeypatch, cli, ["load_dataset"])
         if source == "flag":
@@ -338,7 +350,7 @@ class TestTrainDistancePass:
         assert cli.main(train_args(corpus, tmp_path / "out", *extra)) == 1
         assert message in capsys.readouterr().err
         assert loads == {"load_dataset": 0}
-        assert pairwise_calls == []
+        assert distance_passes == []
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -358,7 +370,7 @@ class TestTrainDistancePass:
              "beta-nan", "beta-inf", "config-beta-nan", "config-beta-inf"],
     )
     def test_bad_data_independent_settings_load_nothing(
-        self, corpus, tmp_path, capsys, monkeypatch, pairwise_calls, extra, message
+        self, corpus, tmp_path, capsys, monkeypatch, distance_passes, extra, message
     ):
         if isinstance(extra, dict):
             # json writes non-finite floats as the NaN and Infinity that
@@ -370,7 +382,7 @@ class TestTrainDistancePass:
         assert cli.main(train_args(corpus, tmp_path / "out", *extra)) == 1
         assert message in capsys.readouterr().err
         assert loads == {"load_dataset": 0}
-        assert pairwise_calls == []
+        assert distance_passes == []
 
 
 class TestScaledSamples:
@@ -497,11 +509,66 @@ def test_overflowing_beta_warns_nothing(tmp_path):
 
 
 class TestGradcheckDistancePass:
-    def test_one_distance_matrix_per_instance(self, pairwise_calls):
-        # one pairwise pass per Stein and LEM instance; AIM screens its pairs
+    def test_one_distance_matrix_per_instance(self, distance_passes):
+        # one screen per instance: one pass over all 66 pairs of the 12
+        # samples for Stein and LEM, two passes for the AIM screen
         cli.gradcheck_report(list(MetricKind), instances=2, seed=4)
-        kinds = [MetricKind.parse(args[0]) for args in pairwise_calls]
-        assert kinds == [MetricKind.STEIN] * 2 + [MetricKind.LEM] * 2
+        kinds = [kind for kind, _ in distance_passes]
+        assert kinds == ([MetricKind.AIM] * 4 + [MetricKind.STEIN] * 2
+                         + [MetricKind.LEM] * 2)
+        assert [pairs for _, pairs in distance_passes[4:]] == [66] * 4
+
+
+class FullStdout(io.TextIOBase):
+    """A stdout whose every write fails, as one on a full device does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestFailingStdout:
+    """A stdout that cannot take train's report costs the report only: the
+    outputs are written as in a normal run, stderr gets one error line, and
+    the exit code is 1, an I/O failure."""
+
+    def test_in_process(self, corpus, tmp_path, capsys, monkeypatch):
+        assert cli.main(train_args(corpus, tmp_path / "ok")) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert cli.main(train_args(corpus, tmp_path / "full")) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot write to stdout: [Errno 28] No space left on device\n")
+        for name in ["W.txt", "trace.txt"]:
+            assert (tmp_path / "full" / name).read_bytes() == (
+                tmp_path / "ok" / name).read_bytes()
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+    def test_child_process(self, corpus, tmp_path, unbuffered, sink):
+        if sink == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        assert cli.main(train_args(corpus, tmp_path / "ok")) == 0
+        if sink == "full":
+            stdout, message = open("/dev/full", "w"), "[Errno 28] No space left on device"
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            stdout, message = os.fdopen(write_end, "w"), "[Errno 32] Broken pipe"
+        src = Path(cli.__file__).resolve().parents[1]
+        with stdout:
+            child = subprocess.run(
+                [sys.executable, "-m", "spdalign.cli",
+                 *train_args(corpus, tmp_path / "out")],
+                env=dict(os.environ, PYTHONPATH=str(src),
+                         PYTHONUNBUFFERED=unbuffered),
+                stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+                check=False,
+            )
+        assert child.returncode == 1, child.stderr
+        assert child.stderr == f"error: cannot write to stdout: {message}\n"
+        for name in ["W.txt", "trace.txt"]:
+            assert (tmp_path / "out" / name).read_bytes() == (
+                tmp_path / "ok" / name).read_bytes()
 
 
 class TestConfigFile:

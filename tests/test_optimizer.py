@@ -7,6 +7,7 @@ which solves its Sylvester equation as one Kronecker-form linear system by
 
 import dataclasses
 import itertools
+import types
 import weakref
 
 import numpy as np
@@ -134,13 +135,23 @@ class TestHorizontalProjection:
         with pytest.raises(NoConvergenceError):
             horizontal_project(W, rng.standard_normal((7, 3)))
 
-    def test_zero_column_raises_non_finite(self):
-        # the zero column gives an exactly zero singular value, so the solve
-        # divides by lam_i + lam_j = 0
+    def test_zero_column_raises_rank_deficient(self):
+        # the zero column gives an exactly zero singular value, which the
+        # rank check rejects before the solve divides by lam_i + lam_j = 0
         W = np.zeros((5, 2))
         W[:, 0] = [1.0, -2.0, 0.5, 3.0, 1.5]
-        with pytest.raises(NoConvergenceError, match="produced non-finite values"):
+        with pytest.raises(RankDeficientError, match="rank deficient"):
             horizontal_project(W, np.arange(10.0).reshape(5, 2))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_zeroed_column_raises_rank_deficient(self, seed):
+        # the SVD of a random W with a zeroed column may return a tiny
+        # singular value, not 0, so only the rank check sees it
+        rng = np.random.default_rng(seed)
+        W = rand_full_rank(rng, 7, 3)
+        W[:, 1] = 0.0
+        with pytest.raises(RankDeficientError, match="rank deficient"):
+            horizontal_project(W, rng.standard_normal((7, 3)))
 
 
 class TestRiemannianGrad:
@@ -264,6 +275,47 @@ class TestRetractAndTransport:
         resid = np.linalg.norm(moved.T @ W_new - W_new.T @ moved)
         assert resid <= 1e-9 * np.linalg.norm(moved) * np.linalg.norm(W_new)
         assert np.linalg.norm(moved) <= np.linalg.norm(H) * (1 + 1e-6)
+
+
+class ScriptedProblem:
+    """A stand-in for `AlignmentProblem` whose k-th evaluation has the k-th
+    J of a script, so a line search's trials meet chosen gains."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def evaluate(self, W):
+        return types.SimpleNamespace(J=next(self.values))
+
+
+class TestLineSearchConstants:
+    """`_armijo`'s sufficient-increase slope and shrink cap, pinned by
+    value. The direction has norm 1, so the first trial step is t = 1/2,
+    and each shrink halves it."""
+
+    J, SLOPE = 1.0, 2.0
+
+    def search(self, values):
+        d = np.zeros((5, 2))
+        d[2, 0] = 1.0
+        return optimizer._armijo(ScriptedProblem(values), np.eye(5, 2), self.J,
+                                 d, self.SLOPE)
+
+    def test_gain_below_the_slope_is_rejected(self):
+        # the first trial (t = 1/2) gains 0.9e-4 t slope, short of the
+        # Armijo test; the second (t = 1/4) gains 1.1e-4 t slope and is taken
+        first = self.J + 0.9e-4 * 0.5 * self.SLOPE
+        second = self.J + 1.1e-4 * 0.25 * self.SLOPE
+        t, _, state, shrinks = self.search([first, second, self.J + 1.0])
+        assert (t, state.J, shrinks) == (0.25, second, 1)
+
+    def test_thirty_shrinks_succeed_and_thirty_one_fail(self):
+        # every rejected trial loses J; the search takes the trial after
+        # 30 shrinks, and gives up before the one after 31
+        lower = self.J - 1.0
+        t, _, state, shrinks = self.search([lower] * 30 + [self.J + 1.0])
+        assert (t, state.J, shrinks) == (0.5**31, self.J + 1.0, 30)
+        assert self.search([lower] * 31 + [self.J + 1.0]) is None
 
 
 class TestInitialTransform:
