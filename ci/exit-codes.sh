@@ -63,6 +63,9 @@ cmp "$work/normal/W.txt" "$work/full/W.txt"
 cmp "$work/normal/trace.txt" "$work/full/trace.txt"
 if grep -F Traceback "$work/err.txt"; then exit 1; fi
 grep -Fx "error: cannot write to stdout: [Errno 28] No space left on device" "$work/err.txt"
+# so does a --help that cannot be written
+expect 1 spdalign train --help > /dev/full 2> "$work/err.txt"
+grep -Fx "error: cannot write to stdout: [Errno 28] No space left on device" "$work/err.txt"
 # load-path faults, each named on stderr: undecodable bytes in a
 # sample or a config file, and a non-numeric strict-lower token
 # (row 2, column 0: line 4) whose mirror on line 2 is numeric

@@ -16,6 +16,7 @@ import numpy as np
 
 from .descriptors import SynthConfig, synth_dataset
 from .errors import ConfigError, NumericalError, RankDeficientError, ValidationError
+from .errors import check_count, check_positive, check_type
 from .evaluate import check_split_settings, repeated_split_eval
 from .fileio import (
     load_dataset,
@@ -25,9 +26,8 @@ from .fileio import (
     save_trace,
     save_transform,
 )
-from . import metrics
 from .graphs import build_graphs
-from .metrics import MetricKind, default_beta
+from .metrics import MetricKind, check_transform, default_beta
 from .objective import alignment_gradient, alignment_objective, fd_gradient
 from .optimizer import OptimizerConfig, initial_transform, rcg_maximize
 
@@ -50,10 +50,18 @@ _CONFIG_FIELDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Routes argparse usage errors through the exit-code-1 path."""
+    """Routes argparse usage errors through the exit-code-1 path, and prints
+    a --help as a command's report, so a stdout that cannot take it fails
+    as a command's does, where argparse alone would exit 0."""
 
     def error(self, message):
         raise ConfigError(message)
+
+    def print_help(self, file=None):
+        report = _Report()
+        report(self.format_help().removesuffix("\n"))
+        if report.error is not None:
+            raise ValidationError(f"cannot write to stdout: {report.error}")
 
 
 def load_config(path):
@@ -72,9 +80,7 @@ def load_config(path):
     for key, value in raw.items():
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}: unknown config field {key!r}")
-        kind, label = _CONFIG_FIELDS[key]
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ConfigError(f"{path}: field {key!r} must be {label}")
+        check_type(f"{path}: field {key!r}", value, *_CONFIG_FIELDS[key])
     return raw
 
 
@@ -89,8 +95,7 @@ def _apply_config(args):
                 setattr(args, key, value)
     if args.seed is None:
         args.seed = 0
-    if args.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    check_count("seed", args.seed, 0)
 
 
 class _Report:
@@ -126,11 +131,6 @@ def _make_output_dir(path):
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {path}: {exc}") from exc
-
-
-def _auto_neighbor_count(data):
-    """The within-class rule: one fewer than the smallest class."""
-    return max(int(data.class_sizes().min()) - 1, 1)
 
 
 def gradcheck_report(kinds, instances, seed, say=print):
@@ -169,8 +169,7 @@ def gradcheck_report(kinds, instances, seed, say=print):
 def cmd_gradcheck(args, say):
     metric = args.metric
     kinds = list(MetricKind) if metric is None else [MetricKind.parse(metric)]
-    if args.instances < 1:
-        raise ConfigError(f"instances must be >= 1, got {args.instances}")
+    check_count("instances", args.instances, 1)
     worst = gradcheck_report(kinds, args.instances, args.seed, say)
     if worst > GRADCHECK_TOL:
         print(f"gradcheck FAILED (tolerance {GRADCHECK_TOL:g})", file=sys.stderr)
@@ -191,16 +190,14 @@ def cmd_train(args, say):
         for name in ("max_iters", "grad_tol", "rel_obj_tol")
         if (value := getattr(args, name)) is not None
     })
-    target_dim = args.target_dim
+    target_dim, v_w, v_b, beta = args.target_dim, args.vw, args.vb, args.beta
     if target_dim is None:
         raise ConfigError("target_dim is required (--target-dim or config)")
-    if target_dim < 1:
-        raise ConfigError(f"target_dim must be >= 1, got {target_dim}")
-    v_w, v_b, beta = args.vw, args.vb, args.beta
-    if any(v is not None and v < 1 for v in (v_w, v_b)):
-        raise ConfigError(f"vw and vb must be >= 1, got vw={v_w}, vb={v_b}")
+    for name, value in (("target_dim", target_dim), ("vw", v_w), ("vb", v_b)):
+        if value is not None:
+            check_count(name, value, 1)
     if beta is not None:
-        metrics.check_beta(beta)
+        check_positive("beta", beta)
     _make_output_dir(args.output_dir)
 
     data, _, label_names = load_dataset(args.manifest)
@@ -208,15 +205,15 @@ def cmd_train(args, say):
         f"loaded {data.size} samples of dim {data.dim} "
         f"in {len(label_names)} classes"
     )
-
-    if target_dim >= data.dim:
-        raise ConfigError(
-            f"target_dim must satisfy 1 <= m < {data.dim}, got {target_dim}"
-        )
-    if v_w is None:
-        v_w = _auto_neighbor_count(data)
-    if v_b is None:
-        v_b = _auto_neighbor_count(data)
+    # the start's own rule, m < n, decides target_dim against the data
+    try:
+        W0 = initial_transform(data.dim, target_dim, seed=args.seed)
+    except ValidationError as exc:
+        raise ConfigError(f"target_dim: {exc}") from exc
+    # an unset neighbor count takes the within-class rule: one fewer than
+    # the smallest class
+    auto = max(int(data.class_sizes().min()) - 1, 1)
+    v_w, v_b = (auto if v is None else v for v in (v_w, v_b))
 
     beta_mode = "explicit" if beta is not None else "auto"
     # the graphs carry their support pairs' distances, which set the
@@ -231,7 +228,6 @@ def cmd_train(args, say):
     pairs = data.size * (data.size - 1) // 2
     say(f"exact distances ({metric.value}): {graphs.distances_computed}/{pairs} pairs")
 
-    W0 = initial_transform(data.dim, target_dim, seed=args.seed)
     result = rcg_maximize(data, graphs, metric, beta, W0, opt_config)
 
     w_path = os.path.join(args.output_dir, "W.txt")
@@ -261,7 +257,7 @@ def cmd_eval(args, say):
     if args.transform:
         W = load_transform(args.transform)
         try:
-            W = metrics.check_transform(W)
+            W = check_transform(W)
         except (ValidationError, RankDeficientError) as exc:
             # a bad file is invalid input, named like every fault of its text
             raise ValidationError(f"{args.transform}: {exc}") from exc

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matfun
-from .errors import DegenerateInputError, SpdAlignError, ValidationError, check_count
+from .errors import DegenerateInputError, SpdAlignError, ValidationError
+from .errors import check_count, check_type
 from .dataset import LabeledDataset
 
 RIDGE_SCALE = 1e-3
@@ -77,8 +78,9 @@ def cov_descriptor(frames, augment_mean=False):
 @dataclass(frozen=True)
 class SynthConfig:
     """Shape and spread of a generated dataset: dim, classes and per_class
-    integers >= 2, seed an integer >= 0 (`check_count`), noise finite and
-    >= 0."""
+    integers >= 2, seed an integer >= 0 (`check_count`), noise a number
+    (`check_type`), finite and >= 0. Each bad field raises a
+    ValidationError naming it."""
 
     dim: int
     classes: int
@@ -89,6 +91,7 @@ class SynthConfig:
     def __post_init__(self):
         for name, least in (("dim", 2), ("classes", 2), ("per_class", 2), ("seed", 0)):
             check_count(name, getattr(self, name), least)
+        check_type("noise", self.noise)
         if not np.isfinite(self.noise) or self.noise < 0:
             raise ValidationError(f"noise must be finite and >= 0, got {self.noise}")
 

@@ -3,9 +3,16 @@
 Validation problems (bad configs, malformed files, shape mismatches) and
 numerical failures (lost positive definiteness, eigensolver breakdown) are
 kept in separate branches so the CLI can map them to distinct exit codes.
-`check_count` is the one check of a config's integer counts.
+
+`check_count` and `check_positive` are the rules for every setting: each
+count and seed (target dim, neighbor counts, k, repeats, max_iters, the
+synthetic shape) goes through `check_count`, each bandwidth and tolerance
+(beta, grad_tol, rel_obj_tol) through `check_positive`. `check_type` is
+their type rule, which also types the two reals with a range of their own
+(train_fraction, noise) and each field of a config file.
 """
 
+import math
 import numbers
 
 
@@ -66,10 +73,25 @@ class DegenerateAlignmentError(NumericalError):
     """Centered similarity matrix vanished; the objective is undefined."""
 
 
+def check_type(name, value, kind=numbers.Real, what="a number"):
+    """Raise ValidationError, naming the field, unless value is an instance
+    of `kind`, described as `what`. A bool never is, though Python counts
+    it an integer; a numpy scalar is one of the `numbers` kinds."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
+
+
 def check_count(name, value, least):
     """Raise ValidationError, naming the field, unless value is an integer
     (a numpy integer too, a bool not) of at least `least`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    check_type(name, value, numbers.Integral, "an integer")
     if value < least:
         raise ValidationError(f"{name} must be >= {least}, got {value}")
+
+
+def check_positive(name, value):
+    """Raise ValidationError, naming the field, unless value is a number (a
+    numpy one too, a bool not) that is positive and finite."""
+    check_type(name, value)
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value}")

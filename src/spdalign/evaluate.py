@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_type
 from .metrics import MetricKind, PairScreen, _blocks, cross_dist2, map_down
 
 
@@ -96,10 +96,12 @@ def _confusion(D, train_labels, test_labels, k, c):
 
 
 def knn_classify(train, test, metric, W=None, k=1):
-    """Label test samples by majority vote among k nearest training samples."""
+    """Label test samples by majority vote among k nearest training samples;
+    k is an integer with 1 <= k <= train.size (`check_count`)."""
     metric = MetricKind.parse(metric)
-    if k < 1 or k > train.size:
-        raise ValidationError(f"k must be in [1, {train.size}], got {k}")
+    check_count("k", k, 1)
+    if k > train.size:
+        raise ValidationError(f"k must be <= {train.size}, got {k}")
     if train.dim != test.dim:
         raise ValidationError(
             f"train dim {train.dim} does not match test dim {test.dim}"
@@ -129,23 +131,27 @@ def knn_classify(train, test, metric, W=None, k=1):
 
 
 def check_split_settings(train_fraction, repeats=1):
-    """Raise ValidationError unless 0 < train_fraction < 1 and repeats >= 1."""
+    """Raise ValidationError, naming the setting, unless train_fraction is a
+    number in (0, 1) and repeats an integer >= 1 (`check_count`)."""
+    check_type("train_fraction", train_fraction)
     if not 0.0 < train_fraction < 1.0:
         raise ValidationError(
             f"train_fraction must be in (0, 1), got {train_fraction}"
         )
-    if repeats < 1:
-        raise ValidationError(f"repeats must be >= 1, got {repeats}")
+    check_count("repeats", repeats, 1)
 
 
-def _draw_splits(data, train_fraction, seeds):
+def _draw_splits(data, train_fraction, seed, repeats=1):
     """(train, test): the sorted sample indices of one stratified split per
-    seed, stacked as (S, a) and (S, b) arrays.
+    seed of seed..seed+repeats-1, stacked as (S, a) and (S, b) arrays. The
+    settings are checked here, seed an integer >= 0 (`check_count`), for
+    both `split` and `repeated_split_eval`.
 
     Each split permutes every class's members with its own
     `default_rng(seed)`, in class order, and takes the same count from
     each class, so all splits of a call have the same per-class counts."""
-    check_split_settings(train_fraction)
+    check_split_settings(train_fraction, repeats)
+    check_count("seed", seed, 0)
     classes, takes = [], []
     for cls in range(data.class_count):
         members = np.flatnonzero(data.labels == cls)
@@ -161,14 +167,14 @@ def _draw_splits(data, train_fraction, seeds):
                                for members, take in zip(classes, takes)])
     perms = np.array([
         np.concatenate([rng.permutation(members) for members in classes])
-        for rng in map(np.random.default_rng, seeds)
+        for rng in map(np.random.default_rng, range(seed, seed + repeats))
     ])
     return np.sort(perms[:, to_train], axis=1), np.sort(perms[:, ~to_train], axis=1)
 
 
 def split(data, train_fraction, seed):
     """Stratified random split; every class lands on both sides."""
-    train, test = _draw_splits(data, train_fraction, [seed])
+    train, test = _draw_splits(data, train_fraction, seed)
     return data.subset(train[0]), data.subset(test[0])
 
 
@@ -232,8 +238,7 @@ def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=
     distance kernels are exactly invariant to argument order, so this gives
     what `knn_classify` computes test-first.
     """
-    check_split_settings(train_fraction, repeats)
-    train, test = _draw_splits(data, train_fraction, range(seed, seed + repeats))
+    train, test = _draw_splits(data, train_fraction, seed, repeats)
     needed = np.zeros((data.size, data.size), dtype=bool)
     needed[test[:, :, None], train[:, None, :]] = True
     stacks = [data.samples]

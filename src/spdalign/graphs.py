@@ -14,11 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matfun
-from .errors import (
-    DimMismatchError,
-    InsufficientClassSizeError,
-    ValidationError,
-)
+from .errors import DimMismatchError, InsufficientClassSizeError, ValidationError
+from .errors import check_count
 from .metrics import PairScreen, unordered_pairs
 from .metrics import pairwise_dist2  # noqa: F401  (traced by perfbench)
 
@@ -67,9 +64,10 @@ class PairGraphs:
 
 
 def _check_counts(data, v_w, v_b):
-    """Raise unless v_w, v_b >= 1 and every class has two samples or more."""
-    if v_w < 1 or v_b < 1:
-        raise ValidationError(f"v_w and v_b must be >= 1, got {v_w}, {v_b}")
+    """Raise unless v_w and v_b are integers >= 1 (`check_count`) and every
+    class has two samples or more."""
+    check_count("v_w", v_w, 1)
+    check_count("v_b", v_b, 1)
     sizes = data.class_sizes()
     if sizes.min() < 2:
         small = int(np.argmin(sizes))

@@ -102,7 +102,7 @@ samples. As X_a = M^{1/2} Z_a M^{1/2}, k_M k_a bounds the spread of X_a: the
 term k_M^2 k_a k_b covers the rounding of the affine-invariant distance, and
 k_M k_a k_b that of the congruence and of the whitened eigensolve; C needs
 none, since any symmetric positive definite C gives a valid bound. A
-whitened sample whose spectrum is not positive and finite, and every sample
+whitened sample whose spectrum is not finite and positive, and every sample
 of a stack whose mean is not, gets an infinite margin. sqrt(bound) - tau is
 a floor under the square root of the pair's computed distance, so a pair
 whose floor exceeds the square root of another pair's computed distance is
@@ -162,12 +162,6 @@ class MetricKind(Enum):
             raise ValidationError(
                 f"unknown metric {name!r}; expected one of: {valid}"
             ) from None
-
-
-def check_beta(beta):
-    """Validate a similarity bandwidth: positive and finite."""
-    if not 0 < beta < np.inf:
-        raise ValidationError(f"beta must be positive and finite, got {beta}")
 
 
 def check_transform(W, n=None):
@@ -455,7 +449,7 @@ class AffineInvariant(Geometry):
 
         A mean that is not finite and positive definite whitens by C = I
         with an infinite spread, and a whitened sample whose spectrum is not
-        positive and finite gets log zero and an infinite spread, so their
+        finite and positive gets log zero and an infinite spread, so their
         margins rule out nothing.
         """
         n = stack.shape[-1]

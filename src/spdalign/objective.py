@@ -64,9 +64,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matfun
-from .errors import DegenerateAlignmentError, DimMismatchError
+from .errors import DegenerateAlignmentError, DimMismatchError, check_positive
 from .graphs import label_similarity  # noqa: F401  (traced by perfbench)
-from .metrics import Geometry, check_beta, check_transform, geometry
+from .metrics import Geometry, check_transform, geometry
 
 L_NORM_FLOOR = 1e-14
 
@@ -147,7 +147,7 @@ class AlignmentProblem:
         doubly centered one-hot label Gram matrix, follows from class counts.
         """
         geom = geometry(metric)
-        check_beta(beta)
+        check_positive("beta", beta)
         N = data.size
         if graphs.size != N:
             raise DimMismatchError(

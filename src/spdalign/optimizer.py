@@ -51,7 +51,8 @@ from enum import Enum
 import numpy as np
 
 from . import matfun
-from .errors import NoConvergenceError, NumericalError, ValidationError, check_count
+from .errors import NoConvergenceError, NumericalError, ValidationError
+from .errors import check_count, check_positive
 from .metrics import check_rank, check_transform
 from .objective import AlignmentProblem, alignment_gradient
 from .objective import alignment_objective  # noqa: F401  (traced by perfbench)
@@ -71,7 +72,9 @@ class StopReason(Enum):
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Stopping rules for the conjugate gradient loop: max_iters an integer
-    >= 1 (`check_count`), both tolerances positive and finite."""
+    >= 1 (`check_count`), grad_tol and rel_obj_tol each a positive, finite
+    number (`check_positive`). Each bad field raises a ValidationError
+    naming it."""
 
     max_iters: int = 50
     grad_tol: float = 1e-6
@@ -79,9 +82,8 @@ class OptimizerConfig:
 
     def __post_init__(self):
         check_count("max_iters", self.max_iters, 1)
-        if not (0 < self.grad_tol < np.inf and 0 < self.rel_obj_tol < np.inf):
-            raise ValidationError(
-                "grad_tol and rel_obj_tol must be positive and finite")
+        check_positive("grad_tol", self.grad_tol)
+        check_positive("rel_obj_tol", self.rel_obj_tol)
 
 
 @dataclass(frozen=True)
@@ -120,18 +122,20 @@ def horizontal_project(W, H):
     does for a failed eigensolve, and a W that `check_transform` would
     call rank deficient raises its RankDeficientError.
     """
-    rhs = W.T @ H - H.swapaxes(-1, -2) @ W
     try:
         _, s, Vt = np.linalg.svd(W, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"horizontal projection failed: {exc}") from exc
     check_rank(s)
-    lam = s * s
     # full rank keeps lam_i + lam_j > 0 unless s * s underflows to 0, which
-    # the finiteness check below reports
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # leaves Omega non-finite; an overflow of s * s (its largest, lam[0],
+    # inf) leaves a finite but wrong Omega, and one of rhs a non-finite one:
+    # the check below reports each
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rhs = W.T @ H - H.swapaxes(-1, -2) @ W
+        lam = s * s
         Omega = Vt.T @ ((Vt @ rhs @ Vt.T) / (lam[:, None] + lam)) @ Vt
-    if not np.all(np.isfinite(Omega)):
+    if not (np.isfinite(lam[0]) and np.all(np.isfinite(Omega))):
         raise NoConvergenceError("horizontal projection produced non-finite values")
     # rhs is skew and the coefficient matrix is SPD, so Omega is skew; drop
     # the symmetric rounding residue
@@ -150,9 +154,16 @@ def retract(W, H, t):
 
 
 def initial_transform(n, m, seed):
-    """Seeded Gaussian matrix with orthonormalized, sign-fixed columns."""
-    if not 1 <= m < n:
-        raise ValidationError(f"need 1 <= m < n, got m={m}, n={n}")
+    """Seeded Gaussian n x m matrix with orthonormalized, sign-fixed columns.
+
+    m, the target dim, is an integer with 1 <= m < n and seed an integer
+    >= 0 (`check_count`); either out of rule raises a ValidationError naming
+    it.
+    """
+    check_count("m", m, 1)
+    if m >= n:
+        raise ValidationError(f"m must be < n = {n}, got {m}")
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     return matfun.qr_orthonormal(rng.standard_normal((n, m)))
 

@@ -6,12 +6,12 @@ import numpy as np
 
 from spdalign.dataset import LabeledDataset
 from spdalign.descriptors import SynthConfig, synth_dataset
-from spdalign.errors import NonSymmetricError, ValidationError
+from spdalign.errors import NonSymmetricError, ValidationError, check_positive
 from spdalign.fileio import _read_table
 from spdalign.graphs import build_graphs
 from spdalign.matfun import check_symmetric, spd_eig, sym_eig, symmetrize
 from spdalign.metrics import (
-    _blocks, _operand, check_beta, check_transform, default_beta, dist2,
+    _blocks, _operand, check_transform, default_beta, dist2,
     geometry, map_down,
 )
 from spdalign.objective import build_grad_context
@@ -212,7 +212,7 @@ def graph_split(graphs, labels):
 
 def kernel_sim(metric, X_i, X_j, W, beta):
     """Gaussian similarity exp(-beta * transformed_dist2) in (0, 1]."""
-    check_beta(beta)
+    check_positive("beta", beta)
     return float(np.exp(-beta * transformed_dist2(metric, X_i, X_j, W)))
 
 

@@ -357,8 +357,8 @@ class TestTrainDistancePass:
         [
             (["--target-dim", "0"], "target_dim must be >= 1"),
             (["--target-dim", "-2"], "target_dim must be >= 1"),
-            (["--vw", "0"], "vw and vb must be >= 1, got vw=0, vb=None"),
-            (["--vb", "-1"], "vw and vb must be >= 1, got vw=None, vb=-1"),
+            (["--vw", "0"], "vw must be >= 1, got 0"),
+            (["--vb", "-1"], "vb must be >= 1, got -1"),
             (["--beta", "0"], "beta must be positive"),
             (["--beta", "-0.5"], "beta must be positive"),
             (["--beta", "nan"], "beta must be positive and finite, got nan"),
@@ -570,6 +570,41 @@ class TestFailingStdout:
             assert (tmp_path / "out" / name).read_bytes() == (
                 tmp_path / "ok" / name).read_bytes()
 
+    # a --help takes the report's route: one error line and exit 1 when the
+    # help cannot be written, where argparse alone would exit 0 silently
+    HELP_COMMANDS = pytest.mark.parametrize(
+        "command", [[], *([name] for name in cli._COMMANDS)],
+        ids=["top-level", *cli._COMMANDS])
+
+    @HELP_COMMANDS
+    def test_help_in_process(self, command, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert cli.main([*command, "--help"]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot write to stdout: [Errno 28] No space left on device\n")
+
+    @HELP_COMMANDS
+    def test_help_child_process(self, command):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        src = Path(cli.__file__).resolve().parents[1]
+        with open("/dev/full", "w") as stdout:
+            child = subprocess.run(
+                [sys.executable, "-m", "spdalign.cli", *command, "--help"],
+                env=dict(os.environ, PYTHONPATH=str(src)),
+                stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+                check=False,
+            )
+        assert child.returncode == 1, child.stderr
+        assert child.stderr == (
+            "error: cannot write to stdout: [Errno 28] No space left on device\n")
+
+    def test_help_on_a_working_stdout_is_argparse_text(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr() == (cli.build_parser().format_help(), "")
+
 
 class TestConfigFile:
     def write_config(self, tmp_path, payload):
@@ -658,10 +693,10 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "payload, expected",
         [
-            ({"vw": "two"}, "field 'vw' must be an integer"),
-            ({"beta": "wide"}, "field 'beta' must be a number"),
-            ({"metric": 3}, "field 'metric' must be a metric name"),
-            ({"manifest": 1}, "field 'manifest' must be a path string"),
+            ({"vw": "two"}, "field 'vw' must be an integer, got 'two'"),
+            ({"beta": "wide"}, "field 'beta' must be a number, got 'wide'"),
+            ({"metric": 3}, "field 'metric' must be a metric name, got 3"),
+            ({"manifest": 1}, "field 'manifest' must be a path string, got 1"),
         ],
         ids=["integer", "number", "metric", "path"],
     )

@@ -316,7 +316,7 @@ class TestRepeatedSplitEval:
             data, metric, train_fraction=0.5, repeats=10, seed=5, W=W
         )
         union = set()
-        train, test = evaluate._draw_splits(data, 0.5, range(5, 15))
+        train, test = evaluate._draw_splits(data, 0.5, 5, 10)
         for train_idx, test_idx in zip(train, test):
             union |= {(min(a, b), max(a, b)) for a in test_idx for b in train_idx}
         assert sorted(calls) == ([2, 4] if with_w else [4])  # one stack per manifold
@@ -353,7 +353,7 @@ class TestRepeatedSplitEval:
         monkeypatch.setattr(aim, "lower_bound", zero_bound)
         calls = record_pairs(monkeypatch, metric)
         summary = repeated_split_eval(data, metric, repeats=2, seed=5, W=W)
-        train, test = evaluate._draw_splits(data, 0.5, range(5, 7))
+        train, test = evaluate._draw_splits(data, 0.5, 5, 2)
         cells = {(min(a, b), max(a, b))
                  for train_idx, test_idx in zip(train, test)
                  for a in test_idx for b in train_idx}
@@ -455,7 +455,7 @@ class TestAimScreen:
         W = rand_full_rank(np.random.default_rng(4), data.dim, data.dim // 4)
         W = W if with_w else None
         summary = repeated_split_eval(data, aim, repeats=10, seed=5, W=W)
-        train, test = evaluate._draw_splits(data, 0.5, range(5, 15))
+        train, test = evaluate._draw_splits(data, 0.5, 5, 10)
         splits = list(zip(train, test))
         needed = np.zeros((data.size, data.size), dtype=bool)
         for train_idx, test_idx in splits:
@@ -489,7 +489,7 @@ class TestAimScreen:
         aim = MetricKind.AIM
         geom = geometry(aim)
         original = geom.lower_bound
-        train, test = evaluate._draw_splits(data, 0.5, range(5, 15))
+        train, test = evaluate._draw_splits(data, 0.5, 5, 10)
         splits = list(zip(train, test))
         needed = np.zeros((data.size, data.size), dtype=bool)
         for train_idx, test_idx in splits:
@@ -562,7 +562,7 @@ class TestStackedSplits:
         # splits, and the last of 100 / 3 holds one (the pair passes take
         # smaller blocks too, which changes no value: each pair is reduced
         # on its own)
-        train, test = evaluate._draw_splits(data, 0.5, [7])
+        train, test = evaluate._draw_splits(data, 0.5, 7)
         monkeypatch.setattr(metrics, "BLOCK_ENTRIES", per_group * train.size * test.size)
         grouped = repeated_split_eval(data, metric, repeats=100, seed=7, W=W)
         assert np.array_equal(grouped.baseline, stacked.baseline)
@@ -590,7 +590,7 @@ class TestStackedSplits:
     def test_every_split_has_the_same_class_counts(self, fraction):
         data = clustered_dataset(seed=2, n=3, classes=4, per_class=5)
         data = LabeledDataset(data.samples[3:], data.labels[3:])  # sizes 2, 5, 5, 5
-        train, test = evaluate._draw_splits(data, fraction, range(40))
+        train, test = evaluate._draw_splits(data, fraction, 0, 40)
         assert train.shape[0] == test.shape[0] == 40
         assert train.shape[1] + test.shape[1] == data.size
         counts = {
@@ -604,4 +604,4 @@ class TestStackedSplits:
             one_train, one_test = self.one_split_at_a_time(data, fraction, r)
             assert np.array_equal(t, one_train) and np.array_equal(s, one_test)
             assert all(np.array_equal(a[0], b) for a, b in zip(
-                evaluate._draw_splits(data, fraction, [r]), (t, s)))
+                evaluate._draw_splits(data, fraction, r), (t, s)))

@@ -378,6 +378,13 @@ class TestPairGraphsValidation:
         assert g.pairs.tolist() == [[0, 1], [0, 2], [1, 2]] and g.size == 3
         assert len(PairGraphs(np.empty((0, 2), dtype=int), 3).pairs) == 0
 
+    def test_hand_built_graphs_computed_no_distance(self):
+        # graphs given their pairs, with or without the pairs' distances,
+        # computed no distance; only a build says otherwise
+        pairs = np.array([[0, 1], [1, 2]])
+        assert PairGraphs(pairs, 3).distances_computed == 0
+        assert PairGraphs(pairs, 3, dist2=[0.5, 2.0]).distances_computed == 0
+
     def test_pairs_are_a_frozen_copy(self):
         pairs = np.array([[0, 1]])
         g = PairGraphs(pairs, 2)

@@ -153,6 +153,13 @@ class TestHorizontalProjection:
         with pytest.raises(RankDeficientError, match="rank deficient"):
             horizontal_project(W, rng.standard_normal((7, 3)))
 
+    def test_overflowing_scale_raises_non_finite(self):
+        # s * s overflows at this full-rank W's scale; the projection raises
+        # its own error, not numpy's overflow warning, and returns no finite
+        # but wrong direction
+        with pytest.raises(NoConvergenceError, match="non-finite"):
+            horizontal_project(1e200 * np.eye(3, 2), np.ones((3, 2)))
+
 
 class TestRiemannianGrad:
     def test_ascent_gradient_is_egrad_off_orthonormal(self):
