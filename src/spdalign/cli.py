@@ -251,8 +251,9 @@ def cmd_eval(args, say):
     metric = MetricKind.parse("aim" if args.metric is None else args.metric)
     if args.manifest is None:
         raise ConfigError("a dataset manifest is required (--manifest or config)")
-    # checked before any data is loaded
-    check_split_settings(args.train_fraction, args.splits)
+    # checked before any data is loaded, the count under its flag's name
+    check_count("splits", args.splits, 1)
+    check_split_settings(args.train_fraction)
     W = None
     if args.transform:
         W = load_transform(args.transform)

@@ -15,6 +15,8 @@ their type rule, which also types the two reals with a range of their own
 import math
 import numbers
 
+import numpy as np
+
 
 class SpdAlignError(Exception):
     """Base class for all errors raised by this package."""
@@ -73,10 +75,13 @@ class DegenerateAlignmentError(NumericalError):
     """Centered similarity matrix vanished; the objective is undefined."""
 
 
-def check_type(name, value, kind=numbers.Real, what="a number"):
+def check_type(name, value, kind=(int, float, np.integer, np.floating),
+               what="a number"):
     """Raise ValidationError, naming the field, unless value is an instance
     of `kind`, described as `what`. A bool never is, though Python counts
-    it an integer; a numpy scalar is one of the `numbers` kinds."""
+    it an integer. A number is a kind numpy computes with: an int, a float
+    or a numpy integer or floating scalar, not any other `numbers.Real`
+    (a `fractions.Fraction` stops numpy's ufuncs)."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValidationError(f"{name} must be {what}, got {value!r}")
 

@@ -9,8 +9,9 @@ train and (S, b) test index arrays (every split takes the same count from
 each class), then factors the whole stack once and computes the distance
 of each unordered pair that some split needs as a (test, train) pair at
 most once, however many splits share it and in whichever order they need
-it, through `metrics.PairScreen`, which runs the pair passes of
-`graphs.build_graphs` too. Under Stein and the log-Euclidean
+it, through `metrics.PairScreen.distances`, which runs the pair passes of
+`graphs.build_graphs` too: the splits give it only the pairs they need,
+their nomination and their cap. Under Stein and the log-Euclidean
 distance it computes every such pair in one pass. The pairs the splits
 need are one N x N mask of their (test, train) cells, formed once for
 both manifolds by one broadcast assignment, which builds no (S, b, a)
@@ -24,13 +25,14 @@ against the PD floor again (`metrics` docstring).
 Under the affine-invariant distance it computes only the pairs its
 log-Euclidean lower bound cannot rule out (`AffineInvariant.lower_bound`,
 taken in the frame whitened by the stack's arithmetic mean, at one
-eigendecomposition per sample). Pass 1 computes, for each test row of each
-split, the distance to its bound-nearest train sample, which caps the
-row's nearest distance; a cell's cap is the largest over the rows of the
-splits that need it, and a pair takes the larger of its two orders'.
-Pass 2 computes every needed pair whose floor sqrt(bound) - tau is not
-above the square root of its cap, and every needed pair whose floor is
-not finite, and no other. A pair left out has a computed distance
+eigendecomposition per sample). Each test row of each split nominates its
+bound-nearest train sample, and the screen's first pass computes those
+pairs; a row's cap is its nominee's distance, which is at least the row's
+nearest distance, and a cell's cap is the largest over the rows of the
+splits that need it. The screen's second pass computes every needed pair
+whose floor sqrt(bound) - tau is not above the square root of its cap in
+either order, and every needed pair whose floor is not finite, and no
+other. A pair left out has a computed distance
 strictly above the cap of every row that needs it, so it can neither be a
 row's nearest neighbor nor tie it. Each computed value is the one
 `cross_dist2` gives, since the kernel computes each pair on its own, and
@@ -206,24 +208,25 @@ def _split_dist2(metric, stack, train, test, needed):
     arrays of `_draw_splits`; needed is the N x N mask of their
     (test, train) cells, and no pair outside it is computed. The stack is
     a dataset's or `map_down`'s output, taken as `PairScreen` takes it."""
+    first = None
+
+    def nominate(bound):
+        nonlocal first
+        first = _nearest(bound, train, test)
+        nominated = np.zeros_like(needed)
+        nominated[test, first] = True
+        return nominated
+
+    def cap(D):
+        # a cell's cap is the largest of its rows' caps over the splits that
+        # need it; no cap is below 0
+        cell_cap = np.zeros(needed.shape)
+        for g, cells in _split_groups(train, test):
+            np.maximum.at(cell_cap, cells, D[test[g], first[g]][..., None])
+        return cell_cap
+
     screen = PairScreen(metric, stack)
-    if screen.floor is None:
-        screen.compute(needed)
-        return screen.dist2, screen.computed
-    first = _nearest(screen.bound, train, test)
-    screen.bound = None
-    nominated = np.zeros_like(needed)
-    nominated[test, first] = True
-    screen.compute(nominated)
-    cap = screen.dist2[test, first]
-    # a cell's cap is the largest of its rows' caps over the splits that
-    # need it; no cap is below 0, and a pair takes the larger of its two
-    # orders' (`PairScreen.compute_unless_ruled_out`)
-    cell_cap = np.zeros(needed.shape)
-    for g, cells in _split_groups(train, test):
-        np.maximum.at(cell_cap, cells, cap[g, :, None])
-    screen.compute_unless_ruled_out(cell_cap, needed)
-    return screen.dist2, screen.computed
+    return screen.distances(needed, nominate, cap), screen.computed
 
 
 def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=None):

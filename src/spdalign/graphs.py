@@ -6,7 +6,7 @@ under the chosen distance, and an edge exists when either endpoint nominated
 the other (OR symmetrization). Distance ties prefer the lower sample index so
 graph construction is deterministic. `build_graphs` computes its distances
 through one `metrics.PairScreen` under every metric, as the evaluation
-splits do.
+splits do, and gives it only its nomination and cap rules.
 """
 
 from dataclasses import dataclass
@@ -142,35 +142,36 @@ def build_graphs(data, metric, v_w, v_b):
     through one `metrics.PairScreen` of the stack for every metric. The
     graphs carry their pairs' distances and the count of pairs computed.
 
-    Stein and the log-Euclidean distance have no lower bound and compute
-    every pair. Under the affine-invariant distance the bound screens the
-    pairs, and the graphs equal the exhaustive ones pair for pair, ties
-    included: each row nominates its v bound-nearest candidates of each
-    kind, and those pairs are computed. A row's cap of a kind is the v-th
+    The graphs give the screen every pair as needed, their nomination and
+    their cap, and it decides the rest (`PairScreen.distances`). Stein and
+    the log-Euclidean distance have no lower bound and compute every pair.
+    Under the affine-invariant distance the bound screens the pairs, and
+    the graphs equal the exhaustive ones pair for pair, ties included: each
+    row nominates its v bound-nearest candidates of each kind, and the
+    screen computes those pairs first. A row's cap of a kind is the v-th
     least distance computed among its candidates of that kind, so it is at
-    least the row's true v-th least. Then every pair is computed whose
-    floor does not rule it out against the caps of both its ends of its
-    kind. A pair left out is strictly farther than both caps, and every
-    pair within a cap is computed, so each row's first min(v, candidates)
-    columns are those of the exhaustive D.
+    least the row's true v-th least, and a pair's cap is the larger of its
+    two ends' caps of its kind. Then the screen computes every pair whose
+    floor does not rule it out against that cap. A pair left out is
+    strictly farther than both caps, and every pair within a cap is
+    computed, so each row's first min(v, candidates) columns are those of
+    the exhaustive D.
     """
     _check_counts(data, v_w, v_b)
+
+    def cap(D):
+        rows, labels = np.arange(data.size), data.labels
+        # a row with no candidate of a kind is an end of no pair of that kind
+        cap_w, cap_b = (D[rows, nearest[rows, np.maximum(keep.sum(axis=1) - 1, 0)]]
+                        for nearest, keep in _nearest(data, D, v_w, v_b))
+        # a pair's cap is the larger of its two ends' caps of its kind
+        cap = np.maximum.outer(cap_b, cap_b)
+        np.copyto(cap, np.maximum.outer(cap_w, cap_w), where=labels[:, None] == labels)
+        return cap
+
     screen = PairScreen(metric, data.samples)
-    if screen.floor is None:
-        screen.compute(True)
-        return _graphs(data, screen.dist2, v_w, v_b, screen.computed)
-    nominated = _nominated(_nearest(data, screen.bound, v_w, v_b))
-    screen.bound = None
-    screen.compute(nominated)
-    del nominated
-    D, rows, labels = screen.dist2, np.arange(data.size), data.labels
-    # a row with no candidate of a kind is an end of no pair of that kind
-    cap_w, cap_b = (D[rows, nearest[rows, np.maximum(keep.sum(axis=1) - 1, 0)]]
-                    for nearest, keep in _nearest(data, D, v_w, v_b))
-    # a pair's cap is the larger of its two ends' caps of its kind
-    cap = np.maximum.outer(cap_b, cap_b)
-    np.copyto(cap, np.maximum.outer(cap_w, cap_w), where=labels[:, None] == labels)
-    screen.compute_unless_ruled_out(cap)
+    D = screen.distances(
+        True, lambda bound: _nominated(_nearest(data, bound, v_w, v_b)), cap)
     return _graphs(data, D, v_w, v_b, screen.computed)
 
 

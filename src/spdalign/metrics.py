@@ -54,12 +54,15 @@ Training needs the original-manifold distances of the neighbor graphs'
 support pairs only: the graphs carry them (`graphs.build_graphs`), and the
 bandwidth is their mean (`default_beta`), so nothing is computed twice.
 The graphs and the evaluation splits compute their pairs through one
-screen (`PairScreen`) under every metric; it holds its bound, floor and
-distances as N x N matrices and takes the pairs to compute as N x N masks
-(`unordered_pairs`). Under the affine-invariant distance it computes only
-the pairs the lower bound below cannot rule out, under Stein and the
-log-Euclidean distance every pair asked for. `indexed_dist2` computes the
-distances of any set of pairs of one stack.
+screen (`PairScreen.distances`) under every metric, and it alone decides
+which pairs get an exact distance: a caller gives the N x N mask of the
+pairs it needs (`unordered_pairs`), its rule to nominate the first pairs
+from the N x N bound, and its rule to cap the rest from the distances of
+the first. Under Stein and the log-Euclidean distance the screen computes
+every needed pair; under the affine-invariant distance the nominated pairs,
+then only the needed pairs the lower bound below cannot rule out against
+the cap. `indexed_dist2` computes the distances of any set of pairs of one
+stack.
 Every distance-only pass is exactly invariant to argument order, for the
 affine-invariant distance too: it whitens each pair by whichever of its two
 matrices sorts first by entries. The alignment objective's pass
@@ -796,58 +799,63 @@ def unordered_pairs(mask):
 
 
 class PairScreen:
-    """Exact squared distances of the pairs of one stack of N samples,
-    computed as a caller asks for them: it runs the pair passes of the train
-    graphs and the eval splits under every metric, and it is the one place
-    where a pass skips the pairs the affine-invariant lower bound rules out
-    (module docstring).
+    """Exact squared distances of the pairs of one stack of N samples: it
+    runs the pair passes of the train graphs and the eval splits under every
+    metric, and it is the one place that decides which pairs get an exact
+    distance (module docstring). Each value is the one `indexed_dist2`
+    gives, since the kernel computes each pair on its own, and `computed` is
+    the count of unordered pairs computed.
 
-    `dist2` is the N x N symmetric matrix of the distances computed so far,
-    inf where none was (the diagonal included), and `computed` the count of
-    unordered pairs computed. Each value is the one `indexed_dist2` gives,
-    since the kernel computes each pair on its own. For a geometry with a
-    `lower_bound`, `bound` is its N x N bound, which a caller reads to
-    nominate the first pairs and then drops, and `floor` is
-    sqrt(bound) - tau, -inf where that is not finite (a NaN floor would
-    compare False and rule a pair out); both are None for any other
-    geometry, and its caller computes every pair it needs. The stack is
-    taken as given: a dataset's, screened when the dataset was built, or
+    For a geometry with a `lower_bound`, the bound of every pair is taken
+    before the stack is factored, so it holds its whitened frame without the
+    factors, and its floor sqrt(bound) - tau is -inf where that is not
+    finite (a NaN floor would compare False and rule a pair out). The stack
+    is taken as given: a dataset's, screened when the dataset was built, or
     `map_down`'s output; `Geometry.factors` only decomposes.
     """
 
     def __init__(self, metric, stack):
-        self.geom = geometry(metric)
-        self.bound = self.floor = None
-        if self.geom.lower_bound is not None:
-            # the bound reads the stack alone; taken before the factors, it
-            # holds its whitened frame without them. The floor takes the
-            # margin's buffer.
-            self.bound, self.floor = self.geom.lower_bound(stack)
-            np.subtract(np.sqrt(self.bound), self.floor, out=self.floor)
-            self.floor[~np.isfinite(self.floor)] = -np.inf
-        self.side = (stack, self.geom.factors(stack, "sample"))
-        self.dist2 = np.full((len(stack),) * 2, np.inf)
+        self._geom = geometry(metric)
+        self._bound = self._floor = None
+        if self._geom.lower_bound is not None:
+            # the floor takes the margin's buffer
+            self._bound, self._floor = self._geom.lower_bound(stack)
+            np.subtract(np.sqrt(self._bound), self._floor, out=self._floor)
+            self._floor[~np.isfinite(self._floor)] = -np.inf
+        self._side = (stack, self._geom.factors(stack, "sample"))
+        self._dist2 = np.full((len(stack),) * 2, np.inf)
         self.computed = 0
 
-    def compute(self, mask):
-        """Compute the unordered pairs that the N x N boolean mask marks, in
-        either order, and that no earlier call computed, in lexicographic
-        order (`unordered_pairs`)."""
-        i, j = unordered_pairs(mask & np.isinf(self.dist2))
-        self.dist2[i, j] = self.dist2[j, i] = self.geom.dist2_pairs(self.side, i, j)[0]
-        self.computed += len(i)
+    def distances(self, needed, nominate, cap):
+        """The N x N symmetric squared distances, inf where none was computed
+        (the diagonal included), of the unordered pairs that `needed`, an
+        N x N mask or True for every pair, marks in either order.
 
-    def compute_unless_ruled_out(self, cap, among=True):
-        """Compute every pair (a, b) that `among` marks, an N x N mask or True
-        for every pair, whose floor is not above sqrt(cap[a, b]), after
-        dropping the floor; a pair is computed if either of its orders
-        qualifies. A pair left out in an order has sqrt of its computed
-        distance at least its floor, so its distance is strictly above
-        cap[a, b], in floating point too."""
-        mask = self.floor <= np.sqrt(cap)
-        mask &= among
-        self.floor = None
-        self.compute(mask)
+        With no bound, every needed pair is computed, and `nominate` and
+        `cap` are not called. With one, the pairs that the N x N mask
+        `nominate(bound)` marks, for the N x N squared bounds, are computed
+        first, and the bound is dropped before they are; then every needed
+        pair (a, b) whose floor is not above sqrt(cap(D)[a, b]), for D the
+        distances computed so far. A pair is computed if either of its
+        orders qualifies. A needed pair left out has sqrt of its computed
+        distance at least its floor, so in each order that needs it its
+        distance is strictly above the cap, in floating point too. Each pass
+        runs its pairs in lexicographic order (`unordered_pairs`)."""
+        if self._floor is not None:
+            # the bound is dropped before the first exact pass
+            nominated, self._bound = nominate(self._bound), None
+            self._compute(nominated)
+            del nominated
+            needed = needed & (self._floor <= np.sqrt(cap(self._dist2)))
+            self._floor = None
+        self._compute(needed)
+        return self._dist2
+
+    def _compute(self, mask):
+        """Compute the pairs that the mask marks and no earlier pass did."""
+        i, j = unordered_pairs(mask & np.isinf(self._dist2))
+        self._dist2[i, j] = self._dist2[j, i] = self._geom.dist2_pairs(self._side, i, j)[0]
+        self.computed += len(i)
 
 
 def bandwidth(d):

@@ -810,8 +810,8 @@ class TestEval:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--splits", "0", "repeats must be >= 1"),
-            ("--splits", "-3", "repeats must be >= 1"),
+            ("--splits", "0", "splits must be >= 1"),
+            ("--splits", "-3", "splits must be >= 1"),
             ("--train-fraction", "1.5", "train_fraction must be in (0, 1)"),
         ],
     )

@@ -20,7 +20,7 @@ from spdalign.graphs import (
     neighbor_graphs,
 )
 from spdalign.matfun import require_pd
-from spdalign.metrics import MetricKind, PairScreen, geometry, pairwise_dist2
+from spdalign.metrics import MetricKind, geometry, pairwise_dist2
 
 
 def scalar_dataset(values, labels):
@@ -480,7 +480,10 @@ class TestScreenedBuild:
             caps.append(least[rows, np.minimum(v, candidates.sum(axis=1)) - 1])
         cap = np.where(same, np.maximum.outer(caps[0], caps[0]),
                        np.maximum.outer(caps[1], caps[1]))
-        needed = PairScreen(MetricKind.AIM, data.samples).floor <= np.sqrt(cap)
+        bound, tau = geometry(MetricKind.AIM).lower_bound(data.samples)
+        floor = np.sqrt(bound) - tau
+        floor[~np.isfinite(floor)] = -np.inf
+        needed = floor <= np.sqrt(cap)
         needed[tuple(neighbor_graphs(data, D, v, v).pairs.T)] = True
         return int(needed[np.triu_indices(N, k=1)].sum())
 

@@ -480,6 +480,39 @@ class TestCheckPd:
             matfun.spd_chol(indefinite, "sample")
         assert exc.value.index == 1
 
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    def test_verdict_within_the_margin_is_the_spectrum(self, n):
+        # rotated samples whose smallest eigenvalue lies within the screen's
+        # margin SCREEN_K n eps tr X of the PD floor, on both sides, down to
+        # offsets below the rounding of eigvalsh: check_pd rejects exactly
+        # those that require_pd rejects on their eigvalsh spectrum, so the
+        # Cholesky screen clears none that the spectrum puts at the floor
+        rng = np.random.default_rng(n)
+        rest = np.geomspace(1.0, 100.0, n - 1)
+        margin = matfun.SCREEN_K * n * np.finfo(float).eps * rest.sum()
+        steps = np.geomspace(1e-6, 1.0, 25)
+        offsets = margin * np.concatenate([-steps[::-1], [0.0], steps])
+
+        def rejects(check, X):
+            try:
+                check(X)
+            except NotPositiveDefiniteError:
+                return True
+            return False
+
+        verdicts = []
+        for offset in offsets:
+            for _ in range(4):
+                low = 1e-12 * rest.sum() / n + offset
+                X = spd_with_spectrum(rng, np.concatenate([[low], rest]))
+                screened = rejects(matfun.check_pd, X)
+                spectrum = rejects(
+                    lambda X: matfun.require_pd(np.linalg.eigvalsh(X), X), X)
+                assert screened == spectrum, (offset, low)
+                verdicts.append(screened)
+        # the samples straddle the floor
+        assert 0 < sum(verdicts) < len(verdicts)
+
     def test_pd_stack_without_a_factor_raises(self, monkeypatch):
         # a factorization that breaks down on a stack whose spectrum clears
         # the floor names no member, and gives no factor

@@ -12,6 +12,7 @@ import signal
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from spdalign.metrics import (
     BLOCK_ENTRIES,
     GRAM_ROUNDING,
     MetricKind,
+    PairScreen,
     _blocks,
     bandwidth,
     check_transform,
@@ -708,6 +710,93 @@ class TestLowerBound:
     @pytest.mark.parametrize("metric", [MetricKind.STEIN, MetricKind.LEM])
     def test_only_aim_has_a_bound(self, metric):
         assert geometry(metric).lower_bound is None
+
+
+class TestPairScreen:
+    """`PairScreen.distances` decides which pairs get an exact distance: every
+    needed pair under Stein and LEM, and under AIM the nominated pairs and
+    every needed pair that the floor does not rule out against the cap."""
+
+    @staticmethod
+    def stack_and_needed():
+        data = ref_shaped_dataset(7)
+        needed = np.random.default_rng(7).random((data.size,) * 2) < 0.3
+        return data.samples, needed
+
+    @staticmethod
+    def finite_pairs(D):
+        """(i, j), i < j, of the finite entries of the upper triangle."""
+        return np.nonzero(np.triu(np.isfinite(D), k=1))
+
+    @pytest.mark.parametrize("metric", [MetricKind.STEIN, MetricKind.LEM])
+    def test_no_bound_computes_exactly_the_needed_pairs(self, metric):
+        stack, needed = self.stack_and_needed()
+
+        def unused(_):
+            raise AssertionError("a geometry with no bound nominates and caps nothing")
+
+        screen = PairScreen(metric, stack)
+        D = screen.distances(needed, unused, unused)
+        i, j = self.finite_pairs(D)
+        assert np.array_equal(np.isfinite(D), (needed | needed.T) & ~np.eye(len(D), dtype=bool))
+        assert np.array_equal(D, D.T)
+        assert np.array_equal(D[i, j], indexed_dist2(metric, stack, i, j))
+        assert screen.computed == len(i) > 0
+
+    def test_aim_computes_the_nominated_and_the_pairs_not_ruled_out(self, monkeypatch):
+        stack, needed = self.stack_and_needed()
+        N = len(stack)
+        geom = geometry(MetricKind.AIM)
+        bound, tau = geom.lower_bound(stack)
+        floor = np.sqrt(bound) - tau
+        passes, seen = [], {}
+        original = geom.dist2_pairs
+
+        def recorded(side, i, j, keep=False):
+            # the screen dropped the bound before its first exact pass
+            assert seen["bound"]() is None
+            passes.append(len(i))
+            return original(side, i, j, keep)
+
+        def nominate(b):
+            # each row's bound-nearest needed column but itself, before any
+            # exact pass
+            assert np.array_equal(b, bound) and not passes
+            seen["bound"] = weakref.ref(b)
+            others = np.where(needed, b, np.inf)
+            np.fill_diagonal(others, np.inf)
+            nominated = np.zeros_like(needed)
+            nominated[np.arange(N), np.argmin(others, axis=1)] = True
+            seen["nominated"] = nominated
+            return nominated
+
+        def cap(D):
+            # a row's least computed distance, after the nominated pairs only
+            nominated = seen["nominated"] | seen["nominated"].T
+            assert passes == [np.count_nonzero(np.triu(nominated, k=1))]
+            seen["cap"] = np.repeat(np.min(D, axis=1, keepdims=True), N, axis=1)
+            return seen["cap"]
+
+        monkeypatch.setattr(geom, "dist2_pairs", recorded)
+        screen = PairScreen(MetricKind.AIM, stack)
+        D = screen.distances(needed, nominate, cap)
+        monkeypatch.undo()
+        i, j = self.finite_pairs(D)
+        assert np.array_equal(D, D.T) and np.isinf(np.diag(D)).all()
+        assert np.array_equal(D[i, j], indexed_dist2(MetricKind.AIM, stack, i, j))
+        assert screen.computed == len(i) == sum(passes)
+        # the pairs computed: the nominated ones, and the needed ones that
+        # the floor does not rule out against the cap in some needed order
+        ruled_in = needed & (floor <= np.sqrt(seen["cap"]))
+        expected = seen["nominated"] | ruled_in
+        expected |= expected.T
+        np.fill_diagonal(expected, False)
+        assert np.array_equal(np.isfinite(D), expected)
+        # a needed pair left out is strictly farther than its cap
+        exact = pairwise_dist2(MetricKind.AIM, stack)
+        left_out = needed & np.isinf(D) & ~np.eye(N, dtype=bool)
+        assert left_out.any()
+        assert np.all(exact[left_out] > seen["cap"][left_out])
 
 
 class TestSteinFactors:

@@ -5,6 +5,8 @@ of their own (train_fraction, noise) by `check_type` and that range. Each
 bad value raises a ValidationError that names the setting; a numpy scalar of
 a valid value is accepted."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,17 @@ BAD = [
     for rank, bad in enumerate(bads)
 ]
 
+# a Fraction is a real that numpy's ufuncs cannot compute with: every real
+# setting rejects it by type, though its value is in range
+BAD += [
+    pytest.param(SETTINGS[key][0], Fraction(1, 5),
+                 f"^{SETTINGS[key][1]} must be a number, got Fraction",
+                 id=f"{key}-Fraction")
+    for key in ("repeated_split_eval-train_fraction", "OptimizerConfig-grad_tol",
+                "OptimizerConfig-rel_obj_tol", "AlignmentProblem.build-beta",
+                "SynthConfig-noise")
+]
+
 
 @pytest.mark.parametrize("call, bad, message", BAD)
 def test_bad_setting_is_named(call, bad, message):
@@ -102,9 +115,11 @@ def test_numpy_scalar_is_accepted(key):
         (lambda v: check_positive("x", v), -np.inf,
          "x must be positive and finite, got -inf"),
         (lambda v: check_type("x", v), 1j, "x must be a number, got 1j"),
+        (lambda v: check_type("x", v), Fraction(1, 2),
+         "x must be a number, got Fraction(1, 2)"),
     ],
     ids=["count-float", "count-bool", "count-low", "positive-str", "positive-bool",
-         "positive-zero", "positive-neg-inf", "number-complex"],
+         "positive-zero", "positive-neg-inf", "number-complex", "number-fraction"],
 )
 def test_rule_wording(check, value, message):
     with pytest.raises(ValidationError) as info:
