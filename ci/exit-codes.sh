@@ -101,3 +101,14 @@ spdalign gradcheck --instances 1 --config "$work/config.json" > "$work/out.txt"
 cat "$work/out.txt"
 test "$(grep -c ': max relative gradient error' "$work/out.txt")" = 1
 grep '^lem: max relative gradient error' "$work/out.txt"
+# a set scaled so that each sample's largest entry is 1e308 holds finite
+# entries only, but its traces overflow: bad input naming the first
+# sample's file, with no numpy warning ahead of the error
+spdalign synth --output-dir "$work/near-max" --dim 10 --classes 3 --per-class 6 --seed 0
+python -c "import glob, sys, numpy as np; from spdalign.fileio import save_matrix; [save_matrix(p, X * (1e308 / np.abs(X).max())) for p in glob.glob(sys.argv[1] + '/samples/*.txt') for X in [np.loadtxt(p, skiprows=1, ndmin=2)]]" "$work/near-max"
+expect 1 spdalign train --manifest "$work/near-max/manifest.txt" --target-dim 3 \
+  --output-dir "$work/near-max-out" 2> "$work/err.txt"
+cat "$work/err.txt"
+if grep -F Warning "$work/err.txt"; then exit 1; fi
+grep -F "sample 0 has trace inf: its scale is out of range for float64" "$work/err.txt"
+grep -F "(id s0000, file $work/near-max/samples/s0000.txt)" "$work/err.txt"

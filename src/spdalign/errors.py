@@ -56,7 +56,8 @@ class NonSymmetricError(_MatrixCheckError):
 
 
 class NotPositiveDefiniteError(_MatrixCheckError):
-    """Input matrix has an eigenvalue at or below the positivity floor."""
+    """Input matrix has an eigenvalue at or below the positivity floor, or a
+    scale too large for float64 (`matfun.check_pd`)."""
 
 
 class NoConvergenceError(NumericalError):

@@ -18,9 +18,10 @@ both manifolds by one broadcast assignment, which builds no (S, b, a)
 index array; the screen below and the 1-NN votes run as stacked passes
 over groups of splits, each group's (g, b, a) gather within
 BLOCK_ENTRIES entries, so memory does not grow with S. The stack is taken
-as the dataset checked it: only `map_down` checks it again, finite and
-symmetric, on the way through W, and neither manifold's stack is screened
-against the PD floor again (`metrics` docstring).
+as the dataset checked it, and W is checked once (`check_transform`)
+before `metrics.congruence` maps the stack through it: neither manifold's
+stack is checked or screened against the PD floor again (`metrics`
+docstring).
 
 Under the affine-invariant distance it computes only the pairs its
 log-Euclidean lower bound cannot rule out (`AffineInvariant.lower_bound`,
@@ -38,7 +39,10 @@ row's nearest neighbor nor tie it. Each computed value is the one
 `cross_dist2` gives, since the kernel computes each pair on its own, and
 each split votes on a matrix that is inf where a pair was left out:
 argmins, ties and accuracies are those of the exhaustive computation.
-`knn_classify` stays exhaustive.
+`knn_classify` stays exhaustive, and takes its two stacks as given in the
+same way, through the one route for distances between two stacks
+(`metrics._cross`), so it agrees with each split for an ill-conditioned W
+too, under which a mapped stack sits below the PD floor of raw arrays.
 """
 
 from dataclasses import dataclass
@@ -46,7 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, check_count, check_type
-from .metrics import MetricKind, PairScreen, _blocks, cross_dist2, map_down
+from .metrics import MetricKind, PairScreen, _blocks, _cross, check_transform
+from .metrics import congruence, geometry
+from .metrics import cross_dist2  # noqa: F401  (traced by perfbench)
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,12 @@ def _confusion(D, train_labels, test_labels, k, c):
 
 def knn_classify(train, test, metric, W=None, k=1):
     """Label test samples by majority vote among k nearest training samples;
-    k is an integer with 1 <= k <= train.size (`check_count`)."""
+    k is an integer with 1 <= k <= train.size (`check_count`).
+
+    Both datasets checked their stacks when they were built, so they are
+    taken as given; W, when given, is checked once (`check_transform`) and
+    maps both (`metrics.congruence`), and the test-by-train distances take
+    `metrics._cross`."""
     metric = MetricKind.parse(metric)
     check_count("k", k, 1)
     if k > train.size:
@@ -108,11 +119,11 @@ def knn_classify(train, test, metric, W=None, k=1):
         raise ValidationError(
             f"train dim {train.dim} does not match test dim {test.dim}"
         )
-    train_stack, test_stack = train.samples, test.samples
+    rows, cols = test.samples, train.samples
     if W is not None:
-        train_stack = map_down(train.samples, W)
-        test_stack = map_down(test.samples, W)
-    D = cross_dist2(metric, test_stack, train_stack)
+        W = check_transform(W, n=train.dim)
+        rows, cols = congruence(rows, W)[1], congruence(cols, W)[1]
+    D = _cross(geometry(metric), rows, cols)
     c = max(train.class_count, test.class_count)
     confusion = _confusion(D, train.labels, test.labels, k, c)
     row_sums = confusion.sum(axis=1)
@@ -207,7 +218,7 @@ def _split_dist2(metric, stack, train, test, needed):
     computed exactly. train and test are the (S, a) and (S, b) index
     arrays of `_draw_splits`; needed is the N x N mask of their
     (test, train) cells, and no pair outside it is computed. The stack is
-    a dataset's or `map_down`'s output, taken as `PairScreen` takes it."""
+    a dataset's or `congruence`'s output, taken as `PairScreen` takes it."""
     first = None
 
     def nominate(bound):
@@ -246,7 +257,7 @@ def repeated_split_eval(data, metric, train_fraction=0.5, repeats=10, seed=0, W=
     needed[test[:, :, None], train[:, None, :]] = True
     stacks = [data.samples]
     if W is not None:
-        stacks.append(map_down(data.samples, W))
+        stacks.append(congruence(data.samples, check_transform(W, n=data.dim))[1])
     labels = data.labels
     accuracies, computed = [], []
     for stack in stacks:

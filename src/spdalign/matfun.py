@@ -161,11 +161,25 @@ def check_pd(X, name="matrix"):
     takes `eigvalsh`, and `require_pd` decides it and names its first
     failing matrix; the screen never contradicts that check.
 
+    First, a matrix whose trace is above half of float64's largest value in
+    magnitude, or overflows, is rejected as out of range, with no numpy
+    warning: under that limit no entry of a positive definite matrix, no
+    sum of two such entries (a Stein midpoint, `symmetrize`) and no trace
+    overflows.
+
     It runs once per sample stack, where the stack enters the package:
     `LabeledDataset` and the raw-array distance entry points of `metrics`.
     """
     n = X.shape[-1]
-    trace = X.trace(axis1=-2, axis2=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = X.trace(axis1=-2, axis2=-1)
+    huge = ~(np.abs(trace) <= np.finfo(float).max / 2)
+    if huge.any():
+        index, label = _first(huge)
+        raise NotPositiveDefiniteError(
+            f"{name}{label} has trace {trace[huge].flat[0]:.3e}: its scale is "
+            "out of range for float64", index
+        )
     shift = pd_floor(X) + SCREEN_K * n * np.finfo(float).eps * trace
     try:
         chol = np.linalg.cholesky(X - shift[..., None, None] * np.eye(n))

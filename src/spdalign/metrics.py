@@ -20,17 +20,24 @@ Each geometry is one batched kernel (`Geometry`), and `dist2`,
 `pairwise_dist2`, `cross_dist2` and the alignment objective and gradient all
 go through it: `Geometry.dist2_pairs` is the one loop over blocks of
 distance pairs, on one operand, a factored stack (stack, factors), with the
-pairs as two index arrays into it; `dist2` and `cross_dist2` factor each of
-their two operands under its own name, then stack both.
+pairs as two index arrays into it. Distances between two stacks take one
+route, `_cross`: the rows stacked above the columns, factored once as one
+stack, and its (row, column) pairs; `dist2`, `cross_dist2` and
+`evaluate.knn_classify` all go through it.
 
-Inputs are validated once where they enter: finite and symmetric
-(`matfun.check_symmetric`), and clear of the PD floor (`matfun.check_pd`),
-in a `LabeledDataset` or in the raw-array entry points `dist2`,
-`cross_dist2` and `indexed_dist2` (so `pairwise_dist2` too), each operand
-after every shape, dimension and index check and right before it is
-factored. `Geometry.factors` only
-decomposes, so a stack computed inside the package (an objective trial,
-`map_down`'s output) is not screened against the floor. A Cholesky that
+A stack is one of two kinds. A raw array is validated once where it
+enters: finite and symmetric (`matfun.check_symmetric`), and clear of the
+PD floor and of float64's range (`matfun.check_pd`), in a `LabeledDataset`
+or in the raw-array entry points `dist2`, `cross_dist2` and
+`indexed_dist2` (so `pairwise_dist2` too), each operand under its own name,
+after every shape, dimension and index check and before it is factored. A
+stack the package holds, a dataset's or one it computed, is taken as given:
+`Geometry.factors` only decomposes, so no such stack is checked again.
+W^T X W is formed in one function, `congruence`, which checks neither
+operand and names the first sample whose product overflows: the objective,
+`repeated_split_eval` and `knn_classify` call it on a dataset's stack after
+checking W once (`check_transform`), and `map_down` is its checked entry
+for a raw array. A Cholesky that
 breaks down is named through `matfun.spd_chol`, the log-Euclidean factors
 reject a floored spectrum they read anyway, and the affine-invariant
 kernel applies the floor to each whitened pair; each of these runs on a
@@ -197,23 +204,30 @@ def check_rank(sv):
 
 def map_down(X, W):
     """Congruence W^T X W taking an SPD matrix, or each of a stack, to the
-    target dimension.
+    target dimension: the checked entry to `congruence`, X finite and
+    symmetric (`matfun.check_symmetric`), W through `check_transform`."""
+    X = matfun.check_symmetric(X, "sample")
+    return congruence(X, check_transform(W, n=X.shape[-1]))[1]
+
+
+def congruence(X, W):
+    """(X W, W^T X W symmetrized) of a stack the package holds and a W that
+    `check_transform` has passed: the one product onto the target manifold,
+    which checks neither operand.
 
     A finite W can still overflow the product; a mapped matrix that is not
     finite raises NumericalError, naming the transform and the first such
-    sample, rather than reaching a later check as an infinite eigenvalue.
+    sample, with no numpy warning, rather than reaching a later check as an
+    infinite or NaN eigenvalue.
     """
-    X = matfun.check_symmetric(X, "sample")
-    W = check_transform(W, n=X.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        Y = matfun.symmetrize(W.T @ (X @ W))
+        B = X @ W
+        Y = matfun.symmetrize(W.T @ B)
     finite = np.isfinite(Y).all(axis=(-2, -1))
     if not finite.all():
-        _, label = matfun._first(~finite)
-        raise NumericalError(
-            f"transform maps sample{label} to non-finite values (overflow)"
-        )
-    return Y
+        raise NumericalError(f"transform maps sample{matfun._first(~finite)[1]} "
+                             "to non-finite values (overflow)")
+    return B, Y
 
 
 def _blocks(count, entries):
@@ -718,24 +732,30 @@ def _pair_indices(i, j, N):
     return i, j
 
 
-def _joined_side(geom, join, *operands):
-    """The (stack, factors) side of raw (operand, name) pairs joined by
-    `join` (np.stack or np.concatenate), each operand screened against the
-    PD floor (`matfun.check_pd`) and factored under its own name, in turn."""
-    factors = (geom.factors(matfun.check_pd(A, name), name) for A, name in operands)
-    return join([A for A, _ in operands]), tuple(map(join, zip(*factors)))
+def _cross(geom, rows, cols):
+    """Squared distances between every row and column of two stacks, taken
+    as given: the pairs (r, R + c) of the R rows stacked above the columns,
+    factored once as one stack, so a failing pair is named [r R+c]. A
+    matrix's factors do not depend on the stack it sits in."""
+    R, C = len(rows), len(cols)
+    stack = np.concatenate([rows, cols])
+    i, j = np.divmod(np.arange(R * C), C)
+    side = (stack, geom.factors(stack, "sample"))
+    return geom.dist2_pairs(side, i, R + j)[0].reshape(R, C)
 
 
 def dist2(metric, X1, X2):
     """Squared distance between two SPD matrices under the chosen geometry:
-    the pair (0, 1) of the two, stacked after each is factored."""
+    each operand checked under its own name, then the one pair of `_cross`
+    of the two."""
     geom = geometry(metric)
     X1 = _operand(X1, "first operand", 2)
     X2 = _operand(X2, "second operand", 2)
     if X1.shape != X2.shape:
         raise DimMismatchError(f"operand dims differ: {X1.shape} vs {X2.shape}")
-    side = _joined_side(geom, np.stack, (X1, "first operand"), (X2, "second operand"))
-    return float(geom.dist2_pairs(side, np.array([0]), np.array([1]))[0][0])
+    matfun.check_pd(X1, "first operand")
+    matfun.check_pd(X2, "second operand")
+    return float(_cross(geom, X1[None], X2[None])[0, 0])
 
 
 def pairwise_dist2(metric, samples):
@@ -754,19 +774,18 @@ def pairwise_dist2(metric, samples):
 
 def cross_dist2(metric, rows, cols):
     """Squared distances between every row-stack and column-stack sample:
-    the pairs (r, R + c) of the R rows stacked above the columns, after
-    each stack is factored, so a failing pair is named [r R+c]."""
+    each stack checked under its own name, finite and symmetric, then
+    against the PD floor (`matfun.check_pd`), then `_cross` of the two, so
+    a failing pair is named [r R+c]."""
     geom = geometry(metric)
     rows, cols = _operand(rows, "row sample", 3), _operand(cols, "col sample", 3)
     if rows.shape[1:] != cols.shape[1:]:
         raise DimMismatchError(
             f"sample dims differ: {rows.shape[1:]} vs {cols.shape[1:]}"
         )
-    side = _joined_side(
-        geom, np.concatenate, (rows, "row sample"), (cols, "col sample"))
-    R, C = rows.shape[0], cols.shape[0]
-    i, j = np.divmod(np.arange(R * C), C)
-    return geom.dist2_pairs(side, i, R + j)[0].reshape(R, C)
+    matfun.check_pd(rows, "row sample")
+    matfun.check_pd(cols, "col sample")
+    return _cross(geom, rows, cols)
 
 
 def indexed_dist2(metric, samples, i, j):
@@ -811,7 +830,7 @@ class PairScreen:
     factors, and its floor sqrt(bound) - tau is -inf where that is not
     finite (a NaN floor would compare False and rule a pair out). The stack
     is taken as given: a dataset's, screened when the dataset was built, or
-    `map_down`'s output; `Geometry.factors` only decomposes.
+    `congruence`'s output; `Geometry.factors` only decomposes.
     """
 
     def __init__(self, metric, stack):

@@ -50,12 +50,14 @@ affine-invariant metric, the log of each whitened pair; for Stein, the
 Cholesky factor of each midpoint A), so `alignment_gradient` is a function of
 the state alone and decomposes no sample stack and no pair matrix again.
 
-The mapped stack is computed here, not read in, so it is not screened
-against the PD floor (`matfun.check_pd` runs where samples enter):
-`Geometry.factors` only decomposes. An affine-invariant or Stein trial fails
-where a Cholesky breaks down (`matfun.spd_chol`), an affine-invariant one
-also where a whitened pair falls to the floor, and a log-Euclidean one where
-a mapped spectrum does.
+The mapped stack is computed here (`metrics.congruence`, the one product
+W^T X W), not read in, so it is not screened against the PD floor
+(`matfun.check_pd` runs where samples enter): `Geometry.factors` only
+decomposes. A trial whose product overflows is a NumericalError naming the
+first such sample, with no numpy warning. An affine-invariant or Stein
+trial fails where a Cholesky breaks down (`matfun.spd_chol`), an
+affine-invariant one also where a whitened pair falls to the floor, and a
+log-Euclidean one where a mapped spectrum does.
 """
 
 import math
@@ -63,10 +65,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matfun
 from .errors import DegenerateAlignmentError, DimMismatchError, check_positive
 from .graphs import label_similarity  # noqa: F401  (traced by perfbench)
-from .metrics import Geometry, check_transform, geometry
+from .metrics import Geometry, check_transform, congruence, geometry
 
 L_NORM_FLOOR = 1e-14
 
@@ -99,11 +100,10 @@ class AlignmentState:
 
 
 def build_grad_context(samples, W, geom):
-    """Map the samples through a checked W and factor the mapped stack once:
-    (B, mapped, factors) with B_p = X_p W and mapped the symmetrized
-    W^T X_p W."""
-    B = samples @ W
-    mapped = matfun.symmetrize(np.matmul(W.T, B))
+    """Map the samples through a checked W (`metrics.congruence`) and factor
+    the mapped stack once: (B, mapped, factors) with B_p = X_p W and mapped
+    the symmetrized W^T X_p W."""
+    B, mapped = congruence(samples, W)
     return B, mapped, geom.factors(mapped, "transformed sample")
 
 

@@ -428,6 +428,34 @@ class TestScaledSamples:
         for kind in ("baseline 1-NN", "transformed 1-NN"):
             assert _line(evaluation, kind) == _line(evaluation_1, kind)
 
+    @staticmethod
+    def near_max(kind):
+        """(samples, labels) of a set whose traces overflow float64, or are
+        finite but above half its largest value."""
+        if kind == "entries":
+            base = synth_dataset(SynthConfig(dim=10, classes=3, per_class=6,
+                                             noise=0.5, seed=0))
+            peak = np.abs(base.samples).max(axis=(1, 2), keepdims=True)
+            return base.samples * (1e308 / peak), [f"c{y}" for y in base.labels]
+        spectra = [[1.0, 0.6], [0.6, 1.0], [0.8, 0.5], [0.5, 0.8]]
+        return (np.array([np.diag(w) * 1e308 for w in spectra]),
+                ["c0", "c0", "c1", "c1"])
+
+    @pytest.mark.parametrize("kind", ["entries", "traces"])
+    def test_rejects_traces_near_the_float_maximum(self, tmp_path, capsys, kind):
+        # every entry is finite, but a trace, a Stein midpoint or the AIM
+        # screen's stack mean would overflow: the set is bad input naming the
+        # first sample's file, with no numpy warning (pytest makes warnings
+        # errors)
+        samples, labels = self.near_max(kind)
+        manifest = write_corpus(tmp_path, samples, labels)
+        code = cli.main(["train", "--manifest", manifest, "--metric", "stein",
+                         "--target-dim", "1", "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "sample 0 has trace" in err and "out of range" in err
+        assert str(tmp_path / "s0.txt") in err
+
 
 class TestSymmetryAtScale:
     """Symmetry is judged against each sample's own scale, as the PD floor

@@ -6,7 +6,7 @@ import pytest
 from spdalign import evaluate, matfun, metrics
 from spdalign.dataset import LabeledDataset
 from spdalign.descriptors import SynthConfig, synth_dataset
-from spdalign.errors import ValidationError
+from spdalign.errors import NotPositiveDefiniteError, ValidationError
 from spdalign.evaluate import EvalSummary, knn_classify, repeated_split_eval, split
 from spdalign.metrics import (
     MetricKind, cross_dist2, geometry, map_down, unordered_pairs,
@@ -148,6 +148,21 @@ class TestKnnClassify:
         # all mapped samples coincide, so the lower train index labels both
         assert np.array_equal(collapsed.confusion, [[1, 0], [1, 0]])
 
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_checks_only_the_transform(self, metric, with_w, monkeypatch):
+        # both datasets checked their stacks when they were built, and the
+        # mapped stacks are computed: only W is checked, once for both
+        train, test = split(clustered_dataset(seed=2, n=4, classes=2, per_class=5),
+                            0.5, seed=1)
+        W = rand_full_rank(np.random.default_rng(0), 4, 2) if with_w else None
+        checks = count_calls(monkeypatch, matfun,
+                             ["check_symmetric", "check_pd"])
+        transforms = count_calls(monkeypatch, evaluate, ["check_transform"])
+        knn_classify(train, test, metric, W=W)
+        assert checks == {"check_symmetric": 0, "check_pd": 0}
+        assert transforms == {"check_transform": int(with_w)}
+
     def test_rejects_bad_k(self):
         data = scalar_dataset([1.0, 2.0], [0, 1])
         with pytest.raises(ValidationError):
@@ -255,16 +270,39 @@ class TestRepeatedSplitEval:
     @pytest.mark.parametrize("metric", list(MetricKind))
     @pytest.mark.parametrize("with_w", [False, True])
     def test_checks_the_held_stack_once(self, metric, with_w, monkeypatch):
-        # the dataset checked its stack when it was built: only `map_down`
-        # checks it again, once, on the way through W, and no stack is
-        # screened for the PD floor again
+        # the dataset checked its stack when it was built, so neither
+        # manifold's stack is checked again: only W is, once
         data = clustered_dataset(seed=2, n=4, classes=2, per_class=5)
         W = rand_full_rank(np.random.default_rng(0), 4, 2) if with_w else None
-        calls = count_calls(monkeypatch, matfun,
-                            ["check_symmetric", "check_pd"])
+        checks = count_calls(monkeypatch, matfun,
+                             ["check_symmetric", "check_pd"])
+        transforms = count_calls(monkeypatch, evaluate, ["check_transform"])
         repeated_split_eval(data, metric, repeats=3, seed=1, W=W)
-        once = int(with_w)
-        assert calls == {"check_symmetric": once, "check_pd": 0}
+        assert checks == {"check_symmetric": 0, "check_pd": 0}
+        assert transforms == {"check_transform": int(with_w)}
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_ill_conditioned_transform_equals_per_split_knn(self, metric):
+        # W's singular values spread by 1e7, within the rank rule: the mapped
+        # samples sit under the PD floor for raw arrays, but the affine-
+        # invariant and Stein distances are those of W A for any invertible
+        # A, so both routes take the mapped stacks as given and agree; the
+        # log-Euclidean distance reads the mapped spectrum, and both raise
+        data = synth_dataset(SynthConfig(dim=6, classes=3, per_class=8,
+                                         noise=0.3, seed=1))
+        Q = matfun.qr_orthonormal(np.random.default_rng(0).standard_normal((6, 3)))
+        W = Q * [1.0, 1.0, 1e-7]
+        if metric is MetricKind.LEM:
+            with pytest.raises(NotPositiveDefiniteError):
+                repeated_split_eval(data, metric, repeats=10, seed=0, W=W)
+            with pytest.raises(NotPositiveDefiniteError):
+                knn_classify(*split(data, 0.5, 0), metric, W=W)
+            return
+        summary = repeated_split_eval(data, metric, repeats=10, seed=0, W=W)
+        expected = [knn_classify(*split(data, 0.5, r), metric, W=W).accuracy
+                    for r in range(10)]
+        assert np.array_equal(summary.transformed, expected)
+        assert len(set(expected)) > 1
 
     @staticmethod
     def check_equals_per_split_knn(data, metric, fraction, W):

@@ -23,18 +23,21 @@ from helpers import (
 )
 from spdalign import matfun
 from spdalign.dataset import LabeledDataset
+from spdalign.descriptors import SynthConfig, synth_dataset
 from spdalign.errors import (
-    DegenerateAlignmentError, DimMismatchError, ValidationError,
+    DegenerateAlignmentError, DimMismatchError, NumericalError, ValidationError,
 )
 from spdalign.graphs import (
     PairGraphs, build_graphs, label_similarity, neighbor_graphs,
 )
 from spdalign.metrics import (
-    BLOCK_ENTRIES, MetricKind, _blocks, default_beta, geometry, pairwise_dist2,
+    BLOCK_ENTRIES, MetricKind, _blocks, default_beta, geometry, map_down,
+    pairwise_dist2,
 )
 from spdalign.objective import (
-    AlignmentProblem, alignment_gradient, alignment_objective,
+    AlignmentProblem, alignment_gradient, alignment_objective, build_grad_context,
 )
+from spdalign.optimizer import OptimizerConfig, initial_transform, rcg_maximize
 
 ALL_METRICS = list(MetricKind)
 
@@ -169,6 +172,35 @@ class TestObjectiveValue:
         assert state.J == expected.J
         for name in ("K", "L", "coeff"):
             assert np.array_equal(getattr(state, name), getattr(expected, name))
+
+
+class TestMappedStack:
+    """The objective maps its samples through `metrics.congruence`, the
+    product `map_down` checks its operands into."""
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    def test_equals_map_down_bit_for_bit(self, metric):
+        data, _, W = make_instance(6)
+        B, mapped, _ = build_grad_context(data.samples, W, geometry(metric))
+        assert np.array_equal(mapped, map_down(data.samples, W))
+        assert np.array_equal(B, data.samples @ W)
+
+    @pytest.mark.parametrize("metric", ALL_METRICS)
+    @pytest.mark.parametrize("entry", ["objective", "rcg"])
+    def test_overflowing_transform_names_the_sample(self, metric, entry):
+        # W^T X W overflows for every sample: a NumericalError naming the
+        # first, with no numpy warning (pytest makes warnings errors)
+        data = synth_dataset(SynthConfig(dim=6, classes=3, per_class=5,
+                                         noise=0.3, seed=0))
+        graphs = build_graphs(data, metric, v_w=2, v_b=2)
+        W = 1e160 * initial_transform(6, 2, 0)
+        with pytest.raises(NumericalError,
+                           match="maps sample 0 to non-finite values"):
+            if entry == "objective":
+                alignment_objective(data, graphs, W, metric, beta=1.0)
+            else:
+                rcg_maximize(data, graphs, metric, 1.0, W,
+                             OptimizerConfig(max_iters=2))
 
 
 class TestKernelEntryGradient:
